@@ -1,4 +1,4 @@
-"""Engine comparison: naive oracle vs planned (boxed/columnar) vs SQLite.
+"""Engine comparison: naive oracle vs planned vs SQLite.
 
 Runs the repetition-heavy workloads of ``bench_transfers.py`` (amount-
 filtered transitive reachability over random transfer graphs) and
@@ -6,36 +6,28 @@ filtered transitive reachability over random transfer graphs) and
 identifiers) on all registered engines and records the timings in
 ``BENCH_planner.json`` so later PRs have a performance trajectory.
 
-Three measurement levels per workload:
+Measurement levels per workload:
 
 * ``*_query`` — end-to-end engine evaluation of the full PGQ query
-  (view subqueries, graph construction, pattern matching).  Engines run
-  with view reuse disabled so every repeat measures a cold query;
-  ``planned_s`` is the PR-1 rule-ordered planner, ``costed_s`` the PR-2
-  cost-based join ordering (both on the boxed-identifier executor), and
-  ``columnar_s`` the PR-3 compact-ID columnar executor — the default
-  planned configuration.
+  (view subqueries, graph construction, pattern matching).  The naive
+  and planned sides build a fresh engine per repeat so every repeat
+  measures a cold query (the planned side keeps one plan cache across
+  repeats); the SQLite side reuses one engine.
 * ``*_matcher`` — pattern matching only, on a pre-built graph view
-  (the level ``bench_transfers.py::test_filtered_reachability`` measures);
-  ``columnar_s`` vs ``planned_s`` isolates the integer-column effect.
-* ``*_session`` — a repeated-query session: one engine instance
-  evaluates the same query ``SESSION_QUERY_REPEATS`` times, comparing
-  the PR-1 planned engine (rule order, views rebuilt per query) with the
-  costed + view-cached engine (PR-2) and the columnar engine (PR-3).
+  (the level ``bench_transfers.py::test_filtered_reachability`` measures).
 * ``prepared_session`` — the prepared-statement workload (PR 4): one
   statement executed with ``PREPARED_BINDINGS`` different ``:minimum``
   bindings, comparing per-call literal substitution (every call pays
   parse + compile + plan; distinct literals defeat the plan cache by
   design) against ``session.prepare(...)`` + per-binding ``execute``.
   The ``prepared_gate`` floor (prepared >= 2x ad hoc) is asserted by the
-  CI smoke job alongside ``columnar_gate``.
+  CI smoke job.
+* ``snapshot_session`` — a new connection over a warm snapshot against a
+  cold private session (PR 5).
 
-The ``columnar_gate`` workload re-runs the largest transfers/pairs sizes
-for the columnar-vs-costed comparison; it is the speedup floor the CI
-smoke job asserts (>= 1.5x) and the full run gates harder on the matcher
-level (>= 2x) where the columnar change applies in isolation.  The
-query-level pairs ratio is Amdahl-bound by the shared relational/view
-layer (see ROADMAP) and is recorded, not gated.
+The speed of the planned executor itself is guarded by the ``reach_warm``
+and ``pairs_ext`` workloads of ``benchmarks/suite`` (``BENCHMARK.json``),
+not by a gate here.
 
 The ``observability_gate`` workload (PR 6) times the full Database →
 Connection stack with the default disabled tracer against the warm
@@ -88,10 +80,6 @@ TRANSFER_SIZES = [(50, 150), (100, 400), (200, 800)]
 PAIR_SIZES = [4, 6, 8, 10, 12]
 SMOKE_TRANSFER_SIZES = [(40, 120)]
 SMOKE_PAIR_SIZES = [3]
-
-#: Queries per measured session in the ``*_session`` workloads: the first
-#: evaluation is cold (view build + planning), the rest hit the caches.
-SESSION_QUERY_REPEATS = 5
 
 #: Distinct ``:minimum`` bindings per measured ``prepared_session`` sweep.
 PREPARED_BINDINGS = 25
@@ -199,24 +187,19 @@ def bench_transfers(sizes, repeats: int) -> Dict[str, List[dict]]:
         view_db = _transfer_view_database(database)
         query = _transfer_query()
 
-        naive_engine = NaiveEngine(view_db, reuse_views=False)
-        planned_engine = PlannedEngine(
-            view_db, plan_cache=PlanCache(), cost_based=False, reuse_views=False, compact=False
-        )
-        costed_engine = PlannedEngine(view_db, reuse_views=False, compact=False)
-        columnar_engine = PlannedEngine(view_db, reuse_views=False)
+        # A fresh engine per call: its view cache starts empty, so every
+        # repeat is a cold query.
+        plan_cache = PlanCache()
+        naive = lambda: NaiveEngine(view_db).evaluate(query)  # noqa: E731
+        planned = lambda: PlannedEngine(view_db, plan_cache=plan_cache).evaluate(query)  # noqa: E731
         sqlite_engine = SQLiteEngine(view_db)
-        expected = naive_engine.evaluate(query)
-        assert planned_engine.evaluate(query).rows == expected.rows
-        assert costed_engine.evaluate(query).rows == expected.rows
-        assert columnar_engine.evaluate(query).rows == expected.rows
+        expected = naive()
+        assert planned().rows == expected.rows
         assert sqlite_engine.evaluate(query).rows == expected.rows
 
         tag = f"transfers_query[{accounts}x{transfers}]"
-        naive_s = _time(lambda: naive_engine.evaluate(query), repeats, f"{tag}.naive")
-        planned_s = _time(lambda: planned_engine.evaluate(query), repeats, f"{tag}.planned")
-        costed_s = _time(lambda: costed_engine.evaluate(query), repeats, f"{tag}.costed")
-        columnar_s = _time(lambda: columnar_engine.evaluate(query), repeats, f"{tag}.columnar")
+        naive_s = _time(naive, repeats, f"{tag}.naive")
+        planned_s = _time(planned, repeats, f"{tag}.planned")
         sqlite_s = _time(lambda: sqlite_engine.evaluate(query), repeats, f"{tag}.sqlite")
         sqlite_engine.close()
         query_rows.append(
@@ -226,27 +209,19 @@ def bench_transfers(sizes, repeats: int) -> Dict[str, List[dict]]:
                 "rows": len(expected),
                 "naive_s": naive_s,
                 "planned_s": planned_s,
-                "costed_s": costed_s,
-                "columnar_s": columnar_s,
                 "sqlite_s": sqlite_s,
                 "speedup_planned_vs_naive": round(naive_s / planned_s, 2),
-                "speedup_columnar_vs_costed": round(costed_s / columnar_s, 2),
             }
         )
 
         graph = pg_view(iban_view_relations(database))
         cache = PlanCache()
-        columnar_cache = PlanCache()
         assert PlanExecutor(graph, plan_cache=cache).evaluate_output(out) == EndpointEvaluator(
             graph
         ).evaluate_output(out)
         naive_m = _time(lambda: EndpointEvaluator(graph).evaluate_output(out), repeats)
         planned_m = _time(
-            lambda: PlanExecutor(graph, plan_cache=cache, compact=False).evaluate_output(out),
-            repeats,
-        )
-        columnar_m = _time(
-            lambda: PlanExecutor(graph, plan_cache=columnar_cache).evaluate_output(out), repeats
+            lambda: PlanExecutor(graph, plan_cache=cache).evaluate_output(out), repeats
         )
         matcher_rows.append(
             {
@@ -254,9 +229,7 @@ def bench_transfers(sizes, repeats: int) -> Dict[str, List[dict]]:
                 "transfers": transfers,
                 "naive_s": naive_m,
                 "planned_s": planned_m,
-                "columnar_s": columnar_m,
                 "speedup_planned_vs_naive": round(naive_m / planned_m, 2),
-                "speedup_columnar_vs_planned": round(planned_m / columnar_m, 2),
             }
         )
     return {"transfers_query": query_rows, "transfers_matcher": matcher_rows}
@@ -268,24 +241,17 @@ def bench_pairs(sizes, repeats: int) -> Dict[str, List[dict]]:
     query = pair_reachability_query()
     for values in sizes:
         database = pair_graph_database(values, seed=5, edge_probability=0.15)
-        naive_engine = NaiveEngine(database, reuse_views=False)
-        planned_engine = PlannedEngine(
-            database, plan_cache=PlanCache(), cost_based=False, reuse_views=False, compact=False
-        )
-        costed_engine = PlannedEngine(database, reuse_views=False, compact=False)
-        columnar_engine = PlannedEngine(database, reuse_views=False)
+        plan_cache = PlanCache()
+        naive = lambda: NaiveEngine(database).evaluate(query)  # noqa: E731
+        planned = lambda: PlannedEngine(database, plan_cache=plan_cache).evaluate(query)  # noqa: E731
         sqlite_engine = SQLiteEngine(database)  # n-ary view: falls back to the oracle
-        expected = naive_engine.evaluate(query)
-        assert planned_engine.evaluate(query).rows == expected.rows
-        assert costed_engine.evaluate(query).rows == expected.rows
-        assert columnar_engine.evaluate(query).rows == expected.rows
+        expected = naive()
+        assert planned().rows == expected.rows
         assert sqlite_engine.evaluate(query).rows == expected.rows
 
         tag = f"pairs_reachability[{values}]"
-        naive_s = _time(lambda: naive_engine.evaluate(query), repeats, f"{tag}.naive")
-        planned_s = _time(lambda: planned_engine.evaluate(query), repeats, f"{tag}.planned")
-        costed_s = _time(lambda: costed_engine.evaluate(query), repeats, f"{tag}.costed")
-        columnar_s = _time(lambda: columnar_engine.evaluate(query), repeats, f"{tag}.columnar")
+        naive_s = _time(naive, repeats, f"{tag}.naive")
+        planned_s = _time(planned, repeats, f"{tag}.planned")
         sqlite_s = _time(lambda: sqlite_engine.evaluate(query), repeats, f"{tag}.sqlite")
         sqlite_engine.close()
         query_rows.append(
@@ -295,11 +261,8 @@ def bench_pairs(sizes, repeats: int) -> Dict[str, List[dict]]:
                 "rows": len(expected),
                 "naive_s": naive_s,
                 "planned_s": planned_s,
-                "costed_s": costed_s,
-                "columnar_s": columnar_s,
                 "sqlite_s": sqlite_s,
                 "speedup_planned_vs_naive": round(naive_s / planned_s, 2),
-                "speedup_columnar_vs_costed": round(costed_s / columnar_s, 2),
             }
         )
 
@@ -311,17 +274,12 @@ def bench_pairs(sizes, repeats: int) -> Dict[str, List[dict]]:
         graph = pg_view_ext(view_relations)
         out = graph_pattern.output
         cache = PlanCache()
-        columnar_cache = PlanCache()
         assert PlanExecutor(graph, plan_cache=cache).evaluate_output(out) == EndpointEvaluator(
             graph
         ).evaluate_output(out)
         naive_m = _time(lambda: EndpointEvaluator(graph).evaluate_output(out), repeats)
         planned_m = _time(
-            lambda: PlanExecutor(graph, plan_cache=cache, compact=False).evaluate_output(out),
-            repeats,
-        )
-        columnar_m = _time(
-            lambda: PlanExecutor(graph, plan_cache=columnar_cache).evaluate_output(out), repeats
+            lambda: PlanExecutor(graph, plan_cache=cache).evaluate_output(out), repeats
         )
         matcher_rows.append(
             {
@@ -329,86 +287,10 @@ def bench_pairs(sizes, repeats: int) -> Dict[str, List[dict]]:
                 "pair_nodes": values * values,
                 "naive_s": naive_m,
                 "planned_s": planned_m,
-                "columnar_s": columnar_m,
                 "speedup_planned_vs_naive": round(naive_m / planned_m, 2),
-                "speedup_columnar_vs_planned": round(planned_m / columnar_m, 2),
             }
         )
     return {"pairs_reachability": query_rows, "pairs_matcher": matcher_rows}
-
-
-def _session_time(make_engine: Callable[[], object], query, repeats: int) -> float:
-    """Best-of-N seconds for one *session*: a fresh engine evaluating the
-    same query ``SESSION_QUERY_REPEATS`` times (first cold, rest warm)."""
-
-    def run() -> None:
-        engine = make_engine()
-        for _ in range(SESSION_QUERY_REPEATS):
-            engine.evaluate(query)
-
-    return _time(run, repeats)
-
-
-def bench_sessions(transfer_sizes, pair_sizes, repeats: int) -> Dict[str, List[dict]]:
-    """Repeated-query sessions: PR-1 planned engine vs costed + view-cached.
-
-    The PR-1 configuration (rule-ordered joins, views rebuilt per query)
-    is the baseline the >= 1.5x acceptance target is measured against.
-    """
-    transfer_rows: List[dict] = []
-    for accounts, transfers in transfer_sizes:
-        view_db = _transfer_view_database(_transfer_database(accounts, transfers))
-        query = _transfer_query()
-        pr1 = lambda: PlannedEngine(  # noqa: E731 - benchmark thunk
-            view_db, plan_cache=PlanCache(), cost_based=False, reuse_views=False, compact=False
-        )
-        cached = lambda: PlannedEngine(view_db, compact=False)  # noqa: E731 - benchmark thunk
-        columnar = lambda: PlannedEngine(view_db)  # noqa: E731 - benchmark thunk
-        assert pr1().evaluate(query).rows == cached().evaluate(query).rows
-        assert columnar().evaluate(query).rows == cached().evaluate(query).rows
-        pr1_s = _session_time(pr1, query, repeats)
-        cached_s = _session_time(cached, query, repeats)
-        columnar_s = _session_time(columnar, query, repeats)
-        transfer_rows.append(
-            {
-                "accounts": accounts,
-                "transfers": transfers,
-                "queries": SESSION_QUERY_REPEATS,
-                "planned_pr1_s": pr1_s,
-                "costed_cached_s": cached_s,
-                "columnar_cached_s": columnar_s,
-                "speedup_costed_vs_pr1": round(pr1_s / cached_s, 2),
-                "speedup_columnar_vs_pr1": round(pr1_s / columnar_s, 2),
-            }
-        )
-
-    pair_rows: List[dict] = []
-    query = pair_reachability_query()
-    for values in pair_sizes:
-        database = pair_graph_database(values, seed=5, edge_probability=0.15)
-        pr1 = lambda: PlannedEngine(  # noqa: E731 - benchmark thunk
-            database, plan_cache=PlanCache(), cost_based=False, reuse_views=False, compact=False
-        )
-        cached = lambda: PlannedEngine(database, compact=False)  # noqa: E731 - benchmark thunk
-        columnar = lambda: PlannedEngine(database)  # noqa: E731 - benchmark thunk
-        assert pr1().evaluate(query).rows == cached().evaluate(query).rows
-        assert columnar().evaluate(query).rows == cached().evaluate(query).rows
-        pr1_s = _session_time(pr1, query, repeats)
-        cached_s = _session_time(cached, query, repeats)
-        columnar_s = _session_time(columnar, query, repeats)
-        pair_rows.append(
-            {
-                "values": values,
-                "pair_nodes": values * values,
-                "queries": SESSION_QUERY_REPEATS,
-                "planned_pr1_s": pr1_s,
-                "costed_cached_s": cached_s,
-                "columnar_cached_s": columnar_s,
-                "speedup_costed_vs_pr1": round(pr1_s / cached_s, 2),
-                "speedup_columnar_vs_pr1": round(pr1_s / columnar_s, 2),
-            }
-        )
-    return {"transfers_session": transfer_rows, "pairs_session": pair_rows}
 
 
 def bench_prepared(repeats: int) -> Dict[str, List[dict]]:
@@ -561,67 +443,6 @@ def bench_snapshot_session(repeats: int) -> Dict[str, List[dict]]:
             }
         ]
     }
-
-
-def bench_columnar_gate(repeats: int) -> Dict[str, List[dict]]:
-    """Columnar vs PR-2 costed at the largest full-run sizes.
-
-    Runs in smoke mode too (the sizes are cheap for both engines now that
-    matching is the dominant cost): the CI smoke job asserts the >= 1.5x
-    floor on these rows, so a columnar-path regression fails the build
-    instead of only skewing a nightly number.  Best-of-3 at minimum —
-    a single-shot measurement is GC-noise territory at these durations.
-    """
-    repeats = max(repeats, 3)
-    rows: List[dict] = []
-
-    accounts, transfers = TRANSFER_SIZES[-1]
-    view_db = _transfer_view_database(_transfer_database(accounts, transfers))
-    query = _transfer_query()
-    costed = PlannedEngine(view_db, reuse_views=False, compact=False)
-    columnar = PlannedEngine(view_db, reuse_views=False)
-    assert costed.evaluate(query).rows == columnar.evaluate(query).rows
-    costed_s = _time(lambda: costed.evaluate(query), repeats, "columnar_gate.transfers.costed")
-    columnar_s = _time(
-        lambda: columnar.evaluate(query), repeats, "columnar_gate.transfers.columnar"
-    )
-    rows.append(
-        {
-            "workload": f"transfers_query {accounts}/{transfers}",
-            "costed_s": costed_s,
-            "columnar_s": columnar_s,
-            "speedup_columnar_vs_costed": round(costed_s / columnar_s, 2),
-        }
-    )
-
-    values = PAIR_SIZES[-1]
-    database = pair_graph_database(values, seed=5, edge_probability=0.15)
-    graph_pattern = pair_reachability_query().operand
-    view_relations = tuple(
-        NaiveEngine(database).evaluate(source) for source in graph_pattern.sources
-    )
-    graph = pg_view_ext(view_relations)
-    out = graph_pattern.output
-    costed_cache, columnar_cache = PlanCache(), PlanCache()
-    assert PlanExecutor(graph, plan_cache=costed_cache, compact=False).evaluate_output(
-        out
-    ) == PlanExecutor(graph, plan_cache=columnar_cache).evaluate_output(out)
-    costed_s = _time(
-        lambda: PlanExecutor(graph, plan_cache=costed_cache, compact=False).evaluate_output(out),
-        repeats,
-    )
-    columnar_s = _time(
-        lambda: PlanExecutor(graph, plan_cache=columnar_cache).evaluate_output(out), repeats
-    )
-    rows.append(
-        {
-            "workload": f"pairs_matcher {values}",
-            "costed_s": costed_s,
-            "columnar_s": columnar_s,
-            "speedup_columnar_vs_costed": round(costed_s / columnar_s, 2),
-        }
-    )
-    return {"columnar_gate": rows}
 
 
 #: Ceiling on the disabled-tracer stack overhead (percent), asserted by
@@ -1019,11 +840,7 @@ def main(argv=None) -> int:
     workloads: Dict[str, List[dict]] = {}
     workloads.update(bench_transfers(transfer_sizes, repeats))
     workloads.update(bench_pairs(pair_sizes, repeats))
-    if not args.smoke:
-        workloads.update(bench_sessions(transfer_sizes, pair_sizes, repeats))
-    # The columnar, prepared and snapshot speedup floors run in both
-    # modes — they are the gates CI asserts.
-    workloads.update(bench_columnar_gate(repeats))
+    # The gates below run in both modes — they are what CI asserts.
     workloads.update(bench_prepared(repeats))
     workloads.update(bench_snapshot_session(repeats))
     workloads.update(bench_observability_gate(repeats))
@@ -1036,14 +853,7 @@ def main(argv=None) -> int:
 
     payload = {
         "generated_by": "benchmarks/bench_planner.py" + (" --smoke" if args.smoke else ""),
-        "engines": [
-            "naive",
-            "planned (rule-ordered)",
-            "planned (costed)",
-            "planned (columnar)",
-            "sqlite",
-        ],
-        "session_query_repeats": SESSION_QUERY_REPEATS,
+        "engines": ["naive", "planned", "sqlite"],
         "workloads": workloads,
         "latency_percentiles": _latency_percentiles(),
     }
@@ -1051,14 +861,6 @@ def main(argv=None) -> int:
     print(f"\nwrote {args.output}")
 
     missed = False
-    # Columnar speedup floor (smoke and full): the compact executor must
-    # stay >= 1.5x the PR-2 costed engine at the largest sizes.
-    for row in workloads["columnar_gate"]:
-        speedup = row["speedup_columnar_vs_costed"]
-        below = speedup < 1.5
-        missed = missed or below
-        status = "BELOW TARGET" if below else "ok"
-        print(f"columnar_gate {row['workload']}: columnar is {speedup}x costed [{status}]")
     # Prepared-statement floor (smoke and full): executing one prepared
     # statement across varying bindings must stay >= 2x the per-call
     # parse+plan path.
@@ -1163,29 +965,8 @@ def main(argv=None) -> int:
         missed = missed or below
         status = "BELOW TARGET" if below else "ok"
         print(f"{key}: planned is {speedup}x naive at the largest size [{status}]")
-    for key in ("transfers_matcher", "pairs_matcher"):
-        largest = workloads[key][-1]
-        speedup = largest["speedup_columnar_vs_planned"]
-        below = speedup < 2.0
-        missed = missed or below
-        status = "BELOW TARGET" if below else "ok"
-        print(
-            f"{key}: columnar is {speedup}x the boxed executor "
-            f"at the largest size [{status}]"
-        )
-    for key in ("transfers_session", "pairs_session"):
-        largest = workloads[key][-1]
-        speedup = largest["speedup_costed_vs_pr1"]
-        below = speedup < 1.5
-        missed = missed or below
-        status = "BELOW TARGET" if below else "ok"
-        print(
-            f"{key}: costed+cached is {speedup}x the PR-1 planned engine "
-            f"at the largest size [{status}]"
-        )
     # Nonzero exit makes a perf regression below the recorded targets
-    # (>=5x planned vs naive, >=2x columnar vs boxed matcher, >=1.5x
-    # cached session vs PR-1, >=1.5x columnar gate) fail loudly.
+    # (>= 5x planned vs naive) fail loudly.
     return 1 if missed else 0
 
 

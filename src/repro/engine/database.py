@@ -231,8 +231,8 @@ class SnapshotScope:
 
     The scope carries the snapshot's content fingerprint and an
     *engine-kind* discriminator (backend name plus every option that
-    changes matcher semantics — ``max_repetitions``, ``compact``,
-    fixpoint sharding), so two engines share an entry exactly when they
+    changes matcher semantics — ``max_repetitions`` and the caller's
+    engine options), so two engines share an entry exactly when they
     would compute the same value.  Relational CSE entries deliberately
     omit the kind: every backend must produce identical relations for a
     concrete relational subquery, so those results are shared

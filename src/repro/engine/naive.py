@@ -40,5 +40,12 @@ class NaiveEngine(PGQEvaluator):
         """Nothing to release; present for the Engine protocol."""
 
 
-def make_naive_engine(database: Database, *, max_repetitions: Optional[int] = None, **_options):
+def make_naive_engine(
+    database: Database,
+    *,
+    max_repetitions: Optional[int] = None,
+    verify_plans: Optional[bool] = None,
+):
+    # ``verify_plans`` is a database-level setting every backend is handed;
+    # this one compiles no plans to verify.
     return NaiveEngine(database, max_repetitions=max_repetitions)

@@ -3,43 +3,30 @@
 ``PlannedEngine`` reuses the relational operators and the view-building
 phase of :class:`~repro.pgq.evaluator.PGQEvaluator` unchanged and swaps
 only the pattern matcher: graph views are matched by the planner's
-:class:`~repro.planner.physical.PlanExecutor` (hash joins, pushed-down
-filters, semi-naive repetition fixpoint, memoized compiled plans) instead
-of the naive endpoint evaluator.
+:class:`~repro.planner.physical.PlanExecutor` instead of the naive
+endpoint evaluator.
 
-On top of the PR-1 pipeline the engine is **cost-based** and
-**session-cached**:
-
-* every materialized view's :class:`~repro.planner.stats.GraphStatistics`
+* Every materialized view's :class:`~repro.planner.stats.GraphStatistics`
   are collected once and drive the optimizer's join-ordering pass, so
-  concatenation chains evaluate their most selective joins first;
-* the compiled-plan memo defaults to a *per-engine* :class:`PlanCache`
-  (costed plans are shaped by the engine's data; a process-wide cache
-  would also let hot sessions evict each other's plans), keyed by the
+  concatenation chains evaluate their most selective joins first.
+* The compiled-plan memo is a :class:`PlanCache` owned by the engine (or
+  by the snapshot-cache scope a connection attaches), keyed by the
   statistics fingerprint so equal patterns planned against different
-  graphs never alias;
-* the view cache inherited from :class:`PGQEvaluator` keeps one
+  graphs never alias.
+* The view cache inherited from :class:`PGQEvaluator` keeps one
   ``PlanExecutor`` alive per materialized graph, so its sub-plan tables
-  and label partitions persist across a session's repeated queries.
-
-Since PR 3 the engine's default executor is **columnar**: every view's
-compact integer encoding (dense node/edge IDs, CSR adjacency, label
-bitsets, property columns — :mod:`repro.graph.compact`) backs the
-physical operators, with identifiers decoded only at output projection
-and unbounded repetition closures optionally sharded onto a worker pool
-(opt-in via ``fixpoint_shards``, gated to graphs past
-``parallel_threshold`` nodes; serial propagation is the default).
-``compact=False`` restores the boxed PR-2 operators.
+  persist across a session's repeated queries.
+* Views materialize straight into the compact integer encoding (dense
+  node/edge IDs, label bitsets, property columns —
+  :mod:`repro.graph.compact`) the executor's operators run on;
+  identifiers are decoded only at output projection.
 
 Result sets are identical to the oracle on every query — that is checked
-by the cross-engine equivalence tests — while repetition-heavy workloads
-run an order of magnitude faster and repeated-query sessions skip the
-view rebuild entirely (``benchmarks/bench_planner.py``).
+by the cross-engine equivalence tests.
 
 Governance: the physical operators poll the active
 :mod:`repro.governance` governor cooperatively — fixpoint rounds and the
-closure kernel (``fixpoint.round``, including the sharded worker pool,
-which the coordinator polls while strips drain), hash-join probe loops
+closure kernel (``fixpoint.round``), hash-join probe loops
 (``join.probe``, which also meter ``max_intermediate``), and output
 decode/mask expansion (``stream.decode``) — so deadlines, cross-thread
 cancellation, and resource budgets abort a running query within
@@ -84,15 +71,15 @@ class _InstrumentedExecutor(PlanExecutor):
 
 
 class PlannedEngine(PGQEvaluator):
-    """Planner-backed evaluation: same semantics, physical operators.
-
-    ``cost_based=False`` disables statistics collection and keeps the
-    purely rule-based join order of PR 1; ``reuse_views=False`` (from the
-    base class) additionally rebuilds views per evaluation.  Both exist
-    for the benchmark baseline and for debugging plan differences.
-    """
+    """Planner-backed evaluation: same semantics, physical operators."""
 
     name = "planned"
+
+    #: Views materialize straight into the compact encoding (base-class
+    #: hook): the dense snapshot is built on the cold view path and shared
+    #: through the snapshot cache instead of being encoded lazily at first
+    #: execution.
+    materialize_compact = True
 
     def __init__(
         self,
@@ -101,40 +88,22 @@ class PlannedEngine(PGQEvaluator):
         collect_statistics: bool = False,
         max_repetitions: Optional[int] = None,
         plan_cache: Optional[PlanCache] = None,
-        cost_based: bool = True,
-        reuse_views: bool = True,
-        compact: bool = True,
-        fixpoint_shards: Optional[int] = None,
-        parallel_threshold: Optional[int] = None,
         verify_plans: Optional[bool] = None,
     ):
         super().__init__(
             database,
             collect_statistics=collect_statistics,
             max_repetitions=max_repetitions,
-            reuse_views=reuse_views,
         )
         private_cache = plan_cache is None
         self._private_plan_cache = private_cache
         self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
-        self.cost_based = cost_based
         self.plan_counters = PlanCounters()
-        #: Columnar execution toggle (``False`` restores the PR-2 boxed
-        #: path) and the sharded-fixpoint knobs, threaded to every
-        #: executor this engine builds.
-        self.compact = compact
-        # Columnar sessions materialize views straight into the compact
-        # encoding (base-class hook): the dense snapshot is built on the
-        # cold view path and shared through the snapshot cache instead of
-        # being encoded lazily at first execution.
-        self.materialize_compact = compact
-        self.fixpoint_shards = fixpoint_shards
-        self.parallel_threshold = parallel_threshold
         #: Plan-invariant verification (``Database(verify_plans=True)`` /
         #: ``REPRO_VERIFY_PLANS=1``), threaded to every executor.
         self.verify_plans = verify_plans
         # Surface the execution counters through PlanCache.info() so a
-        # session can observe shard/encode activity without the harness —
+        # session can observe encode activity without the harness —
         # only on the engine's own private cache: a user-shared cache
         # serves several engines, and pinning one engine's counters there
         # would misreport the others' work.
@@ -171,10 +140,7 @@ class PlannedEngine(PGQEvaluator):
             max_repetitions=self.max_repetitions,
             counters=self.plan_counters,
             plan_cache=self.plan_cache,
-            graph_stats=collect_graph_statistics(graph) if self.cost_based else None,
-            compact=self.compact,
-            fixpoint_shards=self.fixpoint_shards,
-            parallel_threshold=self.parallel_threshold,
+            graph_stats=collect_graph_statistics(graph),
             verify_plans=self.verify_plans,
         )
 
@@ -196,22 +162,11 @@ def make_planned_engine(
     *,
     max_repetitions: Optional[int] = None,
     plan_cache: Optional[PlanCache] = None,
-    cost_based: bool = True,
-    reuse_views: bool = True,
-    compact: bool = True,
-    fixpoint_shards: Optional[int] = None,
-    parallel_threshold: Optional[int] = None,
     verify_plans: Optional[bool] = None,
-    **_options,
 ):
     return PlannedEngine(
         database,
         max_repetitions=max_repetitions,
         plan_cache=plan_cache,
-        cost_based=cost_based,
-        reuse_views=reuse_views,
-        compact=compact,
-        fixpoint_shards=fixpoint_shards,
-        parallel_threshold=parallel_threshold,
         verify_plans=verify_plans,
     )

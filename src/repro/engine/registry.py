@@ -23,8 +23,13 @@ Adding a backend is registration, not modification::
 
     register_engine("mine", _make_my_engine)
 
-Factories receive the database plus keyword options (currently
-``max_repetitions``); they may ignore options that do not apply to them.
+Factories receive the database plus keyword options: ``max_repetitions``
+always, ``verify_plans`` when the owning ``Database`` sets it, and
+whatever the caller passed to ``connect``.  :func:`create_engine` checks
+the options against the factory's signature first and raises
+:class:`~repro.errors.EngineError` naming an unknown one (and the ones the
+backend accepts), so a typo never silently does nothing; a factory that
+declares a ``**`` catch-all opts out of the check.
 Engines that predate the two-phase API — implementing only the legacy
 one-shot ``evaluate(query)`` — keep working: :func:`create_engine` wraps
 them in :class:`LegacyEngineAdapter` (with a :class:`DeprecationWarning`),
@@ -51,9 +56,10 @@ by :mod:`repro.engine`:
 
 from __future__ import annotations
 
+import inspect
 import threading
 import warnings
-from typing import Callable, Dict, Optional, Protocol, Tuple, runtime_checkable
+from typing import Callable, Dict, Mapping, Optional, Protocol, Tuple, runtime_checkable
 
 from repro.errors import EngineError
 from repro.parameters import Bindings
@@ -159,6 +165,29 @@ def engine_factory(name: str) -> EngineFactory:
         ) from None
 
 
+def check_engine_options(name: str, options: Mapping[str, object]) -> None:
+    """Raise :class:`EngineError` when backend ``name`` is unknown or its
+    factory accepts no keyword named like one of ``options``."""
+    factory = engine_factory(name)
+    if not options:
+        return
+    parameters = list(inspect.signature(factory).parameters.values())
+    if any(parameter.kind is parameter.VAR_KEYWORD for parameter in parameters):
+        return
+    # The first parameter receives the database; the rest are options.
+    accepted = sorted(
+        parameter.name
+        for parameter in parameters[1:]
+        if parameter.kind in (parameter.KEYWORD_ONLY, parameter.POSITIONAL_OR_KEYWORD)
+    )
+    unknown = sorted(set(options) - set(accepted))
+    if unknown:
+        raise EngineError(
+            f"engine {name!r} does not accept option(s) {', '.join(unknown)}; "
+            f"accepted options: {', '.join(accepted)}"
+        )
+
+
 def create_engine(
     name: str,
     database: Database,
@@ -168,10 +197,13 @@ def create_engine(
 ) -> Engine:
     """Instantiate the backend ``name`` for one database instance.
 
-    Engines without a ``prepare`` method (the legacy one-shot protocol)
-    are wrapped in :class:`LegacyEngineAdapter` so sessions can use the
+    Unknown ``options`` raise :class:`EngineError` (see
+    :func:`check_engine_options`).  Engines without a ``prepare`` method
+    (the legacy one-shot protocol) are wrapped in
+    :class:`LegacyEngineAdapter` so sessions can use the
     prepared-statement API against them, with a deprecation warning.
     """
+    check_engine_options(name, options)
     factory = engine_factory(name)
     engine = factory(database, max_repetitions=max_repetitions, **options)
     if not hasattr(engine, "prepare"):

@@ -73,7 +73,7 @@ from repro.errors import (
     QueryTimeoutError,
     ResourceExhaustedError,
 )
-from repro.engine.registry import Engine, create_engine, engine_factory
+from repro.engine.registry import Engine, check_engine_options, create_engine
 from repro.governance import (
     CancellationToken,
     QueryBudget,
@@ -460,9 +460,9 @@ class Explain:
     """Structured EXPLAIN output: plan tree plus execution provenance.
 
     ``plan`` is the optimized logical plan rendering; ``counters`` the
-    engine's execution counters (columnar encode time, fixpoint shards,
-    parallel rounds — tallied on the engine that built each shared
-    matcher cold, so warm sibling connections may report zeros here);
+    engine's execution counters (compact encode time — tallied on the
+    engine that built each shared matcher cold, so warm sibling
+    connections may report zeros here);
     ``cache`` the plan cache statistics including the
     ``prepared_hits``/``prepared_misses`` breakdown, a ``provenance``
     marker (``"shared"`` for snapshot-scoped caches, ``"private"`` for
@@ -511,8 +511,6 @@ class Explain:
         if self.counters:
             text += (
                 "\n-- engine counters: "
-                f"fixpoint_shards={self.counters.get('fixpoint_shards', 0)} "
-                f"parallel_rounds={self.counters.get('parallel_rounds', 0)} "
                 f"compact_encode_s={self.counters.get('compact_encode_s', 0.0):.6f}"
             )
         if self.cache:
@@ -854,8 +852,9 @@ class Connection:
         **engine_options,
     ) -> None:
         """``engine_options`` are forwarded to the backend factory verbatim
-        (e.g. ``compact=False`` or ``fixpoint_shards=8`` for the planned
-        engine); factories ignore options that do not apply to them.
+        (e.g. ``plan_cache=`` for the planned engine); an option the
+        backend does not accept raises :class:`~repro.errors.EngineError`
+        here, naming the ones it does.
         ``snapshot=None`` pins lazily to the database's head on first use.
         ``tracer`` overrides the owning database's query-lifecycle tracer
         for this connection only.  ``analyze=False`` skips the semantic
@@ -865,7 +864,8 @@ class Connection:
         :class:`~repro.errors.PGQAnalysisError` at prepare time; ``None``
         defers to the ``REPRO_STRICT_ANALYSIS`` environment variable.
         """
-        engine_factory(engine)  # fail fast on unknown backend names
+        # Fail fast on unknown backend names and unknown options.
+        check_engine_options(engine, engine_options)
         self._owner = database
         self._snapshot_obj = snapshot
         self._engine_options = dict(engine_options)
@@ -1104,7 +1104,7 @@ class Connection:
         retired engine fold into the cumulative ``session_*`` explain
         figures instead of silently resetting.
         """
-        engine_factory(name)
+        check_engine_options(name, self._engine_options)
         self._engine_name = name
         if max_repetitions is not _UNSET:
             self._max_repetitions = max_repetitions  # type: ignore[assignment]
@@ -1519,8 +1519,7 @@ class Connection:
         ran, execute, decode) with wall times and row counts; on the
         planned engine the execute stage additionally expands into the
         physical plan's per-node profile — rows produced, inclusive wall
-        time and memo hits for every scan, join, filter and fixpoint,
-        on both the boxed and the columnar path.
+        time and memo hits for every scan, join, filter and fixpoint.
         """
         self._check_open()
         statement = parse_statement(statement_text)
@@ -1636,11 +1635,7 @@ class Connection:
         engine = self._engine
         engine_counters = getattr(engine, "plan_counters", None)
         if engine_counters is not None:
-            counters = {
-                "fixpoint_shards": engine_counters.fixpoint_shards,
-                "parallel_rounds": engine_counters.parallel_rounds,
-                "compact_encode_s": engine_counters.compact_encode_s,
-            }
+            counters = {"compact_encode_s": engine_counters.compact_encode_s}
         plan_cache = getattr(engine, "plan_cache", None) if engine is not None else None
         if plan_cache is not None:
             cache = dict(plan_cache.info())

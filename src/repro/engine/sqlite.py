@@ -695,7 +695,14 @@ def _contains_repetition(query: Query) -> bool:
     return False
 
 
-def make_sqlite_engine(database: Database, *, max_repetitions: Optional[int] = None, **_options):
+def make_sqlite_engine(
+    database: Database,
+    *,
+    max_repetitions: Optional[int] = None,
+    verify_plans: Optional[bool] = None,
+):
+    # ``verify_plans`` is a database-level setting every backend is handed;
+    # this one compiles no logical plans to verify.
     return SQLiteEngine(database, max_repetitions=max_repetitions)
 
 

@@ -1,14 +1,17 @@
 """Compact integer encoding of a property graph (the columnar core).
 
-The executors of :mod:`repro.planner.physical` spend their time hashing and
-comparing boxed :class:`~repro.graph.identifiers.Identifier` tuples.  This
-module interns a :class:`~repro.graph.property_graph.PropertyGraph` into
-dense integer IDs once, so the hot operators can run over plain ``int``
-columns and decode back to identifiers only at output projection:
+This module interns a :class:`~repro.graph.property_graph.PropertyGraph`
+into dense integer IDs once, so the operators of
+:mod:`repro.planner.physical` run over plain ``int`` columns instead of
+hashing and comparing :class:`~repro.graph.identifiers.Identifier` tuples,
+and decode back to identifiers only at output projection:
 
 * **ID interning** — nodes are numbered ``0..n-1`` and edges ``0..m-1``;
   ``node_ids``/``edge_ids`` decode an ID back to its identifier tuple and
-  ``node_index``/``edge_index`` intern the other way;
+  ``node_index``/``edge_index`` intern the other way.  A variable that
+  ranges over both (``N`` and ``E`` are disjoint) lives in the **element**
+  space — nodes first, then edges, so node ``i`` is element ``i`` and edge
+  ``e`` is element ``n + e`` — decoded through :meth:`CompactGraph.ids`;
 * **CSR adjacency** — forward and backward neighbor lists in compressed
   sparse row form (``array``-backed offsets/targets/edge columns), plus
   flat per-edge ``edge_src``/``edge_tgt`` columns for edge scans;
@@ -16,7 +19,8 @@ columns and decode back to identifiers only at output projection:
   over edge IDs, so a labeled scan is bit iteration instead of frozenset
   intersection;
 * **property columns** — per-key dense value columns (one list per ID
-  space, built lazily), replacing per-row dictionary probes at projection
+  space, built lazily; the element column is the node column followed by
+  the edge column), replacing per-row dictionary probes at projection
   time.
 
 Instances are immutable snapshots: :meth:`PropertyGraph.compact` caches
@@ -28,26 +32,19 @@ across connections of one database snapshot (the engine-level
 for the first use, and the snapshot cache's stats surface the encode
 count so sharing is testable.
 
-The module also hosts the **sharded reachability closure** used by the
-planner's repetition fixpoint: per-source frontier BFS over successor
-bitmasks, optionally partitioned into source strips evaluated on a
-``concurrent.futures`` worker pool.  Shards share the read-only adjacency
-masks, so the partitioning is safe under CPython's memory model; the gain
-is bounded by the GIL today but the strip decomposition is exactly the
-layout a free-threaded build (or a process pool over serialized masks)
-parallelizes without code changes.
+The module also hosts the **reachability closure** kernel of the planner's
+repetition fixpoint (:func:`closure_masks`): worklist-driven OR
+propagation over per-node successor bitmasks.
 """
 
 from __future__ import annotations
 
 from array import array
-from concurrent.futures import ThreadPoolExecutor, wait as futures_wait
 from time import perf_counter
 from typing import (
     TYPE_CHECKING,
     Any,
     Dict,
-    Iterable,
     Iterator,
     List,
     Optional,
@@ -99,6 +96,7 @@ class CompactGraph:
         "_edge_index",
         "edge_src",
         "edge_tgt",
+        "_element_ids",
         "_fwd_csr",
         "_bwd_csr",
         "_node_label_masks",
@@ -120,6 +118,7 @@ class CompactGraph:
         # The edge interning map is only consulted by label bitsets and
         # edge property columns; built on first use.
         self._edge_index: Optional[Dict[Identifier, int]] = None
+        self._element_ids: Optional[List[Identifier]] = None
         node_index = self.node_index
         self.edge_src = array("q", (node_index[edge.source] for edge in edges))
         self.edge_tgt = array("q", (node_index[edge.target] for edge in edges))
@@ -184,6 +183,17 @@ class CompactGraph:
             self._edge_index = {ident: i for i, ident in enumerate(self.edge_ids)}
         return self._edge_index
 
+    def ids(self, kind: str) -> List[Identifier]:
+        """Interning table of one ID space: ``"node"``, ``"edge"``, or
+        ``"element"`` (the nodes followed by the edges, built on first use)."""
+        if kind == "node":
+            return self.node_ids
+        if kind == "edge":
+            return self.edge_ids
+        if self._element_ids is None:
+            self._element_ids = self.node_ids + self.edge_ids
+        return self._element_ids
+
     # ------------------------------------------------------------------ #
     # Labels
     # ------------------------------------------------------------------ #
@@ -205,22 +215,27 @@ class CompactGraph:
     def property_column(self, key: str, kind: str) -> List[Any]:
         """Dense value column of property ``key`` over one ID space.
 
-        ``kind`` is ``"node"`` or ``"edge"``; absent values hold the
+        ``kind`` is ``"node"``, ``"edge"`` or ``"element"`` (the node
+        column followed by the edge column); absent values hold the
         :data:`MISSING` sentinel.  Columns are built once per (key, kind)
         and shared by every projection afterwards.
         """
         cached = self._property_columns.get((key, kind))
         if cached is not None:
             return cached
-        if kind == "node":
-            index, size = self.node_index, len(self.node_ids)
+        column: List[Any]
+        if kind == "element":
+            column = self.property_column(key, "node") + self.property_column(key, "edge")
         else:
-            index, size = self.edge_index, len(self.edge_ids)
-        column: List[Any] = [MISSING] * size
-        for ident, value in self.graph.property_index(key).items():
-            position = index.get(ident)
-            if position is not None:
-                column[position] = value
+            if kind == "node":
+                index, size = self.node_index, len(self.node_ids)
+            else:
+                index, size = self.edge_index, len(self.edge_ids)
+            column = [MISSING] * size
+            for ident, value in self.graph.property_index(key).items():
+                position = index.get(ident)
+                if position is not None:
+                    column[position] = value
         self._property_columns[(key, kind)] = column
         return column
 
@@ -300,54 +315,22 @@ def _build_csr(
 
 
 # --------------------------------------------------------------------------- #
-# Reachability closure over successor bitmasks (serial and sharded)
+# Reachability closure over successor bitmasks
 # --------------------------------------------------------------------------- #
-def bfs_closure_strip(
-    successor_masks: Sequence[int], sources: Iterable[int]
-) -> Tuple[List[int], int]:
-    """Per-source frontier BFS over successor bitmasks.
-
-    Returns one reachability mask per source (``>= 0`` steps, so the
-    source's own bit is always set) and the deepest frontier round any
-    source needed — the strip's round count for instrumentation.
-    """
-    masks: List[int] = []
-    deepest = 0
-    append = masks.append
-    for source in sources:
-        reach = 1 << source
-        frontier = reach
-        depth = 0
-        while frontier:
-            depth += 1
-            step = 0
-            remaining = frontier
-            while remaining:
-                low = remaining & -remaining
-                remaining ^= low
-                step |= successor_masks[low.bit_length() - 1]
-            frontier = step & ~reach
-            reach |= frontier
-        append(reach)
-        if depth > deepest:
-            deepest = depth
-    return masks, deepest
-
-
-def propagate_closure(
+def closure_masks(
     successor_masks: Sequence[int], *, on_round=None
 ) -> Tuple[List[int], int]:
-    """Serial closure by worklist-driven OR propagation (word-parallel).
+    """Reachability masks for every node (``>= 0`` steps, so a node's own
+    bit is always set), by worklist-driven OR propagation.
 
     Every node's reach mask absorbs its successors' masks until nothing
-    changes; rounds merge whole masks, so each step is a big-int OR —
-    which beats per-source BFS whenever the closure is dense relative to
-    the edge count (the common case for the repetition-heavy workloads).
-    A predecessor worklist keeps later rounds incremental: only nodes with
-    a successor whose reach just grew are recomputed, instead of sweeping
-    every edge until global convergence.  ``on_round`` (when given) is
-    invoked once per propagation round — the governance layer's
-    cooperative checkpoint hook; it may raise to abort the closure.
+    changes; rounds merge whole masks, so each step is a word-parallel
+    big-int OR.  A predecessor worklist keeps later rounds incremental:
+    only nodes with a successor whose reach just grew are recomputed,
+    instead of sweeping every edge until global convergence.  Returns
+    ``(masks, rounds)``.  ``on_round`` (when given) is invoked once per
+    propagation round — the governance layer's cooperative checkpoint
+    hook; it may raise to abort the closure.
     """
     node_count = len(successor_masks)
     reach = [(1 << i) | successor_masks[i] for i in range(node_count)]
@@ -382,62 +365,6 @@ def propagate_closure(
                     grew(i)
         changed = next_changed
     return reach, rounds
-
-
-def closure_masks(
-    successor_masks: Sequence[int], *, shards: int = 1, on_round=None
-) -> Tuple[List[int], int, int]:
-    """Reachability masks for every node, optionally sharded.
-
-    With ``shards > 1`` the source range is partitioned into contiguous
-    strips and each strip's BFS runs as one worker-pool task; callers gate
-    on graph size so small fixpoints never pay the pool setup.  Returns
-    ``(masks, rounds, shards_used)`` where ``rounds`` is the deepest strip
-    (strips run concurrently, so the deepest one bounds the wall clock).
-    ``on_round`` is the per-round cooperative checkpoint hook; on the
-    sharded path the coordinating thread invokes it periodically *while*
-    the pool drains (worker strips must stay hook-free: a hook raising
-    inside a worker would strand its siblings).  A raising hook abandons
-    the pool without waiting — in-flight strips are pure reads of
-    ``successor_masks`` and finish harmlessly in the background — so a
-    deadline or cancellation lands within one poll interval instead of
-    after the deepest strip completes.
-    """
-    node_count = len(successor_masks)
-    shards = max(1, min(shards, node_count))  # never more strips than sources
-    if shards <= 1:
-        masks, rounds = propagate_closure(successor_masks, on_round=on_round)
-        return masks, rounds, 1
-    strip_size = -(-node_count // shards)  # ceil division
-    strips = [
-        range(start, min(start + strip_size, node_count))
-        for start in range(0, node_count, strip_size)
-    ]
-    pool = ThreadPoolExecutor(max_workers=len(strips))
-    try:
-        futures = [
-            pool.submit(bfs_closure_strip, successor_masks, strip) for strip in strips
-        ]
-        if on_round is None:
-            futures_wait(futures)
-        else:
-            while True:
-                done, pending = futures_wait(futures, timeout=0.02)
-                on_round()  # may raise: abort between polls
-                if not pending:
-                    break
-        results = [future.result() for future in futures]
-    except BaseException:
-        pool.shutdown(wait=False, cancel_futures=True)
-        raise
-    pool.shutdown(wait=True)
-    masks = []
-    rounds = 0
-    for strip_masks, strip_rounds in results:
-        masks.extend(strip_masks)
-        if strip_rounds > rounds:
-            rounds = strip_rounds
-    return masks, rounds, len(strips)
 
 
 def compose_frontier(

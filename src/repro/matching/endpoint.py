@@ -236,7 +236,7 @@ class EndpointEvaluator:
         identity_pairs = {(node, node) for node in self.graph.nodes}
 
         if pattern.is_unbounded:
-            pairs = self._pairs_at_least(base_pairs, pattern.lower, identity_pairs)
+            pairs = self._pairs_unbounded(base_pairs, pattern.lower, identity_pairs)
         else:
             pairs = self._pairs_bounded(
                 base_pairs, pattern.lower, int(pattern.upper), identity_pairs
@@ -264,7 +264,7 @@ class EndpointEvaluator:
             on_round=self._count_round,
         )
 
-    def _pairs_at_least(
+    def _pairs_unbounded(
         self,
         base: Set[Tuple[Identifier, Identifier]],
         lower: int,

@@ -3,12 +3,12 @@
 An :class:`ExecutionProfiler` is installed for the duration of one
 statement execution (via :func:`activate_profiler`, a contextvar like the
 tracer's) and the physical executor reports into it from
-``PlanExecutor.execute`` / ``execute_compact``: inclusive wall time, rows
-produced and memo hits per plan node, on both the boxed and the columnar
-path.  After the run, :meth:`ExecutionProfiler.plan_trees` reassembles
-the recorded figures into :class:`OperatorStats` trees by walking the
-plan's own ``children()`` structure — the profiler never imports the
-planner, so the observability package stays dependency-free.
+``PlanExecutor.execute``: inclusive wall time, rows produced and memo
+hits per plan node.  After the run,
+:meth:`ExecutionProfiler.plan_trees` reassembles the recorded figures
+into :class:`OperatorStats` trees by walking the plan's own
+``children()`` structure — the profiler never imports the planner, so
+the observability package stays dependency-free.
 
 Engines without a physical plan (the naive oracle, the SQLite
 translation) still produce a profile: the connection adds lifecycle
@@ -91,9 +91,7 @@ class ExecutionProfiler:
     def use_labeler(self, label_fn: Any) -> None:
         """Install a fallback ``node -> label`` renderer for plan nodes the
         run never executed (subtrees behind a memo hit still render with
-        their operator labels instead of bare class names).  Survives
-        :meth:`reset` — the labeler describes the plan language, not the
-        run."""
+        their operator labels instead of bare class names)."""
         self._labeler = label_fn
 
     def _key(self, node: Any) -> Hashable:
@@ -126,19 +124,13 @@ class ExecutionProfiler:
         if all(existing is not node for existing in self._roots):
             self._roots.append(node)
 
-    def reset(self) -> None:
-        """Forget everything recorded (the columnar-fallback path restarts
-        the run on the boxed executor; figures must not double-count)."""
-        self._entries.clear()
-        self._roots.clear()
-
     def plan_trees(self) -> List[OperatorStats]:
         """The recorded figures as operator trees, one per executed root.
 
         Walks each root plan's ``children()`` structure (duck-typed; any
         object without ``children`` is a leaf) and deep-copies the
         recorded stats into a detached tree, so the profile survives the
-        profiler's reuse or reset.
+        profiler's reuse.
         """
         return [self._subtree(root) for root in self._roots]
 

@@ -30,9 +30,9 @@ from repro.parameters import Bindings, Parameter, bind_value
 #: A variable mapping assigns graph element identifiers to pattern variables.
 Mapping = Dict[str, Identifier]
 
-#: Comparator dispatch shared with the planner's columnar scan
-#: predicates (:mod:`repro.planner.physical`) — one table, so the boxed
-#: and compact evaluation paths can never diverge on an operator.
+#: Comparator dispatch shared with the planner's scan predicates
+#: (:mod:`repro.planner.physical`) — one table, so the oracle and the
+#: planned engine can never diverge on an operator.
 COMPARATORS = {
     "=": operator.eq,
     "!=": operator.ne,

@@ -168,7 +168,6 @@ class PGQEvaluator:
         *,
         collect_statistics: bool = False,
         max_repetitions: Optional[int] = None,
-        reuse_views: bool = True,
     ):
         self.database = database
         self.statistics = EvaluationStatistics() if collect_statistics else None
@@ -177,13 +176,10 @@ class PGQEvaluator:
         #: Engine-lifetime LRU cache of materialized graph views and their
         #: matchers, keyed by (source subqueries, max_arity).  Sound while
         #: the database is immutable, which is the engine's contract —
-        #: sessions replace the engine on every schema change.  Set
-        #: ``reuse_views=False`` to rebuild views per evaluation (the
-        #: pre-cache behavior; the planner benchmarks use it as baseline).
+        #: sessions replace the engine on every schema change.
         #: Bounded so a long-lived engine fed many distinct ad hoc view
         #: expressions does not retain every graph (and executor memo)
         #: forever; catalog-driven sessions use a handful of entries.
-        self.reuse_views = reuse_views
         self._views: "OrderedDict[Tuple, Tuple[PropertyGraph, int, PatternMatcher]]" = (
             OrderedDict()
         )
@@ -382,10 +378,8 @@ class PGQEvaluator:
 
     def _view_cache_key(self, sources: Tuple, max_arity: Optional[int]) -> Optional[Tuple]:
         """Cache key of a graph pattern's materialized view, or None when
-        the view is uncacheable (caching disabled, or unhashable constants
-        inside the source subqueries)."""
-        if not self.reuse_views:
-            return None
+        the view is uncacheable (unhashable constants inside the source
+        subqueries)."""
         key = (sources, max_arity)
         try:
             hash(key)

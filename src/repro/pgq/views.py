@@ -319,10 +319,10 @@ def materialize_compact_graph(
     Returns ``(graph, identifier arity, compact)`` with the dense
     integer-ID snapshot (:class:`~repro.graph.compact.CompactGraph`)
     built eagerly, while the freshly assembled graph is still cache-hot
-    — instead of lazily at first columnar execution, mid-query and under
-    the executor's encode lock.  This is the cold view path of
-    planner-only sessions; boxed backends keep :func:`materialize_graph`
-    and never pay for the encoding.
+    — instead of lazily at first execution, mid-query and under the
+    executor's encode lock.  This is the cold view path of the planned
+    engine; the other backends keep :func:`materialize_graph` and never
+    pay for the encoding.
     """
     graph, arity = materialize_graph(relations, max_arity)
     return graph, arity, graph.compact()

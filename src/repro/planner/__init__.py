@@ -9,8 +9,8 @@ the execution backends:
 * :mod:`repro.planner.stats` — per-graph statistics collection;
 * :mod:`repro.planner.cost` — the cardinality model and the cost-based
   join-ordering pass driven by those statistics;
-* :mod:`repro.planner.physical` — hash-join execution, the semi-naive
-  repetition fixpoint, and the compiled-plan memo.
+* :mod:`repro.planner.physical` — int-column execution (hash joins, the
+  bitmask repetition fixpoint) and the compiled-plan memo.
 
 The :class:`~repro.planner.physical.PlanExecutor` plugs into
 :class:`~repro.pgq.evaluator.PGQEvaluator` through the matcher oracle
@@ -32,7 +32,7 @@ from repro.planner.logical import (
     plan_size,
 )
 from repro.planner.cost import condition_selectivity, estimate_cardinality, order_joins
-from repro.planner.physical import PLAN_CACHE, PlanCache, PlanCounters, PlanExecutor
+from repro.planner.physical import PlanCache, PlanCounters, PlanExecutor
 from repro.planner.rules import optimize, prune_variables, push_down_filters, simplify
 from repro.planner.stats import GraphStatistics, collect_graph_statistics
 
@@ -45,7 +45,6 @@ __all__ = [
     "JoinStep",
     "LogicalPlan",
     "NodeScan",
-    "PLAN_CACHE",
     "PlanCache",
     "PlanCounters",
     "PlanExecutor",

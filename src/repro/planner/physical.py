@@ -1,25 +1,37 @@
 """Physical execution of logical plans over a property graph.
 
 The executor turns a :class:`~repro.planner.logical.LogicalPlan` into a
-*binding table*: a set of rows ``(src, tgt, extra_1, ..., extra_k)``
-together with a **column map** assigning each bound variable the row index
-holding its value.  Variables bound to a path endpoint map to index 0 or 1,
-so the common case — decorating a reachability fixpoint with its endpoint
-variables — costs nothing: the ``BindEndpoint`` operator only extends the
-column map.  Compared with the naive endpoint evaluator this avoids the
-per-match mapping dictionaries entirely:
+*binding table* over the graph's compact integer encoding
+(:meth:`~repro.graph.property_graph.PropertyGraph.compact`): a set of int
+rows ``(src, tgt, extra_1, ..., extra_k)`` together with a **column map**
+assigning each bound variable the row index holding its value and a
+**kind** naming the ID space that value lives in.  Variables bound to a
+path endpoint map to index 0 or 1, so the common case — decorating a
+reachability fixpoint with its endpoint variables — costs nothing: the
+``BindEndpoint`` operator only extends the column map.  Compared with the
+naive endpoint evaluator this avoids the per-match mapping dictionaries
+and the boxed identifier tuples entirely:
 
+* scans emit dense node/edge IDs; label sets are bitmask tests and
+  pushed-down property conditions read prefetched value columns, checked
+  once per node/edge, not once per produced match;
 * concatenation is a **hash join** keyed on the shared midpoint plus the
-  values of variables bound on both sides — the mapping-compatibility
-  check of Figure 2 becomes tuple-key equality;
-* repetition runs a **semi-naive fixpoint**: the body's endpoint-pair
-  relation is closed by frontier-based delta iteration (each round only
-  extends pairs discovered in the previous round), instead of
-  re-enumerating every path length from scratch;
-* label and property filters pushed into scans by the optimizer are
-  checked once per node/edge, not once per produced match;
-* output projection resolves property references through a prefetched
-  per-key index (:meth:`~repro.graph.property_graph.PropertyGraph.property_index`).
+  values of variables bound on both sides, packed into one int — the
+  mapping-compatibility check of Figure 2 becomes int equality;
+* unbounded repetition closes the body's endpoint-pair relation on
+  per-source successor bitmasks (word-parallel OR propagation) and keeps
+  the result in mask form; depth-guarded and bounded repetition run the
+  shared kernels of :mod:`repro.matching.fixpoint`;
+* identifiers and property values are decoded only at output projection.
+
+ID spaces.  A pattern variable ranges over ``N ∪ E`` with ``N`` and ``E``
+disjoint (the ``pgView`` condition ``R1 ∩ R2 = ∅``).  A column is tagged
+``"node"`` or ``"edge"`` when every row binds it in that one space, and
+``"element"`` when a disjunction binds it to a node in one branch and an
+edge in the other: the union lifts both branches into one element space
+(node ``i`` stays ``i``, edge ``e`` becomes ``node_count + e``), so lifting
+a node column is a retag.  A join whose shared variable is a node on one
+side and an edge on the other is empty by disjointness.
 
 The executor is the planner's *matcher*: it satisfies the same
 ``evaluate_output`` oracle interface as
@@ -59,7 +71,6 @@ from repro.graph.compact import (
     MISSING as _COMPACT_MISSING,
     iter_bits,
 )
-from repro.graph.identifiers import Identifier
 from repro.graph.property_graph import PropertyGraph
 from repro.matching import fixpoint
 from repro.observability.analyze import active_profiler
@@ -96,12 +107,8 @@ from repro.planner.rules import optimize
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from repro.planner.stats import GraphStatistics
 
-#: A binding-table row: ``(src, tgt, extra_1, ..., extra_k)``.
-Row = Tuple
 #: Column map: variable name -> index of its value within a row.
 ColumnMap = Dict[str, int]
-#: A pair of path endpoints.
-Pair = Tuple[Identifier, Identifier]
 
 
 def _compile_plan(pattern, needed, stats, verify=None) -> LogicalPlan:
@@ -116,35 +123,19 @@ def _profile_label(plan: LogicalPlan) -> str:
     """The node's own :func:`describe` line (children stripped)."""
     return describe(plan).splitlines()[0].strip()
 
-_MISSING = object()
-
-#: Below this many nodes a requested sharding is ignored and the closure
-#: stays serial: worker-pool setup costs more than the whole fixpoint on
-#: small graphs.  Sharding itself is **opt-in** (``fixpoint_shards=K``):
-#: under the GIL the strip workers serialize, and the per-source BFS they
-#: run is algorithmically weaker than the serial word-parallel propagation
-#: kernel on dense closures — measured up to ~50x slower at 1000 nodes.
-#: The strip decomposition exists for free-threaded builds (workers only
-#: read the shared masks), not as a default.
-PARALLEL_FIXPOINT_MIN_NODES = 512
-
 
 @dataclass
 class PlanCounters:
     """Instrumentation mirroring the naive evaluator's counters.
 
-    ``fixpoint_shards`` / ``parallel_rounds`` count worker-pool strips and
-    the deepest concurrent BFS round of sharded repetition closures;
     ``compact_encode_s`` accumulates the wall-clock cost of building the
-    compact integer graph encodings the columnar path runs on.
+    compact integer graph encodings the executor runs on.
     """
 
     rows_produced: int = 0
     join_probes: int = 0
     fixpoint_rounds: int = 0
     delta_pairs: int = 0
-    fixpoint_shards: int = 0
-    parallel_rounds: int = 0
     compact_encode_s: float = 0.0
 
     def total_operations(self) -> int:
@@ -154,14 +145,13 @@ class PlanCounters:
 class PlanCache:
     """LRU memo of optimized logical plans.
 
-    Keys are ``(pattern, needed vars, stats fingerprint)``.  Rule-only
-    plans (no statistics) are graph-independent — the physical executor
-    binds the graph at run time — so one compiled plan serves every view
-    the same pattern is matched against.  Costed plans are ordered for a
-    concrete data distribution, which the
+    Keys are ``(pattern, needed vars, stats fingerprint)``.  Plans are
+    cost-ordered for a concrete data distribution, which the
     :meth:`~repro.planner.stats.GraphStatistics.fingerprint` component of
     the key captures: the same pattern planned against differently-shaped
-    graphs occupies separate entries instead of aliasing.
+    graphs occupies separate entries instead of aliasing.  A bare executor
+    built without statistics compiles graph-independent plans (key
+    component ``None``).
 
     Patterns with unhashable condition constants are compiled but not
     cached; those compiles are counted separately (``uncacheable``) so the
@@ -199,8 +189,8 @@ class PlanCache:
         self.prepared_misses = 0
         #: Execution counters of the engine this cache serves (attached by
         #: :class:`~repro.engine.planned.PlannedEngine`); when present,
-        #: :meth:`info` surfaces the columnar/parallel-fixpoint counters so
-        #: speedups are observable without the benchmark harness.
+        #: :meth:`info` surfaces the encode-time counter so it is
+        #: observable without the benchmark harness.
         self.counters: Optional[PlanCounters] = None
 
     def plan_for(
@@ -264,31 +254,17 @@ class PlanCache:
             # the legacy info shape their tests (and callers) rely on.
             info["shared"] = True
         if self.counters is not None:
-            info["fixpoint_shards"] = self.counters.fixpoint_shards
-            info["parallel_rounds"] = self.counters.parallel_rounds
             info["compact_encode_s"] = self.counters.compact_encode_s
         return info
-
-
-#: Process-wide compiled-plan memo.  Engines now default to a private
-#: per-engine cache (costed plans are graph-shaped, and per-engine caches
-#: keep one engine's eviction pressure from another's hit rate); this
-#: shared instance remains for bare :class:`PlanExecutor` users who opt
-#: into cross-executor sharing explicitly.
-PLAN_CACHE = PlanCache()
-
-
-class _CompactUnsupported(Exception):
-    """Internal: the plan cannot run on the integer columns; fall back to
-    the boxed-identifier operators (same semantics, slower)."""
 
 
 class CompactTable(NamedTuple):
     """A binding table over integer IDs.
 
-    ``columns`` maps variables to row indices exactly like the boxed
-    representation; ``kinds`` records each variable's ID space (``"node"``
-    or ``"edge"``) so values decode through the right interning table.
+    ``columns`` maps variables to row indices; ``kinds`` records each
+    variable's ID space (``"node"``, ``"edge"``, or ``"element"`` for a
+    column a disjunction lifted into the shared node-then-edge space) so
+    values decode through the right interning table.
     When ``masks`` is set the table is an endpoint-pair relation held as
     per-source reachability bitmasks (bit ``j`` of ``masks[i]`` = row
     ``(i, j)``) — the repetition fixpoint's native format, expanded into
@@ -309,17 +285,12 @@ class PlanExecutor:
     :class:`~repro.pgq.evaluator.PGQEvaluator`, so it can be swapped in for
     the naive endpoint evaluator behind a graph view.
 
-    By default plans run on the **columnar path**: the graph's compact
-    integer encoding (:meth:`~repro.graph.property_graph.PropertyGraph.compact`)
-    supplies dense node/edge IDs, scans emit int rows, hash joins key on
-    packed ints, and the repetition fixpoint walks successor bitmasks —
+    Plans run on the graph's compact integer encoding
+    (:meth:`~repro.graph.property_graph.PropertyGraph.compact`): scans
+    emit int rows over dense node/edge IDs, hash joins key on packed
+    ints, and the repetition fixpoint walks successor bitmasks —
     identifiers are decoded only at output projection, so results are
-    identical to the boxed path (``compact=False``) and to the naive
-    oracle.  Passing ``fixpoint_shards`` opts unbounded repetition
-    closures into worker-pool evaluation over source-partitioned strips,
-    gated to graphs of at least ``parallel_threshold`` nodes; by default
-    the serial word-parallel propagation kernel runs (see
-    :data:`PARALLEL_FIXPOINT_MIN_NODES` for why).
+    identical to the naive oracle.
     """
 
     #: Output rows are built from a fixed projection layout, so their
@@ -347,9 +318,6 @@ class PlanExecutor:
         counters: Optional[PlanCounters] = None,
         plan_cache: Optional[PlanCache] = None,
         graph_stats: Optional["GraphStatistics"] = None,
-        compact: bool = True,
-        fixpoint_shards: Optional[int] = None,
-        parallel_threshold: Optional[int] = None,
         verify_plans: Optional[bool] = None,
     ):
         self.graph = graph
@@ -365,24 +333,9 @@ class PlanExecutor:
         #: Statistics of ``graph``; when present the optimizer cost-orders
         #: concatenation chains and the plan cache keys on the fingerprint.
         self.graph_stats = graph_stats
-        #: Columnar execution toggle (``False`` restores the boxed path).
-        self.compact = compact
-        #: Worker-pool strips for the repetition closure; ``None`` (the
-        #: default) = serial — sharding is opt-in, see
-        #: :data:`PARALLEL_FIXPOINT_MIN_NODES`.
-        self.fixpoint_shards = fixpoint_shards
-        #: Node count below which the closure stays serial; ``None`` uses
-        #: the module default.
-        self.parallel_threshold = (
-            PARALLEL_FIXPOINT_MIN_NODES if parallel_threshold is None else parallel_threshold
-        )
         # Sub-plan tables computed against this graph; together with the
         # pattern-keyed PlanCache this memoizes work by (graph, pattern).
-        self._tables: Dict[LogicalPlan, Tuple[ColumnMap, Set[Row]]] = {}
-        self._compact_tables: Dict[LogicalPlan, CompactTable] = {}
-        # Label scan partitions, resolved once per label set and reused by
-        # every scan of a session's repeated queries on this graph.
-        self._label_partitions: Dict[FrozenSet[str], Optional[FrozenSet[Identifier]]] = {}
+        self._tables: Dict[LogicalPlan, CompactTable] = {}
         # Last compact encoding observed, for encode-time accounting.
         self._encoded = None
         # Graph version the memoized tables were computed against.
@@ -406,8 +359,6 @@ class PlanExecutor:
             plan = bind_plan(plan, bindings)
         if len(self._tables) > self._MEMO_MAX:
             self._tables.clear()
-        if len(self._compact_tables) > self._MEMO_MAX:
-            self._compact_tables.clear()
         profiler = active_profiler()
         if profiler is not None:
             profiler.use_labeler(_profile_label)
@@ -423,35 +374,7 @@ class PlanExecutor:
         executions with different bindings never recompile.
         """
         plan = self._plan_for_output(output, bindings)
-        if self.compact:
-            counters = self.counters
-            snapshot = (
-                counters.rows_produced,
-                counters.join_probes,
-                counters.fixpoint_rounds,
-                counters.delta_pairs,
-                counters.fixpoint_shards,
-                counters.parallel_rounds,
-            )
-            try:
-                return self._execute_output_compact(plan, output)
-            except _CompactUnsupported:
-                # Discard the aborted attempt's counts: the boxed re-run
-                # below counts the same work, and the counters mirror the
-                # oracle's per-query instrumentation.
-                (
-                    counters.rows_produced,
-                    counters.join_probes,
-                    counters.fixpoint_rounds,
-                    counters.delta_pairs,
-                    counters.fixpoint_shards,
-                    counters.parallel_rounds,
-                ) = snapshot
-                profiler = active_profiler()
-                if profiler is not None:
-                    profiler.reset()
-                    profiler.add_root(plan)
-        return self.execute_output(plan, output)
+        return self._project(self.execute(plan), output)
 
     # ------------------------------------------------------------------ #
     # Streaming projection (server-side cursors)
@@ -470,47 +393,18 @@ class PlanExecutor:
         available in O(1) after the fixpoint.
         """
         plan = self._plan_for_output(output, bindings)
-        if self.compact:
-            counters = self.counters
-            snapshot = (
-                counters.rows_produced,
-                counters.join_probes,
-                counters.fixpoint_rounds,
-                counters.delta_pairs,
-                counters.fixpoint_shards,
-                counters.parallel_rounds,
-            )
-            try:
-                table = self.execute_compact(plan)
-            except _CompactUnsupported:
-                (
-                    counters.rows_produced,
-                    counters.join_probes,
-                    counters.fixpoint_rounds,
-                    counters.delta_pairs,
-                    counters.fixpoint_shards,
-                    counters.parallel_rounds,
-                ) = snapshot
-                profiler = active_profiler()
-                if profiler is not None:
-                    profiler.reset()
-                    profiler.add_root(plan)
-            else:
-                return self._stream_project_compact(table, output)
-        columns, rows = self.execute(plan)
-        return self._stream_project_boxed(columns, rows, output)
+        return self._stream_project(self.execute(plan), output)
 
-    def _resolve_compact_items(
+    def _resolve_items(
         self, table: CompactTable, output: OutputPattern
     ) -> List[Tuple[Optional[int], Optional[List], bool]]:
-        """Pre-resolve output items against a compact table: ``(row index,
+        """Pre-resolve output items against a table: ``(row index,
         decoder, is_property)`` per item — the decoder is an interning
         table for plain variables and a dense value column for property
         references.  Shared by the materializing and streaming paths so
         the resolution rules can never diverge between them."""
         encoded = self._compact_graph()
         columns, kinds = table.columns, table.kinds
-        decoders = {"node": encoded.node_ids, "edge": encoded.edge_ids}
         items: List[Tuple[Optional[int], Optional[List], bool]] = []
         for item in output.items:
             if isinstance(item, PropertyRef):
@@ -522,97 +416,86 @@ class PlanExecutor:
                 items.append((index, values, True))
             else:
                 index = columns.get(item)
-                ids = decoders[kinds.get(item, "node")] if index is not None else None
+                ids = encoded.ids(kinds.get(item, "node")) if index is not None else None
                 items.append((index, ids, False))
         return items
 
-    def _resolve_boxed_items(
-        self, columns: ColumnMap, output: OutputPattern
-    ) -> List[Tuple[Optional[int], Optional[Dict[Identifier, object]]]]:
-        """Pre-resolve output items against a boxed table: ``(row index,
-        property index or None)`` per item, property values from one bulk
-        pass per key.  Shared by both projection paths."""
-        items: List[Tuple[Optional[int], Optional[Dict[Identifier, object]]]] = []
-        property_indexes: Dict[str, Dict[Identifier, object]] = {}
-        for item in output.items:
-            if isinstance(item, PropertyRef):
-                index = columns.get(item.variable)
-                values = None
-                if index is not None:  # unbound variable: rows drop anyway
-                    values = property_indexes.get(item.key)
-                    if values is None:
-                        values = self.graph.property_index(item.key)
-                        property_indexes[item.key] = values
-                items.append((index, values))
-            else:
-                items.append((columns.get(item), None))
-        return items
-
-    def _stream_project_compact(
+    def _stream_project(
         self, table: CompactTable, output: OutputPattern
     ) -> Iterator[Tuple]:
-        """Generator over the decoded projection of a compact table."""
-        items = self._resolve_compact_items(table, output)
+        """Generator over the decoded projection of a table."""
+        items = self._resolve_items(table, output)
         # Resolved eagerly (this frame runs inside the execution's governor
         # activation); the lazy generators below close over it so decode
         # checkpoints keep firing when iteration happens later, possibly on
         # another thread.
         governor = current_governor()
-        plain = bool(items) and all(not p and i is not None for i, _, p in items)
-        if plain and table.masks is not None:
+        if table.masks is not None and items and all(i is not None for i, _, _ in items):
             masks = table.masks
+            # A property column decodes like an interning table once its
+            # values are 1-tuples (None where the property is undefined).
+            # Identifiers are injective per ID space, property values are
+            # not: only a projection that reads one needs the dedup set.
+            dedup = any(is_property for _, _, is_property in items)
+            decoders = [
+                [None if v is _COMPACT_MISSING else (v,) for v in decoder]
+                if is_property
+                else decoder
+                for _, decoder, is_property in items
+            ]
             if len(items) == 1:
-                index, ids, _ = items[0]
+                index, parts = items[0][0], decoders[0]
 
                 def stream_single() -> Iterator[Tuple]:
-                    produced = 0
                     if index == 0:
-                        for i, mask in enumerate(masks):
-                            if mask:
-                                if governor is not None:
-                                    if not produced & 63:
-                                        governor.checkpoint("stream.decode")
-                                    produced += 1
-                                yield ids[i]
+                        positions = (i for i, mask in enumerate(masks) if mask)
                     else:
                         union = 0
                         for mask in masks:
                             union |= mask
-                        for j in iter_bits(union):
+                        positions = iter_bits(union)
+                    seen: Set[Tuple] = set()
+                    produced = 0
+                    for position in positions:
+                        row = parts[position]
+                        if row is None:
+                            continue
+                        if dedup:
+                            if row in seen:
+                                continue
+                            seen.add(row)
+                        if governor is not None:
+                            if not produced & 63:
+                                governor.checkpoint("stream.decode")
+                            produced += 1
+                        yield row
+
+                return stream_single()
+            if len(items) == 2 and {items[0][0], items[1][0]} == {0, 1}:
+                swapped = items[0][0] == 1
+                heads, tails = reversed(decoders) if swapped else decoders
+
+                def stream_pairs() -> Iterator[Tuple]:
+                    seen: Set[Tuple] = set()
+                    produced = 0
+                    for i, mask in enumerate(masks):
+                        head = heads[i]
+                        if not mask or head is None:
+                            continue
+                        for j in iter_bits(mask):
+                            tail = tails[j]
+                            if tail is None:
+                                continue
+                            row = tail + head if swapped else head + tail
+                            if dedup:
+                                if row in seen:
+                                    continue
+                                seen.add(row)
                             if governor is not None:
                                 if not produced & 63:
                                     governor.checkpoint("stream.decode")
                                 produced += 1
-                            yield ids[j]
-
-                return stream_single()
-            if len(items) == 2 and {items[0][0], items[1][0]} == {0, 1}:
-                (i1, ids1, _), (_i2, ids2, _) = items
-                swapped = i1 == 1
-
-                def stream_pairs() -> Iterator[Tuple]:
-                    # (i, j) pairs are distinct and identifier decoding is
-                    # injective per ID space, so no dedup set is needed.
-                    produced = 0
-                    for i, mask in enumerate(masks):
-                        if not mask:
-                            continue
-                        if swapped:
-                            tail = ids2[i]
-                            for j in iter_bits(mask):
-                                if governor is not None:
-                                    if not produced & 63:
-                                        governor.checkpoint("stream.decode")
-                                    produced += 1
-                                yield ids1[j] + tail
-                        else:
-                            head = ids1[i]
-                            for j in iter_bits(mask):
-                                if governor is not None:
-                                    if not produced & 63:
-                                        governor.checkpoint("stream.decode")
-                                    produced += 1
-                                yield head + ids2[j]
+                            yield row
 
                 return stream_pairs()
         rows = self._unpacked(table).rows
@@ -645,84 +528,50 @@ class PlanExecutor:
 
         return stream_rows()
 
-    def _stream_project_boxed(
-        self, columns: ColumnMap, rows: Set[Row], output: OutputPattern
-    ) -> Iterator[Tuple]:
-        """Generator over the projection of a boxed-identifier table."""
-        items = self._resolve_boxed_items(columns, output)
-        governor = current_governor()  # eager: see _stream_project_compact
-
-        def stream_rows() -> Iterator[Tuple]:
-            seen: Set[Tuple] = set()
-            for row in rows:
-                projected: List = []
-                defined = True
-                for index, values in items:
-                    if index is None:
-                        defined = False
-                        break
-                    element = row[index]
-                    if values is None:
-                        projected.extend(element)
-                    else:
-                        value = values.get(element, _MISSING)
-                        if value is _MISSING:
-                            defined = False
-                            break
-                        projected.append(value)
-                if defined:
-                    result = tuple(projected)
-                    if result not in seen:
-                        if governor is not None and not len(seen) & 63:
-                            governor.checkpoint("stream.decode")
-                        seen.add(result)
-                        yield result
-
-        return stream_rows()
-
-    def execute_output(self, plan: LogicalPlan, output: OutputPattern) -> FrozenSet[Tuple]:
-        columns, rows = self.execute(plan)
-        items = self._resolve_boxed_items(columns, output)
-        # Fast path: outputs of plain variables are concatenations of
-        # identifier tuples — no property lookups, no undefinedness.
-        if items and all(v is None and i is not None for i, v in items):
-            indices = [index for index, _ in items]
-            if len(indices) == 1:
-                only = indices[0]
-                return frozenset(row[only] for row in rows)
-            if len(indices) == 2:
-                first, second = indices
-                return frozenset(row[first] + row[second] for row in rows)
-            return frozenset(
-                tuple(value for index in indices for value in row[index]) for row in rows
-            )
-        results: Set[Tuple] = set()
-        for row in rows:
-            projected: List = []
-            defined = True
-            for index, values in items:
-                if index is None:
-                    defined = False
-                    break
-                element = row[index]
-                if values is None:
-                    projected.extend(element)
-                else:
-                    value = values.get(element, _MISSING)
-                    if value is _MISSING:
-                        defined = False
-                        break
-                    projected.append(value)
-            if defined:
-                results.add(tuple(projected))
-        return frozenset(results)
-
     # ------------------------------------------------------------------ #
     # Operators
     # ------------------------------------------------------------------ #
-    def execute(self, plan: LogicalPlan) -> Tuple[ColumnMap, Set[Row]]:
-        """Evaluate a plan; returns (column map, rows).  Tables are memoized
-        per plan node so repeated identical sub-plans run once per graph."""
+    @staticmethod
+    def _empty_columns(plan: EmptyPlan) -> ColumnMap:
+        # Zero rows, but the column map must still name exactly the
+        # schema the pruned subplan would have bound (the provenance
+        # check at the logical->physical boundary relies on it).
+        return {
+            variable: index + 2
+            for index, variable in enumerate(sorted(plan.schema))
+        }
+
+    def _count_round(self) -> None:
+        self.counters.fixpoint_rounds += 1
+        governor = current_governor()
+        if governor is not None:
+            governor.checkpoint("fixpoint.round")
+
+    def _count_delta(self, fresh: int) -> None:
+        self.counters.delta_pairs += fresh
+        governor = current_governor()
+        if governor is not None:
+            governor.checkpoint("fixpoint.delta", fresh)
+
+    def _compact_graph(self):
+        """The graph's current integer encoding, with encode-time accounting."""
+        encoded = self.graph.compact()
+        if encoded is not self._encoded:
+            self.counters.compact_encode_s += encoded.encode_seconds
+            self._encoded = encoded
+        return encoded
+
+    def _invalidate_if_mutated(self) -> None:
+        """Drop the table memo of a mutated graph: its int rows reference
+        a stale ID space."""
+        version = self.graph.mutation_version()
+        if version != self._graph_version:
+            self._graph_version = version
+            self._tables.clear()
+
+    def execute(self, plan: LogicalPlan) -> CompactTable:
+        """Evaluate a plan over integer columns; tables are memoized per
+        plan node so repeated identical sub-plans run once per graph."""
         try:
             cached = self._tables.get(plan)
         except TypeError:
@@ -737,389 +586,6 @@ class PlanExecutor:
         else:
             start = perf_counter()
             result = self._execute(plan)
-            profiler.record(
-                plan, _profile_label(plan), perf_counter() - start, len(result[1])
-            )
-        self.counters.rows_produced += len(result[1])
-        if self.verify_plans:
-            from repro.analysis.verifier import verify_physical_result
-
-            verify_physical_result(plan, result[0], result[1])
-        try:
-            self._tables[plan] = result
-        except TypeError:
-            pass
-        return result
-
-    def _execute(self, plan: LogicalPlan) -> Tuple[ColumnMap, Set[Row]]:
-        if isinstance(plan, NodeScan):
-            return self._execute_node_scan(plan)
-        if isinstance(plan, EdgeScan):
-            return self._execute_edge_scan(plan)
-        if isinstance(plan, BindEndpoint):
-            return self._execute_bind(plan)
-        if isinstance(plan, JoinStep):
-            return self._execute_join(plan)
-        if isinstance(plan, UnionStep):
-            return self._execute_union(plan)
-        if isinstance(plan, FilterStep):
-            return self._execute_filter(plan)
-        if isinstance(plan, FixpointStep):
-            return self._execute_fixpoint(plan)
-        if isinstance(plan, EmptyPlan):
-            return self._empty_columns(plan), set()
-        raise PatternError(f"unknown physical operator for {plan!r}")
-
-    @staticmethod
-    def _empty_columns(plan: EmptyPlan) -> ColumnMap:
-        # Zero rows, but the column map must still name exactly the
-        # schema the pruned subplan would have bound (the provenance
-        # check at the logical->physical boundary relies on it).
-        return {
-            variable: index + 2
-            for index, variable in enumerate(sorted(plan.schema))
-        }
-
-    def _label_allowed(self, labels: FrozenSet[str]) -> Optional[FrozenSet[Identifier]]:
-        """Elements carrying every label of the set, or None for no filter.
-
-        Partitions are memoized per label set: an executor kept alive for a
-        session resolves each labeled scan once per graph, not once per
-        query execution.
-        """
-        if not labels:
-            return None
-        cached = self._label_partitions.get(labels)
-        if cached is not None:
-            return cached
-        allowed: Optional[FrozenSet[Identifier]] = None
-        for label in labels:
-            matching = self.graph.elements_with_label(label)
-            allowed = matching if allowed is None else allowed & matching
-            if not allowed:
-                break
-        result = allowed if allowed is not None else frozenset()
-        self._label_partitions[labels] = result
-        return result
-
-    def _execute_node_scan(self, plan: NodeScan) -> Tuple[ColumnMap, Set[Row]]:
-        allowed = self._label_allowed(plan.labels)
-        condition, variable = plan.condition, plan.variable
-        rows: Set[Row] = set()
-        for node in self.graph.nodes:
-            if allowed is not None and node not in allowed:
-                continue
-            if condition is not None and not condition.satisfied(
-                self.graph, {variable: node}
-            ):
-                continue
-            rows.add((node, node))
-        columns = {variable: 0} if plan.bound and variable is not None else {}
-        return columns, rows
-
-    def _execute_edge_scan(self, plan: EdgeScan) -> Tuple[ColumnMap, Set[Row]]:
-        allowed = self._label_allowed(plan.labels)
-        condition, variable = plan.condition, plan.variable
-        rows: Set[Row] = set()
-        bound = plan.bound and variable is not None
-        for edge in self.graph.edge_tuples():
-            if allowed is not None and edge.ident not in allowed:
-                continue
-            if condition is not None and not condition.satisfied(
-                self.graph, {variable: edge.ident}
-            ):
-                continue
-            endpoints = (
-                (edge.source, edge.target) if plan.forward else (edge.target, edge.source)
-            )
-            rows.add(endpoints + (edge.ident,) if bound else endpoints)
-        columns = {variable: 2} if bound else {}
-        return columns, rows
-
-    def _execute_bind(self, plan: BindEndpoint) -> Tuple[ColumnMap, Set[Row]]:
-        columns, rows = self.execute(plan.operand)
-        extended = dict(columns)
-        extended[plan.variable] = 0 if plan.use_source else 1
-        return extended, rows
-
-    def _execute_join(self, plan: JoinStep) -> Tuple[ColumnMap, Set[Row]]:
-        left_columns, left_rows = self.execute(plan.left)
-        right_columns, right_rows = self.execute(plan.right)
-        shared = sorted(set(left_columns) & set(right_columns))
-        left_keys = [left_columns[v] for v in shared]
-        right_keys = [right_columns[v] for v in shared]
-
-        # Result rows are (left.src, right.tgt, extras...).  A left value at
-        # index 0 survives as the new src; everything else (the consumed
-        # midpoint at index 1 included) is copied into the extras.
-        columns: ColumnMap = {}
-        copy_left: List[int] = []
-        for variable, index in left_columns.items():
-            if index == 0:
-                columns[variable] = 0
-            else:
-                columns[variable] = 2 + len(copy_left)
-                copy_left.append(index)
-        copy_right: List[int] = []
-        for variable, index in right_columns.items():
-            if variable in left_columns:
-                continue  # shared: identical value already kept from the left
-            if index == 1:
-                columns[variable] = 1
-            else:
-                columns[variable] = 2 + len(copy_left) + len(copy_right)
-                copy_right.append(index)
-
-        index_map: Dict[Tuple, List[Row]] = {}
-        for row in right_rows:
-            key = (row[0],) + tuple(row[i] for i in right_keys)
-            index_map.setdefault(key, []).append(row)
-        rows: Set[Row] = set()
-        probes = 0
-        governor = current_governor()
-        checked = 0
-        for row in left_rows:
-            key = (row[1],) + tuple(row[i] for i in left_keys)
-            matches = index_map.get(key)
-            if not matches:
-                continue
-            probes += len(matches)
-            if governor is not None and probes - checked >= CHECK_INTERVAL:
-                governor.checkpoint("join.probe", probes - checked)
-                checked = probes
-            head = (row[0],)
-            left_extra = tuple(row[i] for i in copy_left)
-            for other in matches:
-                rows.add(
-                    head + (other[1],) + left_extra + tuple(other[i] for i in copy_right)
-                )
-        if governor is not None and probes > checked:
-            governor.checkpoint("join.probe", probes - checked)
-        self.counters.join_probes += probes
-        return columns, rows
-
-    @staticmethod
-    def _canonical(
-        table: Tuple[ColumnMap, Set[Row]], keep: List[str]
-    ) -> Tuple[ColumnMap, Set[Row]]:
-        """Project a table onto ``keep`` (sorted) at indices 2.. — union
-        branches may lay columns out differently or carry residue columns
-        their internal filters needed."""
-        columns, rows = table
-        canonical = {variable: 2 + i for i, variable in enumerate(keep)}
-        if canonical == columns:
-            return table
-        indices = [columns[v] for v in keep]
-        return canonical, {
-            (row[0], row[1]) + tuple(row[i] for i in indices) for row in rows
-        }
-
-    def _execute_union(self, plan: UnionStep) -> Tuple[ColumnMap, Set[Row]]:
-        left_columns, left_rows = self.execute(plan.left)
-        right_columns, right_rows = self.execute(plan.right)
-        # Variables bound in only one branch are pruning residue (kept for a
-        # branch-internal filter); anything consumed above the union is kept
-        # in both branches by prune_variables, so project to the overlap.
-        keep = sorted(set(left_columns) & set(right_columns))
-        columns, left_rows = self._canonical((left_columns, left_rows), keep)
-        _cols, right_rows = self._canonical((right_columns, right_rows), keep)
-        return columns, left_rows | right_rows
-
-    def _execute_filter(self, plan: FilterStep) -> Tuple[ColumnMap, Set[Row]]:
-        columns, rows = self.execute(plan.operand)
-        condition = plan.condition
-        bound = [(v, columns[v]) for v in condition.variables() if v in columns]
-        graph = self.graph
-        kept = {
-            row
-            for row in rows
-            if condition.satisfied(graph, {v: row[i] for v, i in bound})
-        }
-        return columns, kept
-
-    # ------------------------------------------------------------------ #
-    # Semi-naive repetition
-    # ------------------------------------------------------------------ #
-    def _execute_fixpoint(self, plan: FixpointStep) -> Tuple[ColumnMap, Set[Row]]:
-        _columns, body_rows = self.execute(plan.body)
-        rounds_before = self.counters.fixpoint_rounds
-        with trace_span("fixpoint", compact=False) as span:
-            # Project to endpoint pairs before indexing: rows distinct only in
-            # residue binding columns would otherwise add duplicate successors.
-            adjacency = fixpoint.adjacency_of({(row[0], row[1]) for row in body_rows})
-            identity: Set[Pair] = {(node, node) for node in self.graph.nodes}
-            if plan.is_unbounded:
-                pairs = self._pairs_at_least(adjacency, plan.lower, identity)
-            else:
-                pairs = fixpoint.bounded_pairs(
-                    adjacency,
-                    plan.lower,
-                    int(plan.upper),
-                    identity,
-                    max_repetitions=self.max_repetitions,
-                    on_round=self._count_round,
-                )
-            span.tag(
-                rounds=self.counters.fixpoint_rounds - rounds_before,
-                pairs=len(pairs),
-            )
-        return {}, set(pairs)
-
-    def _count_round(self) -> None:
-        self.counters.fixpoint_rounds += 1
-        governor = current_governor()
-        if governor is not None:
-            governor.checkpoint("fixpoint.round")
-
-    def _count_delta(self, fresh: int) -> None:
-        self.counters.delta_pairs += fresh
-        governor = current_governor()
-        if governor is not None:
-            governor.checkpoint("fixpoint.delta", fresh)
-
-    def _pairs_at_least(
-        self,
-        adjacency: Dict[Identifier, List[Identifier]],
-        lower: int,
-        identity: Set[Pair],
-    ) -> Set[Pair]:
-        """Pairs of ``psi^{lower..inf}``.
-
-        Without a depth bound the closure runs on bitsets (one big-int
-        reachability mask per node, fixpoint by in-place OR propagation);
-        with ``max_repetitions`` set the shared delta-iteration kernel runs
-        instead, so the first-derivable depth of every pair is known and
-        the bound check matches the naive oracle by construction.
-        """
-        if self.max_repetitions is None:
-            return self._pairs_at_least_bitset(adjacency, lower)
-        return fixpoint.unbounded_pairs_delta(
-            adjacency,
-            lower,
-            identity,
-            max_repetitions=self.max_repetitions,
-            on_round=self._count_round,
-            on_delta=self._count_delta,
-        )
-
-    def _pairs_at_least_bitset(
-        self, adjacency: Dict[Identifier, List[Identifier]], lower: int
-    ) -> Set[Pair]:
-        """Unbounded closure on reachability bitmasks.
-
-        Node ``i``'s reachable set is one big integer with bit ``j`` set
-        when ``j`` is reachable in >= 0 body steps; the fixpoint is
-        in-place OR propagation, so each round is word-parallel instead of
-        per-pair set operations.
-        """
-        nodes = list(self.graph.nodes)
-        position = {node: i for i, node in enumerate(nodes)}
-        successors: List[List[int]] = [[] for _ in nodes]
-        for source, targets in adjacency.items():
-            source_index = position.get(source)
-            if source_index is None:
-                continue
-            row = successors[source_index]
-            for target in targets:
-                target_index = position.get(target)
-                if target_index is not None:
-                    row.append(target_index)
-
-        reach = [1 << i for i in range(len(nodes))]
-        changed = True
-        while changed:
-            self._count_round()
-            changed = False
-            for i, succ in enumerate(successors):
-                mask = reach[i]
-                for j in succ:
-                    mask |= reach[j]
-                if mask != reach[i]:
-                    reach[i] = mask
-                    changed = True
-
-        if lower == 0:
-            masks = reach
-        else:
-            # Compose the exactly-`lower` prefix relation with the closure.
-            masks = []
-            for i in range(len(nodes)):
-                frontier = 1 << i
-                for _ in range(lower):
-                    next_frontier = 0
-                    remaining = frontier
-                    while remaining:
-                        bit = remaining & -remaining
-                        remaining ^= bit
-                        for j in successors[bit.bit_length() - 1]:
-                            next_frontier |= 1 << j
-                    frontier = next_frontier
-                    if not frontier:
-                        break
-                mask = 0
-                remaining = frontier
-                while remaining:
-                    bit = remaining & -remaining
-                    remaining ^= bit
-                    mask |= reach[bit.bit_length() - 1]
-                masks.append(mask)
-
-        pairs: Set[Pair] = set()
-        add = pairs.add
-        for i, mask in enumerate(masks):
-            if not mask:
-                continue
-            source = nodes[i]
-            data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
-            base = 0
-            for byte in data:
-                if byte:
-                    for offset in _BYTE_POSITIONS[byte]:
-                        add((source, nodes[base + offset]))
-                base += 8
-        return pairs
-
-    # ------------------------------------------------------------------ #
-    # Columnar (compact-ID) execution
-    # ------------------------------------------------------------------ #
-    def _compact_graph(self):
-        """The graph's current integer encoding, with encode-time accounting."""
-        encoded = self.graph.compact()
-        if encoded is not self._encoded:
-            self.counters.compact_encode_s += encoded.encode_seconds
-            self._encoded = encoded
-        return encoded
-
-    def _invalidate_if_mutated(self) -> None:
-        """Drop every memo derived from a mutated graph.
-
-        Runs on both execution paths (the boxed ``compact=False`` mode
-        included): the int-row tables reference a stale ID space, and the
-        boxed tables and label partitions hold pre-mutation rows.
-        """
-        version = self.graph.mutation_version()
-        if version != self._graph_version:
-            self._graph_version = version
-            self._compact_tables.clear()
-            self._tables.clear()
-            self._label_partitions.clear()
-
-    def execute_compact(self, plan: LogicalPlan) -> CompactTable:
-        """Evaluate a plan over integer columns; memoized per plan node."""
-        try:
-            cached = self._compact_tables.get(plan)
-        except TypeError:
-            cached = None
-        profiler = active_profiler()
-        if cached is not None:
-            if profiler is not None:
-                profiler.memo_hit(plan, _profile_label(plan))
-            return cached
-        if profiler is None:
-            result = self._execute_compact(plan)
-        else:
-            start = perf_counter()
-            result = self._execute_compact(plan)
             elapsed = perf_counter() - start
         if result.masks is not None:
             produced = sum(mask.bit_count() for mask in result.masks)
@@ -1130,23 +596,23 @@ class PlanExecutor:
         self.counters.rows_produced += produced
         if self.verify_plans and result.masks is None:
             # Mask-form tables are pure endpoint-pair relations (no bound
-            # columns); row-form compact tables share the boxed layout.
+            # columns), so only row-form tables have a layout to check.
             from repro.analysis.verifier import verify_physical_result
 
             verify_physical_result(plan, result.columns, result.rows)
         try:
-            self._compact_tables[plan] = result
+            self._tables[plan] = result
         except TypeError:
             pass
         return result
 
-    def _execute_compact(self, plan: LogicalPlan) -> CompactTable:
+    def _execute(self, plan: LogicalPlan) -> CompactTable:
         if isinstance(plan, NodeScan):
             return self._compact_node_scan(plan)
         if isinstance(plan, EdgeScan):
             return self._compact_edge_scan(plan)
         if isinstance(plan, BindEndpoint):
-            operand = self.execute_compact(plan.operand)
+            operand = self.execute(plan.operand)
             columns = dict(operand.columns)
             columns[plan.variable] = 0 if plan.use_source else 1
             kinds = dict(operand.kinds)
@@ -1390,29 +856,23 @@ class PlanExecutor:
         kinds = {variable: "edge"} if bound else {}
         return CompactTable(columns, kinds, rows)
 
-    def _compact_strides(self, kinds: Dict[str, str]) -> Dict[str, int]:
+    def _kind_spans(self) -> Dict[str, int]:
+        """Size of each ID space; the lifted element space is the nodes
+        followed by the edges."""
         encoded = self._compact_graph()
-        node_stride = max(encoded.node_count, 1)
-        edge_stride = max(encoded.edge_count, 1)
-        return {
-            variable: (node_stride if kind == "node" else edge_stride)
-            for variable, kind in kinds.items()
-        }
+        nodes, edges = encoded.node_count, encoded.edge_count
+        return {"node": nodes, "edge": edges, "element": nodes + edges}
+
+    def _lift(self, kind: str, target: str) -> int:
+        """Offset moving an ID of space ``kind`` into space ``target``: only
+        an edge ID changes value when lifted into the element space (edges
+        follow the nodes there); node IDs are element IDs already."""
+        return self._compact_graph().node_count if kind == "edge" != target else 0
 
     def _compact_join(self, plan: JoinStep) -> CompactTable:
-        left = self._unpacked(self.execute_compact(plan.left))
-        right = self._unpacked(self.execute_compact(plan.right))
+        left = self._unpacked(self.execute(plan.left))
+        right = self._unpacked(self.execute(plan.right))
         left_columns, right_columns = left.columns, right.columns
-        shared = sorted(set(left_columns) & set(right_columns))
-        for variable in shared:
-            if left.kinds[variable] != right.kinds[variable]:
-                raise _CompactUnsupported(variable)  # ID spaces don't align
-        # Join keys pack into one int (mixed-radix over each variable's ID
-        # space): equality on the packed key is equality on the components,
-        # and hashing a small int beats hashing a tuple of boxed values.
-        strides = self._compact_strides(left.kinds) if shared else {}
-        left_keys = [(left_columns[v], strides[v]) for v in shared]
-        right_keys = [(right_columns[v], strides[v]) for v in shared]
 
         columns: ColumnMap = {}
         copy_left: List[int] = []
@@ -1435,12 +895,34 @@ class PlanExecutor:
         for variable, kind in right.kinds.items():
             kinds.setdefault(variable, kind)
 
+        # Join keys pack into one int (mixed-radix over each variable's ID
+        # space): equality on the packed key is equality on the components,
+        # and hashing a small int beats hashing a tuple of boxed values.
+        left_keys: List[Tuple[int, int, int]] = []
+        right_keys: List[Tuple[int, int, int]] = []
+        shared = sorted(set(left_columns) & set(right_columns))
+        if shared:
+            spans = self._kind_spans()
+            for variable in shared:
+                left_kind, right_kind = left.kinds[variable], right.kinds[variable]
+                if {left_kind, right_kind} == {"node", "edge"}:
+                    # N and E are disjoint: no element satisfies both bindings.
+                    return CompactTable(columns, kinds, set())
+                # Sides in different spaces compare in the element space.
+                stride = max(spans[left_kind], spans[right_kind], 1)
+                left_keys.append(
+                    (left_columns[variable], stride, self._lift(left_kind, right_kind))
+                )
+                right_keys.append(
+                    (right_columns[variable], stride, self._lift(right_kind, left_kind))
+                )
+
         index_map: Dict[int, List[Tuple]] = {}
         setdefault = index_map.setdefault
         for row in right.rows:
             key = row[0]
-            for index, stride in right_keys:
-                key = key * stride + row[index]
+            for index, stride, lift in right_keys:
+                key = key * stride + row[index] + lift
             setdefault(key, []).append(row)
         rows: Set[Tuple] = set()
         add = rows.add
@@ -1449,8 +931,8 @@ class PlanExecutor:
         checked = 0
         for row in left.rows:
             key = row[1]
-            for index, stride in left_keys:
-                key = key * stride + row[index]
+            for index, stride, lift in left_keys:
+                key = key * stride + row[index] + lift
             matches = index_map.get(key)
             if not matches:
                 continue
@@ -1467,40 +949,57 @@ class PlanExecutor:
         self.counters.join_probes += probes
         return CompactTable(columns, kinds, rows)
 
-    @staticmethod
-    def _compact_canonical(table: CompactTable, keep: List[str]) -> CompactTable:
-        columns, kinds, rows, _packed = table
+    def _canonical(
+        self, table: CompactTable, keep: List[str], kinds: Dict[str, str]
+    ) -> CompactTable:
+        """Project a table onto ``keep`` (sorted) at indices 2.., in the ID
+        spaces ``kinds`` — union branches may lay columns out differently,
+        carry residue columns their internal filters needed, or bind a
+        variable in the other space."""
+        columns, own_kinds, rows, _masks = table
         canonical = {variable: 2 + i for i, variable in enumerate(keep)}
-        kept_kinds = {variable: kinds[variable] for variable in keep}
-        if canonical == columns:
-            return CompactTable(canonical, kept_kinds, rows)
-        indices = [columns[v] for v in keep]
-        projected = {
-            (row[0], row[1]) + tuple(row[i] for i in indices) for row in rows
-        }
-        return CompactTable(canonical, kept_kinds, projected)
+        moves = [
+            (columns[variable], self._lift(own_kinds[variable], kinds[variable]))
+            for variable in keep
+        ]
+        if any(lift for _index, lift in moves):
+            projected = {
+                (row[0], row[1]) + tuple(row[i] + lift for i, lift in moves)
+                for row in rows
+            }
+        elif canonical == columns:
+            return CompactTable(canonical, kinds, rows)
+        else:
+            projected = {
+                (row[0], row[1]) + tuple(row[i] for i, _lift in moves) for row in rows
+            }
+        return CompactTable(canonical, kinds, projected)
 
     def _compact_union(self, plan: UnionStep) -> CompactTable:
-        left = self._unpacked(self.execute_compact(plan.left))
-        right = self._unpacked(self.execute_compact(plan.right))
+        left = self._unpacked(self.execute(plan.left))
+        right = self._unpacked(self.execute(plan.right))
+        # Variables bound in only one branch are pruning residue (kept for a
+        # branch-internal filter); anything consumed above the union is kept
+        # in both branches by prune_variables, so project to the overlap.
         keep = sorted(set(left.columns) & set(right.columns))
-        for variable in keep:
-            if left.kinds[variable] != right.kinds[variable]:
-                # One branch binds the variable to a node, the other to an
-                # edge: the int ID spaces don't align, so this plan runs on
-                # the boxed path instead.
-                raise _CompactUnsupported(variable)
-        left = self._compact_canonical(left, keep)
-        right = self._compact_canonical(right, keep)
-        return CompactTable(left.columns, left.kinds, left.rows | right.rows)
+        # A variable bound to a node in one branch and an edge in the other
+        # ranges over N ∪ E: both branches lift into the element space.
+        kinds = {
+            variable: left.kinds[variable]
+            if left.kinds[variable] == right.kinds[variable]
+            else "element"
+            for variable in keep
+        }
+        left = self._canonical(left, keep, kinds)
+        right = self._canonical(right, keep, kinds)
+        return CompactTable(left.columns, kinds, left.rows | right.rows)
 
     def _compact_filter(self, plan: FilterStep) -> CompactTable:
-        table = self._unpacked(self.execute_compact(plan.operand))
+        table = self._unpacked(self.execute(plan.operand))
         condition = plan.condition
         encoded = self._compact_graph()
-        decoders = {"node": encoded.node_ids, "edge": encoded.edge_ids}
         bound = [
-            (variable, table.columns[variable], decoders[table.kinds.get(variable, "node")])
+            (variable, table.columns[variable], encoded.ids(table.kinds.get(variable, "node")))
             for variable in condition.variables()
             if variable in table.columns
         ]
@@ -1513,20 +1012,11 @@ class PlanExecutor:
         return CompactTable(table.columns, table.kinds, kept)
 
     # -- repetition over integer IDs ----------------------------------- #
-    def _effective_shards(self, node_count: int) -> int:
-        """Shards for one closure: opt-in (``fixpoint_shards``) and
-        threshold-gated, otherwise the serial propagation kernel runs —
-        see :data:`PARALLEL_FIXPOINT_MIN_NODES` for why serial is default."""
-        shards = self.fixpoint_shards
-        if shards is None or node_count < self.parallel_threshold:
-            return 1
-        return max(1, shards)
-
     def _compact_fixpoint(self, plan: FixpointStep) -> CompactTable:
-        body = self.execute_compact(plan.body)
+        body = self.execute(plan.body)
         node_count = self._compact_graph().node_count
         rounds_before = self.counters.fixpoint_rounds
-        with trace_span("fixpoint", compact=True) as span:
+        with trace_span("fixpoint") as span:
             if plan.is_unbounded and self.max_repetitions is None:
                 if body.masks is not None:  # nested repetition: already a pair relation
                     successor_masks = list(body.masks)
@@ -1575,26 +1065,18 @@ class PlanExecutor:
     ) -> List[int]:
         """Unbounded closure on successor bitmasks, mask-form output.
 
-        Serial evaluation propagates whole reach masks (word-parallel);
-        past the size threshold the per-source frontier BFS is sharded
-        into source strips on a worker pool.  The result stays in mask
-        form — consumers expand rows lazily and the projection fast path
-        decodes masks straight into output tuples.
+        The kernel propagates whole reach masks (word-parallel).  The
+        result stays in mask form — consumers expand rows lazily and the
+        projection fast path decodes masks straight into output tuples.
         """
-        shards = self._effective_shards(node_count)
         governor = current_governor()
         on_round = None
         if governor is not None:
             # The governor poll rides the kernel's per-round hook; the
             # executor's own round accounting stays on the returned total.
             on_round = lambda: governor.checkpoint("fixpoint.round")  # noqa: E731
-        reach, rounds, used = compact_encoding.closure_masks(
-            successor_masks, shards=shards, on_round=on_round
-        )
-        self.counters.fixpoint_rounds += max(rounds, 1)
-        if used > 1:
-            self.counters.fixpoint_shards += used
-            self.counters.parallel_rounds += max(rounds, 1)
+        reach, rounds = compact_encoding.closure_masks(successor_masks, on_round=on_round)
+        self.counters.fixpoint_rounds += rounds
         if lower > 0:
             composed: List[int] = []
             for i in range(node_count):
@@ -1675,11 +1157,9 @@ class PlanExecutor:
                     extend([head + tail for tail in tails])
         return frozenset(results)
 
-    def _execute_output_compact(
-        self, plan: LogicalPlan, output: OutputPattern
-    ) -> FrozenSet[Tuple]:
-        table = self.execute_compact(plan)
-        items = self._resolve_compact_items(table, output)
+    def _project(self, table: CompactTable, output: OutputPattern) -> FrozenSet[Tuple]:
+        """Decode a table into the output pattern's distinct row set."""
+        items = self._resolve_items(table, output)
         # Fast path: outputs of plain bound variables decode straight from
         # the interning tables (mask-form pair relations without ever
         # materializing intermediate int rows).

@@ -29,7 +29,7 @@ re-associates concatenation chains so the most selective joins evaluate
 first.  It sits after pushdown (scans must carry their label sets and
 conditions to be costed) and before pruning (the pruner derives join keys
 from the final tree shape).  Without statistics the optimizer keeps the
-lowered left-deep order, the pre-cost behavior.
+lowered left-deep order.
 
 Pushdown through a join is sound because every row of a sub-plan binds
 exactly the sub-plan's variable set: if the conjunct's variables are all

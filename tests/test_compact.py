@@ -5,12 +5,12 @@ Three layers are covered:
 * :class:`~repro.graph.compact.CompactGraph` — ID interning, CSR
   adjacency, label bitsets, property columns, and the mutation-versioned
   cache on :meth:`~repro.graph.property_graph.PropertyGraph.compact`;
-* the columnar :class:`~repro.planner.physical.PlanExecutor` path —
-  property-based cross-engine equivalence with ``compact`` forced on and
-  off, plus the edge cases the integer encoding is most likely to get
-  wrong (empty graph, self-loops, shard counts past the node count);
-* the observability satellites — sharding counters, ``PlanCache.info``
-  extensions, and the session ``explain`` footer.
+* the :class:`~repro.planner.physical.PlanExecutor` — property-based
+  equivalence with the naive oracle, plus the cases the integer encoding
+  is most likely to get wrong (empty graph, self-loops, a variable bound
+  to a node in one branch and an edge in the other);
+* the observability satellites — ``PlanCache.info`` extensions and the
+  session ``explain`` footer.
 """
 
 import pytest
@@ -19,10 +19,11 @@ from hypothesis import given, settings, strategies as st
 from repro.datasets import GRAPH_VIEW_SCHEMA, erdos_renyi, pair_graph_database
 from repro.engine import NaiveEngine, PGQSession, PlannedEngine
 from repro.graph import CompactGraph, PropertyGraph, closure_masks
-from repro.graph.compact import MISSING, bfs_closure_strip, propagate_closure
+from repro.graph.compact import MISSING
 from repro.matching import EndpointEvaluator
 from repro.patterns.builder import (
     edge,
+    either,
     label,
     node,
     output,
@@ -144,52 +145,47 @@ class TestClosureMasks:
             out.append(sum(1 << j for j in seen))
         return out
 
-    @given(
-        seed=st.integers(0, 1000),
-        nodes=st.integers(1, 12),
-        shards=st.integers(1, 64),
-    )
+    @given(seed=st.integers(0, 1000), nodes=st.integers(1, 12))
     @settings(max_examples=40, deadline=None)
-    def test_sharded_matches_serial_and_reference(self, seed, nodes, shards):
+    def test_matches_reference(self, seed, nodes):
         import random
 
         rng = random.Random(seed)
         masks = [
             sum(1 << j for j in range(nodes) if rng.random() < 0.3) for i in range(nodes)
         ]
-        expected = self._naive_closure(masks)
-        serial, _rounds, used_serial = closure_masks(masks, shards=1)
-        sharded, _rounds2, used = closure_masks(masks, shards=shards)
-        assert serial == expected
-        assert sharded == expected
-        assert used_serial == 1
-        assert used <= max(1, nodes)  # never more strips than sources
-
-    def test_shard_count_larger_than_node_count(self):
-        masks = [0b010, 0b100, 0b000]  # 0 -> 1 -> 2
-        result, rounds, used = closure_masks(masks, shards=64)
-        assert result == [0b111, 0b110, 0b100]
-        assert used <= 3
+        result, rounds = closure_masks(masks)
+        assert result == self._naive_closure(masks)
         assert rounds >= 1
+
+    def test_chain(self):
+        masks = [0b010, 0b100, 0b000]  # 0 -> 1 -> 2
+        result, _rounds = closure_masks(masks)
+        assert result == [0b111, 0b110, 0b100]
 
     def test_self_loops_converge(self):
         masks = [0b01, 0b11]  # 0 -> 0 (self loop), 1 -> {0, 1}
-        for shards in (1, 2):
-            result, _rounds, _used = closure_masks(masks, shards=shards)
-            assert result == [0b01, 0b11]
+        result, _rounds = closure_masks(masks)
+        assert result == [0b01, 0b11]
 
-    def test_strip_bfs_agrees_with_propagation(self):
-        masks = [0b0010, 0b0100, 0b1001, 0b0000]
-        by_bfs, _depth = bfs_closure_strip(masks, range(4))
-        by_propagation, _rounds = propagate_closure(masks)
-        assert by_bfs == by_propagation
+    def test_on_round_hook_fires_every_round_and_may_abort(self):
+        masks = [0b010, 0b100, 0b000]
+        fired = []
+        _result, rounds = closure_masks(masks, on_round=lambda: fired.append(1))
+        assert len(fired) == rounds
+
+        def abort():
+            raise RuntimeError("stop")
+
+        with pytest.raises(RuntimeError, match="stop"):
+            closure_masks(masks, on_round=abort)
 
     def test_empty(self):
-        assert closure_masks([], shards=4) == ([], 1, 1)
+        assert closure_masks([]) == ([], 1)
 
 
 # --------------------------------------------------------------------------- #
-# Columnar executor vs the oracle (compact forced on and off)
+# Executor vs the oracle
 # --------------------------------------------------------------------------- #
 def _battery():
     step = seq(edge(), node())
@@ -215,26 +211,22 @@ class TestColumnarEquivalence:
         index=st.integers(0, len(_battery()) - 1),
     )
     @settings(max_examples=25, deadline=None)
-    def test_compact_on_off_and_oracle_agree(self, seed, nodes, probability, index):
+    def test_executor_and_oracle_agree(self, seed, nodes, probability, index):
         graph = graph_from(
             erdos_renyi(nodes, probability, seed=seed, labels=("Red", "Blue"), property_key="w")
         )
         out = _battery()[index]
         expected = EndpointEvaluator(graph).evaluate_output(out)
-        boxed = PlanExecutor(graph, compact=False).evaluate_output(out)
-        columnar = PlanExecutor(graph).evaluate_output(out)
-        assert boxed == expected
-        assert columnar == expected
+        assert PlanExecutor(graph).evaluate_output(out) == expected
+        assert frozenset(PlanExecutor(graph).stream_output(out)) == expected
 
     @given(seed=st.integers(0, 10_000), values=st.integers(2, 4))
     @settings(max_examples=10, deadline=None)
-    def test_compact_engines_agree_on_nary_identifiers(self, seed, values):
+    def test_engines_agree_on_nary_identifiers(self, seed, values):
         database = pair_graph_database(values, seed=seed, edge_probability=0.2)
         query = pair_reachability_query()
         expected = NaiveEngine(database).evaluate(query)
-        for compact in (True, False):
-            result = PlannedEngine(database, compact=compact).evaluate(query)
-            assert result.rows == expected.rows, f"compact={compact}"
+        assert PlannedEngine(database).evaluate(query).rows == expected.rows
 
     def test_empty_graph(self):
         graph = PropertyGraph()
@@ -252,16 +244,14 @@ class TestColumnarEquivalence:
                 graph
             ).evaluate_output(out)
 
-    @pytest.mark.parametrize("compact", [True, False])
-    def test_mutation_invalidates_executor_state(self, compact):
+    def test_mutation_invalidates_executor_state(self):
         graph = graph_from(erdos_renyi(5, 0.4, seed=2, property_key="w"))
         out = output(seq(node("x"), plus(seq(edge(), node())), node("y")), "x", "y")
-        executor = PlanExecutor(graph, compact=compact)
+        executor = PlanExecutor(graph)
         before = executor.evaluate_output(out)
         assert before == EndpointEvaluator(graph).evaluate_output(out)
         # Mutate the graph through the public API: the compact cache and
-        # the executor's memoized tables (both paths) must not serve
-        # stale results.
+        # the executor's memoized tables must not serve stale results.
         new_node = graph.add_node("fresh")
         source = next(iter(graph.nodes - {new_node}))
         graph.add_edge("fresh-edge", source, new_node)
@@ -279,54 +269,109 @@ class TestColumnarEquivalence:
 
 
 # --------------------------------------------------------------------------- #
-# Sharded fixpoint
+# Property projections decoded straight from the closure's bitmasks
 # --------------------------------------------------------------------------- #
-class TestShardedFixpoint:
-    def _graph(self, nodes=9, seed=4):
-        return graph_from(erdos_renyi(nodes, 0.3, seed=seed, property_key="w"))
+_CLOSURE = seq(node("x"), plus(seq(edge(), node())), node("y"))
 
-    def test_forced_sharding_matches_serial(self):
-        graph = self._graph()
-        out = output(seq(node("x"), star(seq(edge(), node())), node("y")), "x", "y")
-        serial = PlanExecutor(graph).evaluate_output(out)
-        counters = PlanCounters()
-        sharded_executor = PlanExecutor(
-            graph, counters=counters, fixpoint_shards=64, parallel_threshold=0
+_CLOSURE_PROJECTIONS = {
+    "both-properties": (prop("x", "w"), prop("y", "w")),
+    "both-properties-swapped": (prop("y", "w"), prop("x", "w")),
+    "source-property": (prop("x", "w"),),
+    "target-property": (prop("y", "w"),),
+    "identifier-then-property": ("x", prop("y", "w")),
+    "property-then-identifier": (prop("y", "w"), "x"),
+}
+
+
+class TestPropertyProjectionOverMasks:
+    @pytest.mark.parametrize("name", sorted(_CLOSURE_PROJECTIONS))
+    def test_streamed_rows_are_distinct_and_equal_the_oracle(self, name):
+        # "a" and "b" share a value (the projection must deduplicate) and
+        # "c" has none (rows through it are undefined and drop).
+        graph = PropertyGraph()
+        for ident, properties in (("a", {"w": 1}), ("b", {"w": 1}), ("c", {}), ("d", {"w": 2})):
+            graph.add_node(ident, properties=properties)
+        for index, (source, target) in enumerate(("ab", "bc", "cd", "ca")):
+            graph.add_edge(f"e{index}", source, target)
+        out = output(_CLOSURE, *_CLOSURE_PROJECTIONS[name])
+        expected = EndpointEvaluator(graph).evaluate_output(out)
+        assert expected
+        streamed = list(PlanExecutor(graph).stream_output(out))
+        assert len(streamed) == len(set(streamed))
+        assert frozenset(streamed) == expected
+        assert PlanExecutor(graph).evaluate_output(out) == expected
+
+
+# --------------------------------------------------------------------------- #
+# A variable bound to a node in one place and an edge in another
+# --------------------------------------------------------------------------- #
+_NODE_OR_EDGE = either(node("x"), edge("x"))
+
+_MIXED_KIND_OUTPUTS = {
+    "lifted-variable": output(_NODE_OR_EDGE, "x"),
+    "lifted-property": output(_NODE_OR_EDGE, prop("x", "w")),
+    "lifted-inside-path": output(seq(node("s"), _NODE_OR_EDGE, node("t")), "s", "x", "t"),
+    "node-joins-edge": output(seq(node("x"), edge("x"), node("y")), "x", "y"),
+    "filter-over-lifted": output(where(_NODE_OR_EDGE, prop_cmp("x", "w", ">", 40)), "x"),
+    "label-over-lifted": output(where(_NODE_OR_EDGE, label("x", "Red")), "x"),
+    "lifted-under-plus": output(seq(node("s"), plus(_NODE_OR_EDGE), node("t")), "s", "t"),
+    "lifted-joins-node": output(seq(_NODE_OR_EDGE, node("x")), "x"),
+    "lifted-joins-edge": output(seq(_NODE_OR_EDGE, edge("x")), "x", prop("x", "w")),
+    "edge-joins-lifted": output(seq(edge("x"), _NODE_OR_EDGE), "x"),
+    "lifted-joins-lifted": output(seq(_NODE_OR_EDGE, edge("t"), _NODE_OR_EDGE), "x", "t"),
+}
+
+
+def _mixed_kind_graph():
+    # Self-loops make "the same edge twice in a row" satisfiable, and the
+    # property/label sit on nodes and edges alike so lifted lookups must
+    # resolve in both halves of the element space.
+    graph = PropertyGraph()
+    graph.add_node("a", labels=["Red"], properties={"w": 70})
+    graph.add_node("b", properties={"w": 10})
+    graph.add_node("c", labels=["Red"])
+    graph.add_edge("e1", "a", "b", labels=["Red"], properties={"w": 55})
+    graph.add_edge("e2", "b", "c", properties={"w": 5})
+    graph.add_edge("e3", "c", "c", labels=["Red"], properties={"w": 90})
+    graph.add_edge("e4", "a", "a")
+    return graph
+
+
+class TestMixedKindVariables:
+    @pytest.mark.parametrize("name", sorted(_MIXED_KIND_OUTPUTS))
+    def test_equals_oracle_materialized_and_streamed(self, name):
+        graph = _mixed_kind_graph()
+        out = _MIXED_KIND_OUTPUTS[name]
+        expected = EndpointEvaluator(graph).evaluate_output(out)
+        # Disjointness of N and E empties exactly this case; every other
+        # one must be a non-vacuous comparison.
+        assert bool(expected) == (name != "node-joins-edge")
+        assert PlanExecutor(graph).evaluate_output(out) == expected
+        assert frozenset(PlanExecutor(graph).stream_output(out)) == expected
+
+    @given(
+        seed=st.integers(0, 10_000),
+        nodes=st.integers(1, 7),
+        name=st.sampled_from(sorted(_MIXED_KIND_OUTPUTS)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_equals_oracle_on_random_graphs(self, seed, nodes, name):
+        graph = graph_from(
+            erdos_renyi(nodes, 0.35, seed=seed, labels=("Red", "Blue"), property_key="w")
         )
-        assert sharded_executor.evaluate_output(out) == serial
-        assert counters.fixpoint_shards > 0
-        assert counters.parallel_rounds > 0
-        # Shard count larger than the node count degrades to per-node strips.
-        assert counters.fixpoint_shards <= graph.node_count()
+        out = _MIXED_KIND_OUTPUTS[name]
+        expected = EndpointEvaluator(graph).evaluate_output(out)
+        assert PlanExecutor(graph).evaluate_output(out) == expected
+        assert frozenset(PlanExecutor(graph).stream_output(out)) == expected
 
-    def test_threshold_keeps_small_graphs_serial(self):
-        graph = self._graph()
+    def test_counters_show_one_execution(self):
+        # Two scans of 3 nodes + 4 edges and their union: nothing ran twice.
+        graph = _mixed_kind_graph()
         counters = PlanCounters()
-        out = output(seq(node("x"), star(seq(edge(), node())), node("y")), "x", "y")
-        PlanExecutor(graph, counters=counters, fixpoint_shards=8).evaluate_output(out)
-        assert counters.fixpoint_shards == 0  # below PARALLEL_FIXPOINT_MIN_NODES
-        assert counters.fixpoint_rounds > 0
-
-    def test_sharding_is_opt_in(self):
-        # Without fixpoint_shards the serial propagation kernel runs even
-        # past the threshold: GIL-bound strip workers are a pessimization,
-        # so sharding must never engage by default.
-        graph = self._graph()
-        counters = PlanCounters()
-        out = output(seq(node("x"), star(seq(edge(), node())), node("y")), "x", "y")
-        PlanExecutor(graph, counters=counters, parallel_threshold=0).evaluate_output(out)
-        assert counters.fixpoint_shards == 0
-
-    def test_engine_threads_shard_options(self):
-        database = erdos_renyi(7, 0.4, seed=9)
-        step = seq(edge(), node())
-        query = graph_pattern_on_relations(
-            output(seq(node("x"), star(step), node("y")), "x", "y"), VIEW
-        )
-        baseline = NaiveEngine(database).evaluate(query)
-        engine = PlannedEngine(database, fixpoint_shards=16, parallel_threshold=0)
-        assert engine.evaluate(query).rows == baseline.rows
-        assert engine.plan_counters.fixpoint_shards > 0
+        executor = PlanExecutor(graph, counters=counters)
+        executor.evaluate_output(_MIXED_KIND_OUTPUTS["lifted-variable"])
+        assert counters.rows_produced == 2 * (3 + 4)
+        assert counters.join_probes == 0 and counters.fixpoint_rounds == 0
 
 
 # --------------------------------------------------------------------------- #
@@ -336,7 +381,7 @@ class TestCounterSurfacing:
     def test_plan_cache_info_includes_execution_counters(self):
         engine = PlannedEngine(erdos_renyi(4, 0.5, seed=1))
         info = engine.plan_cache.info()
-        assert {"fixpoint_shards", "parallel_rounds", "compact_encode_s"} <= set(info)
+        assert "compact_encode_s" in info
 
     def test_bare_plan_cache_info_keeps_legacy_shape(self):
         assert set(PlanCache().info()) == {
@@ -383,15 +428,12 @@ class TestCounterSurfacing:
         with self._session() as session:
             session.execute(self.QUERY)
             text = session.explain(self.QUERY)
-            assert "fixpoint_shards=" in text
-            assert "parallel_rounds=" in text
             assert "compact_encode_s=" in text
             assert "plan cache:" in text
 
     def test_session_threads_engine_options(self):
-        with self._session() as boxed_session, self._session(compact=False) as off:
-            assert boxed_session.execute(self.QUERY).equals_unordered(
-                off.execute(self.QUERY)
-            )
-            engine = off._get_engine()
-            assert engine.compact is False
+        cache = PlanCache()
+        with self._session(plan_cache=cache) as session:
+            session.execute(self.QUERY)
+            assert session._get_engine().plan_cache is cache
+            assert cache.misses == 1

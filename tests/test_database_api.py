@@ -316,9 +316,9 @@ class TestSharedMaterialization:
         with make_database() as db:
             planned = db.connect(engine="planned")
             bounded = db.connect(engine="planned", max_repetitions=64)
-            boxed = db.connect(engine="planned", compact=False)
+            naive = db.connect(engine="naive")
             results = [
-                connection.execute(CHAIN_QUERY) for connection in (planned, bounded, boxed)
+                connection.execute(CHAIN_QUERY) for connection in (planned, bounded, naive)
             ]
             assert results[0].equals_unordered(results[1])
             assert results[0].equals_unordered(results[2])

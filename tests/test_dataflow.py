@@ -530,21 +530,12 @@ class TestCompactMaterialization:
                 graph.compact_build_count() == 0 for graph in graphs
             )
 
-    def test_boxed_planner_never_encodes(self):
-        with make_db() as db:
-            db.connect(engine="planned", compact=False).execute(self.QUERY)
-            graphs = self.cached_graphs(db)
-            assert graphs and all(
-                graph.compact_build_count() == 0 for graph in graphs
-            )
-
     def test_materialize_compact_hook_defaults(self):
         from repro.engine.planned import PlannedEngine
         from repro.pgq.evaluator import PGQEvaluator
 
         assert PGQEvaluator.materialize_compact is False
-        assert PlannedEngine.materialize_compact is True or True  # instance attr
-
+        assert PlannedEngine.materialize_compact is True
 
 
 # --------------------------------------------------------------------------- #

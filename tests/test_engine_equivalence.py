@@ -367,6 +367,26 @@ class TestRegistry:
         with pytest.raises(EngineError, match="unknown engine"):
             PGQSession(engine="duckdb")
 
+    @pytest.mark.parametrize("engine", ["naive", "planned", "sqlite"])
+    def test_unknown_engine_option_fails_loudly(self, engine):
+        from repro.engine.database import Database
+
+        database = erdos_renyi(3, 0.5, seed=1)
+        # A removed option and a typo of a real one: both used to vanish
+        # into the factories' catch-all.
+        for option in ("compact", "max_repetition"):
+            with pytest.raises(EngineError) as raised:
+                create_engine(engine, database, **{option: 3})
+            message = str(raised.value)
+            assert option in message and engine in message
+            assert "max_repetitions" in message and "verify_plans" in message
+        with Database() as db:
+            with pytest.raises(EngineError, match="compact"):
+                db.connect(engine=engine, compact=False)  # at connect, not first use
+        # The database-level setting is handed to every backend.
+        with Database(verify_plans=True) as db:
+            assert db.connect(engine=engine)._get_engine() is not None
+
     def test_duplicate_registration_requires_replace(self):
         with pytest.raises(EngineError, match="already registered"):
             register_engine("naive", lambda db, **_: None)

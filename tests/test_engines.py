@@ -168,18 +168,6 @@ class TestViewCache:
         assert engine.statistics.views_built == 1
         assert engine.statistics.views_reused == 1
 
-    def test_reuse_can_be_disabled(self):
-        from repro.engine import PlannedEngine
-
-        engine = PlannedEngine(
-            erdos_renyi(8, 0.3, seed=6), collect_statistics=True, reuse_views=False
-        )
-        query = self.make_query()
-        engine.evaluate(query)
-        engine.evaluate(query)
-        assert engine.statistics.views_built == 2
-        assert engine.statistics.views_reused == 0
-
     def test_naive_oracle_also_reuses_views(self):
         from repro.engine import NaiveEngine
 

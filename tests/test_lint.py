@@ -165,6 +165,22 @@ class TestMutableDefault:
         assert rules_for(tmp_path, source) == []
 
 
+class TestFactoryCatchAll:
+    SOURCE = "def make_fast_engine(database, *, max_repetitions=None, **_options):\n    return None\n"
+
+    def test_catch_all_on_an_engine_factory_is_flagged(self, tmp_path):
+        assert rules_for(tmp_path, self.SOURCE, in_engine=True) == ["FACTORY-CATCH-ALL"]
+
+    def test_explicit_options_pass(self, tmp_path):
+        source = "def make_fast_engine(database, *, max_repetitions=None, verify_plans=None):\n    return None\n"
+        assert rules_for(tmp_path, source, in_engine=True) == []
+
+    def test_other_functions_and_layers_are_exempt(self, tmp_path):
+        assert rules_for(tmp_path, self.SOURCE) == []  # outside the engine package
+        helper = "def connect(engine, **engine_options):\n    return engine_options\n"
+        assert rules_for(tmp_path, helper, in_engine=True) == []
+
+
 class TestBareBroadExcept:
     @pytest.mark.parametrize("clause", ["except Exception:", "except BaseException:", "except:"])
     def test_swallowing_broad_handler_is_flagged_in_engine(self, tmp_path, clause):

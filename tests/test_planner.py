@@ -326,9 +326,6 @@ class TestPlanCache:
         db = erdos_renyi(5, 0.3, seed=8)
         first, second = PlannedEngine(db), PlannedEngine(db)
         assert first.plan_cache is not second.plan_cache
-        from repro.planner import PLAN_CACHE
-
-        assert first.plan_cache is not PLAN_CACHE
 
 
 # --------------------------------------------------------------------------- #

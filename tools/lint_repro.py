@@ -28,6 +28,11 @@ Rules (each failure prints ``path:line: RULE message`` and exits 1):
   errors and turns a stopped query into a silently wrong one.  Catch
   the narrow exception (``sqlite3.Error``, ``GovernanceError``, ...) or
   re-raise after cleanup.
+* **FACTORY-CATCH-ALL** — inside ``src/repro/engine``, a
+  ``make_*_engine`` factory that declares a ``**`` catch-all parameter.
+  ``create_engine`` rejects options a factory's signature does not name;
+  a catch-all opts out of that check, so a removed or misspelled engine
+  option would silently do nothing again.
 * **SERVICE-LAYERING** — no module inside ``src/repro`` outside
   ``src/repro/service`` may import ``repro.service``.  The service is
   the topmost layer: it may import engine, governance and observability,
@@ -533,6 +538,26 @@ def check_file(
                     "exception or re-raise after cleanup",
                 )
             )
+
+    # FACTORY-CATCH-ALL: built-in engine factories name every option.
+    if in_engine:
+        for node in tree.body:
+            if (
+                isinstance(node, ast.FunctionDef)
+                and node.name.startswith("make_")
+                and node.name.endswith("_engine")
+                and node.args.kwarg is not None
+            ):
+                findings.append(
+                    (
+                        path,
+                        node.lineno,
+                        "FACTORY-CATCH-ALL",
+                        f"engine factory {node.name!r} takes **{node.args.kwarg.arg}; "
+                        "name each accepted option so create_engine can "
+                        "reject unknown ones",
+                    )
+                )
 
     # LOCK-DISCIPLINE: shared mutable state is mutated under a lock.
     if in_src:
