@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.datasets import GRAPH_VIEW_SCHEMA, TransferWorkloadConfig, erdos_renyi, generate_iban_database
-from repro.engine import PGQSession, SQLiteEngine
+from repro.engine import Connection, Database, SQLiteEngine
 from repro.patterns.builder import edge, node, output, plus, prop_cmp, seq, where
 from repro.pgq import PGQEvaluator, graph_pattern_on_relations
 
@@ -33,17 +33,17 @@ SELECT * FROM GRAPH_TABLE ( Transfers
 """
 
 
-def bank_session(accounts: int = 40, transfers: int = 150) -> PGQSession:
+def bank_session(accounts: int = 40, transfers: int = 150) -> Connection:
     database = generate_iban_database(
         TransferWorkloadConfig(accounts=accounts, transfers=transfers, seed=31)
     )
-    session = PGQSession()
-    session.register_database(
+    db = Database()
+    db.register_database(
         database,
         {"Account": ["iban"], "Transfer": ["t_id", "src_iban", "tgt_iban", "ts", "amount"]},
     )
-    session.execute(DDL)
-    return session
+    db.execute(DDL)
+    return db.connect()
 
 
 def graph_query():

@@ -9,7 +9,7 @@ from __future__ import annotations
 import pytest
 
 from repro.datasets import TransferWorkloadConfig, generate_iban_database, iban_view_relations
-from repro.engine import PGQSession
+from repro.engine import Connection, Database
 from repro.patterns.builder import edge, node, output, plus, prop_cmp, seq, where
 from repro.matching import EndpointEvaluator
 from repro.pgq import pg_view
@@ -37,15 +37,14 @@ def _database(accounts: int, transfers: int):
     )
 
 
-def _session(accounts: int, transfers: int) -> PGQSession:
-    database = _database(accounts, transfers)
-    session = PGQSession()
-    session.register_database(
-        database,
+def _session(accounts: int, transfers: int) -> Connection:
+    db = Database()
+    db.register_database(
+        _database(accounts, transfers),
         {"Account": ["iban"], "Transfer": ["t_id", "src_iban", "tgt_iban", "ts", "amount"]},
     )
-    session.execute(DDL)
-    return session
+    db.execute(DDL)
+    return db.connect()
 
 
 @pytest.mark.parametrize("accounts,transfers", [(50, 150), (100, 400)])

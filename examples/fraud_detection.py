@@ -18,27 +18,25 @@ graph view, and runs three analyst queries:
 
 from __future__ import annotations
 
-from repro import PGQSession
+from repro import Connection, GraphDatabase
 from repro.datasets import TransferWorkloadConfig, generate_iban_database
 from repro.pgq import PGQEvaluator
 from repro.separations import increasing_amount_pairs_query, increasing_amount_pairs_reference
 
 
-def build_session(accounts: int = 30, transfers: int = 120) -> PGQSession:
+def build_session(accounts: int = 30, transfers: int = 120) -> Connection:
     database = generate_iban_database(
         TransferWorkloadConfig(accounts=accounts, transfers=transfers, seed=17)
     )
-    # The planned engine exposes the physical plan to EXPLAIN ANALYZE
-    # (section 4); results are engine-independent.
-    session = PGQSession(engine="planned")
-    session.register_database(
+    db = GraphDatabase()
+    db.register_database(
         database,
         {
             "Account": ["iban"],
             "Transfer": ["t_id", "src_iban", "tgt_iban", "ts", "amount"],
         },
     )
-    session.execute(
+    db.execute(
         """
         CREATE PROPERTY GRAPH Transfers (
           NODES TABLE Account KEY (iban) LABEL Account,
@@ -48,7 +46,9 @@ def build_session(accounts: int = 30, transfers: int = 120) -> PGQSession:
             LABELS Transfer PROPERTIES (ts, amount))
         """
     )
-    return session
+    # The planned engine exposes the physical plan to EXPLAIN ANALYZE
+    # (section 4); results are engine-independent.
+    return db.connect(engine="planned")
 
 
 def main() -> None:

@@ -8,14 +8,14 @@ and runs friend-of-a-friend and same-city reachability queries.
 
 from __future__ import annotations
 
-from repro import PGQSession
+from repro import Connection, GraphDatabase
 from repro.datasets import SocialNetworkConfig, generate_social_database
 
 
-def build_session() -> PGQSession:
+def build_session() -> Connection:
     database = generate_social_database(SocialNetworkConfig(people=25, posts=40, seed=29))
-    session = PGQSession()
-    session.register_database(
+    db = GraphDatabase()
+    db.register_database(
         database,
         {
             "Person": ["person_id", "name", "city"],
@@ -24,7 +24,7 @@ def build_session() -> PGQSession:
             "Likes": ["likes_id", "person_id", "post_id"],
         },
     )
-    session.execute(
+    db.execute(
         """
         CREATE PROPERTY GRAPH SocialGraph (
           NODES TABLE Person KEY (person_id) LABEL Person PROPERTIES (name, city),
@@ -34,7 +34,7 @@ def build_session() -> PGQSession:
             LABEL Knows PROPERTIES (since))
         """
     )
-    return session
+    return db.connect()
 
 
 def main() -> None:

@@ -10,22 +10,23 @@ The package implements, from scratch:
   ``PGQext`` with their evaluator (Figs. 3, 4, Defs. 3.1-5.3);
 * first-order logic with transitive closure and its finite-model evaluators;
 * the constructive translations PGQext <-> FO[TC] (Thms. 6.1/6.2);
-* a SQL/PGQ surface parser, a session API, and a SQLite-backed engine;
+* a SQL/PGQ surface parser, a Database/Connection catalog API, and a
+  SQLite-backed engine;
 * the separating queries of Theorems 4.1, 4.2, 5.2 and Example 5.3;
 * workload generators and complexity instrumentation.
 
 Quickstart::
 
-    from repro import PGQSession
+    from repro import GraphDatabase
 
-    session = PGQSession()
-    session.register_table("Account", ["iban"], [("A1",), ("A2",)])
-    session.register_table(
+    db = GraphDatabase()
+    db.create_table("Account", ["iban"], [("A1",), ("A2",)])
+    db.create_table(
         "Transfer",
         ["t_id", "src_iban", "tgt_iban", "ts", "amount"],
         [("T1", "A1", "A2", 1, 250)],
     )
-    session.execute('''
+    db.execute('''
         CREATE PROPERTY GRAPH Transfers (
           NODES TABLE Account KEY (iban) LABEL Account,
           EDGES TABLE Transfer KEY (t_id)
@@ -33,19 +34,19 @@ Quickstart::
             TARGET KEY tgt_iban REFERENCES Account
             LABELS Transfer PROPERTIES (ts, amount))
     ''')
-    result = session.execute('''
-        SELECT * FROM GRAPH_TABLE ( Transfers
-          MATCH (x) -[t:Transfer]->+ (y)
-          WHERE t.amount > 100
-          COLUMNS (x.iban, y.iban) )
-    ''')
+    with db.connect(engine="planned") as connection:
+        result = connection.execute('''
+            SELECT * FROM GRAPH_TABLE ( Transfers
+              MATCH (x) -[t:Transfer]->+ (y)
+              WHERE t.amount > 100
+              COLUMNS (x.iban, y.iban) )
+        ''')
 """
 
 from repro.engine import (
     Connection,
     Explain,
     NaiveEngine,
-    PGQSession,
     PlannedEngine,
     PreparedStatement,
     QueryResult,
@@ -104,7 +105,6 @@ __all__ = [
     "LogicError",
     "NaiveEngine",
     "PGQEvaluator",
-    "PGQSession",
     "Parameter",
     "PlannedEngine",
     "PreparedStatement",

@@ -2,36 +2,34 @@
 
 The top-level surface is the :class:`~repro.engine.database.Database`
 catalog — ``db.snapshot()`` captures immutable versions, ``db.connect()``
-hands out :class:`~repro.engine.session.Connection` objects over them,
+hands out :class:`~repro.engine.connection.Connection` objects over them,
 and every connection of one snapshot shares derived state through the
-database's :class:`~repro.engine.database.SnapshotCache`.  The historical
-:class:`PGQSession` remains as a deprecated single-connection shim.
+database's :class:`~repro.engine.snapshot_cache.SnapshotCache`.  Every
+statement reaches its backend through one pipeline
+(:meth:`Connection.front_half <repro.engine.connection.Connection.front_half>`).
 
 The module registers the built-in backends (``naive``, ``planned``,
 ``sqlite``) with :mod:`repro.engine.registry` at import time; connections
 select one by name via ``db.connect(engine=...)``.
 """
 
-from repro.engine.database import Database, Snapshot, SnapshotCache, SnapshotScope
+from repro.engine.connection import Connection
+from repro.engine.database import Database, Snapshot
+from repro.engine.explain import Explain
 from repro.engine.naive import NaiveEngine, make_naive_engine
 from repro.engine.planned import PlannedEngine, make_planned_engine
 from repro.engine.registry import (
     Engine,
-    LegacyEngineAdapter,
     available_engines,
     create_engine,
     engine_factory,
     register_engine,
     unregister_engine,
 )
-from repro.engine.session import (
-    Connection,
-    Explain,
-    PGQSession,
-    PreparedStatement,
-    QueryResult,
-)
+from repro.engine.result import QueryResult
+from repro.engine.snapshot_cache import SnapshotCache, SnapshotScope
 from repro.engine.sqlite import SQLiteEngine, make_sqlite_engine
+from repro.engine.statement import FrontHalf, PreparedStatement
 
 register_engine("naive", make_naive_engine, replace=True)
 register_engine("planned", make_planned_engine, replace=True)
@@ -42,9 +40,8 @@ __all__ = [
     "Database",
     "Engine",
     "Explain",
-    "LegacyEngineAdapter",
+    "FrontHalf",
     "NaiveEngine",
-    "PGQSession",
     "PreparedStatement",
     "PlannedEngine",
     "QueryResult",

@@ -6,7 +6,7 @@ definitions with **MVCC-style versioning**: every DDL or data change
 version instead of mutating state other readers can observe.
 :meth:`Database.snapshot` captures the current version as an immutable,
 content-fingerprinted :class:`Snapshot`, and :meth:`Database.connect`
-hands out lightweight :class:`~repro.engine.session.Connection` objects
+hands out lightweight :class:`~repro.engine.connection.Connection` objects
 pinned to one snapshot:
 
 >>> from repro.engine.database import Database
@@ -25,7 +25,7 @@ new ``connect()`` (or ``snapshot()``) observes the new head.
 materialized ``pgView`` graphs together with their compact integer
 encodings and pattern matchers, concrete relational subquery results
 (cross-query CSE), and compiled-plan caches — lives in a lock-guarded
-:class:`SnapshotCache` keyed on ``(snapshot content fingerprint, engine
+:class:`~repro.engine.snapshot_cache.SnapshotCache` keyed on ``(snapshot content fingerprint, engine
 kind)`` rather than in per-engine private caches.  N connections over
 one snapshot therefore pay each cold materialization exactly once; the
 cache lock guarantees exactly-once builds even under concurrent
@@ -38,8 +38,8 @@ Engines opt in through the optional ``use_snapshot_cache(scope)`` hook
 of the engine protocol: connections attach a :class:`SnapshotScope` —
 the cache handle pre-keyed with the snapshot fingerprint and an
 engine-kind discriminator — right after ``create_engine``.  Engines
-without the hook (third-party or legacy backends) simply keep their
-private caches.
+without the hook (third-party backends) simply keep their private
+caches.
 """
 
 from __future__ import annotations
@@ -47,10 +47,10 @@ from __future__ import annotations
 import hashlib
 import threading
 import weakref
-from collections import OrderedDict
-from typing import Any, Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.semantic import analyze_ddl
+from repro.engine.snapshot_cache import SnapshotCache, SnapshotScope
 from repro.errors import (
     AnalysisSchemaError,
     ConnectionClosedError,
@@ -60,222 +60,12 @@ from repro.errors import (
 from repro.governance import AdmissionController, QueryBudget
 from repro.observability.metrics import MetricsRegistry, default_registry
 from repro.observability.tracing import Tracer, tracer_from_env
-from repro.planner.physical import PlanCache
 from repro.relational.database import Database as RelationalDatabase
 from repro.relational.relation import Relation
 from repro.relational.schema import RelationSchema, Schema
 from repro.sqlpgq.ast import CreatePropertyGraph
 from repro.sqlpgq.catalog import GraphCatalog, GraphDefinition
 from repro.sqlpgq.parser import parse_statement
-
-
-class SnapshotCache:
-    """Lock-guarded store of snapshot-scoped derived state.
-
-    Entries are keyed by ``(family, snapshot fingerprint, engine kind,
-    ...)`` tuples built by :class:`SnapshotScope`.  Cold builds are
-    coordinated per key: the thread that registers first builds with no
-    lock held (nested lookups from inside a build — view sources
-    consulting the relational CSE — proceed freely, and unrelated keys
-    build in parallel), while racers for the *same* key wait on the
-    build's event, so every materialization still happens exactly once.
-    The store is a bounded LRU: evicting an entry another engine still
-    holds is harmless, it only means a future cold lookup rebuilds it.
-
-    :meth:`stats` reports build/hit counters per family plus the number
-    of compact encodings paid across all cached view graphs — the
-    figures the sharing tests (and ``Explain.shared``) assert.
-    """
-
-    def __init__(self, *, max_entries: int = 512):
-        self.max_entries = max_entries
-        self._lock = threading.RLock()
-        self._entries: "OrderedDict[Tuple, Any]" = OrderedDict()
-        #: In-flight cold builds: key -> Event set when the build settles
-        #: (successfully or not), so same-key racers wait instead of
-        #: rebuilding and disjoint keys never serialize on each other.
-        self._building: Dict[Tuple, threading.Event] = {}
-        #: Live referents per snapshot fingerprint (see :meth:`retain`):
-        #: when a fingerprint's WeakSet drains, its entries are GC'd.
-        self._referents: Dict[str, "weakref.WeakSet"] = {}
-        self._stats: Dict[str, int] = {
-            "views_built": 0,
-            "views_shared_hits": 0,
-            "relations_built": 0,
-            "relations_shared_hits": 0,
-            "plan_caches_built": 0,
-            "plan_caches_shared_hits": 0,
-            "evictions": 0,
-            "gc_evicted": 0,
-        }
-
-    def _get_or_build(
-        self, key: Tuple, build: Callable[[], Any], family: str
-    ) -> Optional[Tuple[Any, bool]]:
-        """``(value, built_cold)`` for ``key``, or None when uncacheable.
-
-        Unhashable keys (user values without ``__hash__`` inside a query)
-        are not cached; the caller evaluates privately.
-        """
-        try:
-            hash(key)
-        except TypeError:
-            return None
-        while True:
-            with self._lock:
-                entry = self._entries.get(key)
-                if entry is not None:
-                    self._entries.move_to_end(key)
-                    self._stats[family + "_shared_hits"] += 1
-                    return entry, False
-                pending = self._building.get(key)
-                if pending is None:
-                    settled = threading.Event()
-                    self._building[key] = settled
-                    break  # this thread builds
-            # Another thread is building this exact key: wait for it to
-            # settle, then re-check (a hit on success; a retry when the
-            # builder raised and registered nothing).
-            pending.wait()
-        try:
-            value = build()
-        except BaseException:
-            with self._lock:
-                del self._building[key]
-            settled.set()
-            raise
-        with self._lock:
-            self._entries[key] = value
-            self._stats[family + "_built"] += 1
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-                self._stats["evictions"] += 1
-            del self._building[key]
-        settled.set()
-        return value, True
-
-    # -- snapshot-level GC ----------------------------------------------- #
-    def retain(self, fingerprint: str, referent: Any) -> None:
-        """Register ``referent`` (a connection) as a live user of the
-        snapshot identified by ``fingerprint``.
-
-        Referents are held weakly; when the last one for a fingerprint is
-        garbage-collected, every cache entry keyed under that fingerprint
-        is dropped (tallied in the ``gc_evicted`` stat and the
-        ``repro_snapshot_cache_gc_evicted`` metric).  Entries for
-        fingerprints nobody ever retained — direct :class:`SnapshotScope`
-        users — are never GC'd this way.
-        """
-        with self._lock:
-            referents = self._referents.get(fingerprint)
-            if referents is None:
-                referents = self._referents[fingerprint] = weakref.WeakSet()
-            if referent not in referents:
-                referents.add(referent)
-                weakref.finalize(referent, self._collect_fingerprint, fingerprint)
-
-    def _collect_fingerprint(self, fingerprint: str) -> int:
-        """Drop ``fingerprint``'s entries if no live referent remains."""
-        with self._lock:
-            referents = self._referents.get(fingerprint)
-            if referents is None or len(referents):
-                return 0
-            del self._referents[fingerprint]
-            stale = [
-                key for key in self._entries if len(key) > 1 and key[1] == fingerprint
-            ]
-            for key in stale:
-                del self._entries[key]
-            self._stats["gc_evicted"] += len(stale)
-            return len(stale)
-
-    def gc(self) -> int:
-        """Drop entries of every snapshot with no live referent left;
-        returns how many entries were evicted.
-
-        Runs automatically when a retaining connection is garbage
-        collected; calling it directly forces a sweep (useful after an
-        explicit ``del`` + ``gc.collect()``).
-        """
-        with self._lock:
-            fingerprints = list(self._referents)
-        return sum(self._collect_fingerprint(fp) for fp in fingerprints)
-
-    def stats(self) -> Dict[str, int]:
-        """Copy of the build/hit counters plus derived materialization
-        figures (``views_cached``, ``compact_encodings``, ``entries``)."""
-        with self._lock:
-            info = dict(self._stats)
-            views = 0
-            encodings = 0
-            for key, value in self._entries.items():
-                if key[0] == "view":
-                    views += 1
-                    encodings += value[0].compact_build_count()
-            info["views_cached"] = views
-            info["compact_encodings"] = encodings
-            info["entries"] = len(self._entries)
-            return info
-
-    def clear(self) -> None:
-        """Drop every entry and reset the counters."""
-        with self._lock:
-            self._entries.clear()
-            self._referents.clear()
-            for key in self._stats:
-                self._stats[key] = 0
-
-
-class SnapshotScope:
-    """One engine's handle onto the shared cache.
-
-    The scope carries the snapshot's content fingerprint and an
-    *engine-kind* discriminator (backend name plus every option that
-    changes matcher semantics — ``max_repetitions`` and the caller's
-    engine options), so two engines share an entry exactly when they
-    would compute the same value.  Relational CSE entries deliberately
-    omit the kind: every backend must produce identical relations for a
-    concrete relational subquery, so those results are shared
-    cross-engine as well.
-    """
-
-    __slots__ = ("cache", "fingerprint", "kind")
-
-    def __init__(self, cache: SnapshotCache, fingerprint: str, kind: Tuple):
-        self.cache = cache
-        self.fingerprint = fingerprint
-        self.kind = kind
-
-    def with_kind(self, kind: Tuple) -> "SnapshotScope":
-        """A sibling scope over the same snapshot for another engine kind
-        (e.g. the SQLite backend's oracle-fallback evaluator)."""
-        return SnapshotScope(self.cache, self.fingerprint, kind)
-
-    def view(
-        self, key: Tuple, build: Callable[[], Any]
-    ) -> Optional[Tuple[Any, bool]]:
-        """Materialized-view entry ``(graph, identifier arity, matcher)``."""
-        return self.cache._get_or_build(
-            ("view", self.fingerprint, self.kind, key), build, "views"
-        )
-
-    def relation(
-        self, query: Any, build: Callable[[], Any]
-    ) -> Optional[Tuple[Any, bool]]:
-        """Cross-engine CSE entry for one concrete relational subquery."""
-        return self.cache._get_or_build(("rel", self.fingerprint, query), build, "relations")
-
-    def plan_cache(self) -> PlanCache:
-        """The shared compiled-plan cache of this (snapshot, kind) pair."""
-        entry = self.cache._get_or_build(
-            ("plans", self.fingerprint, self.kind),
-            lambda: PlanCache(shared=True),
-            "plan_caches",
-        )
-        return entry[0] if entry is not None else PlanCache()
-
-    def stats(self) -> Dict[str, int]:
-        return self.cache.stats()
 
 
 class Snapshot:
@@ -402,7 +192,7 @@ class Database:
     Mutators (``create_table``, ``register_graph``, ``drop_graph``) bump
     the version under the catalog lock; :meth:`snapshot` memoizes one
     immutable :class:`Snapshot` per version, and :meth:`connect` hands
-    out :class:`~repro.engine.session.Connection` objects pinned to a
+    out :class:`~repro.engine.connection.Connection` objects pinned to a
     snapshot.  Every connection of one database shares the database's
     :class:`SnapshotCache`, so repeated (and concurrent) work over the
     same snapshot materializes views, compact encodings and plans once.
@@ -591,9 +381,6 @@ class Database:
             self._head = None
             self._bump()
 
-    #: Compatibility alias mirroring the session-era verb.
-    register_table = create_table
-
     def register_database(
         self, database: RelationalDatabase, columns: Mapping[str, Sequence[str]]
     ) -> None:
@@ -680,7 +467,7 @@ class Database:
         max_repetitions: Optional[int] = None,
         **engine_options,
     ):
-        """A new :class:`~repro.engine.session.Connection`.
+        """A new :class:`~repro.engine.connection.Connection`.
 
         The connection is pinned to ``snapshot`` (default: the current
         version) — later DDL on this database does not affect it.
@@ -688,7 +475,7 @@ class Database:
         database-level ``verify_plans`` and ``strict_analysis`` settings
         are injected unless the caller passes their own.
         """
-        from repro.engine.session import Connection
+        from repro.engine.connection import Connection
 
         if self._verify_plans is not None:
             engine_options.setdefault("verify_plans", self._verify_plans)
@@ -706,9 +493,6 @@ class Database:
         )
         self._connections.add(connection)
         return connection
-
-    def _track_connection(self, connection) -> None:
-        self._connections.add(connection)
 
     # -- lifecycle ------------------------------------------------------- #
     def close(self) -> None:

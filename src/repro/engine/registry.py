@@ -3,8 +3,8 @@
 Every execution backend implements one small protocol — a ``name``, the
 two-phase ``prepare(query) -> CompiledQuery`` / ``evaluate(query,
 bindings=None)`` pair, and ``close()`` — and registers a factory under a
-short name.  Sessions (and anything else that wants to run a PGQ query)
-pick a backend by name:
+short name.  Connections (and anything else that wants to run a PGQ
+query) pick a backend by name:
 
 >>> from repro.engine.registry import available_engines, create_engine
 >>> sorted(available_engines())
@@ -29,11 +29,8 @@ whatever the caller passed to ``connect``.  :func:`create_engine` checks
 the options against the factory's signature first and raises
 :class:`~repro.errors.EngineError` naming an unknown one (and the ones the
 backend accepts), so a typo never silently does nothing; a factory that
-declares a ``**`` catch-all opts out of the check.
-Engines that predate the two-phase API — implementing only the legacy
-one-shot ``evaluate(query)`` — keep working: :func:`create_engine` wraps
-them in :class:`LegacyEngineAdapter` (with a :class:`DeprecationWarning`),
-which serves ``prepare`` by binding parameters eagerly per execution.
+declares a ``**`` catch-all opts out of the check.  An engine whose
+factory returns an object without ``prepare`` fails the same loud way.
 
 Two protocol surfaces are **optional**.  ``use_snapshot_cache(scope)``
 lets an engine join the cross-connection shared materialization of
@@ -58,13 +55,12 @@ from __future__ import annotations
 
 import inspect
 import threading
-import warnings
 from typing import Callable, Dict, Mapping, Optional, Protocol, Tuple, runtime_checkable
 
 from repro.errors import EngineError
 from repro.parameters import Bindings
 from repro.pgq.evaluator import CompiledQuery
-from repro.pgq.queries import Query, resolve_bindings
+from repro.pgq.queries import Query
 from repro.relational.database import Database
 from repro.relational.relation import Relation
 
@@ -86,43 +82,6 @@ class Engine(Protocol):
     def close(self) -> None:
         """Release any resources held by the backend."""
         ...
-
-
-class LegacyEngineAdapter:
-    """Serves the two-phase API on top of an ``evaluate(query)``-only engine.
-
-    Third-party backends written against the pre-prepared-statement
-    protocol register and run unchanged: ``prepare`` returns a
-    :class:`~repro.pgq.evaluator.CompiledQuery` whose every execution
-    substitutes its bindings into the query eagerly and calls the wrapped
-    engine's one-shot ``evaluate``.  Correct, but re-plans per binding —
-    hence the :class:`DeprecationWarning` at construction time.
-    """
-
-    def __init__(self, engine):
-        self._engine = engine
-        self.name = getattr(engine, "name", type(engine).__name__)
-
-    def prepare(self, query: Query) -> CompiledQuery:
-        return CompiledQuery(self, query)
-
-    def evaluate(self, query: Query, bindings: Optional[Bindings] = None) -> Relation:
-        return self._engine.evaluate(resolve_bindings(query, bindings))
-
-    def close(self) -> None:
-        close = getattr(self._engine, "close", None)
-        if close is not None:
-            close()
-
-    @property
-    def wrapped(self):
-        """The adapted legacy engine instance."""
-        return self._engine
-
-    def __getattr__(self, attribute):
-        # Counters, caches and other backend-specific surface stay
-        # reachable through the adapter.
-        return getattr(self._engine, attribute)
 
 
 #: A factory builds an engine bound to one database instance.
@@ -198,22 +157,15 @@ def create_engine(
     """Instantiate the backend ``name`` for one database instance.
 
     Unknown ``options`` raise :class:`EngineError` (see
-    :func:`check_engine_options`).  Engines without a ``prepare`` method
-    (the legacy one-shot protocol) are wrapped in
-    :class:`LegacyEngineAdapter` so sessions can use the
-    prepared-statement API against them, with a deprecation warning.
+    :func:`check_engine_options`), and so does a backend that does not
+    implement the two-phase protocol's ``prepare``.
     """
     check_engine_options(name, options)
     factory = engine_factory(name)
     engine = factory(database, max_repetitions=max_repetitions, **options)
     if not hasattr(engine, "prepare"):
-        warnings.warn(
-            f"engine {name!r} implements only the legacy evaluate() protocol; "
-            "it is served through LegacyEngineAdapter (parameters are bound "
-            "eagerly per execution). Implement prepare(query) -> CompiledQuery "
-            "to adopt the two-phase API.",
-            DeprecationWarning,
-            stacklevel=2,
+        raise EngineError(
+            f"engine {name!r} does not implement prepare(query) -> CompiledQuery; "
+            "connections compile every statement through it"
         )
-        engine = LegacyEngineAdapter(engine)
     return engine

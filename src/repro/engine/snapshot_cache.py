@@ -1,0 +1,226 @@
+"""The shared store of snapshot-scoped derived state.
+
+Owns :class:`SnapshotCache` — the lock-guarded, bounded LRU every
+connection of a database materializes views, relational CSE results and
+plan caches into, with exactly-once cold builds and snapshot-level GC —
+and :class:`SnapshotScope`, one engine's pre-keyed handle onto it.  See
+:mod:`repro.engine.database` for how snapshots and connections use it.
+"""
+
+from __future__ import annotations
+
+import threading
+import weakref
+from collections import OrderedDict
+from typing import Any, Callable, Dict, Optional, Tuple
+
+from repro.planner.physical import PlanCache
+
+
+class SnapshotCache:
+    """Lock-guarded store of snapshot-scoped derived state.
+
+    Entries are keyed by ``(family, snapshot fingerprint, engine kind,
+    ...)`` tuples built by :class:`SnapshotScope`.  Cold builds are
+    coordinated per key: the thread that registers first builds with no
+    lock held (nested lookups from inside a build — view sources
+    consulting the relational CSE — proceed freely, and unrelated keys
+    build in parallel), while racers for the *same* key wait on the
+    build's event, so every materialization still happens exactly once.
+    The store is a bounded LRU: evicting an entry another engine still
+    holds is harmless, it only means a future cold lookup rebuilds it.
+
+    :meth:`stats` reports build/hit counters per family plus the number
+    of compact encodings paid across all cached view graphs — the
+    figures the sharing tests (and ``Explain.shared``) assert.
+    """
+
+    def __init__(self, *, max_entries: int = 512):
+        self.max_entries = max_entries
+        self._lock = threading.RLock()
+        self._entries: "OrderedDict[Tuple, Any]" = OrderedDict()
+        #: In-flight cold builds: key -> Event set when the build settles
+        #: (successfully or not), so same-key racers wait instead of
+        #: rebuilding and disjoint keys never serialize on each other.
+        self._building: Dict[Tuple, threading.Event] = {}
+        #: Live referents per snapshot fingerprint (see :meth:`retain`):
+        #: when a fingerprint's WeakSet drains, its entries are GC'd.
+        self._referents: Dict[str, "weakref.WeakSet"] = {}
+        self._stats: Dict[str, int] = {
+            "views_built": 0,
+            "views_shared_hits": 0,
+            "relations_built": 0,
+            "relations_shared_hits": 0,
+            "plan_caches_built": 0,
+            "plan_caches_shared_hits": 0,
+            "evictions": 0,
+            "gc_evicted": 0,
+        }
+
+    def _get_or_build(
+        self, key: Tuple, build: Callable[[], Any], family: str
+    ) -> Optional[Tuple[Any, bool]]:
+        """``(value, built_cold)`` for ``key``, or None when uncacheable.
+
+        Unhashable keys (user values without ``__hash__`` inside a query)
+        are not cached; the caller evaluates privately.
+        """
+        try:
+            hash(key)
+        except TypeError:
+            return None
+        while True:
+            with self._lock:
+                entry = self._entries.get(key)
+                if entry is not None:
+                    self._entries.move_to_end(key)
+                    self._stats[family + "_shared_hits"] += 1
+                    return entry, False
+                pending = self._building.get(key)
+                if pending is None:
+                    settled = threading.Event()
+                    self._building[key] = settled
+                    break  # this thread builds
+            # Another thread is building this exact key: wait for it to
+            # settle, then re-check (a hit on success; a retry when the
+            # builder raised and registered nothing).
+            pending.wait()
+        try:
+            value = build()
+        except BaseException:
+            with self._lock:
+                del self._building[key]
+            settled.set()
+            raise
+        with self._lock:
+            self._entries[key] = value
+            self._stats[family + "_built"] += 1
+            while len(self._entries) > self.max_entries:
+                self._entries.popitem(last=False)
+                self._stats["evictions"] += 1
+            del self._building[key]
+        settled.set()
+        return value, True
+
+    # -- snapshot-level GC ----------------------------------------------- #
+    def retain(self, fingerprint: str, referent: Any) -> None:
+        """Register ``referent`` (a connection) as a live user of the
+        snapshot identified by ``fingerprint``.
+
+        Referents are held weakly; when the last one for a fingerprint is
+        garbage-collected, every cache entry keyed under that fingerprint
+        is dropped (tallied in the ``gc_evicted`` stat and the
+        ``repro_snapshot_cache_gc_evicted`` metric).  Entries for
+        fingerprints nobody ever retained — direct :class:`SnapshotScope`
+        users — are never GC'd this way.
+        """
+        with self._lock:
+            referents = self._referents.get(fingerprint)
+            if referents is None:
+                referents = self._referents[fingerprint] = weakref.WeakSet()
+            if referent not in referents:
+                referents.add(referent)
+                weakref.finalize(referent, self._collect_fingerprint, fingerprint)
+
+    def _collect_fingerprint(self, fingerprint: str) -> int:
+        """Drop ``fingerprint``'s entries if no live referent remains."""
+        with self._lock:
+            referents = self._referents.get(fingerprint)
+            if referents is None or len(referents):
+                return 0
+            del self._referents[fingerprint]
+            stale = [
+                key for key in self._entries if len(key) > 1 and key[1] == fingerprint
+            ]
+            for key in stale:
+                del self._entries[key]
+            self._stats["gc_evicted"] += len(stale)
+            return len(stale)
+
+    def gc(self) -> int:
+        """Drop entries of every snapshot with no live referent left;
+        returns how many entries were evicted.
+
+        Runs automatically when a retaining connection is garbage
+        collected; calling it directly forces a sweep (useful after an
+        explicit ``del`` + ``gc.collect()``).
+        """
+        with self._lock:
+            fingerprints = list(self._referents)
+        return sum(self._collect_fingerprint(fp) for fp in fingerprints)
+
+    def stats(self) -> Dict[str, int]:
+        """Copy of the build/hit counters plus derived materialization
+        figures (``views_cached``, ``compact_encodings``, ``entries``)."""
+        with self._lock:
+            info = dict(self._stats)
+            views = 0
+            encodings = 0
+            for key, value in self._entries.items():
+                if key[0] == "view":
+                    views += 1
+                    encodings += value[0].compact_build_count()
+            info["views_cached"] = views
+            info["compact_encodings"] = encodings
+            info["entries"] = len(self._entries)
+            return info
+
+    def clear(self) -> None:
+        """Drop every entry and reset the counters."""
+        with self._lock:
+            self._entries.clear()
+            self._referents.clear()
+            for key in self._stats:
+                self._stats[key] = 0
+
+
+class SnapshotScope:
+    """One engine's handle onto the shared cache.
+
+    The scope carries the snapshot's content fingerprint and an
+    *engine-kind* discriminator (backend name plus every option that
+    changes matcher semantics — ``max_repetitions`` and the caller's
+    engine options), so two engines share an entry exactly when they
+    would compute the same value.  Relational CSE entries deliberately
+    omit the kind: every backend must produce identical relations for a
+    concrete relational subquery, so those results are shared
+    cross-engine as well.
+    """
+
+    __slots__ = ("cache", "fingerprint", "kind")
+
+    def __init__(self, cache: SnapshotCache, fingerprint: str, kind: Tuple):
+        self.cache = cache
+        self.fingerprint = fingerprint
+        self.kind = kind
+
+    def with_kind(self, kind: Tuple) -> "SnapshotScope":
+        """A sibling scope over the same snapshot for another engine kind
+        (e.g. the SQLite backend's oracle-fallback evaluator)."""
+        return SnapshotScope(self.cache, self.fingerprint, kind)
+
+    def view(
+        self, key: Tuple, build: Callable[[], Any]
+    ) -> Optional[Tuple[Any, bool]]:
+        """Materialized-view entry ``(graph, identifier arity, matcher)``."""
+        return self.cache._get_or_build(
+            ("view", self.fingerprint, self.kind, key), build, "views"
+        )
+
+    def relation(
+        self, query: Any, build: Callable[[], Any]
+    ) -> Optional[Tuple[Any, bool]]:
+        """Cross-engine CSE entry for one concrete relational subquery."""
+        return self.cache._get_or_build(("rel", self.fingerprint, query), build, "relations")
+
+    def plan_cache(self) -> PlanCache:
+        """The shared compiled-plan cache of this (snapshot, kind) pair."""
+        entry = self.cache._get_or_build(
+            ("plans", self.fingerprint, self.kind),
+            lambda: PlanCache(shared=True),
+            "plan_caches",
+        )
+        return entry[0] if entry is not None else PlanCache()
+
+    def stats(self) -> Dict[str, int]:
+        return self.cache.stats()

@@ -778,7 +778,7 @@ class _CursorStream:
     :meth:`SQLiteEngine.evaluate`'s semantics exactly).  The engine holds
     a weak ref to every live stream: :meth:`SQLiteEngine.close` calls
     :meth:`detach` first, buffering the remaining rows so a streamed
-    :class:`~repro.engine.session.QueryResult` stays readable after the
+    :class:`~repro.engine.result.QueryResult` stays readable after the
     backend connection (or an engine swap) takes the cursor away.  Temp
     tables owned by the stream (one-shot evaluation) are dropped when the
     cursor is exhausted, detached or abandoned.

@@ -1,0 +1,221 @@
+"""Per-query bookkeeping a connection reports into: metrics, the
+slow-query log and the EXPLAIN ANALYZE tree.
+
+Owns the names and shapes of what one completed (or aborted) execution
+leaves behind — the ``repro_*`` counters, histograms and gauges folded
+into the owning database's registry, the ``slow_query`` record, and the
+:class:`~repro.observability.analyze.OperatorStats` tree assembled from
+recorded spans.  Every function takes the connection it reports for and
+keeps no state of its own (the plan-counter baseline lives on the
+connection, next to the engine it measures).
+"""
+
+from __future__ import annotations
+
+import logging
+from typing import TYPE_CHECKING, Any, Dict, List
+
+from repro.errors import (
+    GovernanceError,
+    QueryCancelledError,
+    QueryTimeoutError,
+    ResourceExhaustedError,
+)
+from repro.observability.analyze import ExecutionProfiler, OperatorStats
+from repro.observability.tracing import active_tracer
+
+if TYPE_CHECKING:  # pragma: no cover - type hints only (import cycle guard)
+    from repro.engine.connection import Connection
+    from repro.engine.result import QueryResult
+
+#: Slow-query records always go here too, independent of tracer sinks.
+_SLOW_QUERY_LOGGER = logging.getLogger("repro.slow_query")
+
+#: ``PlanCounters`` attributes mirrored into registry counters, with
+#: their metric names.
+_COUNTER_METRICS = (
+    ("rows_produced", "repro_rows_produced_total"),
+    ("join_probes", "repro_join_probes_total"),
+    ("fixpoint_rounds", "repro_fixpoint_rounds_total"),
+)
+
+#: Governance error classes and their metric label.
+_ABORT_KINDS = (
+    (QueryTimeoutError, "timeout"),
+    (QueryCancelledError, "cancelled"),
+    (ResourceExhaustedError, "resource_exhausted"),
+)
+
+
+def snippet(text: str, limit: int = 120) -> str:
+    """One-line, length-bounded rendering of a statement for span tags."""
+    flattened = " ".join(text.split())
+    return flattened if len(flattened) <= limit else flattened[: limit - 3] + "..."
+
+
+def record_query_metrics(
+    connection: "Connection", elapsed_s: float, result: "QueryResult"
+) -> None:
+    """Fold one completed query into the owning database's registry."""
+    registry = getattr(connection._owner, "_metrics", None)
+    if registry is None:
+        return
+    engine = connection._engine_name
+    registry.counter(
+        "repro_queries_total", "Completed GRAPH_TABLE queries", engine=engine
+    ).inc()
+    registry.histogram(
+        "repro_query_seconds", "Per-query wall-clock latency", engine=engine
+    ).observe(elapsed_s)
+    if result.streamed:
+        registry.counter(
+            "repro_streamed_results_total",
+            "Results served through the streaming projection path",
+            engine=engine,
+        ).inc()
+    counters = getattr(connection._engine, "plan_counters", None)
+    if counters is not None:
+        baseline = connection._plan_counter_baseline
+        current: Dict[str, float] = {}
+        for attribute, metric in _COUNTER_METRICS:
+            value = getattr(counters, attribute, 0)
+            current[attribute] = value
+            delta = value - baseline.get(attribute, 0)
+            if delta > 0:
+                registry.counter(metric, engine=engine).inc(delta)
+        connection._plan_counter_baseline = current
+    plan_cache = getattr(connection._engine, "plan_cache", None)
+    if plan_cache is not None:
+        info = plan_cache.info()
+        for key in ("hits", "misses", "prepared_hits", "prepared_misses", "size"):
+            registry.gauge(f"repro_plan_cache_{key}", engine=engine).set(
+                info.get(key, 0)
+            )
+
+
+def record_governance_abort(connection: "Connection", error: GovernanceError) -> None:
+    """Tally one governance-aborted execution into the registry."""
+    registry = getattr(connection._owner, "_metrics", None)
+    if registry is None:
+        return
+    kind = "fault"
+    for cls, label in _ABORT_KINDS:
+        if isinstance(error, cls):
+            kind = label
+            break
+    registry.counter(
+        "repro_query_aborts_total",
+        "Queries aborted by governance (deadline, cancel, budget, fault)",
+        engine=connection._engine_name,
+        kind=kind,
+    ).inc()
+
+
+def check_slow_query(
+    connection: "Connection", text: str, merged, elapsed_s: float, root
+) -> None:
+    """Emit a slow-query record when the database threshold is hit.
+
+    The record carries the statement text, the bindings *shape*
+    (parameter names, never values), the snapshot fingerprint and —
+    when the run was traced — the per-stage breakdown of the root
+    span.  It goes to the run's tracer sinks (falling back to the
+    connection's tracer) and always to the ``repro.slow_query`` logger.
+    """
+    threshold = getattr(connection._owner, "slow_query_seconds", None)
+    if threshold is None or elapsed_s < threshold:
+        return
+    engine = connection._engine_name
+    record: Dict[str, Any] = {
+        "kind": "slow_query",
+        "engine": engine,
+        "duration_s": elapsed_s,
+        "threshold_s": threshold,
+        "statement": snippet(text, limit=400),
+        "bindings": sorted(merged),
+        "snapshot": connection.snapshot.fingerprint[:12],
+    }
+    if root is not None:
+        record["stages"] = [
+            {"name": child.name, "duration_s": child.duration_s}
+            for child in root.children
+        ]
+    emitter = connection._tracer
+    tracer = active_tracer()
+    if tracer.enabled:
+        emitter = tracer
+    emitter.emit(record)
+    registry = getattr(connection._owner, "_metrics", None)
+    if registry is not None:
+        registry.counter(
+            "repro_slow_queries_total",
+            "Queries at or over the slow-query threshold",
+            engine=engine,
+        ).inc()
+    _SLOW_QUERY_LOGGER.warning(
+        "slow query (%.4fs >= %.4fs) on %s: %s",
+        elapsed_s,
+        threshold,
+        engine,
+        record["statement"],
+    )
+
+
+def _stats_from_span(record: Dict[str, Any]) -> OperatorStats:
+    """One emitted span record (and its children) as operator stats."""
+    tags = record.get("tags", {})
+    label = str(record.get("name", "span")).capitalize()
+    detail = [
+        f"{key}={tags[key]}"
+        for key in ("engine", "streamed", "sql", "sources")
+        if key in tags
+    ]
+    if detail:
+        label += " [" + ", ".join(detail) + "]"
+    stats = OperatorStats(
+        label=label,
+        wall_s=float(record.get("duration_s", 0.0)),
+        calls=1,
+        rows_out=tags.get("rows"),
+    )
+    stats.children = [_stats_from_span(child) for child in record.get("children", ())]
+    return stats
+
+
+def build_analyze_tree(
+    engine_name: str,
+    records: List[Dict[str, Any]],
+    profiler: ExecutionProfiler,
+    total_s: float,
+    row_count: int,
+    decode_s: float,
+) -> OperatorStats:
+    """Assemble the operator profile from the recorded spans and the
+    executor's per-node figures."""
+    root = OperatorStats(
+        label=f"Query [engine={engine_name}]",
+        wall_s=total_s,
+        calls=1,
+        rows_out=row_count,
+    )
+    plan_trees = profiler.plan_trees()
+    for record in records:
+        name = record.get("name")
+        if name == "query":
+            for child in record.get("children", ()):
+                stats = _stats_from_span(child)
+                if child.get("name") == "execute" and plan_trees:
+                    stats.children.extend(plan_trees)
+                    plan_trees = []
+                root.children.append(stats)
+        elif name not in ("decode", "slow_query", None):
+            # Stages that ran outside the root query span (the cold front
+            # half and the engine prepare happen before the statement
+            # executes).
+            root.children.append(_stats_from_span(record))
+    if plan_trees:  # no execute span surfaced (defensive)
+        root.children.extend(plan_trees)
+    root.children.append(
+        OperatorStats(label="Decode", wall_s=decode_s, calls=1, rows_out=row_count)
+    )
+    return root

@@ -9,10 +9,10 @@ then evaluates the output pattern on that graph.
 An evaluator instance is bound to one immutable database, so the
 materialized graph views are *query-scoped data, engine-scoped work*: the
 graph built for a ``GraphPattern``'s source tuple is cached on the engine
-(together with its pattern matcher) and reused by every later query in
-the session that matches against the same view.  Sessions invalidate the
-engine — and with it this cache — whenever the database changes
-(``register_table``) or a graph definition is dropped (``drop_graph``).
+(together with its pattern matcher) and reused by every later query on
+that engine that matches against the same view.  A connection replaces
+its engine — and with it this cache — whenever it moves to a snapshot
+whose data changed.
 """
 
 from __future__ import annotations

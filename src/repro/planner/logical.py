@@ -268,7 +268,7 @@ def bind_plan(plan: LogicalPlan, bindings) -> LogicalPlan:
 # Plan rendering (EXPLAIN)
 # --------------------------------------------------------------------------- #
 def describe(plan: LogicalPlan, indent: int = 0) -> str:
-    """Render a plan as an indented operator tree (``PGQSession.explain``)."""
+    """Render a plan as an indented operator tree (``Connection.explain``)."""
     pad = "  " * indent
     if isinstance(plan, (NodeScan, EdgeScan)):
         kind = "NodeScan" if isinstance(plan, NodeScan) else "EdgeScan"

@@ -180,19 +180,20 @@ class QueryService:
         (semantic + dataflow), and the ``statically_empty`` verdict.
         Analysis *errors* surface as 400s like any bad statement, so a
         dry run is a cheap validity probe before committing a budgeted
-        execution.
+        execution.  Only the statement's front half is built: the
+        backend is never asked to prepare anything, so a dry run leaves
+        nothing behind on the pooled connection.
         """
         start = perf_counter()
         with self.pool.acquire() as connection:
-            prepared = connection.prepare(request.statement)
+            front = connection.front_half(request.statement)
             payload = dry_run_response(
-                schema=list(prepared.result_schema),
+                schema=list(front.result_schema),
                 diagnostics=[
-                    diagnostic.to_payload()
-                    for diagnostic in prepared.analysis_diagnostics
+                    diagnostic.to_payload() for diagnostic in front.diagnostics
                 ],
-                parameters=dict(prepared.parameter_types),
-                statically_empty=prepared.statically_empty,
+                parameters=dict(front.parameter_types),
+                statically_empty=front.statically_empty,
                 elapsed_ms=(perf_counter() - start) * 1000.0,
                 engine=connection.engine_name,
                 snapshot=connection.snapshot.fingerprint,

@@ -1,7 +1,7 @@
 """A sized pool of per-snapshot connections with graceful DDL handoff.
 
 The pool is the service's concurrency substrate.  Every pooled
-:class:`~repro.engine.session.Connection` is pinned to one immutable
+:class:`~repro.engine.connection.Connection` is pinned to one immutable
 :class:`~repro.engine.database.Snapshot`, so all connections of a
 *generation* share the snapshot-scoped caches (materialized views,
 compact encodings, plan caches) through the database's exactly-once
@@ -32,7 +32,7 @@ from time import monotonic
 from typing import Any, Dict, Iterator, List, Optional
 
 from repro.engine.database import Database, Snapshot
-from repro.engine.session import Connection
+from repro.engine.connection import Connection
 from repro.errors import AdmissionTimeoutError, ConnectionClosedError
 
 __all__ = ["ConnectionPool"]

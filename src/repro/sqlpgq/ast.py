@@ -126,7 +126,7 @@ class ParameterOperand:
     """A ``:name`` parameter placeholder standing where a literal may.
 
     Parameterized statements are prepared once and executed with per-call
-    bindings (:meth:`repro.engine.session.PGQSession.prepare`); the
+    bindings (:meth:`repro.engine.connection.Connection.prepare`); the
     compiler lowers this operand to a
     :class:`~repro.parameters.Parameter` slot in the condition tree.
     """

@@ -18,11 +18,7 @@ stay at the top level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple, Union
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
-    from repro.planner.logical import LogicalPlan
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import QueryError
 from repro.patterns.ast import (
@@ -72,44 +68,6 @@ def compile_query(query: GraphTableQuery, catalog: GraphCatalog) -> Query:
         compiler = _QueryCompiler(query)
         output = compiler.build_output_pattern()
         return GraphPattern(output, definition.view_subqueries())
-
-
-@dataclass(frozen=True)
-class CompiledPlan:
-    """A GRAPH_TABLE query lowered all the way into the planner IR.
-
-    ``query`` is the formal PGQ query (the semantics), ``logical`` the
-    direct lowering of its MATCH pattern, and ``optimized`` the plan after
-    the rewrite rules — the plan the planned engine executes (and the one
-    ``PGQSession.explain`` prints).
-    """
-
-    query: GraphPattern
-    logical: "LogicalPlan"
-    optimized: "LogicalPlan"
-
-    def describe(self) -> str:
-        from repro.planner.logical import describe
-
-        return describe(self.optimized)
-
-
-def compile_to_plan(query: GraphTableQuery, catalog: GraphCatalog) -> CompiledPlan:
-    """Compile a parsed GRAPH_TABLE query into the planner's logical IR.
-
-    This is the planned engine's front door: the surface query becomes a
-    :class:`~repro.pgq.queries.GraphPattern` (for the view subqueries) plus
-    an optimized logical plan for its MATCH pattern, rather than leaving
-    plan construction to evaluation time.
-    """
-    from repro.planner.logical import build_logical_plan
-    from repro.planner.rules import optimize
-
-    pgq_query = compile_query(query, catalog)
-    output = pgq_query.output
-    logical = build_logical_plan(output.pattern)
-    optimized = optimize(logical, frozenset(output.output_variables()))
-    return CompiledPlan(pgq_query, logical, optimized)
 
 
 class _QueryCompiler:

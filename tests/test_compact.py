@@ -10,14 +10,14 @@ Three layers are covered:
   is most likely to get wrong (empty graph, self-loops, a variable bound
   to a node in one branch and an edge in the other);
 * the observability satellites — ``PlanCache.info`` extensions and the
-  session ``explain`` footer.
+  connection ``explain`` footer.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.datasets import GRAPH_VIEW_SCHEMA, erdos_renyi, pair_graph_database
-from repro.engine import NaiveEngine, PGQSession, PlannedEngine
+from repro.engine import Database, NaiveEngine, PlannedEngine
 from repro.graph import CompactGraph, PropertyGraph, closure_masks
 from repro.graph.compact import MISSING
 from repro.matching import EndpointEvaluator
@@ -375,7 +375,7 @@ class TestMixedKindVariables:
 
 
 # --------------------------------------------------------------------------- #
-# Observability: PlanCache.info and session explain
+# Observability: PlanCache.info and connection explain
 # --------------------------------------------------------------------------- #
 class TestCounterSurfacing:
     def test_plan_cache_info_includes_execution_counters(self):
@@ -404,14 +404,14 @@ class TestCounterSurfacing:
         assert engine.plan_cache.info()["compact_encode_s"] > 0.0
 
     def _session(self, **options):
-        session = PGQSession(engine="planned", **options)
-        session.register_table("Account", ["iban"], [("A1",), ("A2",)])
-        session.register_table(
+        db = Database()
+        db.create_table("Account", ["iban"], [("A1",), ("A2",)])
+        db.create_table(
             "Transfer",
             ["t_id", "src_iban", "tgt_iban", "ts", "amount"],
             [("T1", "A1", "A2", 1, 250)],
         )
-        session.execute(
+        db.execute(
             """CREATE PROPERTY GRAPH Transfers (
                  NODES TABLE Account KEY (iban) LABEL Account,
                  EDGES TABLE Transfer KEY (t_id)
@@ -419,7 +419,7 @@ class TestCounterSurfacing:
                    TARGET KEY tgt_iban REFERENCES Account
                    LABELS Transfer PROPERTIES (ts, amount))"""
         )
-        return session
+        return db.connect(engine="planned", **options)
 
     QUERY = """SELECT * FROM GRAPH_TABLE ( Transfers
                  MATCH (x) -[t:Transfer]->+ (y) COLUMNS (x.iban, y.iban) )"""

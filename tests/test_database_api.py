@@ -5,18 +5,15 @@ immutable fingerprinted snapshots, cross-connection shared
 materialization through the ``SnapshotCache`` (one cold view build, one
 compact encoding per snapshot — including under concurrent prepared
 execution), server-side streaming cursors on the planned engine,
-``Explain`` snapshot/shared/streamed provenance, the lifecycle
-satellites (``close()``, statement-LRU resource release) and the
-``PGQSession`` deprecation shim.
+``Explain`` snapshot/shared/streamed provenance and the lifecycle
+satellites (``close()``, statement-store resource release).
 """
 
 import threading
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.engine import PGQSession
 from repro.engine.database import Database, SnapshotCache
 from repro.errors import EngineError, PatternError
 
@@ -179,22 +176,6 @@ class TestDatabaseCatalog:
 # Connections
 # --------------------------------------------------------------------------- #
 class TestConnection:
-    def test_connection_matches_the_session_shim(self):
-        with make_database() as db, db.connect(engine="planned") as connection:
-            modern = connection.execute(CHAIN_QUERY)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            session = PGQSession(engine="planned")
-        session.register_table("Account", ["iban"], ACCOUNTS)
-        session.register_table(
-            "Transfer", ["t_id", "src_iban", "tgt_iban", "ts", "amount"], TRANSFERS
-        )
-        session.execute(DDL)
-        legacy = session.execute(CHAIN_QUERY)
-        assert modern.equals_unordered(legacy)
-        assert modern.columns == legacy.columns
-        session.close()
-
     @pytest.mark.parametrize("engine", ["naive", "planned", "sqlite"])
     def test_cross_engine_equivalence_over_one_snapshot(self, engine):
         with larger_database() as db:
@@ -535,55 +516,3 @@ class TestLifecycle:
             with pytest.raises(ConnectionClosedError, match="connection closed"):
                 connection.execute(CHAIN_QUERY)
             assert len(before) > 0  # results produced before close stay readable
-
-    def test_closed_session_shim_rebuilds_lazily_like_sessions_did(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            session = PGQSession(engine="planned")
-        session.register_table("Account", ["iban"], ACCOUNTS)
-        session.register_table(
-            "Transfer", ["t_id", "src_iban", "tgt_iban", "ts", "amount"], TRANSFERS
-        )
-        session.execute(DDL)
-        before = session.execute(CHAIN_QUERY)
-        session.close()
-        after = session.execute(CHAIN_QUERY)  # the historical lazy rebuild
-        assert before.equals_unordered(after)
-        session.close()
-
-
-# --------------------------------------------------------------------------- #
-# The deprecated session shim
-# --------------------------------------------------------------------------- #
-class TestSessionShim:
-    def test_pgqsession_warns_deprecation(self):
-        with pytest.warns(DeprecationWarning, match="PGQSession is deprecated"):
-            PGQSession()
-
-    def test_shim_is_a_connection_over_an_implicit_database(self):
-        from repro.engine.session import Connection
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            session = PGQSession(engine="planned")
-        assert isinstance(session, Connection)
-        assert isinstance(session._owner, Database)
-        session.register_table("Account", ["iban"], ACCOUNTS)
-        assert session._owner.table_names() == ("Account",)
-        session.close()
-
-    def test_shim_tracks_its_database_head(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            session = PGQSession(engine="planned")
-        session.register_table("Account", ["iban"], ACCOUNTS)
-        session.register_table(
-            "Transfer", ["t_id", "src_iban", "tgt_iban", "ts", "amount"], TRANSFERS
-        )
-        session.execute(DDL)
-        version_before = session._owner.version
-        assert len(session.execute(CHAIN_QUERY)) > 0
-        session.register_table("Audit", ["entry"], [("e1",)])
-        assert session._owner.version > version_before
-        assert "Audit" in session.schema.names()
-        session.close()

@@ -12,8 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.datasets import GRAPH_VIEW_SCHEMA, erdos_renyi, pair_graph_database
 from repro.engine import (
+    Connection,
+    Database,
     NaiveEngine,
-    PGQSession,
     PlannedEngine,
     QueryResult,
     SQLiteEngine,
@@ -184,34 +185,13 @@ QUERIES = [
 ]
 
 
-def _transfer_session(engine: str, seed: int) -> PGQSession:
-    import random
-
-    rng = random.Random(seed)
-    accounts = [f"A{i}" for i in range(8)]
-    session = PGQSession(engine=engine)
-    session.register_table("Account", ["iban"], [(a,) for a in accounts])
-    session.register_table(
-        "Transfer",
-        ["t_id", "src_iban", "tgt_iban", "ts", "amount"],
-        [
-            (f"T{i}", rng.choice(accounts), rng.choice(accounts), i, rng.randint(1, 500))
-            for i in range(20)
-        ],
-    )
-    session.execute(DDL)
-    return session
-
-
-def _transfer_catalog(seed: int):
+def _transfer_catalog(seed: int) -> Database:
     """A Database catalog with the randomized transfer workload loaded."""
     import random
 
-    from repro.engine.database import Database as CatalogDatabase
-
     rng = random.Random(seed)
     accounts = [f"A{i}" for i in range(8)]
-    db = CatalogDatabase()
+    db = Database()
     db.create_table("Account", ["iban"], [(a,) for a in accounts])
     db.create_table(
         "Transfer",
@@ -223,6 +203,10 @@ def _transfer_catalog(seed: int):
     )
     db.execute(DDL)
     return db
+
+
+def _transfer_session(engine: str, seed: int) -> Connection:
+    return _transfer_catalog(seed).connect(engine=engine)
 
 
 @settings(max_examples=10, deadline=None)
@@ -326,24 +310,26 @@ class TestTargetedEquivalence:
             )
 
 
-class TestSessionCatalog:
+class TestCatalogReplay:
     def test_graphs_survive_later_table_registration(self):
-        session = _transfer_session("planned", seed=11)
-        before = session.execute(QUERIES[0])
-        session.register_table("Audit", ["entry"], [("e1",)])
+        db = _transfer_catalog(seed=11)
+        before = db.connect(engine="planned").execute(QUERIES[0])
+        db.create_table("Audit", ["entry"], [("e1",)])
+        session = db.connect(engine="planned")
         assert session.graph_names() == ("Transfers",)
         after = session.execute(QUERIES[0])
         assert before.equals_unordered(after)
 
     def test_breaking_schema_change_reports_graph_name(self):
-        session = _transfer_session("naive", seed=11)
-        session.register_table("Transfer", ["t_id"], [("T1",)])  # drops key columns
+        db = _transfer_catalog(seed=11)
+        db.create_table("Transfer", ["t_id"], [("T1",)])  # drops key columns
         with pytest.raises(EngineError, match="Transfers"):
-            session.execute(QUERIES[0])
+            db.connect().execute(QUERIES[0])
 
     def test_unrelated_statements_survive_a_broken_graph(self):
-        session = _transfer_session("naive", seed=11)
-        session.register_table("Transfer", ["t_id"], [("T1",)])  # breaks Transfers
+        db = _transfer_catalog(seed=11)
+        db.create_table("Transfer", ["t_id"], [("T1",)])  # breaks Transfers
+        session = db.connect()
         # Unrelated DDL and queries still work...
         session.execute(
             """CREATE PROPERTY GRAPH Audit (
@@ -355,8 +341,8 @@ class TestSessionCatalog:
         # The broken graph stays discoverable so callers can find and drop
         # it; dropping clears the error entirely.
         assert "Transfers" in session.graph_names()
-        session.drop_graph("Transfers")
-        assert "Transfers" not in session.graph_names()
+        db.drop_graph("Transfers")
+        assert "Transfers" not in db.connect().graph_names()
 
 
 class TestRegistry:
@@ -365,12 +351,10 @@ class TestRegistry:
 
     def test_unknown_engine_is_an_engine_error(self):
         with pytest.raises(EngineError, match="unknown engine"):
-            PGQSession(engine="duckdb")
+            Database().connect(engine="duckdb")
 
     @pytest.mark.parametrize("engine", ["naive", "planned", "sqlite"])
     def test_unknown_engine_option_fails_loudly(self, engine):
-        from repro.engine.database import Database
-
         database = erdos_renyi(3, 0.5, seed=1)
         # A removed option and a typo of a real one: both used to vanish
         # into the factories' catch-all.
@@ -415,47 +399,28 @@ class TestRegistry:
         planned = session.execute(QUERIES[1])
         assert naive.equals_unordered(planned)
 
-    def test_legacy_evaluate_only_engine_serves_sessions_through_adapter(self):
-        # Deprecation shim: a minimal third-party engine implementing only
-        # the one-shot evaluate(query) protocol still registers, emits a
-        # DeprecationWarning when instantiated, and serves the full
-        # prepared-statement session API through LegacyEngineAdapter.
-        import warnings
-
-        from repro.engine import LegacyEngineAdapter
-
-        class MinimalLegacyEngine:
-            name = "minimal-legacy"
+    def test_engine_without_prepare_fails_loudly(self):
+        # The two-phase protocol is the only one: a backend implementing
+        # just the one-shot evaluate(query) is rejected when it is built,
+        # naming the missing method, instead of being wrapped.
+        class EvaluateOnlyEngine:
+            name = "evaluate-only"
 
             def __init__(self, database):
                 self._oracle = NaiveEngine(database)
 
-            def evaluate(self, query):  # no bindings, no prepare, no close
+            def evaluate(self, query):
                 return self._oracle.evaluate(query)
 
         try:
-            register_engine("minimal-legacy", lambda db, **_opts: MinimalLegacyEngine(db))
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                session = _transfer_session("minimal-legacy", seed=5)
-                assert isinstance(session._get_engine(), LegacyEngineAdapter)
-            assert any(
-                issubclass(w.category, DeprecationWarning)
-                and "legacy evaluate()" in str(w.message)
-                for w in caught
-            )
-            statement = session.prepare(
-                """SELECT * FROM GRAPH_TABLE ( Transfers
-                     MATCH (x) -[t:Transfer]->+ (y) WHERE t.amount > :minimum
-                     COLUMNS (x.iban, y.iban) )"""
-            )
-            through_adapter = statement.execute(minimum=100)
-            with _transfer_session("naive", seed=5) as oracle_session:
-                expected = oracle_session.prepare(statement.text).execute(minimum=100)
-            assert through_adapter.equals_unordered(expected)
-            session.close()
+            register_engine("evaluate-only", lambda db, **_opts: EvaluateOnlyEngine(db))
+            with pytest.raises(EngineError, match=r"evaluate-only.*prepare\(query\)"):
+                create_engine("evaluate-only", erdos_renyi(3, 0.5, seed=1))
+            with _transfer_session("evaluate-only", seed=5) as session:
+                with pytest.raises(EngineError, match="prepare"):
+                    session.execute(QUERIES[0])
         finally:
-            unregister_engine("minimal-legacy")
+            unregister_engine("evaluate-only")
 
 
 # --------------------------------------------------------------------------- #

@@ -1,4 +1,4 @@
-"""Tests for the session facade and the SQLite-backed engine."""
+"""Tests for the Database/Connection facade and the SQLite-backed engine."""
 
 import pytest
 
@@ -9,7 +9,7 @@ from repro.datasets import (
     erdos_renyi,
     generate_social_database,
 )
-from repro.engine import PGQSession, SQLiteEngine
+from repro.engine import Database, SQLiteEngine
 from repro.errors import EngineError
 from repro.patterns.builder import edge, label, node, output, plus, prop, prop_cmp, seq, star, where
 from repro.pgq import (
@@ -42,12 +42,15 @@ SELECT * FROM GRAPH_TABLE ( Transfers
 """
 
 
-def make_bank_session() -> PGQSession:
-    session = PGQSession()
-    session.register_table("Account", ["iban"], [("A1",), ("A2",), ("A3",), ("A4",)])
-    session.register_table(
+TRANSFER_COLUMNS = ["t_id", "src_iban", "tgt_iban", "ts", "amount"]
+
+
+def make_bank_db() -> Database:
+    db = Database()
+    db.create_table("Account", ["iban"], [("A1",), ("A2",), ("A3",), ("A4",)])
+    db.create_table(
         "Transfer",
-        ["t_id", "src_iban", "tgt_iban", "ts", "amount"],
+        TRANSFER_COLUMNS,
         [
             ("T1", "A1", "A2", 1, 250),
             ("T2", "A2", "A3", 2, 500),
@@ -55,48 +58,47 @@ def make_bank_session() -> PGQSession:
             ("T4", "A4", "A1", 4, 700),
         ],
     )
-    session.execute(BANK_DDL)
-    return session
+    db.execute(BANK_DDL)
+    return db
 
 
 # --------------------------------------------------------------------------- #
-# Session
+# Connection
 # --------------------------------------------------------------------------- #
-class TestSession:
+class TestConnection:
     def test_end_to_end_bank_example(self):
-        session = make_bank_session()
+        session = make_bank_db().connect()
         result = session.execute(BANK_QUERY)
         assert result.columns == ("x.iban", "y.iban")
         assert ("A1", "A3") in result.to_set()
         assert ("A3", "A4") not in result.to_set()  # amount 50 filtered out
 
     def test_ddl_result_and_graph_names(self):
-        session = make_bank_session()
+        session = make_bank_db().connect()
         assert session.graph_names() == ("Transfers",)
         definition = session.graph_definition("Transfers")
         assert definition.identifier_arity == 1
 
     def test_compile_returns_pgq_query(self):
-        session = make_bank_session()
+        session = make_bank_db().connect()
         query = session.compile(BANK_QUERY)
         relation = session.evaluate(query)
         assert relation.arity == 2
 
     def test_compile_rejects_ddl(self):
-        session = make_bank_session()
+        session = make_bank_db().connect()
         with pytest.raises(EngineError):
             session.compile(BANK_DDL)
 
     def test_register_database_requires_columns(self):
-        session = PGQSession()
         db = chain(2)
         with pytest.raises(EngineError):
-            session.register_database(db, {"N": ["node_id"]})
+            Database().register_database(db, {"N": ["node_id"]})
 
-    def test_social_workload_through_session(self):
+    def test_social_workload_through_connection(self):
         database = generate_social_database(SocialNetworkConfig(people=12, posts=10, seed=4))
-        session = PGQSession()
-        session.register_database(
+        catalog = Database()
+        catalog.register_database(
             database,
             {
                 "Person": ["person_id", "name", "city"],
@@ -105,7 +107,7 @@ class TestSession:
                 "Likes": ["likes_id", "person_id", "post_id"],
             },
         )
-        session.execute(
+        catalog.execute(
             """
             CREATE PROPERTY GRAPH SocialGraph (
               NODES TABLE Person KEY (person_id) LABEL Person,
@@ -115,7 +117,7 @@ class TestSession:
                 LABEL Knows )
             """
         )
-        result = session.execute(
+        result = catalog.connect().execute(
             """
             SELECT * FROM GRAPH_TABLE ( SocialGraph
               MATCH (a) -[k:Knows]->* (b)
@@ -127,7 +129,7 @@ class TestSession:
     def test_output_column_bound_in_quantifier_rejected(self):
         from repro.errors import QueryError
 
-        session = make_bank_session()
+        session = make_bank_db().connect()
         with pytest.raises(QueryError):
             session.execute(
                 "SELECT * FROM GRAPH_TABLE ( Transfers MATCH (x) -[t:Transfer]->+ (y) "
@@ -136,7 +138,7 @@ class TestSession:
 
 
 # --------------------------------------------------------------------------- #
-# Session-scoped view materialization cache
+# Engine-scoped view materialization cache
 # --------------------------------------------------------------------------- #
 class TestViewCache:
     def make_query(self):
@@ -178,16 +180,17 @@ class TestViewCache:
         assert engine.statistics.views_built == 1
         assert engine.statistics.views_reused == 1
 
-    def test_register_table_invalidates_cached_views(self):
-        # The data visible through the view changes; the session must not
-        # serve results computed against the stale materialization.
-        session = make_bank_session()
-        session.use_engine("planned")
+    def test_replacing_a_table_invalidates_cached_views(self):
+        # The data visible through the view changes; a connection moved to
+        # the new version must not serve results computed against the
+        # stale materialization.
+        db = make_bank_db()
+        session = db.connect(engine="planned")
         before = session.execute(BANK_QUERY)
         assert ("A3", "A1") not in before.to_set()  # A3->A4 leg is only 50
-        session.register_table(
+        db.create_table(
             "Transfer",
-            ["t_id", "src_iban", "tgt_iban", "ts", "amount"],
+            TRANSFER_COLUMNS,
             [
                 ("T1", "A1", "A2", 1, 250),
                 ("T2", "A2", "A3", 2, 500),
@@ -195,39 +198,41 @@ class TestViewCache:
                 ("T4", "A4", "A1", 4, 700),
             ],
         )
-        after = session.execute(BANK_QUERY)
-        assert ("A3", "A1") in after.to_set()
+        assert ("A3", "A1") in db.connect(engine="planned").execute(BANK_QUERY).to_set()
+        session.execute(BANK_DDL)  # this connection's own DDL moves it to the head
+        assert ("A3", "A1") in session.execute(BANK_QUERY).to_set()
 
-    def test_drop_graph_releases_engine_and_cached_views(self):
-        session = make_bank_session()
-        session.execute(BANK_QUERY)
-        assert session._engine is not None
-        session.drop_graph("Transfers")
-        assert session._engine is None
+    def test_drop_graph_leaves_pinned_connections_untouched(self):
+        db = make_bank_db()
+        pinned = db.connect()
+        db.drop_graph("Transfers")
+        assert len(pinned.execute(BANK_QUERY)) > 0
+        assert "Transfers" not in db.connect().graph_names()
 
 
 # --------------------------------------------------------------------------- #
 # Broken-graph DDL replay (satellite)
 # --------------------------------------------------------------------------- #
 class TestBrokenGraphReplay:
-    def _broken_session(self) -> PGQSession:
-        session = make_bank_session()
-        # Re-registering Transfer without the key columns breaks the
+    def _broken_db(self) -> Database:
+        db = make_bank_db()
+        # Re-creating Transfer without the key columns breaks the
         # Transfers definition on catalog replay.
-        session.register_table("Transfer", ["t_id"], [("T1",)])
-        return session
+        db.create_table("Transfer", ["t_id"], [("T1",)])
+        return db
 
     def test_referencing_broken_graph_raises_documented_error(self):
-        session = self._broken_session()
+        session = self._broken_db().connect()
         with pytest.raises(EngineError, match="no longer valid after a schema change"):
             session.execute(BANK_QUERY)
         with pytest.raises(EngineError, match="drop_graph"):
             session.graph_definition("Transfers")
 
     def test_drop_graph_on_broken_graph_succeeds_end_to_end(self):
-        session = self._broken_session()
-        assert "Transfers" in session.graph_names()
-        session.drop_graph("Transfers")  # must not raise
+        db = self._broken_db()
+        assert "Transfers" in db.connect().graph_names()
+        assert db.drop_graph("Transfers")  # must not raise
+        session = db.connect()
         assert "Transfers" not in session.graph_names()
         # After the drop the graph is simply unknown, not "broken".
         with pytest.raises(Exception) as excinfo:
@@ -235,15 +240,11 @@ class TestBrokenGraphReplay:
         assert "no longer valid" not in str(excinfo.value)
 
     def test_recreating_the_graph_after_drop_works(self):
-        session = self._broken_session()
-        session.drop_graph("Transfers")
-        session.register_table(
-            "Transfer",
-            ["t_id", "src_iban", "tgt_iban", "ts", "amount"],
-            [("T1", "A1", "A2", 1, 250)],
-        )
-        session.execute(BANK_DDL)
-        result = session.execute(BANK_QUERY)
+        db = self._broken_db()
+        db.drop_graph("Transfers")
+        db.create_table("Transfer", TRANSFER_COLUMNS, [("T1", "A1", "A2", 1, 250)])
+        db.execute(BANK_DDL)
+        result = db.connect().execute(BANK_QUERY)
         assert result.to_set() == {("A1", "A2")}
 
 
@@ -297,7 +298,7 @@ class TestSQLiteEngine:
             assert "WITH RECURSIVE" in engine.compile_to_sql(query)
 
     def test_bank_example_on_sqlite(self):
-        session = make_bank_session()
+        session = make_bank_db().connect()
         query = session.compile(BANK_QUERY)
         expected = session.evaluate(query)
         with SQLiteEngine(session.database) as engine:

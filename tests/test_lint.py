@@ -63,7 +63,7 @@ class TestShippedTreeIsClean:
 
 class TestObsImport:
     def test_observability_must_not_import_engine_modules(self, tmp_path):
-        source = "import repro.engine.session\n\nSESSION = repro.engine.session\n"
+        source = "import repro.engine.connection\n\nCONNECTION = repro.engine.connection\n"
         assert rules_for(tmp_path, source, observability=True) == ["OBS-IMPORT"]
         assert rules_for(tmp_path, source, observability=False) == []
 
@@ -102,7 +102,7 @@ class TestServiceLayering:
         assert rules_for(tmp_path, self.SOURCE, in_src=False) == []
 
     def test_the_service_may_import_the_engine(self, tmp_path):
-        source = "import repro.engine.session\n\nSESSION = repro.engine.session\n"
+        source = "import repro.engine.connection\n\nCONNECTION = repro.engine.connection\n"
         assert rules_for(tmp_path, source, in_service=True) == []
 
     def test_similarly_named_modules_are_untouched(self, tmp_path):

@@ -337,18 +337,18 @@ class TestSharedCacheAcrossBounds:
     ``max_repetitions`` can share one compiled-plan cache."""
 
     def _long_chain_sessions(self):
-        from repro.engine import PGQSession
+        from repro.engine import Database
 
         rows_accounts = [(f"A{i}",) for i in range(8)]
         rows_transfers = [(f"T{i}", f"A{i}", f"A{i + 1}", i, 500) for i in range(7)]
         sessions = []
         for bound in (2, None):
-            session = PGQSession(engine="planned", max_repetitions=bound)
-            session.register_table("Account", ["iban"], rows_accounts)
-            session.register_table(
+            db = Database()
+            db.create_table("Account", ["iban"], rows_accounts)
+            db.create_table(
                 "Transfer", ["t_id", "src_iban", "tgt_iban", "ts", "amount"], rows_transfers
             )
-            session.execute(
+            db.execute(
                 """
                 CREATE PROPERTY GRAPH Transfers (
                   NODES TABLE Account KEY (iban) LABEL Account,
@@ -358,7 +358,7 @@ class TestSharedCacheAcrossBounds:
                     LABELS Transfer PROPERTIES (ts, amount))
                 """
             )
-            sessions.append(session)
+            sessions.append(db.connect(engine="planned", max_repetitions=bound))
         return sessions
 
     QUERY = (
@@ -466,16 +466,16 @@ class TestMaxRepetitions:
                 engine_cls(db, max_repetitions=3).evaluate(query)
 
     def test_session_threads_bound(self):
-        from repro.engine import PGQSession
+        from repro.engine import Database
 
-        session = PGQSession(engine="planned", max_repetitions=2)
-        session.register_table("Account", ["iban"], [(f"A{i}",) for i in range(6)])
-        session.register_table(
+        db = Database()
+        db.create_table("Account", ["iban"], [(f"A{i}",) for i in range(6)])
+        db.create_table(
             "Transfer",
             ["t_id", "src_iban", "tgt_iban", "ts", "amount"],
             [(f"T{i}", f"A{i}", f"A{i + 1}", i, 500) for i in range(5)],
         )
-        session.execute(
+        db.execute(
             """
             CREATE PROPERTY GRAPH Transfers (
               NODES TABLE Account KEY (iban) LABEL Account,
@@ -485,6 +485,7 @@ class TestMaxRepetitions:
                 LABELS Transfer PROPERTIES (ts, amount))
             """
         )
+        session = db.connect(engine="planned", max_repetitions=2)
         with pytest.raises(PatternError, match="max_repetitions"):
             session.execute(
                 "SELECT * FROM GRAPH_TABLE ( Transfers MATCH (x) -[t:Transfer]->+ (y) "

@@ -2,8 +2,8 @@
 
 Covers the prepared-statement API end to end: ``:name`` placeholders in
 the SQL surface, one-plan-many-bindings on the planned engine (asserted
-via ``PlanCache.info()``), native ``?`` binding on SQLite, the session's
-statement LRU behind ``execute(text, params=...)``, structured
+via ``PlanCache.info()``), native ``?`` binding on SQLite, the connection's
+statement store behind ``execute(text, params=...)``, structured
 ``Explain`` output, and the cursor semantics of ``QueryResult``.
 """
 
@@ -11,9 +11,8 @@ import random
 
 import pytest
 
-from repro import PGQSession, Parameter
-from repro.engine import QueryResult
-from repro.engine.session import Explain
+from repro import Parameter
+from repro.engine import Connection, Database, Explain, QueryResult
 from repro.errors import BindingError, EngineError
 from repro.parameters import bind_value, require_bindings
 
@@ -35,12 +34,12 @@ HOP_QUERY = """SELECT * FROM GRAPH_TABLE ( Transfers
   COLUMNS (x.iban, t.amount, y.iban) )"""
 
 
-def make_session(engine: str, seed: int = 3, transfers: int = 20) -> PGQSession:
+def make_database(seed: int = 3, transfers: int = 20) -> Database:
     rng = random.Random(seed)
     accounts = [f"A{i}" for i in range(8)]
-    session = PGQSession(engine=engine)
-    session.register_table("Account", ["iban"], [(a,) for a in accounts])
-    session.register_table(
+    db = Database()
+    db.create_table("Account", ["iban"], [(a,) for a in accounts])
+    db.create_table(
         "Transfer",
         ["t_id", "src_iban", "tgt_iban", "ts", "amount"],
         [
@@ -48,8 +47,12 @@ def make_session(engine: str, seed: int = 3, transfers: int = 20) -> PGQSession:
             for i in range(transfers)
         ],
     )
-    session.execute(DDL)
-    return session
+    db.execute(DDL)
+    return db
+
+
+def make_session(engine: str, seed: int = 3, transfers: int = 20) -> Connection:
+    return make_database(seed, transfers).connect(engine=engine)
 
 
 # --------------------------------------------------------------------------- #
@@ -183,15 +186,17 @@ class TestPreparedLifecycle:
             assert via_keyword.equals_unordered(via_mapping)
 
     def test_prepare_rejects_ddl(self):
-        session = PGQSession()
+        session = Database().connect()
         with pytest.raises(EngineError, match="prepare"):
             session.prepare(DDL)
 
     def test_prepared_statement_survives_data_changes(self):
-        with make_session("planned") as session:
+        db = make_database()
+        with db.connect(engine="planned") as session:
             statement = session.prepare(CHAIN_QUERY)
             before = statement.execute(minimum=100)
-            session.register_table("Audit", ["entry"], [("e1",)])  # engine rebuilt
+            db.create_table("Audit", ["entry"], [("e1",)])
+            session.execute(DDL)  # moves the connection to the head: engine rebuilt
             after = statement.execute(minimum=100)
             assert before.equals_unordered(after)
 
@@ -396,13 +401,13 @@ class TestSessionSugar:
             assert info["prepared_misses"] == 1 and info["prepared_hits"] == 1
 
     def test_ddl_with_params_is_rejected(self):
-        session = PGQSession()
-        session.register_table("Account", ["iban"], [("A1",)])
-        session.register_table(
+        db = Database()
+        db.create_table("Account", ["iban"], [("A1",)])
+        db.create_table(
             "Transfer", ["t_id", "src_iban", "tgt_iban", "ts", "amount"], []
         )
         with pytest.raises(EngineError, match="no parameters"):
-            session.execute(DDL, params={"x": 1})
+            db.connect().execute(DDL, params={"x": 1})
 
     def test_explain_reports_binding_reuse(self):
         with make_session("planned") as session:

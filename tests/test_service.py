@@ -170,6 +170,35 @@ class TestQueryService:
             )
             assert 0 < filtered["row_count"] < everything["row_count"]
 
+    def test_dry_run_leaves_nothing_on_the_pooled_connection(self, db):
+        # A dry run builds the statement's front half and stops: the
+        # backend must not be asked to prepare (on sqlite that persisted
+        # an indexed pair table per request, never dropped).
+        with QueryService(db, engine="sqlite", pool_size=1) as service:
+
+            def temp_tables() -> int:
+                with service.pool.acquire() as connection:
+                    backend = connection._get_engine().connection
+                    return backend.execute(
+                        "SELECT COUNT(*) FROM sqlite_temp_master WHERE type = 'table'"
+                    ).fetchone()[0]
+
+            before = temp_tables()
+            for minimum in range(5):
+                statement = CHAIN_QUERY.replace(
+                    "COLUMNS", f"WHERE t.amount > {minimum} COLUMNS"
+                )
+                status, body = post_query(
+                    service, {"statement": statement, "dry_run": True}
+                )
+                assert status == 200
+                assert set(body) == {
+                    "dry_run", "schema", "diagnostics", "parameters",
+                    "statically_empty", "engine", "snapshot", "elapsed_ms",
+                }
+                assert body["engine"] == "sqlite"
+            assert temp_tables() == before
+
     def test_unknown_path_is_404_and_wrong_method_is_405(self, db):
         with QueryService(db) as service:
             assert service.handle("GET", "/nope")[0] == 404

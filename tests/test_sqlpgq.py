@@ -236,16 +236,17 @@ class TestDeterministicCompilation:
         assert anonymous and all(name[0].isdigit() for name in anonymous)
 
     def test_repeated_sql_text_hits_the_plan_cache(self):
-        from repro.engine import PGQSession
+        from repro.engine import Database
 
-        session = PGQSession(engine="planned")
-        session.register_table("Account", ["iban"], [("A1",), ("A2",)])
-        session.register_table(
+        db = Database()
+        db.create_table("Account", ["iban"], [("A1",), ("A2",)])
+        db.create_table(
             "Transfer",
             ["t_id", "src_iban", "tgt_iban", "ts", "amount"],
             [("T1", "A1", "A2", 1, 250)],
         )
-        session.execute(DDL.strip().rstrip(";"))
+        db.execute(DDL.strip().rstrip(";"))
+        session = db.connect(engine="planned")
         statement = QUERY.strip().rstrip(";")
         first = session.execute(statement)
         second = session.execute(statement)

@@ -42,7 +42,7 @@ Rules (each failure prints ``path:line: RULE message`` and exits 1):
 * **LOCK-DISCIPLINE** — inside ``src/repro``, (a) a module-level mutable
   container (list/dict/set/OrderedDict/...) mutated from inside a
   function outside a ``with <...lock...>:`` block, and (b) in
-  ``engine/database.py``, the snapshot-cache internals
+  ``engine/snapshot_cache.py``, the snapshot-cache internals
   (``self._entries`` / ``self._building`` / ``self._referents``)
   touched outside the cache lock.  Module globals
   are process-shared: connections run queries from arbitrary threads, so
@@ -155,7 +155,7 @@ def _used_names(tree: ast.Module) -> set:
         if isinstance(node, ast.Name):
             used.add(node.id)
         elif isinstance(node, ast.Attribute):
-            # "repro.engine.session" used as an attribute chain roots at
+            # "repro.engine.connection" used as an attribute chain roots at
             # the Name node, already collected above.
             pass
     return used
@@ -298,9 +298,9 @@ def _mutated_receiver(node: ast.AST) -> Tuple[str, ast.expr]:
 def _check_lock_discipline(path: Path, tree: ast.Module) -> List[Finding]:
     findings: List[Finding] = []
     mutable_globals = _module_mutable_globals(tree)
-    # The snapshot cache lives in engine/database.py; ``_entries`` etc.
-    # elsewhere (e.g. per-run profile collectors) are private state.
-    cache_owner = path.resolve().as_posix().endswith("/engine/database.py")
+    # The snapshot cache lives in engine/snapshot_cache.py; ``_entries``
+    # etc. elsewhere (e.g. per-run profile collectors) are private state.
+    cache_owner = path.resolve().as_posix().endswith("/engine/snapshot_cache.py")
 
     def scan(body: List[ast.stmt], locals_: set, guarded: bool) -> None:
         for node in body:
