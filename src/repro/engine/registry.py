@@ -38,8 +38,9 @@ lets an engine join the cross-connection shared materialization of
 factory with a ``SnapshotScope`` keyed on the snapshot's content
 fingerprint and the engine kind; engines without the hook simply keep
 private caches.  ``stream(query, bindings=None)`` lets an engine serve
-server-side cursors — returning ``(arity, row iterator)`` with the plan
-executed eagerly and only the projection deferred — which
+server-side cursors — returning ``(arity, batches, ordered)`` with the
+plan executed eagerly and only the projection deferred: an iterator of
+row lists, and whether they arrive in result order — which
 ``CompiledQuery.execute_stream`` probes before falling back to the
 materializing ``execute``.  The three built-in backends are registered
 by :mod:`repro.engine`:

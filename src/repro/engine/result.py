@@ -1,9 +1,13 @@
-"""The result cursor: ``QueryResult`` and the streams feeding it.
+"""The result cursor: ``QueryResult`` and the batch sources feeding it.
 
-Owns how rows leave an execution — buffered or streamed, the lazily
-applied deterministic order, the cancel/close contract of a pending row
-source — and the two generators that wrap a streaming projection on its
-way into a result (governance metering, per-row decode timing).
+Owns how rows leave an execution — buffered or streamed — and the
+**result order**: ascending ``repr(row)``.  A row source is an iterator
+of row *lists* (batches) plus one fact, whether concatenating them
+already gives that order; the planned engine produces it structurally
+where it can (:mod:`repro.planner.decode`) and every other source is
+sorted here, in :func:`result_order`, on first ordered access.  Also
+owns the cancel/close contract of a pending source, its batch-level
+decode clock, and the wrapper that meters it against a governor.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import threading
 import weakref
 from collections import Counter
+from itertools import chain
 from time import perf_counter
 from typing import (
     Any,
@@ -25,76 +30,35 @@ from typing import (
     Union,
 )
 
-from repro.engine.telemetry import snippet
 from repro.errors import ConnectionClosedError, GovernanceError, QueryCancelledError
 from repro.governance import CancellationToken
-from repro.observability.tracing import Tracer
 from repro.relational.relation import Relation
 from repro.sqlpgq.ast import GraphTableQuery
 
 
-def traced_decode(tracer: Tracer, rows: Iterator[Tuple], statement_text: str):
-    """Wrap a streaming projection so the lazy per-row decode is timed.
-
-    Each ``next()`` is measured on the monotonic clock; when the stream
-    drains, one ``decode`` record with the accumulated decode time and
-    row count is emitted to the tracer's sinks (the root query span has
-    already closed by the time a streamed result decodes, so the decode
-    stage reports out-of-band).
-    """
-    count = 0
-    spent = 0.0
-    iterator = iter(rows)
-    try:
-        while True:
-            mark = perf_counter()
-            try:
-                row = next(iterator)
-            except StopIteration:
-                spent += perf_counter() - mark
-                tracer.emit(
-                    {
-                        "name": "decode",
-                        "duration_s": spent,
-                        "tags": {
-                            "rows": count,
-                            "statement": snippet(statement_text),
-                            "per_row": True,
-                        },
-                    }
-                )
-                return
-            spent += perf_counter() - mark
-            count += 1
-            yield row
-    finally:
-        # Propagate close() through the wrapper so abandoning a streamed
-        # result releases the underlying cursor (not just this generator).
-        close = getattr(iterator, "close", None)
-        if close is not None:
-            close()
+def result_order(rows: Iterable[Tuple]) -> List[Tuple]:
+    """``rows`` in the result order, ascending ``repr(row)`` — the one
+    sort behind every source that does not arrive in that order."""
+    return sorted(rows, key=repr)
 
 
-def governed_rows(governor, rows: Iterator[Tuple]) -> Iterator[Tuple]:
+def governed_batches(governor, batches: Iterator[List[Tuple]]) -> Iterator[List[Tuple]]:
     """Meter a streamed projection against the execution's governor.
 
-    Counts each decoded row against ``max_output_rows`` and polls the
-    governor every 64 rows — which covers backends whose streams carry no
-    in-engine checkpoints (the SQLite cursor stream) and lets a
-    cross-thread :meth:`QueryResult.cancel` land between rows even there.
+    Counts each decoded batch against ``max_output_rows`` and polls the
+    governor once per batch — which covers backends whose streams carry
+    no in-engine checkpoints (the SQLite cursor stream) and lets a
+    cross-thread :meth:`QueryResult.cancel` land between batches.
     """
-    produced = 0
     try:
-        for row in rows:
-            produced += 1
-            governor.count_output(1)
-            if not produced & 63:
-                governor.checkpoint("stream.decode")
-            yield row
+        for batch in batches:
+            governor.count_output(len(batch))
+            governor.checkpoint("stream.decode")
+            yield batch
     finally:
         # Propagate close() through the wrapper so abandoning a streamed
         # result releases the underlying cursor (not just this generator).
-        close = getattr(rows, "close", None)
+        close = getattr(batches, "close", None)
         if close is not None:
             close()
 
@@ -103,25 +67,27 @@ class QueryResult:
     """Result of executing a statement: column names plus rows.
 
     Results are **cursor-backed** and may be **streamed**: the row source
-    can be a lazy iterator, and for the planned engine it is a true
-    server-side cursor — rows arrive incrementally from the executor's
-    projection before the full result materializes (``streamed`` records
-    that provenance).  Two access styles coexist:
+    can be lazy, and for the planned engine it is a true server-side
+    cursor — rows arrive a batch at a time from the executor's projection
+    before the full result materializes (``streamed`` records that
+    provenance).  Two access styles coexist:
 
     * *cursor semantics* — :meth:`fetchone` / :meth:`fetchmany` /
-      :meth:`fetchall` consume rows forward in the result's deterministic
-      order, each row delivered once (requesting ordered rows
-      materializes lazily: the sort runs on first ordered access);
+      :meth:`fetchall` consume rows forward in the result order
+      (ascending ``repr(row)``), each row delivered once.  A source that
+      arrives in that order is pulled only as far as asked; any other
+      materializes and is sorted once, on first ordered access;
     * *whole-result semantics* — ``rows``, ``len()``, :meth:`to_list`,
       :meth:`to_set`, :meth:`to_dicts` and ``repr`` view the complete
       result (materializing whatever has not yet been pulled) without
       advancing the cursor.
 
     Plain iteration is the streaming surface: it yields buffered rows in
-    *arrival* order, pulling from the source on demand, so consumers can
-    start processing before the engine finishes projecting.  Iteration
-    is repeatable (rows are buffered); once an ordered accessor has
-    materialized the result, iteration follows the deterministic order.
+    *arrival* order, pulling one batch from the source on demand, so
+    consumers can start processing before the engine finishes
+    projecting.  Iteration is repeatable (rows are buffered); once an
+    ordered accessor has materialized the result, iteration follows the
+    result order.
     """
 
     #: Rows shown by ``__repr__`` before truncating with a ``(+N more
@@ -131,29 +97,32 @@ class QueryResult:
     def __init__(
         self,
         columns: Sequence[str],
-        rows: Union[Iterable[Tuple], Iterator[Tuple]],
+        rows: Union[Iterable[Tuple], Iterator[Tuple]] = (),
         *,
-        order_key: Optional[Callable[[Tuple], Any]] = None,
+        batches: Optional[Iterator[List[Tuple]]] = None,
+        ordered: bool = True,
         streamed: bool = False,
     ):
         self.columns = tuple(columns)
         #: True when rows arrive incrementally from the engine's streaming
         #: projection (server-side cursor provenance).
         self.streamed = streamed
-        #: Sort key applied lazily by the ordered accessors (``None`` =
-        #: the source order is already the result order).
-        self._order_key = order_key
+        #: Whether the source order is already the result order; when not,
+        #: the ordered accessors sort (lazily, once).
+        self._ordered = ordered
+        self._fetched: List[Tuple] = []
+        #: The pending batch source (``None`` once drained or closed).
+        self._source: Optional[Iterator[List[Tuple]]] = batches
         if isinstance(rows, (tuple, list)):
-            self._fetched: List[Tuple] = list(rows)
-            self._source: Optional[Iterator[Tuple]] = None
-        else:
-            self._fetched = []
-            self._source = iter(rows)
+            self._fetched = list(rows)
+        elif batches is None:
+            # A plain row iterator stays exactly as lazy as it was.
+            self._source = ([row] for row in rows)
         #: Forward position of the fetchone/fetchmany cursor (an index
-        #: into the deterministic row order).
+        #: into the result order).
         self._cursor = 0
-        #: Cached full-row tuple in deterministic order, built once on
-        #: first ordered access.
+        #: Cached full-row tuple in result order, built once on first
+        #: ordered access.
         self._rows_cache: Optional[Tuple[Tuple, ...]] = None
         #: Cancellation token of the producing execution, set by the
         #: session when the run was governed (None otherwise); lets
@@ -163,6 +132,12 @@ class QueryResult:
         #: a pending source raises instead of decoding further.
         self._cancel_reason: Optional[str] = None
         self._close_reason: Optional[str] = None
+        #: Seconds spent inside the source so far — one clock pair per
+        #: pulled batch, or one around a whole drain.
+        self._decode_s = 0.0
+        #: Called once as ``(rows, decode seconds)`` when the source
+        #: drains or is closed (the statement's decode telemetry).
+        self._on_settled: Optional[Callable[[int, float], None]] = None
 
     # -- cooperative cancellation / lifecycle ---------------------------- #
     def cancel(self, reason: str = "cancelled by consumer") -> bool:
@@ -198,6 +173,7 @@ class QueryResult:
             close = getattr(self._source, "close", None)
             if close is not None:
                 close()  # run the generator's finally blocks now
+            self._settled(drained=False)
 
     def _check_abandoned(self) -> None:
         if self._close_reason is not None:
@@ -208,39 +184,50 @@ class QueryResult:
             )
 
     # -- materialization ------------------------------------------------- #
+    def _settled(self, *, drained: bool = True) -> None:
+        """The source is done with — drained, or closed with rows left —
+        so the decode clock reports."""
+        if drained:
+            self._source = None
+        hook, self._on_settled = self._on_settled, None
+        if hook is not None:
+            hook(len(self._fetched), self._decode_s)
+
     def _pull(self) -> bool:
-        """Buffer one more row from the source; False when exhausted."""
+        """Buffer one more batch from the source; False when exhausted."""
         if self._source is None:
             return False
         self._check_abandoned()
-        try:
-            self._fetched.append(next(self._source))
-            return True
-        except StopIteration:
-            self._source = None
+        mark = perf_counter()
+        batch = next(self._source, None)
+        self._decode_s += perf_counter() - mark
+        if batch is None:
+            self._settled()
             return False
+        self._fetched.extend(batch)
+        return True
 
     def _materialize(self) -> List[Tuple]:
         if self._source is not None:
             self._check_abandoned()
-            self._fetched.extend(self._source)
-            self._source = None
+            mark = perf_counter()
+            self._fetched.extend(chain.from_iterable(self._source))
+            self._decode_s += perf_counter() - mark
+            self._settled()
         return self._fetched
 
     @property
     def rows(self) -> Tuple[Tuple, ...]:
-        """Every row of the result in deterministic order (materializes;
-        cursor position kept).
+        """Every row of the result in result order (materializes; cursor
+        position kept).
 
-        The tuple is built (and, for streamed results, sorted) once and
-        cached, so repeated access keeps the stored-attribute cost profile
-        of the pre-cursor representation.
+        The tuple is built (and, for a source that did not arrive in
+        order, sorted) once and cached, so repeated access keeps the
+        stored-attribute cost profile of the pre-cursor representation.
         """
         if self._rows_cache is None:
             rows = self._materialize()
-            if self._order_key is not None:
-                rows = sorted(rows, key=self._order_key)
-            self._rows_cache = tuple(rows)
+            self._rows_cache = tuple(rows if self._ordered else result_order(rows))
         return self._rows_cache
 
     # -- cursor API ------------------------------------------------------ #
@@ -251,26 +238,21 @@ class QueryResult:
 
     def fetchmany(self, size: int = 1) -> List[Tuple]:
         """Up to ``size`` unconsumed rows (an empty list when exhausted)."""
-        if self._order_key is not None:
-            ordered = self.rows
-            batch = list(ordered[self._cursor : self._cursor + size])
-        else:
+        if self._ordered:
             while len(self._fetched) - self._cursor < size and self._pull():
                 pass
-            batch = self._fetched[self._cursor : self._cursor + size]
+            ordered: Sequence[Tuple] = self._fetched
+        else:
+            ordered = self.rows
+        batch = list(ordered[self._cursor : self._cursor + size])
         self._cursor += len(batch)
         return batch
 
     def fetchall(self) -> List[Tuple]:
         """All remaining unconsumed rows."""
-        if self._order_key is not None:
-            ordered = self.rows
-            batch = list(ordered[self._cursor :])
-            self._cursor = len(ordered)
-            return batch
-        self._materialize()
-        batch = self._fetched[self._cursor :]
-        self._cursor = len(self._fetched)
+        ordered = self._materialize() if self._ordered else self.rows
+        batch = list(ordered[self._cursor :])
+        self._cursor = len(ordered)
         return batch
 
     # -- whole-result API ------------------------------------------------ #
@@ -297,7 +279,7 @@ class QueryResult:
         return set(self.rows)
 
     def to_list(self) -> List[Tuple]:
-        """Rows as a plain list, in the result's deterministic order."""
+        """Rows as a plain list, in result order."""
         return list(self.rows)
 
     def to_dicts(self) -> List[Dict[str, Any]]:
@@ -360,25 +342,26 @@ def ordered_result(statement: GraphTableQuery, relation: Relation) -> QueryResul
     """Wrap a result relation as a lazily ordered :class:`QueryResult`."""
     rows = relation.rows
 
-    def ordered() -> Iterator[Tuple]:
-        # Deterministic order, computed when rows are first consumed.
-        yield from sorted(rows, key=repr)
+    def ordered() -> Iterator[List[Tuple]]:
+        # One batch, put in result order when rows are first consumed.
+        yield result_order(rows)
 
-    return QueryResult(_result_columns(statement, relation.arity), ordered())
+    return QueryResult(_result_columns(statement, relation.arity), batches=ordered())
 
 
 def streamed_result(
-    statement: GraphTableQuery, arity: int, rows: Iterator[Tuple]
+    statement: GraphTableQuery, arity: int, batches: Iterator[List[Tuple]], ordered: bool
 ) -> QueryResult:
     """Wrap a streaming projection as a server-side-cursor result.
 
-    Iteration yields rows as the executor decodes them; the ordered
-    accessors (``fetch*``, ``rows``) materialize and sort lazily, so
-    the deterministic order of the materializing path is preserved
-    whenever it is asked for.
+    Iteration yields rows as the engine decodes them, a batch at a time.
+    ``ordered`` is the source's word that its batches concatenate to the
+    result order; the ordered accessors (``fetch*``, ``rows``) then read
+    it as it comes, and otherwise materialize and sort lazily — the
+    order is the same either way.
     """
     return QueryResult(
-        _result_columns(statement, arity), rows, order_key=repr, streamed=True
+        _result_columns(statement, arity), batches=batches, ordered=ordered, streamed=True
     )
 
 

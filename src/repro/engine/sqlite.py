@@ -286,13 +286,14 @@ class SQLiteEngine:
 
     def stream(
         self, query: Query, bindings: Optional[Bindings] = None
-    ) -> Optional[Tuple[int, Iterator[Tuple]]]:
-        """One-shot streaming evaluation: ``(arity, row iterator)`` or None.
+    ) -> Optional[Tuple[int, Iterator[List[Tuple]], bool]]:
+        """One-shot streaming evaluation: ``(arity, batches, ordered)`` or
+        None; SQLite promises no row order, so ``ordered`` is False.
 
         The SQL compiles and the statement starts executing here (compile
         errors and missing bindings surface at call time), but rows are
-        fetched from the SQLite cursor incrementally as the iterator is
-        consumed; in-flight temp tables are dropped when the iterator is
+        fetched from the SQLite cursor a batch at a time as the iterator
+        is consumed; in-flight temp tables are dropped when the iterator is
         exhausted or closed.  Returns ``None`` — the caller then takes the
         materializing :meth:`evaluate` path — for queries the SQL
         translation cannot serve, for depth-bounded sessions whose queries
@@ -322,7 +323,7 @@ class SQLiteEngine:
         except BaseException:
             self._drop_tables(tables)
             raise
-        return arity, self._stream_cursor(cursor, tables)
+        return arity, self._stream_cursor(cursor, tables), False
 
     def _stream_cursor(
         self, cursor: sqlite3.Cursor, tables: List[str]
@@ -771,7 +772,8 @@ _LITERALS = _LiteralSink()
 
 
 class _CursorStream:
-    """Distinct-row iterator over a SQLite cursor, detachable by the engine.
+    """Iterator of distinct-row batches over a SQLite cursor, detachable by
+    the engine.
 
     SQL row sets are bags while the engines' relations are sets, so a
     seen-set keeps the yielded rows distinct (matching
@@ -789,13 +791,13 @@ class _CursorStream:
         self._cursor: Optional[sqlite3.Cursor] = cursor
         self._tables = tables
         self._seen: set = set()
-        self._buffer: "deque[Tuple]" = deque()
+        self._buffer: "deque[List[Tuple]]" = deque()
         self._done = False
 
     def __iter__(self) -> "_CursorStream":
         return self
 
-    def __next__(self) -> Tuple:
+    def __next__(self) -> List[Tuple]:
         while True:
             if self._buffer:
                 return self._buffer.popleft()
@@ -808,12 +810,10 @@ class _CursorStream:
         if not chunk:
             self._finish()
             return
-        seen = self._seen
-        for raw in chunk:
-            row = tuple(raw)
-            if row not in seen:
-                seen.add(row)
-                self._buffer.append(row)
+        fresh = [row for row in dict.fromkeys(map(tuple, chunk)) if row not in self._seen]
+        self._seen.update(fresh)
+        if fresh:
+            self._buffer.append(fresh)
 
     def _finish(self) -> None:
         self._done = True
@@ -956,12 +956,12 @@ class _SQLiteCompiledQuery:
 
     def execute_stream(
         self, bindings: Optional[Bindings] = None, /, **named
-    ) -> Optional[Tuple[int, Iterator[Tuple]]]:
+    ) -> Optional[Tuple[int, Iterator[List[Tuple]], bool]]:
         """Execute and stream the result rows off the SQLite cursor.
 
         Mirrors the engine-level :meth:`SQLiteEngine.stream` contract:
-        ``(arity, distinct-row iterator)``, with binding errors raised
-        here and rows fetched incrementally.  Returns ``None`` — the
+        ``(arity, distinct-row batches, False)``, with binding errors
+        raised here and rows fetched incrementally.  Returns ``None`` — the
         caller falls back to :meth:`execute` — for zero-arity results and
         for statements with parameter-dependent pair tables (those are
         re-materialized per execution, which an open streaming cursor
@@ -980,7 +980,7 @@ class _SQLiteCompiledQuery:
         self.executions += 1
         # Statement-owned temp tables persist for the statement's
         # lifetime; the stream only owns (and closes) its cursor.
-        return self._arity, self.engine._stream_cursor(cursor, [])
+        return self._arity, self.engine._stream_cursor(cursor, []), False
 
     def close(self) -> None:
         """Drop the statement's persisted temp tables (deferred included —

@@ -20,10 +20,9 @@ from repro.engine import telemetry
 from repro.engine.explain import Explain
 from repro.engine.result import (
     QueryResult,
-    governed_rows,
+    governed_batches,
     ordered_result,
     streamed_result,
-    traced_decode,
 )
 from repro.errors import GovernanceError
 from repro.governance import (
@@ -192,7 +191,7 @@ class PreparedStatement:
             return self._execute_traced(session, merged, tracer, governor)
         start = perf_counter()
         result = self._run(session, merged, governor)
-        self._finish(session, merged, result, perf_counter() - start, root=None)
+        self._finish(session, merged, result, perf_counter() - start, None, tracer)
         return result
 
     def _execute_traced(
@@ -212,7 +211,7 @@ class PreparedStatement:
                 params=sorted(merged),
             ) as root:
                 result = self._run(session, merged, governor)
-            self._finish(session, merged, result, root.duration_s, root=root)
+            self._finish(session, merged, result, root.duration_s, root, tracer)
             return result
         finally:
             if token is not None:
@@ -236,9 +235,9 @@ class PreparedStatement:
         # connection must serialize — parallelism comes from one
         # connection per thread, all sharing the snapshot cache.  The
         # streaming path does every stateful step eagerly inside the
-        # lock; only the stateless projection decode escapes it (stream
-        # generators capture the governor eagerly, so decode checkpoints
-        # keep working after the context variable resets here).
+        # lock; only the stateless projection decode escapes it (the
+        # batch wrapper holds the governor, so decode checkpoints keep
+        # working after the context variable resets here).
         try:
             with session._lock, activate_governor(governor):
                 self._ensure_compiled()
@@ -264,14 +263,11 @@ class PreparedStatement:
                     if stream is not None:
                         streamed = stream(merged)
                         if streamed is not None:
-                            arity, rows = streamed
+                            arity, batches, ordered = streamed
                             span.tag(streamed=True)
                             if governor is not None:
-                                rows = governed_rows(governor, rows)
-                            tracer = active_tracer()
-                            if tracer.enabled:
-                                rows = traced_decode(tracer, rows, self.text)
-                            result = streamed_result(statement, arity, rows)
+                                batches = governed_batches(governor, batches)
+                            result = streamed_result(statement, arity, batches, ordered)
                             session._live_streams.track(result)
                     if result is None:
                         relation = self._compiled.execute(merged)
@@ -287,21 +283,25 @@ class PreparedStatement:
         return result
 
     def _finish(
-        self,
-        session: "Connection",
-        merged,
-        result: QueryResult,
-        elapsed_s: float,
-        *,
-        root,
+        self, session: "Connection", merged, result: QueryResult, elapsed_s: float, root, tracer
     ) -> None:
         """Post-execution bookkeeping shared by both paths: prepared
-        accounting, per-query metrics, and the slow-query check."""
+        accounting, per-query metrics, and the slow-query check.
+        ``elapsed_s`` is the eager phase; a streamed result reports its
+        decode phase when its source settles."""
         reused = self.executions > 0
         self.executions += 1
         session._note_prepared_execution(reused=reused)
         telemetry.record_query_metrics(session, elapsed_s, result)
-        telemetry.check_slow_query(session, self.text, merged, elapsed_s, root)
+        slow_check = (session, self.text, merged, elapsed_s, root, tracer)
+        telemetry.check_slow_query(*slow_check)
+        if result.streamed:
+
+            def settled(rows: int, decode_s: float) -> None:
+                telemetry.record_decode(session, tracer, self.text, rows, decode_s)
+                telemetry.check_slow_query(*slow_check, decode_s=decode_s)
+
+            result._on_settled = settled
 
     def explain(self) -> Explain:
         """The statement's optimized plan plus per-statement reuse counts."""

@@ -13,7 +13,7 @@ connection, next to the engine it measures).
 from __future__ import annotations
 
 import logging
-from typing import TYPE_CHECKING, Any, Dict, List
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.errors import (
     GovernanceError,
@@ -22,11 +22,11 @@ from repro.errors import (
     ResourceExhaustedError,
 )
 from repro.observability.analyze import ExecutionProfiler, OperatorStats
-from repro.observability.tracing import active_tracer
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only (import cycle guard)
     from repro.engine.connection import Connection
     from repro.engine.result import QueryResult
+    from repro.observability.tracing import Tracer
 
 #: Slow-query records always go here too, independent of tracer sinks.
 _SLOW_QUERY_LOGGER = logging.getLogger("repro.slow_query")
@@ -111,25 +111,64 @@ def record_governance_abort(connection: "Connection", error: GovernanceError) ->
     ).inc()
 
 
+def record_decode(
+    connection: "Connection", tracer: "Tracer", text: str, rows: int, decode_s: float
+) -> None:
+    """Report a streamed result's decode phase once its source settles.
+
+    ``repro_query_seconds`` covers the eager phase only (the plan runs at
+    ``execute()``); what the cursor then spent inside the row source —
+    clocked per batch — lands here: one ``repro_result_decode_seconds``
+    observation, the rows it decoded, and a ``decode`` record on the
+    run's tracer.
+    """
+    registry = getattr(connection._owner, "_metrics", None)
+    if registry is not None:
+        engine = connection._engine_name
+        registry.histogram(
+            "repro_result_decode_seconds",
+            "Time streamed results spent decoding rows, after execute() returned",
+            engine=engine,
+        ).observe(decode_s)
+        registry.counter(
+            "repro_result_rows_total", "Rows decoded by streamed results", engine=engine
+        ).inc(rows)
+    if tracer.enabled:
+        # Out of band: the root query span closed when execute() returned.
+        tracer.emit(
+            {
+                "name": "decode",
+                "duration_s": decode_s,
+                "tags": {"rows": rows, "statement": snippet(text)},
+            }
+        )
+
+
 def check_slow_query(
-    connection: "Connection", text: str, merged, elapsed_s: float, root
+    connection: "Connection", text: str, merged, elapsed_s: float, root, tracer: "Tracer",
+    *, decode_s: Optional[float] = None,
 ) -> None:
     """Emit a slow-query record when the database threshold is hit.
 
     The record carries the statement text, the bindings *shape*
     (parameter names, never values), the snapshot fingerprint and —
     when the run was traced — the per-stage breakdown of the root
-    span.  It goes to the run's tracer sinks (falling back to the
-    connection's tracer) and always to the ``repro.slow_query`` logger.
+    span.  It goes to the run's tracer sinks and always to the
+    ``repro.slow_query`` logger.  Called when ``execute()`` returns and,
+    with ``decode_s``, again when a streamed result settles: that call
+    reports a query only its decode time carried over the threshold.
     """
     threshold = getattr(connection._owner, "slow_query_seconds", None)
-    if threshold is None or elapsed_s < threshold:
+    total_s = elapsed_s + (decode_s or 0.0)
+    if threshold is None or total_s < threshold:
         return
+    if decode_s is not None and elapsed_s >= threshold:
+        return  # already reported when execute() returned
     engine = connection._engine_name
     record: Dict[str, Any] = {
         "kind": "slow_query",
         "engine": engine,
-        "duration_s": elapsed_s,
+        "duration_s": total_s,
         "threshold_s": threshold,
         "statement": snippet(text, limit=400),
         "bindings": sorted(merged),
@@ -140,11 +179,9 @@ def check_slow_query(
             {"name": child.name, "duration_s": child.duration_s}
             for child in root.children
         ]
-    emitter = connection._tracer
-    tracer = active_tracer()
-    if tracer.enabled:
-        emitter = tracer
-    emitter.emit(record)
+    if decode_s is not None:
+        record["decode_s"] = decode_s
+    tracer.emit(record)
     registry = getattr(connection._owner, "_metrics", None)
     if registry is not None:
         registry.counter(
@@ -154,7 +191,7 @@ def check_slow_query(
         ).inc()
     _SLOW_QUERY_LOGGER.warning(
         "slow query (%.4fs >= %.4fs) on %s: %s",
-        elapsed_s,
+        total_s,
         threshold,
         engine,
         record["statement"],

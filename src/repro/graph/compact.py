@@ -77,6 +77,24 @@ def iter_bits(mask: int) -> Iterator[int]:
         yield low.bit_length() - 1
 
 
+def bit_positions(mask: int) -> List[int]:
+    """The set bit positions of ``mask``, increasing, as a list.
+
+    Decoded a byte at a time through :data:`BYTE_POSITIONS`; a mask with
+    under one bit in 32 set (a sparse reach set over many nodes) is
+    cheaper to peel bit by bit than to scan for its empty bytes.
+    """
+    if mask.bit_count() * 32 < mask.bit_length():
+        return list(iter_bits(mask))
+    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    return [
+        base + offset
+        for base, byte in zip(range(0, 8 * len(data), 8), data)
+        if byte
+        for offset in BYTE_POSITIONS[byte]
+    ]
+
+
 class CompactGraph:
     """Immutable integer-ID snapshot of one property graph.
 
@@ -102,6 +120,7 @@ class CompactGraph:
         "_node_label_masks",
         "_edge_label_masks",
         "_property_columns",
+        "_decode_tables",
     )
 
     def __init__(self, graph: "PropertyGraph", *, version: int = 0):
@@ -135,6 +154,7 @@ class CompactGraph:
         self._node_label_masks: Optional[Dict[str, int]] = None
         self._edge_label_masks: Optional[Dict[str, int]] = None
         self._property_columns: Dict[Tuple[str, str], List[Any]] = {}
+        self._decode_tables: Dict[Tuple, Any] = {}
         self.encode_seconds = perf_counter() - start
         tracer = active_tracer()
         if tracer.enabled:
@@ -238,6 +258,52 @@ class CompactGraph:
                     column[position] = value
         self._property_columns[(key, kind)] = column
         return column
+
+    def fragments(self, key: Optional[str], kind: str) -> Sequence[Optional[Tuple]]:
+        """One ID space as output-row fragments, by ID: its identifier
+        tuples (``key`` None), or the 1-tuples of property ``key``'s values
+        with ``None`` where the property is undefined."""
+        if key is None:
+            return self.ids(kind)
+        column = self._decode_tables.get((key, kind))
+        if column is None:
+            column = self._decode_tables[(key, kind)] = [
+                None if value is MISSING else (value,)
+                for value in self.property_column(key, kind)
+            ]
+        return column
+
+    def rank_table(
+        self, key: Optional[str], kind: str, terminator: str
+    ) -> Tuple[List[int], List[Tuple], bool]:
+        """``(rank by ID, fragment by rank, prefix_free)`` of one fragment
+        column under the order of its sort keys.
+
+        A fragment's key is the text it contributes to the ``repr`` of a
+        row it is part of — its values' reprs joined by ``", "`` — plus
+        ``terminator``, the text that follows it there.  Equal fragments
+        share a rank (``-1`` = undefined).  ``prefix_free`` says no key
+        is a prefix of another: then comparing two rows' reprs is decided
+        inside the first fragment whenever those differ.  Built once per
+        ``(column, terminator)`` and kept with the column.
+        """
+        cached = self._decode_tables.get((key, kind, terminator))
+        if cached is None:
+            column = self.fragments(key, kind)
+            keys = {
+                fragment: ", ".join(map(repr, fragment)) + terminator
+                for fragment in column
+                if fragment is not None
+            }
+            by_rank = sorted(keys, key=keys.__getitem__)
+            texts = [keys[fragment] for fragment in by_rank]
+            prefix_free = not any(map(str.startswith, texts[1:], texts))
+            rank_of = {fragment: rank for rank, fragment in enumerate(by_rank)}
+            ranks = [-1 if fragment is None else rank_of[fragment] for fragment in column]
+            cached = self._decode_tables[(key, kind, terminator)] = (
+                ranks, by_rank, prefix_free
+            )
+        return cached
 
     # ------------------------------------------------------------------ #
     # CSR navigation

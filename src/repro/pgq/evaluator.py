@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional, Protocol, Tuple
+from typing import Dict, Iterator, List, Optional, Protocol, Tuple
 
 from repro.errors import ArityError, QueryError
 from repro.matching.endpoint import EndpointEvaluator, EvaluationCounters
@@ -97,14 +97,16 @@ class CompiledQuery:
 
     def execute_stream(
         self, bindings: Optional[Bindings] = None, /, **named
-    ) -> Optional[Tuple[int, Iterator[Tuple]]]:
+    ) -> Optional[Tuple[int, Iterator[List[Tuple]], bool]]:
         """Execute and *stream* the result when the engine supports it.
 
-        Returns ``(arity, row iterator)`` — the engine runs the plan
-        eagerly (binding and depth-bound errors surface here) and the
-        iterator yields distinct output rows incrementally — or ``None``
-        when the engine or query shape cannot stream, in which case the
-        caller falls back to the materializing :meth:`execute`.
+        Returns ``(arity, batches, ordered)`` — the engine runs the plan
+        eagerly (binding and depth-bound errors surface here), ``batches``
+        yields the distinct output rows incrementally, a list at a time,
+        and ``ordered`` says whether they arrive in result order
+        (ascending ``repr(row)``) — or ``None`` when the engine or query
+        shape cannot stream, in which case the caller falls back to the
+        materializing :meth:`execute`.
         """
         stream = getattr(self.engine, "stream", None)
         if stream is None:
@@ -255,15 +257,16 @@ class PGQEvaluator:
 
     def stream(
         self, query: Query, bindings: Optional[Bindings] = None
-    ) -> Optional[Tuple[int, Iterator[Tuple]]]:
+    ) -> Optional[Tuple[int, Iterator[List[Tuple]], bool]]:
         """Evaluate with a *streaming* projection, when the query allows it.
 
         Serves root-level ``GraphPattern`` queries whose matcher exposes
         ``stream_output`` (the planner's executor): the physical plan runs
         eagerly — missing bindings, invalid views and depth-bound errors
         all surface here, exactly like :meth:`evaluate` — and the returned
-        ``(arity, iterator)`` yields distinct output rows incrementally as
-        the projection decodes, without materializing the full row set.
+        ``(arity, batches, ordered)`` yields distinct output rows a batch
+        at a time as the projection decodes, without materializing the
+        full row set (see :meth:`CompiledQuery.execute_stream`).
         Returns ``None`` for query shapes or matchers that cannot stream
         (relational roots, the naive oracle); callers fall back to
         :meth:`evaluate`.  Streaming matchers build output rows from a
@@ -286,12 +289,12 @@ class PGQEvaluator:
                 return None
             active = self._bindings
             if active and getattr(matcher, "supports_parameters", False):
-                rows = stream_output(query.output, bindings=active)
+                batches, ordered = stream_output(query.output, bindings=active)
             elif active:
                 return None
             else:
-                rows = stream_output(query.output)
-            return output_arity(query.output, identifier_arity), rows
+                batches, ordered = stream_output(query.output)
+            return output_arity(query.output, identifier_arity), batches, ordered
         finally:
             self._memo = None
             self._bindings = {}

@@ -10,7 +10,9 @@ the execution backends:
 * :mod:`repro.planner.cost` — the cardinality model and the cost-based
   join-ordering pass driven by those statistics;
 * :mod:`repro.planner.physical` — int-column execution (hash joins, the
-  bitmask repetition fixpoint) and the compiled-plan memo.
+  bitmask repetition fixpoint) and the compiled-plan memo;
+* :mod:`repro.planner.decode` — output decode and projection: binding
+  tables to row sets, or to row batches in result order for cursors.
 
 The :class:`~repro.planner.physical.PlanExecutor` plugs into
 :class:`~repro.pgq.evaluator.PGQEvaluator` through the matcher oracle

@@ -1,0 +1,225 @@
+"""Output decode and projection: binding tables to output rows.
+
+The last step of physical execution turns a
+:class:`~repro.planner.physical.CompactTable` over integer IDs into the
+output pattern's distinct rows, through the **fragment columns** of the
+compact encoding (:meth:`~repro.graph.compact.CompactGraph.fragments`):
+per output item, the identifier tuple or the 1-tuple of a property value
+each ID contributes to a row, ``None`` where the property is undefined
+(such rows drop).  Two consumers share every kernel here:
+
+* :func:`project` materializes the row set (the matcher oracle
+  interface, ``evaluate_output``);
+* :func:`stream_project` hands a cursor **batches** — lists of rows —
+  plus one fact: whether concatenating them gives the result order.
+
+The result order is ascending ``repr(row)``.  For a mask-form (closure)
+table projected onto both endpoints it is produced structurally:
+``repr(head + tail)`` is ``"(" + key(head) + key(tail)`` with
+``key(head) = ", ".join(map(repr, head)) + ", "`` and ``key(tail)`` the
+same join closed by ``")"``, so while no head key is a prefix of another
+(checked once per column, with its rank table) sorting rows by ``repr``
+equals walking heads in key order and, per head, tails in key order.
+Everything else — generic int-row tables, single-column projections, a
+column whose head keys are not prefix-free — is handed over unordered
+and sorted by the cursor.
+"""
+
+from __future__ import annotations
+
+from functools import reduce
+from itertools import islice
+from operator import or_
+from typing import TYPE_CHECKING, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+
+from repro.governance import current_governor
+from repro.graph.compact import CompactGraph, bit_positions
+from repro.patterns.ast import OutputPattern, PropertyRef
+
+if TYPE_CHECKING:  # pragma: no cover - type hints only (import cycle guard)
+    from repro.planner.physical import CompactTable
+
+#: Int rows decoded per batch of a streamed generic table.
+_CHUNK = 256
+
+#: One resolved output item: ``(row index, property key or None, ID space)``.
+Item = Tuple[int, Optional[str], str]
+
+
+def _resolve_items(table: "CompactTable", output: OutputPattern) -> Optional[List[Item]]:
+    """Output items resolved against a table's column layout, or None when
+    one names a variable the table does not bind (every row then drops)."""
+    items: List[Item] = []
+    for item in output.items:
+        variable, key = (
+            (item.variable, item.key) if isinstance(item, PropertyRef) else (item, None)
+        )
+        index = table.columns.get(variable)
+        if index is None:
+            return None
+        items.append((index, key, table.kinds.get(variable, "node")))
+    return items
+
+
+def _pair_layout(encoded: CompactGraph, table: "CompactTable", items: List[Item]):
+    """``(masks, head item, tail item)`` when ``items`` project a mask-form
+    table onto both endpoints, else None.  Rows are ``head + tail``; when
+    the output names the target first, the masks are transposed so that it
+    heads them."""
+    if table.masks is None or sorted(index for index, _, _ in items) != [0, 1]:
+        return None
+    head, tail = items
+    if head[0] == 0:
+        return table.masks, head, tail
+    # Sources sharing a reach mask scatter into the transpose together.
+    sources_of: dict = {}
+    for i, mask in enumerate(table.masks):
+        if mask:
+            sources_of[mask] = sources_of.get(mask, 0) | (1 << i)
+    transposed = [0] * encoded.node_count
+    for mask, sources in sources_of.items():
+        for j in bit_positions(mask):
+            transposed[j] |= sources
+    return transposed, head, tail
+
+
+def _pair_batches(encoded: CompactGraph, masks, head: Item, tail: Item, ordered: bool):
+    """The one mask-decode kernel: ``head + tail`` rows of a pair relation
+    held as per-head bitmasks over the tail IDs, one batch per head.
+
+    Sources inside one strongly connected component share identical reach
+    masks, so each *distinct* mask's tail fragments are decoded once and
+    every batch is one list comprehension over them.  ``ordered`` asks
+    for the result order (module docstring): heads walk their rank table,
+    equal heads merging their masks, and a mask's tails are its bits ->
+    ranks -> sorted -> fragments, so merged masks and rank sets also do
+    the deduplication.  Returns None when the head keys are not
+    prefix-free.  Unordered, heads come in ID order straight off the
+    fragment columns and rows may repeat across batches.
+    """
+    _, head_key, head_kind = head
+    _, tail_key, tail_kind = tail
+    if ordered:
+        head_ranks, by_rank, prefix_free = encoded.rank_table(head_key, head_kind, ", ")
+        if not prefix_free:
+            return None
+        tail_ranks, tails_by_rank, _ = encoded.rank_table(tail_key, tail_kind, ")")
+        merged: dict = {}
+        for rank, mask in zip(head_ranks, masks):
+            if mask and rank >= 0:
+                merged[rank] = merged.get(rank, 0) | mask
+        sources = [(by_rank[rank], merged[rank]) for rank in sorted(merged)]
+
+        def decode(mask: int) -> List[Tuple]:
+            ranks = {tail_ranks[j] for j in bit_positions(mask)}
+            ranks.discard(-1)
+            return [tails_by_rank[rank] for rank in sorted(ranks)]
+
+    else:
+        tails = encoded.fragments(tail_key, tail_kind)
+        sources = [
+            (fragment, mask)
+            for fragment, mask in zip(encoded.fragments(head_key, head_kind), masks)
+            if mask and fragment is not None
+        ]
+
+        def decode(mask: int) -> List[Tuple]:
+            row_tails = map(tails.__getitem__, bit_positions(mask))
+            return [row_tail for row_tail in row_tails if row_tail is not None]
+
+    def batches() -> Iterator[List[Tuple]]:
+        decoded: dict = {}
+        for fragment, mask in sources:
+            row_tails = decoded.get(mask)
+            if row_tails is None:
+                row_tails = decoded[mask] = decode(mask)
+            if row_tails:
+                yield [fragment + row_tail for row_tail in row_tails]
+
+    return batches()
+
+
+def _decode_rows(encoded: CompactGraph, rows: Iterable[Tuple], items: List[Item]) -> List[Tuple]:
+    """Int rows decoded through their items' fragment columns."""
+    columns = [(index, encoded.fragments(key, kind)) for index, key, kind in items]
+    decoded: List[Tuple] = []
+    for row in rows:
+        projected: Tuple = ()
+        for index, column in columns:
+            fragment = column[row[index]]
+            if fragment is None:
+                break
+            projected += fragment
+        else:
+            decoded.append(projected)
+    return decoded
+
+
+def project(
+    encoded: CompactGraph, table: "CompactTable", output: OutputPattern
+) -> FrozenSet[Tuple]:
+    """Decode a table into the output pattern's distinct row set."""
+    items = _resolve_items(table, output)
+    if items is None:
+        return frozenset()
+    layout = _pair_layout(encoded, table, items)
+    if layout is not None:
+        # Accumulate into a list (appends don't hash) and hash once in the
+        # final frozenset; a frozenset needs no order, so none is asked for.
+        rows: List[Tuple] = []
+        governor = current_governor()
+        for count, batch in enumerate(_pair_batches(encoded, *layout, ordered=False)):
+            if governor is not None and not count & 63:
+                governor.checkpoint("stream.decode")
+            rows += batch
+        return frozenset(rows)
+    if table.masks is not None and len(items) == 1:
+        (index, key, kind), masks = items[0], table.masks
+        if index == 0:
+            positions = [i for i, mask in enumerate(masks) if mask]
+        else:
+            positions = bit_positions(reduce(or_, masks, 0))
+        fragments = map(encoded.fragments(key, kind).__getitem__, positions)
+        return frozenset(fragment for fragment in fragments if fragment is not None)
+    return frozenset(_decode_rows(encoded, table.unpacked().rows, items))
+
+
+def stream_project(
+    encoded: CompactGraph, table: "CompactTable", output: OutputPattern
+) -> Tuple[Iterator[List[Tuple]], bool]:
+    """``(batches, ordered)``: the decoded projection as distinct rows in
+    lists, and whether the lists concatenate to the result order.
+
+    Both endpoints of a mask-form table stream one batch per head, in
+    result order, straight from the reachability bitmasks — the first
+    rows of a large closure are available right after the fixpoint.  A
+    generic int-row table streams unordered, :data:`_CHUNK` rows at a
+    time.  What is left — one endpoint of a mask-form table (at most a
+    row per node), or both when the head keys are not prefix-free — is
+    the materialized set as a single unordered batch.
+    """
+    items = _resolve_items(table, output)
+    if items is None:
+        return iter(()), False
+    layout = _pair_layout(encoded, table, items)
+    if layout is not None:
+        batches = _pair_batches(encoded, *layout, ordered=True)
+        if batches is not None:
+            return batches, True
+    if layout is not None or (table.masks is not None and len(items) == 1):
+        return iter([list(project(encoded, table, output))]), False
+    rows = iter(table.unpacked().rows)
+
+    def chunks() -> Iterator[List[Tuple]]:
+        seen: set = set()
+        while chunk := list(islice(rows, _CHUNK)):
+            fresh = [
+                row
+                for row in dict.fromkeys(_decode_rows(encoded, chunk, items))
+                if row not in seen
+            ]
+            seen.update(fresh)
+            if fresh:
+                yield fresh
+
+    return chunks(), False

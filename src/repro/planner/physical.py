@@ -22,7 +22,8 @@ and the boxed identifier tuples entirely:
   per-source successor bitmasks (word-parallel OR propagation) and keeps
   the result in mask form; depth-guarded and bounded repetition run the
   shared kernels of :mod:`repro.matching.fixpoint`;
-* identifiers and property values are decoded only at output projection.
+* identifiers and property values are decoded only at output projection
+  (:mod:`repro.planner.decode`).
 
 ID spaces.  A pattern variable ranges over ``N ∪ E`` with ``N`` and ``E``
 disjoint (the ``pgView`` condition ``R1 ∩ R2 = ∅``).  A column is tagged
@@ -66,11 +67,7 @@ from typing import (
 from repro.errors import BindingError, PatternError
 from repro.governance import CHECK_INTERVAL, current_governor
 from repro.graph import compact as compact_encoding
-from repro.graph.compact import (
-    BYTE_POSITIONS as _BYTE_POSITIONS,
-    MISSING as _COMPACT_MISSING,
-    iter_bits,
-)
+from repro.graph.compact import MISSING as _COMPACT_MISSING, bit_positions, iter_bits
 from repro.graph.property_graph import PropertyGraph
 from repro.matching import fixpoint
 from repro.observability.analyze import active_profiler
@@ -87,7 +84,8 @@ from repro.patterns.conditions import (
     PropertyComparesProperty,
     PropertyEquals,
 )
-from repro.patterns.ast import OutputPattern, Pattern, PropertyRef, pattern_parameters
+from repro.patterns.ast import OutputPattern, Pattern, pattern_parameters
+from repro.planner.decode import project, stream_project
 from repro.planner.logical import (
     BindEndpoint,
     EdgeScan,
@@ -277,6 +275,24 @@ class CompactTable(NamedTuple):
     rows: Set
     masks: Optional[List[int]] = None
 
+    def unpacked(self) -> "CompactTable":
+        """Expand a mask-form pair relation into real ``(src, tgt)`` rows."""
+        if self.masks is None:
+            return self
+        # A dense closure expands to O(V^2) pairs; without polling, the
+        # whole expansion is one un-interruptible stretch right before
+        # the first decoded row.
+        governor = current_governor()
+        checked = 0
+        rows: Set[Tuple] = set()
+        for i, mask in enumerate(self.masks):
+            if mask:
+                rows.update([(i, j) for j in bit_positions(mask)])
+            if governor is not None and len(rows) - checked >= 4096:
+                governor.checkpoint("stream.decode")
+                checked = len(rows)
+        return CompactTable(self.columns, self.kinds, rows)
+
 
 class PlanExecutor:
     """Executes logical plans against one property graph.
@@ -374,159 +390,24 @@ class PlanExecutor:
         executions with different bindings never recompile.
         """
         plan = self._plan_for_output(output, bindings)
-        return self._project(self.execute(plan), output)
+        return project(self._compact_graph(), self.execute(plan), output)
 
-    # ------------------------------------------------------------------ #
-    # Streaming projection (server-side cursors)
-    # ------------------------------------------------------------------ #
-    def stream_output(self, output: OutputPattern, bindings=None) -> Iterator[Tuple]:
+    def stream_output(
+        self, output: OutputPattern, bindings=None
+    ) -> Tuple[Iterator[List[Tuple]], bool]:
         """Plan and execute eagerly, then *stream* the output projection.
 
         The physical plan (scans, joins, the repetition fixpoint) runs
         before this method returns — so binding errors, depth-bound
         ``PatternError`` and plan failures surface at call time exactly
         like :meth:`evaluate_output` — but projection and identifier
-        decoding are deferred: the returned generator yields distinct
-        output rows one at a time instead of materializing the full
-        frozenset.  Mask-form repetition results decode straight from the
-        reachability bitmasks, so the first row of a large closure is
-        available in O(1) after the fixpoint.
+        decoding are deferred: the result is
+        :func:`repro.planner.decode.stream_project`'s ``(batches,
+        ordered)``, lists of distinct output rows decoded as they are
+        pulled, and whether they arrive in result order.
         """
         plan = self._plan_for_output(output, bindings)
-        return self._stream_project(self.execute(plan), output)
-
-    def _resolve_items(
-        self, table: CompactTable, output: OutputPattern
-    ) -> List[Tuple[Optional[int], Optional[List], bool]]:
-        """Pre-resolve output items against a table: ``(row index,
-        decoder, is_property)`` per item — the decoder is an interning
-        table for plain variables and a dense value column for property
-        references.  Shared by the materializing and streaming paths so
-        the resolution rules can never diverge between them."""
-        encoded = self._compact_graph()
-        columns, kinds = table.columns, table.kinds
-        items: List[Tuple[Optional[int], Optional[List], bool]] = []
-        for item in output.items:
-            if isinstance(item, PropertyRef):
-                index = columns.get(item.variable)
-                values = None
-                if index is not None:  # unbound variable: rows drop anyway
-                    kind = kinds.get(item.variable, "node")
-                    values = encoded.property_column(item.key, kind)
-                items.append((index, values, True))
-            else:
-                index = columns.get(item)
-                ids = encoded.ids(kinds.get(item, "node")) if index is not None else None
-                items.append((index, ids, False))
-        return items
-
-    def _stream_project(
-        self, table: CompactTable, output: OutputPattern
-    ) -> Iterator[Tuple]:
-        """Generator over the decoded projection of a table."""
-        items = self._resolve_items(table, output)
-        # Resolved eagerly (this frame runs inside the execution's governor
-        # activation); the lazy generators below close over it so decode
-        # checkpoints keep firing when iteration happens later, possibly on
-        # another thread.
-        governor = current_governor()
-        if table.masks is not None and items and all(i is not None for i, _, _ in items):
-            masks = table.masks
-            # A property column decodes like an interning table once its
-            # values are 1-tuples (None where the property is undefined).
-            # Identifiers are injective per ID space, property values are
-            # not: only a projection that reads one needs the dedup set.
-            dedup = any(is_property for _, _, is_property in items)
-            decoders = [
-                [None if v is _COMPACT_MISSING else (v,) for v in decoder]
-                if is_property
-                else decoder
-                for _, decoder, is_property in items
-            ]
-            if len(items) == 1:
-                index, parts = items[0][0], decoders[0]
-
-                def stream_single() -> Iterator[Tuple]:
-                    if index == 0:
-                        positions = (i for i, mask in enumerate(masks) if mask)
-                    else:
-                        union = 0
-                        for mask in masks:
-                            union |= mask
-                        positions = iter_bits(union)
-                    seen: Set[Tuple] = set()
-                    produced = 0
-                    for position in positions:
-                        row = parts[position]
-                        if row is None:
-                            continue
-                        if dedup:
-                            if row in seen:
-                                continue
-                            seen.add(row)
-                        if governor is not None:
-                            if not produced & 63:
-                                governor.checkpoint("stream.decode")
-                            produced += 1
-                        yield row
-
-                return stream_single()
-            if len(items) == 2 and {items[0][0], items[1][0]} == {0, 1}:
-                swapped = items[0][0] == 1
-                heads, tails = reversed(decoders) if swapped else decoders
-
-                def stream_pairs() -> Iterator[Tuple]:
-                    seen: Set[Tuple] = set()
-                    produced = 0
-                    for i, mask in enumerate(masks):
-                        head = heads[i]
-                        if not mask or head is None:
-                            continue
-                        for j in iter_bits(mask):
-                            tail = tails[j]
-                            if tail is None:
-                                continue
-                            row = tail + head if swapped else head + tail
-                            if dedup:
-                                if row in seen:
-                                    continue
-                                seen.add(row)
-                            if governor is not None:
-                                if not produced & 63:
-                                    governor.checkpoint("stream.decode")
-                                produced += 1
-                            yield row
-
-                return stream_pairs()
-        rows = self._unpacked(table).rows
-
-        def stream_rows() -> Iterator[Tuple]:
-            seen: Set[Tuple] = set()
-            for row in rows:
-                projected: List = []
-                defined = True
-                for index, decoder, is_property in items:
-                    if index is None:
-                        defined = False
-                        break
-                    value_id = row[index]
-                    if is_property:
-                        value = decoder[value_id]
-                        if value is _COMPACT_MISSING:
-                            defined = False
-                            break
-                        projected.append(value)
-                    else:
-                        projected.extend(decoder[value_id])
-                if defined:
-                    result = tuple(projected)
-                    if result not in seen:
-                        if governor is not None and not len(seen) & 63:
-                            governor.checkpoint("stream.decode")
-                        seen.add(result)
-                        yield result
-
-        return stream_rows()
+        return stream_project(self._compact_graph(), self.execute(plan), output)
 
     # ------------------------------------------------------------------ #
     # Operators
@@ -630,32 +511,6 @@ class PlanExecutor:
             columns = self._empty_columns(plan)
             return CompactTable(columns, {v: "node" for v in columns}, set())
         raise PatternError(f"unknown physical operator for {plan!r}")
-
-    def _unpacked(self, table: CompactTable) -> CompactTable:
-        """Expand a mask-form pair relation into real ``(src, tgt)`` rows."""
-        if table.masks is None:
-            return table
-        # A dense closure expands to O(V^2) pairs; without polling, the
-        # whole expansion is one un-interruptible stretch right before
-        # the first decoded row.
-        governor = current_governor()
-        checked = 0
-        rows: Set[Tuple] = set()
-        add = rows.add
-        for i, mask in enumerate(table.masks):
-            if not mask:
-                continue
-            data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
-            base = 0
-            for byte in data:
-                if byte:
-                    for offset in _BYTE_POSITIONS[byte]:
-                        add((i, base + offset))
-                base += 8
-            if governor is not None and len(rows) - checked >= 4096:
-                governor.checkpoint("stream.decode")
-                checked = len(rows)
-        return CompactTable(table.columns, table.kinds, rows)
 
     def _compact_label_mask(self, labels: FrozenSet[str], kind: str) -> Optional[int]:
         """Bitmask of IDs carrying every label, or None for no filter."""
@@ -870,8 +725,8 @@ class PlanExecutor:
         return self._compact_graph().node_count if kind == "edge" != target else 0
 
     def _compact_join(self, plan: JoinStep) -> CompactTable:
-        left = self._unpacked(self.execute(plan.left))
-        right = self._unpacked(self.execute(plan.right))
+        left = self.execute(plan.left).unpacked()
+        right = self.execute(plan.right).unpacked()
         left_columns, right_columns = left.columns, right.columns
 
         columns: ColumnMap = {}
@@ -976,8 +831,8 @@ class PlanExecutor:
         return CompactTable(canonical, kinds, projected)
 
     def _compact_union(self, plan: UnionStep) -> CompactTable:
-        left = self._unpacked(self.execute(plan.left))
-        right = self._unpacked(self.execute(plan.right))
+        left = self.execute(plan.left).unpacked()
+        right = self.execute(plan.right).unpacked()
         # Variables bound in only one branch are pruning residue (kept for a
         # branch-internal filter); anything consumed above the union is kept
         # in both branches by prune_variables, so project to the overlap.
@@ -995,7 +850,7 @@ class PlanExecutor:
         return CompactTable(left.columns, kinds, left.rows | right.rows)
 
     def _compact_filter(self, plan: FilterStep) -> CompactTable:
-        table = self._unpacked(self.execute(plan.operand))
+        table = self.execute(plan.operand).unpacked()
         condition = plan.condition
         encoded = self._compact_graph()
         bound = [
@@ -1030,7 +885,7 @@ class PlanExecutor:
                 )
                 span.tag(rounds=self.counters.fixpoint_rounds - rounds_before)
                 return CompactTable({}, {}, set(), masks)
-            pairs = {(row[0], row[1]) for row in self._unpacked(body).rows}
+            pairs = {(row[0], row[1]) for row in body.unpacked().rows}
             # Depth-guarded paths reuse the shared kernels (the
             # ``max_repetitions`` error behavior must not drift between
             # engines); int IDs are ordinary hashables to them.
@@ -1094,113 +949,3 @@ class PlanExecutor:
                 composed.append(mask)
             reach = composed
         return reach
-
-    # -- projection ----------------------------------------------------- #
-    @staticmethod
-    def _decode_mask_output(masks: List[int], items: List[Tuple]) -> Optional[FrozenSet]:
-        """Decode a mask-form pair relation straight into output rows.
-
-        Covers the dominant projections over a repetition result — one or
-        both endpoints — without materializing the pair rows at all;
-        returns None for layouts the caller should expand normally.
-        """
-        if len(items) == 1:
-            index, ids, _ = items[0]
-            if index == 0:
-                return frozenset(ids[i] for i, mask in enumerate(masks) if mask)
-            union = 0
-            for mask in masks:
-                union |= mask
-            return frozenset(ids[j] for j in iter_bits(union))
-        if len(items) != 2:
-            return None
-        (i1, ids1, _), (i2, ids2, _) = items
-        if (i1, i2) not in ((0, 1), (1, 0)):
-            return None
-        swapped = i1 == 1
-        # Sources inside one strongly connected component share identical
-        # reach masks, so group by mask value and decode each distinct
-        # mask's bit positions exactly once; rows are then emitted through
-        # C-level loops (map over tuple concatenation into set.update).
-        groups: Dict[int, List[int]] = {}
-        setdefault = groups.setdefault
-        for i, mask in enumerate(masks):
-            if mask:
-                setdefault(mask, []).append(i)
-        # Accumulate into a list (appends don't hash) and hash once in the
-        # final frozenset; each (source, target) pair occurs exactly once
-        # across the groups, so nothing is wasted on early deduplication.
-        results: List[Tuple] = []
-        extend = results.extend
-        target_ids = ids1 if swapped else ids2
-        source_ids = ids2 if swapped else ids1
-        governor = current_governor()
-        decoded_groups = 0
-        for mask, sources in groups.items():
-            if governor is not None and not decoded_groups & 63:
-                governor.checkpoint("stream.decode")
-            decoded_groups += 1
-            data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
-            tails = [
-                target_ids[base + offset]
-                for base, byte in zip(range(0, 8 * len(data), 8), data)
-                if byte
-                for offset in _BYTE_POSITIONS[byte]
-            ]
-            if swapped:
-                for i in sources:
-                    tail = source_ids[i]
-                    extend([head + tail for head in tails])
-            else:
-                for i in sources:
-                    head = source_ids[i]
-                    extend([head + tail for tail in tails])
-        return frozenset(results)
-
-    def _project(self, table: CompactTable, output: OutputPattern) -> FrozenSet[Tuple]:
-        """Decode a table into the output pattern's distinct row set."""
-        items = self._resolve_items(table, output)
-        # Fast path: outputs of plain bound variables decode straight from
-        # the interning tables (mask-form pair relations without ever
-        # materializing intermediate int rows).
-        if items and all(not is_prop and i is not None for i, _, is_prop in items):
-            if table.masks is not None:
-                decoded = self._decode_mask_output(table.masks, items)
-                if decoded is not None:
-                    return decoded
-            rows = self._unpacked(table).rows
-            if len(items) == 1:
-                index, ids, _ = items[0]
-                return frozenset(ids[row[index]] for row in rows)
-            if len(items) == 2:
-                (i1, ids1, _), (i2, ids2, _) = items
-                return frozenset(ids1[row[i1]] + ids2[row[i2]] for row in rows)
-            return frozenset(
-                tuple(
-                    component
-                    for index, ids, _ in items
-                    for component in ids[row[index]]
-                )
-                for row in rows
-            )
-        rows = self._unpacked(table).rows
-        results: Set[Tuple] = set()
-        for row in rows:
-            projected: List = []
-            defined = True
-            for index, decoder, is_property in items:
-                if index is None:
-                    defined = False
-                    break
-                value_id = row[index]
-                if is_property:
-                    value = decoder[value_id]
-                    if value is _COMPACT_MISSING:
-                        defined = False
-                        break
-                    projected.append(value)
-                else:
-                    projected.extend(decoder[value_id])
-            if defined:
-                results.add(tuple(projected))
-        return frozenset(results)

@@ -4,8 +4,10 @@ End-to-end coverage of the governance layer across all three engines:
 
 * wall-clock deadlines (``timeout=``) abort promptly — the acceptance
   bound is 250ms for a ``timeout=0.05`` query on a workload that runs
-  for ≥1s uninterrupted — on the naive oracle, the planned executor and
-  the SQLite backend;
+  several times longer uninterrupted — on the naive oracle, the planned
+  executor (its run stretched by injected checkpoint latency: closure
+  plus batch decode of 356k rows take about the deadline itself) and the
+  SQLite backend;
 * cooperative cancellation lands cross-thread, both through an explicit
   :class:`CancellationToken` mid-fixpoint and through
   :meth:`QueryResult.cancel` on a streaming result;
@@ -87,7 +89,9 @@ JOIN_QUERY = """SELECT * FROM GRAPH_TABLE ( Transfers
 
 #: ≥ 300ms uninterrupted on the naive and SQLite engines.
 MEDIUM = (200, 800)
-#: ≥ 1s uninterrupted on the (much faster) planned engine.
+#: The planned engine's heavy shape: 356k rows out of a 600-node closure
+#: (tens of milliseconds; tests that must interrupt it hold it at a
+#: checkpoint or slow every checkpoint with a fault plan).
 BIG = (600, 3000)
 
 #: The acceptance deadline and the bound it must be enforced within.
@@ -168,9 +172,13 @@ class TestDeadlines:
         assert error.progress["checkpoints"] > 0
         assert "oracle.enumerate" in error.progress["sites"]
 
-    def test_planned_engine_aborts_within_bound(self, fresh_big_db):
+    def test_planned_engine_aborts_within_bound(self, fresh_big_db, fault_guard):
         connection = fresh_big_db.connect(engine="planned")
         connection.execute(CHEAP_QUERY).rows  # warm plan + statement caches
+        # Fixpoint plus decode finish in about the deadline itself; 1ms at
+        # each of the ≥ 600 checkpoints (one per decoded batch) makes the
+        # uninterrupted run ≥ 0.6s whatever the machine's speed.
+        install_fault_plan(FaultPlan(latency_s=0.001))
         error, elapsed = expect_timeout(
             lambda: len(connection.execute(HEAVY_QUERY, timeout=TIMEOUT_S))
         )
@@ -207,14 +215,29 @@ class TestDeadlines:
 # Cooperative cancellation across threads
 # --------------------------------------------------------------------------- #
 class TestCancellation:
-    def test_cross_thread_token_cancel_mid_fixpoint(self, fresh_big_db):
+    def test_cross_thread_token_cancel_mid_fixpoint(self, fresh_big_db, fault_guard):
         connection = fresh_big_db.connect(engine="planned")
         token = CancellationToken()
-        started = threading.Event()
         outcome = {}
 
+        class ParkAtFirstRound(FaultPlan):
+            """Holds the worker inside its first ``fixpoint.round``
+            checkpoint until the main thread has cancelled: the cancel
+            lands mid-fixpoint by construction, not by sleeping a guess."""
+
+            reached = threading.Event()
+            resume = threading.Event()
+
+            def on_checkpoint(self, site):
+                super().on_checkpoint(site)
+                if site == "fixpoint.round" and not self.reached.is_set():
+                    self.reached.set()
+                    assert self.resume.wait(5.0)
+
+        plan = ParkAtFirstRound()
+        install_fault_plan(plan)
+
         def run():
-            started.set()
             begin = perf_counter()
             try:
                 outcome["rows"] = len(connection.execute(HEAVY_QUERY, token=token))
@@ -224,14 +247,17 @@ class TestCancellation:
 
         worker = threading.Thread(target=run)
         worker.start()
-        assert started.wait(5.0)
-        time.sleep(0.08)  # let the worker get deep into the fixpoint
+        assert plan.reached.wait(5.0)  # the worker is inside the fixpoint
         assert token.cancel("operator abort") is True
+        plan.resume.set()
         worker.join(15.0)
+        assert not worker.is_alive()
         error = outcome.get("error")
         assert isinstance(error, QueryCancelledError), outcome
         assert error.reason == "operator abort"
-        # Uninterrupted the query runs ≥ 1s; the cancel cut it short.
+        # It stopped at that very checkpoint: no further round, no decode.
+        assert error.progress["sites"] == {"fixpoint.round": 1}
+        # ... and promptly once the worker was let go.
         assert outcome["elapsed"] < 1.5
 
     def test_result_cancel_from_other_thread_stops_streaming(self, medium_db):

@@ -28,8 +28,10 @@ def findings_for(
     in_src=True,
     in_engine=False,
     in_service=False,
+    in_planner=False,
 ):
     path = tmp_path / name
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(source)
     return [(rule, lineno) for _, lineno, rule, _ in lint_repro.check_file(
         path,
@@ -37,6 +39,7 @@ def findings_for(
         in_src=in_src,
         in_engine=in_engine,
         in_service=in_service,
+        in_planner=in_planner,
     )]
 
 
@@ -179,6 +182,32 @@ class TestFactoryCatchAll:
         assert rules_for(tmp_path, self.SOURCE) == []  # outside the engine package
         helper = "def connect(engine, **engine_options):\n    return engine_options\n"
         assert rules_for(tmp_path, helper, in_engine=True) == []
+
+
+class TestResultOrder:
+    OWNER = "def result_order(rows):\n    return sorted(rows, key=repr)\n"
+
+    @pytest.mark.parametrize("layer", ["in_engine", "in_planner"])
+    @pytest.mark.parametrize("call", ["sorted(rows, key=repr)", "rows.sort(key=repr)"])
+    def test_repr_sort_is_flagged_in_engine_and_planner(self, tmp_path, layer, call):
+        source = f"def rows_of(rows):\n    {call}\n    return rows\n"
+        assert rules_for(tmp_path, source, **{layer: True}) == ["RESULT-ORDER"]
+
+    def test_the_owning_function_is_the_one_exemption(self, tmp_path):
+        owner = "engine/result.py"
+        assert rules_for(tmp_path, self.OWNER, name=owner, in_engine=True) == []
+        # ... by file and by name: a second sort beside it still fires,
+        # and so does the same function in another module.
+        second = self.OWNER + "\ndef rows(self):\n    return sorted(self.fetched, key=repr)\n"
+        assert findings_for(tmp_path, second, name=owner, in_engine=True) == [("RESULT-ORDER", 5)]
+        assert rules_for(tmp_path, self.OWNER, name="engine/cursor.py", in_engine=True) == [
+            "RESULT-ORDER"
+        ]
+
+    def test_other_keys_and_other_layers_pass(self, tmp_path):
+        source = "def f(rows, keys):\n    return sorted(rows, key=keys.__getitem__), sorted(rows)\n"
+        assert rules_for(tmp_path, source, in_planner=True) == []
+        assert rules_for(tmp_path, "x = sorted([], key=repr)\n") == []  # e.g. relational/
 
 
 class TestBareBroadExcept:

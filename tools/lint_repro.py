@@ -33,6 +33,12 @@ Rules (each failure prints ``path:line: RULE message`` and exits 1):
   ``create_engine`` rejects options a factory's signature does not name;
   a catch-all opts out of that check, so a removed or misspelled engine
   option would silently do nothing again.
+* **RESULT-ORDER** — inside ``src/repro/engine`` and
+  ``src/repro/planner``, a ``sorted(..., key=repr)`` / ``.sort(key=repr)``
+  anywhere but ``result_order`` in ``engine/result.py``.  The result
+  order (ascending ``repr(row)``) is owned by that one function; the
+  planned engine produces it structurally, so a second repr sort on the
+  way to a cursor is a per-result cost the hot path was rid of.
 * **SERVICE-LAYERING** — no module inside ``src/repro`` outside
   ``src/repro/service`` may import ``repro.service``.  The service is
   the topmost layer: it may import engine, governance and observability,
@@ -369,6 +375,19 @@ def _check_lock_discipline(path: Path, tree: ast.Module) -> List[Finding]:
     return findings
 
 
+def _is_repr_sort(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and (_terminal_name(node.func) in ("sorted", "sort"))
+        and any(
+            keyword.arg == "key"
+            and isinstance(keyword.value, ast.Name)
+            and keyword.value.id == "repr"
+            for keyword in node.keywords
+        )
+    )
+
+
 def check_file(
     path: Path,
     *,
@@ -376,6 +395,7 @@ def check_file(
     in_src: bool,
     in_engine: bool = False,
     in_service: bool = False,
+    in_planner: bool = False,
 ) -> List[Finding]:
     try:
         source = path.read_text(encoding="utf-8")
@@ -539,6 +559,26 @@ def check_file(
                 )
             )
 
+    # RESULT-ORDER: one function sorts rows into the result order.
+    if in_engine or in_planner:
+        owned = set()
+        if path.resolve().as_posix().endswith("/engine/result.py"):
+            for node in tree.body:
+                if isinstance(node, ast.FunctionDef) and node.name == "result_order":
+                    owned = {id(inner) for inner in ast.walk(node)}
+        for node in ast.walk(tree):
+            if _is_repr_sort(node) and id(node) not in owned:
+                findings.append(
+                    (
+                        path,
+                        node.lineno,
+                        "RESULT-ORDER",
+                        "key=repr sort outside engine/result.py::result_order; "
+                        "hand rows to the cursor unordered (it sorts once) or "
+                        "produce the order structurally",
+                    )
+                )
+
     # FACTORY-CATCH-ALL: built-in engine factories name every option.
     if in_engine:
         for node in tree.body:
@@ -597,6 +637,7 @@ def lint_paths(paths: List[Path], root: Path) -> List[Finding]:
                     in_src="/src/repro/" in relative,
                     in_engine="/src/repro/engine/" in relative,
                     in_service="/src/repro/service/" in relative,
+                    in_planner="/src/repro/planner/" in relative,
                 )
             )
     return findings
