@@ -8,7 +8,18 @@ each on its own keep-alive socket) running the parameterized single-hop
 transfer query against a warm snapshot.  Recorded per run:
 
 * sustained QPS (completed requests / wall time) and the exact
-  client-observed p50/p95/p99 latency percentiles;
+  client-observed p50/p95/p99 latency percentiles of the **steady
+  state** — every request but a socket's first;
+* the first request on each socket apart (``first_request_p50_s``,
+  ``first_request_max_s``): all clients connect at once, the kernel
+  completes the handshakes from the listen backlog, and the single
+  accept thread — sharing one GIL with the load generator's client
+  threads and the handler threads — gets to the accepted sockets one at
+  a time, so a first request waits to be *served at all* (most of 100
+  take over half a second; later requests on the same socket almost
+  never do).  Mixed into one distribution those 100 of 2 000 samples
+  *are* the p99 — the 2.26 s against a p95 of 0.18 s the first
+  ``BENCH_service.json`` recorded;
 * the failure count — the smoke gate requires **zero** failed requests;
 * the governance section: a 408 proven under an injected 50 ms
   deadline on the recursive chain query, and a 429 proven under
@@ -18,13 +29,14 @@ transfer query against a warm snapshot.  Recorded per run:
 Gates (smoke and full, nonzero exit on miss):
 
 * zero failed requests under the concurrent load;
-* p95 under ``P95_BOUND_S`` (generous: 100 pure-python clients against
-  one GIL share the interpreter; the bound catches pathological
-  serialization — a lost keep-alive loop, a pool convoy — not micro
-  regressions);
+* steady-state p95 *and p99* under ``P95_BOUND_S`` (generous: 100
+  pure-python clients against one GIL share the interpreter; the bound
+  catches pathological serialization — a lost keep-alive loop, a pool
+  convoy — not micro regressions);
 * at least one 408 and one 429 on the governance paths.
 
-Results append to ``BENCH_service.json``::
+A run appends its load row to ``BENCH_service.json`` (the rows of
+earlier runs stay: the file is a trajectory, not a snapshot)::
 
     PYTHONPATH=src python benchmarks/bench_service.py            # full
     PYTHONPATH=src python benchmarks/bench_service.py --smoke    # CI
@@ -125,6 +137,7 @@ def bench_sustained_load(clients: int, requests_per_client: int, pool_size: int)
     """``clients`` concurrent keep-alive clients against a warm snapshot."""
     database = _build_database()
     thresholds = [10 * i for i in range(requests_per_client)]
+    #: Per client: the first request on its socket, then the steady state.
     latencies: List[List[float]] = [[] for _ in range(clients)]
     failures: List[str] = []
     lock = threading.Lock()
@@ -164,9 +177,9 @@ def bench_sustained_load(clients: int, requests_per_client: int, pool_size: int)
         stats = server.service.pool.stats()
     database.close()
 
-    samples = [sample for bucket in latencies for sample in bucket]
-    completed = len(samples)
-    quantiles = _percentiles(samples)
+    completed = sum(len(bucket) for bucket in latencies)
+    first = sorted(bucket[0] for bucket in latencies if bucket)
+    quantiles = _percentiles([sample for bucket in latencies for sample in bucket[1:]])
     return {
         "workload": f"bank {WORKLOAD[0]}/{WORKLOAD[1]}",
         "clients": clients,
@@ -175,6 +188,10 @@ def bench_sustained_load(clients: int, requests_per_client: int, pool_size: int)
         "failure_detail": failures[:3],
         "wall_s": round(wall_s, 4),
         "qps": round(completed / wall_s, 1) if wall_s > 0 else 0.0,
+        "first_request_p50_s": round(_percentiles(first)["p50"], 5),
+        "first_request_max_s": round(first[-1], 5) if first else 0.0,
+        "first_request_over_half_s": sum(sample > 0.5 for sample in first),
+        "steady_requests": completed - len(first),
         "p50_s": round(quantiles["p50"], 5),
         "p95_s": round(quantiles["p95"], 5),
         "p99_s": round(quantiles["p99"], 5),
@@ -290,17 +307,23 @@ def main(argv=None) -> int:
     _print_row("service_deadline_408", deadline)
     _print_row("service_admission_429", admission)
 
+    load["generated_by"] = "benchmarks/bench_service.py" + (" --smoke" if args.smoke else "")
+    try:
+        earlier = json.loads(args.output.read_text())["workloads"]["service_load"]
+    except (OSError, ValueError, KeyError):
+        earlier = []
     payload = {
-        "generated_by": "benchmarks/bench_service.py" + (" --smoke" if args.smoke else ""),
-        "transport": "http/1.1 keep-alive, ThreadingHTTPServer",
+        "generated_by": load["generated_by"],
+        "transport": "http/1.1 keep-alive, ThreadingHTTPServer, one write per response, TCP_NODELAY",
         "workloads": {
-            "service_load": [load],
+            "service_load": earlier + [load],
             "service_governance": [deadline, admission],
         },
         "latency_percentiles": {
             "service_load": {
                 "unit": "seconds",
-                "count": load["requests"],
+                "scope": "steady state (every request but a socket's first)",
+                "count": load["steady_requests"],
                 "p50": load["p50_s"],
                 "p95": load["p95_s"],
                 "p99": load["p99_s"],
@@ -317,11 +340,13 @@ def main(argv=None) -> int:
         f"service_load: {load['failures']} failed requests of {load['requests']} "
         f"[{'ok' if zero_failures else 'FAILURES'}]"
     )
-    under_bound = load["p95_s"] < P95_BOUND_S
+    under_bound = load["p99_s"] < P95_BOUND_S  # p95 <= p99 rides along
     missed = missed or not under_bound
     print(
-        f"service_load: p95 {load['p95_s']}s under {args.clients} clients "
-        f"(bound {P95_BOUND_S}s) [{'ok' if under_bound else 'BELOW TARGET'}]"
+        f"service_load: steady-state p95 {load['p95_s']}s / p99 {load['p99_s']}s under "
+        f"{args.clients} clients (bound {P95_BOUND_S}s) "
+        f"[{'ok' if under_bound else 'BELOW TARGET'}]; first request on a socket "
+        f"p50 {load['first_request_p50_s']}s, max {load['first_request_max_s']}s"
     )
     print(
         f"service_deadline: {DEADLINE_MS:.0f}ms deadline answered "

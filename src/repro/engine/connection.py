@@ -152,7 +152,8 @@ class Connection:
         # Fail fast on unknown backend names and unknown options.
         check_engine_options(engine, engine_options)
         self._owner = database
-        self._snapshot_obj = snapshot
+        #: The snapshot read and, while open, pinned (``_retain_snapshot``).
+        self._snapshot_obj: Optional["Snapshot"] = None
         self._engine_options = dict(engine_options)
         self._engine_name = engine
         self._max_repetitions = max_repetitions
@@ -169,12 +170,6 @@ class Connection:
         #: Engine plan-counter values at the last metrics flush, so each
         #: query records only its own delta into the registry.
         self._plan_counter_baseline: Dict[str, float] = {}
-        #: The snapshot fingerprint this connection keeps live in the
-        #: shared cache (snapshot-level GC: entries of fingerprints with
-        #: no live retaining connection are dropped).
-        self._retained_fingerprint: Optional[str] = None
-        if snapshot is not None:
-            self._retain_snapshot(snapshot)
         #: Bumped whenever statements must be rebuilt: snapshot moves
         #: (DDL) and engine changes (``_invalidate_engine``).  Front-half
         #: records carry the generation they were built against.
@@ -213,6 +208,8 @@ class Connection:
         #: raises ConnectionClosedError carrying the reason.
         self._closed = False
         self._close_reason: Optional[str] = None
+        if snapshot is not None:
+            self._retain_snapshot(snapshot)
 
     def _check_open(self) -> None:
         if self._closed:
@@ -227,7 +224,8 @@ class Connection:
     def snapshot(self) -> "Snapshot":
         """The immutable snapshot this connection reads."""
         if self._snapshot_obj is None:
-            self._snapshot_obj = self._owner.snapshot()
+            self._check_open()
+            self._retain_snapshot(self._owner.snapshot())
         return self._snapshot_obj
 
     @property
@@ -244,12 +242,15 @@ class Connection:
         return self.snapshot.catalog
 
     def _retain_snapshot(self, snapshot: "Snapshot") -> None:
-        """Register this connection as a live user of the snapshot's
-        shared-cache entries (see :meth:`SnapshotCache.retain`)."""
-        fingerprint = snapshot.data_fingerprint
-        if fingerprint != self._retained_fingerprint:
-            snapshot.cache.retain(fingerprint, self)
-            self._retained_fingerprint = fingerprint
+        """Read ``snapshot`` from now on, moving this connection's
+        :meth:`SnapshotCache.pin` to its data fingerprint — new before
+        old, so a move over unchanged data drops nothing.  Held from
+        here until :meth:`close`: what an open connection reads stays."""
+        with self._lock:
+            previous, self._snapshot_obj = self._snapshot_obj, snapshot
+            snapshot.cache.pin(snapshot.data_fingerprint)
+            if previous is not None:
+                previous.cache.unpin(previous.data_fingerprint)
 
     def graph_names(self) -> Tuple[str, ...]:
         """All registered graphs, including ones a schema change broke
@@ -273,7 +274,7 @@ class Connection:
         """
         with self._lock:
             previous = self._snapshot_obj
-            self._snapshot_obj = None
+            self._retain_snapshot(self._owner.snapshot())
             if self._engine is not None and (
                 previous is None or self.snapshot.database is not previous.database
             ):
@@ -361,7 +362,6 @@ class Connection:
         with self._lock:
             if self._engine is None:
                 snapshot = self.snapshot
-                self._retain_snapshot(snapshot)
                 engine = create_engine(
                     self._engine_name,
                     snapshot.database,
@@ -687,6 +687,8 @@ class Connection:
             for prepared in [*owned, *self._prepared_registry]:
                 prepared.close()
             self._invalidate_engine()
+            if self._snapshot_obj is not None:
+                self._snapshot_obj.cache.unpin(self._snapshot_obj.data_fingerprint)
 
     def __enter__(self) -> "Connection":
         return self

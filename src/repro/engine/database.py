@@ -197,9 +197,12 @@ class Database:
     :class:`SnapshotCache`, so repeated (and concurrent) work over the
     same snapshot materializes views, compact encodings and plans once.
 
+    The database pins its head snapshot in that cache and every open
+    connection the snapshot it reads (:meth:`SnapshotCache.pin`), so
+    derived state lives exactly as long as somebody can query it.
     ``close()`` (or the context manager) closes every connection handed
     out — releasing SQLite backend connections and their cached temp
-    tables — and clears the snapshot cache.
+    tables — releases the head pin and clears the snapshot cache.
     """
 
     def __init__(
@@ -258,6 +261,8 @@ class Database:
         self._version = 0
         self._head: Optional[RelationalDatabase] = None
         self._snapshot: Optional[Snapshot] = None
+        #: The head's data fingerprint, pinned until the next head or close().
+        self._pinned_fingerprint: Optional[str] = None
         #: An injected cache is shared property and survives close();
         #: only a privately owned cache is cleared with the database.
         self._owns_cache = snapshot_cache is None
@@ -446,7 +451,13 @@ class Database:
 
     # -- snapshots and connections --------------------------------------- #
     def snapshot(self) -> Snapshot:
-        """The immutable snapshot of the current version (memoized)."""
+        """The immutable snapshot of the current version (memoized).
+
+        A new head moves the database's cache pin to its data
+        fingerprint, new-then-old: a superseded head's derived state goes
+        once no open connection reads it, graph DDL over unchanged tables
+        drops nothing, and sequential connections find the head warm.
+        """
         with self._lock:
             self._check_open()
             if self._snapshot is None:
@@ -457,6 +468,11 @@ class Database:
                     self._version,
                     self._cache,
                 )
+                superseded = self._pinned_fingerprint
+                self._pinned_fingerprint = self._snapshot.data_fingerprint
+                self._cache.pin(self._pinned_fingerprint)
+                if superseded is not None:
+                    self._cache.unpin(superseded)
             return self._snapshot
 
     def connect(
@@ -499,9 +515,10 @@ class Database:
         """Close every connection handed out and drop cached state.
 
         Closing releases each connection's backend (dropping SQLite
-        connections and their cached temp tables) and clears the snapshot
-        cache — unless the cache was injected via ``snapshot_cache=`` (it
-        is then shared with other databases and left intact).  The
+        connections and their cached temp tables) and its pin, then the
+        head pin, and clears the snapshot cache — unless the cache was
+        injected via ``snapshot_cache=`` (it is then shared with other
+        databases and keeps whatever one of them still pins).  The
         database object rejects further use.  Idempotent.
         """
         with self._lock:
@@ -511,6 +528,8 @@ class Database:
             connections = list(self._connections)
         for connection in connections:
             connection.close(reason="database closed")
+        if self._pinned_fingerprint is not None:
+            self._cache.unpin(self._pinned_fingerprint)
         if self._owns_cache:
             self._cache.clear()
 

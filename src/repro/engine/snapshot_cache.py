@@ -2,15 +2,15 @@
 
 Owns :class:`SnapshotCache` — the lock-guarded, bounded LRU every
 connection of a database materializes views, relational CSE results and
-plan caches into, with exactly-once cold builds and snapshot-level GC —
-and :class:`SnapshotScope`, one engine's pre-keyed handle onto it.  See
-:mod:`repro.engine.database` for how snapshots and connections use it.
+plan caches into, with exactly-once cold builds and entries that live
+while their snapshot is pinned — and :class:`SnapshotScope`, one engine's
+pre-keyed handle onto it.  See :mod:`repro.engine.database` for how
+snapshots and connections use it.
 """
 
 from __future__ import annotations
 
 import threading
-import weakref
 from collections import OrderedDict
 from typing import Any, Callable, Dict, Optional, Tuple
 
@@ -30,9 +30,20 @@ class SnapshotCache:
     The store is a bounded LRU: evicting an entry another engine still
     holds is harmless, it only means a future cold lookup rebuilds it.
 
-    :meth:`stats` reports build/hit counters per family plus the number
-    of compact encodings paid across all cached view graphs — the
-    figures the sharing tests (and ``Explain.shared``) assert.
+    **Liveness is counted pins.**  Whoever reads a snapshot holds one
+    :meth:`pin` on its data fingerprint — an open connection until its
+    ``close()``, the database for its head snapshot — and the
+    :meth:`unpin` that takes the count to zero drops that fingerprint's
+    entries synchronously (``gc_evicted``): the cache holds the head plus
+    whatever an open connection still reads, and no garbage collection is
+    involved.  Fingerprints nobody pinned (direct :class:`SnapshotScope`
+    users) and those of a connection dropped without ``close()``, whose
+    pin is never released, are left to the LRU.
+
+    :meth:`stats` reports build/hit counters per family, the number of
+    compact encodings paid across all cached view graphs — the figures
+    the sharing tests (and ``Explain.shared``) assert — and
+    ``pinned_snapshots``, the fingerprints currently held live.
     """
 
     def __init__(self, *, max_entries: int = 512):
@@ -43,9 +54,8 @@ class SnapshotCache:
         #: (successfully or not), so same-key racers wait instead of
         #: rebuilding and disjoint keys never serialize on each other.
         self._building: Dict[Tuple, threading.Event] = {}
-        #: Live referents per snapshot fingerprint (see :meth:`retain`):
-        #: when a fingerprint's WeakSet drains, its entries are GC'd.
-        self._referents: Dict[str, "weakref.WeakSet"] = {}
+        #: Pin count per snapshot fingerprint (see :meth:`pin`), never zero.
+        self._pins: Dict[str, int] = {}
         self._stats: Dict[str, int] = {
             "views_built": 0,
             "views_shared_hits": 0,
@@ -80,6 +90,7 @@ class SnapshotCache:
                 if pending is None:
                     settled = threading.Event()
                     self._building[key] = settled
+                    pinned = key[1] in self._pins
                     break  # this thread builds
             # Another thread is building this exact key: wait for it to
             # settle, then re-check (a hit on success; a retry when the
@@ -93,7 +104,10 @@ class SnapshotCache:
             settled.set()
             raise
         with self._lock:
-            self._entries[key] = value
+            # A build that outlived its snapshot's last pin goes to its
+            # caller only: nobody is left whose unpin would drop it.
+            if not pinned or key[1] in self._pins:
+                self._entries[key] = value
             self._stats[family + "_built"] += 1
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
@@ -102,56 +116,30 @@ class SnapshotCache:
         settled.set()
         return value, True
 
-    # -- snapshot-level GC ----------------------------------------------- #
-    def retain(self, fingerprint: str, referent: Any) -> None:
-        """Register ``referent`` (a connection) as a live user of the
-        snapshot identified by ``fingerprint``.
-
-        Referents are held weakly; when the last one for a fingerprint is
-        garbage-collected, every cache entry keyed under that fingerprint
-        is dropped (tallied in the ``gc_evicted`` stat and the
-        ``repro_snapshot_cache_gc_evicted`` metric).  Entries for
-        fingerprints nobody ever retained — direct :class:`SnapshotScope`
-        users — are never GC'd this way.
-        """
+    # -- snapshot liveness ----------------------------------------------- #
+    def pin(self, fingerprint: str) -> None:
+        """Count one more live user of the snapshot ``fingerprint``."""
         with self._lock:
-            referents = self._referents.get(fingerprint)
-            if referents is None:
-                referents = self._referents[fingerprint] = weakref.WeakSet()
-            if referent not in referents:
-                referents.add(referent)
-                weakref.finalize(referent, self._collect_fingerprint, fingerprint)
+            self._pins[fingerprint] = self._pins.get(fingerprint, 0) + 1
 
-    def _collect_fingerprint(self, fingerprint: str) -> int:
-        """Drop ``fingerprint``'s entries if no live referent remains."""
+    def unpin(self, fingerprint: str) -> None:
+        """Release one :meth:`pin`; the last one drops every entry keyed
+        under ``fingerprint``, now (``gc_evicted``).  A no-op without a
+        pin to release: an unknown fingerprint, or one :meth:`clear` forgot."""
         with self._lock:
-            referents = self._referents.get(fingerprint)
-            if referents is None or len(referents):
-                return 0
-            del self._referents[fingerprint]
-            stale = [
-                key for key in self._entries if len(key) > 1 and key[1] == fingerprint
-            ]
-            for key in stale:
-                del self._entries[key]
-            self._stats["gc_evicted"] += len(stale)
-            return len(stale)
-
-    def gc(self) -> int:
-        """Drop entries of every snapshot with no live referent left;
-        returns how many entries were evicted.
-
-        Runs automatically when a retaining connection is garbage
-        collected; calling it directly forces a sweep (useful after an
-        explicit ``del`` + ``gc.collect()``).
-        """
-        with self._lock:
-            fingerprints = list(self._referents)
-        return sum(self._collect_fingerprint(fp) for fp in fingerprints)
+            count = self._pins.pop(fingerprint, 0)
+            if count > 1:
+                self._pins[fingerprint] = count - 1
+            elif count:
+                stale = [key for key in self._entries if key[1] == fingerprint]
+                for key in stale:
+                    del self._entries[key]
+                self._stats["gc_evicted"] += len(stale)
 
     def stats(self) -> Dict[str, int]:
         """Copy of the build/hit counters plus derived materialization
-        figures (``views_cached``, ``compact_encodings``, ``entries``)."""
+        figures (``views_cached``, ``compact_encodings``, ``entries``,
+        ``pinned_snapshots``)."""
         with self._lock:
             info = dict(self._stats)
             views = 0
@@ -163,13 +151,14 @@ class SnapshotCache:
             info["views_cached"] = views
             info["compact_encodings"] = encodings
             info["entries"] = len(self._entries)
+            info["pinned_snapshots"] = len(self._pins)
             return info
 
     def clear(self) -> None:
         """Drop every entry and reset the counters."""
         with self._lock:
             self._entries.clear()
-            self._referents.clear()
+            self._pins.clear()
             for key in self._stats:
                 self._stats[key] = 0
 

@@ -88,8 +88,9 @@ class QueryService:
     # ------------------------------------------------------------------ #
     # Dispatch
     # ------------------------------------------------------------------ #
-    def handle(self, method: str, path: str, body: bytes = b"") -> Response:
-        """Serve one request; never raises — errors become responses."""
+    def handle(self, method: str, path: str, body: Optional[bytes] = b"") -> Response:
+        """Serve one request; never raises — errors become responses.
+        ``body=None``: the transport could not delimit one — a 400."""
         start = perf_counter()
         path = path.split("?", 1)[0]
         route = path if path in ("/query", "/ddl", "/healthz", "/metrics") else "unknown"
@@ -119,7 +120,9 @@ class QueryService:
         self._observe(route, status, perf_counter() - start)
         return status, content_type, payload
 
-    def _dispatch(self, method: str, path: str, body: bytes) -> Response:
+    def _dispatch(self, method: str, path: str, body: Optional[bytes]) -> Response:
+        if body is None:
+            raise ProtocolError("malformed Content-Length header")
         if path == "/query":
             self._require(method, "POST", path)
             return self._handle_query(body)

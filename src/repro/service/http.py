@@ -4,9 +4,13 @@ A :class:`Server` wraps a :class:`~repro.service.app.QueryService` in a
 ``ThreadingHTTPServer``: one OS thread per live client connection, with
 keep-alive (``protocol_version = HTTP/1.1`` plus explicit
 ``Content-Length`` on every response) so load generators reuse sockets
-instead of paying a TCP handshake per request.  The handler is a thin
-adapter — all routing, error mapping and measurement live in
-:meth:`QueryService.handle`, which tests can drive without sockets.
+instead of paying a TCP handshake per request.  Every response leaves
+as **one write** (status line, headers and payload in a single
+``sendall``) on a ``TCP_NODELAY`` socket: a second small send on a Nagle
+socket waits out the client's delayed ACK, a flat 40 ms per request.
+The handler is a thin adapter — all routing, error mapping and
+measurement live in :meth:`QueryService.handle`, which tests can drive
+without sockets.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from typing import Any, Optional, Tuple
 
 from repro.engine.database import Database
 from repro.service.app import QueryService
+from repro.service.protocol import CONTENT_TYPE_JSON, ProtocolError, encode, error_payload
 
 __all__ = ["Server"]
 
@@ -33,20 +38,40 @@ _CLOSE_ON = frozenset({408, 429, 499, 503})
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "repro-service/1.0"
+    #: ``StreamRequestHandler.setup`` sets TCP_NODELAY on the accepted socket.
+    disable_nagle_algorithm = True
 
     def _serve(self) -> None:
-        length = int(self.headers.get("Content-Length") or 0)
-        body = self.rfile.read(length) if length > 0 else b""
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        # No usable length: a 400, and the socket cannot be reused.
+        body = self.rfile.read(length) if length >= 0 else None
         service: QueryService = self.server.service  # type: ignore[attr-defined]
         status, content_type, payload = service.handle(self.command, self.path, body)
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(payload)))
-        if status in _CLOSE_ON:
-            self.send_header("Connection", "close")
+        self._respond(status, content_type, payload, status in _CLOSE_ON or body is None)
+
+    def _respond(self, status: int, content_type: str, payload: bytes, close: bool) -> None:
+        """The whole response in one write (``wfile`` is unbuffered)."""
+        self.log_request(status, len(payload))
+        head = [
+            f"{self.protocol_version} {status} {self.responses.get(status, ('',))[0]}",
+            f"Server: {self.version_string()}",
+            f"Date: {self.date_time_string()}",
+            f"Content-Type: {content_type}",
+            f"Content-Length: {len(payload)}",
+        ]
+        if close:
+            head.append("Connection: close")
             self.close_connection = True
-        self.end_headers()
-        self.wfile.write(payload)
+        self.wfile.write("\r\n".join(head + ["", ""]).encode("latin-1") + payload)
+
+    def send_error(self, code: int, message: Optional[str] = None, explain: Any = None) -> None:
+        """The stdlib's own rejections (bad request line, unsupported
+        method) in the service's shape: JSON body, one write, socket closed."""
+        error = ProtocolError(message or self.responses.get(code, ("",))[0], status=code)
+        self._respond(code, CONTENT_TYPE_JSON, encode(error_payload(error)), True)
 
     do_GET = _serve
     do_POST = _serve

@@ -9,12 +9,13 @@ execution), server-side streaming cursors on the planned engine,
 satellites (``close()``, statement-store resource release).
 """
 
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.engine.database import Database, SnapshotCache
+from repro.engine.database import Database, SnapshotCache, SnapshotScope
 from repro.errors import EngineError, PatternError
 
 DDL = """
@@ -318,17 +319,28 @@ class TestSharedMaterialization:
             assert stats["views_shared_hits"] >= 1
 
     def test_close_leaves_an_injected_shared_cache_intact(self):
+        # Two databases over identical data share one fingerprint, pinned
+        # once by each head: closing one keeps the entries, closing both
+        # drops them — and close() never clears a cache it does not own.
         cache = SnapshotCache()
-        with make_database(cache=cache) as first:
-            first.connect(engine="planned").execute(CHAIN_QUERY)
-        # first is closed; the injected cache is shared property and
-        # must keep its warm entries for other databases.
-        assert cache.stats()["views_built"] == 1
-        with make_database(cache=cache) as second:
-            second.connect(engine="planned").execute(CHAIN_QUERY)
-            stats = cache.stats()
-            assert stats["views_built"] == 1
-            assert stats["views_shared_hits"] >= 1
+        first, second = make_database(cache=cache), make_database(cache=cache)
+        readers = [db.connect(engine="planned") for db in (first, second)]
+        for reader in readers:
+            reader.execute(CHAIN_QUERY)
+        warm = cache.stats()
+        assert warm["views_built"] == 1 and warm["views_shared_hits"] >= 1
+        assert warm["pinned_snapshots"] == 1  # one fingerprint, four pins
+        first.close()  # closes its reader as well
+        assert cache.stats()["entries"] == warm["entries"]
+        assert cache.stats()["gc_evicted"] == 0
+        with second.connect(engine="planned") as connection:
+            connection.execute(CHAIN_QUERY)
+        assert cache.stats()["views_built"] == 1  # still warm for the survivor
+        second.close()
+        stats = cache.stats()
+        assert stats["entries"] == 0 and stats["pinned_snapshots"] == 0
+        assert stats["gc_evicted"] == warm["entries"]
+        assert stats["views_built"] == 1  # counters survive: not cleared
 
     def test_warm_snapshot_survives_live_ddl(self):
         with make_database() as db:
@@ -337,6 +349,162 @@ class TestSharedMaterialization:
             db.create_table("Audit", ["entry"], [("e1",)])  # new version
             connection.execute(CHAIN_QUERY)  # still served from warm state
             assert db.snapshot_cache.stats()["views_built"] == 1
+
+
+# --------------------------------------------------------------------------- #
+# Snapshot liveness: counted pins, released at close()
+# --------------------------------------------------------------------------- #
+def transfer_rows(marker: int):
+    """Four transfers whose contents (the amounts) are unique to ``marker``."""
+    return [(t_id, src, dst, ts, 1000 + marker) for t_id, src, dst, ts, _ in TRANSFERS]
+
+
+class TestSnapshotPins:
+    COLUMNS = ["t_id", "src_iban", "tgt_iban", "ts", "amount"]
+
+    def test_sequential_connections_build_each_view_once(self):
+        with make_database() as db:
+            for _ in range(2):
+                with db.connect(engine="planned") as connection:
+                    assert len(connection.execute(CHAIN_QUERY).rows) > 0
+                # No connection is open, the head pin alone keeps it warm.
+                assert db.snapshot_cache.stats()["pinned_snapshots"] == 1
+            stats = db.snapshot_cache.stats()
+            assert stats["views_built"] == 1
+            assert stats["gc_evicted"] == 0
+
+    def test_graph_ddl_over_unchanged_tables_evicts_nothing(self):
+        with make_database() as db:
+            with db.connect(engine="planned") as connection:
+                connection.execute(CHAIN_QUERY)
+                warm = db.snapshot_cache.stats()["entries"]
+                # Through the connection (its pin moves) and on the
+                # database (the head pin moves): same data fingerprint.
+                connection.execute(DDL.replace("Transfers", "Again"))
+                db.execute(DDL.replace("Transfers", "Thrice"))
+                db.snapshot()
+                connection.execute(CHAIN_QUERY)
+            with db.connect(engine="planned") as connection:
+                connection.execute(CHAIN_QUERY.replace("Transfers", "Thrice"))
+            stats = db.snapshot_cache.stats()
+            assert stats["gc_evicted"] == 0
+            assert stats["entries"] >= warm
+            assert stats["pinned_snapshots"] == 1
+
+    def test_replaced_table_is_forgotten_when_its_last_reader_closes(self):
+        with make_database() as db:
+            reader = db.connect(engine="planned")
+            before = reader.execute(CHAIN_QUERY).to_set()
+            db.create_table("Transfer", self.COLUMNS, transfer_rows(1))
+            with db.connect(engine="planned") as fresh:  # moves the head pin
+                assert fresh.execute(CHAIN_QUERY).to_set() != before
+                cache = db.snapshot_cache
+                assert cache.stats()["pinned_snapshots"] == 2
+                assert cache.stats()["gc_evicted"] == 0
+                assert reader.execute(CHAIN_QUERY).to_set() == before
+                head_entries = cache.stats()["entries"]
+                reader.close()
+                stats = cache.stats()
+                assert stats["pinned_snapshots"] == 1
+                assert 0 < stats["entries"] < head_entries
+                assert stats["gc_evicted"] == head_entries - stats["entries"]
+
+    def test_connection_ddl_after_a_foreign_write_moves_the_pin(self):
+        with make_database() as db:
+            connection = db.connect(engine="planned")
+            connection.execute(CHAIN_QUERY)
+            db.create_table("Transfer", self.COLUMNS, transfer_rows(2))
+            connection.execute(DDL.replace("Transfers", "Again"))  # advances to the head
+            stats = db.snapshot_cache.stats()
+            assert stats["pinned_snapshots"] == 1
+            assert stats["gc_evicted"] > 0
+            connection.close()
+            assert db.snapshot_cache.stats()["pinned_snapshots"] == 1  # the head's
+
+    def test_unpin_of_an_unknown_or_cleared_fingerprint_is_a_no_op(self):
+        cache = SnapshotCache()
+        cache.unpin("never-pinned")
+        db = make_database(cache=cache)
+        connection = db.connect(engine="planned")
+        connection.execute(CHAIN_QUERY)
+        cache.clear()
+        assert cache.stats()["pinned_snapshots"] == 0
+        connection.close()  # unpins what clear() already forgot
+        db.close()
+        stats = cache.stats()
+        assert stats["pinned_snapshots"] == 0 and stats["gc_evicted"] == 0
+
+    def test_never_pinned_fingerprints_are_left_to_the_lru(self):
+        cache = SnapshotCache()
+        scope = SnapshotScope(cache, "loose", ("kind",))
+        assert scope.relation("q", lambda: "value") == ("value", True)
+        cache.pin("other")
+        cache.unpin("other")
+        assert scope.relation("q", lambda: "rebuilt") == ("value", False)
+        assert cache.stats()["pinned_snapshots"] == 0
+
+    def test_build_outliving_its_last_pin_is_returned_but_not_stored(self):
+        cache = SnapshotCache()
+        scope = SnapshotScope(cache, "fp", ("kind",))
+        cache.pin("fp")
+
+        def build():
+            cache.unpin("fp")  # the last reader closes mid-build
+            return "late"
+
+        assert scope.relation("q", build) == ("late", True)
+        stats = cache.stats()
+        assert stats["entries"] == 0 and stats["relations_built"] == 1
+        # Nothing is wedged: the next lookup simply builds again.
+        assert scope.relation("q", lambda: "again") == ("again", True)
+
+    def test_readers_racing_a_table_replacing_writer_leave_only_the_head(self):
+        with make_database() as db:
+            stop = threading.Event()
+            progress = threading.Condition()
+            queries = [0]
+            failures = []
+
+            def reader():
+                try:
+                    while not stop.is_set():
+                        with db.connect(engine="planned") as connection:
+                            assert len(connection.execute(CHAIN_QUERY).rows) > 0
+                        with progress:
+                            queries[0] += 1
+                            progress.notify_all()
+                except BaseException as error:  # surfaced below
+                    failures.append(repr(error))
+                    raise
+
+            readers = [threading.Thread(target=reader) for _ in range(8)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)  # more interleavings per write
+            try:
+                for thread in readers:
+                    thread.start()
+                for marker in range(50):
+                    db.create_table("Transfer", self.COLUMNS, transfer_rows(marker))
+                    db.snapshot()
+                    with progress:  # nine more: one reader at least began after the write
+                        target = queries[0] + 9
+                        assert progress.wait_for(lambda: queries[0] >= target, timeout=30.0)
+            finally:
+                stop.set()
+                for thread in readers:
+                    thread.join(timeout=30.0)
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in readers)
+            assert not failures, failures[:3]
+            cache = db.snapshot_cache
+            head = db.snapshot().data_fingerprint
+            with cache._lock:
+                fingerprints = {key[1] for key in cache._entries}
+            assert fingerprints == {head}
+            stats = cache.stats()
+            assert stats["pinned_snapshots"] == 1
+            assert stats["views_built"] >= 50  # every head was read
+            assert stats["gc_evicted"] > 0
 
 
 # --------------------------------------------------------------------------- #

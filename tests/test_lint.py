@@ -242,3 +242,31 @@ class TestPrintCall:
 
     def test_print_outside_src_is_allowed(self, tmp_path):
         assert rules_for(tmp_path, "print('cli')\n", in_src=False) == []
+
+
+class TestSnapshotCacheLockDiscipline:
+    """LOCK-DISCIPLINE owns ``engine/snapshot_cache.py``: the pin counts
+    are cross-connection state like the entries themselves."""
+
+    UNGUARDED = (
+        "class SnapshotCache:\n"
+        "    def pin(self, fingerprint):\n"
+        "        self._pins[fingerprint] = self._pins.get(fingerprint, 0) + 1\n"
+    )
+    GUARDED = (
+        "class SnapshotCache:\n"
+        "    def unpin(self, fingerprint):\n"
+        "        with self._lock:\n"
+        "            self._pins.pop(fingerprint, 0)\n"
+        "            del self._entries[fingerprint]\n"
+    )
+
+    def test_pins_touched_outside_the_cache_lock_are_flagged(self, tmp_path):
+        found = findings_for(tmp_path, self.UNGUARDED, name="engine/snapshot_cache.py")
+        assert found == [("LOCK-DISCIPLINE", 3)]
+
+    def test_pins_under_the_cache_lock_pass(self, tmp_path):
+        assert rules_for(tmp_path, self.GUARDED, name="engine/snapshot_cache.py") == []
+
+    def test_the_rule_is_scoped_to_the_cache_module(self, tmp_path):
+        assert rules_for(tmp_path, self.UNGUARDED, name="engine/other.py") == []

@@ -1,12 +1,11 @@
 """Tests for the observability layer: tracing, metrics, EXPLAIN ANALYZE,
-the slow-query log and snapshot-cache GC (PR 6).
+the slow-query log and snapshot-cache liveness (PR 6; pins since PR 18).
 
 Spans and histograms are tested against hand-built references; the
 engine-facing pieces run real queries through the Database -> Connection
 stack on all three engines.
 """
 
-import gc
 import json
 import threading
 import time
@@ -381,25 +380,39 @@ def test_sqlite_streamed_result_survives_connection_close():
 
 
 # --------------------------------------------------------------------------- #
-# Snapshot-cache GC
+# Snapshot-cache liveness: counted pins, released at close()
 # --------------------------------------------------------------------------- #
+def replace_transfers(db: CatalogDatabase, amount: int) -> None:
+    db.create_table(
+        "Transfer",
+        ["t_id", "src_iban", "tgt_iban", "ts", "amount"],
+        [("T0", "A0", "A1", 0, amount), ("T1", "A1", "A2", 1, amount)],
+    )
+
+
 def test_snapshot_cache_gc_drops_unreferenced_fingerprints():
     db = transfers_database(metrics=MetricsRegistry())
     connection = db.connect(engine="planned")
     connection.execute(HOP_QUERY)
     connection.close()
     cache = db.snapshot_cache
-    assert cache.stats()["entries"] > 0
-    # Closing alone keeps the warm state (sequential connections reuse it);
-    # GC happens when the last referent object dies.
-    del connection
-    gc.collect()
-    cache.gc()
+    # Closing alone keeps the warm state: the database still pins its
+    # head, so sequential connections reuse it.
+    warm = cache.stats()
+    assert warm["entries"] > 0 and warm["gc_evicted"] == 0
+    assert warm["pinned_snapshots"] == 1
+    # A table-replacing write moves the head pin at the next snapshot();
+    # nobody reads the superseded snapshot, so its entries go right there
+    # — no garbage collection, no sweep.
+    replace_transfers(db, 7)
+    db.snapshot()
     stats = cache.stats()
     assert stats["entries"] == 0
-    assert stats["gc_evicted"] > 0
+    assert stats["gc_evicted"] == warm["entries"]
+    assert stats["pinned_snapshots"] == 1
     metrics = db.export_metrics()
     assert metrics["repro_snapshot_cache_gc_evicted"]["values"][0]["value"] > 0
+    assert metrics["repro_snapshot_cache_pinned_snapshots"]["values"][0]["value"] == 1
 
 
 def test_snapshot_cache_keeps_entries_while_a_connection_is_live():
@@ -408,10 +421,17 @@ def test_snapshot_cache_keeps_entries_while_a_connection_is_live():
     first.execute(HOP_QUERY)
     second = db.connect(engine="planned")
     second.execute(HOP_QUERY)
+    replace_transfers(db, 7)
+    db.snapshot()  # the head moved on; both connections still read the old one
+    cache = db.snapshot_cache
+    assert cache.stats()["pinned_snapshots"] == 2
     first.close()
-    del first
-    gc.collect()
-    db.snapshot_cache.gc()
-    # The second connection still references the fingerprint.
-    assert db.snapshot_cache.stats()["entries"] > 0
+    # The second connection still pins the fingerprint.
+    assert cache.stats()["entries"] > 0
+    assert cache.stats()["gc_evicted"] == 0
+    assert len(second.execute(HOP_QUERY).rows) == 24
     second.close()
+    assert cache.stats()["entries"] == 0
+    assert cache.stats()["pinned_snapshots"] == 1
+    second.close()  # idempotent: the pin is released once
+    assert cache.stats()["pinned_snapshots"] == 1

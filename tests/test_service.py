@@ -22,7 +22,10 @@ the transport tests bind an ephemeral port.
 
 import json
 import re
+import socket
 import threading
+from statistics import median
+from time import perf_counter
 
 import pytest
 
@@ -346,6 +349,56 @@ class TestQueryService:
             assert missed.value == 1
 
 
+class TestSnapshotLiveness:
+    """The served cache follows live snapshots: the head, plus whatever a
+    lease still reads."""
+
+    @staticmethod
+    def write(service, marker: int) -> None:
+        rows = [[f"t{i}", f"A{i % 6}", f"A{(i + 1) % 6}", i, 1000 * marker + i] for i in range(8)]
+        table = {
+            "name": "Transfer",
+            "columns": ["t_id", "src_iban", "tgt_iban", "ts", "amount"],
+            "rows": rows,
+        }
+        status, body = service_post(service, "/ddl", {"table": table})
+        assert status == 200 and body["handoff"] is True
+
+    def test_distinct_writes_leave_only_the_head_snapshot(self, db):
+        cache = db.snapshot_cache
+        with QueryService(db, pool_size=2) as service:
+            readings = []
+            for marker in range(1, 13):
+                self.write(service, marker)
+                status, body = post_query(
+                    service, {"statement": HOP_QUERY, "params": {"minimum": 0}}
+                )
+                assert status == 200 and body["row_count"] == 6
+                readings.append(cache.stats())
+            # One snapshot held, the same number of entries after every
+            # write, and every superseded snapshot's entries tallied.
+            assert {stats["pinned_snapshots"] for stats in readings} == {1}
+            per_snapshot = readings[0]["entries"]
+            assert per_snapshot > 0
+            assert [stats["entries"] for stats in readings] == [per_snapshot] * 12
+            evicted = [stats["gc_evicted"] for stats in readings]
+            assert evicted == sorted(evicted)
+            assert evicted[-1] - evicted[0] == per_snapshot * 11
+            assert "repro_snapshot_cache_pinned_snapshots 1" in service.metrics_text()
+        assert cache.stats()["pinned_snapshots"] == 1  # pool closed: the head's pin
+
+
+def raw_exchange(port: int, request: bytes) -> bytes:
+    """Send ``request`` on a fresh socket; everything read until the
+    server closes it."""
+    with socket.create_connection(("127.0.0.1", port), timeout=5.0) as raw:
+        raw.sendall(request)
+        reply = b""
+        while chunk := raw.recv(65536):
+            reply += chunk
+    return reply
+
+
 def service_post(service, path, payload):
     status, _, body = service.handle("POST", path, json.dumps(payload).encode())
     return status, json.loads(body)
@@ -407,10 +460,21 @@ class TestConnectionPool:
             result = connection.execute(HOP_QUERY, {"minimum": 0})
             assert len(result.rows) > 0
             assert pool.stats()["retired_open"] == 1
+            # The lease pins the superseded snapshot: its cache entries
+            # stay readable beside the new head's until it is returned.
+            cache = db.snapshot_cache
+            held = cache.stats()
+            assert held["pinned_snapshots"] == 2
+            assert held["entries"] > 0 and held["gc_evicted"] == 0
             lease.__exit__(None, None, None)
             # Release closed the retired connection and drained the
-            # generation; the pool serves only the new snapshot now.
+            # generation; the pool serves only the new snapshot now, and
+            # the cache forgot the old one in the same instant.
             assert pool.stats()["retired_open"] == 0
+            dropped = cache.stats()
+            assert dropped["pinned_snapshots"] == 1
+            assert dropped["entries"] == 0
+            assert dropped["gc_evicted"] == held["entries"]
             with pytest.raises(ConnectionClosedError):
                 connection.execute(HOP_QUERY, {"minimum": 0})
             with pool.acquire() as fresh:
@@ -549,3 +613,117 @@ class TestServerHTTP:
                 status, _, body = client._request("GET", "/nope", None)
                 assert status == 404
                 assert json.loads(body)["error"]["type"] == "ProtocolError"
+
+    def test_malformed_content_length_is_answered_400_and_counted(self, db):
+        with Server(db, port=0) as server:
+            for value in (b"abc", b"-5"):
+                reply = raw_exchange(
+                    server.port,
+                    b"POST /query HTTP/1.1\r\nHost: test\r\n"
+                    b"Content-Length: " + value + b"\r\n\r\n",
+                )
+                head, _, body = reply.partition(b"\r\n\r\n")
+                assert head.startswith(b"HTTP/1.1 400 "), reply[:80]
+                # The body length is unknowable: the socket is not reused.
+                assert b"\r\nConnection: close" in head
+                error = json.loads(body)["error"]
+                assert error["type"] == "ProtocolError"
+                assert "Content-Length" in error["message"]
+        counted = db.metrics.counter(
+            "repro_service_requests_total", route="/query", status="400"
+        )
+        assert counted.value == 2
+
+    def test_stdlib_rejections_take_the_service_shape(self, db):
+        with Server(db, port=0) as server:
+            reply = raw_exchange(server.port, b"PATCH /query HTTP/1.1\r\nHost: test\r\n\r\n")
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 501 ")
+        assert b"\r\nContent-Type: application/json" in head
+        assert json.loads(body)["error"]["type"] == "ProtocolError"
+
+    def test_a_response_is_one_send_on_a_nodelay_socket(self, db):
+        class CountingSocket:
+            """Delegates to the accepted socket, counting ``send*`` calls."""
+
+            def __init__(self, sock):
+                self._sock = sock
+                self.sends = []
+
+            def __getattr__(self, name):
+                attribute = getattr(self._sock, name)
+                if name.startswith("send"):
+                    def counted(*args, **kwargs):
+                        self.sends.append(name)
+                        return attribute(*args, **kwargs)
+                    return counted
+                return attribute
+
+        accepted = []
+        with Server(db, port=0) as server:
+            accept = server._httpd.get_request
+
+            def get_request():
+                sock, address = accept()
+                accepted.append(CountingSocket(sock))
+                return accepted[-1], address
+
+            server._httpd.get_request = get_request
+            with ServiceClient("127.0.0.1", server.port) as client:
+                client.healthz()
+                client.query(HOP_QUERY, {"minimum": 0})
+                client.query(CHAIN_QUERY)
+                client.metrics()
+                with pytest.raises(ServiceError):
+                    client.query("SELECT nonsense")
+                status, _, _ = client._request("GET", "/nope", None)
+                assert status == 404
+                (connection,) = accepted  # keep-alive: one socket served all six
+                assert connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
+                assert connection.sends == ["sendall"] * 6
+
+    #: Thirty keep-alive round trips per payload size.  Two sends on a
+    #: Nagle socket cost a flat 40 ms each (the delayed ACK), so a median
+    #: under 10 ms cannot pass by luck, and cannot fail under load short
+    #: of a 50x slowdown of a ~0.2 ms exchange.
+    ROUND_TRIPS = 30
+
+    def test_keepalive_round_trips_do_not_stall_at_any_payload_size(self):
+        names = [f"ACCOUNT-{i:04d}" for i in range(48)]
+        database = Database(metrics=MetricsRegistry())
+        database.create_table("Account", ["iban"], [(name,) for name in names])
+        database.create_table(
+            "Transfer",
+            ["t_id", "src_iban", "tgt_iban", "ts", "amount"],
+            [   # lap k of the ring links i -> i + k + 1: 624 distinct pairs
+                (f"t{i}", names[i % 48], names[(i + 1 + i // 48) % 48], i, 100 + i)
+                for i in range(48 * 13)
+            ],
+        )
+        database.execute(DDL)
+        requests = {
+            "healthz": ("GET", "/healthz", None, range(100, 1_000)),
+            "hop": (
+                "POST", "/query",
+                {"statement": HOP_QUERY, "params": {"minimum": 0}},
+                range(15_000, 40_000),
+            ),
+            # Past one 64 KB loopback segment: a single write without
+            # TCP_NODELAY would still stall on its last partial segment.
+            "chain": ("POST", "/query", {"statement": CHAIN_QUERY}, range(65_536, 200_000)),
+        }
+        try:
+            with Server(database, port=0, pool_size=2) as server:
+                with ServiceClient("127.0.0.1", server.port) as client:
+                    for name, (method, path, payload, size) in requests.items():
+                        status, _, body = client._request(method, path, payload)  # warm
+                        assert status == 200 and len(body) in size, (name, len(body))
+                        laps = []
+                        for _ in range(self.ROUND_TRIPS):
+                            begin = perf_counter()
+                            status, _, body = client._request(method, path, payload)
+                            laps.append(perf_counter() - begin)
+                            assert status == 200
+                        assert median(laps) < 0.010, (name, sorted(laps)[::5])
+        finally:
+            database.close()

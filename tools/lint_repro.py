@@ -49,7 +49,7 @@ Rules (each failure prints ``path:line: RULE message`` and exits 1):
   container (list/dict/set/OrderedDict/...) mutated from inside a
   function outside a ``with <...lock...>:`` block, and (b) in
   ``engine/snapshot_cache.py``, the snapshot-cache internals
-  (``self._entries`` / ``self._building`` / ``self._referents``)
+  (``self._entries`` / ``self._building`` / ``self._pins``)
   touched outside the cache lock.  Module globals
   are process-shared: connections run queries from arbitrary threads, so
   an unguarded ``G[k] = v`` is a data race even when every current
@@ -202,7 +202,7 @@ _MUTABLE_FACTORIES = {
 #: SnapshotCache internals: cross-connection shared state that must only
 #: be touched under the cache lock (``self._stats`` reads ride along with
 #: entry bookkeeping, so it is held to the same discipline).
-_CACHE_INTERNALS = {"_entries", "_building", "_referents"}
+_CACHE_INTERNALS = {"_entries", "_building", "_pins"}
 
 
 def _module_mutable_globals(tree: ast.Module) -> set:
