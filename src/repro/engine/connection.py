@@ -495,8 +495,8 @@ class Connection:
         """The store-owned prepared statement behind ``execute(text)``,
         compiled on the text's first execution."""
         with self._lock:
-            # Compilation drives the engine's preparation state machine
-            # (e.g. the SQLite temp-table sink), which must not interleave
+            # Compilation touches connection-affine engine state (e.g. the
+            # SQLite backend's shared view tables), which must not interleave
             # with another thread's compile or execute on this connection;
             # holding the lock also lets a concurrent miss on the same
             # text reuse the winner instead of displacing (and leaking) it.

@@ -4,26 +4,36 @@ SQL/PGQ is designed to run *inside* a relational engine; this module shows
 the paper's formal fragments executing on a real one.  A
 :class:`SQLiteEngine` loads a :class:`~repro.relational.database.Database`
 into an in-memory SQLite database and evaluates PGQ queries by compiling
-them to SQL:
+each to **one** SQL statement:
 
 * the relational operators map to ``SELECT`` / ``UNION`` / ``EXCEPT`` /
   cross joins;
 * pattern matching over a graph view maps to joins over the six view
-  relations, with unbounded repetition compiled to a ``WITH RECURSIVE``
-  common table expression — the same mechanism (linear recursion) the paper
-  cites as SQL's NL-complete core.
+  relations; a repetition's body is a ``MATERIALIZED`` common table
+  expression of the statement itself (evaluated once per execution) and
+  unbounded repetition closes it with ``WITH RECURSIVE`` — the same
+  mechanism (linear recursion) the paper cites as SQL's NL-complete core;
+* parameter slots are numbered ``?N`` placeholders, one number per slot
+  name, so one-shot, streamed and prepared execution share a single
+  compilation mode (:class:`_SQLiteCompiledQuery`).
 
-The SQL compilation supports unary identifiers (the read-only/read-write
-fragments and the SQL/PGQ core, cf. Section 7 item (3)); queries that build
-views with n-ary identifiers fall back to the in-memory evaluator so that
-every query still executes.  Results are always identical to the formal
-evaluator, which the test-suite and the E11 benchmark check.
+Nothing is built ahead of an execution except the six view tables, which
+the engine owns and shares between every statement over the same graph
+view.  The SQL compilation supports unary identifiers (the
+read-only/read-write fragments and the SQL/PGQ core, cf. Section 7 item
+(3)); a query it cannot serve — n-ary identifier views, a
+``max_repetitions`` bound with repetition — is answered by the formal
+evaluator instead, and every such answer is *counted* by reason in
+:attr:`SQLiteEngine.fallbacks` (shown by ``Explain`` and a
+``sqlite.fallback`` span), so "sqlite agrees with the oracle" cannot
+silently mean the oracle agreeing with itself.  Results are always
+identical to the formal evaluator, which the test-suite and the E11
+benchmark check.
 """
 
 from __future__ import annotations
 
 import itertools
-import re
 import sqlite3
 import time
 import weakref
@@ -73,7 +83,6 @@ from repro.pgq.queries import (
     Select,
     Union,
     iter_queries,
-    query_parameters,
     resolve_bindings,
 )
 from repro.pgq.views import infer_identifier_arity
@@ -92,13 +101,19 @@ from repro.relational.database import Database
 from repro.relational.relation import Relation
 
 
+#: ``AS MATERIALIZED`` (a repetition's pair relation) needs SQLite 3.35.
+_MIN_SQLITE_VERSION = (3, 35)
+
+
 class SQLiteEngine:
-    """Evaluates PGQ queries on SQLite, falling back to the formal evaluator.
+    """Evaluates PGQ queries on SQLite; what SQL cannot serve is answered
+    by the formal evaluator and counted in :attr:`fallbacks`.
 
     Registered in :mod:`repro.engine.registry` under the name ``sqlite``;
-    with ``max_repetitions`` set, every query runs on the formal evaluator
-    so the depth-overrun :class:`~repro.errors.PatternError` matches the
-    other engines exactly.
+    with ``max_repetitions`` set, queries containing a repetition run on
+    the formal evaluator (the recursive CTE cannot raise on depth overrun)
+    so the :class:`~repro.errors.PatternError` matches the other engines
+    exactly, while repetition-free queries stay on SQL.
     """
 
     name = "sqlite"
@@ -107,39 +122,21 @@ class SQLiteEngine:
         self.database = database
         self.max_repetitions = max_repetitions
         self._connection: Optional[sqlite3.Connection] = None
-        self._temp_counter = itertools.count()
-        #: Temp tables created while compiling the current query; dropped
-        #: by :meth:`evaluate` after the result is fetched so repeated
-        #: queries in a long-lived session do not accumulate tables
-        #: (``compile_to_sql`` callers keep them — the returned SQL
-        #: references them; prepared statements keep theirs for their
-        #: whole lifetime).
-        self._temp_tables_in_flight: List[str] = []
-        #: Literal sink of the in-flight compilation.  The default inlines
-        #: SQL literals; a prepared compilation swaps in a
-        #: :class:`_ParamSink` that turns :class:`Parameter` slots into
-        #: native ``?`` placeholders and records their names in order.
-        self._params: "_LiteralSink" = _LITERALS
-        #: Collected ``(table, sql, slot names)`` steps of a prepared
-        #: compilation whose pair tables depend on parameters and must be
-        #: re-materialized per execution; ``None`` outside prepared
-        #: compilations (a parameterized pair body is then unsupported).
-        self._deferred_pairs: Optional[List[Tuple[str, str, Tuple[str, ...]]]] = None
-        #: Engine-owned view temp tables shared by *prepared* statements,
-        #: keyed like the evaluator's view cache on (sources, max_arity):
-        #: the database is immutable for the engine's lifetime, so every
-        #: prepared statement over the same graph view reuses one set of
-        #: materialized tables instead of duplicating them per statement.
-        #: Each entry carries a WeakSet of the compiled statements using
-        #: it; superseded entries (e.g. graph redefinitions) are dropped
-        #: once no live statement references them.  Cleared (with the
-        #: connection) by :meth:`close`.
+        self._view_counter = itertools.count()
+        #: Why SQL could not serve a query -> evaluations the formal
+        #: evaluator answered instead (see :meth:`_statement`).
+        self.fallbacks: Dict[str, int] = {}
+        #: The six view temp tables of every graph view in use, keyed like
+        #: the evaluator's view cache on (sources, max_arity): the database
+        #: is immutable for the engine's lifetime, so every statement over
+        #: the same graph view — prepared, streamed or one-shot — reads one
+        #: set of materialized tables.  Each entry carries a WeakSet of the
+        #: compiled statements using it; superseded entries (e.g. graph
+        #: redefinitions) are dropped once no live statement references
+        #: them.  Cleared (with the connection) by :meth:`close`.
         self._shared_view_tables: "OrderedDict[Tuple, Tuple[List[str], weakref.WeakSet]]" = (
             OrderedDict()
         )
-        #: The compiled statement currently being prepared, so shared view
-        #: tables can track their users for safe eviction.
-        self._preparing_statement: Optional["_SQLiteCompiledQuery"] = None
         #: Snapshot-cache scope attached by connections (see
         #: :meth:`use_snapshot_cache`); ``None`` = private evaluation.
         self._snapshot_scope = None
@@ -160,14 +157,14 @@ class SQLiteEngine:
         """
         self._snapshot_scope = scope
 
-    def _fallback_evaluator(self, *, max_repetitions: Optional[int] = None) -> PGQEvaluator:
+    def _fallback_evaluator(self) -> PGQEvaluator:
         """A formal evaluator for queries the SQL path cannot serve,
         snapshot-cache-attached when the engine is."""
-        evaluator = PGQEvaluator(self.database, max_repetitions=max_repetitions)
+        evaluator = PGQEvaluator(self.database, max_repetitions=self.max_repetitions)
         scope = self._snapshot_scope
         if scope is not None:
             evaluator.use_snapshot_cache(
-                scope.with_kind(("sqlite-fallback", max_repetitions))
+                scope.with_kind(("sqlite-fallback", self.max_repetitions))
             )
         return evaluator
 
@@ -196,10 +193,17 @@ class SQLiteEngine:
     def connection(self) -> sqlite3.Connection:
         """The backing connection, created and loaded on first SQL use.
 
-        Bounded sessions (``max_repetitions`` set) always delegate to the
-        formal evaluator, so they never pay for loading the database.
+        Queries answered by the formal evaluator never pay for loading
+        the database; the SQLite feature floor is checked here, at start-up,
+        rather than as a syntax error inside the first ``->+``.
         """
         if self._connection is None:
+            if sqlite3.sqlite_version_info < _MIN_SQLITE_VERSION:
+                found = ".".join(map(str, sqlite3.sqlite_version_info))
+                raise EngineError(
+                    "the sqlite backend needs SQLite >= 3.35 (AS MATERIALIZED "
+                    f"common table expressions); found {found}"
+                )
             connection = sqlite3.connect(":memory:")
             # Wait up to 5s for a competing writer before surfacing
             # "database is locked"; the transient-retry policy in
@@ -237,8 +241,8 @@ class SQLiteEngine:
         if self._connection is not None:
             self._connection.close()
             self._connection = None
-        # Temp tables died with the connection; prepared statements that
-        # survive a close recompile (and re-share) on the next execution.
+        # View tables died with the connection; statements that survive a
+        # close recompile (and re-share) on the next execution.
         self._shared_view_tables.clear()
 
     def __enter__(self) -> "SQLiteEngine":
@@ -250,39 +254,29 @@ class SQLiteEngine:
     # ------------------------------------------------------------------ #
     # Public API
     # ------------------------------------------------------------------ #
+    def _statement(self, query: Query) -> CompiledQuery:
+        """The compiled form of ``query``: one SQL statement — or, here at
+        the engine's only fallback site, a counted hand-off to the formal
+        evaluator that names why SQL could not serve it."""
+        if self.max_repetitions is not None and _contains_repetition(query):
+            reason = "max_repetitions bound with repetition"
+        else:
+            try:
+                return _SQLiteCompiledQuery(self, query)
+            except _SQLUnsupported as unsupported:
+                reason = str(unsupported)
+            except BindingError:  # an unbound slot inside a view source
+                reason = "parameterized view source"
+        return _OracleQuery(self, query, reason)
+
     def evaluate(self, query: Query, bindings: Optional[Bindings] = None) -> Relation:
-        """Evaluate a PGQ query, preferring the SQL path when it applies.
+        """Evaluate a PGQ query: resolve bindings, compile, execute.
 
         ``bindings`` are substituted eagerly (one-shot evaluation gains
-        nothing from deferred binding; :meth:`prepare` is the path that
-        keeps ``?`` placeholders native).  A configured ``max_repetitions``
-        bound is enforced by the formal evaluator (the SQL recursive CTE
-        cannot raise on depth overrun), so queries that contain a
-        repetition operator take the fallback path — keeping the error
-        behavior identical across engines while repetition-free queries
-        stay on SQL.
+        nothing from binding late; :meth:`prepare` is the path that keeps
+        slots as native placeholders).
         """
-        query = resolve_bindings(query, bindings)
-        if self.max_repetitions is not None and _contains_repetition(query):
-            return self._fallback_evaluator(
-                max_repetitions=self.max_repetitions
-            ).evaluate(query)
-        self._temp_tables_in_flight = []
-        try:
-            try:
-                sql, arity = self._compile(query)
-            except _SQLUnsupported:
-                return self._fallback_evaluator().evaluate(query)
-            # Iterate the cursor rather than fetchall(): rows decode one at
-            # a time into the relation (the temp tables must outlive the
-            # iteration, hence the consumption inside this try block).
-            with trace_span("sqlite.execute", sql=_sql_snippet(sql)), self._governed_execution():
-                relation = _relation_from_rows(
-                    self._execute_with_retry(self.connection, sql), arity
-                )
-        finally:
-            self._drop_in_flight_temp_tables()
-        return relation
+        return self._statement(resolve_bindings(query, bindings)).execute()
 
     def stream(
         self, query: Query, bindings: Optional[Bindings] = None
@@ -293,44 +287,26 @@ class SQLiteEngine:
         The SQL compiles and the statement starts executing here (compile
         errors and missing bindings surface at call time), but rows are
         fetched from the SQLite cursor a batch at a time as the iterator
-        is consumed; in-flight temp tables are dropped when the iterator is
-        exhausted or closed.  Returns ``None`` — the caller then takes the
-        materializing :meth:`evaluate` path — for queries the SQL
-        translation cannot serve, for depth-bounded sessions whose queries
-        contain repetition (the formal evaluator enforces the bound), and
-        for zero-arity results (the ``{()}`` vs ``{}`` distinction is not
-        a row stream).
+        is consumed.  Returns ``None`` — the caller then takes the
+        materializing :meth:`evaluate` path — for queries the formal
+        evaluator answers and for zero-arity results (the ``{()}`` vs
+        ``{}`` distinction is not a row stream).
         """
-        query = resolve_bindings(query, bindings)
-        if self.max_repetitions is not None and _contains_repetition(query):
-            return None
-        self._temp_tables_in_flight = []
-        try:
-            sql, arity = self._compile(query)
-        except _SQLUnsupported:
-            self._drop_in_flight_temp_tables()
-            return None
-        except BaseException:
-            self._drop_in_flight_temp_tables()
-            raise
-        if arity == 0:
-            self._drop_in_flight_temp_tables()
-            return None
-        tables, self._temp_tables_in_flight = self._temp_tables_in_flight, []
-        try:
-            with trace_span("sqlite.execute", sql=_sql_snippet(sql)), self._governed_execution():
-                cursor = self._execute_with_retry(self.connection, sql)
-        except BaseException:
-            self._drop_tables(tables)
-            raise
-        return arity, self._stream_cursor(cursor, tables), False
+        return self._statement(resolve_bindings(query, bindings)).execute_stream()
+
+    def prepare(self, query: Query) -> CompiledQuery:
+        """Compile once to SQL with native ``?N`` parameters, execute many:
+        each parameter slot becomes a numbered SQLite placeholder bound per
+        execution, and nothing but the (engine-owned, shared) view tables
+        outlives an execution."""
+        return self._statement(query)
 
     def _stream_cursor(
-        self, cursor: sqlite3.Cursor, tables: List[str]
+        self, cursor: sqlite3.Cursor, statement: "_SQLiteCompiledQuery"
     ) -> "_CursorStream":
         """A distinct-row stream over ``cursor``, registered with the
         engine so :meth:`close` can detach (buffer) it first."""
-        stream = _CursorStream(self, cursor, tables)
+        stream = _CursorStream(cursor, statement)
         self._open_streams.append(weakref.ref(stream))
         if len(self._open_streams) > 64:  # prune collected streams
             self._open_streams = [
@@ -346,31 +322,6 @@ class SQLiteEngine:
             if stream is not None:
                 stream.detach()
 
-    def prepare(self, query: Query) -> CompiledQuery:
-        """Compile once to SQL with native ``?`` parameters, execute many.
-
-        The six view relations are materialized (and indexed) into temp
-        tables that persist for the prepared statement's lifetime; each
-        parameter slot becomes a SQLite ``?`` placeholder bound per
-        execution.  Pair tables of repetition bodies whose conditions
-        carry parameters are re-materialized per execution (their contents
-        depend on the binding); everything else is compiled exactly once.
-        Queries the SQL path cannot serve (n-ary identifier views, a
-        ``max_repetitions`` bound with repetition, parameterized view
-        sources) fall back to a per-execution eager-binding compiled
-        query, matching :meth:`evaluate` semantics.
-        """
-        if self.max_repetitions is not None and _contains_repetition(query):
-            return CompiledQuery(self, query)
-        try:
-            return _SQLiteCompiledQuery(self, query)
-        except (_SQLUnsupported, BindingError):
-            return CompiledQuery(self, query)
-
-    def _drop_in_flight_temp_tables(self) -> None:
-        tables, self._temp_tables_in_flight = self._temp_tables_in_flight, []
-        self._drop_tables(tables)
-
     def _drop_tables(self, tables: Sequence[str]) -> None:
         if not tables or self._connection is None:
             return
@@ -379,8 +330,9 @@ class SQLiteEngine:
             try:
                 cursor.execute(f"DROP TABLE IF EXISTS {table}")
             except sqlite3.OperationalError:
-                # A streaming cursor is still reading the table; leave it
-                # behind — temp tables die with the connection anyway.
+                # A raw cursor (``compile_to_sql`` callers) is still reading
+                # the table; leave it behind — temp tables die with the
+                # connection anyway.
                 pass
         self._connection.commit()
 
@@ -481,159 +433,74 @@ class SQLiteEngine:
         return [tuple(row) for row in self.connection.execute(sql).fetchall()]
 
     def compile_to_sql(self, query: Query) -> str:
-        """Return the SQL text a query compiles to (raises when unsupported)."""
-        sql, _arity = self._compile(query)
-        return sql
+        """Return the SQL text a query compiles to (raises when unsupported).
+
+        The text names the engine's shared view tables, which stay valid
+        until the engine closes or evicts them as unreferenced."""
+        return _SQLiteCompiledQuery(self, query).sql
 
     # ------------------------------------------------------------------ #
-    # Relational operators
-    # ------------------------------------------------------------------ #
-    def _compile(self, query: Query) -> Tuple[str, int]:
-        if isinstance(query, BaseRelation):
-            relation = self.database.relation(query.name)
-            columns = ", ".join(f"c{i}" for i in range(1, relation.arity + 1))
-            return f'SELECT {columns} FROM "{query.name}"', relation.arity
-        if isinstance(query, Constant):
-            return f"SELECT {self._params.emit(query.value)} AS c1", 1
-        if isinstance(query, ConstantRelation):
-            if not query.rows:
-                raise _SQLUnsupported("empty constant relation")
-            selects = [
-                "SELECT " + ", ".join(
-                    f"{_sql_literal(value)} AS c{i + 1}" for i, value in enumerate(row)
-                )
-                for row in query.rows
-            ]
-            return " UNION ".join(selects), query.arity
-        if isinstance(query, ActiveDomainQuery):
-            return "SELECT c1 FROM __adom", 1
-        if isinstance(query, EmptyRelation):
-            columns = ", ".join(f"NULL AS c{i + 1}" for i in range(query.arity))
-            return f"SELECT {columns} WHERE 1 = 0", query.arity
-        if isinstance(query, Project):
-            inner, _arity = self._compile(query.operand)
-            columns = ", ".join(
-                f"sub.c{position} AS c{index + 1}" for index, position in enumerate(query.positions)
-            )
-            return f"SELECT {columns} FROM ({inner}) AS sub", len(query.positions)
-        if isinstance(query, Select):
-            inner, arity = self._compile(query.operand)
-            predicate = _compile_ra_condition(query.condition, "sub", self._params.emit)
-            columns = ", ".join(f"sub.c{i}" for i in range(1, arity + 1))
-            return f"SELECT {columns} FROM ({inner}) AS sub WHERE {predicate}", arity
-        if isinstance(query, Product):
-            left_sql, left_arity = self._compile(query.left)
-            right_sql, right_arity = self._compile(query.right)
-            left_cols = ", ".join(f"l.c{i} AS c{i}" for i in range(1, left_arity + 1))
-            right_cols = ", ".join(
-                f"r.c{i} AS c{left_arity + i}" for i in range(1, right_arity + 1)
-            )
-            separator = ", " if left_cols and right_cols else ""
-            return (
-                f"SELECT {left_cols}{separator}{right_cols} FROM ({left_sql}) AS l, ({right_sql}) AS r",
-                left_arity + right_arity,
-            )
-        if isinstance(query, Union):
-            left_sql, left_arity = self._compile(query.left)
-            right_sql, right_arity = self._compile(query.right)
-            if left_arity != right_arity:
-                raise EngineError("union of incompatible arities")
-            return f"SELECT * FROM ({left_sql}) UNION SELECT * FROM ({right_sql})", left_arity
-        if isinstance(query, Difference):
-            left_sql, left_arity = self._compile(query.left)
-            right_sql, _right = self._compile(query.right)
-            return f"SELECT * FROM ({left_sql}) EXCEPT SELECT * FROM ({right_sql})", left_arity
-        if isinstance(query, GraphPattern):
-            return self._compile_graph_pattern(query)
-        raise _SQLUnsupported(f"query node {type(query).__name__}")
-
-    # ------------------------------------------------------------------ #
-    # Pattern matching
+    # View tables
     # ------------------------------------------------------------------ #
     #: Index columns per view-table position (nodes, .., properties): the
     #: pattern SQL joins sources/targets on the edge column and probes
     #: labels/properties by (element, key), so those lookups must not scan.
     _VIEW_INDEX_COLUMNS = ("c1", None, "c1", "c1", "c1, c2", "c1, c2")
 
-    def _compile_graph_pattern(self, query: GraphPattern) -> Tuple[str, int]:
-        names = self._materialize_view_tables(query)
-        view = _ViewTables(*names)
-        compiler = _PatternSQL(
-            view, materialize=self._materialize_pair_table, params=self._params
-        )
-        sql = compiler.compile_output(query.output)
-        arity = len(query.output.items)
-        return sql, arity
-
-    def _materialize_view_tables(self, query: GraphPattern) -> List[str]:
-        """Materialize the six view relations as temporary tables.
+    def _view_tables(self, query: GraphPattern, user: "_SQLiteCompiledQuery") -> List[str]:
+        """The six view relations of ``query`` as indexed temporary tables.
 
         Keeps the pattern SQL readable and lets the recursive CTE reference
-        them.  During a *prepared* compilation the tables are shared
-        engine-wide per ``(sources, max_arity)`` — the database is
-        immutable for the engine's lifetime, so many prepared statements
-        over one graph view hold one set of tables, not one per statement.
-        One-shot evaluations keep private tables (they are dropped right
-        after the query).
+        them.  The tables are engine-owned and shared per ``(sources,
+        max_arity)`` — the database is immutable for the engine's
+        lifetime, so every statement over one graph view reads one set of
+        tables; ``user`` (a one-shot evaluation is just a short-lived one)
+        joins the entry's user set, which is what keeps it from eviction.
         """
-        preparing = self._deferred_pairs is not None
-        cache_key: Optional[Tuple] = None
-        if preparing:
-            cache_key = (query.sources, query.max_arity)
-            try:
-                hash(cache_key)
-            except TypeError:
-                cache_key = None
-            else:
-                shared = self._shared_view_tables.get(cache_key)
-                if shared is not None:
-                    names, users = shared
-                    self._shared_view_tables.move_to_end(cache_key)
-                    if self._preparing_statement is not None:
-                        users.add(self._preparing_statement)
-                    return names
+        cache_key = (query.sources, query.max_arity)
+        try:
+            shared = self._shared_view_tables.get(cache_key)
+        except TypeError:
+            raise _SQLUnsupported("unhashable constant in a view source") from None
+        if shared is not None:
+            names, users = shared
+            self._shared_view_tables.move_to_end(cache_key)
+            users.add(user)
+            return names
         view_relations = tuple(self._source_relation(source) for source in query.sources)
         identifier_arity = infer_identifier_arity(view_relations)
         if identifier_arity != 1:
             raise _SQLUnsupported("the SQL backend compiles unary-identifier views only")
-        names: List[str] = []
+        number = next(self._view_counter)
+        names = [f"__view{number}_{index}" for index in range(len(view_relations))]
         cursor = self.connection.cursor()
-        # Register every table in-flight *before* creating it so a
-        # mid-loop failure (e.g. an unbindable cell value) still gets its
-        # partial tables dropped by the caller's cleanup; on success the
-        # shared-cache path below adopts them out of the in-flight list.
-        in_flight_start = len(self._temp_tables_in_flight)
-        for index, relation in enumerate(view_relations):
-            table = f"__view{next(self._temp_counter)}_{index}"
-            names.append(table)
-            self._temp_tables_in_flight.append(table)
-            columns = ", ".join(f"c{i}" for i in range(1, max(relation.arity, 1) + 1))
-            cursor.execute(f"DROP TABLE IF EXISTS {table}")
-            cursor.execute(f"CREATE TEMP TABLE {table} ({columns})")
-            if relation.arity:
-                placeholders = ", ".join("?" for _ in range(relation.arity))
-                cursor.executemany(
-                    f"INSERT INTO {table} VALUES ({placeholders})",
-                    [tuple(row) for row in relation.rows],
-                )
-            index_columns = self._VIEW_INDEX_COLUMNS[index]
-            if index_columns is not None and relation.arity:
-                cursor.execute(f"CREATE INDEX idx_{table} ON {table}({index_columns})")
+        try:
+            for index, (table, relation) in enumerate(zip(names, view_relations)):
+                columns = ", ".join(f"c{i}" for i in range(1, max(relation.arity, 1) + 1))
+                cursor.execute(f"CREATE TEMP TABLE {table} ({columns})")
+                if relation.arity:
+                    placeholders = ", ".join("?" for _ in range(relation.arity))
+                    cursor.executemany(
+                        f"INSERT INTO {table} VALUES ({placeholders})",
+                        [tuple(row) for row in relation.rows],
+                    )
+                index_columns = self._VIEW_INDEX_COLUMNS[index]
+                if index_columns is not None and relation.arity:
+                    cursor.execute(f"CREATE INDEX idx_{table} ON {table}({index_columns})")
+        except BaseException:
+            # A mid-loop failure (e.g. an unbindable cell value) must not
+            # leave its partial tables behind.
+            self._drop_tables(names)
+            raise
         self.connection.commit()
-        if cache_key is not None:
-            # Engine-owned from here on: statements must not drop them.
-            del self._temp_tables_in_flight[in_flight_start:]
-            users: "weakref.WeakSet" = weakref.WeakSet()
-            if self._preparing_statement is not None:
-                users.add(self._preparing_statement)
-            self._shared_view_tables[cache_key] = (names, users)
-            self._evict_unreferenced_view_tables()
+        self._shared_view_tables[cache_key] = (names, weakref.WeakSet((user,)))
+        self._evict_unreferenced_view_tables()
         return names
 
     def _evict_unreferenced_view_tables(self) -> None:
         """Drop cached view-table sets past the cap, oldest first, but
-        only those no live prepared statement still compiles against
-        (superseded graph definitions, typically)."""
+        only those no live statement or stream still reads (superseded
+        graph definitions, typically)."""
         if len(self._shared_view_tables) <= self._SHARED_VIEW_TABLES_MAX:
             return
         for key in list(self._shared_view_tables):
@@ -643,47 +510,6 @@ class SQLiteEngine:
             if not users:
                 del self._shared_view_tables[key]
                 self._drop_tables(names)
-
-    def _materialize_pair_table(self, pair_sql: str, slots: Tuple[str, ...] = ()) -> str:
-        """Materialize a repetition body's (src, tgt) relation, indexed.
-
-        The recursive CTE previously re-evaluated the body subquery (label
-        and property EXISTS probes included) on every extension step; as a
-        temp table the per-step conditions run exactly once, and the
-        ``src``/``tgt`` indexes turn each closure step into index lookups
-        instead of scans — this is what removed the super-linear blowup on
-        the transfer workloads.
-
-        ``slots`` names the parameter placeholders inside ``pair_sql`` (in
-        ``?`` order).  A parameterized pair table's contents depend on the
-        execution's bindings, so during a prepared compilation it is only
-        *recorded* here (``_deferred_pairs``) and materialized per
-        execution by :class:`_SQLiteCompiledQuery`.
-        """
-        table = f"__pairs{next(self._temp_counter)}"
-        self._temp_tables_in_flight.append(table)
-        # A pair table must also be deferred when its body *references* an
-        # already-deferred table (nested repetition with a parameterized
-        # inner body): that inner table does not exist until execution, so
-        # materializing the outer one now would fail.  Match whole
-        # identifiers — a plain substring test would alias __pairs1 onto
-        # __pairs12 and needlessly defer parameter-free tables.
-        references_deferred = self._deferred_pairs is not None and any(
-            re.search(rf"\b{re.escape(deferred_table)}\b", pair_sql)
-            for deferred_table, _sql, _slots in self._deferred_pairs
-        )
-        if slots or references_deferred:
-            if self._deferred_pairs is None:
-                raise _SQLUnsupported("parameterized repetition body outside prepare()")
-            self._deferred_pairs.append((table, pair_sql, tuple(slots)))
-            return table
-        cursor = self.connection.cursor()
-        cursor.execute(f"DROP TABLE IF EXISTS {table}")
-        cursor.execute(f"CREATE TEMP TABLE {table} AS {pair_sql}")
-        cursor.execute(f"CREATE INDEX idx_{table}_src ON {table}(src)")
-        cursor.execute(f"CREATE INDEX idx_{table}_tgt ON {table}(tgt)")
-        self.connection.commit()
-        return table
 
 
 def _contains_repetition(query: Query) -> bool:
@@ -708,67 +534,19 @@ def make_sqlite_engine(
 
 
 class _SQLUnsupported(Exception):
-    """Internal: the query cannot be compiled to SQL; fall back to Python."""
+    """Internal: the query cannot be compiled to SQL.  The message is the
+    reason :attr:`SQLiteEngine.fallbacks` counts the evaluation under."""
 
 
 def _sql_literal(value) -> str:
     if isinstance(value, Parameter):
-        raise _SQLUnsupported(f"parameter slot {value!r} outside a prepared compilation")
+        raise _SQLUnsupported(f"parameter slot {value!r} where SQL takes no placeholder")
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, (int, float)):
         return repr(value)
     text = str(value).replace("'", "''")
     return f"'{text}'"
-
-
-class _LiteralSink:
-    """Default literal sink: inline every constant as a SQL literal."""
-
-    def emit(self, value) -> str:
-        return _sql_literal(value)
-
-    def push(self) -> None:
-        """Open a nested slot scope (repetition bodies); no-op here."""
-
-    def pop(self) -> Tuple[str, ...]:
-        return ()
-
-
-class _ParamSink(_LiteralSink):
-    """Prepared-compilation sink: parameters become ``?`` placeholders.
-
-    Slot names are recorded in emission order, which — because every
-    compilation rule interpolates sub-SQL in the order it compiles it —
-    is also textual ``?`` order.  ``push``/``pop`` bracket repetition
-    bodies so a materialized pair table's slots are split off the
-    enclosing statement's list (the body text is replaced by a table
-    name, taking its placeholders with it).
-    """
-
-    def __init__(self) -> None:
-        self._stack: List[List[str]] = [[]]
-
-    def emit(self, value) -> str:
-        if isinstance(value, Parameter):
-            self._stack[-1].append(value.name)
-            return "?"
-        return _sql_literal(value)
-
-    def push(self) -> None:
-        self._stack.append([])
-
-    def pop(self) -> Tuple[str, ...]:
-        return tuple(self._stack.pop())
-
-    @property
-    def slots(self) -> Tuple[str, ...]:
-        """Slot names of the outermost (main statement) scope, in order."""
-        return tuple(self._stack[0])
-
-
-#: Shared default sink (stateless).
-_LITERALS = _LiteralSink()
 
 
 class _CursorStream:
@@ -781,15 +559,15 @@ class _CursorStream:
     a weak ref to every live stream: :meth:`SQLiteEngine.close` calls
     :meth:`detach` first, buffering the remaining rows so a streamed
     :class:`~repro.engine.result.QueryResult` stays readable after the
-    backend connection (or an engine swap) takes the cursor away.  Temp
-    tables owned by the stream (one-shot evaluation) are dropped when the
-    cursor is exhausted, detached or abandoned.
+    backend connection (or an engine swap) takes the cursor away.  The
+    stream holds its statement — and so, through the engine's user sets,
+    the view tables the cursor reads — until the cursor is exhausted,
+    detached or closed.
     """
 
-    def __init__(self, engine: "SQLiteEngine", cursor: sqlite3.Cursor, tables: List[str]):
-        self._engine = engine
+    def __init__(self, cursor: sqlite3.Cursor, statement: "_SQLiteCompiledQuery"):
         self._cursor: Optional[sqlite3.Cursor] = cursor
-        self._tables = tables
+        self._statement: Optional["_SQLiteCompiledQuery"] = statement
         self._seen: set = set()
         self._buffer: "deque[List[Tuple]]" = deque()
         self._done = False
@@ -808,29 +586,23 @@ class _CursorStream:
     def _fetch_batch(self) -> None:
         chunk = self._cursor.fetchmany(256)
         if not chunk:
-            self._finish()
+            self._release()
             return
         fresh = [row for row in dict.fromkeys(map(tuple, chunk)) if row not in self._seen]
         self._seen.update(fresh)
         if fresh:
             self._buffer.append(fresh)
 
-    def _finish(self) -> None:
-        self._done = True
-        self._release()
-
     def _release(self) -> None:
-        """Idempotent cursor/temp-table teardown, shared by exhaustion,
-        :meth:`detach` and garbage collection — safe to call twice and
-        after the backing connection is gone."""
-        cursor, self._cursor = self._cursor, None
+        """Idempotent teardown shared by exhaustion, :meth:`detach` and
+        :meth:`close` — safe after the backing connection is gone."""
+        self._done = True
+        cursor, self._cursor, self._statement = self._cursor, None, None
         if cursor is not None:
             try:
                 cursor.close()
             except sqlite3.Error:  # pragma: no cover - connection already gone
                 pass
-        tables, self._tables = self._tables, []
-        self._engine._drop_tables(tables)
 
     def detach(self) -> None:
         """Buffer every remaining row and release the cursor."""
@@ -842,21 +614,12 @@ class _CursorStream:
 
         The discard path of ``Connection.close(drain=False)``: the pooled
         connection is being recycled, nobody will read the rest of this
-        stream, so drop the buffer and free the cursor/temp tables now
-        instead of paying to materialize rows that go straight to GC.
+        stream, so drop the buffer and free the cursor now instead of
+        paying to materialize rows that go straight to GC.
         """
         if not self._done:
-            self._done = True
             self._buffer.clear()
             self._release()
-
-    def __del__(self):  # pragma: no cover - GC timing dependent
-        if not self._done:
-            self._done = True
-            try:
-                self._release()
-            except sqlite3.Error:
-                pass  # interpreter shutdown: the connection is already gone
 
 
 def _sql_snippet(sql: str, limit: int = 120) -> str:
@@ -874,122 +637,172 @@ def _relation_from_rows(rows, arity: int) -> Relation:
     return Relation(0, [()] if rows else [])
 
 
-class _SQLiteCompiledQuery:
-    """A prepared statement on the SQLite backend.
+class _OracleQuery(CompiledQuery):
+    """A query SQL could not serve: the formal evaluator answers it, and
+    every answer is counted under ``reason`` in the engine's ``fallbacks``."""
 
-    Holds the compiled SQL text (with native ``?`` placeholders), the
-    persisted view temp tables, and the deferred parameter-dependent pair
-    tables; ``execute(bindings)`` binds slot values positionally and runs
-    the statement on the engine's connection.  If the engine's connection
-    was closed (and thus the temp tables dropped) since preparation, the
-    statement transparently recompiles against the fresh connection.
+    def __init__(self, engine: "SQLiteEngine", query: Query, reason: str):
+        super().__init__(engine, query)
+        self.reason = reason
+
+    def execute(self, bindings: Optional[Bindings] = None, /, **named) -> Relation:
+        engine = self.engine
+        engine.fallbacks[self.reason] = engine.fallbacks.get(self.reason, 0) + 1
+        with trace_span("sqlite.fallback", reason=self.reason):
+            relation = engine._fallback_evaluator().evaluate(
+                self.query, bindings=merge_bindings(bindings, named)
+            )
+        self.executions += 1
+        return relation
+
+    def execute_stream(self, bindings: Optional[Bindings] = None, /, **named) -> None:
+        return None  # the formal evaluator materializes
+
+
+class _SQLiteCompiledQuery(CompiledQuery):
+    """One PGQ query as one SQL statement on the engine's connection — the
+    only object that turns a ``Query`` into SQL and runs it; one-shot,
+    streamed and prepared evaluation differ only in who holds it for how
+    long.
+
+    ``sql`` is the complete text: repetition pair relations are common
+    table expressions inside it and every parameter slot is a numbered
+    ``?N`` placeholder, so an execution builds nothing beforehand and any
+    number of cursors may read the same statement under different
+    bindings.  The view tables it names belong to the engine.  If the
+    engine's connection was closed (and thus the view tables dropped)
+    since compilation, the statement transparently recompiles against the
+    fresh connection.
     """
 
     def __init__(self, engine: "SQLiteEngine", query: Query):
-        self.engine = engine
-        self.query = query
-        self.parameter_names = tuple(sorted(query_parameters(query)))
-        #: Inferred slot types, filled in by the connection at prepare time.
-        self.parameter_types: Dict[str, str] = {}
-        self.executions = 0
+        super().__init__(engine, query)
         self._compile()
 
     def _compile(self) -> None:
-        engine = self.engine
-        self._connection = engine.connection  # load the database first
-        sink = _ParamSink()
-        saved = (
-            engine._params,
-            engine._temp_tables_in_flight,
-            engine._deferred_pairs,
-            engine._preparing_statement,
-        )
-        engine._params, engine._temp_tables_in_flight, engine._deferred_pairs = sink, [], []
-        engine._preparing_statement = self
-        try:
-            self._sql, self._arity = engine._compile(self.query)
-            self._tables = list(engine._temp_tables_in_flight)
-            self._deferred = list(engine._deferred_pairs)
-            self._main_slots = sink.slots
-        except BaseException:
-            engine._drop_tables(engine._temp_tables_in_flight)
-            raise
-        finally:
-            (
-                engine._params,
-                engine._temp_tables_in_flight,
-                engine._deferred_pairs,
-                engine._preparing_statement,
-            ) = saved
+        self._connection = self.engine.connection  # load the database first
+        #: Slot name -> placeholder number, in numbering order.
+        self._slots: Dict[str, int] = {}
+        #: Statement-wide name supply (subquery aliases, ``pairN``).
+        self._names = itertools.count()
+        self.sql, self._arity = self._relational(self.query)
 
-    def execute(self, bindings: Optional[Bindings] = None, /, **named) -> Relation:
-        """Execute with ``bindings`` (mapping and/or keywords, keywords
-        win; the mapping argument is positional-only so a slot named
-        ``bindings`` still binds by keyword)."""
+    def _emit(self, value) -> str:
+        """The literal sink of both compilers: constants inline, a
+        :class:`Parameter` becomes ``?N`` — one number per slot *name*
+        wherever it recurs, so placeholder order is nobody's invariant and
+        no caller-chosen name ever reaches the SQL text."""
+        if not isinstance(value, Parameter):
+            return _sql_literal(value)
+        return f"?{self._slots.setdefault(value.name, len(self._slots) + 1)}"
+
+    # -- relational operators ----------------------------------------------
+    def _relational(self, query: Query) -> Tuple[str, int]:
+        if isinstance(query, BaseRelation):
+            relation = self.engine.database.relation(query.name)
+            columns = ", ".join(f"c{i}" for i in range(1, relation.arity + 1))
+            return f'SELECT {columns} FROM "{query.name}"', relation.arity
+        if isinstance(query, Constant):
+            return f"SELECT {self._emit(query.value)} AS c1", 1
+        if isinstance(query, ConstantRelation):
+            if not query.rows:
+                raise _SQLUnsupported("empty constant relation")
+            selects = [
+                "SELECT " + ", ".join(
+                    f"{self._emit(value)} AS c{i + 1}" for i, value in enumerate(row)
+                )
+                for row in query.rows
+            ]
+            return " UNION ".join(selects), query.arity
+        if isinstance(query, ActiveDomainQuery):
+            return "SELECT c1 FROM __adom", 1
+        if isinstance(query, EmptyRelation):
+            columns = ", ".join(f"NULL AS c{i + 1}" for i in range(query.arity))
+            return f"SELECT {columns} WHERE 1 = 0", query.arity
+        if isinstance(query, Project):
+            inner, _arity = self._relational(query.operand)
+            columns = ", ".join(
+                f"sub.c{position} AS c{index + 1}" for index, position in enumerate(query.positions)
+            )
+            return f"SELECT {columns} FROM ({inner}) AS sub", len(query.positions)
+        if isinstance(query, Select):
+            inner, arity = self._relational(query.operand)
+            predicate = _compile_ra_condition(query.condition, "sub", self._emit)
+            columns = ", ".join(f"sub.c{i}" for i in range(1, arity + 1))
+            return f"SELECT {columns} FROM ({inner}) AS sub WHERE {predicate}", arity
+        if isinstance(query, Product):
+            left_sql, left_arity = self._relational(query.left)
+            right_sql, right_arity = self._relational(query.right)
+            left_cols = ", ".join(f"l.c{i} AS c{i}" for i in range(1, left_arity + 1))
+            right_cols = ", ".join(
+                f"r.c{i} AS c{left_arity + i}" for i in range(1, right_arity + 1)
+            )
+            separator = ", " if left_cols and right_cols else ""
+            return (
+                f"SELECT {left_cols}{separator}{right_cols} FROM ({left_sql}) AS l, ({right_sql}) AS r",
+                left_arity + right_arity,
+            )
+        if isinstance(query, Union):
+            left_sql, left_arity = self._relational(query.left)
+            right_sql, right_arity = self._relational(query.right)
+            if left_arity != right_arity:
+                raise EngineError("union of incompatible arities")
+            return f"SELECT * FROM ({left_sql}) UNION SELECT * FROM ({right_sql})", left_arity
+        if isinstance(query, Difference):
+            left_sql, left_arity = self._relational(query.left)
+            right_sql, _right = self._relational(query.right)
+            return f"SELECT * FROM ({left_sql}) EXCEPT SELECT * FROM ({right_sql})", left_arity
+        if isinstance(query, GraphPattern):
+            view = _ViewTables(*self.engine._view_tables(query, self))
+            compiler = _PatternSQL(view, self._emit, self._names)
+            return compiler.compile_output(query.output), len(query.output.items)
+        raise _SQLUnsupported(f"query node {type(query).__name__}")
+
+    # -- execution -----------------------------------------------------------
+    def _arguments(self, bindings: Optional[Bindings], named: Bindings) -> Tuple:
+        """Check the bindings (mapping and/or keywords, keywords win) and
+        order them by placeholder number."""
         merged = merge_bindings(bindings, named)
         check_bindings(self.parameter_names, merged)
         if self.engine._connection is not self._connection:
-            # The connection (and with it every temp table) went away since
-            # preparation — e.g. engine.close(); recompile transparently.
+            # The connection (and with it every view table) went away since
+            # compilation — e.g. engine.close(); recompile transparently.
             self._compile()
+        return tuple(merged[name] for name in self._slots)
+
+    def execute(self, bindings: Optional[Bindings] = None, /, **named) -> Relation:
+        """Execute and materialize; the mapping argument is positional-only
+        so a slot named ``bindings`` still binds by keyword."""
+        arguments = self._arguments(bindings, named)
         engine = self.engine
-        with engine._governed_execution():
-            cursor = self._connection.cursor()
-            for table, sql, slots in self._deferred:
-                cursor.execute(f"DROP TABLE IF EXISTS {table}")
-                cursor.execute(
-                    f"CREATE TEMP TABLE {table} AS {sql}",
-                    tuple(merged[name] for name in slots),
-                )
-                cursor.execute(f"CREATE INDEX idx_{table}_src ON {table}(src)")
-                cursor.execute(f"CREATE INDEX idx_{table}_tgt ON {table}(tgt)")
-            if self._deferred:
-                self._connection.commit()
-            arguments = tuple(merged[name] for name in self._main_slots)
-            with trace_span("sqlite.execute", sql=_sql_snippet(self._sql), prepared=True):
-                relation = _relation_from_rows(
-                    engine._execute_with_retry(self._connection, self._sql, arguments),
-                    self._arity,
-                )
+        # Rows decode inside the governed window: the statement does most
+        # of its work while the cursor is being read.
+        with trace_span("sqlite.execute", sql=_sql_snippet(self.sql)), engine._governed_execution():
+            relation = _relation_from_rows(
+                engine._execute_with_retry(self._connection, self.sql, arguments), self._arity
+            )
         self.executions += 1
         return relation
 
     def execute_stream(
         self, bindings: Optional[Bindings] = None, /, **named
     ) -> Optional[Tuple[int, Iterator[List[Tuple]], bool]]:
-        """Execute and stream the result rows off the SQLite cursor.
-
-        Mirrors the engine-level :meth:`SQLiteEngine.stream` contract:
+        """Execute and stream the result rows off the SQLite cursor:
         ``(arity, distinct-row batches, False)``, with binding errors
         raised here and rows fetched incrementally.  Returns ``None`` — the
-        caller falls back to :meth:`execute` — for zero-arity results and
-        for statements with parameter-dependent pair tables (those are
-        re-materialized per execution, which an open streaming cursor
-        from a previous execution must not observe).
+        caller falls back to :meth:`execute` — for zero-arity results.
         """
-        if self._arity == 0 or self._deferred:
+        if self._arity == 0:
             return None
-        merged = merge_bindings(bindings, named)
-        check_bindings(self.parameter_names, merged)
-        if self.engine._connection is not self._connection:
-            self._compile()
-        arguments = tuple(merged[name] for name in self._main_slots)
-        with trace_span("sqlite.execute", sql=_sql_snippet(self._sql), prepared=True), \
-                self.engine._governed_execution():
-            cursor = self.engine._execute_with_retry(self._connection, self._sql, arguments)
+        arguments = self._arguments(bindings, named)
+        engine = self.engine
+        with trace_span("sqlite.execute", sql=_sql_snippet(self.sql)), engine._governed_execution():
+            cursor = engine._execute_with_retry(self._connection, self.sql, arguments)
         self.executions += 1
-        # Statement-owned temp tables persist for the statement's
-        # lifetime; the stream only owns (and closes) its cursor.
-        return self._arity, self.engine._stream_cursor(cursor, []), False
-
-    def close(self) -> None:
-        """Drop the statement's persisted temp tables (deferred included —
-        ``_materialize_pair_table`` records every table it allocates)."""
-        if self.engine._connection is self._connection:
-            self.engine._drop_tables(self._tables)
+        return self._arity, engine._stream_cursor(cursor, self), False
 
 
-def _compile_ra_condition(condition: Condition, alias: str, emit=_sql_literal) -> str:
+def _compile_ra_condition(condition: Condition, alias: str, emit) -> str:
     if isinstance(condition, TrueCondition):
         return "1 = 1"
     if isinstance(condition, ColumnEquals):
@@ -1030,19 +843,15 @@ class _PatternSQL:
     column ``v_<name>`` per free variable.
     """
 
-    def __init__(self, view: _ViewTables, materialize=None, params: _LiteralSink = _LITERALS):
+    def __init__(self, view: _ViewTables, emit, names: Iterator[int]):
         self.view = view
-        self._alias_counter = itertools.count()
-        #: Optional callback materializing a repetition body's pair
-        #: relation into an indexed temp table (``(sql, slots) -> table
-        #: name``); without it the pair relation is inlined as a subquery.
-        self._materialize = materialize
-        #: Literal sink: inlines constants, or (in prepared compilations)
-        #: emits ``?`` placeholders and records slot names.
-        self._params = params
+        #: Literal sink of the statement being compiled (constants inline,
+        #: parameter slots become ``?N``) and its name supply.
+        self._emit = emit
+        self._names = names
 
     def _alias(self) -> str:
-        return f"p{next(self._alias_counter)}"
+        return f"p{next(self._names)}"
 
     # -- pattern cases ---------------------------------------------------
     def compile(self, pattern: Pattern) -> Tuple[str, Tuple[str, ...]]:
@@ -1112,30 +921,23 @@ class _PatternSQL:
         return sql, variables
 
     def _compile_repetition(self, pattern: Repetition) -> Tuple[str, Tuple[str, ...]]:
-        # Slots emitted while compiling the body belong to the pair table,
-        # not to the enclosing statement: the body SQL (placeholders and
-        # all) is replaced below by a table reference, which the prefix and
-        # CTE rules repeat freely without duplicating any `?`.
-        self._params.push()
         body_sql, _variables = self.compile(pattern.body)
         # The repetition erases bindings; only (src, tgt) pairs matter.
-        # Materializing them (indexed on src/tgt) evaluates the body's
-        # per-step label/property conditions exactly once — the CTE then
-        # walks a plain indexed edge relation instead of re-deriving the
-        # conditions from the pattern on every extension.
-        pair_sql = f"SELECT DISTINCT src, tgt FROM ({body_sql})"
-        slots = self._params.pop()
-        if self._materialize is not None:
-            pair_ref = self._materialize(pair_sql, slots)
-        elif slots:
-            raise _SQLUnsupported(
-                "a parameterized repetition body is repeated in the compiled "
-                "SQL and must be materialized (engine-backed compilations only)"
-            )
-        else:
-            pair_ref = f"({pair_sql})"
+        # As a MATERIALIZED common table expression the body — label and
+        # property probes, placeholders and all — is evaluated exactly
+        # once per execution, and the prefix and closure below refer to it
+        # by name as often as they like (SQLite gives the transient table
+        # an automatic index on the join column), instead of re-deriving
+        # the conditions from the pattern on every extension.  The number
+        # is unique per repetition, so nested bodies keep their own names.
+        number = next(self._names)
+        pair, reach = f"pair{number}", f"reach{number}"
+        pair_cte = (
+            f"{pair}(src, tgt) AS MATERIALIZED (SELECT DISTINCT src, tgt FROM ({body_sql}))"
+        )
         if not pattern.is_unbounded:
-            return self._bounded_repetition(pair_ref, pattern.lower, int(pattern.upper)), ()
+            bounded = self._bounded_repetition(pair, pattern.lower, int(pattern.upper))
+            return f"WITH {pair_cte} {bounded}", ()
         # psi^{lower..inf} = (exactly `lower` steps) composed with psi^*:
         # seeding the recursion with the exact-`lower` prefix keeps the
         # CTE's working set at (src, tgt) pairs closed by saturation — no
@@ -1143,45 +945,45 @@ class _PatternSQL:
         # depth (the walk(src, tgt, steps) formulation was quadratic in
         # practice: every pair re-entered the queue at up to
         # lower + |N| depths).
-        prefix = self._exact_prefix(pair_ref, pattern.lower)
+        prefix = self._exact_prefix(pair, pattern.lower)
         cte = (
-            "WITH RECURSIVE reach(src, tgt) AS ("
+            f"WITH RECURSIVE {pair_cte}, {reach}(src, tgt) AS ("
             f" SELECT src, tgt FROM ({prefix})"
-            f" UNION SELECT reach.src, pair.tgt"
-            f" FROM reach JOIN {pair_ref} AS pair ON reach.tgt = pair.src"
+            f" UNION SELECT {reach}.src, pair.tgt"
+            f" FROM {reach} JOIN {pair} AS pair ON {reach}.tgt = pair.src"
             ") "
-            "SELECT src AS src, tgt AS tgt FROM reach"
+            f"SELECT src AS src, tgt AS tgt FROM {reach}"
         )
         return cte, ()
 
-    def _exact_prefix(self, pair_ref: str, lower: int) -> str:
+    def _exact_prefix(self, pair: str, lower: int) -> str:
         """SQL for the pairs reachable in exactly ``lower`` body steps."""
         if lower == 0:
             return f"SELECT n.c1 AS src, n.c1 AS tgt FROM {self.view.nodes} AS n"
-        current = f"SELECT src, tgt FROM {pair_ref}"
+        current = f"SELECT src, tgt FROM {pair}"
         for _ in range(lower - 1):
             previous_alias, pair_alias = self._alias(), self._alias()
             current = (
                 f"SELECT {previous_alias}.src AS src, {pair_alias}.tgt AS tgt "
                 f"FROM ({current}) AS {previous_alias} "
-                f"JOIN {pair_ref} AS {pair_alias} ON {previous_alias}.tgt = {pair_alias}.src"
+                f"JOIN {pair} AS {pair_alias} ON {previous_alias}.tgt = {pair_alias}.src"
             )
         return f"SELECT DISTINCT src, tgt FROM ({current})"
 
-    def _bounded_repetition(self, pair_ref: str, lower: int, upper: int) -> str:
+    def _bounded_repetition(self, pair: str, lower: int, upper: int) -> str:
         selects = []
         if lower == 0:
             selects.append(f"SELECT n.c1 AS src, n.c1 AS tgt FROM {self.view.nodes} AS n")
         current = None
         for count in range(1, upper + 1):
             if current is None:
-                current = f"SELECT src, tgt FROM {pair_ref}"
+                current = f"SELECT src, tgt FROM {pair}"
             else:
                 previous_alias, pair_alias = self._alias(), self._alias()
                 current = (
                     f"SELECT {previous_alias}.src AS src, {pair_alias}.tgt AS tgt "
                     f"FROM ({current}) AS {previous_alias} "
-                    f"JOIN {pair_ref} AS {pair_alias} ON {previous_alias}.tgt = {pair_alias}.src"
+                    f"JOIN {pair} AS {pair_alias} ON {previous_alias}.tgt = {pair_alias}.src"
                 )
             if count >= max(lower, 1):
                 selects.append(current)
@@ -1206,7 +1008,7 @@ class _PatternSQL:
             return (
                 f"EXISTS (SELECT 1 FROM {self.view.properties} AS prop "
                 f"WHERE prop.c1 = {var_column(condition.var)} AND prop.c2 = {_sql_literal(condition.key)} "
-                f"AND prop.c3 {operator} {self._params.emit(condition.constant)})"
+                f"AND prop.c3 {operator} {self._emit(condition.constant)})"
             )
         if isinstance(condition, PropertyEquals):
             return (

@@ -643,23 +643,39 @@ class TestStreamingCursors:
 # Lifecycle (satellite): close() and statement-LRU resource release
 # --------------------------------------------------------------------------- #
 class TestLifecycle:
-    def _pair_table_count(self, connection) -> int:
-        backend = connection._get_engine()._connection
-        return backend.execute(
-            "SELECT COUNT(*) FROM sqlite_temp_master "
-            "WHERE type = 'table' AND name LIKE '__pairs%'"
-        ).fetchone()[0]
+    def test_sqlite_temp_tables_are_one_set_of_view_tables_and_nothing_else(self):
+        # Whatever ran — prepared, sugar and one-shot; parameterized and
+        # literal; streamed, materialized, abandoned mid-stream or timed
+        # out; statements evicted from a two-slot store — the backend
+        # holds exactly the six engine-owned tables of the one graph view.
+        from repro.errors import QueryTimeoutError
 
-    def test_statement_lru_eviction_drops_sqlite_temp_tables(self):
-        with make_database() as db, db.connect(engine="sqlite") as connection:
+        with larger_database() as db, db.connect(engine="sqlite") as connection:
             connection._STATEMENT_CACHE_SIZE = 2
-            texts = [CHAIN_QUERY.replace("> 100", f"> {i}") for i in range(6)]
-            for text in texts:
-                connection.execute(text)
-            # Only the two cached statements may keep their persisted
-            # repetition pair tables; evicted ones released theirs.
+            engine = connection._get_engine()
+            statement = connection.prepare(PARAM_QUERY)
+            for index in range(200):
+                statement.execute(minimum=100 + index % 40 * 10)
+            query = connection.compile(CHAIN_QUERY)
+            for _ in range(20):
+                assert len(engine.evaluate(query)) > 0  # one-shot, materialized
+            texts = [CHAIN_QUERY.replace("> 100", f"> {450 + i}") for i in range(6)]
+            for text in texts + texts:
+                assert connection.execute(text).streamed
             assert len(connection._statements) == 2
-            assert self._pair_table_count(connection) == 2
+            abandoned = connection.execute(PARAM_QUERY, {"minimum": 0})
+            next(iter(abandoned))
+            del abandoned
+            with pytest.raises(QueryTimeoutError):
+                connection.execute(PARAM_QUERY, {"minimum": 0}, timeout=0.0)
+            assert engine.fallbacks == {}
+            tables = [
+                name for (name,) in engine.connection.execute(
+                    "SELECT name FROM sqlite_temp_master WHERE type = 'table'"
+                )
+            ]
+            assert len(tables) == 6, tables
+            assert all(name.startswith("__view") for name in tables), tables
 
     def test_connection_close_releases_explicitly_prepared_statements(self):
         with make_database() as db:

@@ -48,11 +48,22 @@ VIEW = GRAPH_VIEW_SCHEMA
 ENGINES = (NaiveEngine, PlannedEngine, SQLiteEngine)
 
 
-def _assert_engines_agree(database, query):
+#: The reasons the SQLite backend may hand a query to the formal evaluator
+#: (``SQLiteEngine.fallbacks`` keys) that this suite expects somewhere.
+N_ARY_IDENTIFIERS = "the SQL backend compiles unary-identifier views only"
+DEPTH_BOUND = "max_repetitions bound with repetition"
+
+
+def _assert_engines_agree(database, query, *, fallback=None, max_repetitions=None):
+    """All engines return one row set — and SQLite answered on SQL, unless
+    the caller names the ``fallback`` reason it expects: a shape that stops
+    compiling must fail here, not pass as the oracle agreeing with itself."""
     reference = None
     for engine_cls in ENGINES:
-        engine = engine_cls(database)
+        engine = engine_cls(database, max_repetitions=max_repetitions)
         result = engine.evaluate(query)
+        if engine_cls is SQLiteEngine:
+            assert engine.fallbacks == ({fallback: 1} if fallback else {})
         if hasattr(engine, "close"):
             engine.close()
         if reference is None:
@@ -157,10 +168,10 @@ def test_pgqrw_equivalence_on_random_graphs(seed, nodes, index):
     values=st.integers(min_value=2, max_value=4),
 )
 def test_pgqext_equivalence_on_pair_graphs(seed, values):
-    # n-ary identifiers: SQLite falls back to the oracle, the planner runs
-    # its fixpoint on tuple identifiers natively.
+    # n-ary identifiers: SQLite hands the query to the oracle (and says
+    # so), the planner runs its fixpoint on tuple identifiers natively.
     database = pair_graph_database(values, seed=seed, edge_probability=0.2)
-    _assert_engines_agree(database, pair_reachability_query())
+    _assert_engines_agree(database, pair_reachability_query(), fallback=N_ARY_IDENTIFIERS)
 
 
 # --------------------------------------------------------------------------- #
@@ -219,6 +230,7 @@ def test_session_equivalence_across_engines(seed, index):
         for engine in ("naive", "planned", "sqlite"):
             with db.connect(engine=engine) as connection:
                 results[engine] = connection.execute(QUERIES[index])
+                assert getattr(connection._get_engine(), "fallbacks", {}) == {}
         assert results["naive"].equals_unordered(results["planned"])
         assert results["naive"].equals_unordered(results["sqlite"])
 
@@ -264,6 +276,7 @@ def test_prepared_execution_equals_literal_substitution(seed, index, values):
             result = prepared.execute(bindings)
             literal = session.execute(literal_text)
             assert result.equals_unordered(literal), engine
+            assert getattr(session._get_engine(), "fallbacks", {}) == {}
 
 
 # --------------------------------------------------------------------------- #
@@ -293,7 +306,17 @@ class TestTargetedEquivalence:
         result = engine.evaluate(query)
         assert engine._connection is not None  # SQL path was used
         assert result.rows == NaiveEngine(db).evaluate(query).rows
+        assert engine.fallbacks == {}
         engine.close()
+
+    def test_sqlite_bound_with_repetition_is_a_named_fallback(self):
+        # A generous bound changes no result, but the recursive CTE cannot
+        # raise on overrun, so the formal evaluator answers — by name.
+        db = erdos_renyi(6, 0.3, seed=4)
+        query = graph_pattern_on_relations(
+            output(seq(node("x"), plus(seq(edge(), node())), node("y")), "x", "y"), VIEW
+        )
+        _assert_engines_agree(db, query, fallback=DEPTH_BOUND, max_repetitions=50)
 
     @pytest.mark.parametrize("engine", ["naive", "planned", "sqlite"])
     def test_exact_once_quantifier_honours_bound(self, engine):
@@ -308,6 +331,8 @@ class TestTargetedEquivalence:
                 """SELECT * FROM GRAPH_TABLE ( Transfers
                      MATCH (x) -[t:Transfer]->{1,1} (y) COLUMNS (x.iban, y.iban) )"""
             )
+        if engine == "sqlite":  # the bound is the oracle's to enforce, by name
+            assert session._get_engine().fallbacks == {DEPTH_BOUND: 1}
 
 
 class TestCatalogReplay:

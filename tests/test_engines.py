@@ -9,6 +9,7 @@ from repro.datasets import (
     erdos_renyi,
     generate_social_database,
 )
+from repro import Parameter
 from repro.engine import Database, SQLiteEngine
 from repro.errors import EngineError
 from repro.patterns.builder import edge, label, node, output, plus, prop, prop_cmp, seq, star, where
@@ -318,3 +319,38 @@ class TestSQLiteEngine:
         expected = PGQEvaluator(db).evaluate(query)
         with SQLiteEngine(db) as engine:
             assert engine.evaluate(query).rows == expected.rows
+            # ... and says the oracle answered, and why.
+            assert engine.fallbacks == {
+                "the SQL backend compiles unary-identifier views only": 1
+            }
+
+    def test_sqlite_answers_are_not_counted_as_fallbacks(self, graph_db):
+        with SQLiteEngine(graph_db) as engine:
+            for query in self.queries():
+                engine.evaluate(query)
+                assert engine.stream(query) is not None
+            assert engine.fallbacks == {}
+
+    @pytest.mark.parametrize(
+        "constant, reason",
+        [
+            (["Red"], "unhashable constant in a view source"),
+            (Parameter("colour"), "parameterized view source"),
+        ],
+    )
+    def test_view_sources_sql_cannot_key_are_named_fallbacks(self, graph_db, constant, reason):
+        # The view tables are keyed on the view's source queries: a source
+        # that cannot be hashed, or still holds a slot, goes to the oracle.
+        from repro.pgq.queries import GraphPattern
+
+        sources = [BaseRelation(name) for name in "NESTLP"]
+        sources[4] = Select(BaseRelation("L"), ColumnEqualsConstant(2, constant))
+        query = GraphPattern(
+            output(where(seq(node("x"), edge(), node("y")), label("x", "Red")), "x", "y"),
+            tuple(sources),
+        )
+        bindings = {"colour": "Red"} if isinstance(constant, Parameter) else {}
+        expected = PGQEvaluator(graph_db).evaluate(query, bindings=bindings)
+        with SQLiteEngine(graph_db) as engine:
+            assert engine.prepare(query).execute(bindings).rows == expected.rows
+            assert engine.fallbacks == {reason: 1}

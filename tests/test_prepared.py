@@ -255,24 +255,111 @@ class TestSQLitePrepared:
         with make_session("sqlite") as session:
             statement = session.prepare(HOP_QUERY)
             compiled = statement._compiled
-            assert isinstance(compiled, _SQLiteCompiledQuery)
-            assert compiled._main_slots == ("minimum",)
-            assert compiled._sql.count("?") == 1
+            assert type(compiled) is _SQLiteCompiledQuery
+            # One numbered placeholder; the slot's name never reaches SQL.
+            assert compiled.sql.count("?") == compiled.sql.count("?1") == 1
+            assert "minimum" not in compiled.sql
+            with make_session("naive") as oracle:
+                expected = oracle.execute(HOP_QUERY, {"minimum": 250})
+            assert statement.execute(minimum=250).equals_unordered(expected)
 
-    def test_repetition_body_parameter_defers_the_pair_table(self):
+    def test_repetition_body_parameter_streams_off_one_statement(self):
+        # The slot sits inside the repetition body.  The pair relation is
+        # part of the statement text (a materialized CTE), so nothing is
+        # built ahead of the execution and the result streams ...
         from repro.engine.sqlite import _SQLiteCompiledQuery
 
-        with make_session("sqlite") as session:
+        with make_session("sqlite", transfers=40) as session, \
+                make_session("naive", transfers=40) as oracle:
             statement = session.prepare(CHAIN_QUERY)
-            compiled = statement._compiled
-            assert isinstance(compiled, _SQLiteCompiledQuery)
-            # The parameter sits inside the repetition body, so the pair
-            # table is re-materialized per execution with bound arguments
-            # while the main CTE text carries no placeholder of its own.
-            assert compiled._main_slots == ()
-            assert len(compiled._deferred) == 1
-            _table, sql, slots = compiled._deferred[0]
-            assert slots == ("minimum",) and "?" in sql
+            assert type(statement._compiled) is _SQLiteCompiledQuery
+            assert "AS MATERIALIZED" in statement._compiled.sql
+            result = statement.execute(minimum=100)
+            assert result.streamed is True
+            expected = oracle.execute(CHAIN_QUERY, {"minimum": 100})
+            assert len(expected) > 0
+            assert result.fetchone() == expected.fetchone()
+            assert result.equals_unordered(expected)
+            # ... and two cursors opened under different bindings before
+            # either is read do not see each other's pair relation.
+            low, high = statement.execute(minimum=50), statement.execute(minimum=300)
+            assert low.streamed and high.streamed
+            for minimum, pending in ((300, high), (50, low)):
+                expected = oracle.execute(CHAIN_QUERY, {"minimum": minimum})
+                assert set(pending) == set(expected.rows), minimum
+            assert len(low) > len(high) > 0
+
+    @pytest.mark.parametrize(
+        "names",
+        [("m", "m", "m"), ("a", "b", "a"), ("a b", "1x;--", "a b")],
+        ids=["one-slot-thrice", "two-slots", "odd-names"],
+    )
+    @pytest.mark.parametrize("bounds", [(1,), (2, 4), (2,)], ids=["+", "{2,4}", "{2,}"])
+    def test_slots_anywhere_agree_with_the_oracle(self, names, bounds):
+        # A top-level filter, a repetition body and a nested repetition,
+        # each carrying a slot: placeholders are numbered per slot *name*,
+        # so recurrence, nesting and hostile names need no ordering rule.
+        from repro.datasets import GRAPH_VIEW_SCHEMA, erdos_renyi
+        from repro.engine import NaiveEngine, SQLiteEngine
+        from repro.engine.sqlite import _SQLiteCompiledQuery
+        from repro.patterns.builder import edge, node, output, prop_cmp, repeat, seq, where
+        from repro.pgq import graph_pattern_on_relations
+
+        def hop(variable, slot):
+            return where(edge(variable), prop_cmp(variable, "w", ">", Parameter(slot)))
+
+        top, body, nested = names
+        pattern = seq(
+            node("x"), hop("t", top), node(),
+            repeat(seq(hop("u", body), node()), *bounds),
+            repeat(repeat(seq(hop("v", nested), node()), 1), 0, 2),
+            node("y"),
+        )
+        query = graph_pattern_on_relations(output(pattern, "x", "y"), GRAPH_VIEW_SCHEMA)
+        database = erdos_renyi(7, 0.45, seed=11, property_key="w")
+        with SQLiteEngine(database) as engine:
+            compiled = engine.prepare(query)
+            assert type(compiled) is _SQLiteCompiledQuery  # not the oracle with itself
+            assert "1x;--" not in compiled.sql and "a b" not in compiled.sql
+            oracle = NaiveEngine(database).prepare(query)
+            sizes = []
+            for low, high in ((0, 0), (20, 35), (70, 10)):
+                bindings = {top: low, body: high, nested: low}
+                expected = oracle.execute(bindings).rows
+                assert compiled.execute(bindings).rows == expected, bindings
+                sizes.append(len(expected))
+            assert sizes[0] > 0
+            assert engine.fallbacks == {}
+
+    def test_reach_statement_plan_materializes_pairs_once_and_probes_by_index(self):
+        # The shape of the benchmark's reach_sqlite statement: SQLite must
+        # build the pair relation once per execution and walk it through
+        # an index in the recursive step, never by scanning it.
+        with make_session("sqlite") as session:
+            engine = session._get_engine()
+            sql = engine.compile_to_sql(session.compile(CHAIN_QUERY))
+            plan = [row[3] for row in engine.connection.execute(f"EXPLAIN QUERY PLAN {sql}", (100,))]
+            materialized = [line for line in plan if line.startswith("MATERIALIZE pair")]
+            assert len(materialized) == 1, plan
+            step = plan[plan.index("RECURSIVE STEP"):]
+            assert "SEARCH pair USING AUTOMATIC COVERING INDEX (src=?)" in step, plan
+            assert not any(line.startswith("SCAN pair") for line in step), plan
+
+    def test_feature_floor_is_checked_at_start_up(self, monkeypatch):
+        # AS MATERIALIZED needs SQLite 3.35: an older library is refused
+        # where the backing connection is created, by name, instead of
+        # failing with a syntax error inside the first ->+.
+        import sqlite3
+
+        from repro.engine import SQLiteEngine
+
+        monkeypatch.setattr(sqlite3, "sqlite_version_info", (3, 34, 1))
+        with make_database() as db:
+            with pytest.raises(EngineError, match=r"SQLite >= 3\.35 .*found 3\.34\.1"):
+                SQLiteEngine(db.snapshot().database).connection
+            with db.connect(engine="sqlite") as session:
+                with pytest.raises(EngineError, match="found 3.34.1"):
+                    session.execute(HOP_QUERY, {"minimum": 0})
 
     def test_prepared_survives_engine_close_by_recompiling(self):
         with make_session("sqlite") as session:
@@ -296,10 +383,8 @@ class TestSQLitePrepared:
             assert statement.execute(source="A1").equals_unordered(expected)
 
     def test_nested_repetition_with_parameterized_inner_body(self):
-        # The inner repetition's pair table is deferred (it carries the
-        # slot), so the outer body references a not-yet-existing table:
-        # the outer pair table must be deferred too, not materialized at
-        # prepare time.
+        # The inner repetition's pair relation carries the slot and the
+        # outer body contains it: both are CTEs of the one statement.
         from repro.datasets import GRAPH_VIEW_SCHEMA, erdos_renyi
         from repro.engine import NaiveEngine, SQLiteEngine
         from repro.patterns.builder import edge, node, output, prop_cmp, repeat, seq, where

@@ -157,3 +157,66 @@ def test_reachability_is_monotone(database, extra_edge):
     after = AlgebraicFOTCEvaluator(bigger).result(formula, ("x", "y")).rows
     # Every previously reachable pair stays reachable.
     assert all(row in after for row in before)
+
+
+# --------------------------------------------------------------------------- #
+# SQLite backend: parameter slots anywhere in nested / bounded repetition
+# --------------------------------------------------------------------------- #
+@st.composite
+def parameterized_patterns(draw):
+    """Patterns x -> ... -> y whose steps carry ``:slot`` filters at any
+    nesting depth, with unbounded and bounded quantifiers."""
+    from repro import Parameter
+    from repro.patterns.builder import prop_cmp, repeat, where
+
+    slots = st.sampled_from(["a", "b", "a b"])
+    counter = iter(range(100))
+
+    def step():
+        variable = f"e{next(counter)}"
+        hop = edge(variable)
+        if draw(st.booleans()):
+            operator = draw(st.sampled_from([">", "<=", "!="]))
+            hop = where(hop, prop_cmp(variable, "w", operator, Parameter(draw(slots))))
+        return seq(hop, node())
+
+    def quantified(body):
+        lower = draw(st.integers(0, 2))
+        if draw(st.booleans()):
+            return repeat(body, lower)
+        return repeat(body, lower, lower + draw(st.integers(0, 2)))
+
+    parts = [node("x")]
+    for _ in range(draw(st.integers(1, 3))):
+        shape = draw(st.sampled_from(["step", "repeat", "nested"]))
+        if shape == "step":
+            parts.append(step())
+        elif shape == "repeat":
+            parts.append(quantified(step()))
+        else:
+            parts.append(quantified(seq(step(), quantified(step()))))
+    return output(seq(*parts, node("y")), "x", "y")
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_graphs(), parameterized_patterns(), st.integers(0, 8), st.integers(0, 8))
+def test_sqlite_binds_slots_in_nested_and_bounded_repetition(graph, pattern, first, second):
+    from repro.datasets import GRAPH_VIEW_SCHEMA
+    from repro.engine import NaiveEngine, SQLiteEngine
+    from repro.engine.sqlite import _SQLiteCompiledQuery
+
+    relations = graph_to_view(graph).as_tuple()
+    database = Database.from_dict(
+        {name: list(rel.rows) for name, rel in zip("NESTLP", relations) if len(rel)},
+        arities={name: rel.arity for name, rel in zip("NESTLP", relations)},
+    )
+    query = graph_pattern_on_relations(pattern, GRAPH_VIEW_SCHEMA)
+    with SQLiteEngine(database) as engine:
+        compiled = engine.prepare(query)
+        assert type(compiled) is _SQLiteCompiledQuery
+        oracle = NaiveEngine(database).prepare(query)
+        for low, high in ((first, second), (second, first)):
+            values = {"a": low, "b": high, "a b": low}
+            bindings = {name: values[name] for name in compiled.parameter_names}
+            assert compiled.execute(bindings).rows == oracle.execute(bindings).rows
+        assert engine.fallbacks == {}
