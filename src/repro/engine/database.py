@@ -68,6 +68,18 @@ from repro.sqlpgq.catalog import GraphCatalog, GraphDefinition
 from repro.sqlpgq.parser import parse_statement
 
 
+def _table_row(table: str, row: Any) -> Tuple:
+    """A ``create_table`` row that is not a plain tuple, as one — or the
+    error: a ``str`` would split into characters, a ``set`` has no column
+    order and a scalar is not a row at all."""
+    if isinstance(row, (tuple, list)):
+        return tuple(row)
+    raise EngineError(
+        f"table {table!r}: row {row!r} ({type(row).__name__}) is not a "
+        "tuple or list of column values"
+    )
+
+
 class Snapshot:
     """An immutable, fingerprinted view of one :class:`Database` version.
 
@@ -380,7 +392,9 @@ class Database:
             self._check_open()
             columns = tuple(columns)
             self._relations[name] = Relation(
-                len(columns), [tuple(row) for row in rows], name=name
+                len(columns),
+                [row if type(row) is tuple else _table_row(name, row) for row in rows],
+                name=name,
             )
             self._columns[name] = columns
             self._head = None

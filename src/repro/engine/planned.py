@@ -16,10 +16,15 @@ endpoint evaluator.
 * The view cache inherited from :class:`PGQEvaluator` keeps one
   ``PlanExecutor`` alive per materialized graph, so its sub-plan tables
   persist across a session's repeated queries.
-* Views materialize straight into the compact integer encoding (dense
-  node/edge IDs, label bitsets, property columns —
-  :mod:`repro.graph.compact`) the executor's operators run on;
-  identifiers are decoded only at output projection.
+* A view is built **from scans** of the base tables its six sources read
+  (:mod:`repro.pgq.scans`: one pass per table, conditions (1)-(4) as
+  sufficient whole-set tests) whenever the sources are catalog-shaped and
+  the tables pass; otherwise **from relations**, the formal
+  ``(R1, ..., R6)`` → ``pgView`` path every other engine always takes and
+  the only one that can reject a view.  Either way the graph goes
+  straight into the compact integer encoding (dense node/edge IDs, label
+  bitsets, property columns — :mod:`repro.graph.compact`) the executor's
+  operators run on; identifiers are decoded only at output projection.
 
 Result sets are identical to the oracle on every query — that is checked
 by the cross-engine equivalence tests.
@@ -41,6 +46,7 @@ from typing import Optional
 
 from repro.matching.endpoint import EvaluationCounters
 from repro.pgq.evaluator import PGQEvaluator
+from repro.pgq.scans import graph_from_scans
 from repro.planner.physical import PlanCache, PlanCounters, PlanExecutor
 from repro.planner.stats import collect_graph_statistics
 from repro.relational.database import Database
@@ -74,12 +80,6 @@ class PlannedEngine(PGQEvaluator):
     """Planner-backed evaluation: same semantics, physical operators."""
 
     name = "planned"
-
-    #: Views materialize straight into the compact encoding (base-class
-    #: hook): the dense snapshot is built on the cold view path and shared
-    #: through the snapshot cache instead of being encoded lazily at first
-    #: execution.
-    materialize_compact = True
 
     def __init__(
         self,
@@ -134,6 +134,22 @@ class PlannedEngine(PGQEvaluator):
         super().use_snapshot_cache(scope)
         if self._private_plan_cache:
             self.plan_cache = scope.plan_cache()
+
+    def _materialize_view(self, sources, max_arity, span):
+        """Build the view from table scans when they can vouch for it
+        (:mod:`repro.pgq.scans` — every catalog-shaped view over sound
+        tables), from the six relations otherwise, and encode it compactly
+        while it is cache-hot, on the cold view path rather than mid-query
+        under the executor's encode lock."""
+        built = graph_from_scans(sources, self.database, max_arity)
+        if built is None:
+            built = super()._materialize_view(sources, max_arity, span)
+        else:
+            span.tag(built_from="scans")
+            if self.statistics is not None:
+                self.statistics.intermediate_rows += built[0].relation_rows()
+        span.tag(compact_encode_s=round(built[0].compact().encode_seconds, 6))
+        return built
 
     def _executor_options(self, graph) -> dict:
         return dict(

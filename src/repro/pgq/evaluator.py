@@ -44,7 +44,7 @@ from repro.pgq.queries import (
     query_parameters,
 )
 from repro.graph.property_graph import PropertyGraph
-from repro.pgq.views import materialize_compact_graph, materialize_graph
+from repro.pgq.views import materialize_graph
 from repro.relational.database import Database
 from repro.relational.relation import Relation
 
@@ -155,14 +155,6 @@ class PGQEvaluator:
     :class:`~repro.errors.PatternError` (``None`` = unbounded, the paper's
     semantics — unbounded repetition still terminates by saturation).
     """
-
-    #: Matcher-interface hook: engines whose matchers execute on the
-    #: compact columnar encoding set this so views materialize straight
-    #: into it (the encode happens on the cold view path, while the rows
-    #: are cache-hot, instead of lazily mid-query under the executor's
-    #: encode lock).  The boxed oracle leaves it off and never pays for
-    #: an encoding it would not read.
-    materialize_compact: bool = False
 
     def __init__(
         self,
@@ -390,22 +382,29 @@ class PGQEvaluator:
             return None
         return key
 
+    def _materialize_view(
+        self, sources: Tuple, max_arity: Optional[int], span
+    ) -> Tuple[PropertyGraph, int]:
+        """``(graph, identifier arity)`` of one view — the formal way:
+        evaluate the six source relations and hand them to ``pgView``,
+        the only place a :class:`~repro.errors.ViewError` is worded.
+        Engines with a cheaper way that cannot reject a view (the planned
+        engine's table scans) override this and end up here whenever
+        theirs does not apply.  ``span`` is the open ``view.materialize``
+        span: the builder that serves the view says so in ``built_from``.
+        """
+        span.tag(built_from="relations")
+        view_relations = tuple(self._eval(source) for source in sources)
+        if self.statistics is not None:
+            self.statistics.intermediate_rows += sum(len(r) for r in view_relations)
+        return materialize_graph(view_relations, max_arity)
+
     def _build_view(
         self, sources: Tuple, max_arity: Optional[int]
     ) -> Tuple[PropertyGraph, int, "PatternMatcher"]:
-        """Cold path: evaluate the view subqueries, materialize the graph,
-        build its pattern matcher."""
+        """Cold path: materialize the view's graph, build its pattern matcher."""
         with trace_span("view.materialize", sources=len(sources)) as span:
-            view_relations = tuple(self._eval(source) for source in sources)
-            if self.statistics is not None:
-                self.statistics.intermediate_rows += sum(len(r) for r in view_relations)
-            if self.materialize_compact:
-                graph, identifier_arity, encoded = materialize_compact_graph(
-                    view_relations, max_arity
-                )
-                span.tag(compact_encode_s=round(encoded.encode_seconds, 6))
-            else:
-                graph, identifier_arity = materialize_graph(view_relations, max_arity)
+            graph, identifier_arity = self._materialize_view(sources, max_arity, span)
             span.tag(nodes=graph.node_count(), edges=graph.edge_count())
             if self.statistics is not None:
                 self.statistics.views_built += 1

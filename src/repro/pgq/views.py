@@ -15,6 +15,14 @@ The conditions checked are exactly (1)-(4) of the definitions:
 
 ``pgView`` is partial: when a condition fails, :class:`ViewError` is raised
 with a message naming the violated condition.
+
+Who builds from what: the naive and sqlite engines, and every direct caller
+of this module, build a view **from relations** — the six relations are
+evaluated and handed to :func:`materialize_graph`.  The planned engine builds
+catalog-shaped views **from scans** of the base tables
+(:mod:`repro.pgq.scans`), a builder that can only accept; whatever it cannot
+vouch for comes here, so this module stays the one place a view is rejected
+and the one place a :class:`ViewError` is worded.
 """
 
 from __future__ import annotations
@@ -309,23 +317,6 @@ def materialize_graph(
             f"relations require identifier arity {arity}, but the fragment allows at most {max_arity}"
         )
     return pg_view_exact(relations, arity), arity
-
-
-def materialize_compact_graph(
-    relations: Sequence[Relation], max_arity: Optional[int] = None
-):
-    """``materialize_graph`` straight into the compact encoding.
-
-    Returns ``(graph, identifier arity, compact)`` with the dense
-    integer-ID snapshot (:class:`~repro.graph.compact.CompactGraph`)
-    built eagerly, while the freshly assembled graph is still cache-hot
-    — instead of lazily at first execution, mid-query and under the
-    executor's encode lock.  This is the cold view path of the planned
-    engine; the other backends keep :func:`materialize_graph` and never
-    pay for the encoding.
-    """
-    graph, arity = materialize_graph(relations, max_arity)
-    return graph, arity, graph.compact()
 
 
 def graph_to_view(graph: PropertyGraph) -> ViewRelations:

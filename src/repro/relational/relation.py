@@ -7,13 +7,19 @@ are addressed positionally (``$1 .. $k``) rather than by attribute names.
 
 from __future__ import annotations
 
+import hashlib
 import operator
+from itertools import chain
 from typing import Any, Callable, FrozenSet, Iterable, Iterator, Optional, Tuple
 
 from repro.errors import ArityError, SchemaError
 
 #: A database tuple: a flat tuple of atomic domain values.
 Row = Tuple[Any, ...]
+
+
+#: Component types a row may not hold: domain elements are atomic.
+_CONTAINERS = (tuple, list, set, dict)
 
 
 def as_row(values: Any) -> Row:
@@ -29,9 +35,22 @@ def as_row(values: Any) -> Row:
     else:
         row = (values,)
     for component in row:
-        if isinstance(component, (tuple, list, set, dict)):
+        if isinstance(component, _CONTAINERS):
             raise ArityError(f"relation entries must be atomic values, got {component!r}")
     return row
+
+
+def _all_plain(rows: list, arity: int) -> bool:
+    """Set-at-a-time validation: every row is a plain tuple of ``arity``
+    components and no distinct component *type* is a container."""
+    return (
+        set(map(type, rows)) <= {tuple}
+        and set(map(len, rows)) <= {arity}
+        and not any(
+            issubclass(kind, _CONTAINERS)
+            for kind in set(map(type, chain.from_iterable(rows)))
+        )
+    )
 
 
 class Relation:
@@ -49,17 +68,22 @@ class Relation:
     def __init__(self, arity: int, rows: Iterable[Any] = (), *, name: Optional[str] = None):
         if arity < 0:
             raise ArityError(f"relation arity must be >= 0, got {arity}")
-        normalized = set()
-        for row in rows:
-            row = as_row(row)
-            if len(row) != arity:
-                raise ArityError(
-                    f"row {row!r} has arity {len(row)}, expected {arity}"
-                    + (f" in relation {name!r}" if name else "")
-                )
-            normalized.add(row)
+        if type(rows) is not list:
+            rows = list(rows)
+        if not _all_plain(rows, arity):
+            # The per-row loop normalizes what can be a row and says what cannot.
+            normalized = []
+            for row in rows:
+                row = as_row(row)
+                if len(row) != arity:
+                    raise ArityError(
+                        f"row {row!r} has arity {len(row)}, expected {arity}"
+                        + (f" in relation {name!r}" if name else "")
+                    )
+                normalized.append(row)
+            rows = normalized
         self._arity = arity
-        self._rows: FrozenSet[Row] = frozenset(normalized)
+        self._rows: FrozenSet[Row] = frozenset(rows)
         self._name = name
         self._digest: Optional[str] = None
 
@@ -106,13 +130,12 @@ class Relation:
         rehashes only the relations that actually changed.
         """
         if self._digest is None:
-            import hashlib
-
-            digest = hashlib.sha256(f"{self._arity}\n".encode("ascii"))
-            for row in sorted(self._rows, key=repr):
-                digest.update(repr(row).encode("utf-8", "replace"))
-                digest.update(b"\n")
-            self._digest = digest.hexdigest()
+            # One repr per row: the arity line, then every row's repr in
+            # ascending order, each followed by a newline.
+            lines = [str(self._arity), *sorted(map(repr, self._rows)), ""]
+            self._digest = hashlib.sha256(
+                "\n".join(lines).encode("utf-8", "replace")
+            ).hexdigest()
         return self._digest
 
     @classmethod

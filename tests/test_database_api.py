@@ -141,6 +141,52 @@ class TestDatabaseCatalog:
         assert after.data_fingerprint == before.data_fingerprint
         assert after.fingerprint != before.fingerprint
 
+    def test_suite_fingerprints_are_pinned(self):
+        # Byte-identical digests across PRs: shared caches, and the
+        # benchmark's parent / change pairing, key on them.
+        from pathlib import Path
+
+        sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+        try:
+            from benchmarks.suite import data
+        finally:
+            del sys.path[0]
+        accounts, (transfers,) = data.bank_tables(7)
+        with Database() as bank, Database() as pairs:
+            bank.create_table("Account", data.ACCOUNT_COLUMNS, accounts)
+            bank.create_table("Transfer", data.TRANSFER_COLUMNS, transfers)
+            bank.execute(data.TRANSFERS_DDL)
+            pairs.create_table("E4", data.E4_COLUMNS, data.pair_rows(7))
+            pinned = [
+                (snapshot.data_fingerprint, snapshot.fingerprint)
+                for snapshot in (bank.snapshot(), pairs.snapshot())
+            ]
+        assert pinned == [
+            (
+                "36dd6aa5614384066ac9981332803007e95d8cbd0989ae9c5a9ac29b498a22b3",
+                "123a01ebb2e58e94ec7fa40df47ff67761377353c4eb8da2a5a2cead5a13f97f",
+            ),
+            (
+                "d7c5e786f2b2779e747a880f02899dd9b73eebfdc0c1b7b49b1c0cdb31997d17",
+                "0ecd6cee4762c54f1269ca273d783f461c4c2f56e4aac62a3c8e4a2362d9bd49",
+            ),
+        ]
+
+    @pytest.mark.parametrize(
+        "row, kind",
+        [("xy", "str"), ({"k", "j"}, "set"), (5, "int")],
+    )
+    def test_create_table_rejects_rows_that_are_not_tuples_or_lists(self, row, kind):
+        # Regression: "xy" was stored as ('x', 'y'), a set in hash order,
+        # and 5 escaped as a bare TypeError.
+        db = Database()
+        with pytest.raises(EngineError) as caught:
+            db.create_table("T", ["a", "b"], [("p", "q"), row])
+        assert str(caught.value).startswith(f"table 'T': row {row!r} ({kind}) is not a tuple")
+        assert db.table_names() == () and db.version == 0
+        db.create_table("T", ["a", "b"], [("p", "q"), ["r", "s"]])  # lists are rows
+        assert db.snapshot().database.relation("T").rows == {("p", "q"), ("r", "s")}
+
     def test_register_graph_validates_eagerly(self):
         db = Database()
         db.create_table("Account", ["iban"], ACCOUNTS)
@@ -283,16 +329,29 @@ class TestSharedMaterialization:
             assert info["prepared_hits"] == 1
 
     def test_relational_cse_shared_across_engine_kinds(self):
+        # The two engines that build a view from its six relations share
+        # them through the snapshot cache's relational CSE entries.
         with make_database() as db:
-            db.connect(engine="planned").execute(CHAIN_QUERY)
+            db.connect(engine="naive").execute(CHAIN_QUERY)
             built_once = db.snapshot_cache.stats()["relations_built"]
             assert built_once > 0
-            db.connect(engine="naive").execute(CHAIN_QUERY)
+            db.connect(engine="sqlite").execute(CHAIN_QUERY)
             stats = db.snapshot_cache.stats()
-            # The naive connection re-reads every view-source relation
-            # from the shared CSE entries instead of rebuilding them.
             assert stats["relations_built"] == built_once
             assert stats["relations_shared_hits"] >= 1
+
+    def test_planned_view_build_materializes_no_relations(self):
+        # A planned build reads the base tables directly: the six
+        # relations are built once, by the naive connection that needs them.
+        with make_database() as db:
+            planned = db.connect(engine="planned").execute(CHAIN_QUERY)
+            assert db.snapshot_cache.stats()["relations_built"] == 0
+            naive = db.connect(engine="naive").execute(CHAIN_QUERY)
+            built_once = db.snapshot_cache.stats()["relations_built"]
+            assert built_once > 0
+            assert planned.equals_unordered(naive)
+            db.connect(engine="planned").execute(CHAIN_QUERY)
+            assert db.snapshot_cache.stats()["relations_built"] == built_once
 
     def test_engine_kinds_never_alias(self):
         with make_database() as db:

@@ -485,23 +485,14 @@ class TestCompactMaterialization:
             walk(entry)
         return found
 
-    def test_views_can_materialize_straight_to_compact(self):
-        from repro.pgq.views import ViewRelations, graph_to_view, materialize_compact_graph
+    def test_a_view_encodes_once_however_it_was_built(self):
         from repro.graph.compact import CompactGraph
+        from repro.pgq.views import graph_to_view, materialize_graph
 
         with make_db() as db:
             source = self.cached_or_built_graph(db)
-            relations = graph_to_view(source)
-            graph, arity, encoded = materialize_compact_graph(
-                (
-                    relations.nodes,
-                    relations.edges,
-                    relations.sources,
-                    relations.targets,
-                    relations.labels,
-                    relations.properties,
-                )
-            )
+            graph, _arity = materialize_graph(graph_to_view(source).as_tuple())
+            encoded = graph.compact()
             assert isinstance(encoded, CompactGraph)
             assert graph.compact_build_count() == 1
             assert graph.compact() is encoded  # memoized, not re-encoded
@@ -530,12 +521,13 @@ class TestCompactMaterialization:
                 graph.compact_build_count() == 0 for graph in graphs
             )
 
-    def test_materialize_compact_hook_defaults(self):
+    def test_only_the_planned_engine_overrides_view_materialization(self):
         from repro.engine.planned import PlannedEngine
+        from repro.engine.sqlite import SQLiteEngine
         from repro.pgq.evaluator import PGQEvaluator
 
-        assert PGQEvaluator.materialize_compact is False
-        assert PlannedEngine.materialize_compact is True
+        assert PlannedEngine._materialize_view is not PGQEvaluator._materialize_view
+        assert not hasattr(SQLiteEngine, "_materialize_view")
 
 
 # --------------------------------------------------------------------------- #

@@ -1,0 +1,599 @@
+"""Columnar ≡ formal: the scan builder against ``pgView`` over six relations.
+
+The planned engine builds a catalog-shaped view straight from the base
+tables (:mod:`repro.pgq.scans`); every other engine — and the planned one
+whenever the scan builder declines — evaluates the six relations and calls
+:func:`repro.pgq.views.materialize_graph`.  The scan builder may only ever
+*accept*: whatever it accepts must be the graph the formal path builds, and
+whatever is wrong with a view must be said by the formal path, in its words.
+"""
+
+from collections import namedtuple
+import hashlib
+from itertools import product
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.engine import Database as Catalog, PlannedEngine
+from repro.errors import ArityError, ReproError, ViewError
+from repro.observability import RingBufferSink, Tracer
+from repro.observability.tracing import activate, deactivate, iter_spans
+from repro.pgq import BaseRelation, Constant, EmptyRelation, Product, Project, Select, Union
+from repro.pgq.evaluator import PGQEvaluator
+from repro.pgq.scans import Literal, graph_from_scans, lower_source
+from repro.pgq.views import materialize_graph
+from repro.relational import ColumnEqualsConstant, Database, Relation
+from repro.relational.schema import RelationSchema, Schema
+from repro.separations import pair_reachability_query
+from repro.sqlpgq.ast import CreatePropertyGraph, EdgeTableSpec, NodeTableSpec
+from repro.sqlpgq.catalog import compile_graph_definition
+
+#: Ways to be wrong (or merely unusual), each seeded into an otherwise sound
+#: catalog, with what the formal path must say about it: a fragment of its
+#: error, ``None`` where it accepts.  ``accepted`` is what the scan builder does.
+Violation = namedtuple("Violation", "formal accepted")
+VIOLATIONS = {
+    "none": Violation(None, True),
+    "node_edge_overlap": Violation("condition (1) violated", False),
+    "edge_key_two_sources": Violation("condition (2) violated", False),
+    "dangling_source": Violation("which is not a node", False),
+    "dangling_target": Violation("which is not a node", False),
+    "endpoints_of_a_non_edge_table": Violation("which is not an edge", False),
+    "label_of_a_foreign_table": Violation("condition (3) violated", False),
+    "property_of_a_foreign_table": Violation("condition (4) violated", False),
+    "property_with_two_values": Violation("has two values", False),
+    "benign_duplicate_rows": Violation(None, False),
+    "mixed_key_arities": Violation("union requires equal arities", False),
+    "max_arity_too_small": Violation("identifier arity", False),
+}
+
+
+# --------------------------------------------------------------------------- #
+# Drawing DDL-shaped catalogs
+# --------------------------------------------------------------------------- #
+def key_columns(arity):
+    return tuple(f"k{i}" for i in range(arity))
+
+
+@st.composite
+def catalogs(draw, violation=None):
+    """``(tables, statement, sources, max_arity, violation name)``."""
+    name = violation or draw(st.sampled_from(sorted(VIOLATIONS)))
+    arity = draw(st.integers(1, 4))
+    values = st.one_of(st.integers(0, 3), st.none(), st.sampled_from(["x", "é", 2.5]))
+    tables, node_specs, edge_specs = {}, [], []
+    node_keys = []
+
+    def draw_extras(count):
+        extras = tuple(f"c{i}" for i in range(draw(st.integers(0, 2))))
+        rows = [tuple(draw(values) for _ in extras) for _ in range(count)]
+        declared = draw(st.booleans())  # PROPERTIES (...) or the all-columns default
+        properties = tuple(c for c in extras if draw(st.booleans())) if declared else ()
+        labels = tuple(draw(st.lists(st.sampled_from(["A", "B", "C"]), max_size=2, unique=True)))
+        return extras, rows, labels, properties
+
+    for index in range(draw(st.integers(1, 3))):
+        pool = list(product([f"n{index}a", f"n{index}b"], repeat=arity))
+        keys = draw(st.lists(st.sampled_from(pool), max_size=4, unique=True))
+        extras, rows, labels, properties = draw_extras(len(keys))
+        table = f"Node{index}"
+        tables[table] = (key_columns(arity) + extras, [k + r for k, r in zip(keys, rows)])
+        node_specs.append(NodeTableSpec(table, key_columns(arity), labels, properties))
+        node_keys.extend(keys)
+
+    endpoint_columns = tuple(f"s{i}" for i in range(arity)), tuple(f"t{i}" for i in range(arity))
+    for index in range(draw(st.integers(1, 3))):
+        pool = list(product([f"e{index}a", f"e{index}b"], repeat=arity))
+        keys = draw(st.lists(st.sampled_from(pool), max_size=5, unique=True)) if node_keys else []
+        ends = [
+            draw(st.sampled_from(node_keys)) + draw(st.sampled_from(node_keys)) for _ in keys
+        ]
+        extras, rows, labels, properties = draw_extras(len(keys))
+        table = f"Edge{index}"
+        columns = key_columns(arity) + endpoint_columns[0] + endpoint_columns[1] + extras
+        tables[table] = (columns, [k + e + r for k, e, r in zip(keys, ends, rows)])
+        edge_specs.append(
+            EdgeTableSpec(
+                table, key_columns(arity), endpoint_columns[0], "Node0",
+                endpoint_columns[1], "Node0", labels, properties,
+            )
+        )
+
+    max_arity = draw(st.sampled_from([None, arity, arity + 1]))
+    seed = _SEEDERS[name]
+    result = seed(draw, arity, tables, node_specs, edge_specs, node_keys)
+    statement = CreatePropertyGraph("G", tuple(node_specs), tuple(edge_specs))
+    database = Database(
+        {t: Relation(len(cols), rows, name=t) for t, (cols, rows) in tables.items()},
+        schema=Schema(RelationSchema(t, len(cols), cols) for t, (cols, _) in tables.items()),
+    )
+    sources = compile_graph_definition(statement, database.schema).sources
+    if result is not None:
+        sources, max_arity = result(sources, max_arity)
+    return database, tuple(sources), max_arity, name
+
+
+def _some_edge_table(draw, arity, tables, node_keys):
+    """An edge table with at least one row (one is added when all are empty)."""
+    assert node_keys
+    table = draw(st.sampled_from(sorted(t for t in tables if t.startswith("Edge"))))
+    columns, rows = tables[table]
+    if not rows:
+        extras = len(columns) - 3 * arity
+        rows.append(("e",) * arity + node_keys[0] * 2 + (0,) * extras)
+    return table, columns, rows
+
+
+def _need_nodes(arity, tables, node_keys):
+    if not node_keys:
+        columns, rows = tables["Node0"]
+        key = ("n0a",) * arity
+        rows.append(key + (0,) * (len(columns) - arity))
+        node_keys.append(key)
+
+
+def _seed_overlap(draw, arity, tables, node_specs, edge_specs, node_keys):
+    _need_nodes(arity, tables, node_keys)
+    _table, columns, rows = _some_edge_table(draw, arity, tables, node_keys)
+    rows.append(node_keys[0] + rows[0][arity:])
+
+
+def _seed_two_sources(draw, arity, tables, node_specs, edge_specs, node_keys):
+    _need_nodes(arity, tables, node_keys)
+    if len(node_keys) < 2:
+        columns, rows = tables["Node0"]
+        key = ("fresh",) * arity
+        rows.append(key + (0,) * (len(columns) - arity))
+        node_keys.append(key)
+    _table, columns, rows = _some_edge_table(draw, arity, tables, node_keys)
+    row = rows[0]
+    other = next(key for key in node_keys if key != row[arity:2 * arity])
+    rows.append(row[:arity] + other + row[2 * arity:])
+
+
+def _seed_dangling(offset):
+    def seed(draw, arity, tables, node_specs, edge_specs, node_keys):
+        _need_nodes(arity, tables, node_keys)
+        _table, columns, rows = _some_edge_table(draw, arity, tables, node_keys)
+        row = rows[0]
+        start = arity * offset
+        rows.append(("dangling",) * arity + row[arity:start] + ("nowhere",) * arity
+                    + row[start + arity:])
+    return seed
+
+
+def _foreign_table(arity, tables):
+    tables["Foreign"] = (key_columns(arity) + ("v",), [("f",) * arity + (1,)])
+    return Project(BaseRelation("Foreign"), tuple(range(1, arity + 1)))
+
+
+def _seed_foreign_endpoints(draw, arity, tables, node_specs, edge_specs, node_keys):
+    keys = _foreign_table(arity, tables)
+    doubled = Project(keys, tuple(range(1, arity + 1)) * 2)
+
+    def rewrite(sources, max_arity):
+        sources = list(sources)
+        sources[2] = Union(sources[2], doubled)
+        return sources, max_arity
+    return rewrite
+
+
+def _seed_foreign_label(draw, arity, tables, node_specs, edge_specs, node_keys):
+    keys = _foreign_table(arity, tables)
+
+    def rewrite(sources, max_arity):
+        sources = list(sources)
+        sources[4] = Union(sources[4], Product(keys, Constant("L", require_active=False)))
+        return sources, max_arity
+    return rewrite
+
+
+def _seed_foreign_property(draw, arity, tables, node_specs, edge_specs, node_keys):
+    _foreign_table(arity, tables)
+    keyed = Product(BaseRelation("Foreign"), Constant("v", require_active=False))
+    term = Project(keyed, tuple(range(1, arity + 1)) + (arity + 2, arity + 1))
+
+    def rewrite(sources, max_arity):
+        sources = list(sources)
+        sources[5] = Union(sources[5], term)
+        return sources, max_arity
+    return rewrite
+
+
+def _duplicate_key_row(exposed):
+    """A second row under an existing node key that differs in one extra
+    column — an exposed property (conflict) or a hidden one (benign)."""
+    def seed(draw, arity, tables, node_specs, edge_specs, node_keys):
+        _need_nodes(arity, tables, node_keys)
+        index = next(i for i, spec in enumerate(node_specs) if tables[spec.table][1])
+        spec = node_specs[index]
+        columns, rows = tables[spec.table]
+        columns = columns + ("extra",)
+        rows[:] = [row + (0,) for row in rows]
+        rows.append(rows[0][:-1] + (1,))
+        tables[spec.table] = (columns, rows)
+        kept = tuple(c for c in (spec.properties or columns[:-1]))
+        properties = kept + ("extra",) if exposed else kept
+        node_specs[index] = NodeTableSpec(spec.table, spec.key_columns, spec.labels, properties)
+    return seed
+
+
+def _seed_mixed_arities(draw, arity, tables, node_specs, edge_specs, node_keys):
+    def rewrite(sources, max_arity):
+        sources = list(sources)
+        wider = Project(BaseRelation("Node0"), tuple(range(1, arity + 1)) + (1,))
+        sources[0] = Union(sources[0], wider)
+        return sources, max_arity
+    return rewrite
+
+
+def _seed_small_max_arity(draw, arity, tables, node_specs, edge_specs, node_keys):
+    return lambda sources, max_arity: (sources, arity - 1)
+
+
+_SEEDERS = {
+    "none": lambda *args: None,
+    "node_edge_overlap": _seed_overlap,
+    "edge_key_two_sources": _seed_two_sources,
+    "dangling_source": _seed_dangling(1),
+    "dangling_target": _seed_dangling(2),
+    "endpoints_of_a_non_edge_table": _seed_foreign_endpoints,
+    "label_of_a_foreign_table": _seed_foreign_label,
+    "property_of_a_foreign_table": _seed_foreign_property,
+    "property_with_two_values": _duplicate_key_row(exposed=True),
+    "benign_duplicate_rows": _duplicate_key_row(exposed=False),
+    "mixed_key_arities": _seed_mixed_arities,
+    "max_arity_too_small": _seed_small_max_arity,
+}
+
+
+# --------------------------------------------------------------------------- #
+# The two builders, as outcomes
+# --------------------------------------------------------------------------- #
+def formal_outcome(database, sources, max_arity):
+    """``(graph, arity)`` of the formal build, or ``(error type, text)``."""
+    try:
+        evaluator = PGQEvaluator(database)
+        relations = tuple(evaluator.evaluate(source) for source in sources)
+        return materialize_graph(relations, max_arity)
+    except ReproError as error:
+        return type(error), str(error)
+
+
+def planned_outcome(database, sources, max_arity):
+    """What the planned engine's view build returns, and who built it."""
+    sink = RingBufferSink()
+    token = activate(Tracer([sink]))
+    try:
+        graph, arity, _matcher = PlannedEngine(database)._build_view(sources, max_arity)
+        outcome = graph, arity
+    except ReproError as error:
+        outcome = type(error), str(error)
+    finally:
+        deactivate(token)
+    return outcome, built_from(sink)
+
+
+def built_from(sink):
+    tags = [
+        span["tags"].get("built_from")
+        for record in sink.records()
+        for span in iter_spans(record)
+        if span["name"] == "view.materialize"
+    ]
+    assert len(tags) == 1
+    return tags[0]
+
+
+def same_graph(left, right):
+    return (
+        left.nodes == right.nodes
+        and set(left.edge_tuples()) == set(right.edge_tuples())
+        and {e: left.labels(e) for e in left.nodes | left.edges}
+        == {e: right.labels(e) for e in right.nodes | right.edges}
+        and {e: left.properties(e) for e in left.nodes | left.edges}
+        == {e: right.properties(e) for e in right.nodes | right.edges}
+    )
+
+
+def check_case(database, sources, max_arity, name):
+    expected = VIOLATIONS[name]
+    formal = formal_outcome(database, sources, max_arity)
+    scanned = graph_from_scans(sources, database, max_arity)
+    planned, builder = planned_outcome(database, sources, max_arity)
+    if expected.formal is None:
+        assert not isinstance(formal[0], type), formal
+    else:
+        assert isinstance(formal[0], type) and expected.formal in formal[1], formal
+    assert (scanned is not None) == expected.accepted, name
+    assert builder == ("scans" if scanned is not None else "relations")
+    if scanned is not None:
+        # Accepted: the graph is the formal build's graph.
+        for graph, arity in (scanned, planned):
+            assert arity == formal[1]
+            assert same_graph(graph, formal[0])
+        assert scanned[0].relation_rows() == sum(
+            len(PGQEvaluator(database).evaluate(source)) for source in sources
+        )
+    elif isinstance(formal[0], type):
+        # Not accepted: the formal path's error, byte for byte.
+        assert planned == formal
+    else:
+        assert planned[1] == formal[1] and same_graph(planned[0], formal[0])
+
+
+class TestColumnarEqualsFormal:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(catalogs())
+    def test_drawn_catalogs(self, case):
+        check_case(*case)
+
+    @pytest.mark.parametrize("name", sorted(VIOLATIONS))
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_every_violation_by_name(self, name, data):
+        check_case(*data.draw(catalogs(violation=name)))
+
+    @staticmethod
+    def compiled(tables, statement):
+        database = Database(
+            {t: Relation(len(cols), rows, name=t) for t, (cols, rows) in tables.items()},
+            schema=Schema(RelationSchema(t, len(c), c) for t, (c, _) in tables.items()),
+        )
+        return database, compile_graph_definition(statement, database.schema).sources
+
+    def test_equal_but_distinct_keys(self):
+        # 1 == True == 1.0: one node, whichever spelling a column uses.
+        tables = {
+            "N": (("k",), [(1,), (2,), (3,)]),
+            "E": (("k", "s", "t"), [("e1", 1.0, 2), ("e2", True, 3.0)]),
+        }
+        edge_spec = EdgeTableSpec("E", ("k",), ("s",), "N", ("t",), "N", ("T",))
+        statement = CreatePropertyGraph("G", (NodeTableSpec("N", ("k",), ("A",)),), (edge_spec,))
+        database, sources = self.compiled(tables, statement)
+        graph, arity = graph_from_scans(sources, database, None)
+        formal = formal_outcome(database, sources, None)
+        assert arity == 1 and same_graph(graph, formal[0])
+        assert graph.source(("e2",)) == (1,) and graph.target(("e2",)) == (3,)
+        # A second node table spelling node 1 as True exposes its property
+        # "k" a second time — as an equal value: no conflict for pgView, but
+        # not one row per assignment either, so the scans leave it to pgView.
+        tables["M"] = (("k",), [(True,), (4,)])
+        statement = CreatePropertyGraph(
+            "G",
+            (NodeTableSpec("N", ("k",), ("A",)), NodeTableSpec("M", ("k",), ("B",))),
+            (edge_spec,),
+        )
+        database, sources = self.compiled(tables, statement)
+        assert graph_from_scans(sources, database, None) is None
+        formal = formal_outcome(database, sources, None)
+        planned, builder = planned_outcome(database, sources, None)
+        assert builder == "relations" and same_graph(planned[0], formal[0])
+        assert formal[0].labels((1,)) == {"A", "B"} and formal[0].node_count() == 4
+
+    def test_a_source_outside_the_grammar_is_never_accepted(self):
+        query = pair_reachability_query()
+        pattern = query.operand
+        rows = [("a", "b", "b", "c"), ("b", "c", "c", "a"), ("a", "a", "a", "a")]
+        database = Database({"E4": Relation(4, rows)})
+        assert graph_from_scans(pattern.sources, database, pattern.max_arity) is None
+        assert lower_source(pattern.sources[1], database.schema) is None  # a Select
+        planned, builder = planned_outcome(database, pattern.sources, pattern.max_arity)
+        formal = formal_outcome(database, pattern.sources, pattern.max_arity)
+        assert builder == "relations"
+        assert planned[1] == formal[1] == 4 and same_graph(planned[0], formal[0])
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            Select(BaseRelation("T"), ColumnEqualsConstant(1, "a")),
+            Product(BaseRelation("T"), BaseRelation("T")),
+            Product(BaseRelation("T"), Constant("c")),  # must be in the active domain
+            Product(Constant("c", require_active=False), BaseRelation("T")),
+            Project(BaseRelation("T"), (3,)),
+            Project(BaseRelation("T"), ()),
+            Union(BaseRelation("T"), Project(BaseRelation("T"), (1,))),
+            BaseRelation("Missing"),
+        ],
+    )
+    def test_what_lowers_to_nothing(self, source):
+        schema = Schema([RelationSchema("T", 2, ("a", "b"))])
+        assert lower_source(source, schema) is None
+
+    def test_what_lowers(self):
+        schema = Schema([RelationSchema("T", 2, ("a", "b"))])
+        labelled = Project(Product(BaseRelation("T"), Constant("L", require_active=False)), (2, 3))
+        assert lower_source(labelled, schema) == (2, [("T", (1, Literal("L")))])
+        assert lower_source(Union(EmptyRelation(2), BaseRelation("T")), schema) == (
+            2, [("T", (0, 1))]
+        )
+
+
+class TestHandWrittenSources:
+    """``PGQro`` views — six base relations — take the scan path too."""
+
+    TABLES = {
+        "N": [("v0",), ("v1",), ("v2",)],
+        "E": [("e0",), ("e1",)],
+        "S": [("e0", "v0"), ("e1", "v1")],
+        "T": [("e0", "v1"), ("e1", "v2")],
+        "L": [("v0", "Start"), ("e0", "Hop"), ("e0", 7)],
+        "P": [("e0", "w", 1), ("e1", 5, 2)],
+    }
+
+    @staticmethod
+    def outcomes(tables, sources=None):
+        database = Database.from_dict(tables, arities={"L": 2, "P": 3})
+        sources = sources or tuple(BaseRelation(name) for name in "NESTLP")
+        return (
+            graph_from_scans(sources, database, None),
+            formal_outcome(database, sources, None),
+            planned_outcome(database, sources, None),
+        )
+
+    def test_sound_relations_are_accepted(self):
+        scanned, formal, (planned, builder) = self.outcomes(self.TABLES)
+        assert builder == "scans" and scanned[1] == formal[1] == 1
+        assert same_graph(scanned[0], formal[0]) and same_graph(planned[0], formal[0])
+        # Labels and property keys are strings in the graph, whatever the column holds.
+        assert scanned[0].labels(("e0",)) == {"Hop", "7"}
+        assert scanned[0].properties(("e1",)) == {"5": 2}
+
+    @pytest.mark.parametrize(
+        "table, rows, says",
+        [
+            ("S", [("e0", "v0"), ("e1", "v1"), ("e0", "v2")], "to both"),
+            ("T", [("e0", "v1")], "is not total"),
+            ("T", [("e0", "v1"), ("e1", "v2"), ("e2", "v2")], "which is not an edge"),
+            ("S", [("e0", "v0"), ("e1", "e0")], "which is not a node"),
+            ("E", [("e0",), ("e1",), ("v0",)], "condition (1) violated"),
+            ("L", [("zz", "Start")], "condition (3) violated"),
+            ("P", [("zz", "w", 1)], "condition (4) violated"),
+            ("P", [("e0", "w", 1), ("e0", "w", 2)], "has two values"),
+            ("P", [("e0", "w")], "incompatible with any identifier arity"),
+        ],
+    )
+    def test_unsound_relations_are_left_to_pgview(self, table, rows, says):
+        scanned, formal, (planned, builder) = self.outcomes({**self.TABLES, table: rows})
+        assert scanned is None and builder == "relations"
+        assert formal[0] is ViewError and says in formal[1]
+        assert planned == formal
+
+    def test_constant_names_that_are_not_strings(self):
+        def constant(value):
+            return Constant(value, require_active=False)
+
+        sources = (
+            BaseRelation("N"), BaseRelation("E"), BaseRelation("S"), BaseRelation("T"),
+            Product(BaseRelation("N"), constant(7)),
+            Project(Product(Product(BaseRelation("E"), constant(5)), constant(None)), (1, 2, 3)),
+        )
+        scanned, formal, (planned, builder) = self.outcomes(self.TABLES, sources)
+        assert builder == "scans" and same_graph(scanned[0], formal[0])
+        assert scanned[0].labels(("v1",)) == {"7"}
+        assert scanned[0].properties(("e1",)) == {"5": None}
+
+    def test_all_six_empty(self):
+        empty = {name: [] for name in "NESTLP"}
+        database = Database.from_dict(empty, arities={"N": 2, "E": 2, "S": 4, "T": 4, "L": 3, "P": 4})
+        sources = tuple(BaseRelation(name) for name in "NESTLP")
+        graph, arity = graph_from_scans(sources, database, None)
+        assert arity == formal_outcome(database, sources, None)[1] == 2
+        assert graph.node_count() == graph.edge_count() == 0
+
+
+class TestBuiltFromTag:
+    """The ``view.materialize`` span says which builder served the view."""
+
+    DDL = """
+    CREATE PROPERTY GRAPH G (
+      NODES TABLE N KEY (k) LABEL A,
+      EDGES TABLE E KEY (k) SOURCE KEY s REFERENCES N TARGET KEY t REFERENCES N LABEL T)
+    """
+    QUERY = "SELECT * FROM GRAPH_TABLE ( G MATCH (x)-[e:T]->(y) COLUMNS (x.k AS a, y.k AS b) )"
+
+    @staticmethod
+    def catalog(sink, edges):
+        db = Catalog(tracer=Tracer([sink]))
+        db.create_table("N", ["k"], [("a",), ("b",)])
+        db.create_table("E", ["k", "s", "t"], edges)
+        db.execute(TestBuiltFromTag.DDL)
+        return db
+
+    @staticmethod
+    def view_spans(sink):
+        return [
+            span["tags"]
+            for record in sink.records()
+            for span in iter_spans(record)
+            if span["name"] == "view.materialize"
+        ]
+
+    def test_naive_and_sqlite_never_scan(self):
+        sink = RingBufferSink()
+        with self.catalog(sink, [("e", "a", "b")]) as db:
+            builders = {}
+            for engine in ("naive", "planned", "sqlite"):
+                sink.clear()
+                with db.connect(engine) as connection:
+                    assert list(connection.execute(self.QUERY).rows) == [("a", "b")]
+                builders[engine] = [tags.get("built_from") for tags in self.view_spans(sink)]
+        assert builders["planned"] == ["scans"]
+        assert builders["naive"] == ["relations"]
+        # sqlite compiles the view to SQL over its own tables; a graph it
+        # does build (a fallback to the formal evaluator) is from relations.
+        assert set(builders["sqlite"]) <= {"relations"}
+
+    def test_ddl_graph_pairs_query_and_a_duplicated_edge_key(self):
+        sink = RingBufferSink()
+        with self.catalog(sink, [("e", "a", "b")]) as db:
+            db.connect("planned").execute(self.QUERY)
+            (tags,) = self.view_spans(sink)
+            assert tags["built_from"] == "scans"
+            assert tags["nodes"] == 2 and tags["edges"] == 1 and "compact_encode_s" in tags
+        sink.clear()
+        with Catalog() as db:
+            db.create_table("E4", ["u1", "u2", "v1", "v2"], [("a", "b", "b", "c")])
+            # Connection.evaluate() opens no statement window of its own.
+            token = activate(Tracer([sink]))
+            try:
+                db.connect("planned").evaluate(pair_reachability_query())
+            finally:
+                deactivate(token)
+            (tags,) = self.view_spans(sink)
+            assert tags["built_from"] == "relations"
+            assert tags["nodes"] == 2 and tags["edges"] == 1 and "compact_encode_s" in tags
+        sink.clear()
+        with self.catalog(sink, [("e", "a", "b"), ("e", "b", "b")]) as db:
+            with pytest.raises(ViewError, match=r"condition \(2\) violated.*to both"):
+                db.connect("planned").execute(self.QUERY)
+            (tags,) = self.view_spans(sink)
+            assert tags["built_from"] == "relations" and "nodes" not in tags
+
+
+# --------------------------------------------------------------------------- #
+# The two relational kernels that went set-at-a-time
+# --------------------------------------------------------------------------- #
+class TestRelationKernels:
+    Pair = namedtuple("Pair", "left right")
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (("a",), "row ('a',) has arity 1, expected 2 in relation 'T'"),
+            (("a", ("b",)), "relation entries must be atomic values, got ('b',)"),
+            (("a", ["b"]), "relation entries must be atomic values, got ['b']"),
+            (Pair("a", Pair("b", "c")),
+             "relation entries must be atomic values, got Pair(left='b', right='c')"),
+        ],
+    )
+    def test_the_same_arity_error_on_either_side_of_the_bulk_check(self, bad, message):
+        good = [("x", "y"), ("z", 1)]
+        for rows in ([bad], good + [bad], [bad] + good, iter(good + [bad]), good + [list(bad)]):
+            with pytest.raises(ArityError) as caught:
+                Relation(2, rows, name="T")
+            assert str(caught.value) == message
+
+    def test_rows_the_bulk_check_declines_still_normalize(self):
+        pair = self.Pair("a", "b")
+        relation = Relation(2, [("x", "y"), ["p", "q"], pair])
+        assert relation.rows == {("x", "y"), ("p", "q"), ("a", "b")}
+        assert Relation(1, ["a", "b"]).rows == {("a",), ("b",)}  # scalars are 1-tuples
+        assert Relation(2, frozenset({("x", "y")})).rows == {("x", "y")}
+        assert Relation(0, [()]).rows == {()}
+
+    def test_content_digest_is_the_old_algorithm(self):
+        rows = [
+            ("é", None, 1.5, True),
+            ("z\udc80", 0, float("inf"), False),
+            ("a\nb", -1, 2.0, None),
+            ("", 10**20, -0.0, True),
+        ]
+        relation = Relation(4, rows)
+        digest = hashlib.sha256(b"4\n")
+        for row in sorted(relation.rows, key=repr):
+            digest.update(repr(row).encode("utf-8", "replace"))
+            digest.update(b"\n")
+        assert relation.content_digest() == digest.hexdigest()
+        assert Relation.empty(3).content_digest() == hashlib.sha256(b"3\n").hexdigest()
