@@ -48,8 +48,8 @@ by :mod:`repro.engine`:
 * ``naive`` — the formal evaluator, kept as the semantics oracle;
 * ``planned`` — the query planner (logical IR, rule-based optimizer,
   hash joins, semi-naive repetition fixpoint);
-* ``sqlite`` — compilation to SQL with recursive CTEs, falling back to
-  the oracle for n-ary identifier views.
+* ``sqlite`` — compilation to SQL with recursive CTEs over a checked,
+  integer-encoded view; the oracle answers (counted) what SQL cannot.
 """
 
 from __future__ import annotations

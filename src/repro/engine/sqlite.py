@@ -2,29 +2,39 @@
 
 SQL/PGQ is designed to run *inside* a relational engine; this module shows
 the paper's formal fragments executing on a real one.  A
-:class:`SQLiteEngine` loads a :class:`~repro.relational.database.Database`
-into an in-memory SQLite database and evaluates PGQ queries by compiling
-each to **one** SQL statement:
+:class:`SQLiteEngine` evaluates PGQ queries on an in-memory SQLite database
+by compiling each to **one** SQL statement:
 
 * the relational operators map to ``SELECT`` / ``UNION`` / ``EXCEPT`` /
-  cross joins;
-* pattern matching over a graph view maps to joins over the six view
-  relations; a repetition's body is a ``MATERIALIZED`` common table
-  expression of the statement itself (evaluated once per execution) and
-  unbounded repetition closes it with ``WITH RECURSIVE`` — the same
-  mechanism (linear recursion) the paper cites as SQL's NL-complete core;
+  cross joins over base relations copied in when a statement first names
+  them;
+* a graph view is *constructed* once, when a pattern first matches over it
+  (:meth:`SQLiteEngine._view_tables`): conditions (1)-(4) of Definition
+  3.1 / 5.1 are checked by the function every engine uses — an ill-formed
+  view raises the oracle's ``ViewError`` — and the view is stored
+  dictionary-encoded, every ``n``-ary node / edge identifier one dense
+  integer id, with a seventh table decoding ids for output;
+* pattern matching maps to joins over those tables; a repetition's body is
+  a ``MATERIALIZED`` common table expression of the statement itself
+  (evaluated once per execution) and unbounded repetition closes it with
+  ``WITH RECURSIVE`` — the same mechanism (linear recursion) the paper
+  cites as SQL's NL-complete core — over integer pairs whatever the
+  identifier arity, so PGQext's pair reachability (Theorem 5.2) runs on it
+  too;
 * parameter slots are numbered ``?N`` placeholders, one number per slot
   name, so one-shot, streamed and prepared execution share a single
   compilation mode (:class:`_SQLiteCompiledQuery`).
 
-Nothing is built ahead of an execution except the six view tables, which
-the engine owns and shares between every statement over the same graph
-view.  The SQL compilation supports unary identifiers (the
-read-only/read-write fragments and the SQL/PGQ core, cf. Section 7 item
-(3)); a query it cannot serve — n-ary identifier views, a
-``max_repetitions`` bound with repetition — is answered by the formal
-evaluator instead, and every such answer is *counted* by reason in
-:attr:`SQLiteEngine.fallbacks` (shown by ``Explain`` and a
+Nothing is built ahead of an execution except the view tables, which the
+engine owns and shares between every statement over the same graph view.
+What is still answered by the formal evaluator instead: a
+``max_repetitions`` bound with repetition (a recursive CTE cannot raise on
+depth overrun), a parameter slot or unhashable constant inside a view
+source (the view is built before any binding exists), and the pattern /
+condition shapes :class:`_PatternSQL` raises :class:`_SQLUnsupported` for
+(disjunction branches binding different variables, an empty constant
+relation, node types it does not know).  Every such answer is *counted* by
+reason in :attr:`SQLiteEngine.fallbacks` (shown by ``Explain`` and a
 ``sqlite.fallback`` span), so "sqlite agrees with the oracle" cannot
 silently mean the oracle agreeing with itself.  Results are always
 identical to the formal evaluator, which the test-suite and the E11
@@ -39,7 +49,7 @@ import time
 import weakref
 from collections import OrderedDict, deque
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.observability.tracing import trace_span
 
@@ -85,7 +95,7 @@ from repro.pgq.queries import (
     iter_queries,
     resolve_bindings,
 )
-from repro.pgq.views import infer_identifier_arity
+from repro.pgq.views import check_view_conditions, view_identifier_arity
 from repro.relational.conditions import (
     And as RAAnd,
     ColumnCompare,
@@ -122,19 +132,21 @@ class SQLiteEngine:
         self.database = database
         self.max_repetitions = max_repetitions
         self._connection: Optional[sqlite3.Connection] = None
+        #: Base relations (and ``__adom``) already copied into SQLite.
+        self._loaded: Set[str] = set()
         self._view_counter = itertools.count()
         #: Why SQL could not serve a query -> evaluations the formal
         #: evaluator answered instead (see :meth:`_statement`).
         self.fallbacks: Dict[str, int] = {}
-        #: The six view temp tables of every graph view in use, keyed like
-        #: the evaluator's view cache on (sources, max_arity): the database
-        #: is immutable for the engine's lifetime, so every statement over
-        #: the same graph view — prepared, streamed or one-shot — reads one
-        #: set of materialized tables.  Each entry carries a WeakSet of the
+        #: The view temp tables of every graph view in use, keyed like the
+        #: evaluator's view cache on (sources, max_arity): the database is
+        #: immutable for the engine's lifetime, so every statement over the
+        #: same graph view — prepared, streamed or one-shot — reads one set
+        #: of checked, encoded tables.  Each entry carries a WeakSet of the
         #: compiled statements using it; superseded entries (e.g. graph
         #: redefinitions) are dropped once no live statement references
         #: them.  Cleared (with the connection) by :meth:`close`.
-        self._shared_view_tables: "OrderedDict[Tuple, Tuple[List[str], weakref.WeakSet]]" = (
+        self._shared_view_tables: "OrderedDict[Tuple, Tuple[_ViewTables, weakref.WeakSet]]" = (
             OrderedDict()
         )
         #: Snapshot-cache scope attached by connections (see
@@ -151,9 +163,9 @@ class SQLiteEngine:
         temp tables) is connection-affine and stays private, but the
         *relational* work around it is shared: view-source relations are
         read through the scope's cross-engine CSE entries, and the
-        oracle-fallback evaluator (n-ary identifier views, depth-bounded
-        repetition) shares materialized graph views under a
-        ``sqlite-fallback`` engine kind.
+        oracle-fallback evaluator (depth-bounded repetition, shapes
+        :class:`_PatternSQL` does not compile) shares materialized graph
+        views under a ``sqlite-fallback`` engine kind.
         """
         self._snapshot_scope = scope
 
@@ -191,11 +203,14 @@ class SQLiteEngine:
     # ------------------------------------------------------------------ #
     @property
     def connection(self) -> sqlite3.Connection:
-        """The backing connection, created and loaded on first SQL use.
+        """The backing connection, created on first SQL use.
 
-        Queries answered by the formal evaluator never pay for loading
-        the database; the SQLite feature floor is checked here, at start-up,
-        rather than as a syntax error inside the first ``->+``.
+        It starts empty: a base relation is copied in when a statement
+        first names it (:meth:`_ensure_loaded`) and a graph view when a
+        pattern first matches over it (:meth:`_view_tables`), so nothing is
+        paid for tables no statement reads.  The SQLite feature floor is
+        checked here, at start-up, rather than as a syntax error inside the
+        first ``->+``.
         """
         if self._connection is None:
             if sqlite3.sqlite_version_info < _MIN_SQLITE_VERSION:
@@ -214,25 +229,31 @@ class SQLiteEngine:
             # ``PRAGMA journal_mode=WAL`` alongside this timeout.
             connection.execute("PRAGMA busy_timeout = 5000")
             self._connection = connection
-            self._load(self.database)
         return self._connection
 
-    def _load(self, database: Database) -> None:
-        cursor = self._connection.cursor()
-        for name in database:
-            relation = database.relation(name)
-            columns = ", ".join(f"c{i}" for i in range(1, relation.arity + 1))
-            cursor.execute(f'CREATE TABLE "{name}" ({columns})')
-            placeholders = ", ".join("?" for _ in range(relation.arity))
-            cursor.executemany(
-                f'INSERT INTO "{name}" VALUES ({placeholders})',
-                [tuple(row) for row in relation.rows],
+    def _ensure_loaded(self, name: str) -> None:
+        """Copy base relation ``name`` into SQLite on first reference.
+
+        ``__adom`` names the active domain as a real table: the union of
+        all columns of all relations.  View sources never come through
+        here — :meth:`_source_relation` evaluates them relationally — so a
+        statement that only matches patterns loads no base table at all.
+        """
+        if name in self._loaded:
+            return
+        if name == "__adom":
+            arity, rows = 1, [(value,) for value in self.database.active_domain()]
+        else:
+            relation = self.database.relation(name)
+            arity, rows = relation.arity, relation.rows
+        connection = self.connection
+        with connection:  # one transaction: an unbindable cell leaves no partial table
+            connection.execute("BEGIN")
+            connection.execute(f'CREATE TABLE "{name}" ({_columns(arity)})')
+            connection.executemany(
+                f'INSERT INTO "{name}" VALUES ({", ".join("?" * arity)})', rows
             )
-        # Active domain as a real table: the union of all columns of all relations.
-        cursor.execute("CREATE TABLE __adom (c1)")
-        values = {value for value in database.active_domain()}
-        cursor.executemany("INSERT INTO __adom VALUES (?)", [(v,) for v in values])
-        self._connection.commit()
+        self._loaded.add(name)
 
     def close(self) -> None:
         # Streams still reading the connection buffer their remaining
@@ -241,8 +262,9 @@ class SQLiteEngine:
         if self._connection is not None:
             self._connection.close()
             self._connection = None
-        # View tables died with the connection; statements that survive a
-        # close recompile (and re-share) on the next execution.
+        # Every table died with the connection; statements that survive a
+        # close recompile (re-loading and re-sharing) on the next execution.
+        self._loaded.clear()
         self._shared_view_tables.clear()
 
     def __enter__(self) -> "SQLiteEngine":
@@ -304,7 +326,7 @@ class SQLiteEngine:
     def _stream_cursor(
         self, cursor: sqlite3.Cursor, statement: "_SQLiteCompiledQuery"
     ) -> "_CursorStream":
-        """A distinct-row stream over ``cursor``, registered with the
+        """A row-batch stream over ``cursor``, registered with the
         engine so :meth:`close` can detach (buffer) it first."""
         stream = _CursorStream(cursor, statement)
         self._open_streams.append(weakref.ref(stream))
@@ -429,7 +451,10 @@ class SQLiteEngine:
                 delay *= 2
 
     def evaluate_sql(self, sql: str) -> List[Tuple]:
-        """Run a raw SQL statement against the engine (for tests/examples)."""
+        """Run a raw SQL statement against the engine (for tests/examples);
+        raw text names tables nobody compiled, so every one is loaded first."""
+        for name in (*self.database, "__adom"):
+            self._ensure_loaded(name)
         return [tuple(row) for row in self.connection.execute(sql).fetchall()]
 
     def compile_to_sql(self, query: Query) -> str:
@@ -442,20 +467,29 @@ class SQLiteEngine:
     # ------------------------------------------------------------------ #
     # View tables
     # ------------------------------------------------------------------ #
-    #: Index columns per view-table position (nodes, .., properties): the
-    #: pattern SQL joins sources/targets on the edge column and probes
-    #: labels/properties by (element, key), so those lookups must not scan.
-    _VIEW_INDEX_COLUMNS = ("c1", None, "c1", "c1", "c1, c2", "c1, c2")
+    def _view_tables(self, query: GraphPattern, user: "_SQLiteCompiledQuery") -> "_ViewTables":
+        """``pgView`` of ``query``'s six sources, as indexed temporary tables.
 
-    def _view_tables(self, query: GraphPattern, user: "_SQLiteCompiledQuery") -> List[str]:
-        """The six view relations of ``query`` as indexed temporary tables.
+        This is where the engine constructs the view, once per ``(sources,
+        max_arity)``: the sources are evaluated, the identifier arity ``n``
+        inferred, and conditions (1)-(4) of Definition 3.1 / 5.1 checked by
+        the very function the other engines use — an ill-formed view raises
+        their :class:`~repro.errors.ViewError`; it is never a fallback.
+        The checked view is then dictionary-encoded: every node and edge
+        identifier (an ``n``-tuple, keyed by Python equality like the
+        relation sets it comes from, so ``None`` is an ordinary identifier)
+        gets one dense integer id, ``R1``-``R6`` are stored over those ids
+        with labels and property keys as ``str`` (the graph model's
+        domains), and a seventh table maps an id back to its ``n`` columns
+        for bare-variable output items.  Statements therefore join integers
+        whatever ``n`` is, and may rely on condition (2): every edge
+        endpoint they can read is a node.
 
-        Keeps the pattern SQL readable and lets the recursive CTE reference
-        them.  The tables are engine-owned and shared per ``(sources,
-        max_arity)`` — the database is immutable for the engine's
-        lifetime, so every statement over one graph view reads one set of
-        tables; ``user`` (a one-shot evaluation is just a short-lived one)
-        joins the entry's user set, which is what keeps it from eviction.
+        The tables are engine-owned and shared — the database is immutable
+        for the engine's lifetime, so every statement over one graph view
+        reads one set; ``user`` (a one-shot evaluation is just a
+        short-lived one) joins the entry's user set, which is what keeps it
+        from eviction.
         """
         cache_key = (query.sources, query.max_arity)
         try:
@@ -463,39 +497,57 @@ class SQLiteEngine:
         except TypeError:
             raise _SQLUnsupported("unhashable constant in a view source") from None
         if shared is not None:
-            names, users = shared
+            view, users = shared
             self._shared_view_tables.move_to_end(cache_key)
             users.add(user)
-            return names
-        view_relations = tuple(self._source_relation(source) for source in query.sources)
-        identifier_arity = infer_identifier_arity(view_relations)
-        if identifier_arity != 1:
-            raise _SQLUnsupported("the SQL backend compiles unary-identifier views only")
-        number = next(self._view_counter)
-        names = [f"__view{number}_{index}" for index in range(len(view_relations))]
-        cursor = self.connection.cursor()
-        try:
-            for index, (table, relation) in enumerate(zip(names, view_relations)):
-                columns = ", ".join(f"c{i}" for i in range(1, max(relation.arity, 1) + 1))
-                cursor.execute(f"CREATE TEMP TABLE {table} ({columns})")
-                if relation.arity:
-                    placeholders = ", ".join("?" for _ in range(relation.arity))
-                    cursor.executemany(
-                        f"INSERT INTO {table} VALUES ({placeholders})",
-                        [tuple(row) for row in relation.rows],
-                    )
-                index_columns = self._VIEW_INDEX_COLUMNS[index]
-                if index_columns is not None and relation.arity:
-                    cursor.execute(f"CREATE INDEX idx_{table} ON {table}({index_columns})")
-        except BaseException:
-            # A mid-loop failure (e.g. an unbindable cell value) must not
-            # leave its partial tables behind.
-            self._drop_tables(names)
-            raise
-        self.connection.commit()
-        self._shared_view_tables[cache_key] = (names, weakref.WeakSet((user,)))
+            return view
+        relations = tuple(self._source_relation(source) for source in query.sources)
+        arity = view_identifier_arity(relations, query.max_arity)
+        source_of, target_of, labels, assignments = check_view_conditions(relations, arity)
+        nodes, edges = relations[0].rows, relations[1].rows
+        ids = {
+            identifier: number
+            for number, identifier in enumerate(itertools.chain(nodes, edges))
+        }
+        # A dict, as ``pg_view`` builds ``prop``: keys that collide once
+        # they are strings keep one value, the same one.
+        properties = {
+            (ids[element], str(key)): value for (element, key), value in assignments.items()
+        }
+        view = _ViewTables(f"__view{next(self._view_counter)}", arity)
+        # (columns, index columns, rows) of R1..R6 and the id table.  The
+        # pattern SQL joins sources / targets on the edge column and probes
+        # labels / properties by (element, key); the property index carries
+        # the value too, so a lookup never touches the table.
+        tables = (
+            ("c1", "c1", [(number,) for number in range(len(nodes))]),
+            ("c1", None, [(number,) for number in range(len(nodes), len(ids))]),
+            ("c1, c2", "c1", [(ids[edge], ids[node]) for edge, node in source_of.items()]),
+            ("c1, c2", "c1", [(ids[edge], ids[node]) for edge, node in target_of.items()]),
+            (
+                "c1, c2",
+                "c1, c2",
+                [(ids[element], label) for element, names in labels.items() for label in names],
+            ),
+            ("c1, c2, c3", "c1, c2, c3", [key + (value,) for key, value in properties.items()]),
+            (
+                f"id INTEGER PRIMARY KEY, {_columns(arity)}",
+                None,
+                [(number,) + identifier for identifier, number in ids.items()],
+            ),
+        )
+        connection = self.connection
+        with connection:  # one transaction: an unbindable cell leaves no partial view
+            connection.execute("BEGIN")
+            for table, (columns, index_columns, rows) in zip(view.names, tables):
+                connection.execute(f"CREATE TEMP TABLE {table} ({columns})")
+                placeholders = ", ".join("?" * (columns.count(",") + 1))
+                connection.executemany(f"INSERT INTO {table} VALUES ({placeholders})", rows)
+                if index_columns is not None:
+                    connection.execute(f"CREATE INDEX idx_{table} ON {table}({index_columns})")
+        self._shared_view_tables[cache_key] = (view, weakref.WeakSet((user,)))
         self._evict_unreferenced_view_tables()
-        return names
+        return view
 
     def _evict_unreferenced_view_tables(self) -> None:
         """Drop cached view-table sets past the cap, oldest first, but
@@ -506,10 +558,10 @@ class SQLiteEngine:
         for key in list(self._shared_view_tables):
             if len(self._shared_view_tables) <= self._SHARED_VIEW_TABLES_MAX:
                 break
-            names, users = self._shared_view_tables[key]
+            view, users = self._shared_view_tables[key]
             if not users:
                 del self._shared_view_tables[key]
-                self._drop_tables(names)
+                self._drop_tables(view.names)
 
 
 def _contains_repetition(query: Query) -> bool:
@@ -538,6 +590,10 @@ class _SQLUnsupported(Exception):
     reason :attr:`SQLiteEngine.fallbacks` counts the evaluation under."""
 
 
+def _columns(arity: int) -> str:
+    return ", ".join(f"c{i}" for i in range(1, arity + 1))
+
+
 def _sql_literal(value) -> str:
     if isinstance(value, Parameter):
         raise _SQLUnsupported(f"parameter slot {value!r} where SQL takes no placeholder")
@@ -550,12 +606,12 @@ def _sql_literal(value) -> str:
 
 
 class _CursorStream:
-    """Iterator of distinct-row batches over a SQLite cursor, detachable by
-    the engine.
+    """Iterator of row batches over a SQLite cursor, detachable by the
+    engine.
 
-    SQL row sets are bags while the engines' relations are sets, so a
-    seen-set keeps the yielded rows distinct (matching
-    :meth:`SQLiteEngine.evaluate`'s semantics exactly).  The engine holds
+    A batch is what ``fetchmany`` returned: every statement the compiler
+    emits is set-valued (see :meth:`_SQLiteCompiledQuery._relational`), so
+    the rows are distinct as they arrive.  The engine holds
     a weak ref to every live stream: :meth:`SQLiteEngine.close` calls
     :meth:`detach` first, buffering the remaining rows so a streamed
     :class:`~repro.engine.result.QueryResult` stays readable after the
@@ -568,7 +624,6 @@ class _CursorStream:
     def __init__(self, cursor: sqlite3.Cursor, statement: "_SQLiteCompiledQuery"):
         self._cursor: Optional[sqlite3.Cursor] = cursor
         self._statement: Optional["_SQLiteCompiledQuery"] = statement
-        self._seen: set = set()
         self._buffer: "deque[List[Tuple]]" = deque()
         self._done = False
 
@@ -585,13 +640,10 @@ class _CursorStream:
 
     def _fetch_batch(self) -> None:
         chunk = self._cursor.fetchmany(256)
-        if not chunk:
+        if chunk:
+            self._buffer.append(chunk)
+        else:
             self._release()
-            return
-        fresh = [row for row in dict.fromkeys(map(tuple, chunk)) if row not in self._seen]
-        self._seen.update(fresh)
-        if fresh:
-            self._buffer.append(fresh)
 
     def _release(self) -> None:
         """Idempotent teardown shared by exhaustion, :meth:`detach` and
@@ -680,7 +732,7 @@ class _SQLiteCompiledQuery(CompiledQuery):
         self._compile()
 
     def _compile(self) -> None:
-        self._connection = self.engine.connection  # load the database first
+        self._connection = self.engine.connection
         #: Slot name -> placeholder number, in numbering order.
         self._slots: Dict[str, int] = {}
         #: Statement-wide name supply (subquery aliases, ``pairN``).
@@ -698,10 +750,15 @@ class _SQLiteCompiledQuery(CompiledQuery):
 
     # -- relational operators ----------------------------------------------
     def _relational(self, query: Query) -> Tuple[str, int]:
+        """``(SQL, arity)`` of a query.  Every statement returned is
+        set-valued — a loaded relation, ``UNION`` / ``EXCEPT``, a
+        ``DISTINCT`` projection or pattern output, or a selection / product
+        of such — which is the one dedup a result gets: cursors hand rows
+        on as they arrive."""
         if isinstance(query, BaseRelation):
-            relation = self.engine.database.relation(query.name)
-            columns = ", ".join(f"c{i}" for i in range(1, relation.arity + 1))
-            return f'SELECT {columns} FROM "{query.name}"', relation.arity
+            arity = self.engine.database.relation(query.name).arity
+            self.engine._ensure_loaded(query.name)
+            return f'SELECT {_columns(arity)} FROM "{query.name}"', arity
         if isinstance(query, Constant):
             return f"SELECT {self._emit(query.value)} AS c1", 1
         if isinstance(query, ConstantRelation):
@@ -715,6 +772,7 @@ class _SQLiteCompiledQuery(CompiledQuery):
             ]
             return " UNION ".join(selects), query.arity
         if isinstance(query, ActiveDomainQuery):
+            self.engine._ensure_loaded("__adom")
             return "SELECT c1 FROM __adom", 1
         if isinstance(query, EmptyRelation):
             columns = ", ".join(f"NULL AS c{i + 1}" for i in range(query.arity))
@@ -724,7 +782,7 @@ class _SQLiteCompiledQuery(CompiledQuery):
             columns = ", ".join(
                 f"sub.c{position} AS c{index + 1}" for index, position in enumerate(query.positions)
             )
-            return f"SELECT {columns} FROM ({inner}) AS sub", len(query.positions)
+            return f"SELECT DISTINCT {columns} FROM ({inner}) AS sub", len(query.positions)
         if isinstance(query, Select):
             inner, arity = self._relational(query.operand)
             predicate = _compile_ra_condition(query.condition, "sub", self._emit)
@@ -753,9 +811,8 @@ class _SQLiteCompiledQuery(CompiledQuery):
             right_sql, _right = self._relational(query.right)
             return f"SELECT * FROM ({left_sql}) EXCEPT SELECT * FROM ({right_sql})", left_arity
         if isinstance(query, GraphPattern):
-            view = _ViewTables(*self.engine._view_tables(query, self))
-            compiler = _PatternSQL(view, self._emit, self._names)
-            return compiler.compile_output(query.output), len(query.output.items)
+            view = self.engine._view_tables(query, self)
+            return _PatternSQL(view, self._emit, self._names).compile_output(query.output)
         raise _SQLUnsupported(f"query node {type(query).__name__}")
 
     # -- execution -----------------------------------------------------------
@@ -788,7 +845,7 @@ class _SQLiteCompiledQuery(CompiledQuery):
         self, bindings: Optional[Bindings] = None, /, **named
     ) -> Optional[Tuple[int, Iterator[List[Tuple]], bool]]:
         """Execute and stream the result rows off the SQLite cursor:
-        ``(arity, distinct-row batches, False)``, with binding errors
+        ``(arity, row batches, False)``, with binding errors
         raised here and rows fetched incrementally.  Returns ``None`` — the
         caller falls back to :meth:`execute` — for zero-arity results.
         """
@@ -825,22 +882,32 @@ def _compile_ra_condition(condition: Condition, alias: str, emit) -> str:
 
 
 class _ViewTables:
-    """Names of the materialized view tables R1..R6."""
+    """One checked, encoded graph view: the names of ``R1``..``R6`` over
+    dense integer element ids and of the id -> identifier-columns table,
+    plus the identifier arity ``n`` a bare-variable output item decodes to."""
 
-    def __init__(self, nodes, edges, sources, targets, labels, properties):
-        self.nodes = nodes
-        self.edges = edges
-        self.sources = sources
-        self.targets = targets
-        self.labels = labels
-        self.properties = properties
+    def __init__(self, prefix: str, identifier_arity: int):
+        self.names = [f"{prefix}_{index}" for index in range(6)] + [f"{prefix}_ids"]
+        (
+            self.nodes,
+            self.edges,
+            self.sources,
+            self.targets,
+            self.labels,
+            self.properties,
+            self.ids,
+        ) = self.names
+        self.identifier_arity = identifier_arity
 
 
 class _PatternSQL:
-    """Compiles unary-identifier patterns to SQL over the view tables.
+    """Compiles patterns to SQL over one view's encoded tables.
 
     Every pattern compiles to a SELECT with columns ``src``, ``tgt`` and one
-    column ``v_<name>`` per free variable.
+    column ``v_<name>`` per free variable, all of them integer element ids
+    (so the identifier arity matters only where :meth:`compile_output`
+    decodes a variable).  The view was checked when it was loaded, so
+    ``src`` and ``tgt`` of every pattern are nodes.
     """
 
     def __init__(self, view: _ViewTables, emit, names: Iterator[int]):
@@ -882,6 +949,13 @@ class _PatternSQL:
         raise _SQLUnsupported(f"pattern node {type(pattern).__name__}")
 
     def _compile_concatenation(self, pattern: Concatenation) -> Tuple[str, Tuple[str, ...]]:
+        # endpoint-bind: a bare node pattern beside another pattern only
+        # names that pattern's endpoint — a node by condition (2) — so it
+        # binds ``tgt`` / ``src`` instead of joining the node table.
+        if isinstance(pattern.right, NodePattern):
+            return self._bind_endpoint(pattern.left, "tgt", pattern.right.variable)
+        if isinstance(pattern.left, NodePattern):
+            return self._bind_endpoint(pattern.right, "src", pattern.left.variable)
         left_sql, left_vars = self.compile(pattern.left)
         right_sql, right_vars = self.compile(pattern.right)
         left_alias, right_alias = self._alias(), self._alias()
@@ -898,6 +972,21 @@ class _PatternSQL:
             f"ON {' AND '.join(conditions)}"
         )
         return sql, variables
+
+    def _bind_endpoint(
+        self, pattern: Pattern, endpoint: str, variable: Optional[str]
+    ) -> Tuple[str, Tuple[str, ...]]:
+        """``pattern`` with ``variable`` naming its ``src`` / ``tgt``."""
+        sql, variables = self.compile(pattern)
+        if variable is None:
+            return sql, variables
+        columns = ", ".join(["src", "tgt"] + [f"v_{v}" for v in variables])
+        if variable in variables:
+            return f"SELECT {columns} FROM ({sql}) WHERE v_{variable} = {endpoint}", variables
+        return (
+            f"SELECT {columns}, {endpoint} AS v_{variable} FROM ({sql})",
+            variables + (variable,),
+        )
 
     def _compile_disjunction(self, pattern: Disjunction) -> Tuple[str, Tuple[str, ...]]:
         left_sql, left_vars = self.compile(pattern.left)
@@ -1038,9 +1127,11 @@ class _PatternSQL:
         raise _SQLUnsupported(f"pattern condition {type(condition).__name__}")
 
     # -- output patterns ----------------------------------------------------
-    def compile_output(self, output: OutputPattern) -> str:
+    def compile_output(self, output: OutputPattern) -> Tuple[str, int]:
+        """``(SQL, arity)`` of the output: a property reference is one
+        column, a bare variable decodes to its ``n`` identifier columns."""
         output.validate()
-        body_sql, variables = self.compile(output.pattern)
+        body_sql, _variables = self.compile(output.pattern)
         alias = self._alias()
         items = []
         joins = []
@@ -1052,9 +1143,16 @@ class _PatternSQL:
                     f"ON {prop_alias}.c1 = {alias}.v_{item.variable} "
                     f"AND {prop_alias}.c2 = {_sql_literal(item.key)}"
                 )
-                items.append(f"{prop_alias}.c3 AS c{index + 1}")
+                items.append(f"{prop_alias}.c3")
             else:
-                items.append(f"{alias}.v_{item} AS c{index + 1}")
-        select_items = ", ".join(items) if items else "1"
+                id_alias = f"out_id{index}"
+                joins.append(
+                    f"JOIN {self.view.ids} AS {id_alias} ON {id_alias}.id = {alias}.v_{item}"
+                )
+                items += [f"{id_alias}.c{i}" for i in range(1, self.view.identifier_arity + 1)]
+        select_items = ", ".join(
+            f"{item} AS c{position}" for position, item in enumerate(items, start=1)
+        )
         join_sql = (" " + " ".join(joins)) if joins else ""
-        return f"SELECT DISTINCT {select_items} FROM ({body_sql}) AS {alias}{join_sql}"
+        sql = f"SELECT DISTINCT {select_items or '1'} FROM ({body_sql}) AS {alias}{join_sql}"
+        return sql, len(items)

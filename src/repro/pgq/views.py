@@ -18,7 +18,10 @@ with a message naming the violated condition.
 
 Who builds from what: the naive and sqlite engines, and every direct caller
 of this module, build a view **from relations** — the six relations are
-evaluated and handed to :func:`materialize_graph`.  The planned engine builds
+evaluated and handed to :func:`materialize_graph` (the sqlite engine runs
+the same two steps, :func:`view_identifier_arity` and
+:func:`check_view_conditions`, and encodes the checked maps into tables
+instead of a :class:`PropertyGraph`).  The planned engine builds
 catalog-shaped views **from scans** of the base tables
 (:mod:`repro.pgq.scans`), a builder that can only accept; whatever it cannot
 vouch for comes here, so this module stays the one place a view is rejected
@@ -105,7 +108,7 @@ def _split_pair(row: Row, arity: int) -> Tuple[Identifier, Identifier]:
     return row[:arity], row[arity:]
 
 
-def _check_conditions(
+def check_view_conditions(
     relations: Sequence[Relation], arity: int
 ) -> Tuple[
     Dict[Identifier, Identifier],
@@ -118,7 +121,9 @@ def _check_conditions(
     Returns the source/target maps (edge -> node), the per-element label
     sets, and the property assignment map — the exact structures the graph
     builder needs, so the R3-R6 rows are split exactly once for both the
-    check and the build.
+    check and the build.  Every engine constructs its view through this one
+    check (the SQLite backend encodes the returned maps into its view
+    tables), so an ill-formed view is the same :class:`ViewError` everywhere.
     """
     r1, r2, r3, r4, r5, r6 = relations
 
@@ -273,7 +278,7 @@ def pg_view_exact(relations: Sequence[Relation], arity: int) -> PropertyGraph:
         raise ViewError(f"identifier arity must be >= 1, got {arity}")
     if len(relations) != 6:
         raise ViewError(f"a property graph view needs exactly 6 relations, got {len(relations)}")
-    source_of, target_of, labels, assignments = _check_conditions(relations, arity)
+    source_of, target_of, labels, assignments = check_view_conditions(relations, arity)
     return _build_graph(relations, arity, source_of, target_of, labels, assignments)
 
 
@@ -298,16 +303,13 @@ def pg_view_ext(relations: Sequence[Relation]) -> PropertyGraph:
     return pg_view_exact(relations, arity)
 
 
-def materialize_graph(
+def view_identifier_arity(
     relations: Sequence[Relation], max_arity: Optional[int] = None
-) -> Tuple[PropertyGraph, int]:
-    """Build the graph of the appropriate ``pgView`` member in one step.
+) -> int:
+    """The identifier arity of a view candidate under a fragment bound.
 
-    Returns ``(graph, identifier arity)`` so callers that need the arity
-    (output-row validation, view caching) infer it exactly once instead of
-    re-deriving it alongside ``pg_view_n``/``pg_view_ext``.  ``max_arity``
-    selects ``pgView_n`` semantics (the inferred arity must not exceed the
-    fragment bound); ``None`` selects ``pgView_ext``.
+    ``max_arity`` selects ``pgView_n`` semantics (the inferred arity must
+    not exceed the fragment bound); ``None`` selects ``pgView_ext``.
     """
     if max_arity is not None and max_arity < 1:
         raise ViewError(f"max identifier arity must be >= 1, got {max_arity}")
@@ -316,6 +318,20 @@ def materialize_graph(
         raise ViewError(
             f"relations require identifier arity {arity}, but the fragment allows at most {max_arity}"
         )
+    return arity
+
+
+def materialize_graph(
+    relations: Sequence[Relation], max_arity: Optional[int] = None
+) -> Tuple[PropertyGraph, int]:
+    """Build the graph of the appropriate ``pgView`` member in one step.
+
+    Returns ``(graph, identifier arity)`` so callers that need the arity
+    (output-row validation, view caching) infer it exactly once instead of
+    re-deriving it alongside ``pg_view_n``/``pg_view_ext``; ``max_arity`` is
+    the fragment bound of :func:`view_identifier_arity`.
+    """
+    arity = view_identifier_arity(relations, max_arity)
     return pg_view_exact(relations, arity), arity
 
 

@@ -706,7 +706,8 @@ class TestLifecycle:
         # Whatever ran — prepared, sugar and one-shot; parameterized and
         # literal; streamed, materialized, abandoned mid-stream or timed
         # out; statements evicted from a two-slot store — the backend
-        # holds exactly the six engine-owned tables of the one graph view.
+        # holds exactly the seven engine-owned tables of the one graph view
+        # (R1..R6 over integer element ids + the id table).
         from repro.errors import QueryTimeoutError
 
         with larger_database() as db, db.connect(engine="sqlite") as connection:
@@ -733,7 +734,7 @@ class TestLifecycle:
                     "SELECT name FROM sqlite_temp_master WHERE type = 'table'"
                 )
             ]
-            assert len(tables) == 6, tables
+            assert len(tables) == 7, tables
             assert all(name.startswith("__view") for name in tables), tables
 
     def test_connection_close_releases_explicitly_prepared_statements(self):

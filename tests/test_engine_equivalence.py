@@ -23,7 +23,7 @@ from repro.engine import (
     register_engine,
     unregister_engine,
 )
-from repro.errors import EngineError
+from repro.errors import EngineError, ViewError
 from repro.patterns.builder import (
     back_edge,
     either,
@@ -39,9 +39,16 @@ from repro.patterns.builder import (
     star,
     where,
 )
-from repro.pgq import BaseRelation, Project, Select, Union, graph_pattern_on_relations
+from repro.pgq import (
+    BaseRelation,
+    EmptyRelation,
+    Project,
+    Select,
+    Union,
+    graph_pattern_on_relations,
+)
 from repro.pgq.queries import GraphPattern
-from repro.relational import ColumnEqualsConstant
+from repro.relational import ColumnEqualsConstant, Database as RelationalDatabase
 from repro.separations import pair_reachability_query
 
 VIEW = GRAPH_VIEW_SCHEMA
@@ -50,7 +57,6 @@ ENGINES = (NaiveEngine, PlannedEngine, SQLiteEngine)
 
 #: The reasons the SQLite backend may hand a query to the formal evaluator
 #: (``SQLiteEngine.fallbacks`` keys) that this suite expects somewhere.
-N_ARY_IDENTIFIERS = "the SQL backend compiles unary-identifier views only"
 DEPTH_BOUND = "max_repetitions bound with repetition"
 
 
@@ -168,10 +174,177 @@ def test_pgqrw_equivalence_on_random_graphs(seed, nodes, index):
     values=st.integers(min_value=2, max_value=4),
 )
 def test_pgqext_equivalence_on_pair_graphs(seed, values):
-    # n-ary identifiers: SQLite hands the query to the oracle (and says
-    # so), the planner runs its fixpoint on tuple identifiers natively.
+    # n-ary identifiers: SQLite closes the pair graph on its own linear
+    # recursion (tuple identifiers are one integer id inside the statement),
+    # the planner runs its fixpoint on tuple identifiers natively.
     database = pair_graph_database(values, seed=seed, edge_probability=0.2)
-    _assert_engines_agree(database, pair_reachability_query(), fallback=N_ARY_IDENTIFIERS)
+    _assert_engines_agree(database, pair_reachability_query())
+
+
+# --------------------------------------------------------------------------- #
+# View construction: every engine builds pgView through one check
+# --------------------------------------------------------------------------- #
+def _view_database(**replaced):
+    """The well-formed view a -e-> b over base relations, with some of the
+    six relations replaced (an empty list keeps the declared arity)."""
+    relations = {
+        "N": [("a",), ("b",)],
+        "E": [("e",)],
+        "S": [("e", "a")],
+        "T": [("e", "b")],
+        "L": [("a", "Red"), ("e", "Link")],
+        "P": [("e", "w", 7)],
+    }
+    relations.update(replaced)
+    return RelationalDatabase.from_dict(
+        relations, arities={"N": 1, "E": 1, "S": 2, "T": 2, "L": 2, "P": 3}
+    )
+
+
+#: tests/test_views.py's violations of conditions (1)-(4), as databases.
+ILL_FORMED_VIEWS = {
+    "(1) node and edge share an id": dict(
+        E=[("a",)], S=[("a", "a")], T=[("a", "b")], L=[], P=[]
+    ),
+    "(2) edge without source": dict(S=[]),
+    "(2) edge with two sources": dict(S=[("e", "a"), ("e", "b")]),
+    "(2) source is not a node": dict(S=[("e", "zzz")]),
+    "(2) target is not a node": dict(T=[("e", "zzz")]),
+    "(3) label on a non-element": dict(L=[("ghost", "Red")]),
+    "(4) property with two values": dict(P=[("e", "w", 1), ("e", "w", 2)]),
+    "(4) property on a non-element": dict(P=[("ghost", "w", 1)]),
+}
+
+_HOP = seq(node("x"), edge(), node("y"))
+_REACH = seq(node("x"), plus(seq(edge(), node())), node("y"))
+
+
+def _assert_same_view_error(database, query):
+    """pgView is undefined here: every engine says so with one message,
+    and SQLite says it itself instead of answering or falling back."""
+    messages = set()
+    for engine_cls in ENGINES:
+        engine = engine_cls(database)
+        with pytest.raises(ViewError) as raised:
+            engine.evaluate(query)
+        messages.add(str(raised.value))
+        if engine_cls is SQLiteEngine:
+            assert engine.fallbacks == {}
+            engine.close()
+    assert len(messages) == 1, messages
+    assert "condition (" in messages.pop()
+
+
+class TestViewConstruction:
+    @pytest.mark.parametrize("pattern", [_HOP, _REACH], ids=["hop", "plus"])
+    @pytest.mark.parametrize("violation", sorted(ILL_FORMED_VIEWS))
+    def test_ill_formed_view_is_the_oracles_view_error(self, violation, pattern):
+        database = _view_database(**ILL_FORMED_VIEWS[violation])
+        query = graph_pattern_on_relations(output(pattern, "x", "y"), VIEW)
+        _assert_same_view_error(database, query)
+
+    @pytest.mark.parametrize("pattern", [_HOP, _REACH], ids=["hop", "plus"])
+    def test_dangling_target_of_a_restricted_node_set(self, chain_view_db, pattern):
+        # tests/test_pgq_queries.py's read-write view: nodes are restricted
+        # to those with an outgoing edge, so e2's target v3 is no node.
+        sources = (
+            Project(BaseRelation("S"), (2,)),
+            BaseRelation("E"),
+            BaseRelation("S"),
+            BaseRelation("T"),
+            EmptyRelation(2),
+            EmptyRelation(3),
+        )
+        _assert_same_view_error(chain_view_db, GraphPattern(output(pattern, "x", "y"), sources))
+
+    def test_integer_labels_and_property_keys_are_the_graph_models_strings(self):
+        # lab and prop range over strings: an integer in R5 / R6 is that
+        # label / key, on every engine.
+        database = _view_database(L=[("a", 5), ("e", 6)], P=[("e", 3, 7), ("a", 4, "v")])
+        queries = [
+            output(where(_HOP, label("x", "5")), "x", "y"),
+            output(where(seq(node("x"), edge("t"), node("y")), label("t", "6")), "x", prop("t", "3")),
+            output(where(_REACH, prop_cmp("x", "4", "=", "v")), prop("x", "4"), "y"),
+        ]
+        for pattern in queries:
+            query = graph_pattern_on_relations(pattern, VIEW)
+            assert len(NaiveEngine(database).evaluate(query)) == 1
+            _assert_engines_agree(database, query)
+
+    def test_none_is_an_ordinary_identifier(self):
+        # None -> a -> b: the NULL node joins, closes and decodes like any other.
+        database = _view_database(
+            N=[(None,), ("a",), ("b",)],
+            E=[("d",), ("e",)],
+            S=[("d", None), ("e", "a")],
+            T=[("d", "a"), ("e", "b")],
+            L=[(None, "Red")],
+        )
+        for pattern in (
+            output(_REACH, "x", "y"),
+            output(where(_REACH, label("x", "Red")), "x", "y"),
+            output(seq(node("x"), star(seq(edge(), node())), node("y")), "x", "y"),
+        ):
+            query = graph_pattern_on_relations(pattern, VIEW)
+            rows = NaiveEngine(database).evaluate(query).rows
+            assert (None, "b") in rows
+            _assert_engines_agree(database, query)
+
+
+#: Python-equal values (1 == 1.0 == True) are one identifier, as in the
+#: relation sets the view is read from; "1" and None are others.
+_IDENTIFIER_POOL = [1, 1.0, True, "1", None, "a"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    nodes=st.lists(st.sampled_from(_IDENTIFIER_POOL), min_size=1, max_size=6),
+    endpoints=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=8),
+    spelling=st.lists(st.sampled_from([int, float, bool]), min_size=16, max_size=16),
+    pattern=st.sampled_from([_HOP, _REACH, seq(node("x"), star(seq(edge(), node())), node("y"))]),
+)
+def test_identifier_encoding_follows_python_equality(nodes, endpoints, spelling, pattern):
+    respell = iter(spelling)
+
+    def endpoint(index):
+        # An edge may spell its endpoint differently from the node table.
+        value = nodes[index % len(nodes)]
+        return next(respell)(value) if value == 1 else value
+
+    edges = [(f"e{i}", endpoint(s), endpoint(t)) for i, (s, t) in enumerate(endpoints)]
+    database = _view_database(
+        N=[(value,) for value in nodes],
+        E=[(name,) for name, _s, _t in edges],
+        S=[(name, source) for name, source, _t in edges],
+        T=[(name, target) for name, _s, target in edges],
+        L=[(nodes[0], "Red")],
+        P=[(nodes[-1], "w", 7)],
+    )
+    for items in (("x", "y"), ("x", prop("y", "w"))):
+        _assert_engines_agree(database, graph_pattern_on_relations(output(pattern, *items), VIEW))
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    nodes=st.integers(min_value=18, max_value=22),
+)
+def test_projected_stream_is_distinct_across_batches(seed, nodes):
+    # (x, t, y) -> (x, y) is many-to-one: the statement's own DISTINCT is the
+    # only dedup a streamed result gets, across several fetchmany batches.
+    database = erdos_renyi(nodes, 0.3, seed=seed)
+    walk = seq(node("x"), edge("t"), node(), star(seq(edge(), node())), node("y"))
+    query = Project(graph_pattern_on_relations(output(walk, "x", "t", "y"), VIEW), (1, 3))
+    expected = NaiveEngine(database).evaluate(query).rows
+    with SQLiteEngine(database) as engine:
+        arity, batches, _ordered = engine.stream(query)
+        batches = list(batches)
+        rows = [row for batch in batches for row in batch]
+        assert engine.fallbacks == {}
+    assert arity == 2
+    assert len(batches) > 1 or len(expected) <= 256
+    assert len(rows) == len(set(rows))
+    assert set(rows) == expected
 
 
 # --------------------------------------------------------------------------- #

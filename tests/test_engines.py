@@ -310,7 +310,7 @@ class TestSQLiteEngine:
             rows = engine.evaluate_sql('SELECT COUNT(*) FROM "N"')
             assert rows == [(7,)]
 
-    def test_fallback_for_nary_identifiers(self):
+    def test_nary_identifiers_compile_to_sql(self):
         from repro.datasets import generate_transfer_chain
         from repro.separations import increasing_amount_pairs_query
 
@@ -319,10 +319,74 @@ class TestSQLiteEngine:
         expected = PGQEvaluator(db).evaluate(query)
         with SQLiteEngine(db) as engine:
             assert engine.evaluate(query).rows == expected.rows
-            # ... and says the oracle answered, and why.
-            assert engine.fallbacks == {
-                "the SQL backend compiles unary-identifier views only": 1
-            }
+            # ... and SQL answered: identifiers are opaque integer ids
+            # inside the statement, whatever their arity.
+            assert engine.fallbacks == {}
+
+    def test_pair_reachability_runs_on_sqls_own_linear_recursion(self):
+        # Theorem 5.2's separating query — PGQext, 4-ary identifiers, an
+        # 8-column pattern output — compiled, not handed to the oracle.
+        from repro.engine.sqlite import _SQLiteCompiledQuery
+        from repro.separations import pair_reachability_query, pair_reachability_reference
+
+        query = pair_reachability_query()
+        with Database() as db:
+            db.create_table(
+                "E4",
+                ["u1", "u2", "v1", "v2"],
+                [("a", "b", "b", "c"), ("b", "c", "c", "a"), ("c", "a", "a", "b"), ("a", "a", "b", "b")],
+            )
+            with db.connect("sqlite") as connection:
+                engine = connection._get_engine()
+                compiled = engine.prepare(query)
+                assert type(compiled) is _SQLiteCompiledQuery
+                assert "WITH RECURSIVE" in compiled.sql
+                reach = engine.prepare(query.operand).execute()
+                assert reach.arity == 8
+                assert ("a", "b", "a", "b", "c", "a", "c", "a") in reach.rows
+                rows = connection.evaluate(query).rows
+                assert rows == pair_reachability_reference(connection.database)
+                assert rows == db.connect("naive").evaluate(query).rows
+                assert engine.fallbacks == {}
+
+    def test_max_arity_overrun_is_the_oracles_view_error(self):
+        from repro.datasets import generate_transfer_chain
+        from repro.errors import ViewError
+        from repro.pgq import GraphPattern, iter_queries
+        from repro.separations import increasing_amount_pairs_query
+
+        db = generate_transfer_chain(4, increasing=True)
+        pattern = next(
+            q for q in iter_queries(increasing_amount_pairs_query()) if isinstance(q, GraphPattern)
+        )
+        bounded = GraphPattern(pattern.output, pattern.sources, max_arity=1)
+        with pytest.raises(ViewError) as expected:
+            PGQEvaluator(db).evaluate(bounded)
+        with SQLiteEngine(db) as engine:
+            with pytest.raises(ViewError) as raised:
+                engine.evaluate(bounded)
+            assert str(raised.value) == str(expected.value)
+            assert engine.fallbacks == {}
+
+    def test_a_failed_load_leaves_no_partial_table(self, graph_db):
+        # A cell SQLite cannot bind fails the load the same way every time
+        # — no half-filled base or view table answers the second attempt.
+        from repro.relational import Relation
+
+        (element,) = min(graph_db.relation("N").rows)
+        database = graph_db.with_relation("Big", Relation.unary([1, 2**70])).with_relation(
+            "P", Relation(3, [(element, "w", 2**70)])
+        )
+        hop = graph_pattern_on_relations(output(seq(node("x"), edge(), node("y")), "x", "y"), VIEW)
+        with SQLiteEngine(database) as engine:
+            for _ in range(2):
+                for query in (BaseRelation("Big"), hop):
+                    with pytest.raises(OverflowError):
+                        engine.evaluate(query)
+            leftovers = engine.connection.execute(
+                "SELECT name FROM sqlite_master UNION ALL SELECT name FROM sqlite_temp_master"
+            ).fetchall()
+            assert leftovers == [] and engine.fallbacks == {}
 
     def test_sqlite_answers_are_not_counted_as_fallbacks(self, graph_db):
         with SQLiteEngine(graph_db) as engine:

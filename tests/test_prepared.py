@@ -334,7 +334,9 @@ class TestSQLitePrepared:
     def test_reach_statement_plan_materializes_pairs_once_and_probes_by_index(self):
         # The shape of the benchmark's reach_sqlite statement: SQLite must
         # build the pair relation once per execution and walk it through
-        # an index in the recursive step, never by scanning it.
+        # an index in the recursive step, never by scanning it; the view was
+        # checked at load, so no row probes the node table, and both output
+        # lookups are answered from the property index alone.
         with make_session("sqlite") as session:
             engine = session._get_engine()
             sql = engine.compile_to_sql(session.compile(CHAIN_QUERY))
@@ -344,6 +346,26 @@ class TestSQLitePrepared:
             step = plan[plan.index("RECURSIVE STEP"):]
             assert "SEARCH pair USING AUTOMATIC COVERING INDEX (src=?)" in step, plan
             assert not any(line.startswith("SCAN pair") for line in step), plan
+            assert not any(line.startswith("SEARCH n USING") for line in plan), plan
+            lookups = [line for line in plan if line.startswith("SEARCH out_prop")]
+            assert len(lookups) == 2 and all("USING COVERING INDEX" in line for line in lookups), plan
+
+    def test_bare_variables_decode_and_zero_length_paths_read_the_encoded_nodes(self):
+        # COLUMNS (x, y) decodes integer element ids through the id table;
+        # ->* seeds its closure from the encoded node table (every account
+        # reaches itself), whatever the binding filters away.
+        text = CHAIN_QUERY.replace("->+", "->*").replace("x.iban, y.iban", "x, y")
+        with make_session("sqlite") as session, make_session("naive") as oracle:
+            statement = session.prepare(text)
+            for minimum in (0, 250, 10**6):
+                expected = oracle.execute(text, params={"minimum": minimum})
+                result = statement.execute(minimum=minimum)
+                assert result.streamed
+                assert result.equals_unordered(expected), minimum
+                assert {("A0", "A0"), ("A7", "A7")} <= set(expected.rows)
+            engine = session._get_engine()
+            assert engine.compile_to_sql(session.compile(text)).count("_ids AS out_id") == 2
+            assert engine.fallbacks == {}
 
     def test_feature_floor_is_checked_at_start_up(self, monkeypatch):
         # AS MATERIALIZED needs SQLite 3.35: an older library is refused
@@ -406,7 +428,7 @@ class TestSQLitePrepared:
 
     def test_prepared_statements_share_one_set_of_view_tables(self):
         # Many distinct prepared statements over one graph view must not
-        # duplicate the six materialized view temp tables per statement.
+        # duplicate the seven view temp tables per statement.
         with make_session("sqlite") as session:
             first = session.prepare(HOP_QUERY)
             first.execute(minimum=100)
@@ -437,6 +459,10 @@ class TestSQLitePrepared:
                 session.execute(HOP_QUERY, params={"minimum": 100})
             engine = session._get_engine()
             assert len(engine._shared_view_tables) <= engine._SHARED_VIEW_TABLES_MAX
+            (tables,) = engine.connection.execute(
+                "SELECT COUNT(*) FROM sqlite_temp_master WHERE type = 'table'"
+            ).fetchone()
+            assert tables == 7 * len(engine._shared_view_tables)
 
     def test_recompile_after_ddl_drops_stale_temp_tables(self):
         # A DDL generation bump keeps the engine (and connection) alive;
