@@ -14,26 +14,29 @@ by compiling each to **one** SQL statement:
   view raises the oracle's ``ViewError`` — and the view is stored
   dictionary-encoded, every ``n``-ary node / edge identifier one dense
   integer id, with a seventh table decoding ids for output;
-* pattern matching maps to joins over those tables; a repetition's body is
-  a ``MATERIALIZED`` common table expression of the statement itself
-  (evaluated once per execution) and unbounded repetition closes it with
-  ``WITH RECURSIVE`` — the same mechanism (linear recursion) the paper
-  cites as SQL's NL-complete core — over integer pairs whatever the
-  identifier arity, so PGQext's pair reachability (Theorem 5.2) runs on it
-  too;
+* a pattern is planned by :func:`~repro.planner.compile_plan`, the
+  optimizer (and, under ``verify_plans``, verifier) behind the planned
+  engine's ``PlanCache``, and the optimized plan is lowered to joins over
+  those tables (:class:`_PlanLowering`), so ``Explain`` prints the plan
+  SQLite runs; a repetition's body is a ``MATERIALIZED`` common table
+  expression of the statement itself (evaluated once per execution) and
+  unbounded repetition closes it with ``WITH RECURSIVE`` — the same
+  mechanism (linear recursion) the paper cites as SQL's NL-complete core —
+  over integer pairs whatever the identifier arity, so PGQext's pair
+  reachability (Theorem 5.2) runs on it too;
 * parameter slots are numbered ``?N`` placeholders, one number per slot
   name, so one-shot, streamed and prepared execution share a single
   compilation mode (:class:`_SQLiteCompiledQuery`).
 
+A malformed operator raises the oracle's own error, worded by the oracle.
 Nothing is built ahead of an execution except the view tables, which the
 engine owns and shares between every statement over the same graph view.
-What is still answered by the formal evaluator instead: a
-``max_repetitions`` bound with repetition (a recursive CTE cannot raise on
-depth overrun), a parameter slot or unhashable constant inside a view
-source (the view is built before any binding exists), and the pattern /
-condition shapes :class:`_PatternSQL` raises :class:`_SQLUnsupported` for
-(disjunction branches binding different variables, an empty constant
-relation, node types it does not know).  Every such answer is *counted* by
+What is still answered by the formal evaluator instead, one
+:class:`_SQLUnsupported` reason each: a ``max_repetitions`` bound with
+repetition (a recursive CTE cannot raise on depth overrun), a
+parameterized or unhashable view source (the view is built before any
+binding exists), a parameter slot where SQL takes no placeholder, and node
+types the compiler does not know.  Every such answer is *counted* by
 reason in :attr:`SQLiteEngine.fallbacks` (shown by ``Explain`` and a
 ``sqlite.fallback`` span), so "sqlite agrees with the oracle" cannot
 silently mean the oracle agreeing with itself.  Results are always
@@ -49,25 +52,14 @@ import time
 import weakref
 from collections import OrderedDict, deque
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.observability.tracing import trace_span
 
 from repro.errors import BindingError, EngineError, GovernanceError, QueryCancelledError
 from repro.governance import active_fault_plan, current_governor
 from repro.parameters import Bindings, Parameter, check_bindings, merge_bindings
-from repro.patterns.ast import (
-    Concatenation,
-    Disjunction,
-    EdgePattern,
-    Filter,
-    NodePattern,
-    OutputPattern,
-    Pattern,
-    PropertyRef,
-    Repetition,
-    iter_subpatterns,
-)
+from repro.patterns.ast import OutputPattern, PropertyRef, Repetition, iter_subpatterns
 from repro.patterns.conditions import (
     AndCondition,
     HasLabel,
@@ -78,7 +70,19 @@ from repro.patterns.conditions import (
     PropertyComparesProperty,
     PropertyEquals,
 )
-from repro.pgq.evaluator import CompiledQuery, PGQEvaluator
+from repro.pgq.evaluator import CompiledQuery, PGQEvaluator, check_selection
+from repro.planner import compile_plan
+from repro.planner.logical import (
+    BindEndpoint,
+    EdgeScan,
+    EmptyPlan,
+    FilterStep,
+    FixpointStep,
+    JoinStep,
+    LogicalPlan,
+    NodeScan,
+    UnionStep,
+)
 from repro.pgq.queries import (
     ActiveDomainQuery,
     BaseRelation,
@@ -128,9 +132,18 @@ class SQLiteEngine:
 
     name = "sqlite"
 
-    def __init__(self, database: Database, *, max_repetitions: Optional[int] = None):
+    def __init__(
+        self,
+        database: Database,
+        *,
+        max_repetitions: Optional[int] = None,
+        verify_plans: Optional[bool] = None,
+    ):
         self.database = database
         self.max_repetitions = max_repetitions
+        #: Plan-invariant verification of every plan a pattern lowers from
+        #: (``Database(verify_plans=True)`` / ``REPRO_VERIFY_PLANS=1``).
+        self.verify_plans = verify_plans
         self._connection: Optional[sqlite3.Connection] = None
         #: Base relations (and ``__adom``) already copied into SQLite.
         self._loaded: Set[str] = set()
@@ -164,7 +177,7 @@ class SQLiteEngine:
         *relational* work around it is shared: view-source relations are
         read through the scope's cross-engine CSE entries, and the
         oracle-fallback evaluator (depth-bounded repetition, shapes
-        :class:`_PatternSQL` does not compile) shares materialized graph
+        SQL does not serve) shares materialized graph
         views under a ``sqlite-fallback`` engine kind.
         """
         self._snapshot_scope = scope
@@ -580,9 +593,7 @@ def make_sqlite_engine(
     max_repetitions: Optional[int] = None,
     verify_plans: Optional[bool] = None,
 ):
-    # ``verify_plans`` is a database-level setting every backend is handed;
-    # this one compiles no logical plans to verify.
-    return SQLiteEngine(database, max_repetitions=max_repetitions)
+    return SQLiteEngine(database, max_repetitions=max_repetitions, verify_plans=verify_plans)
 
 
 class _SQLUnsupported(Exception):
@@ -592,6 +603,16 @@ class _SQLUnsupported(Exception):
 
 def _columns(arity: int) -> str:
     return ", ".join(f"c{i}" for i in range(1, arity + 1))
+
+
+def _select_list(items: Sequence[str]) -> str:
+    """A ``SELECT`` list; a 0-ary relation selects one constant instead,
+    so its statement has a row exactly when the relation holds ``()``."""
+    return ", ".join(items) or "1"
+
+
+def _sql_operator(operator: str) -> str:
+    return "<>" if operator == "!=" else operator
 
 
 def _sql_literal(value) -> str:
@@ -754,65 +775,68 @@ class _SQLiteCompiledQuery(CompiledQuery):
         set-valued — a loaded relation, ``UNION`` / ``EXCEPT``, a
         ``DISTINCT`` projection or pattern output, or a selection / product
         of such — which is the one dedup a result gets: cursors hand rows
-        on as they arrive."""
+        on as they arrive.
+
+        A malformed operator raises what the oracle raises, worded by the
+        oracle: its relation operators, applied to empty relations of the
+        operand arities, check arities and positions here."""
         if isinstance(query, BaseRelation):
             arity = self.engine.database.relation(query.name).arity
             self.engine._ensure_loaded(query.name)
             return f'SELECT {_columns(arity)} FROM "{query.name}"', arity
         if isinstance(query, Constant):
             return f"SELECT {self._emit(query.value)} AS c1", 1
-        if isinstance(query, ConstantRelation):
-            if not query.rows:
-                raise _SQLUnsupported("empty constant relation")
+        if isinstance(query, ConstantRelation) and query.rows:
             selects = [
-                "SELECT " + ", ".join(
-                    f"{self._emit(value)} AS c{i + 1}" for i, value in enumerate(row)
-                )
+                "SELECT "
+                + _select_list([f"{self._emit(value)} AS c{i}" for i, value in enumerate(row, 1)])
                 for row in query.rows
             ]
             return " UNION ".join(selects), query.arity
+        if isinstance(query, (ConstantRelation, EmptyRelation)):  # no rows
+            columns = [f"NULL AS c{i}" for i in range(1, query.arity + 1)]
+            return f"SELECT {_select_list(columns)} WHERE 1 = 0", query.arity
         if isinstance(query, ActiveDomainQuery):
             self.engine._ensure_loaded("__adom")
             return "SELECT c1 FROM __adom", 1
-        if isinstance(query, EmptyRelation):
-            columns = ", ".join(f"NULL AS c{i + 1}" for i in range(query.arity))
-            return f"SELECT {columns} WHERE 1 = 0", query.arity
         if isinstance(query, Project):
-            inner, _arity = self._relational(query.operand)
+            inner, arity = self._relational(query.operand)
+            Relation.empty(arity).project(query.positions)
             columns = ", ".join(
-                f"sub.c{position} AS c{index + 1}" for index, position in enumerate(query.positions)
+                f"sub.c{position} AS c{index}" for index, position in enumerate(query.positions, 1)
             )
             return f"SELECT DISTINCT {columns} FROM ({inner}) AS sub", len(query.positions)
         if isinstance(query, Select):
             inner, arity = self._relational(query.operand)
+            check_selection(query.condition, arity)
             predicate = _compile_ra_condition(query.condition, "sub", self._emit)
-            columns = ", ".join(f"sub.c{i}" for i in range(1, arity + 1))
-            return f"SELECT {columns} FROM ({inner}) AS sub WHERE {predicate}", arity
+            columns = [f"sub.c{i}" for i in range(1, arity + 1)]
+            return f"SELECT {_select_list(columns)} FROM ({inner}) AS sub WHERE {predicate}", arity
         if isinstance(query, Product):
             left_sql, left_arity = self._relational(query.left)
             right_sql, right_arity = self._relational(query.right)
-            left_cols = ", ".join(f"l.c{i} AS c{i}" for i in range(1, left_arity + 1))
-            right_cols = ", ".join(
-                f"r.c{i} AS c{left_arity + i}" for i in range(1, right_arity + 1)
-            )
-            separator = ", " if left_cols and right_cols else ""
+            columns = [f"l.c{i} AS c{i}" for i in range(1, left_arity + 1)]
+            columns += [f"r.c{i} AS c{left_arity + i}" for i in range(1, right_arity + 1)]
             return (
-                f"SELECT {left_cols}{separator}{right_cols} FROM ({left_sql}) AS l, ({right_sql}) AS r",
+                f"SELECT {_select_list(columns)} FROM ({left_sql}) AS l, ({right_sql}) AS r",
                 left_arity + right_arity,
             )
-        if isinstance(query, Union):
-            left_sql, left_arity = self._relational(query.left)
+        if isinstance(query, (Union, Difference)):
+            left_sql, arity = self._relational(query.left)
             right_sql, right_arity = self._relational(query.right)
-            if left_arity != right_arity:
-                raise EngineError("union of incompatible arities")
-            return f"SELECT * FROM ({left_sql}) UNION SELECT * FROM ({right_sql})", left_arity
-        if isinstance(query, Difference):
-            left_sql, left_arity = self._relational(query.left)
-            right_sql, _right = self._relational(query.right)
-            return f"SELECT * FROM ({left_sql}) EXCEPT SELECT * FROM ({right_sql})", left_arity
+            if isinstance(query, Union):
+                operator, check = "UNION", Relation.union
+            else:
+                operator, check = "EXCEPT", Relation.difference
+            check(Relation.empty(arity), Relation.empty(right_arity))
+            return f"SELECT * FROM ({left_sql}) {operator} SELECT * FROM ({right_sql})", arity
         if isinstance(query, GraphPattern):
             view = self.engine._view_tables(query, self)
-            return _PatternSQL(view, self._emit, self._names).compile_output(query.output)
+            output = query.output
+            output.validate()
+            needed = output.output_variables()
+            plan = compile_plan(output.pattern, needed, None, self.engine.verify_plans)
+            return _PlanLowering(view, self._emit, self._names).output(plan, output)
         raise _SQLUnsupported(f"query node {type(query).__name__}")
 
     # -- execution -----------------------------------------------------------
@@ -867,10 +891,10 @@ def _compile_ra_condition(condition: Condition, alias: str, emit) -> str:
     if isinstance(condition, ColumnEqualsConstant):
         return f"{alias}.c{condition.position} = {emit(condition.constant)}"
     if isinstance(condition, ColumnCompare):
-        operator = "<>" if condition.operator == "!=" else condition.operator
+        operator = _sql_operator(condition.operator)
         return f"{alias}.c{condition.left} {operator} {alias}.c{condition.right}"
     if isinstance(condition, ColumnCompareConstant):
-        operator = "<>" if condition.operator == "!=" else condition.operator
+        operator = _sql_operator(condition.operator)
         return f"{alias}.c{condition.position} {operator} {emit(condition.constant)}"
     if isinstance(condition, RAAnd):
         return f"({_compile_ra_condition(condition.left, alias, emit)} AND {_compile_ra_condition(condition.right, alias, emit)})"
@@ -900,14 +924,16 @@ class _ViewTables:
         self.identifier_arity = identifier_arity
 
 
-class _PatternSQL:
-    """Compiles patterns to SQL over one view's encoded tables.
+class _PlanLowering:
+    """Lowers an optimized :class:`LogicalPlan` to SQL over one view's
+    encoded tables.
 
-    Every pattern compiles to a SELECT with columns ``src``, ``tgt`` and one
-    column ``v_<name>`` per free variable, all of them integer element ids
-    (so the identifier arity matters only where :meth:`compile_output`
-    decodes a variable).  The view was checked when it was loaded, so
-    ``src`` and ``tgt`` of every pattern are nodes.
+    Every plan node lowers to a SELECT with columns ``src``, ``tgt`` and one
+    column ``v_<name>`` per variable it binds, all of them integer element
+    ids (so the identifier arity matters only where :meth:`output` decodes
+    a variable).  The view was checked when it was loaded, so ``src`` and
+    ``tgt`` of every row are nodes — which is what lets ``BindEndpoint``
+    name an endpoint instead of probing the node table.
     """
 
     def __init__(self, view: _ViewTables, emit, names: Iterator[int]):
@@ -920,113 +946,100 @@ class _PatternSQL:
     def _alias(self) -> str:
         return f"p{next(self._names)}"
 
-    # -- pattern cases ---------------------------------------------------
-    def compile(self, pattern: Pattern) -> Tuple[str, Tuple[str, ...]]:
-        if isinstance(pattern, NodePattern):
-            variables = (pattern.variable,) if pattern.variable else ()
-            binding = f", n.c1 AS v_{pattern.variable}" if pattern.variable else ""
-            sql = f"SELECT n.c1 AS src, n.c1 AS tgt{binding} FROM {self.view.nodes} AS n"
-            return sql, variables
-        if isinstance(pattern, EdgePattern):
-            variables = (pattern.variable,) if pattern.variable else ()
-            binding = f", e.c1 AS v_{pattern.variable}" if pattern.variable else ""
-            src_col, tgt_col = ("s.c2", "t.c2") if pattern.forward else ("t.c2", "s.c2")
+    # -- plan nodes ----------------------------------------------------------
+    def lower(self, plan: LogicalPlan) -> Tuple[str, Tuple[str, ...]]:
+        """``(SQL, variables)``: the ``v_<name>`` columns the SELECT carries
+        besides ``src`` and ``tgt`` (:func:`~repro.analysis.verifier.physical_variables`)."""
+        if isinstance(plan, (NodeScan, EdgeScan)):
+            return self._scan(plan)
+        if isinstance(plan, JoinStep):
+            left_sql, left_vars = self.lower(plan.left)
+            right_sql, right_vars = self.lower(plan.right)
+            left, right = self._alias(), self._alias()
+            added = tuple(v for v in right_vars if v not in left_vars)
+            keys = [f"{left}.tgt = {right}.src"]
+            keys += [f"{left}.v_{v} = {right}.v_{v}" for v in right_vars if v in left_vars]
+            columns = [f"{left}.src AS src", f"{right}.tgt AS tgt"]
+            columns += [f"{left}.v_{v} AS v_{v}" for v in left_vars]
+            columns += [f"{right}.v_{v} AS v_{v}" for v in added]
             sql = (
-                f"SELECT {src_col} AS src, {tgt_col} AS tgt{binding} "
-                f"FROM {self.view.edges} AS e "
+                f"SELECT {', '.join(columns)} "
+                f"FROM ({left_sql}) AS {left} JOIN ({right_sql}) AS {right} "
+                f"ON {' AND '.join(keys)}"
+            )
+            return sql, left_vars + added
+        if isinstance(plan, BindEndpoint):
+            sql, variables = self.lower(plan.operand)
+            endpoint = "src" if plan.use_source else "tgt"
+            sql = f"SELECT *, {endpoint} AS v_{plan.variable} FROM ({sql})"
+            return sql, (*variables, plan.variable)
+        if isinstance(plan, UnionStep):
+            left_sql, left_vars = self.lower(plan.left)
+            right_sql, right_vars = self.lower(plan.right)
+            # An arm may bind residue its own filters needed; like the
+            # planned executor's union, keep what both arms bind.
+            variables = tuple(v for v in left_vars if v in right_vars)
+            columns = ", ".join(["src", "tgt"] + [f"v_{v}" for v in variables])
+            sql = f"SELECT {columns} FROM ({left_sql}) UNION SELECT {columns} FROM ({right_sql})"
+            return sql, variables
+        if isinstance(plan, FilterStep):
+            sql, variables = self.lower(plan.operand)
+            alias = self._alias()
+            predicate = self._condition(plan.condition, lambda name: f"{alias}.v_{name}")
+            return f"SELECT * FROM ({sql}) AS {alias} WHERE {predicate}", variables
+        if isinstance(plan, FixpointStep):
+            return self._fixpoint(plan), ()
+        if isinstance(plan, EmptyPlan):
+            variables = tuple(sorted(plan.schema))
+            columns = ["src", "tgt"] + [f"v_{v}" for v in variables]
+            return f"SELECT {', '.join(f'NULL AS {c}' for c in columns)} WHERE 1 = 0", variables
+        raise _SQLUnsupported(f"plan node {type(plan).__name__}")
+
+    def _scan(self, plan) -> Tuple[str, Tuple[str, ...]]:
+        """A node or edge scan, its pushed labels and condition one
+        ``WHERE`` over the scanned element."""
+        if isinstance(plan, NodeScan):
+            element, src, tgt = "n.c1", "n.c1", "n.c1"
+            tables = f"{self.view.nodes} AS n"
+        else:
+            element = "e.c1"
+            src, tgt = ("s.c2", "t.c2") if plan.forward else ("t.c2", "s.c2")
+            tables = (
+                f"{self.view.edges} AS e "
                 f"JOIN {self.view.sources} AS s ON s.c1 = e.c1 "
                 f"JOIN {self.view.targets} AS t ON t.c1 = e.c1"
             )
-            return sql, variables
-        if isinstance(pattern, Concatenation):
-            return self._compile_concatenation(pattern)
-        if isinstance(pattern, Disjunction):
-            return self._compile_disjunction(pattern)
-        if isinstance(pattern, Filter):
-            return self._compile_filter(pattern)
-        if isinstance(pattern, Repetition):
-            return self._compile_repetition(pattern)
-        raise _SQLUnsupported(f"pattern node {type(pattern).__name__}")
-
-    def _compile_concatenation(self, pattern: Concatenation) -> Tuple[str, Tuple[str, ...]]:
-        # endpoint-bind: a bare node pattern beside another pattern only
-        # names that pattern's endpoint — a node by condition (2) — so it
-        # binds ``tgt`` / ``src`` instead of joining the node table.
-        if isinstance(pattern.right, NodePattern):
-            return self._bind_endpoint(pattern.left, "tgt", pattern.right.variable)
-        if isinstance(pattern.left, NodePattern):
-            return self._bind_endpoint(pattern.right, "src", pattern.left.variable)
-        left_sql, left_vars = self.compile(pattern.left)
-        right_sql, right_vars = self.compile(pattern.right)
-        left_alias, right_alias = self._alias(), self._alias()
-        shared = [v for v in right_vars if v in left_vars]
-        conditions = [f"{left_alias}.tgt = {right_alias}.src"]
-        conditions += [f"{left_alias}.v_{v} = {right_alias}.v_{v}" for v in shared]
-        variables = tuple(left_vars) + tuple(v for v in right_vars if v not in left_vars)
-        bindings = [f"{left_alias}.v_{v} AS v_{v}" for v in left_vars]
-        bindings += [f"{right_alias}.v_{v} AS v_{v}" for v in right_vars if v not in left_vars]
-        select_bindings = (", " + ", ".join(bindings)) if bindings else ""
-        sql = (
-            f"SELECT {left_alias}.src AS src, {right_alias}.tgt AS tgt{select_bindings} "
-            f"FROM ({left_sql}) AS {left_alias} JOIN ({right_sql}) AS {right_alias} "
-            f"ON {' AND '.join(conditions)}"
-        )
+        variables = tuple(plan.variables())
+        columns = [f"{src} AS src", f"{tgt} AS tgt"] + [f"{element} AS v_{v}" for v in variables]
+        sql = f"SELECT {', '.join(columns)} FROM {tables}"
+        conjuncts: List[PatternCondition] = [
+            HasLabel(plan.variable, label) for label in sorted(plan.labels)
+        ]
+        if plan.condition is not None:
+            conjuncts.append(plan.condition)
+        if conjuncts:
+            predicates = [self._condition(c, lambda _name: element) for c in conjuncts]
+            sql += " WHERE " + " AND ".join(predicates)
         return sql, variables
 
-    def _bind_endpoint(
-        self, pattern: Pattern, endpoint: str, variable: Optional[str]
-    ) -> Tuple[str, Tuple[str, ...]]:
-        """``pattern`` with ``variable`` naming its ``src`` / ``tgt``."""
-        sql, variables = self.compile(pattern)
-        if variable is None:
-            return sql, variables
-        columns = ", ".join(["src", "tgt"] + [f"v_{v}" for v in variables])
-        if variable in variables:
-            return f"SELECT {columns} FROM ({sql}) WHERE v_{variable} = {endpoint}", variables
-        return (
-            f"SELECT {columns}, {endpoint} AS v_{variable} FROM ({sql})",
-            variables + (variable,),
-        )
-
-    def _compile_disjunction(self, pattern: Disjunction) -> Tuple[str, Tuple[str, ...]]:
-        left_sql, left_vars = self.compile(pattern.left)
-        right_sql, right_vars = self.compile(pattern.right)
-        variables = tuple(sorted(set(left_vars)))
-        if set(left_vars) != set(right_vars):
-            raise _SQLUnsupported("disjunction branches with different variables")
-        order = ["src", "tgt"] + [f"v_{v}" for v in variables]
-        columns = ", ".join(order)
-        sql = (
-            f"SELECT {columns} FROM ({left_sql}) UNION SELECT {columns} FROM ({right_sql})"
-        )
-        return sql, variables
-
-    def _compile_filter(self, pattern: Filter) -> Tuple[str, Tuple[str, ...]]:
-        body_sql, variables = self.compile(pattern.body)
-        alias = self._alias()
-        predicate = self._compile_condition(pattern.condition, alias, variables)
-        columns = ", ".join(["src", "tgt"] + [f"v_{v}" for v in variables])
-        sql = f"SELECT {columns} FROM ({body_sql}) AS {alias} WHERE {predicate}"
-        return sql, variables
-
-    def _compile_repetition(self, pattern: Repetition) -> Tuple[str, Tuple[str, ...]]:
-        body_sql, _variables = self.compile(pattern.body)
+    def _fixpoint(self, plan: FixpointStep) -> str:
+        body_sql, _variables = self.lower(plan.body)
         # The repetition erases bindings; only (src, tgt) pairs matter.
         # As a MATERIALIZED common table expression the body — label and
         # property probes, placeholders and all — is evaluated exactly
-        # once per execution, and the prefix and closure below refer to it
+        # once per execution, and the steps and closure below refer to it
         # by name as often as they like (SQLite gives the transient table
         # an automatic index on the join column), instead of re-deriving
-        # the conditions from the pattern on every extension.  The number
-        # is unique per repetition, so nested bodies keep their own names.
+        # the conditions on every extension.  The number is unique per
+        # repetition, so nested bodies keep their own names.
         number = next(self._names)
         pair, reach = f"pair{number}", f"reach{number}"
         pair_cte = (
             f"{pair}(src, tgt) AS MATERIALIZED (SELECT DISTINCT src, tgt FROM ({body_sql}))"
         )
-        if not pattern.is_unbounded:
-            bounded = self._bounded_repetition(pair, pattern.lower, int(pattern.upper))
-            return f"WITH {pair_cte} {bounded}", ()
+        if not plan.is_unbounded:
+            counts = range(plan.lower, int(plan.upper) + 1)
+            return f"WITH {pair_cte} " + " UNION ".join(self._steps(pair, n) for n in counts)
         # psi^{lower..inf} = (exactly `lower` steps) composed with psi^*:
         # seeding the recursion with the exact-`lower` prefix keeps the
         # CTE's working set at (src, tgt) pairs closed by saturation — no
@@ -1034,23 +1047,21 @@ class _PatternSQL:
         # depth (the walk(src, tgt, steps) formulation was quadratic in
         # practice: every pair re-entered the queue at up to
         # lower + |N| depths).
-        prefix = self._exact_prefix(pair, pattern.lower)
-        cte = (
+        return (
             f"WITH RECURSIVE {pair_cte}, {reach}(src, tgt) AS ("
-            f" SELECT src, tgt FROM ({prefix})"
+            f" SELECT src, tgt FROM ({self._steps(pair, plan.lower)})"
             f" UNION SELECT {reach}.src, pair.tgt"
             f" FROM {reach} JOIN {pair} AS pair ON {reach}.tgt = pair.src"
             ") "
             f"SELECT src AS src, tgt AS tgt FROM {reach}"
         )
-        return cte, ()
 
-    def _exact_prefix(self, pair: str, lower: int) -> str:
-        """SQL for the pairs reachable in exactly ``lower`` body steps."""
-        if lower == 0:
+    def _steps(self, pair: str, count: int) -> str:
+        """SQL for the pairs exactly ``count`` body steps apart."""
+        if count == 0:
             return f"SELECT n.c1 AS src, n.c1 AS tgt FROM {self.view.nodes} AS n"
         current = f"SELECT src, tgt FROM {pair}"
-        for _ in range(lower - 1):
+        for _ in range(count - 1):
             previous_alias, pair_alias = self._alias(), self._alias()
             current = (
                 f"SELECT {previous_alias}.src AS src, {pair_alias}.tgt AS tgt "
@@ -1059,79 +1070,45 @@ class _PatternSQL:
             )
         return f"SELECT DISTINCT src, tgt FROM ({current})"
 
-    def _bounded_repetition(self, pair: str, lower: int, upper: int) -> str:
-        selects = []
-        if lower == 0:
-            selects.append(f"SELECT n.c1 AS src, n.c1 AS tgt FROM {self.view.nodes} AS n")
-        current = None
-        for count in range(1, upper + 1):
-            if current is None:
-                current = f"SELECT src, tgt FROM {pair}"
-            else:
-                previous_alias, pair_alias = self._alias(), self._alias()
-                current = (
-                    f"SELECT {previous_alias}.src AS src, {pair_alias}.tgt AS tgt "
-                    f"FROM ({current}) AS {previous_alias} "
-                    f"JOIN {pair} AS {pair_alias} ON {previous_alias}.tgt = {pair_alias}.src"
-                )
-            if count >= max(lower, 1):
-                selects.append(current)
-        return " UNION ".join(f"SELECT DISTINCT src, tgt FROM ({part})" for part in selects)
-
     # -- conditions --------------------------------------------------------
-    def _compile_condition(
-        self, condition: PatternCondition, alias: str, variables: Tuple[str, ...]
-    ) -> str:
-        def var_column(name: str) -> str:
-            if name not in variables:
-                raise _SQLUnsupported(f"condition variable {name!r} is not bound")
-            return f"{alias}.v_{name}"
-
+    def _condition(self, condition: PatternCondition, column: Callable[[str], str]) -> str:
+        """``condition`` as a SQL predicate; ``column`` maps a variable to
+        the expression holding its element id."""
         if isinstance(condition, HasLabel):
             return (
                 f"EXISTS (SELECT 1 FROM {self.view.labels} AS lab "
-                f"WHERE lab.c1 = {var_column(condition.var)} AND lab.c2 = {_sql_literal(condition.label)})"
+                f"WHERE lab.c1 = {column(condition.var)} AND lab.c2 = {_sql_literal(condition.label)})"
             )
         if isinstance(condition, PropertyCompare):
-            operator = "<>" if condition.operator == "!=" else condition.operator
+            operator = _sql_operator(condition.operator)
             return (
                 f"EXISTS (SELECT 1 FROM {self.view.properties} AS prop "
-                f"WHERE prop.c1 = {var_column(condition.var)} AND prop.c2 = {_sql_literal(condition.key)} "
+                f"WHERE prop.c1 = {column(condition.var)} AND prop.c2 = {_sql_literal(condition.key)} "
                 f"AND prop.c3 {operator} {self._emit(condition.constant)})"
             )
-        if isinstance(condition, PropertyEquals):
+        if isinstance(condition, (PropertyEquals, PropertyComparesProperty)):
+            operator = _sql_operator(getattr(condition, "operator", "="))
             return (
                 f"EXISTS (SELECT 1 FROM {self.view.properties} AS p1, {self.view.properties} AS p2 "
-                f"WHERE p1.c1 = {var_column(condition.left_var)} AND p1.c2 = {_sql_literal(condition.left_key)} "
-                f"AND p2.c1 = {var_column(condition.right_var)} AND p2.c2 = {_sql_literal(condition.right_key)} "
-                f"AND p1.c3 = p2.c3)"
-            )
-        if isinstance(condition, PropertyComparesProperty):
-            operator = "<>" if condition.operator == "!=" else condition.operator
-            return (
-                f"EXISTS (SELECT 1 FROM {self.view.properties} AS p1, {self.view.properties} AS p2 "
-                f"WHERE p1.c1 = {var_column(condition.left_var)} AND p1.c2 = {_sql_literal(condition.left_key)} "
-                f"AND p2.c1 = {var_column(condition.right_var)} AND p2.c2 = {_sql_literal(condition.right_key)} "
+                f"WHERE p1.c1 = {column(condition.left_var)} AND p1.c2 = {_sql_literal(condition.left_key)} "
+                f"AND p2.c1 = {column(condition.right_var)} AND p2.c2 = {_sql_literal(condition.right_key)} "
                 f"AND p1.c3 {operator} p2.c3)"
             )
-        if isinstance(condition, AndCondition):
-            left = self._compile_condition(condition.left, alias, variables)
-            right = self._compile_condition(condition.right, alias, variables)
-            return f"({left} AND {right})"
-        if isinstance(condition, OrCondition):
-            left = self._compile_condition(condition.left, alias, variables)
-            right = self._compile_condition(condition.right, alias, variables)
-            return f"({left} OR {right})"
+        if isinstance(condition, (AndCondition, OrCondition)):
+            connective = "AND" if isinstance(condition, AndCondition) else "OR"
+            left = self._condition(condition.left, column)
+            right = self._condition(condition.right, column)
+            return f"({left} {connective} {right})"
         if isinstance(condition, NotCondition):
-            return f"NOT ({self._compile_condition(condition.operand, alias, variables)})"
+            return f"NOT ({self._condition(condition.operand, column)})"
         raise _SQLUnsupported(f"pattern condition {type(condition).__name__}")
 
     # -- output patterns ----------------------------------------------------
-    def compile_output(self, output: OutputPattern) -> Tuple[str, int]:
-        """``(SQL, arity)`` of the output: a property reference is one
-        column, a bare variable decodes to its ``n`` identifier columns."""
-        output.validate()
-        body_sql, _variables = self.compile(output.pattern)
+    def output(self, plan: LogicalPlan, output: OutputPattern) -> Tuple[str, int]:
+        """``(SQL, arity)`` of ``output`` over ``plan`` (its optimized
+        pattern): a property reference is one column, a bare variable
+        decodes to its ``n`` identifier columns."""
+        body_sql, _variables = self.lower(plan)
         alias = self._alias()
         items = []
         joins = []
@@ -1150,9 +1127,7 @@ class _PatternSQL:
                     f"JOIN {self.view.ids} AS {id_alias} ON {id_alias}.id = {alias}.v_{item}"
                 )
                 items += [f"{id_alias}.c{i}" for i in range(1, self.view.identifier_arity + 1)]
-        select_items = ", ".join(
-            f"{item} AS c{position}" for position, item in enumerate(items, start=1)
-        )
+        select_items = [f"{item} AS c{position}" for position, item in enumerate(items, start=1)]
         join_sql = (" " + " ".join(joins)) if joins else ""
-        sql = f"SELECT DISTINCT {select_items or '1'} FROM ({body_sql}) AS {alias}{join_sql}"
+        sql = f"SELECT DISTINCT {_select_list(select_items)} FROM ({body_sql}) AS {alias}{join_sql}"
         return sql, len(items)

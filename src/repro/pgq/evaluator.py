@@ -362,11 +362,7 @@ class PGQEvaluator:
         condition = query.condition
         if self._bindings:
             condition = condition.bind(self._bindings)
-        if condition.max_position() > relation.arity:
-            raise QueryError(
-                f"selection condition refers to ${condition.max_position()} "
-                f"but the operand has arity {relation.arity}"
-            )
+        check_selection(condition, relation.arity)
         # Compile the condition once per selection: per-row evaluation is a
         # plain closure instead of a tree walk with per-row bounds checks.
         return relation.select(condition.compile(relation.arity))
@@ -476,6 +472,16 @@ class PGQEvaluator:
         # Matcher outputs are flat tuples of atomic values with the arity
         # established above, so skip the per-row re-validation.
         return Relation._trusted(arity, rows)
+
+
+def check_selection(condition, arity: int) -> None:
+    """Raise the :class:`QueryError` of a selection whose condition names a
+    position past its ``arity``-ary operand — worded here, for every engine."""
+    if condition.max_position() > arity:
+        raise QueryError(
+            f"selection condition refers to ${condition.max_position()} "
+            f"but the operand has arity {arity}"
+        )
 
 
 def evaluate(query: Query, database: Database) -> Relation:

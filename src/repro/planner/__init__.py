@@ -10,7 +10,9 @@ the execution backends:
 * :mod:`repro.planner.cost` — the cardinality model and the cost-based
   join-ordering pass driven by those statistics;
 * :mod:`repro.planner.physical` — int-column execution (hash joins, the
-  bitmask repetition fixpoint) and the compiled-plan memo;
+  bitmask repetition fixpoint), the compiled-plan memo and
+  :func:`compile_plan`, the one lower-and-optimize step, which the SQLite
+  backend calls too before lowering the plan to SQL;
 * :mod:`repro.planner.decode` — output decode and projection: binding
   tables to row sets, or to row batches in result order for cursors.
 
@@ -34,7 +36,7 @@ from repro.planner.logical import (
     plan_size,
 )
 from repro.planner.cost import condition_selectivity, estimate_cardinality, order_joins
-from repro.planner.physical import PlanCache, PlanCounters, PlanExecutor
+from repro.planner.physical import PlanCache, PlanCounters, PlanExecutor, compile_plan
 from repro.planner.rules import optimize, prune_variables, push_down_filters, simplify
 from repro.planner.stats import GraphStatistics, collect_graph_statistics
 
@@ -53,6 +55,7 @@ __all__ = [
     "UnionStep",
     "build_logical_plan",
     "collect_graph_statistics",
+    "compile_plan",
     "condition_selectivity",
     "describe",
     "estimate_cardinality",

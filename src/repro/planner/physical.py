@@ -109,8 +109,10 @@ if TYPE_CHECKING:  # pragma: no cover - type hints only
 ColumnMap = Dict[str, int]
 
 
-def _compile_plan(pattern, needed, stats, verify=None) -> LogicalPlan:
-    """Build and optimize one plan under ``plan`` / ``optimize`` spans."""
+def compile_plan(pattern, needed, stats, verify=None) -> LogicalPlan:
+    """Build and optimize one plan under ``plan`` / ``optimize`` spans —
+    the one front half of every plan-consuming backend: :class:`PlanCache`
+    (and so the planned executor) and the SQLite lowering."""
     with trace_span("plan"):
         logical = build_logical_plan(pattern)
     with trace_span("optimize"):
@@ -205,7 +207,7 @@ class PlanCache:
         except TypeError:  # unhashable constant somewhere in a condition
             with self._lock:
                 self.uncacheable += 1
-            return _compile_plan(pattern, needed, stats, verify)
+            return compile_plan(pattern, needed, stats, verify)
         with self._lock:
             entry = self._plans.get(key)
             if entry is not None:
@@ -219,7 +221,7 @@ class PlanCache:
             self.misses += 1
             if parameterized:
                 self.prepared_misses += 1
-            plan = _compile_plan(pattern, needed, stats, verify)
+            plan = compile_plan(pattern, needed, stats, verify)
             self._plans[key] = (plan, parameterized)
             if len(self._plans) > self.maxsize:
                 self._plans.popitem(last=False)
@@ -370,7 +372,7 @@ class PlanExecutor:
         if self.plan_cache is not None:
             plan = self.plan_cache.plan_for(output.pattern, needed, self.graph_stats, verify)
         else:
-            plan = _compile_plan(output.pattern, needed, self.graph_stats, verify)
+            plan = compile_plan(output.pattern, needed, self.graph_stats, verify)
         if bindings:
             plan = bind_plan(plan, bindings)
         if len(self._tables) > self._MEMO_MAX:

@@ -23,7 +23,7 @@ from repro.engine import (
     register_engine,
     unregister_engine,
 )
-from repro.errors import EngineError, ViewError
+from repro.errors import ArityError, EngineError, QueryError, ViewError
 from repro.patterns.builder import (
     back_edge,
     either,
@@ -34,6 +34,7 @@ from repro.patterns.builder import (
     plus,
     prop,
     prop_cmp,
+    prop_cmp_prop,
     repeat,
     seq,
     star,
@@ -41,14 +42,17 @@ from repro.patterns.builder import (
 )
 from repro.pgq import (
     BaseRelation,
+    ConstantRelation,
+    Difference,
     EmptyRelation,
+    Product,
     Project,
     Select,
     Union,
     graph_pattern_on_relations,
 )
 from repro.pgq.queries import GraphPattern
-from repro.relational import ColumnEqualsConstant, Database as RelationalDatabase
+from repro.relational import ColumnEqualsConstant, Database as RelationalDatabase, TrueCondition
 from repro.separations import pair_reachability_query
 
 VIEW = GRAPH_VIEW_SCHEMA
@@ -63,7 +67,8 @@ DEPTH_BOUND = "max_repetitions bound with repetition"
 def _assert_engines_agree(database, query, *, fallback=None, max_repetitions=None):
     """All engines return one row set — and SQLite answered on SQL, unless
     the caller names the ``fallback`` reason it expects: a shape that stops
-    compiling must fail here, not pass as the oracle agreeing with itself."""
+    compiling must fail here, not pass as the oracle agreeing with itself.
+    Returns the agreed result."""
     reference = None
     for engine_cls in ENGINES:
         engine = engine_cls(database, max_repetitions=max_repetitions)
@@ -77,6 +82,7 @@ def _assert_engines_agree(database, query, *, fallback=None, max_repetitions=Non
         else:
             assert result.arity == reference.arity, engine_cls.__name__
             assert result.rows == reference.rows, engine_cls.__name__
+    return reference
 
 
 #: PGQro: pattern matching over the six base relations.
@@ -118,6 +124,39 @@ def _ro_queries():
             ),
             VIEW,
         ),
+        # Union arms that bind different columns once optimized: the SQL
+        # union must keep their overlap.  Here one arm is proved empty
+        # (Empty [schema=t]) while the other's t is pruned ...
+        graph_pattern_on_relations(
+            output(
+                seq(
+                    node("x"),
+                    either(
+                        where(edge("t"), prop_cmp("t", "w", ">", 50) & prop_cmp("t", "w", "<", 10)),
+                        where(edge("t"), prop_cmp("t", "w", ">", 50)),
+                    ),
+                    node("y"),
+                ),
+                "x", "y",
+            ),
+            VIEW,
+        ),
+        # ... and here a residual two-variable filter keeps t and u bound
+        # on one arm only.
+        graph_pattern_on_relations(
+            output(
+                seq(
+                    node("x"),
+                    either(
+                        where(seq(edge("t"), node(), edge("u")), prop_cmp_prop("t", "w", "<", "u", "w")),
+                        seq(edge("t"), node(), edge("u")),
+                    ),
+                    node("y"),
+                ),
+                "x", "y",
+            ),
+            VIEW,
+        ),
     ]
 
 
@@ -154,6 +193,13 @@ def _rw_queries():
 )
 def test_pgqro_equivalence_on_random_graphs(seed, nodes, probability, index):
     database = erdos_renyi(nodes, probability, seed=seed, labels=("Red", "Blue"), property_key="w")
+    _assert_engines_agree(database, _ro_queries()[index])
+
+
+@pytest.mark.parametrize("index", range(len(_ro_queries())))
+def test_pgqro_equivalence_on_a_fixed_graph(index):
+    # Every shape runs at least once, whatever the random draws above pick.
+    database = erdos_renyi(7, 0.35, seed=5, labels=("Red", "Blue"), property_key="w")
     _assert_engines_agree(database, _ro_queries()[index])
 
 
@@ -490,6 +536,56 @@ class TestTargetedEquivalence:
             output(seq(node("x"), plus(seq(edge(), node())), node("y")), "x", "y"), VIEW
         )
         _assert_engines_agree(db, query, fallback=DEPTH_BOUND, max_repetitions=50)
+
+    @pytest.mark.parametrize(
+        "query, expected",
+        [
+            (ConstantRelation(((),), 0), {()}),
+            (ConstantRelation((), 0), set()),
+            (ConstantRelation((), 2), set()),
+            (EmptyRelation(0), set()),
+            (Product(ConstantRelation(((),), 0), BaseRelation("S")), {("e", "a")}),
+            (Product(BaseRelation("S"), EmptyRelation(0)), set()),
+            (Select(ConstantRelation(((),), 0), TrueCondition()), {()}),
+            (Union(EmptyRelation(0), ConstantRelation(((), ()), 0)), {()}),
+        ],
+        ids=[
+            "unit",
+            "empty-constant-0",
+            "empty-constant-2",
+            "empty-0",
+            "unit-times-S",
+            "S-times-empty-0",
+            "select-unit",
+            "union-0",
+        ],
+    )
+    def test_zero_arity_and_empty_constant_relations_run_on_sql(self, query, expected):
+        result = _assert_engines_agree(_view_database(), query)
+        assert set(result.rows) == expected
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            Union(BaseRelation("S"), BaseRelation("N")),
+            Difference(BaseRelation("S"), BaseRelation("N")),
+            Project(BaseRelation("S"), (3,)),
+            Project(BaseRelation("S"), ()),
+            Select(BaseRelation("S"), ColumnEqualsConstant(5, 1)),
+        ],
+        ids=["union", "difference", "project-range", "project-empty", "select-range"],
+    )
+    def test_malformed_operators_raise_the_oracles_error(self, query):
+        raised = set()
+        for engine_cls in ENGINES:
+            engine = engine_cls(_view_database())
+            with pytest.raises((ArityError, QueryError)) as error:
+                engine.evaluate(query)
+            raised.add((type(error.value), str(error.value)))
+            if engine_cls is SQLiteEngine:
+                assert engine.fallbacks == {}
+                engine.close()
+        assert len(raised) == 1, raised
 
     @pytest.mark.parametrize("engine", ["naive", "planned", "sqlite"])
     def test_exact_once_quantifier_honours_bound(self, engine):

@@ -1,5 +1,7 @@
 """Tests for the Database/Connection facade and the SQLite-backed engine."""
 
+import re
+
 import pytest
 
 from repro.datasets import (
@@ -46,8 +48,8 @@ SELECT * FROM GRAPH_TABLE ( Transfers
 TRANSFER_COLUMNS = ["t_id", "src_iban", "tgt_iban", "ts", "amount"]
 
 
-def make_bank_db() -> Database:
-    db = Database()
+def make_bank_db(**options) -> Database:
+    db = Database(**options)
     db.create_table("Account", ["iban"], [("A1",), ("A2",), ("A3",), ("A4",)])
     db.create_table(
         "Transfer",
@@ -304,6 +306,40 @@ class TestSQLiteEngine:
         expected = session.evaluate(query)
         with SQLiteEngine(session.database) as engine:
             assert engine.evaluate(query).rows == expected.rows
+
+    def test_explain_prints_the_plan_sqlite_runs(self):
+        # One compiler: the optimized plan Explain names is the plan the
+        # statement was lowered from — the pruned edge binding is no
+        # column, and the pushed label probe runs inside the repetition's
+        # materialized pair relation, once per execution.
+        with make_bank_db().connect("sqlite") as connection:
+            plan = connection.explain(BANK_QUERY).plan
+            assert "EdgeScan [t (pruned); labels=Transfer; condition=" in plan
+            engine = connection._get_engine()
+            sql = engine.compile_to_sql(connection.compile(BANK_QUERY))
+            assert re.search(r"\bv_t\b", sql) is None, sql
+            pair = re.search(r"pair\d+\(src, tgt\) AS MATERIALIZED \((.*)\), reach\d+\(", sql)
+            probe = "lab.c2 = 'Transfer'"
+            assert probe in pair.group(1) and sql.count(probe) == 1, sql
+            assert engine.fallbacks == {}
+
+    @pytest.mark.parametrize("verify", [True, False])
+    def test_database_verify_plans_reaches_every_optimizer_pass(self, monkeypatch, verify):
+        from repro.analysis import verifier
+
+        rules = []
+        original = verifier.verify_rewrite
+
+        def counting(rule, *args, **kwargs):
+            rules.append(rule)
+            return original(rule, *args, **kwargs)
+
+        monkeypatch.setattr(verifier, "verify_rewrite", counting)
+        with make_bank_db(verify_plans=verify).connect("sqlite") as connection:
+            assert ("A1", "A3") in connection.execute(BANK_QUERY).to_set()
+            assert connection._get_engine().fallbacks == {}
+        passes = ["push_down_filters", "prune_unsatisfiable", "prune_variables", "simplify"]
+        assert rules == (passes if verify else [])
 
     def test_raw_sql_access(self, graph_db):
         with SQLiteEngine(graph_db) as engine:
