@@ -43,11 +43,7 @@ class Explain:
     connection reads, ``shared`` the snapshot cache's build/hit figures
     (cold view materializations, shared hits, compact encodings), and
     ``streamed`` how many results this connection served through the
-    streaming projection path.  ``fallbacks`` says which engine answered:
-    on the ``sqlite`` backend, why SQL could not serve a query -> how many
-    evaluations the formal evaluator answered instead (empty when every
-    answer came from SQL, and on the other engines).
-    ``str(explain)`` renders the classic text
+    streaming projection path.  ``str(explain)`` renders the classic text
     form, and substring membership tests work directly on the object.
     """
 
@@ -58,7 +54,6 @@ class Explain:
     snapshot: str = ""
     shared: Dict[str, int] = field(default_factory=dict)
     streamed: int = 0
-    fallbacks: Dict[str, int] = field(default_factory=dict)
     #: Per-operator execution profile (wall time, rows, memo hits), set
     #: by :meth:`Connection.explain_analyze` and rendered as an indented
     #: tree by ``str(explain)``.
@@ -109,8 +104,6 @@ class Explain:
                 f"views_built={self.shared.get('views_built', 0)} "
                 f"streamed={self.streamed}"
             )
-        for reason, count in sorted(self.fallbacks.items()):
-            text += f"\n-- sqlite fallback: {reason} ×{count}"
         if self.schema:
             text += "\n-- schema: " + ", ".join(
                 f"{name} {kind}" for name, kind in self.schema
@@ -172,7 +165,6 @@ def gather_explain(connection: "Connection", front: "FrontHalf") -> Explain:
         snapshot=snapshot.fingerprint,
         shared=snapshot.cache.stats(),
         streamed=connection._live_streams.served,
-        fallbacks=dict(getattr(engine, "fallbacks", {})),
         diagnostics=notes,
         analysis=front.diagnostics,
         schema=front.result_schema,

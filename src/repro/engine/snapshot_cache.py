@@ -183,11 +183,6 @@ class SnapshotScope:
         self.fingerprint = fingerprint
         self.kind = kind
 
-    def with_kind(self, kind: Tuple) -> "SnapshotScope":
-        """A sibling scope over the same snapshot for another engine kind
-        (e.g. the SQLite backend's oracle-fallback evaluator)."""
-        return SnapshotScope(self.cache, self.fingerprint, kind)
-
     def view(
         self, key: Tuple, build: Callable[[], Any]
     ) -> Optional[Tuple[Any, bool]]:

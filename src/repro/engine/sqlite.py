@@ -28,20 +28,13 @@ by compiling each to **one** SQL statement:
   name, so one-shot, streamed and prepared execution share a single
   compilation mode (:class:`_SQLiteCompiledQuery`).
 
-A malformed operator raises the oracle's own error, worded by the oracle.
-Nothing is built ahead of an execution except the view tables, which the
-engine owns and shares between every statement over the same graph view.
-What is still answered by the formal evaluator instead, one
-:class:`_SQLUnsupported` reason each: a ``max_repetitions`` bound with
-repetition (a recursive CTE cannot raise on depth overrun), a
-parameterized or unhashable view source (the view is built before any
-binding exists), a parameter slot where SQL takes no placeholder, and node
-types the compiler does not know.  Every such answer is *counted* by
-reason in :attr:`SQLiteEngine.fallbacks` (shown by ``Explain`` and a
-``sqlite.fallback`` span), so "sqlite agrees with the oracle" cannot
-silently mean the oracle agreeing with itself.  Results are always
-identical to the formal evaluator, which the test-suite and the E11
-benchmark check.
+The engine answers on SQL or raises — a malformed operator the oracle's
+own error, a ``max_repetitions`` overrun the fixpoint kernel's
+``PatternError`` (found by a depth probe, :meth:`_PlanLowering._probe`),
+a node type the compiler does not know an ``EngineError``.  Nothing is
+built ahead of an execution except the view tables, which the engine owns
+and shares between every statement over the same graph view.  Results are
+identical to the formal evaluator, which the test-suite checks.
 """
 
 from __future__ import annotations
@@ -56,10 +49,11 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tupl
 
 from repro.observability.tracing import trace_span
 
-from repro.errors import BindingError, EngineError, GovernanceError, QueryCancelledError
+from repro.errors import EngineError, GovernanceError, QueryCancelledError
 from repro.governance import active_fault_plan, current_governor
-from repro.parameters import Bindings, Parameter, check_bindings, merge_bindings
-from repro.patterns.ast import OutputPattern, PropertyRef, Repetition, iter_subpatterns
+from repro.matching.fixpoint import check_depth
+from repro.parameters import Bindings, Parameter, bind_value, check_bindings, merge_bindings
+from repro.patterns.ast import OutputPattern, PropertyRef
 from repro.patterns.conditions import (
     AndCondition,
     HasLabel,
@@ -70,7 +64,7 @@ from repro.patterns.conditions import (
     PropertyComparesProperty,
     PropertyEquals,
 )
-from repro.pgq.evaluator import CompiledQuery, PGQEvaluator, check_selection
+from repro.pgq.evaluator import CompiledQuery, PGQEvaluator, check_active_constant, check_selection
 from repro.planner import compile_plan
 from repro.planner.logical import (
     BindEndpoint,
@@ -96,7 +90,9 @@ from repro.pgq.queries import (
     Query,
     Select,
     Union,
+    bind_query,
     iter_queries,
+    query_parameters,
     resolve_bindings,
 )
 from repro.pgq.views import check_view_conditions, view_identifier_arity
@@ -120,14 +116,14 @@ _MIN_SQLITE_VERSION = (3, 35)
 
 
 class SQLiteEngine:
-    """Evaluates PGQ queries on SQLite; what SQL cannot serve is answered
-    by the formal evaluator and counted in :attr:`fallbacks`.
+    """Evaluates PGQ queries on SQLite: every query is answered by one SQL
+    statement or raises.
 
     Registered in :mod:`repro.engine.registry` under the name ``sqlite``;
-    with ``max_repetitions`` set, queries containing a repetition run on
-    the formal evaluator (the recursive CTE cannot raise on depth overrun)
-    so the :class:`~repro.errors.PatternError` matches the other engines
-    exactly, while repetition-free queries stay on SQL.
+    with ``max_repetitions`` set, a repetition that could exceed the bound
+    is probed on SQL before its statement runs, and an overrun raises the
+    :class:`~repro.errors.PatternError` the other engines raise, word for
+    word.
     """
 
     name = "sqlite"
@@ -148,17 +144,18 @@ class SQLiteEngine:
         #: Base relations (and ``__adom``) already copied into SQLite.
         self._loaded: Set[str] = set()
         self._view_counter = itertools.count()
-        #: Why SQL could not serve a query -> evaluations the formal
-        #: evaluator answered instead (see :meth:`_statement`).
-        self.fallbacks: Dict[str, int] = {}
+        #: ``adom(D)`` as a set, built on the first active-domain check.
+        self._adom: Optional[frozenset] = None
         #: The view temp tables of every graph view in use, keyed like the
-        #: evaluator's view cache on (sources, max_arity): the database is
-        #: immutable for the engine's lifetime, so every statement over the
-        #: same graph view — prepared, streamed or one-shot — reads one set
-        #: of checked, encoded tables.  Each entry carries a WeakSet of the
-        #: compiled statements using it; superseded entries (e.g. graph
-        #: redefinitions) are dropped once no live statement references
-        #: them.  Cleared (with the connection) by :meth:`close`.
+        #: evaluator's view cache on (sources, max_arity) — or, for
+        #: sources that do not hash, on the evaluated relations' content
+        #: digests: the database is immutable for the engine's lifetime,
+        #: so every statement over the same graph view — prepared, streamed
+        #: or one-shot — reads one set of checked, encoded tables.  Each
+        #: entry carries a WeakSet of the statements and streams using it;
+        #: superseded entries (e.g. graph redefinitions) are dropped once
+        #: no live user references them.  Cleared (with the connection) by
+        #: :meth:`close`.
         self._shared_view_tables: "OrderedDict[Tuple, Tuple[_ViewTables, weakref.WeakSet]]" = (
             OrderedDict()
         )
@@ -175,23 +172,9 @@ class SQLiteEngine:
         The SQLite backend's own state (the loaded ``:memory:`` database,
         temp tables) is connection-affine and stays private, but the
         *relational* work around it is shared: view-source relations are
-        read through the scope's cross-engine CSE entries, and the
-        oracle-fallback evaluator (depth-bounded repetition, shapes
-        SQL does not serve) shares materialized graph
-        views under a ``sqlite-fallback`` engine kind.
+        read through the scope's cross-engine CSE entries.
         """
         self._snapshot_scope = scope
-
-    def _fallback_evaluator(self) -> PGQEvaluator:
-        """A formal evaluator for queries the SQL path cannot serve,
-        snapshot-cache-attached when the engine is."""
-        evaluator = PGQEvaluator(self.database, max_repetitions=self.max_repetitions)
-        scope = self._snapshot_scope
-        if scope is not None:
-            evaluator.use_snapshot_cache(
-                scope.with_kind(("sqlite-fallback", self.max_repetitions))
-            )
-        return evaluator
 
     def _source_relation(self, source: Query) -> Relation:
         """Evaluate one view-source subquery, shared through the snapshot
@@ -268,6 +251,13 @@ class SQLiteEngine:
             )
         self._loaded.add(name)
 
+    def _active_domain(self) -> frozenset:
+        """``adom(D)`` as a set (the database is immutable for the engine's
+        lifetime, so one build serves every execution)."""
+        if self._adom is None:
+            self._adom = frozenset(self.database.active_domain())
+        return self._adom
+
     def close(self) -> None:
         # Streams still reading the connection buffer their remaining
         # rows first, so their results stay readable after the close.
@@ -289,21 +279,6 @@ class SQLiteEngine:
     # ------------------------------------------------------------------ #
     # Public API
     # ------------------------------------------------------------------ #
-    def _statement(self, query: Query) -> CompiledQuery:
-        """The compiled form of ``query``: one SQL statement — or, here at
-        the engine's only fallback site, a counted hand-off to the formal
-        evaluator that names why SQL could not serve it."""
-        if self.max_repetitions is not None and _contains_repetition(query):
-            reason = "max_repetitions bound with repetition"
-        else:
-            try:
-                return _SQLiteCompiledQuery(self, query)
-            except _SQLUnsupported as unsupported:
-                reason = str(unsupported)
-            except BindingError:  # an unbound slot inside a view source
-                reason = "parameterized view source"
-        return _OracleQuery(self, query, reason)
-
     def evaluate(self, query: Query, bindings: Optional[Bindings] = None) -> Relation:
         """Evaluate a PGQ query: resolve bindings, compile, execute.
 
@@ -311,7 +286,7 @@ class SQLiteEngine:
         nothing from binding late; :meth:`prepare` is the path that keeps
         slots as native placeholders).
         """
-        return self._statement(resolve_bindings(query, bindings)).execute()
+        return _SQLiteCompiledQuery(self, resolve_bindings(query, bindings)).execute()
 
     def stream(
         self, query: Query, bindings: Optional[Bindings] = None
@@ -319,29 +294,27 @@ class SQLiteEngine:
         """One-shot streaming evaluation: ``(arity, batches, ordered)`` or
         None; SQLite promises no row order, so ``ordered`` is False.
 
-        The SQL compiles and the statement starts executing here (compile
-        errors and missing bindings surface at call time), but rows are
-        fetched from the SQLite cursor a batch at a time as the iterator
-        is consumed.  Returns ``None`` — the caller then takes the
-        materializing :meth:`evaluate` path — for queries the formal
-        evaluator answers and for zero-arity results (the ``{()}`` vs
-        ``{}`` distinction is not a row stream).
+        The SQL compiles, its depth probes run and the statement starts
+        executing here (so every error surfaces at call time), but rows are
+        fetched from the cursor a batch at a time as the iterator is
+        consumed.  Returns ``None`` — the caller then takes the
+        materializing :meth:`evaluate` path — for zero-arity results.
         """
-        return self._statement(resolve_bindings(query, bindings)).execute_stream()
+        return _SQLiteCompiledQuery(self, resolve_bindings(query, bindings)).execute_stream()
 
     def prepare(self, query: Query) -> CompiledQuery:
         """Compile once to SQL with native ``?N`` parameters, execute many:
         each parameter slot becomes a numbered SQLite placeholder bound per
         execution, and nothing but the (engine-owned, shared) view tables
         outlives an execution."""
-        return self._statement(query)
+        return _SQLiteCompiledQuery(self, query)
 
     def _stream_cursor(
         self, cursor: sqlite3.Cursor, statement: "_SQLiteCompiledQuery"
     ) -> "_CursorStream":
         """A row-batch stream over ``cursor``, registered with the
         engine so :meth:`close` can detach (buffer) it first."""
-        stream = _CursorStream(cursor, statement)
+        stream = _CursorStream(cursor, statement._view_users)
         self._open_streams.append(weakref.ref(stream))
         if len(self._open_streams) > 64:  # prune collected streams
             self._open_streams = [
@@ -471,25 +444,32 @@ class SQLiteEngine:
         return [tuple(row) for row in self.connection.execute(sql).fetchall()]
 
     def compile_to_sql(self, query: Query) -> str:
-        """Return the SQL text a query compiles to (raises when unsupported).
-
-        The text names the engine's shared view tables, which stay valid
-        until the engine closes or evicts them as unreferenced."""
-        return _SQLiteCompiledQuery(self, query).sql
+        """Return the SQL text a query compiles to, without its depth probes
+        (a slot in a view source raises :class:`BindingError`: its SQL
+        exists per binding).  The text names the engine's shared view
+        tables, valid until the engine closes or evicts them."""
+        statement = _SQLiteCompiledQuery(self, query)
+        if statement.sql is None:
+            statement._compile({})  # raises, naming the slot
+        return statement.sql
 
     # ------------------------------------------------------------------ #
     # View tables
     # ------------------------------------------------------------------ #
-    def _view_tables(self, query: GraphPattern, user: "_SQLiteCompiledQuery") -> "_ViewTables":
-        """``pgView`` of ``query``'s six sources, as indexed temporary tables.
+    def _view_tables(
+        self, sources: Tuple[Query, ...], max_arity: Optional[int], user
+    ) -> Tuple["_ViewTables", weakref.WeakSet]:
+        """``pgView`` of six concrete ``sources``, as indexed temporary
+        tables, with the entry's user set (which ``user`` joins).
 
         This is where the engine constructs the view, once per ``(sources,
-        max_arity)``: the sources are evaluated, the identifier arity ``n``
-        inferred, and conditions (1)-(4) of Definition 3.1 / 5.1 checked by
-        the very function the other engines use — an ill-formed view raises
-        their :class:`~repro.errors.ViewError`; it is never a fallback.
-        The checked view is then dictionary-encoded: every node and edge
-        identifier (an ``n``-tuple, keyed by Python equality like the
+        max_arity)`` (sources that do not hash: per content digest of the
+        relations they evaluate to): the sources are evaluated, the
+        identifier arity ``n`` inferred, and conditions (1)-(4) of
+        Definition 3.1 / 5.1 checked by the function the other engines use,
+        raising their :class:`~repro.errors.ViewError`.  The checked view is
+        then dictionary-encoded: every node and edge identifier (an
+        ``n``-tuple, keyed by Python equality like the
         relation sets it comes from, so ``None`` is an ordinary identifier)
         gets one dense integer id, ``R1``-``R6`` are stored over those ids
         with labels and property keys as ``str`` (the graph model's
@@ -500,22 +480,24 @@ class SQLiteEngine:
 
         The tables are engine-owned and shared — the database is immutable
         for the engine's lifetime, so every statement over one graph view
-        reads one set; ``user`` (a one-shot evaluation is just a
-        short-lived one) joins the entry's user set, which is what keeps it
-        from eviction.
+        reads one set; its statements and streams are the entry's user set,
+        which keeps it from eviction.
         """
-        cache_key = (query.sources, query.max_arity)
+        relations = None
+        cache_key: Tuple = (sources, max_arity)
         try:
             shared = self._shared_view_tables.get(cache_key)
         except TypeError:
-            raise _SQLUnsupported("unhashable constant in a view source") from None
+            relations = tuple(self._source_relation(source) for source in sources)
+            cache_key = (tuple(r.content_digest() for r in relations), max_arity)
+            shared = self._shared_view_tables.get(cache_key)
         if shared is not None:
-            view, users = shared
             self._shared_view_tables.move_to_end(cache_key)
-            users.add(user)
-            return view
-        relations = tuple(self._source_relation(source) for source in query.sources)
-        arity = view_identifier_arity(relations, query.max_arity)
+            shared[1].add(user)
+            return shared
+        if relations is None:
+            relations = tuple(self._source_relation(source) for source in sources)
+        arity = view_identifier_arity(relations, max_arity)
         source_of, target_of, labels, assignments = check_view_conditions(relations, arity)
         nodes, edges = relations[0].rows, relations[1].rows
         ids = {
@@ -527,7 +509,7 @@ class SQLiteEngine:
         properties = {
             (ids[element], str(key)): value for (element, key), value in assignments.items()
         }
-        view = _ViewTables(f"__view{next(self._view_counter)}", arity)
+        view = _ViewTables(f"__view{next(self._view_counter)}", arity, len(nodes))
         # (columns, index columns, rows) of R1..R6 and the id table.  The
         # pattern SQL joins sources / targets on the edge column and probes
         # labels / properties by (element, key); the property index carries
@@ -558,9 +540,9 @@ class SQLiteEngine:
                 connection.executemany(f"INSERT INTO {table} VALUES ({placeholders})", rows)
                 if index_columns is not None:
                     connection.execute(f"CREATE INDEX idx_{table} ON {table}({index_columns})")
-        self._shared_view_tables[cache_key] = (view, weakref.WeakSet((user,)))
+        entry = self._shared_view_tables[cache_key] = (view, weakref.WeakSet((user,)))
         self._evict_unreferenced_view_tables()
-        return view
+        return entry
 
     def _evict_unreferenced_view_tables(self) -> None:
         """Drop cached view-table sets past the cap, oldest first, but
@@ -577,16 +559,6 @@ class SQLiteEngine:
                 self._drop_tables(view.names)
 
 
-def _contains_repetition(query: Query) -> bool:
-    """True when any pattern in the query has a repetition operator."""
-    for node in iter_queries(query):
-        if isinstance(node, GraphPattern):
-            for sub in iter_subpatterns(node.output.pattern):
-                if isinstance(sub, Repetition):
-                    return True
-    return False
-
-
 def make_sqlite_engine(
     database: Database,
     *,
@@ -594,11 +566,6 @@ def make_sqlite_engine(
     verify_plans: Optional[bool] = None,
 ):
     return SQLiteEngine(database, max_repetitions=max_repetitions, verify_plans=verify_plans)
-
-
-class _SQLUnsupported(Exception):
-    """Internal: the query cannot be compiled to SQL.  The message is the
-    reason :attr:`SQLiteEngine.fallbacks` counts the evaluation under."""
 
 
 def _columns(arity: int) -> str:
@@ -611,13 +578,30 @@ def _select_list(items: Sequence[str]) -> str:
     return ", ".join(items) or "1"
 
 
-def _sql_operator(operator: str) -> str:
-    return "<>" if operator == "!=" else operator
+def _comparison(left: str, operator: str, right: str) -> str:
+    """``left operator right`` with the oracle's semantics, so no
+    comparison is ever NULL and ``NOT`` never drops a row: ``=`` / ``!=``
+    are ``IS`` / ``IS NOT`` (``None`` is an ordinary value), and an ordered
+    comparison holds only between two numbers, two strings or two byte
+    strings (Python raises ``TypeError`` on any other pair, which the
+    oracle reads as false; SQLite would order them by storage class)."""
+    if operator == "=":
+        return f"{left} IS {right}"
+    if operator == "!=":
+        return f"{left} IS NOT {right}"
+    return (
+        f"(typeof({left}) IN ('integer', 'real') AND typeof({right}) IN ('integer', 'real')"
+        f" OR typeof({left}) = 'text' AND typeof({right}) = 'text'"
+        f" OR typeof({left}) = 'blob' AND typeof({right}) = 'blob')"
+        f" AND {left} {operator} {right}"
+    )
 
 
 def _sql_literal(value) -> str:
     if isinstance(value, Parameter):
-        raise _SQLUnsupported(f"parameter slot {value!r} where SQL takes no placeholder")
+        raise EngineError(f"parameter slot {value!r} where SQL takes no placeholder")
+    if value is None:
+        return "NULL"
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, (int, float)):
@@ -636,15 +620,16 @@ class _CursorStream:
     a weak ref to every live stream: :meth:`SQLiteEngine.close` calls
     :meth:`detach` first, buffering the remaining rows so a streamed
     :class:`~repro.engine.result.QueryResult` stays readable after the
-    backend connection (or an engine swap) takes the cursor away.  The
-    stream holds its statement — and so, through the engine's user sets,
-    the view tables the cursor reads — until the cursor is exhausted,
-    detached or closed.
+    backend connection (or an engine swap) takes the cursor away.  Until
+    the cursor is exhausted, detached or closed the stream is a user of the
+    view tables it reads, so they outlive a recompiling statement.
     """
 
-    def __init__(self, cursor: sqlite3.Cursor, statement: "_SQLiteCompiledQuery"):
+    def __init__(self, cursor: sqlite3.Cursor, view_users: Sequence[weakref.WeakSet]):
         self._cursor: Optional[sqlite3.Cursor] = cursor
-        self._statement: Optional["_SQLiteCompiledQuery"] = statement
+        self._view_users = view_users
+        for users in view_users:
+            users.add(self)
         self._buffer: "deque[List[Tuple]]" = deque()
         self._done = False
 
@@ -670,7 +655,10 @@ class _CursorStream:
         """Idempotent teardown shared by exhaustion, :meth:`detach` and
         :meth:`close` — safe after the backing connection is gone."""
         self._done = True
-        cursor, self._cursor, self._statement = self._cursor, None, None
+        cursor, self._cursor = self._cursor, None
+        for users in self._view_users:
+            users.discard(self)
+        self._view_users = ()
         if cursor is not None:
             try:
                 cursor.close()
@@ -710,28 +698,6 @@ def _relation_from_rows(rows, arity: int) -> Relation:
     return Relation(0, [()] if rows else [])
 
 
-class _OracleQuery(CompiledQuery):
-    """A query SQL could not serve: the formal evaluator answers it, and
-    every answer is counted under ``reason`` in the engine's ``fallbacks``."""
-
-    def __init__(self, engine: "SQLiteEngine", query: Query, reason: str):
-        super().__init__(engine, query)
-        self.reason = reason
-
-    def execute(self, bindings: Optional[Bindings] = None, /, **named) -> Relation:
-        engine = self.engine
-        engine.fallbacks[self.reason] = engine.fallbacks.get(self.reason, 0) + 1
-        with trace_span("sqlite.fallback", reason=self.reason):
-            relation = engine._fallback_evaluator().evaluate(
-                self.query, bindings=merge_bindings(bindings, named)
-            )
-        self.executions += 1
-        return relation
-
-    def execute_stream(self, bindings: Optional[Bindings] = None, /, **named) -> None:
-        return None  # the formal evaluator materializes
-
-
 class _SQLiteCompiledQuery(CompiledQuery):
     """One PGQ query as one SQL statement on the engine's connection — the
     only object that turns a ``Query`` into SQL and runs it; one-shot,
@@ -740,22 +706,44 @@ class _SQLiteCompiledQuery(CompiledQuery):
 
     ``sql`` is the complete text: repetition pair relations are common
     table expressions inside it and every parameter slot is a numbered
-    ``?N`` placeholder, so an execution builds nothing beforehand and any
-    number of cursors may read the same statement under different
-    bindings.  The view tables it names belong to the engine.  If the
-    engine's connection was closed (and thus the view tables dropped)
-    since compilation, the statement transparently recompiles against the
-    fresh connection.
+    ``?N`` placeholder, so an execution builds nothing beforehand (bar the
+    depth probes it runs first under ``max_repetitions``) and any number
+    of cursors may read it under different bindings.  It recompiles
+    transparently when the engine's connection (and so every view table)
+    went away, and when the values bound to slots inside its view sources
+    — which pick the view tables, so such a statement compiles at its
+    first execution — differ from the last.
     """
 
     def __init__(self, engine: "SQLiteEngine", query: Query):
         super().__init__(engine, query)
-        self._compile()
+        #: Slots inside view sources, whose bound values pick the view.
+        self._source_slots = sorted(
+            {name for node in iter_queries(query) if isinstance(node, GraphPattern)
+             for source in node.sources for name in query_parameters(source)}
+        )
+        self._view_users: List[weakref.WeakSet] = []  # of the tables it reads
+        self.sql: Optional[str] = None
+        self._connection: Optional[sqlite3.Connection] = None
+        self._source_values: Optional[Tuple] = None  # not compiled yet
+        if not self._source_slots:
+            self._compile({})
 
-    def _compile(self) -> None:
+    def _compile(self, bindings: Bindings) -> None:
+        """(Re)compile with ``bindings`` substituted into the view sources."""
+        for users in self._view_users:
+            users.discard(self)
+        self._view_users = []
         self._connection = self.engine.connection
+        self._source_values = tuple(bindings.get(name) for name in self._source_slots)
+        self._bindings = bindings
         #: Slot name -> placeholder number, in numbering order.
         self._slots: Dict[str, int] = {}
+        #: ``(SQL, argument count, depth)`` of every depth probe.
+        self._probes: List[Tuple[str, int, int]] = []
+        #: Values (or slots) of the constants that must be in the active
+        #: domain, which the oracle checks per execution.
+        self._active_constants: List = []
         #: Statement-wide name supply (subquery aliases, ``pairN``).
         self._names = itertools.count()
         self.sql, self._arity = self._relational(self.query)
@@ -785,6 +773,8 @@ class _SQLiteCompiledQuery(CompiledQuery):
             self.engine._ensure_loaded(query.name)
             return f'SELECT {_columns(arity)} FROM "{query.name}"', arity
         if isinstance(query, Constant):
+            if query.require_active:
+                self._active_constants.append(query.value)
             return f"SELECT {self._emit(query.value)} AS c1", 1
         if isinstance(query, ConstantRelation) and query.rows:
             selects = [
@@ -831,25 +821,43 @@ class _SQLiteCompiledQuery(CompiledQuery):
             check(Relation.empty(arity), Relation.empty(right_arity))
             return f"SELECT * FROM ({left_sql}) {operator} SELECT * FROM ({right_sql})", arity
         if isinstance(query, GraphPattern):
-            view = self.engine._view_tables(query, self)
+            sources = tuple(bind_query(source, self._bindings) for source in query.sources)
+            view, users = self.engine._view_tables(sources, query.max_arity, self)
+            self._view_users.append(users)
             output = query.output
             output.validate()
             needed = output.output_variables()
             plan = compile_plan(output.pattern, needed, None, self.engine.verify_plans)
-            return _PlanLowering(view, self._emit, self._names).output(plan, output)
-        raise _SQLUnsupported(f"query node {type(query).__name__}")
+            return _PlanLowering(view, self).output(plan, output)
+        raise EngineError(f"the sqlite backend cannot compile query node {type(query).__name__}")
 
     # -- execution -----------------------------------------------------------
     def _arguments(self, bindings: Optional[Bindings], named: Bindings) -> Tuple:
-        """Check the bindings (mapping and/or keywords, keywords win) and
-        order them by placeholder number."""
+        """Check the bindings (mapping and/or keywords, keywords win),
+        recompile if the connection or the view-source values changed,
+        check active-domain constants, and order the bindings by
+        placeholder number."""
         merged = merge_bindings(bindings, named)
         check_bindings(self.parameter_names, merged)
-        if self.engine._connection is not self._connection:
-            # The connection (and with it every view table) went away since
-            # compilation — e.g. engine.close(); recompile transparently.
-            self._compile()
+        if self.engine._connection is not self._connection or self._source_values != tuple(
+            merged[name] for name in self._source_slots
+        ):
+            self._compile(merged)
+        for value in self._active_constants:
+            check_active_constant(bind_value(value, merged), self.engine._active_domain())
         return tuple(merged[name] for name in self._slots)
+
+    def _run(self, arguments: Tuple) -> sqlite3.Cursor:
+        """Run the depth probes, then the statement (callers hold the
+        governed window); a probe that finds a row raises the fixpoint
+        kernel's own error."""
+        engine = self.engine
+        for sql, width, depth in self._probes:
+            probe = engine._execute_with_retry(self._connection, sql, arguments[:width])
+            overrun = probe.fetchone() is not None
+            probe.close()
+            check_depth(depth, overrun, engine.max_repetitions)
+        return engine._execute_with_retry(self._connection, self.sql, arguments)
 
     def execute(self, bindings: Optional[Bindings] = None, /, **named) -> Relation:
         """Execute and materialize; the mapping argument is positional-only
@@ -859,9 +867,7 @@ class _SQLiteCompiledQuery(CompiledQuery):
         # Rows decode inside the governed window: the statement does most
         # of its work while the cursor is being read.
         with trace_span("sqlite.execute", sql=_sql_snippet(self.sql)), engine._governed_execution():
-            relation = _relation_from_rows(
-                engine._execute_with_retry(self._connection, self.sql, arguments), self._arity
-            )
+            relation = _relation_from_rows(self._run(arguments), self._arity)
         self.executions += 1
         return relation
 
@@ -869,16 +875,17 @@ class _SQLiteCompiledQuery(CompiledQuery):
         self, bindings: Optional[Bindings] = None, /, **named
     ) -> Optional[Tuple[int, Iterator[List[Tuple]], bool]]:
         """Execute and stream the result rows off the SQLite cursor:
-        ``(arity, row batches, False)``, with binding errors
-        raised here and rows fetched incrementally.  Returns ``None`` — the
-        caller falls back to :meth:`execute` — for zero-arity results.
+        ``(arity, row batches, False)``, with binding errors and depth
+        overruns raised here and rows fetched incrementally.  Returns
+        ``None`` — the caller falls back to :meth:`execute` — for
+        zero-arity results.
         """
+        arguments = self._arguments(bindings, named)
         if self._arity == 0:
             return None
-        arguments = self._arguments(bindings, named)
         engine = self.engine
         with trace_span("sqlite.execute", sql=_sql_snippet(self.sql)), engine._governed_execution():
-            cursor = engine._execute_with_retry(self._connection, self.sql, arguments)
+            cursor = self._run(arguments)
         self.executions += 1
         return self._arity, engine._stream_cursor(cursor, self), False
 
@@ -886,31 +893,29 @@ class _SQLiteCompiledQuery(CompiledQuery):
 def _compile_ra_condition(condition: Condition, alias: str, emit) -> str:
     if isinstance(condition, TrueCondition):
         return "1 = 1"
-    if isinstance(condition, ColumnEquals):
-        return f"{alias}.c{condition.left} = {alias}.c{condition.right}"
-    if isinstance(condition, ColumnEqualsConstant):
-        return f"{alias}.c{condition.position} = {emit(condition.constant)}"
-    if isinstance(condition, ColumnCompare):
-        operator = _sql_operator(condition.operator)
-        return f"{alias}.c{condition.left} {operator} {alias}.c{condition.right}"
-    if isinstance(condition, ColumnCompareConstant):
-        operator = _sql_operator(condition.operator)
-        return f"{alias}.c{condition.position} {operator} {emit(condition.constant)}"
-    if isinstance(condition, RAAnd):
-        return f"({_compile_ra_condition(condition.left, alias, emit)} AND {_compile_ra_condition(condition.right, alias, emit)})"
-    if isinstance(condition, RAOr):
-        return f"({_compile_ra_condition(condition.left, alias, emit)} OR {_compile_ra_condition(condition.right, alias, emit)})"
+    operator = getattr(condition, "operator", "=")
+    if isinstance(condition, (ColumnEquals, ColumnCompare)):
+        return _comparison(f"{alias}.c{condition.left}", operator, f"{alias}.c{condition.right}")
+    if isinstance(condition, (ColumnEqualsConstant, ColumnCompareConstant)):
+        return _comparison(f"{alias}.c{condition.position}", operator, emit(condition.constant))
+    if isinstance(condition, (RAAnd, RAOr)):
+        connective = "AND" if isinstance(condition, RAAnd) else "OR"
+        left, right = (_compile_ra_condition(c, alias, emit) for c in (condition.left, condition.right))
+        return f"({left} {connective} {right})"
     if isinstance(condition, RANot):
         return f"NOT ({_compile_ra_condition(condition.operand, alias, emit)})"
-    raise _SQLUnsupported(f"selection condition {type(condition).__name__}")
+    raise EngineError(
+        f"the sqlite backend cannot compile selection condition {type(condition).__name__}"
+    )
 
 
 class _ViewTables:
     """One checked, encoded graph view: the names of ``R1``..``R6`` over
     dense integer element ids and of the id -> identifier-columns table,
-    plus the identifier arity ``n`` a bare-variable output item decodes to."""
+    plus the identifier arity ``n`` a bare-variable output item decodes to
+    and the node count ``|N|`` that bounds a depth probe."""
 
-    def __init__(self, prefix: str, identifier_arity: int):
+    def __init__(self, prefix: str, identifier_arity: int, node_count: int):
         self.names = [f"{prefix}_{index}" for index in range(6)] + [f"{prefix}_ids"]
         (
             self.nodes,
@@ -922,6 +927,16 @@ class _ViewTables:
             self.ids,
         ) = self.names
         self.identifier_arity = identifier_arity
+        self.node_count = node_count
+
+
+def _plan_parameters(plan: LogicalPlan) -> Iterator[str]:
+    """Names of the parameter slots in ``plan``'s conditions."""
+    condition = getattr(plan, "condition", None)
+    if condition is not None:
+        yield from condition.parameters()
+    for child in plan.children():
+        yield from _plan_parameters(child)
 
 
 class _PlanLowering:
@@ -936,12 +951,13 @@ class _PlanLowering:
     name an endpoint instead of probing the node table.
     """
 
-    def __init__(self, view: _ViewTables, emit, names: Iterator[int]):
+    def __init__(self, view: _ViewTables, statement: _SQLiteCompiledQuery):
         self.view = view
-        #: Literal sink of the statement being compiled (constants inline,
-        #: parameter slots become ``?N``) and its name supply.
-        self._emit = emit
-        self._names = names
+        #: The statement being compiled: its literal sink (constants
+        #: inline, parameter slots become ``?N``), name supply and probes.
+        self._statement = statement
+        self._emit = statement._emit
+        self._names = statement._names
 
     def _alias(self) -> str:
         return f"p{next(self._names)}"
@@ -993,7 +1009,7 @@ class _PlanLowering:
             variables = tuple(sorted(plan.schema))
             columns = ["src", "tgt"] + [f"v_{v}" for v in variables]
             return f"SELECT {', '.join(f'NULL AS {c}' for c in columns)} WHERE 1 = 0", variables
-        raise _SQLUnsupported(f"plan node {type(plan).__name__}")
+        raise EngineError(f"the sqlite backend cannot compile plan node {type(plan).__name__}")
 
     def _scan(self, plan) -> Tuple[str, Tuple[str, ...]]:
         """A node or edge scan, its pushed labels and condition one
@@ -1037,6 +1053,7 @@ class _PlanLowering:
         pair_cte = (
             f"{pair}(src, tgt) AS MATERIALIZED (SELECT DISTINCT src, tgt FROM ({body_sql}))"
         )
+        self._probe(plan, number, pair_cte)
         if not plan.is_unbounded:
             counts = range(plan.lower, int(plan.upper) + 1)
             return f"WITH {pair_cte} " + " UNION ".join(self._steps(pair, n) for n in counts)
@@ -1055,6 +1072,46 @@ class _PlanLowering:
             ") "
             f"SELECT src AS src, tgt AS tgt FROM {reach}"
         )
+
+    def _probe(self, plan: FixpointStep, number: int, pair_cte: str) -> None:
+        """Add the depth probe of a repetition that could run past the
+        engine's ``max_repetitions`` bound ``b`` to the statement.
+
+        The kernels of :mod:`repro.matching.fixpoint` raise at the first
+        depth ``d > b``, ``d >= lower``, reaching a pair no depth in
+        ``[lower, d)`` reached.  Only ``d* = max(b + 1, lower)`` can be it:
+        a pair at ``d* + 1`` extends one at ``d*``, so if ``d*`` adds none,
+        no deeper depth does.  And none can past ``lower + |N| - 1``: a
+        longer walk repeats a node after its first ``lower`` steps, and
+        cutting that cycle leaves a shorter walk of at least ``lower``
+        steps; so with ``b >= lower + |N| - 1`` there is nothing to probe.
+        Otherwise the probe walks the body pairs depth-tagged up to ``d*``
+        (at most |pairs| x ``d*`` rows) for a pair reached at ``d*`` but at
+        no depth in ``[lower, b]``.  It runs before the statement, bound to
+        the body's own slots: SQLite may skip a common table expression
+        whose join partner is empty, while the other engines check every
+        repetition.
+        """
+        bound = self._statement.engine.max_repetitions
+        if bound is None or (not plan.is_unbounded and plan.upper <= bound):
+            return
+        if bound + 1 >= plan.lower + self.view.node_count:
+            return
+        depth = max(bound + 1, plan.lower)
+        pair, walk = f"pair{number}", f"walk{number}"
+        sql = (
+            f"WITH RECURSIVE {pair_cte}, {walk}(src, tgt, depth) AS ("
+            f" SELECT src, tgt, 0 FROM ({self._steps(pair, 0)})"
+            f" UNION SELECT {walk}.src, pair.tgt, {walk}.depth + 1"
+            f" FROM {walk} JOIN {pair} AS pair ON {walk}.tgt = pair.src"
+            f" WHERE {walk}.depth < {depth}"
+            f") SELECT 1 FROM {walk} AS deep WHERE deep.depth = {depth} AND NOT EXISTS ("
+            f"SELECT 1 FROM {walk} AS early WHERE early.src = deep.src AND early.tgt = deep.tgt"
+            f" AND early.depth BETWEEN {plan.lower} AND {bound}) LIMIT 1"
+        )
+        slots = self._statement._slots
+        width = max((slots[name] for name in _plan_parameters(plan.body)), default=0)
+        self._statement._probes.append((sql, width, depth))
 
     def _steps(self, pair: str, count: int) -> str:
         """SQL for the pairs exactly ``count`` body steps apart."""
@@ -1080,19 +1137,19 @@ class _PlanLowering:
                 f"WHERE lab.c1 = {column(condition.var)} AND lab.c2 = {_sql_literal(condition.label)})"
             )
         if isinstance(condition, PropertyCompare):
-            operator = _sql_operator(condition.operator)
+            compare = _comparison("prop.c3", condition.operator, self._emit(condition.constant))
             return (
                 f"EXISTS (SELECT 1 FROM {self.view.properties} AS prop "
                 f"WHERE prop.c1 = {column(condition.var)} AND prop.c2 = {_sql_literal(condition.key)} "
-                f"AND prop.c3 {operator} {self._emit(condition.constant)})"
+                f"AND {compare})"
             )
         if isinstance(condition, (PropertyEquals, PropertyComparesProperty)):
-            operator = _sql_operator(getattr(condition, "operator", "="))
+            compare = _comparison("p1.c3", getattr(condition, "operator", "="), "p2.c3")
             return (
                 f"EXISTS (SELECT 1 FROM {self.view.properties} AS p1, {self.view.properties} AS p2 "
                 f"WHERE p1.c1 = {column(condition.left_var)} AND p1.c2 = {_sql_literal(condition.left_key)} "
                 f"AND p2.c1 = {column(condition.right_var)} AND p2.c2 = {_sql_literal(condition.right_key)} "
-                f"AND p1.c3 {operator} p2.c3)"
+                f"AND {compare})"
             )
         if isinstance(condition, (AndCondition, OrCondition)):
             connective = "AND" if isinstance(condition, AndCondition) else "OR"
@@ -1101,7 +1158,9 @@ class _PlanLowering:
             return f"({left} {connective} {right})"
         if isinstance(condition, NotCondition):
             return f"NOT ({self._condition(condition.operand, column)})"
-        raise _SQLUnsupported(f"pattern condition {type(condition).__name__}")
+        raise EngineError(
+            f"the sqlite backend cannot compile pattern condition {type(condition).__name__}"
+        )
 
     # -- output patterns ----------------------------------------------------
     def output(self, plan: LogicalPlan, output: OutputPattern) -> Tuple[str, int]:

@@ -351,10 +351,8 @@ class PGQEvaluator:
         raise QueryError(f"unknown query node {query!r}")
 
     def _eval_constant(self, query: Constant) -> Relation:
-        if query.require_active and query.value not in set(self.database.active_domain()):
-            raise QueryError(
-                f"constant {query.value!r} is not in the active domain of the database"
-            )
+        if query.require_active:
+            check_active_constant(query.value, set(self.database.active_domain()))
         return Relation(1, [(query.value,)])
 
     def _eval_select(self, query: Select) -> Relation:
@@ -482,6 +480,13 @@ def check_selection(condition, arity: int) -> None:
             f"selection condition refers to ${condition.max_position()} "
             f"but the operand has arity {arity}"
         )
+
+
+def check_active_constant(value, domain) -> None:
+    """Raise the :class:`QueryError` of a constant outside the active
+    ``domain`` (a set) — worded here, for every engine."""
+    if value not in domain:
+        raise QueryError(f"constant {value!r} is not in the active domain of the database")
 
 
 def evaluate(query: Query, database: Database) -> Relation:

@@ -728,7 +728,6 @@ class TestLifecycle:
             del abandoned
             with pytest.raises(QueryTimeoutError):
                 connection.execute(PARAM_QUERY, {"minimum": 0}, timeout=0.0)
-            assert engine.fallbacks == {}
             tables = [
                 name for (name,) in engine.connection.execute(
                     "SELECT name FROM sqlite_temp_master WHERE type = 'table'"

@@ -23,7 +23,7 @@ from repro.engine import (
     register_engine,
     unregister_engine,
 )
-from repro.errors import ArityError, EngineError, QueryError, ViewError
+from repro.errors import ArityError, EngineError, PatternError, QueryError, ViewError
 from repro.patterns.builder import (
     back_edge,
     either,
@@ -42,6 +42,7 @@ from repro.patterns.builder import (
 )
 from repro.pgq import (
     BaseRelation,
+    Constant,
     ConstantRelation,
     Difference,
     EmptyRelation,
@@ -52,29 +53,27 @@ from repro.pgq import (
     graph_pattern_on_relations,
 )
 from repro.pgq.queries import GraphPattern
-from repro.relational import ColumnEqualsConstant, Database as RelationalDatabase, TrueCondition
+from repro.relational import (
+    ColumnCompare,
+    ColumnCompareConstant,
+    ColumnEquals,
+    ColumnEqualsConstant,
+    Database as RelationalDatabase,
+    Not,
+    TrueCondition,
+)
 from repro.separations import pair_reachability_query
 
 VIEW = GRAPH_VIEW_SCHEMA
 ENGINES = (NaiveEngine, PlannedEngine, SQLiteEngine)
 
 
-#: The reasons the SQLite backend may hand a query to the formal evaluator
-#: (``SQLiteEngine.fallbacks`` keys) that this suite expects somewhere.
-DEPTH_BOUND = "max_repetitions bound with repetition"
-
-
-def _assert_engines_agree(database, query, *, fallback=None, max_repetitions=None):
-    """All engines return one row set — and SQLite answered on SQL, unless
-    the caller names the ``fallback`` reason it expects: a shape that stops
-    compiling must fail here, not pass as the oracle agreeing with itself.
-    Returns the agreed result."""
+def _assert_engines_agree(database, query, *, max_repetitions=None):
+    """All engines return one row set; returns the agreed result."""
     reference = None
     for engine_cls in ENGINES:
         engine = engine_cls(database, max_repetitions=max_repetitions)
         result = engine.evaluate(query)
-        if engine_cls is SQLiteEngine:
-            assert engine.fallbacks == ({fallback: 1} if fallback else {})
         if hasattr(engine, "close"):
             engine.close()
         if reference is None:
@@ -266,8 +265,7 @@ _REACH = seq(node("x"), plus(seq(edge(), node())), node("y"))
 
 
 def _assert_same_view_error(database, query):
-    """pgView is undefined here: every engine says so with one message,
-    and SQLite says it itself instead of answering or falling back."""
+    """pgView is undefined here: every engine says so with one message."""
     messages = set()
     for engine_cls in ENGINES:
         engine = engine_cls(database)
@@ -275,7 +273,6 @@ def _assert_same_view_error(database, query):
             engine.evaluate(query)
         messages.add(str(raised.value))
         if engine_cls is SQLiteEngine:
-            assert engine.fallbacks == {}
             engine.close()
     assert len(messages) == 1, messages
     assert "condition (" in messages.pop()
@@ -386,7 +383,6 @@ def test_projected_stream_is_distinct_across_batches(seed, nodes):
         arity, batches, _ordered = engine.stream(query)
         batches = list(batches)
         rows = [row for batch in batches for row in batch]
-        assert engine.fallbacks == {}
     assert arity == 2
     assert len(batches) > 1 or len(expected) <= 256
     assert len(rows) == len(set(rows))
@@ -449,7 +445,6 @@ def test_session_equivalence_across_engines(seed, index):
         for engine in ("naive", "planned", "sqlite"):
             with db.connect(engine=engine) as connection:
                 results[engine] = connection.execute(QUERIES[index])
-                assert getattr(connection._get_engine(), "fallbacks", {}) == {}
         assert results["naive"].equals_unordered(results["planned"])
         assert results["naive"].equals_unordered(results["sqlite"])
 
@@ -495,7 +490,6 @@ def test_prepared_execution_equals_literal_substitution(seed, index, values):
             result = prepared.execute(bindings)
             literal = session.execute(literal_text)
             assert result.equals_unordered(literal), engine
-            assert getattr(session._get_engine(), "fallbacks", {}) == {}
 
 
 # --------------------------------------------------------------------------- #
@@ -515,8 +509,8 @@ class TestTargetedEquivalence:
         _assert_engines_agree(db, query)
 
     def test_sqlite_bound_keeps_sql_path_for_repetition_free_queries(self):
-        # The max_repetitions fallback only applies to queries that contain
-        # a repetition; plain pattern queries must still run on SQL.
+        # A bound probes repetitions only; a plain pattern query runs as
+        # its one statement.
         db = erdos_renyi(6, 0.3, seed=4)
         engine = SQLiteEngine(db, max_repetitions=5)
         query = graph_pattern_on_relations(
@@ -525,17 +519,22 @@ class TestTargetedEquivalence:
         result = engine.evaluate(query)
         assert engine._connection is not None  # SQL path was used
         assert result.rows == NaiveEngine(db).evaluate(query).rows
-        assert engine.fallbacks == {}
         engine.close()
 
-    def test_sqlite_bound_with_repetition_is_a_named_fallback(self):
-        # A generous bound changes no result, but the recursive CTE cannot
-        # raise on overrun, so the formal evaluator answers — by name.
+    def test_sqlite_bound_with_repetition_answers_on_sql(self):
+        # A generous bound changes no result: past lower + |N| - 1 = 6 it
+        # needs no probe, and at 4 the recursive CTE answers after a depth
+        # probe finds no overrun.
         db = erdos_renyi(6, 0.3, seed=4)
         query = graph_pattern_on_relations(
             output(seq(node("x"), plus(seq(edge(), node())), node("y")), "x", "y"), VIEW
         )
-        _assert_engines_agree(db, query, fallback=DEPTH_BOUND, max_repetitions=50)
+        for bound, depths in ((50, []), (4, [5])):
+            _assert_engines_agree(db, query, max_repetitions=bound)
+            with SQLiteEngine(db, max_repetitions=bound) as engine:
+                statement = engine.prepare(query)
+                assert "WITH RECURSIVE" in statement.sql
+                assert [depth for _sql, _width, depth in statement._probes] == depths
 
     @pytest.mark.parametrize(
         "query, expected",
@@ -572,8 +571,12 @@ class TestTargetedEquivalence:
             Project(BaseRelation("S"), (3,)),
             Project(BaseRelation("S"), ()),
             Select(BaseRelation("S"), ColumnEqualsConstant(5, 1)),
+            Union(BaseRelation("N"), Constant("zz")),
         ],
-        ids=["union", "difference", "project-range", "project-empty", "select-range"],
+        ids=[
+            "union", "difference", "project-range", "project-empty", "select-range",
+            "constant-outside-adom",
+        ],
     )
     def test_malformed_operators_raise_the_oracles_error(self, query):
         raised = set()
@@ -583,7 +586,6 @@ class TestTargetedEquivalence:
                 engine.evaluate(query)
             raised.add((type(error.value), str(error.value)))
             if engine_cls is SQLiteEngine:
-                assert engine.fallbacks == {}
                 engine.close()
         assert len(raised) == 1, raised
 
@@ -600,8 +602,171 @@ class TestTargetedEquivalence:
                 """SELECT * FROM GRAPH_TABLE ( Transfers
                      MATCH (x) -[t:Transfer]->{1,1} (y) COLUMNS (x.iban, y.iban) )"""
             )
-        if engine == "sqlite":  # the bound is the oracle's to enforce, by name
-            assert session._get_engine().fallbacks == {DEPTH_BOUND: 1}
+
+
+# --------------------------------------------------------------------------- #
+# SQL with the oracle's value semantics: None is a value, mixed types do
+# not order, and a max_repetitions overrun raises the kernel's own text
+# --------------------------------------------------------------------------- #
+def _outcomes(database, query, *, max_repetitions=None, bindings=None):
+    """Each engine's answer to a prepared ``query``: its rows by ``repr``
+    (so ``None`` / ``'None'`` and ``1`` / ``True`` stay apart), or the
+    text of the :class:`PatternError` it raised."""
+    outcomes = []
+    for engine_cls in ENGINES:
+        engine = engine_cls(database, max_repetitions=max_repetitions)
+        try:
+            rows = engine.prepare(query).execute(bindings or {}).rows
+            outcomes.append(sorted(map(repr, rows)))
+        except PatternError as error:
+            outcomes.append(str(error))
+        finally:
+            engine.close()
+    assert outcomes[1] == outcomes[0], "planned"
+    assert outcomes[2] == outcomes[0], "sqlite"
+    return outcomes[0]
+
+
+_VALUES = RelationalDatabase.from_dict(
+    {"R": [(None, None), ("None", 1), (1, "a"), (2.5, 2.0), ("b", "b"), (b"a", b"b")]},
+    arities={"R": 2},
+)
+_R = BaseRelation("R")
+#: Nodes ``a``, ``None`` and ``'None'`` whose property ``w`` is ``None``,
+#: ``3`` and ``'None'``.
+_VALUE_VIEW = _view_database(
+    N=[("a",), (None,), ("None",)], E=[], S=[], T=[], L=[],
+    P=[("a", "w", None), (None, "w", 3), ("None", "w", "None")],
+)
+
+
+def _nodes_where(condition):
+    return graph_pattern_on_relations(output(where(node("x"), condition), "x"), VIEW)
+
+
+@pytest.mark.parametrize(
+    "database, query, expected",
+    [
+        (_VALUES, Select(_R, ColumnEqualsConstant(1, None)), ["(None, None)"]),
+        (_VALUES, Constant(None), ["(None,)"]),
+        (_VALUES, Select(_R, ColumnEquals(1, 2)), ["('b', 'b')", "(None, None)"]),
+        (_VALUES, Select(_R, Not(ColumnEqualsConstant(2, 1))), 5),
+        (_VALUES, Select(_R, ColumnCompareConstant(1, ">", 2)), ["(2.5, 2.0)"]),
+        (_VALUES, Select(_R, ColumnCompare(1, ">", 2)), ["(2.5, 2.0)"]),
+        (_VALUES, Select(_R, ColumnCompare(1, "<=", 2)), ["('b', 'b')", "(b'a', b'b')"]),
+        (_VALUES, Select(_R, Not(ColumnCompareConstant(1, ">", 2))), 5),
+        (_VALUE_VIEW, _nodes_where(prop_cmp("x", "w", "=", None)), ["('a',)"]),
+        (_VALUE_VIEW, _nodes_where(prop_cmp("x", "w", "!=", 3)), ["('None',)", "('a',)"]),
+        (_VALUE_VIEW, _nodes_where(prop_cmp("x", "w", ">", 2)), ["(None,)"]),
+        (_VALUE_VIEW, _nodes_where(~prop_cmp("x", "w", ">", 2)), ["('None',)", "('a',)"]),
+        (_VALUE_VIEW, _nodes_where(~prop_cmp("x", "w", "=", 3)), ["('None',)", "('a',)"]),
+    ],
+    ids=[
+        "eq-none", "constant-none", "column-eq", "not-eq", "gt-constant", "gt-column",
+        "le-column", "not-gt", "prop-eq-none", "prop-ne", "prop-gt", "prop-not-gt", "prop-not-eq",
+    ],
+)
+def test_none_is_a_value_and_mixed_types_do_not_order(database, query, expected):
+    rows = _outcomes(database, query)
+    assert rows == expected if isinstance(expected, list) else len(rows) == expected
+
+
+def _cycle_with_weights():
+    from repro.datasets import cycle
+    from repro.relational import Relation
+
+    return cycle(5).with_relation("P", Relation(3, [(f"e{i}", "w", i) for i in range(5)]))
+
+
+_STEP = seq(edge(), node())
+
+
+def _reach(body):
+    return graph_pattern_on_relations(output(seq(node("x"), body, node("y")), "x", "y"), VIEW)
+
+
+def _depth_error(depth, bound):
+    return (
+        f"repetition requires more than max_repetitions={bound} iterations "
+        f"of its body (matches exist at depth {depth})"
+    )
+
+
+class TestDepthBound:
+    @pytest.mark.parametrize(
+        "lower, upper, bound, expected",
+        [
+            (3, None, 1, _depth_error(3, 1)),
+            (1, None, 2, _depth_error(3, 2)),
+            (2, 4, 3, _depth_error(4, 3)),
+            (1, 2, 2, 10),
+            (0, None, 0, _depth_error(1, 0)),
+        ],
+        ids=["3-inf-1", "1-inf-2", "2-4-3", "1-2-2", "0-inf-0"],
+    )
+    def test_bound_matrix_on_a_cycle(self, lower, upper, bound, expected):
+        from repro.datasets import cycle
+
+        body = repeat(_STEP, lower) if upper is None else repeat(_STEP, lower, upper)
+        outcome = _outcomes(cycle(5), _reach(body), max_repetitions=bound)
+        assert outcome == expected if isinstance(expected, str) else len(outcome) == expected
+
+    def test_nested_repetition(self):
+        from repro.datasets import cycle
+
+        nested = plus(seq(edge(), node(), repeat(_STEP, 0, 1)))
+        assert _outcomes(cycle(5), _reach(nested), max_repetitions=2) == _depth_error(3, 2)
+        assert len(_outcomes(cycle(5), _reach(nested), max_repetitions=5)) == 25
+
+    @pytest.mark.parametrize(
+        "minimum, expected", [(0, _depth_error(3, 2)), (3, 3)], ids=["overrun", "within"]
+    )
+    def test_parameterized_body(self, minimum, expected):
+        from repro import Parameter
+
+        body = plus(seq(where(edge("t"), prop_cmp("t", "w", ">=", Parameter("m"))), node()))
+        outcome = _outcomes(
+            _cycle_with_weights(), _reach(body), max_repetitions=2, bindings={"m": minimum}
+        )
+        assert outcome == expected if isinstance(expected, str) else len(outcome) == expected
+
+    def test_sqlite_raises_before_the_first_batch_and_runs_on_sql(self):
+        from repro.datasets import cycle
+
+        query = _reach(plus(_STEP))
+        with SQLiteEngine(cycle(5), max_repetitions=2) as engine:
+            statement = engine.prepare(query)
+            with pytest.raises(PatternError, match="depth 3"):
+                statement.execute_stream()
+            sql = engine.compile_to_sql(query)
+            assert sql.startswith("SELECT") and "WITH RECURSIVE" in sql
+            (probe, _width, depth), = statement._probes
+            assert depth == 3
+            for text in (sql, probe):
+                plan = engine.connection.execute("EXPLAIN QUERY PLAN " + text).fetchall()
+                assert any("RECURSIVE STEP" in row[-1] for row in plan), plan
+        with SQLiteEngine(cycle(5), max_repetitions=3) as engine:
+            statement = engine.prepare(_reach(repeat(_STEP, 1, 3)))
+            assert statement._probes == []  # {1,3} cannot exceed 3
+            assert len(statement.execute().rows) == 15
+
+    def test_a_bound_past_every_least_depth_builds_no_probe(self):
+        # Every pair's least depth >= lower is at most lower + |N| - 1, so a
+        # generous bound on a large graph answers without a depth probe.
+        from repro.datasets import cycle
+
+        with SQLiteEngine(cycle(300), max_repetitions=10_000) as engine:
+            statement = engine.prepare(_reach(plus(_STEP)))
+            assert statement._probes == []
+            assert len(statement.execute().rows) == 300 * 300
+        # On cycle(300), x reaches itself first at depth 300 = lower + |N| - 1.
+        with SQLiteEngine(cycle(300), max_repetitions=300) as engine:
+            assert engine.prepare(_reach(plus(_STEP)))._probes == []
+        with SQLiteEngine(cycle(300), max_repetitions=299) as engine:
+            statement = engine.prepare(_reach(plus(_STEP)))
+            (_probe, _width, depth), = statement._probes
+            with pytest.raises(PatternError, match="depth 300"):
+                statement.execute()
 
 
 class TestCatalogReplay:

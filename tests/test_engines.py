@@ -14,7 +14,20 @@ from repro.datasets import (
 from repro import Parameter
 from repro.engine import Database, SQLiteEngine
 from repro.errors import EngineError
-from repro.patterns.builder import edge, label, node, output, plus, prop, prop_cmp, seq, star, where
+from repro.patterns.builder import (
+    back_edge,
+    edge,
+    either,
+    label,
+    node,
+    output,
+    plus,
+    prop,
+    prop_cmp,
+    seq,
+    star,
+    where,
+)
 from repro.pgq import (
     BaseRelation,
     Difference,
@@ -24,7 +37,16 @@ from repro.pgq import (
     Union,
     graph_pattern_on_relations,
 )
-from repro.relational import ColumnEqualsConstant
+from repro.relational import (
+    And,
+    ColumnCompare,
+    ColumnCompareConstant,
+    ColumnEquals,
+    ColumnEqualsConstant,
+    Not,
+    Or,
+    TrueCondition,
+)
 
 VIEW = GRAPH_VIEW_SCHEMA
 
@@ -321,7 +343,6 @@ class TestSQLiteEngine:
             pair = re.search(r"pair\d+\(src, tgt\) AS MATERIALIZED \((.*)\), reach\d+\(", sql)
             probe = "lab.c2 = 'Transfer'"
             assert probe in pair.group(1) and sql.count(probe) == 1, sql
-            assert engine.fallbacks == {}
 
     @pytest.mark.parametrize("verify", [True, False])
     def test_database_verify_plans_reaches_every_optimizer_pass(self, monkeypatch, verify):
@@ -337,7 +358,6 @@ class TestSQLiteEngine:
         monkeypatch.setattr(verifier, "verify_rewrite", counting)
         with make_bank_db(verify_plans=verify).connect("sqlite") as connection:
             assert ("A1", "A3") in connection.execute(BANK_QUERY).to_set()
-            assert connection._get_engine().fallbacks == {}
         passes = ["push_down_filters", "prune_unsatisfiable", "prune_variables", "simplify"]
         assert rules == (passes if verify else [])
 
@@ -355,9 +375,6 @@ class TestSQLiteEngine:
         expected = PGQEvaluator(db).evaluate(query)
         with SQLiteEngine(db) as engine:
             assert engine.evaluate(query).rows == expected.rows
-            # ... and SQL answered: identifiers are opaque integer ids
-            # inside the statement, whatever their arity.
-            assert engine.fallbacks == {}
 
     def test_pair_reachability_runs_on_sqls_own_linear_recursion(self):
         # Theorem 5.2's separating query — PGQext, 4-ary identifiers, an
@@ -383,7 +400,6 @@ class TestSQLiteEngine:
                 rows = connection.evaluate(query).rows
                 assert rows == pair_reachability_reference(connection.database)
                 assert rows == db.connect("naive").evaluate(query).rows
-                assert engine.fallbacks == {}
 
     def test_max_arity_overrun_is_the_oracles_view_error(self):
         from repro.datasets import generate_transfer_chain
@@ -402,7 +418,6 @@ class TestSQLiteEngine:
             with pytest.raises(ViewError) as raised:
                 engine.evaluate(bounded)
             assert str(raised.value) == str(expected.value)
-            assert engine.fallbacks == {}
 
     def test_a_failed_load_leaves_no_partial_table(self, graph_db):
         # A cell SQLite cannot bind fails the load the same way every time
@@ -422,25 +437,19 @@ class TestSQLiteEngine:
             leftovers = engine.connection.execute(
                 "SELECT name FROM sqlite_master UNION ALL SELECT name FROM sqlite_temp_master"
             ).fetchall()
-            assert leftovers == [] and engine.fallbacks == {}
+            assert leftovers == []
 
-    def test_sqlite_answers_are_not_counted_as_fallbacks(self, graph_db):
+    def test_sqlite_answers_and_streams_every_query(self, graph_db):
         with SQLiteEngine(graph_db) as engine:
             for query in self.queries():
                 engine.evaluate(query)
                 assert engine.stream(query) is not None
-            assert engine.fallbacks == {}
 
-    @pytest.mark.parametrize(
-        "constant, reason",
-        [
-            (["Red"], "unhashable constant in a view source"),
-            (Parameter("colour"), "parameterized view source"),
-        ],
-    )
-    def test_view_sources_sql_cannot_key_are_named_fallbacks(self, graph_db, constant, reason):
+    @pytest.mark.parametrize("constant", [["Red"], Parameter("colour")], ids=["unhashable", "slot"])
+    def test_view_sources_sql_cannot_key_answer_on_sql(self, graph_db, constant):
         # The view tables are keyed on the view's source queries: a source
-        # that cannot be hashed, or still holds a slot, goes to the oracle.
+        # that cannot be hashed is keyed by the relations it evaluates to,
+        # and one that holds a slot picks its view tables per binding.
         from repro.pgq.queries import GraphPattern
 
         sources = [BaseRelation(name) for name in "NESTLP"]
@@ -453,4 +462,108 @@ class TestSQLiteEngine:
         expected = PGQEvaluator(graph_db).evaluate(query, bindings=bindings)
         with SQLiteEngine(graph_db) as engine:
             assert engine.prepare(query).execute(bindings).rows == expected.rows
-            assert engine.fallbacks == {reason: 1}
+            assert engine.evaluate(query, bindings).rows == expected.rows
+            assert len(engine._shared_view_tables) == 1
+
+
+# --------------------------------------------------------------------------- #
+# SQLite compiler completeness: every node type compiles, or fails a test
+# --------------------------------------------------------------------------- #
+def _node_types(base):
+    """Every subclass of ``base`` the package defines (all of it imported)."""
+    import importlib
+    import pkgutil
+
+    import repro
+
+    for module in pkgutil.walk_packages(repro.__path__, "repro."):
+        importlib.import_module(module.name)
+    found, stack = set(), [base]
+    while stack:
+        for cls in stack.pop().__subclasses__():
+            stack.append(cls)
+            if cls.__module__.startswith("repro."):
+                found.add(cls)
+    return found
+
+
+def _plan_types(plan):
+    return {type(plan)}.union(*(_plan_types(child) for child in plan.children()))
+
+
+class TestSQLiteCompilerCompleteness:
+    @pytest.fixture
+    def graph_db(self):
+        return erdos_renyi(7, 0.25, seed=9, labels=("Red", "Blue"), property_key="w")
+
+    HOP = seq(node("x"), edge("t"), node("y"))
+
+    def relational(self):
+        from repro.pgq import ActiveDomainQuery, Constant, ConstantRelation, EmptyRelation, Product
+
+        S = BaseRelation("S")
+        element = Project(S, (1,))
+        return [
+            S, Constant("e0", require_active=False), ConstantRelation((("a",),), 1),
+            EmptyRelation(2), ActiveDomainQuery(), element, Select(S, TrueCondition()),
+            Product(S, S), Union(S, S), Difference(S, S),
+            graph_pattern_on_relations(output(self.HOP, "x", "y"), VIEW),
+        ]
+
+    def selection_conditions(self):
+        equal = ColumnEquals(1, 2)
+        return [
+            equal, ColumnEqualsConstant(1, "a"), ColumnCompare(1, "<", 2),
+            ColumnCompareConstant(1, "<", 3), And(equal, equal), Or(equal, equal), Not(equal),
+            TrueCondition(),
+        ]
+
+    def pattern_conditions(self):
+        from repro.patterns.conditions import (
+            AndCondition, NotCondition, OrCondition, PropertyComparesProperty, PropertyEquals,
+        )
+
+        red = label("x", "Red")
+        return [
+            PropertyEquals("x", "w", "y", "w"), prop_cmp("t", "w", ">", 1),
+            PropertyComparesProperty("x", "w", "<", "y", "w"), red, AndCondition(red, red),
+            OrCondition(red, red), NotCondition(red),
+        ]
+
+    def patterns(self):
+        step = seq(edge(), node())
+        contradiction = prop_cmp("x", "w", ">", 5) & prop_cmp("x", "w", "<", 3)
+        return [where(self.HOP, condition) for condition in self.pattern_conditions()] + [
+            either(self.HOP, seq(node("x"), back_edge("t"), node("y"))),
+            seq(node("x"), plus(step), node("y")),
+            seq(where(node("x"), contradiction), edge("t"), node("y")),
+        ]
+
+    def test_every_node_type_compiles(self, graph_db):
+        from repro.patterns.conditions import PatternCondition
+        from repro.pgq.queries import Query
+        from repro.planner import compile_plan
+        from repro.planner.logical import LogicalPlan
+        from repro.relational.conditions import Condition
+
+        queries = self.relational()
+        queries += [Select(BaseRelation("S"), c) for c in self.selection_conditions()]
+        patterns = [graph_pattern_on_relations(output(p, "x", "y"), VIEW) for p in self.patterns()]
+        plans = [compile_plan(q.output.pattern, {"x", "y"}, None) for q in patterns]
+        assert {type(q) for q in queries} == _node_types(Query)
+        assert {type(c) for c in self.selection_conditions()} == _node_types(Condition)
+        assert {type(c) for c in self.pattern_conditions()} == _node_types(PatternCondition)
+        assert set().union(*map(_plan_types, plans)) == _node_types(LogicalPlan)
+        with SQLiteEngine(graph_db) as engine:
+            for query in queries + patterns:
+                assert engine.evaluate(query).rows == PGQEvaluator(graph_db).evaluate(query).rows
+
+    def test_an_unknown_node_type_is_an_engine_error(self, graph_db):
+        from repro.pgq.queries import Query
+
+        class Unknown(Query):
+            pass
+
+        with SQLiteEngine(graph_db) as engine:
+            with pytest.raises(EngineError, match="cannot compile query node Unknown"):
+                engine.evaluate(Unknown())

@@ -381,31 +381,6 @@ def test_sqlite_streamed_result_survives_connection_close():
     assert len(result.rows) == 24
 
 
-def test_sqlite_fallbacks_say_which_engine_answered():
-    # A depth bound makes the formal evaluator answer every query with a
-    # repetition; the engine counts it by reason, the trace carries a
-    # ``sqlite.fallback`` span, and EXPLAIN prints the tally.
-    reason = "max_repetitions bound with repetition"
-    chain = HOP_QUERY.replace("]->", "]->+").replace("t.amount, ", "")
-    ring = RingBufferSink()
-    db = transfers_database(tracer=Tracer(sinks=(ring,)))
-    with db.connect(engine="sqlite", max_repetitions=50) as connection:
-        connection.execute(HOP_QUERY)  # no repetition: stays on SQL
-        assert connection.explain(HOP_QUERY).fallbacks == {}
-        for _ in range(2):
-            bounded = connection.execute(chain)
-            assert bounded.streamed is False
-        explain = connection.explain(chain)
-        assert explain.fallbacks == {reason: 2}
-        assert f"-- sqlite fallback: {reason} ×2" in str(explain)
-    spans = [span for root in ring.records() for span in iter_spans(root)]
-    fallbacks = [span for span in spans if span["name"] == "sqlite.fallback"]
-    assert [span["tags"]["reason"] for span in fallbacks] == [reason, reason]
-    assert sum(span["name"] == "sqlite.execute" for span in spans) == 1
-    with db.connect(engine="planned") as connection:
-        assert "sqlite fallback" not in str(connection.explain(chain))
-
-
 # --------------------------------------------------------------------------- #
 # Snapshot-cache liveness: counted pins, released at close()
 # --------------------------------------------------------------------------- #

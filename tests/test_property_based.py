@@ -219,4 +219,3 @@ def test_sqlite_binds_slots_in_nested_and_bounded_repetition(graph, pattern, fir
             values = {"a": low, "b": high, "a b": low}
             bindings = {name: values[name] for name in compiled.parameter_names}
             assert compiled.execute(bindings).rows == oracle.execute(bindings).rows
-        assert engine.fallbacks == {}
