@@ -1,10 +1,9 @@
 """Engine comparison: naive oracle vs planned vs SQLite.
 
-Runs the repetition-heavy workloads of ``bench_transfers.py`` (amount-
-filtered transitive reachability over random transfer graphs) and
-``bench_pairs_reachability.py`` (PGQext pair reachability over 4-ary
-identifiers) on all registered engines and records the timings in
-``BENCH_planner.json`` so later PRs have a performance trajectory.
+Runs two repetition-heavy workloads (amount-filtered transitive
+reachability over random transfer graphs, and PGQext pair reachability
+over 4-ary identifiers) on all registered engines and records the timings
+in ``BENCH_planner.json`` so later PRs have a performance trajectory.
 
 Measurement levels per workload:
 
@@ -13,8 +12,7 @@ Measurement levels per workload:
   and planned sides build a fresh engine per repeat so every repeat
   measures a cold query (the planned side keeps one plan cache across
   repeats); the SQLite side reuses one engine.
-* ``*_matcher`` — pattern matching only, on a pre-built graph view
-  (the level ``bench_transfers.py::test_filtered_reachability`` measures).
+* ``*_matcher`` — pattern matching only, on a pre-built graph view.
 * ``prepared_session`` — the prepared-statement workload (PR 4): one
   statement executed with ``PREPARED_BINDINGS`` different ``:minimum``
   bindings, comparing per-call literal substitution (every call pays

@@ -11,7 +11,6 @@ from repro.complexity.scaling import (
     ScalingCurve,
     ScalingPoint,
     fit_power_law,
-    format_curve,
     measure_query_scaling,
 )
 
@@ -21,7 +20,6 @@ __all__ = [
     "ScalingPoint",
     "certificate_size_bits",
     "fit_power_law",
-    "format_curve",
     "guess_and_check",
     "measure_query_scaling",
     "reachable",

@@ -13,8 +13,8 @@ we provide:
   simulation tries random guess sequences and reports whether a certificate
   was found;
 * :func:`certificate_size_bits` — the size of that working memory, which
-  the E8 benchmark reports alongside the running time to illustrate the
-  log-space claim.
+  the complexity tests bound logarithmically in the input size to
+  illustrate the log-space claim.
 """
 
 from __future__ import annotations

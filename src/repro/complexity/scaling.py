@@ -1,10 +1,10 @@
 """Empirical data-complexity measurements (Section 2.4, Corollary 6.4).
 
 The data complexity of query evaluation is measured by fixing a query and
-growing the database.  These helpers run a query over a family of databases
-of increasing size, record operation counts and wall-clock times, and fit a
-power law ``cost ~ size^alpha`` so benchmarks can report the observed
-exponent next to the theoretical NL (polynomial, small-degree) bound.
+growing the database.  These helpers time a query on an execution engine
+over a family of databases of increasing size and fit a power law
+``cost ~ size^alpha``, so the observed exponent can be checked against the
+theoretical NL (polynomial, small-degree) bound on every backend.
 """
 
 from __future__ import annotations
@@ -12,11 +12,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
-from repro.pgq.evaluator import PGQEvaluator
 from repro.pgq.queries import Query
-from repro.relational.database import Database
+
+if TYPE_CHECKING:
+    from repro.engine.registry import Engine
 
 
 @dataclass(frozen=True)
@@ -24,9 +25,7 @@ class ScalingPoint:
     """One measurement: database size vs. evaluation cost."""
 
     size: int
-    rows: int
     seconds: float
-    operations: int
     result_rows: int
 
 
@@ -36,50 +35,40 @@ class ScalingCurve:
 
     points: Tuple[ScalingPoint, ...]
     exponent: Optional[float]
-    label: str = ""
-
-    def sizes(self) -> List[int]:
-        return [point.size for point in self.points]
-
-    def seconds(self) -> List[float]:
-        return [point.seconds for point in self.points]
 
 
 def measure_query_scaling(
     query_factory: Callable[[], Query],
-    database_factory: Callable[[int], Database],
+    engine_factory: Callable[[int], "Engine"],
     sizes: Sequence[int],
     *,
-    label: str = "",
     repeats: int = 1,
 ) -> ScalingCurve:
-    """Evaluate ``query_factory()`` on databases of the given sizes.
+    """Time ``engine.evaluate(query_factory())`` for each of ``sizes``.
 
-    ``database_factory(size)`` builds the instance; the reported cost is the
-    best of ``repeats`` runs (to damp scheduling noise) together with the
-    evaluator's operation counters.
+    ``engine_factory(size)`` builds an engine over the instance of that
+    size; every repeat gets a fresh one, so each run is cold (view
+    materialization included), and each engine is closed after its run.
+    The reported cost is the best of ``repeats`` runs, to damp scheduling
+    noise.
     """
     points: List[ScalingPoint] = []
     for size in sizes:
-        database = database_factory(size)
         best_seconds = math.inf
-        operations = 0
         result_rows = 0
         for _ in range(max(repeats, 1)):
             query = query_factory()
-            evaluator = PGQEvaluator(database, collect_statistics=True)
-            started = time.perf_counter()
-            result = evaluator.evaluate(query)
-            elapsed = time.perf_counter() - started
+            engine = engine_factory(size)
+            try:
+                started = time.perf_counter()
+                result = engine.evaluate(query)
+                elapsed = time.perf_counter() - started
+            finally:
+                engine.close()
             if elapsed < best_seconds:
-                best_seconds = elapsed
-                assert evaluator.statistics is not None
-                operations = evaluator.statistics.total_operations()
-                result_rows = len(result)
-        points.append(
-            ScalingPoint(size, database.total_rows(), best_seconds, operations, result_rows)
-        )
-    return ScalingCurve(tuple(points), fit_power_law(points), label)
+                best_seconds, result_rows = elapsed, len(result)
+        points.append(ScalingPoint(size, best_seconds, result_rows))
+    return ScalingCurve(tuple(points), fit_power_law(points))
 
 
 def fit_power_law(points: Sequence[ScalingPoint]) -> Optional[float]:
@@ -102,17 +91,3 @@ def fit_power_law(points: Sequence[ScalingPoint]) -> Optional[float]:
     if denominator == 0:
         return None
     return sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / denominator
-
-
-def format_curve(curve: ScalingCurve) -> str:
-    """Human-readable table of a scaling curve, used by benchmark output."""
-    lines = [f"# {curve.label or 'scaling curve'}"]
-    lines.append(f"{'size':>8} {'rows':>8} {'seconds':>12} {'operations':>12} {'result':>8}")
-    for point in curve.points:
-        lines.append(
-            f"{point.size:>8} {point.rows:>8} {point.seconds:>12.6f} "
-            f"{point.operations:>12} {point.result_rows:>8}"
-        )
-    if curve.exponent is not None:
-        lines.append(f"fitted exponent: {curve.exponent:.2f}")
-    return "\n".join(lines)

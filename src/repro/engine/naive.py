@@ -25,9 +25,9 @@ class NaiveEngine(PGQEvaluator):
     """Set-at-a-time evaluation straight from the paper's semantics.
 
     The constructor is inherited unchanged from :class:`PGQEvaluator`
-    (``database``, ``collect_statistics``, ``max_repetitions``); the
-    subclass only contributes the Engine-protocol surface.  Prepared
-    statements substitute their bindings *eagerly* (the inherited
+    (``database``, ``max_repetitions``); the subclass only contributes the
+    Engine-protocol surface.  Prepared statements substitute their
+    bindings *eagerly* (the inherited
     ``prepare``/``evaluate(query, bindings=...)`` path): every execution
     is an ordinary one-shot evaluation of the literal-substituted query,
     which keeps this backend the semantics oracle the optimized engines'

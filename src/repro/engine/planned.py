@@ -44,36 +44,11 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.matching.endpoint import EvaluationCounters
 from repro.pgq.evaluator import PGQEvaluator
 from repro.pgq.scans import graph_from_scans
 from repro.planner.physical import PlanCache, PlanCounters, PlanExecutor
 from repro.planner.stats import collect_graph_statistics
 from repro.relational.database import Database
-
-
-class _InstrumentedExecutor(PlanExecutor):
-    """PlanExecutor that mirrors its counters into ``EvaluationStatistics``.
-
-    The physical counters map onto the oracle's fields: produced rows ->
-    triples, hash-join probes -> join (compatibility) checks, fixpoint
-    rounds -> fixpoint rounds.  Filter-condition checks are folded into
-    join checks (the planner checks conditions per surviving row).
-    """
-
-    def __init__(self, graph, *, pattern_counters: EvaluationCounters, **kwargs):
-        super().__init__(graph, **kwargs)
-        self._pattern_counters = pattern_counters
-
-    def evaluate_output(self, output, bindings=None):
-        counters = self.counters
-        before = (counters.rows_produced, counters.join_probes, counters.fixpoint_rounds)
-        result = super().evaluate_output(output, bindings=bindings)
-        mirrored = self._pattern_counters
-        mirrored.triples_produced += counters.rows_produced - before[0]
-        mirrored.join_checks += counters.join_probes - before[1]
-        mirrored.fixpoint_rounds += counters.fixpoint_rounds - before[2]
-        return result
 
 
 class PlannedEngine(PGQEvaluator):
@@ -85,16 +60,11 @@ class PlannedEngine(PGQEvaluator):
         self,
         database: Database,
         *,
-        collect_statistics: bool = False,
         max_repetitions: Optional[int] = None,
         plan_cache: Optional[PlanCache] = None,
         verify_plans: Optional[bool] = None,
     ):
-        super().__init__(
-            database,
-            collect_statistics=collect_statistics,
-            max_repetitions=max_repetitions,
-        )
+        super().__init__(database, max_repetitions=max_repetitions)
         private_cache = plan_cache is None
         self._private_plan_cache = private_cache
         self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
@@ -146,28 +116,18 @@ class PlannedEngine(PGQEvaluator):
             built = super()._materialize_view(sources, max_arity, span)
         else:
             span.tag(built_from="scans")
-            if self.statistics is not None:
-                self.statistics.intermediate_rows += built[0].relation_rows()
         span.tag(compact_encode_s=round(built[0].compact().encode_seconds, 6))
         return built
 
-    def _executor_options(self, graph) -> dict:
-        return dict(
+    def _make_matcher(self, graph) -> PlanExecutor:
+        return PlanExecutor(
+            graph,
             max_repetitions=self.max_repetitions,
             counters=self.plan_counters,
             plan_cache=self.plan_cache,
             graph_stats=collect_graph_statistics(graph),
             verify_plans=self.verify_plans,
         )
-
-    def _make_matcher(self, graph) -> PlanExecutor:
-        if self.statistics is not None:
-            return _InstrumentedExecutor(
-                graph,
-                pattern_counters=self.statistics.pattern_counters,
-                **self._executor_options(graph),
-            )
-        return PlanExecutor(graph, **self._executor_options(graph))
 
     def close(self) -> None:
         """Nothing to release; present for the Engine protocol."""

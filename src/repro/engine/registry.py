@@ -49,7 +49,7 @@ by :mod:`repro.engine`:
 * ``planned`` — the query planner (logical IR, rule-based optimizer,
   hash joins, semi-naive repetition fixpoint);
 * ``sqlite`` — compilation to SQL with recursive CTEs over a checked,
-  integer-encoded view; the oracle answers (counted) what SQL cannot.
+  integer-encoded view; what SQL cannot run raises ``EngineError``.
 """
 
 from __future__ import annotations
@@ -71,6 +71,8 @@ class Engine(Protocol):
     """Protocol every execution backend satisfies."""
 
     name: str
+    #: The database instance the engine was built over.
+    database: Database
 
     def prepare(self, query: Query) -> CompiledQuery:
         """Compile a PGQ query once for repeated parameterized execution."""

@@ -31,10 +31,11 @@ by compiling each to **one** SQL statement:
 The engine answers on SQL or raises — a malformed operator the oracle's
 own error, a ``max_repetitions`` overrun the fixpoint kernel's
 ``PatternError`` (found by a depth probe, :meth:`_PlanLowering._probe`),
-a node type the compiler does not know an ``EngineError``.  Nothing is
-built ahead of an execution except the view tables, which the engine owns
-and shares between every statement over the same graph view.  Results are
-identical to the formal evaluator, which the test-suite checks.
+a node type the compiler does not know or a statement past one of
+SQLite's own limits an ``EngineError``.  Nothing is built ahead of an
+execution except the view tables, which the engine owns and shares between
+every statement over the same graph view.  Results are identical to the
+formal evaluator, which the test-suite checks.
 """
 
 from __future__ import annotations
@@ -93,6 +94,7 @@ from repro.pgq.queries import (
     bind_query,
     iter_queries,
     query_parameters,
+    query_size,
     resolve_bindings,
 )
 from repro.pgq.views import check_view_conditions, view_identifier_arity
@@ -357,8 +359,9 @@ class SQLiteEngine:
     _TRANSIENT_BACKOFF_S = 0.005
 
     @contextmanager
-    def _governed_execution(self):
-        """Cooperative governance for one SQL execution window.
+    def _governed_execution(self, query: Query):
+        """One SQL execution window of ``query``'s statement: the only
+        place a ``sqlite3.Error`` of an execution is turned into ours.
 
         When a governor is active, its checkpoint becomes the
         connection's progress handler (site ``"sqlite.progress"``, polled
@@ -368,12 +371,11 @@ class SQLiteEngine:
         all stop the statement mid-flight.  SQLite surfaces either stop
         as ``OperationalError: interrupted``, which this context maps
         back to the governance error that tripped.  Ungoverned
-        executions install nothing — the disabled path stays free.
+        executions install nothing.  Whatever else SQLite rejects — its
+        own limits, e.g. ``parser stack overflow`` on deeply nested
+        subqueries — raises :class:`EngineError` naming the query's size.
         """
         governor = current_governor()
-        if governor is None:
-            yield
-            return
         connection = self.connection
         tripped: List[GovernanceError] = []
 
@@ -385,27 +387,31 @@ class SQLiteEngine:
                 return 1  # abort -> OperationalError("interrupted")
             return 0
 
-        token = governor.token
-        connection.set_progress_handler(_poll, self._PROGRESS_INTERVAL)
-        token.add_callback(connection.interrupt)
+        if governor is not None:
+            connection.set_progress_handler(_poll, self._PROGRESS_INTERVAL)
+            governor.token.add_callback(connection.interrupt)
         try:
             yield
-        except sqlite3.OperationalError as error:
+        except sqlite3.Error as error:
             if tripped:
                 raise tripped[0] from error
-            if "interrupt" in str(error):
+            if governor is not None and "interrupt" in str(error):
                 # interrupt() landed between two progress polls (a
                 # cross-thread cancel racing the handler).
-                reason = token.reason or "cancelled"
+                reason = governor.token.reason or "cancelled"
                 raise QueryCancelledError(
                     f"query cancelled during SQLite execution: {reason}",
                     reason=reason,
                     progress=governor.progress(),
                 ) from error
-            raise
+            raise EngineError(
+                f"SQLite cannot run the statement of a size-{query_size(query)} "
+                f"query: {error}"
+            ) from error
         finally:
-            token.remove_callback(connection.interrupt)
-            connection.set_progress_handler(None, 0)
+            if governor is not None:
+                governor.token.remove_callback(connection.interrupt)
+                connection.set_progress_handler(None, 0)
 
     def _execute_with_retry(self, connection: sqlite3.Connection, sql: str, arguments: Tuple = ()):
         """Run one statement, absorbing transient ``database is locked``.
@@ -866,7 +872,10 @@ class _SQLiteCompiledQuery(CompiledQuery):
         engine = self.engine
         # Rows decode inside the governed window: the statement does most
         # of its work while the cursor is being read.
-        with trace_span("sqlite.execute", sql=_sql_snippet(self.sql)), engine._governed_execution():
+        with (
+            trace_span("sqlite.execute", sql=_sql_snippet(self.sql)),
+            engine._governed_execution(self.query),
+        ):
             relation = _relation_from_rows(self._run(arguments), self._arity)
         self.executions += 1
         return relation
@@ -884,7 +893,10 @@ class _SQLiteCompiledQuery(CompiledQuery):
         if self._arity == 0:
             return None
         engine = self.engine
-        with trace_span("sqlite.execute", sql=_sql_snippet(self.sql)), engine._governed_execution():
+        with (
+            trace_span("sqlite.execute", sql=_sql_snippet(self.sql)),
+            engine._governed_execution(self.query),
+        ):
             cursor = self._run(arguments)
         self.executions += 1
         return self._arity, engine._stream_cursor(cursor, self), False

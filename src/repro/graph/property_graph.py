@@ -393,16 +393,6 @@ class PropertyGraph:
     def edge_count(self) -> int:
         return len(self._edges)
 
-    def relation_rows(self) -> int:
-        """Total rows of the canonical six-relation encoding ``(R1 .. R6)``
-        of this graph: ``|N| + |E| + |src| + |tgt| + |lab| + |prop|``."""
-        return (
-            len(self._nodes)
-            + 3 * len(self._edges)
-            + sum(map(len, self._labels.values()))
-            + len(self._properties)
-        )
-
     def out_degree(self, node: Any) -> int:
         return len(self.out_edges(node))
 

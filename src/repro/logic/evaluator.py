@@ -42,7 +42,7 @@ Assignment = Dict[str, Any]
 
 @dataclass
 class LogicCounters:
-    """Instrumentation for the NL-scaling experiments (E8)."""
+    """Operation counts of one FO[TC] evaluation."""
 
     atom_checks: int = 0
     tc_edges_materialized: int = 0

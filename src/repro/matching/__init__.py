@@ -2,7 +2,6 @@
 
 from repro.matching.endpoint import (
     EndpointEvaluator,
-    EvaluationCounters,
     MatchSet,
     MatchTriple,
     evaluate_output_pattern,
@@ -31,7 +30,6 @@ from repro.matching.paths import (
 __all__ = [
     "EMPTY_MAPPING",
     "EndpointEvaluator",
-    "EvaluationCounters",
     "Mapping",
     "MatchSet",
     "MatchTriple",

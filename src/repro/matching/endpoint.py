@@ -15,7 +15,6 @@ at most ``|N|`` rounds and keeps evaluation within NL data complexity
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.errors import PatternError
@@ -41,29 +40,6 @@ MatchTriple = Tuple[Identifier, Identifier, Tuple[Tuple[str, Identifier], ...]]
 
 #: The full semantics of a pattern: a frozenset of match triples.
 MatchSet = FrozenSet[MatchTriple]
-
-
-@dataclass
-class EvaluationCounters:
-    """Instrumentation for the complexity experiments (Corollary 6.4).
-
-    The counters record the dominant unit operations of the evaluator:
-    triples produced, compatibility checks during concatenation, and
-    fixpoint rounds for unbounded repetition.
-    """
-
-    triples_produced: int = 0
-    join_checks: int = 0
-    fixpoint_rounds: int = 0
-    condition_checks: int = 0
-
-    def total_operations(self) -> int:
-        return (
-            self.triples_produced
-            + self.join_checks
-            + self.fixpoint_rounds
-            + self.condition_checks
-        )
 
 
 class _OracleMeter:
@@ -117,11 +93,9 @@ class EndpointEvaluator:
         self,
         graph: PropertyGraph,
         *,
-        counters: Optional[EvaluationCounters] = None,
         max_repetitions: Optional[int] = None,
     ):
         self.graph = graph
-        self.counters = counters if counters is not None else EvaluationCounters()
         #: Resource guard: when set, a repetition whose matches need more
         #: than this many body iterations raises :class:`PatternError`.
         #: ``None`` keeps the paper's semantics (saturation always
@@ -129,8 +103,8 @@ class EndpointEvaluator:
         #: kernels are shared with the planner (:mod:`repro.matching.fixpoint`).
         self.max_repetitions = max_repetitions
 
-    def _count_round(self) -> None:
-        self.counters.fixpoint_rounds += 1
+    @staticmethod
+    def _round_checkpoint() -> None:
         governor = current_governor()
         if governor is not None:
             governor.checkpoint("fixpoint.round")
@@ -169,7 +143,6 @@ class EndpointEvaluator:
         for node in self.graph.nodes:
             mapping = {pattern.variable: node} if pattern.variable else {}
             triples.add((node, node, freeze(mapping)))
-            self.counters.triples_produced += 1
             meter.tick()
         meter.flush()
         return frozenset(triples)
@@ -183,7 +156,6 @@ class EndpointEvaluator:
                 triples.add((edge.source, edge.target, freeze(mapping)))
             else:
                 triples.add((edge.target, edge.source, freeze(mapping)))
-            self.counters.triples_produced += 1
             meter.tick()
         meter.flush()
         return frozenset(triples)
@@ -201,13 +173,11 @@ class EndpointEvaluator:
         for (source, midpoint, left_frozen) in left:
             left_mapping = thaw(left_frozen)
             for (_mid, target, right_frozen) in by_source.get(midpoint, ()):
-                self.counters.join_checks += 1
                 meter.tick()
                 right_mapping = thaw(right_frozen)
                 if compatible(left_mapping, right_mapping):
                     merged = union(left_mapping, right_mapping)
                     triples.add((source, target, freeze(merged)))
-                    self.counters.triples_produced += 1
         meter.flush()
         return frozenset(triples)
 
@@ -219,7 +189,6 @@ class EndpointEvaluator:
         triples = set()
         meter = self._meter()
         for (source, target, frozen) in matches:
-            self.counters.condition_checks += 1
             meter.tick()
             if pattern.condition.satisfied(self.graph, thaw(frozen)):
                 triples.add((source, target, frozen))
@@ -241,7 +210,6 @@ class EndpointEvaluator:
             pairs = self._pairs_bounded(
                 base_pairs, pattern.lower, int(pattern.upper), identity_pairs
             )
-        self.counters.triples_produced += len(pairs)
         return frozenset((source, target, empty) for (source, target) in pairs)
 
     # ------------------------------------------------------------------ #
@@ -261,7 +229,7 @@ class EndpointEvaluator:
             upper,
             identity,
             max_repetitions=self.max_repetitions,
-            on_round=self._count_round,
+            on_round=self._round_checkpoint,
         )
 
     def _pairs_unbounded(
@@ -285,13 +253,13 @@ class EndpointEvaluator:
                 lower,
                 identity,
                 max_repetitions=self.max_repetitions,
-                on_round=self._count_round,
+                on_round=self._round_checkpoint,
             )
         adjacency = fixpoint.adjacency_of(base)
         exact_lower = set(identity)
         for _ in range(lower):
             exact_lower = fixpoint.compose(exact_lower, adjacency)
-            self._count_round()
+            self._round_checkpoint()
             if not exact_lower:
                 return set()
         closure = self._reflexive_transitive_closure(adjacency)
@@ -311,7 +279,7 @@ class EndpointEvaluator:
             seen: Set[Identifier] = {start}
             frontier = [start]
             while frontier:
-                self._count_round()
+                self._round_checkpoint()
                 next_frontier = []
                 for node in frontier:
                     for successor in adjacency.get(node, ()):

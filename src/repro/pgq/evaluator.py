@@ -18,11 +18,10 @@ whose data changed.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Protocol, Tuple
 
 from repro.errors import ArityError, QueryError
-from repro.matching.endpoint import EndpointEvaluator, EvaluationCounters
+from repro.matching.endpoint import EndpointEvaluator
 from repro.observability.tracing import trace_span
 from repro.parameters import Bindings, check_bindings, merge_bindings
 from repro.patterns.ast import bind_output
@@ -120,26 +119,6 @@ class CompiledQuery:
         """Release per-statement resources (none for in-memory engines)."""
 
 
-@dataclass
-class EvaluationStatistics:
-    """Aggregated statistics of one query evaluation.
-
-    Collected for the complexity experiments (E8): number of graph views
-    materialized, sizes of intermediate relations, and the pattern-matching
-    counters of the endpoint evaluator.
-    """
-
-    views_built: int = 0
-    views_reused: int = 0
-    view_nodes: int = 0
-    view_edges: int = 0
-    intermediate_rows: int = 0
-    pattern_counters: EvaluationCounters = field(default_factory=EvaluationCounters)
-
-    def total_operations(self) -> int:
-        return self.intermediate_rows + self.pattern_counters.total_operations()
-
-
 class PGQEvaluator:
     """Evaluates PGQ queries against a fixed database instance.
 
@@ -160,11 +139,9 @@ class PGQEvaluator:
         self,
         database: Database,
         *,
-        collect_statistics: bool = False,
         max_repetitions: Optional[int] = None,
     ):
         self.database = database
-        self.statistics = EvaluationStatistics() if collect_statistics else None
         self.max_repetitions = max_repetitions
         self._memo: Optional[Dict[Query, Relation]] = None
         #: Engine-lifetime LRU cache of materialized graph views and their
@@ -195,19 +172,11 @@ class PGQEvaluator:
         scope is keyed on the snapshot's content fingerprint); connections
         over the same snapshot then pay each view materialization, compact
         encoding and relational CSE result once, not once per engine.
-        Engines collecting per-evaluation statistics keep private views —
-        their matchers are wired to the collecting engine's counters.
         """
         self._snapshot_scope = scope
 
     def _make_matcher(self, graph) -> "PatternMatcher":
         """Oracle-interface hook: build the pattern matcher for one view."""
-        if self.statistics is not None:
-            return EndpointEvaluator(
-                graph,
-                counters=self.statistics.pattern_counters,
-                max_repetitions=self.max_repetitions,
-            )
         return EndpointEvaluator(graph, max_repetitions=self.max_repetitions)
 
     # ------------------------------------------------------------------ #
@@ -243,8 +212,6 @@ class PGQEvaluator:
         finally:
             self._memo = None
             self._bindings = {}
-        if self.statistics is not None:
-            self.statistics.intermediate_rows += len(result)
         return result
 
     def stream(
@@ -389,8 +356,6 @@ class PGQEvaluator:
         """
         span.tag(built_from="relations")
         view_relations = tuple(self._eval(source) for source in sources)
-        if self.statistics is not None:
-            self.statistics.intermediate_rows += sum(len(r) for r in view_relations)
         return materialize_graph(view_relations, max_arity)
 
     def _build_view(
@@ -400,10 +365,6 @@ class PGQEvaluator:
         with trace_span("view.materialize", sources=len(sources)) as span:
             graph, identifier_arity = self._materialize_view(sources, max_arity, span)
             span.tag(nodes=graph.node_count(), edges=graph.edge_count())
-            if self.statistics is not None:
-                self.statistics.views_built += 1
-                self.statistics.view_nodes += graph.node_count()
-                self.statistics.view_edges += graph.edge_count()
             return graph, identifier_arity, self._make_matcher(graph)
 
     def _resolve_graph_pattern(
@@ -412,9 +373,7 @@ class PGQEvaluator:
         """The pattern's materialized view and matcher, cached or built.
 
         Resolution order: the engine-private view LRU, then the shared
-        snapshot cache (when a scope is attached and the engine is not
-        collecting statistics — statistics-wired matchers must stay
-        private), then a cold build.  Bindings of the in-flight execution
+        snapshot cache (when a scope is attached), then a cold build.  Bindings of the in-flight execution
         are applied to the source subqueries first, so the cache key
         always reflects the concrete data.
         """
@@ -430,11 +389,9 @@ class PGQEvaluator:
         cached = self._views.get(key) if key is not None else None
         if cached is not None:
             self._views.move_to_end(key)
-            if self.statistics is not None:
-                self.statistics.views_reused += 1
             return cached
         scope = self._snapshot_scope
-        if scope is not None and key is not None and self.statistics is None:
+        if scope is not None and key is not None:
             entry = scope.view(key, lambda: self._build_view(sources, query.max_arity))
             if entry is not None:
                 return entry[0]

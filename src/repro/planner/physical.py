@@ -126,7 +126,8 @@ def _profile_label(plan: LogicalPlan) -> str:
 
 @dataclass
 class PlanCounters:
-    """Instrumentation mirroring the naive evaluator's counters.
+    """Execution counters of a plan executor: rows produced, hash-join
+    probes, fixpoint rounds and delta pairs of the repetition operator.
 
     ``compact_encode_s`` accumulates the wall-clock cost of building the
     compact integer graph encodings the executor runs on.
@@ -137,9 +138,6 @@ class PlanCounters:
     fixpoint_rounds: int = 0
     delta_pairs: int = 0
     compact_encode_s: float = 0.0
-
-    def total_operations(self) -> int:
-        return self.rows_produced + self.join_probes + self.fixpoint_rounds + self.delta_pairs
 
 
 class PlanCache:

@@ -10,8 +10,8 @@ no tuple of base relations forms a valid property graph view (Proposition
 
 This module provides the PGQrw separating query, the family of bounded
 PGQro queries (alternating path of length exactly/at most ``k``), and a
-direct reference checker; the E2 benchmark sweeps chain lengths to exhibit
-the crossover where every fixed read-only query fails.
+direct reference checker; the separation tests sweep chain lengths on every
+engine to exhibit the crossover where every fixed read-only query fails.
 """
 
 from __future__ import annotations

@@ -99,7 +99,7 @@ def componentwise_approximation(database: Database, edge_relation: str = "E4") -
     ``(x1, x2)`` is declared to reach ``(y1, y2)`` when ``x1`` reaches ``y1``
     in the first graph and ``x2`` reaches ``y2`` in the second.  This is the
     natural best effort with unary identifiers and over-approximates the
-    true answer -- the E4 instances in the benchmark exhibit the gap, which
+    true answer -- the separation tests exhibit instances with a gap, which
     is the executable face of Theorem 5.2.
     """
     rows = database.relation(edge_relation).rows

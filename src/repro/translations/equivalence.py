@@ -3,23 +3,25 @@
 Theorems 6.1 and 6.2 assert that the translations preserve semantics on
 *every* database.  These helpers check the equality ``[[Q]]_D =
 [[phi_Q]]_D`` (and the converse direction) on concrete databases; they back
-the translation test-suites and the E6/E7 benchmarks.
+the translation test-suites.  The PGQ side runs on an execution engine
+(any registered backend), the FO[TC] side on the engine's database.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.logic.algebraic import AlgebraicFOTCEvaluator
 from repro.logic.formulas import Formula
-from repro.pgq.evaluator import PGQEvaluator
 from repro.pgq.queries import Query
 from repro.relational.database import Database
 from repro.relational.relation import Relation
-from repro.relational.schema import Schema
 from repro.translations.fotc_to_pgq import translate_formula
 from repro.translations.pgq_to_fotc import translate_query
+
+if TYPE_CHECKING:
+    from repro.engine.registry import Engine
 
 
 @dataclass(frozen=True)
@@ -32,11 +34,12 @@ class EquivalenceReport:
     detail: str = ""
 
 
-def check_query_translation(query: Query, database: Database, *, schema: Optional[Schema] = None) -> EquivalenceReport:
-    """Check ``[[Q]]_D = [[tau(Q)]]_D`` for the PGQ -> FO[TC] translation."""
-    schema = schema or database.schema
-    direct = PGQEvaluator(database).evaluate(query)
-    formula, variables = translate_query(query, schema)
+def check_query_translation(query: Query, engine: "Engine") -> EquivalenceReport:
+    """Check ``[[Q]]_D = [[tau(Q)]]_D`` for the PGQ -> FO[TC] translation,
+    with ``Q`` evaluated by ``engine`` over its database ``D``."""
+    database = engine.database
+    direct = engine.evaluate(query)
+    formula, variables = translate_query(query, database.schema)
     translated = AlgebraicFOTCEvaluator(database).result(formula, variables)
     equivalent = _same_relation(direct, translated)
     return EquivalenceReport(
@@ -49,17 +52,18 @@ def check_query_translation(query: Query, database: Database, *, schema: Optiona
 
 def check_formula_translation(
     formula: Formula,
-    database: Database,
+    engine: "Engine",
     free_variables: Optional[Tuple[str, ...]] = None,
 ) -> EquivalenceReport:
-    """Check ``[[phi]]_D = [[T(phi)]]_D`` for the FO[TC] -> PGQ translation.
+    """Check ``[[phi]]_D = [[T(phi)]]_D`` for the FO[TC] -> PGQ translation,
+    with ``T(phi)`` evaluated by ``engine`` over its database ``D``.
 
     For sentences the check compares truth values (the translated query is
     unary by convention, non-empty iff true).
     """
-    direct = AlgebraicFOTCEvaluator(database).result(formula, free_variables)
+    direct = AlgebraicFOTCEvaluator(engine.database).result(formula, free_variables)
     query, variables = translate_formula(formula, free_variables)
-    translated = PGQEvaluator(database).evaluate(query)
+    translated = engine.evaluate(query)
     if not variables:
         equivalent = bool(direct) == bool(translated)
         return EquivalenceReport(equivalent, len(direct), len(translated))
@@ -72,13 +76,13 @@ def check_formula_translation(
     )
 
 
-def roundtrip_query(query: Query, database: Database, *, schema: Optional[Schema] = None) -> bool:
-    """PGQ -> FO[TC] -> PGQ round-trip preserves the result on ``database``."""
-    schema = schema or database.schema
-    direct = PGQEvaluator(database).evaluate(query)
-    formula, variables = translate_query(query, schema)
+def roundtrip_query(query: Query, engine: "Engine") -> bool:
+    """PGQ -> FO[TC] -> PGQ round-trip preserves the result: ``engine``
+    evaluates both queries over its database."""
+    direct = engine.evaluate(query)
+    formula, variables = translate_query(query, engine.database.schema)
     back, back_vars = translate_formula(formula, variables)
-    translated = PGQEvaluator(database).evaluate(back)
+    translated = engine.evaluate(back)
     if not back_vars:
         return bool(direct) == bool(translated)
     return _same_relation(direct, translated)

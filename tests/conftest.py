@@ -1,11 +1,47 @@
-"""Shared fixtures: small canonical databases and property graphs."""
+"""Shared fixtures: small canonical databases and property graphs, the
+``engine`` fixture that runs a test on every served backend, and a tracer
+that counts view materializations."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.engine import create_engine
 from repro.graph import PropertyGraph
+from repro.observability import RingBufferSink, Tracer
+from repro.observability.tracing import activate, deactivate, iter_spans
 from repro.relational import Database
+
+
+@pytest.fixture(params=("naive", "planned", "sqlite"))
+def engine(request):
+    """``engine(database)`` builds the parametrized backend over
+    ``database``; every engine built is closed at teardown."""
+    built = []
+
+    def make(database: Database):
+        built.append(create_engine(request.param, database))
+        return built[-1]
+
+    yield make
+    for backend in built:
+        backend.close()
+
+
+@pytest.fixture
+def materialized_views():
+    """Trace the test; ``materialized_views()`` returns the tags of every
+    ``view.materialize`` span so far: one per view built, none for a view
+    served from a cache."""
+    sink = RingBufferSink()
+    token = activate(Tracer([sink]))
+    yield lambda: [
+        span["tags"]
+        for record in sink.records()
+        for span in iter_spans(record)
+        if span["name"] == "view.materialize"
+    ]
+    deactivate(token)
 
 
 @pytest.fixture

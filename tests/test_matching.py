@@ -5,7 +5,6 @@ import pytest
 from repro.graph import PropertyGraph
 from repro.matching import (
     EndpointEvaluator,
-    EvaluationCounters,
     Path,
     PathEvaluator,
     compatible,
@@ -151,14 +150,6 @@ def test_boolean_output_pattern(triangle_graph):
     assert evaluate_output_pattern(triangle_graph, output(edge("t"))) == frozenset({()})
     empty_graph = PropertyGraph()
     assert evaluate_output_pattern(empty_graph, output(edge("t"))) == frozenset()
-
-
-def test_counters_record_work(triangle_graph):
-    counters = EvaluationCounters()
-    evaluator = EndpointEvaluator(triangle_graph, counters=counters)
-    evaluator.evaluate(seq(node("x"), star(seq(edge(), node())), node("y")))
-    assert counters.triples_produced > 0
-    assert counters.total_operations() >= counters.triples_produced
 
 
 # --------------------------------------------------------------------------- #

@@ -524,16 +524,6 @@ class TestMaxRepetitions:
         strict = PathEvaluator(graph, max_repetitions=2, strict=True).evaluate(pattern)
         assert strict == full
 
-    def test_planned_engine_collects_pattern_statistics(self):
-        db = erdos_renyi(7, 0.3, seed=3)
-        query = graph_pattern_on_relations(
-            output(seq(node("x"), plus(seq(edge(), node())), node("y")), "x", "y"), VIEW
-        )
-        engine = PlannedEngine(db, collect_statistics=True, plan_cache=PlanCache())
-        engine.evaluate(query)
-        assert engine.statistics.views_built == 1
-        assert engine.statistics.pattern_counters.total_operations() > 0
-
     def test_path_evaluator_strict_ignores_zero_length_extensions(self):
         from repro.datasets import chain
         from repro.patterns.ast import NodePattern

@@ -2,6 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
+from repro.engine import NaiveEngine
 from repro.graph import PropertyGraph
 from repro.matching import EndpointEvaluator, PathEvaluator, project_endpoints
 from repro.logic import AlgebraicFOTCEvaluator, FOTCEvaluator, atom, reachability_formula
@@ -123,7 +124,7 @@ def test_fo_tc_evaluators_agree_on_reachability(database):
 @settings(max_examples=15, deadline=None)
 @given(edge_databases())
 def test_formula_to_query_translation_on_random_databases(database):
-    report = check_formula_translation(reachability_formula(), database)
+    report = check_formula_translation(reachability_formula(), NaiveEngine(database))
     assert report.equivalent, report.detail
 
 
@@ -139,7 +140,7 @@ def test_query_to_formula_translation_on_random_graphs(graph):
         output(seq(node("x"), plus(seq(edge(), node())), node("y")), "x", "y"),
         ("N", "E", "S", "T", "L", "P"),
     )
-    report = check_query_translation(query, database)
+    report = check_query_translation(query, NaiveEngine(database))
     assert report.equivalent, report.detail
 
 
@@ -202,7 +203,7 @@ def parameterized_patterns(draw):
 @given(small_graphs(), parameterized_patterns(), st.integers(0, 8), st.integers(0, 8))
 def test_sqlite_binds_slots_in_nested_and_bounded_repetition(graph, pattern, first, second):
     from repro.datasets import GRAPH_VIEW_SCHEMA
-    from repro.engine import NaiveEngine, SQLiteEngine
+    from repro.engine import SQLiteEngine
     from repro.engine.sqlite import _SQLiteCompiledQuery
 
     relations = graph_to_view(graph).as_tuple()

@@ -1,9 +1,15 @@
-"""Tests for the PGQ <-> FO[TC] translations (Theorems 6.1, 6.2, 6.5, 6.6)."""
+"""Tests for the PGQ <-> FO[TC] translations (Theorems 6.1, 6.2, 6.5, 6.6).
+
+Every equivalence check evaluates its PGQ side on each served engine (the
+``engine`` fixture of ``conftest.py``).
+"""
+
+import sqlite3
 
 import pytest
 
 from repro.datasets import chain, cycle, erdos_renyi, GRAPH_VIEW_SCHEMA
-from repro.errors import TranslationError
+from repro.errors import EngineError, TranslationError
 from repro.logic import (
     atom,
     eq,
@@ -40,6 +46,7 @@ from repro.pgq import (
     Select,
     Union,
     graph_pattern_on_relations,
+    query_size,
 )
 from repro.relational import ColumnEquals, Database
 from repro.translations import (
@@ -102,29 +109,29 @@ class TestQueryToFormula:
             ),
         ]
 
-    def test_relational_operators_translate(self, graph_db):
+    def test_relational_operators_translate(self, graph_db, engine):
         for query in self.relational_queries():
-            report = check_query_translation(query, graph_db)
+            report = check_query_translation(query, engine(graph_db))
             assert report.equivalent, report.detail
 
-    def test_patterns_translate(self, graph_db):
+    def test_patterns_translate(self, graph_db, engine):
         for query in self.pattern_queries():
-            report = check_query_translation(query, graph_db)
+            report = check_query_translation(query, engine(graph_db))
             assert report.equivalent, report.detail
 
-    def test_boolean_pattern_translates(self, graph_db):
+    def test_boolean_pattern_translates(self, graph_db, engine):
         query = graph_pattern_on_relations(output(seq(node(), edge(), node())), VIEW)
-        report = check_query_translation(query, graph_db)
+        report = check_query_translation(query, engine(graph_db))
         assert report.equivalent
 
-    def test_property_output_translates(self, graph_db):
+    def test_property_output_translates(self, graph_db, engine):
         query = graph_pattern_on_relations(
             output(seq(node("x"), edge("t"), node("y")), "x", prop("t", "w")), VIEW
         )
-        report = check_query_translation(query, graph_db)
+        report = check_query_translation(query, engine(graph_db))
         assert report.equivalent, report.detail
 
-    def test_property_equality_condition_translates(self):
+    def test_property_equality_condition_translates(self, engine):
         db = chain(3)
         db = db.with_relation("P", db.relation("P").union(
             db.relation("P").__class__(3, [("e0", "colour", "red"), ("e2", "colour", "red")])
@@ -134,7 +141,7 @@ class TestQueryToFormula:
             prop_eq("s", "colour", "t", "colour"),
         )
         query = graph_pattern_on_relations(output(pattern, "x", "y"), VIEW)
-        report = check_query_translation(query, db)
+        report = check_query_translation(query, engine(db))
         assert report.equivalent, report.detail
 
     def test_star_translation_uses_tc_of_view_arity(self, graph_db):
@@ -157,17 +164,32 @@ class TestQueryToFormula:
         with pytest.raises(TranslationError):
             translate_query(query, graph_db.schema)
 
-    def test_constant_query_translates(self, graph_db):
+    def test_constant_query_translates(self, graph_db, engine):
         query = Product(BaseRelation("N"), Constant("v0"))
-        report = check_query_translation(query, graph_db)
+        report = check_query_translation(query, engine(graph_db))
         assert report.equivalent
 
-    def test_roundtrip_query(self):
+    def test_roundtrip_query(self, graph_db, engine):
+        for query in self.relational_queries():
+            assert roundtrip_query(query, engine(graph_db)), query
+
+    def test_roundtrip_pattern_query(self, engine):
         db = chain(3)
         query = graph_pattern_on_relations(
             output(seq(node("x"), plus(seq(edge(), node())), node("y")), "x", "y"), VIEW
         )
-        assert roundtrip_query(query, db)
+        backend = engine(db)
+        try:
+            assert roundtrip_query(query, backend)
+        except EngineError as error:
+            # The back-translated query (size 282) nests subqueries past
+            # SQLite's parser stack (3.40.1): sqlite must say so, naming
+            # the query's size, not answer.
+            if backend.name != "sqlite":
+                raise
+            back, _variables = translate_formula(*translate_query(query, db.schema))
+            assert isinstance(error.__cause__, sqlite3.Error)
+            assert f"size-{query_size(back)} query" in str(error)
 
 
 # --------------------------------------------------------------------------- #
@@ -194,26 +216,26 @@ class TestFormulaToQuery:
             tc("u", "v", atom("E", "u", "v"), ("x",), (ConstantTerm(4),)),
         ]
 
-    def test_formulas_translate(self, edge_db):
+    def test_formulas_translate(self, edge_db, engine):
         for formula in self.formulas():
-            report = check_formula_translation(formula, edge_db)
+            report = check_formula_translation(formula, engine(edge_db))
             assert report.equivalent, (formula, report.detail)
 
-    def test_sentence_translates_to_boolean_query(self, edge_db):
+    def test_sentence_translates_to_boolean_query(self, edge_db, engine):
         sentence = exists(("x", "y"), atom("E", "x", "y"))
-        report = check_formula_translation(sentence, edge_db)
+        report = check_formula_translation(sentence, engine(edge_db))
         assert report.equivalent
 
-    def test_tc_with_parameters_translates(self):
+    def test_tc_with_parameters_translates(self, engine):
         database = Database.from_dict({"E": [(1, 2, "a"), (2, 3, "a"), (1, 3, "b")]})
         closure = tc("u", "v", atom("E", "u", "v", "p"), ("x",), ("y",))
-        report = check_formula_translation(closure, database)
+        report = check_formula_translation(closure, engine(database))
         assert report.equivalent, report.detail
 
-    def test_pair_reachability_translates(self):
+    def test_pair_reachability_translates(self, engine):
         database = Database.from_dict({"E": [("a", "b", "b", "c"), ("b", "c", "c", "a")]})
         formula = pair_reachability_formula("E")
-        report = check_formula_translation(formula, database)
+        report = check_formula_translation(formula, engine(database))
         assert report.equivalent, report.detail
 
     def test_roundtrip_formula(self, edge_db):
@@ -223,12 +245,12 @@ class TestFormulaToQuery:
         with pytest.raises(TranslationError):
             translate_formula(atom("E", "x", "y"), ("x",))
 
-    def test_translation_on_unsatisfiable_tc_body(self):
+    def test_translation_on_unsatisfiable_tc_body(self, engine):
         # The TC body is unsatisfiable: the constructed view is empty but the
         # reflexive part must survive (Lemma 9.4 degenerate case).
         database = Database.from_dict({"E": [(1, 2)], "Empty": []}, arities={"Empty": 2})
         closure = tc("u", "v", atom("Empty", "u", "v"), ("x",), ("y",))
-        report = check_formula_translation(closure, database)
+        report = check_formula_translation(closure, engine(database))
         assert report.equivalent, report.detail
 
 
@@ -244,7 +266,7 @@ class TestArityPreservation:
         formula, _vars = translate_query(query, db.schema)
         assert in_fo_tc_n(formula, 1)
 
-    def test_binary_view_yields_fo_tc2(self):
+    def test_binary_view_yields_fo_tc2(self, engine):
         db = Database.from_dict(
             {
                 "N2": [("a", "x"), ("b", "y"), ("c", "z")],
@@ -262,5 +284,5 @@ class TestArityPreservation:
         )
         formula, _vars = translate_query(query, db.schema)
         assert max_tc_arity(formula) == 2
-        report = check_query_translation(query, db)
+        report = check_query_translation(query, engine(db))
         assert report.equivalent, report.detail
