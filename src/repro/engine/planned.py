@@ -21,10 +21,13 @@ endpoint evaluator.
   sufficient whole-set tests) whenever the sources are catalog-shaped and
   the tables pass; otherwise **from relations**, the formal
   ``(R1, ..., R6)`` → ``pgView`` path every other engine always takes and
-  the only one that can reject a view.  Either way the graph goes
-  straight into the compact integer encoding (dense node/edge IDs, label
-  bitsets, property columns — :mod:`repro.graph.compact`) the executor's
-  operators run on; identifiers are decoded only at output projection.
+  the only one that can reject a view.  The executor's operators run on
+  the compact integer encoding (dense node/edge IDs, label bitsets,
+  property columns — :mod:`repro.graph.compact`), and so do the
+  statistics; identifiers are decoded only at output projection.  The
+  scans emit that encoding directly, and the view's ``PropertyGraph`` is
+  decoded from it only if a row-at-a-time consumer asks (a condition the
+  columns cannot answer); the formal path builds the graph and encodes it.
 
 Result sets are identical to the oracle on every query — that is checked
 by the cross-engine equivalence tests.
@@ -106,17 +109,22 @@ class PlannedEngine(PGQEvaluator):
             self.plan_cache = scope.plan_cache()
 
     def _materialize_view(self, sources, max_arity, span):
-        """Build the view from table scans when they can vouch for it
-        (:mod:`repro.pgq.scans` — every catalog-shaped view over sound
-        tables), from the six relations otherwise, and encode it compactly
-        while it is cache-hot, on the cold view path rather than mid-query
-        under the executor's encode lock."""
+        """Build the view's encoding from table scans when they can vouch
+        for it (:mod:`repro.pgq.scans` — every catalog-shaped view over
+        sound tables); otherwise build the graph from the six relations
+        and encode it here, while it is cache-hot, on the cold view path
+        rather than mid-query under the executor's encode lock."""
         built = graph_from_scans(sources, self.database, max_arity)
         if built is None:
             built = super()._materialize_view(sources, max_arity, span)
         else:
             span.tag(built_from="scans")
-        span.tag(compact_encode_s=round(built[0].compact().encode_seconds, 6))
+        encoded = built[0].compact()
+        span.tag(
+            nodes=encoded.node_count,
+            edges=encoded.edge_count,
+            compact_encode_s=round(encoded.encode_seconds, 6),
+        )
         return built
 
     def _make_matcher(self, graph) -> PlanExecutor:

@@ -42,19 +42,29 @@ def result_order(rows: Iterable[Tuple]) -> List[Tuple]:
     return sorted(rows, key=repr)
 
 
-def governed_batches(governor, batches: Iterator[List[Tuple]]) -> Iterator[List[Tuple]]:
+def governed_batches(
+    governor,
+    batches: Iterator[List[Tuple]],
+    on_abort: Callable[[GovernanceError], None],
+) -> Iterator[List[Tuple]]:
     """Meter a streamed projection against the execution's governor.
 
     Counts each decoded batch against ``max_output_rows`` and polls the
     governor once per batch — which covers backends whose streams carry
     no in-engine checkpoints (the SQLite cursor stream) and lets a
-    cross-thread :meth:`QueryResult.cancel` land between batches.
+    cross-thread :meth:`QueryResult.cancel` land between batches.  A
+    governance abort raised while the rows decode — here or at a
+    checkpoint inside the engine's stream — is reported to ``on_abort``
+    once, on its way to the consumer.
     """
     try:
         for batch in batches:
             governor.count_output(len(batch))
             governor.checkpoint("stream.decode")
             yield batch
+    except GovernanceError as error:
+        on_abort(error)
+        raise
     finally:
         # Propagate close() through the wrapper so abandoning a streamed
         # result releases the underlying cursor (not just this generator).

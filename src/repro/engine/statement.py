@@ -12,6 +12,7 @@ statically-empty short-circuit and the streaming hand-off.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from time import perf_counter
 from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple
 
@@ -266,7 +267,13 @@ class PreparedStatement:
                             arity, batches, ordered = streamed
                             span.tag(streamed=True)
                             if governor is not None:
-                                batches = governed_batches(governor, batches)
+                                # An abort while the rows decode happens
+                                # after this window: counted where it raises.
+                                batches = governed_batches(
+                                    governor,
+                                    batches,
+                                    partial(telemetry.record_governance_abort, session),
+                                )
                             result = streamed_result(statement, arity, batches, ordered)
                             session._live_streams.track(result)
                     if result is None:

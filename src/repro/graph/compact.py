@@ -1,10 +1,10 @@
 """Compact integer encoding of a property graph (the columnar core).
 
-This module interns a :class:`~repro.graph.property_graph.PropertyGraph`
-into dense integer IDs once, so the operators of
-:mod:`repro.planner.physical` run over plain ``int`` columns instead of
-hashing and comparing :class:`~repro.graph.identifiers.Identifier` tuples,
-and decode back to identifiers only at output projection:
+A :class:`CompactGraph` holds one graph as dense integer IDs and columns
+over them, so the operators of :mod:`repro.planner.physical` run over
+plain ``int`` columns instead of hashing and comparing
+:class:`~repro.graph.identifiers.Identifier` tuples, and decode back to
+identifiers only at output projection:
 
 * **ID interning** — nodes are numbered ``0..n-1`` and edges ``0..m-1``;
   ``node_ids``/``edge_ids`` decode an ID back to its identifier tuple and
@@ -13,15 +13,22 @@ and decode back to identifiers only at output projection:
   space — nodes first, then edges, so node ``i`` is element ``i`` and edge
   ``e`` is element ``n + e`` — decoded through :meth:`CompactGraph.ids`;
 * **CSR adjacency** — forward and backward neighbor lists in compressed
-  sparse row form (``array``-backed offsets/targets/edge columns), plus
-  flat per-edge ``edge_src``/``edge_tgt`` columns for edge scans;
+  sparse row form (``array``-backed offsets/targets/edge columns), derived
+  on first navigation from the flat per-edge ``edge_src``/``edge_tgt``
+  columns that edge scans read;
 * **label bitsets** — one big-int bitmask per label over node IDs and one
   over edge IDs, so a labeled scan is bit iteration instead of frozenset
   intersection;
-* **property columns** — per-key dense value columns (one list per ID
-  space, built lazily; the element column is the node column followed by
-  the edge column), replacing per-row dictionary probes at projection
-  time.
+* **property columns** — per-key dense value columns, one per ID space
+  (the element column is the node column followed by the edge column),
+  replacing per-row dictionary probes at projection time.
+
+The one constructor takes those columns.  Two builders produce them: the
+planned engine's table scans (:mod:`repro.pgq.scans`) emit them straight
+from the base tables, and :meth:`PropertyGraph.compact` computes them
+from a materialized graph — the formal ``pgView`` path and hand-built
+graphs.  :meth:`CompactGraph.decode` is the way back: the graph
+components a row-at-a-time consumer of a scans-built view reads.
 
 Instances are immutable snapshots: :meth:`PropertyGraph.compact` caches
 one per graph and rebuilds it when the graph's mutation version moves, so
@@ -40,27 +47,46 @@ propagation over per-node successor bitmasks.
 from __future__ import annotations
 
 from array import array
+from itertools import repeat
+from operator import is_not
 from time import perf_counter
 from typing import (
-    TYPE_CHECKING,
     Any,
     Dict,
+    Iterable,
     Iterator,
     List,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
 from repro.graph.identifiers import Identifier
 from repro.observability.tracing import active_tracer
 
-if TYPE_CHECKING:  # pragma: no cover - type hints only
-    from repro.graph.property_graph import PropertyGraph
-
 #: Sentinel for "property undefined on this element" inside dense columns
 #: (``None`` is a legal property value).
 MISSING = object()
+
+
+def defined_count(column: Sequence[Any]) -> int:
+    """How many slots of a property column hold a value (identity test
+    against :data:`MISSING`, so no value's ``__eq__`` runs)."""
+    return sum(map(is_not, column, repeat(MISSING)))
+
+
+def bitmask(positions: Iterable[int], size: int) -> int:
+    """The bitmask with exactly ``positions`` set (each ``< size``): a run
+    of consecutive IDs is one shift, anything else is set in a byte buffer
+    instead of one big-int OR per position."""
+    if type(positions) is range and positions.step == 1:
+        return ((1 << len(positions)) - 1) << positions.start
+    bits = bytearray((size + 7) // 8)
+    for position in positions:
+        bits[position >> 3] |= 1 << (position & 7)
+    return int.from_bytes(bits, "little")
+
 
 #: Bit offsets set within each possible byte value: decoding a bitmask is
 #: one table lookup per non-zero byte instead of per-bit big-int twiddling.
@@ -95,95 +121,140 @@ def bit_positions(mask: int) -> List[int]:
     ]
 
 
+def split_spaces(
+    masks: Dict[str, int], columns: Dict[str, List[Any]], node_count: int
+) -> Tuple[Dict[str, int], Dict[str, int], Dict[str, List[Any]], Dict[str, List[Any]]]:
+    """Label bitmasks and property columns over the element space (the
+    ``node_count`` nodes, then the edges), split into ``(node_labels,
+    edge_labels, node_properties, edge_properties)`` — the per-space
+    arguments of :class:`CompactGraph`, each without the labels and keys
+    its space does not carry."""
+    node_bits = (1 << node_count) - 1
+    node_labels = {label: mask & node_bits for label, mask in masks.items() if mask & node_bits}
+    edge_labels = {
+        label: mask >> node_count for label, mask in masks.items() if mask >> node_count
+    }
+    node_properties: Dict[str, List[Any]] = {}
+    edge_properties: Dict[str, List[Any]] = {}
+    for key, column in columns.items():
+        for found, part in (
+            (node_properties, column[:node_count]),
+            (edge_properties, column[node_count:]),
+        ):
+            if any(map(is_not, part, repeat(MISSING))):
+                found[key] = part
+    return node_labels, edge_labels, node_properties, edge_properties
+
+
 class CompactGraph:
     """Immutable integer-ID snapshot of one property graph.
 
-    Built through :meth:`PropertyGraph.compact`, which caches the snapshot
-    and invalidates it on graph mutation; ``version`` records the graph
-    version the snapshot encodes and ``encode_seconds`` what building it
-    cost (surfaced as the ``compact_encode_s`` counter).
+    ``node_labels``/``edge_labels`` map a label to its bitmask over one ID
+    space; ``node_properties``/``edge_properties`` map a property key to
+    its dense column over one ID space (:data:`MISSING` where undefined).
+    The constructor adopts every argument as-is.  ``version`` records the
+    graph version the snapshot encodes and ``encode_seconds`` what
+    building it cost since ``started`` (a ``perf_counter`` reading),
+    surfaced as the ``compact_encode_s`` counter.
     """
 
     __slots__ = (
-        "graph",
         "version",
         "encode_seconds",
         "node_ids",
         "node_index",
         "edge_ids",
-        "_edge_index",
+        "edge_index",
         "edge_src",
         "edge_tgt",
+        "node_labels",
+        "edge_labels",
+        "node_properties",
+        "edge_properties",
         "_element_ids",
         "_fwd_csr",
         "_bwd_csr",
-        "_node_label_masks",
-        "_edge_label_masks",
         "_property_columns",
         "_decode_tables",
     )
 
-    def __init__(self, graph: "PropertyGraph", *, version: int = 0):
-        start = perf_counter()
-        self.graph = graph
+    def __init__(
+        self,
+        node_ids: List[Identifier],
+        node_index: Dict[Identifier, int],
+        edge_ids: List[Identifier],
+        edge_index: Dict[Identifier, int],
+        edge_src: array,
+        edge_tgt: array,
+        node_labels: Dict[str, int],
+        edge_labels: Dict[str, int],
+        node_properties: Dict[str, List[Any]],
+        edge_properties: Dict[str, List[Any]],
+        *,
+        started: float,
+        version: int = 0,
+    ):
         self.version = version
-
-        self.node_ids: List[Identifier] = list(graph.nodes)
-        self.node_index: Dict[Identifier, int] = {
-            ident: i for i, ident in enumerate(self.node_ids)
-        }
-        edges = list(graph.edge_tuples())
-        self.edge_ids: List[Identifier] = [edge.ident for edge in edges]
-        # The edge interning map is only consulted by label bitsets and
-        # edge property columns; built on first use.
-        self._edge_index: Optional[Dict[Identifier, int]] = None
+        self.node_ids = node_ids
+        self.node_index = node_index
+        self.edge_ids = edge_ids
+        self.edge_index = edge_index
+        self.edge_src = edge_src
+        self.edge_tgt = edge_tgt
+        self.node_labels = node_labels
+        self.edge_labels = edge_labels
+        self.node_properties = node_properties
+        self.edge_properties = edge_properties
         self._element_ids: Optional[List[Identifier]] = None
-        node_index = self.node_index
-        self.edge_src = array("q", (node_index[edge.source] for edge in edges))
-        self.edge_tgt = array("q", (node_index[edge.target] for edge in edges))
-
         # CSR adjacency is derived from the flat edge columns on first
         # navigation; scans and the fixpoint run off the columns directly,
         # so eager construction would tax every encode.
         self._fwd_csr = None
         self._bwd_csr = None
-
-        # Label bitsets and per-key property columns are built on first
-        # use: unlabeled scans and property-free queries never pay for
-        # them, and queries that do touch a label/key pay exactly once.
-        self._node_label_masks: Optional[Dict[str, int]] = None
-        self._edge_label_masks: Optional[Dict[str, int]] = None
         self._property_columns: Dict[Tuple[str, str], List[Any]] = {}
         self._decode_tables: Dict[Tuple, Any] = {}
-        self.encode_seconds = perf_counter() - start
+        self.encode_seconds = perf_counter() - started
         tracer = active_tracer()
         if tracer.enabled:
             tracer.event(
                 "compact.encode",
                 seconds=self.encode_seconds,
-                nodes=len(self.node_ids),
-                edges=len(self.edge_ids),
+                nodes=len(node_ids),
+                edges=len(edge_ids),
             )
 
-    def _build_label_masks(self) -> None:
-        node_masks: Dict[str, int] = {}
-        edge_masks: Dict[str, int] = {}
-        node_index, edge_index = self.node_index, self.edge_index
-        for label, elements in self.graph.label_index().items():
-            node_mask = 0
-            edge_mask = 0
-            for element in elements:
-                position = node_index.get(element)
-                if position is not None:
-                    node_mask |= 1 << position
-                else:
-                    position = edge_index.get(element)
-                    if position is not None:
-                        edge_mask |= 1 << position
-            node_masks[label] = node_mask
-            edge_masks[label] = edge_mask
-        self._node_label_masks = node_masks
-        self._edge_label_masks = edge_masks
+    def decode(
+        self,
+    ) -> Tuple[
+        List[Identifier],
+        Dict[Identifier, Tuple[Identifier, Identifier]],
+        Dict[Identifier, Set[str]],
+        Dict[Tuple[Identifier, str], Any],
+    ]:
+        """The graph this encodes, as ``(nodes, edge -> (source, target),
+        labels, properties)`` — the components of Definition 2.1, with
+        every element spelled as its ``node_ids`` / ``edge_ids`` entry."""
+        node_ids = self.node_ids
+        endpoints = {
+            ident: (node_ids[source], node_ids[target])
+            for ident, source, target in zip(self.edge_ids, self.edge_src, self.edge_tgt)
+        }
+        labels: Dict[Identifier, Set[str]] = {}
+        properties: Dict[Tuple[Identifier, str], Any] = {}
+        for ids, masks, columns in (
+            (node_ids, self.node_labels, self.node_properties),
+            (self.edge_ids, self.edge_labels, self.edge_properties),
+        ):
+            for label, mask in masks.items():
+                for position in bit_positions(mask):
+                    labels.setdefault(ids[position], set()).add(label)
+            for key, column in columns.items():
+                properties.update(
+                    ((ident, key), value)
+                    for ident, value in zip(ids, column)
+                    if value is not MISSING
+                )
+        return node_ids, endpoints, labels, properties
 
     # ------------------------------------------------------------------ #
     # Sizes
@@ -195,13 +266,6 @@ class CompactGraph:
     @property
     def edge_count(self) -> int:
         return len(self.edge_ids)
-
-    @property
-    def edge_index(self) -> Dict[Identifier, int]:
-        """Edge identifier -> dense ID interning map, built on first use."""
-        if self._edge_index is None:
-            self._edge_index = {ident: i for i, ident in enumerate(self.edge_ids)}
-        return self._edge_index
 
     def ids(self, kind: str) -> List[Identifier]:
         """Interning table of one ID space: ``"node"``, ``"edge"``, or
@@ -219,15 +283,11 @@ class CompactGraph:
     # ------------------------------------------------------------------ #
     def node_label_mask(self, label: str) -> int:
         """Bitmask over node IDs carrying ``label`` (0 when absent)."""
-        if self._node_label_masks is None:
-            self._build_label_masks()
-        return self._node_label_masks.get(label, 0)
+        return self.node_labels.get(label, 0)
 
     def edge_label_mask(self, label: str) -> int:
         """Bitmask over edge IDs carrying ``label`` (0 when absent)."""
-        if self._edge_label_masks is None:
-            self._build_label_masks()
-        return self._edge_label_masks.get(label, 0)
+        return self.edge_labels.get(label, 0)
 
     # ------------------------------------------------------------------ #
     # Properties
@@ -237,26 +297,21 @@ class CompactGraph:
 
         ``kind`` is ``"node"``, ``"edge"`` or ``"element"`` (the node
         column followed by the edge column); absent values hold the
-        :data:`MISSING` sentinel.  Columns are built once per (key, kind)
-        and shared by every projection afterwards.
+        :data:`MISSING` sentinel.  The element column, and the all-missing
+        column of a key one space does not carry, are built once per
+        (key, kind) and shared by every projection afterwards.
         """
-        cached = self._property_columns.get((key, kind))
-        if cached is not None:
-            return cached
-        column: List[Any]
-        if kind == "element":
-            column = self.property_column(key, "node") + self.property_column(key, "edge")
-        else:
-            if kind == "node":
-                index, size = self.node_index, len(self.node_ids)
+        if kind != "element":
+            column = (self.node_properties if kind == "node" else self.edge_properties).get(key)
+            if column is not None:
+                return column
+        column = self._property_columns.get((key, kind))
+        if column is None:
+            if kind == "element":
+                column = self.property_column(key, "node") + self.property_column(key, "edge")
             else:
-                index, size = self.edge_index, len(self.edge_ids)
-            column = [MISSING] * size
-            for ident, value in self.graph.property_index(key).items():
-                position = index.get(ident)
-                if position is not None:
-                    column[position] = value
-        self._property_columns[(key, kind)] = column
+                column = [MISSING] * len(self.ids(kind))
+            self._property_columns[(key, kind)] = column
         return column
 
     def fragments(self, key: Optional[str], kind: str) -> Sequence[Optional[Tuple]]:

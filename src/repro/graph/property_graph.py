@@ -11,18 +11,27 @@ A property graph is a tuple ``G = <N, E, src, tgt, lab, prop>`` where
 Identifiers are canonical tuples (see :mod:`repro.graph.identifiers`); the
 extended fragment of the paper allows arities greater than one, and this
 class supports that uniformly.
+
+A graph is either built from its components (the incremental API, or
+``pgView``'s trusted bulk constructor) and encoded on demand
+(:meth:`PropertyGraph.compact`), or built from its encoding
+(:meth:`PropertyGraph._from_compact`, the planned engine's table scans) and
+its components decoded on first read — so a view that only ever runs on
+the encoding never pays for the dictionaries below.
 """
 
 from __future__ import annotations
 
 import threading
-from types import MappingProxyType
+from array import array
+from time import perf_counter
 from typing import (
     Any,
     Dict,
     FrozenSet,
     Iterable,
     Iterator,
+    List,
     Mapping,
     NamedTuple,
     Optional,
@@ -31,10 +40,11 @@ from typing import (
 )
 
 from repro.errors import GraphError
+from repro.graph.compact import MISSING, CompactGraph, bitmask, split_spaces
 from repro.graph.identifiers import Identifier, as_identifier
 
-if False:  # pragma: no cover - type hints only (import cycle guard)
-    from repro.graph.compact import CompactGraph
+#: The components a graph built from its encoding decodes on first read.
+_COMPONENTS = ("_nodes", "_edges", "_labels", "_properties")
 
 
 class Edge(NamedTuple):
@@ -70,19 +80,18 @@ class PropertyGraph:
         # navigate per node).
         self._outgoing: Optional[Dict[Identifier, Set[Identifier]]] = {}
         self._incoming: Optional[Dict[Identifier, Set[Identifier]]] = {}
-        # Lazy label -> elements partition backing ``elements_with_label``;
-        # invalidated whenever a label is attached.
-        self._label_index: Optional[Dict[str, FrozenSet[Identifier]]] = None
         # Mutation version and the compact integer snapshot built for it;
         # ``compact()`` rebuilds whenever the version moves, so executors
         # never run on a stale encoding.
         self._version: int = 0
         self._compact: Optional["CompactGraph"] = None
         # Guards the lazy compact build so concurrent executors sharing
-        # one snapshot graph encode it exactly once; ``_compact_builds``
+        # one snapshot graph encode it exactly once (and a graph built
+        # from its encoding decodes its components once); ``_compact_builds``
         # counts the encodes that actually ran (snapshot-cache stats
-        # assert one encode per shared view).
-        self._compact_lock = threading.Lock()
+        # assert one encode per shared view).  Reentrant, so neither lazy
+        # step can deadlock on the other.
+        self._compact_lock = threading.RLock()
         self._compact_builds: int = 0
 
     def _ensure_adjacency(self) -> None:
@@ -120,15 +129,52 @@ class PropertyGraph:
         not mutate them afterwards.
         """
         graph = cls()
-        graph._nodes = set(nodes)
-        graph._edges = {
-            ident: Edge(ident, source, target) for ident, (source, target) in edges.items()
-        }
+        graph._adopt(nodes, edges, labels, properties)
         graph._outgoing = None
         graph._incoming = None
-        graph._labels = labels
-        graph._properties = properties
         return graph
+
+    def _adopt(
+        self,
+        nodes: Iterable[Identifier],
+        edges: Mapping[Identifier, Tuple[Identifier, Identifier]],
+        labels: Dict[Identifier, Set[str]],
+        properties: Dict[Tuple[Identifier, str], Any],
+    ) -> None:
+        self._nodes = set(nodes)
+        self._edges = {
+            ident: Edge(ident, source, target) for ident, (source, target) in edges.items()
+        }
+        self._labels = labels
+        self._properties = properties
+
+    @classmethod
+    def _from_compact(cls, encoded: CompactGraph) -> "PropertyGraph":
+        """A graph whose encoding is ``encoded`` — built by a caller that
+        checked Definition 2.1 on the encoding itself (the table scans of
+        :mod:`repro.pgq.scans`).  :meth:`compact` returns ``encoded``; the
+        components are decoded from it on first read (``__getattr__``),
+        and the graph keeps nothing else alive."""
+        graph = cls()
+        for name in _COMPONENTS:
+            delattr(graph, name)
+        graph._outgoing = None
+        graph._incoming = None
+        graph._compact = encoded
+        graph._compact_builds = 1
+        return graph
+
+    def __getattr__(self, name: str) -> Any:
+        # Reached only when an attribute is not set: the components of a
+        # graph built from its encoding, before anything has read them.
+        # Decoding sets all four, so later reads never come back here.
+        encoded = self.__dict__.get("_compact")
+        if name not in _COMPONENTS or encoded is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        with self._compact_lock:  # executors sharing the view decode it once
+            if name not in self.__dict__:
+                self._adopt(*encoded.decode())
+        return self.__dict__[name]
 
     def add_node(
         self,
@@ -203,7 +249,6 @@ class PropertyGraph:
             raise GraphError(f"cannot label unknown element {ident!r}")
         self._version += 1
         self._labels.setdefault(ident, set()).add(str(label))
-        self._label_index = None
 
     def set_property(self, element: Any, key: str, value: Any) -> None:
         """Set property ``key`` of an existing node or edge to ``value``."""
@@ -256,20 +301,6 @@ class PropertyGraph:
         """Return True when ``prop`` is defined on ``(element, key)``."""
         return (as_identifier(element), str(key)) in self._properties
 
-    def property_index(self, key: str) -> Dict[Identifier, Any]:
-        """All elements carrying property ``key``, as an element -> value map.
-
-        Bulk counterpart of :meth:`property` used by the planner's output
-        projection: one pass over ``prop`` replaces a per-row lookup pair
-        (``has_property`` + ``property``).
-        """
-        key = str(key)
-        return {
-            owner: value
-            for (owner, owner_key), value in self._properties.items()
-            if owner_key == key
-        }
-
     def properties(self, element: Any) -> Dict[str, Any]:
         """All key/value properties of one element, as a plain dict."""
         ident = as_identifier(element)
@@ -314,27 +345,9 @@ class PropertyGraph:
         """Iterate over all edges as :class:`Edge` records."""
         return iter(self._edges.values())
 
-    def label_index(self) -> Mapping[str, FrozenSet[Identifier]]:
-        """The full label -> elements partition, built lazily and cached.
-
-        One pass over ``lab`` serves every labeled scan afterwards; the
-        index is dropped whenever a label is attached, so incremental
-        mutation stays correct.  Returned read-only so callers cannot
-        corrupt the cached partition.
-        """
-        if self._label_index is None:
-            partition: Dict[str, Set[Identifier]] = {}
-            for ident, labels in self._labels.items():
-                for label in labels:
-                    partition.setdefault(label, set()).add(ident)
-            self._label_index = {
-                label: frozenset(elements) for label, elements in partition.items()
-            }
-        return MappingProxyType(self._label_index)
-
     def elements_with_label(self, label: str) -> FrozenSet[Identifier]:
         """All nodes and edges carrying ``label``."""
-        return self.label_index().get(label, frozenset())
+        return frozenset(ident for ident, labels in self._labels.items() if label in labels)
 
     def mutation_version(self) -> int:
         """Counter bumped by every mutator; caches key on it to detect
@@ -355,8 +368,6 @@ class PropertyGraph:
         ``add_edge`` / ``add_label`` / ``set_property`` call invalidates it,
         so callers always observe the current graph.
         """
-        from repro.graph.compact import CompactGraph
-
         cached = self._compact
         if cached is not None and cached.version == self._version:
             return cached
@@ -367,22 +378,54 @@ class PropertyGraph:
             cached = self._compact
             if cached is not None and cached.version == self._version:
                 return cached
-            built = CompactGraph(self, version=self._version)
+            built = self._encode()
             self._compact = built
             self._compact_builds += 1
         return built
 
+    def _encode(self) -> CompactGraph:
+        """The columns of :class:`CompactGraph`, one pass over each
+        component: IDs in iteration order, label positions grouped into one
+        bitmask per label and values into one dense column per key, over
+        the element space first and then split by space."""
+        started = perf_counter()
+        node_ids = list(self._nodes)
+        edges = list(self._edges.values())
+        edge_ids = [edge.ident for edge in edges]
+        node_count, size = len(node_ids), len(node_ids) + len(edge_ids)
+        node_index = dict(zip(node_ids, range(node_count)))
+        edge_index = dict(zip(edge_ids, range(len(edge_ids))))
+        # Label- and property-free views (the pair graphs of Theorem 5.2) skip it.
+        element_index = (
+            dict(zip(node_ids + edge_ids, range(size))) if self._labels or self._properties else {}
+        )
+        positions: Dict[str, List[int]] = {}
+        for element, labels in self._labels.items():
+            position = element_index[element]
+            for label in labels:
+                positions.setdefault(label, []).append(position)
+        columns: Dict[str, List[Any]] = {}
+        for (element, key), value in self._properties.items():
+            column = columns.get(key)
+            if column is None:
+                column = columns[key] = [MISSING] * size
+            column[element_index[element]] = value
+        masks = {label: bitmask(found, size) for label, found in positions.items()}
+        return CompactGraph(
+            node_ids,
+            node_index,
+            edge_ids,
+            edge_index,
+            array("q", [node_index[edge.source] for edge in edges]),
+            array("q", [node_index[edge.target] for edge in edges]),
+            *split_spaces(masks, columns, node_count),
+            started=started,
+            version=self._version,
+        )
+
     def compact_build_count(self) -> int:
         """How many compact encodings this graph has paid for (stats)."""
         return self._compact_builds
-
-    def property_key_counts(self) -> Dict[str, int]:
-        """Number of elements carrying each property key (statistics)."""
-        from collections import Counter
-        from operator import itemgetter
-
-        # Counter over a C-level key extractor: one pass, no Python loop.
-        return dict(Counter(map(itemgetter(1), self._properties)))
 
     # ------------------------------------------------------------------ #
     # Metrics & invariants

@@ -352,11 +352,14 @@ class PGQEvaluator:
         Engines with a cheaper way that cannot reject a view (the planned
         engine's table scans) override this and end up here whenever
         theirs does not apply.  ``span`` is the open ``view.materialize``
-        span: the builder that serves the view says so in ``built_from``.
+        span: the builder that serves the view says so in ``built_from``,
+        and tags the view's ``nodes`` and ``edges``.
         """
         span.tag(built_from="relations")
         view_relations = tuple(self._eval(source) for source in sources)
-        return materialize_graph(view_relations, max_arity)
+        graph, identifier_arity = materialize_graph(view_relations, max_arity)
+        span.tag(nodes=graph.node_count(), edges=graph.edge_count())
+        return graph, identifier_arity
 
     def _build_view(
         self, sources: Tuple, max_arity: Optional[int]
@@ -364,7 +367,6 @@ class PGQEvaluator:
         """Cold path: materialize the view's graph, build its pattern matcher."""
         with trace_span("view.materialize", sources=len(sources)) as span:
             graph, identifier_arity = self._materialize_view(sources, max_arity, span)
-            span.tag(nodes=graph.node_count(), edges=graph.edge_count())
             return graph, identifier_arity, self._make_matcher(graph)
 
     def _resolve_graph_pattern(

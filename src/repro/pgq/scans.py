@@ -9,10 +9,20 @@ constant column.  Such a source is a union of **scan terms**
 assembled from the terms directly, one pass over each base table, without
 materializing ``(R1, ..., R6)`` first.
 
+What the scans assemble is the graph's compact encoding
+(:class:`~repro.graph.compact.CompactGraph`), not a graph that is then
+encoded.  Node and edge keys are interned once, in table-row order, into
+dense IDs, so a term over the table that introduced its elements — the
+labels, properties and endpoints of a catalog table — lines up with them
+row for row: its IDs are a range, its label a run of bits, its property
+column one slice of the table's column.  Anything else is looked up in the index
+maps.  The :class:`~repro.graph.property_graph.PropertyGraph` of the view
+is derived from the encoding only when a row-at-a-time consumer reads it.
+
 This builder **only ever accepts**.  The definition's conditions (1)-(4)
-are enforced through *sufficient* whole-set tests; a source outside the
-grammar, or tables that miss any test (a duplicated key, a dangling
-endpoint, a node/edge overlap, inconsistent arities), make
+are enforced through *sufficient* whole-set tests on the index maps; a
+source outside the grammar, or tables that miss any test (a duplicated
+key, a dangling endpoint, a node/edge overlap, inconsistent arities), make
 :func:`graph_from_scans` return ``None``, and the caller then takes the
 formal path — the six relations and :func:`repro.pgq.views.materialize_graph`
 — which accepts or raises :class:`~repro.errors.ViewError` in its own
@@ -22,8 +32,14 @@ the naive and sqlite engines never come here.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union as Either
+from array import array
+from itertools import repeat
+from time import perf_counter
+from typing import (
+    Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union as Either
+)
 
+from repro.graph.compact import MISSING, CompactGraph, bitmask, defined_count, split_spaces
 from repro.graph.identifiers import Identifier
 from repro.graph.property_graph import PropertyGraph
 from repro.parameters import Parameter
@@ -112,13 +128,20 @@ class _Tables:
         self._columns: Dict[str, Tuple[int, Tuple[Tuple, ...]]] = {}
         self._picked: Dict[ScanTerm, List] = {}
 
-    def values(self, table: str, pick: Pick) -> Sequence:
-        """One picked column, a value per row of ``table``."""
+    def _transposed(self, table: str) -> Tuple[int, Tuple[Tuple, ...]]:
         found = self._columns.get(table)
         if found is None:
             rows = self._database.relation(table).rows
             found = self._columns[table] = (len(rows), tuple(zip(*rows)))
-        count, columns = found
+        return found
+
+    def count(self, table: str) -> int:
+        """Rows of ``table``."""
+        return self._transposed(table)[0]
+
+    def values(self, table: str, pick: Pick) -> Sequence:
+        """One picked column, a value per row of ``table``."""
+        count, columns = self._transposed(table)
         if type(pick) is Literal:
             return [pick.value] * count
         return columns[pick] if count else ()
@@ -142,13 +165,85 @@ class _Tables:
         return found
 
 
+#: Where each interned term's rows start in its ID space.
+Spans = Dict[ScanTerm, int]
+
+
+def _intern(
+    tables: _Tables, terms: List[ScanTerm]
+) -> Optional[Tuple[Dict[Identifier, int], Spans]]:
+    """``(identifier -> dense ID, spans)`` of the keys ``terms`` emit, IDs
+    in term then table-row order; ``None`` when a key repeats — the
+    sufficient test for one row per element."""
+    index: Dict[Identifier, int] = {}
+    spans: Spans = {}
+    rows = 0
+    for term in terms:
+        keys = tables.tuples(*term)
+        spans.setdefault(term, rows)
+        index.update(zip(keys, range(rows, rows + len(keys))))
+        rows += len(keys)
+    return (index, spans) if len(index) == rows else None
+
+
+def _positions(
+    tables: _Tables,
+    term: ScanTerm,
+    spans: Spans,
+    index: Callable[[], Dict[Identifier, int]],
+) -> Optional[Sequence[int]]:
+    """Dense IDs of the keys ``term`` emits, row by row, in one ID space.
+
+    A term the space was interned from (same table, same key picks) gets
+    its span: row ``i`` is ID ``offset + i``.  Any other term looks its
+    keys up in ``index()``; ``None`` when one is not in the space.
+    """
+    offset = spans.get(term)
+    if offset is not None:
+        return range(offset, offset + tables.count(term[0]))
+    found = list(map(index().get, tables.tuples(*term)))
+    return None if None in found else found
+
+
+def _endpoint_column(
+    tables: _Tables,
+    terms: List[ScanTerm],
+    arity: int,
+    edge_spans: Spans,
+    edge_index: Dict[Identifier, int],
+    node_index: Dict[Identifier, int],
+) -> Optional[array]:
+    """The node ID of every edge's source (or target), by edge ID, or
+    ``None`` unless ``terms`` encode a total function E -> N with one row
+    per edge — condition (2)."""
+    column = [-1] * len(edge_index)
+    written = 0
+    for table, picks in terms:
+        edges = _positions(tables, (table, picks[:arity]), edge_spans, lambda: edge_index)
+        nodes = list(map(node_index.get, tables.tuples(table, picks[arity:])))
+        if edges is None or None in nodes:
+            return None
+        if type(edges) is range:
+            column[edges.start : edges.stop] = nodes
+        else:
+            for edge, node in zip(edges, nodes):
+                column[edge] = node
+        written += len(nodes)
+    # As many rows as edges, and none left without an image: one row each.
+    if written != len(column) or -1 in column:
+        return None
+    return array("q", column)
+
+
 def graph_from_scans(
     sources: Sequence[Query], database: Database, max_arity: Optional[int]
 ) -> Optional[Tuple[PropertyGraph, int]]:
     """``(graph, identifier arity)`` built straight from the base tables the
     six ``sources`` scan, or ``None`` when this builder cannot vouch for
-    the view (see the module docstring): never an error of its own.
+    the view (see the module docstring): never an error of its own.  The
+    graph is built from its encoding and decodes its components lazily.
     """
+    started = perf_counter()
     if len(sources) != 6:
         return None
     lowered = [lower_source(source, database.schema) for source in sources]
@@ -167,58 +262,87 @@ def graph_from_scans(
     )
     tables = _Tables(database)
 
-    nodes: Set[Identifier] = set().union(*[tables.tuples(*term) for term in node_terms])
-    edges: Set[Identifier] = set().union(*[tables.tuples(*term) for term in edge_terms])
+    nodes, edges = _intern(tables, node_terms), _intern(tables, edge_terms)
+    if nodes is None or edges is None:
+        return None
+    (node_index, node_spans), (edge_index, edge_spans) = nodes, edges
     # Condition (1).
-    if not nodes.isdisjoint(edges):
+    if not node_index.keys().isdisjoint(edge_index):
+        return None
+    # Condition (2).
+    endpoints = [
+        _endpoint_column(tables, terms, arity, edge_spans, edge_index, node_index)
+        for terms in (source_terms, target_terms)
+    ]
+    if None in endpoints:
         return None
 
-    # Condition (2): each map is a total function E -> N, one row per edge.
-    endpoint_maps: List[Dict[Identifier, Identifier]] = []
-    for terms in (source_terms, target_terms):
-        mapping: Dict[Identifier, Identifier] = {}
-        emitted = 0
-        for table, picks in terms:
-            keys = tables.tuples(table, picks[:arity])
-            mapping.update(zip(keys, tables.tuples(table, picks[arity:])))
-            emitted += len(keys)
-        if (
-            len(mapping) != emitted
-            or mapping.keys() != edges
-            or not nodes.issuperset(mapping.values())
-        ):
+    # Conditions (3) and (4) over the element space: nodes, then edges.
+    node_count = len(node_index)
+    size = node_count + len(edge_index)
+    element_spans = {**node_spans, **{t: node_count + o for t, o in edge_spans.items()}}
+    element_index: Dict[Identifier, int] = {}
+
+    def elements() -> Dict[Identifier, int]:
+        if len(element_index) != size:  # built for the first term that needs it
+            element_index.update(node_index)
+            element_index.update(zip(edge_index, range(node_count, size)))
+        return element_index
+
+    def grouped(table: str, picks: Tuple[Pick, ...], values: Iterable) -> Optional[Dict]:
+        """``name -> (element IDs, values)`` of the rows of a label or
+        property term, grouped by the name it picks after the key (one
+        group for a constant), or ``None`` when a key is not an element."""
+        positions = _positions(tables, (table, picks[:arity]), element_spans, elements)
+        if positions is None:
             return None
-        endpoint_maps.append(mapping)
-    source_of, target_of = endpoint_maps
+        name = picks[arity]
+        if type(name) is Literal:
+            return {str(name.value): (positions, values)}
+        groups: Dict[str, Tuple[List[int], List]] = {}
+        for position, key, value in zip(positions, tables.strings(table, name), values):
+            found = groups.setdefault(key, ([], []))
+            found[0].append(position)
+            found[1].append(value)
+        return groups
 
-    # Conditions (3) and (4): labels and properties sit on graph elements.
-    elements = nodes | edges
-    element_keys = {(table, picks[:arity]) for table, picks in label_terms + property_terms}
-    if not all(elements.issuperset(tables.tuples(*key)) for key in element_keys):
-        return None
-
-    labels: Dict[Identifier, Set[str]] = {}
+    # Condition (3): labels sit on graph elements.
+    masks: Dict[str, int] = {}
     for table, picks in label_terms:
-        keys = tables.tuples(table, picks[:arity])
-        label = picks[arity]
-        if type(label) is Literal and labels.keys().isdisjoint(keys):
-            labels.update({key: {str(label.value)} for key in keys})
-        else:
-            for key, name in zip(keys, tables.strings(table, label)):
-                labels.setdefault(key, set()).add(name)
+        groups = grouped(table, picks, repeat(None))
+        if groups is None:
+            return None
+        for label, (positions, _none) in groups.items():
+            masks[label] = masks.get(label, 0) | bitmask(positions, size)
 
     # Condition (4): a partial function (element, key) -> value, one row each.
-    assignments: Dict[Tuple[Identifier, str], Any] = {}
-    emitted = 0
+    columns: Dict[str, List[Any]] = {}
+    written: Dict[str, int] = {}
     for table, picks in property_terms:
-        keys = tables.tuples(table, picks[:arity])
-        names = tables.strings(table, picks[arity])
-        assignments.update(zip(zip(keys, names), tables.values(table, picks[arity + 1])))
-        emitted += len(keys)
-    if len(assignments) != emitted:
+        groups = grouped(table, picks, tables.values(table, picks[arity + 1]))
+        if groups is None:
+            return None
+        for key, (positions, values) in groups.items():
+            column = columns.get(key)
+            if column is None:
+                column = columns[key] = [MISSING] * size
+            if type(positions) is range:
+                column[positions.start : positions.stop] = values
+            else:
+                for position, value in zip(positions, values):
+                    column[position] = value
+            written[key] = written.get(key, 0) + len(positions)
+    # Two rows that assigned one slot leave fewer values than rows.
+    if any(defined_count(column) != written[key] for key, column in columns.items()):
         return None
 
-    endpoints = dict(
-        zip(source_of, zip(source_of.values(), map(target_of.__getitem__, source_of)))
+    encoded = CompactGraph(
+        list(node_index),
+        node_index,
+        list(edge_index),
+        edge_index,
+        *endpoints,
+        *split_spaces(masks, columns, node_count),
+        started=started,
     )
-    return PropertyGraph._from_validated(nodes, endpoints, labels, assignments), arity
+    return PropertyGraph._from_compact(encoded), arity

@@ -14,8 +14,12 @@ the summary the cost model of :mod:`repro.planner.cost` consumes:
 * the average out-degree (the expansion factor of one concatenation
   step, used for repetition estimates).
 
-Collection is one pass over the graph's label and property tables — the
-same order of work as materializing the view itself — so engines collect
+Collection reads the graph's compact encoding
+(:meth:`~repro.graph.property_graph.PropertyGraph.compact`): label counts
+are the popcounts of its label bitmasks and property-key counts the
+defined slots of its property columns.  Both view builders — table scans
+and the formal ``pgView`` — produce that encoding, so one implementation
+serves both and equal views get equal statistics.  Engines collect
 statistics once per materialized graph and reuse them for every query.
 
 Costed plans are graph-dependent, which is why :class:`GraphStatistics`
@@ -30,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
+from repro.graph.compact import defined_count
 from repro.graph.property_graph import PropertyGraph
 
 #: Hashable summary of a statistics object, usable as a cache-key part.
@@ -101,22 +106,17 @@ class GraphStatistics:
 
 
 def collect_graph_statistics(graph: PropertyGraph) -> GraphStatistics:
-    """One-pass statistics collection over a materialized graph view."""
-    nodes = graph.nodes
-    node_labels: Dict[str, int] = {}
-    edge_labels: Dict[str, int] = {}
-    for label, elements in graph.label_index().items():
-        # Whole-set intersection instead of per-element membership: label
-        # partitions are frozensets, so the split stays in C.
-        on_nodes = len(elements & nodes)
-        if on_nodes:
-            node_labels[label] = on_nodes
-        if len(elements) - on_nodes:
-            edge_labels[label] = len(elements) - on_nodes
+    """Statistics of a materialized graph view, read off its encoding
+    (which carries a label or key in a space only where it occurs)."""
+    encoded = graph.compact()
+    property_keys: Dict[str, int] = {}
+    for columns in (encoded.node_properties, encoded.edge_properties):
+        for key, column in columns.items():
+            property_keys[key] = property_keys.get(key, 0) + defined_count(column)
     return GraphStatistics(
-        node_count=graph.node_count(),
-        edge_count=graph.edge_count(),
-        node_labels=node_labels,
-        edge_labels=edge_labels,
-        property_keys=graph.property_key_counts(),
+        node_count=encoded.node_count,
+        edge_count=encoded.edge_count,
+        node_labels={label: mask.bit_count() for label, mask in encoded.node_labels.items()},
+        edge_labels={label: mask.bit_count() for label, mask in encoded.edge_labels.items()},
+        property_keys=property_keys,
     )

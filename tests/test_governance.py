@@ -333,6 +333,28 @@ class TestBudgets:
             for entry in counters
         )
 
+    @pytest.mark.parametrize("phase", ["execute", "decode"])
+    def test_an_abort_is_counted_once_in_either_phase(self, phase):
+        registry = MetricsRegistry()
+        db = build_transfers(40, 140, seed=11, metrics=registry)
+        connection = db.connect(engine="planned")
+        if phase == "execute":
+            # A deadline of zero expires at the first checkpoint of the plan.
+            with pytest.raises(QueryTimeoutError) as excinfo:
+                connection.execute(HEAVY_QUERY, timeout=0.0)
+            kind = "timeout"
+        else:
+            # The plan runs to completion; the sixth row aborts the decode.
+            result = connection.execute(HEAVY_QUERY, budget=QueryBudget(max_output_rows=5))
+            assert result.streamed
+            with pytest.raises(ResourceExhaustedError) as excinfo:
+                len(result)
+            kind = "resource_exhausted"
+        # Rows were counted out only once execute() had returned.
+        assert (excinfo.value.progress["output_rows"] > 0) == (phase == "decode")
+        counters = registry.collect()["repro_query_aborts_total"]["values"]
+        assert [(entry["labels"]["kind"], entry["value"]) for entry in counters] == [(kind, 1)]
+
 
 # --------------------------------------------------------------------------- #
 # Governor unit behavior

@@ -29,6 +29,7 @@ def findings_for(
     in_engine=False,
     in_service=False,
     in_planner=False,
+    package="",
 ):
     path = tmp_path / name
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -40,6 +41,7 @@ def findings_for(
         in_engine=in_engine,
         in_service=in_service,
         in_planner=in_planner,
+        package=package,
     )]
 
 
@@ -62,6 +64,48 @@ class TestShippedTreeIsClean:
         assert lint_repro.main([str(bad)]) == 1
         out = capsys.readouterr().out
         assert "ALL-EXPORTS" in out and "1 finding(s)" in out
+
+
+class TestLayering:
+    @pytest.mark.parametrize(
+        "package, imported",
+        [
+            ("repro.graph", "repro.pgq.scans"),
+            ("repro.graph", "repro.planner"),
+            ("repro.graph", "repro.engine.database"),
+            ("repro.graph", "repro.matching.endpoint"),
+            ("repro.graph", "repro.sqlpgq.catalog"),
+            ("repro.pgq", "repro.planner.stats"),
+            ("repro.pgq", "repro.engine"),
+        ],
+    )
+    def test_an_upward_import_is_flagged(self, tmp_path, package, imported):
+        source = f"def late():\n    import {imported}\n    return {imported}\n"
+        assert rules_for(tmp_path, source, package=package) == ["LAYERING"]
+        source = f"from {imported} import thing\n\nTHING = thing\n"
+        assert rules_for(tmp_path, source, package=package) == ["LAYERING"]
+
+    @pytest.mark.parametrize(
+        "package, imported",
+        [
+            ("repro.graph", "repro.observability.tracing"),
+            ("repro.pgq", "repro.graph.compact"),
+            ("repro.pgq", "repro.matching.endpoint"),
+            ("repro.graph", "repro.pgqx"),  # a longer name is another package
+            ("repro.planner", "repro.engine"),  # no rule for this layer
+            ("", "repro.engine"),
+        ],
+    )
+    def test_downward_and_unlisted_imports_pass(self, tmp_path, package, imported):
+        source = f"import {imported}\n\nMODULE = {imported}\n"
+        assert rules_for(tmp_path, source, package=package) == []
+
+    def test_the_package_comes_from_the_path(self):
+        package_of = lint_repro._package_of
+        assert package_of("/x/src/repro/graph/compact.py") == "repro.graph"
+        assert package_of("/x/src/repro/pgq/scans.py") == "repro.pgq"
+        assert package_of("/x/src/repro/errors.py") == ""
+        assert package_of("/x/tests/graph/test.py") == ""
 
 
 class TestObsImport:

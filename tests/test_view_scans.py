@@ -11,18 +11,23 @@ whatever is wrong with a view must be said by the formal path, in its words.
 from collections import namedtuple
 import hashlib
 from itertools import product
+import os
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engine import Database as Catalog, PlannedEngine
 from repro.errors import ArityError, ReproError, ViewError
+from repro.graph.compact import MISSING, CompactGraph
 from repro.observability import RingBufferSink, Tracer
 from repro.observability.tracing import activate, deactivate, iter_spans
 from repro.pgq import BaseRelation, Constant, EmptyRelation, Product, Project, Select, Union
 from repro.pgq.evaluator import PGQEvaluator
 from repro.pgq.scans import Literal, graph_from_scans, lower_source
 from repro.pgq.views import materialize_graph
+from repro.planner.stats import collect_graph_statistics
 from repro.relational import ColumnEqualsConstant, Database, Relation
 from repro.relational.schema import RelationSchema, Schema
 from repro.separations import pair_reachability_query
@@ -297,6 +302,43 @@ def same_graph(left, right):
     )
 
 
+def read_encoding(encoded):
+    """The graph an encoding holds, read off its columns alone: the
+    identifier of each ID, labels through the masks, properties through
+    the columns — element -> (labels, properties), and the edge triples."""
+    assert len(set(encoded.node_ids)) == encoded.node_count  # dense: one ID per node
+    assert len(set(encoded.edge_ids)) == encoded.edge_count
+    spaces = ((encoded.node_ids, encoded.node_index), (encoded.edge_ids, encoded.edge_index))
+    for ids, index in spaces:
+        assert [index[ident] for ident in ids] == list(range(len(ids)))
+    elements = {}
+    for kind, ids in (("node", encoded.node_ids), ("edge", encoded.edge_ids)):
+        masks = encoded.node_labels if kind == "node" else encoded.edge_labels
+        columns = encoded.node_properties if kind == "node" else encoded.edge_properties
+        for position, ident in enumerate(ids):
+            labels = {label for label, mask in masks.items() if mask >> position & 1}
+            properties = {
+                key: column[position]
+                for key, column in columns.items()
+                if column[position] is not MISSING
+            }
+            elements[ident] = (labels, properties)
+    edges = {
+        (encoded.edge_ids[e], encoded.node_ids[s], encoded.node_ids[t])
+        for e, (s, t) in enumerate(zip(encoded.edge_src, encoded.edge_tgt))
+    }
+    return elements, edges
+
+
+def read_graph(graph):
+    """:func:`read_encoding`'s shape, read through the graph's own API."""
+    elements = {
+        ident: (set(graph.labels(ident)), graph.properties(ident))
+        for ident in graph.nodes | graph.edges
+    }
+    return elements, set(graph.edge_tuples())
+
+
 def relation_rows(graph):
     """Rows of the six-relation encoding ``(R1 .. R6)`` of ``graph``:
     ``|N| + |E| + |src| + |tgt| + |lab| + |prop|``."""
@@ -321,7 +363,15 @@ def check_case(database, sources, max_arity, name):
     assert (scanned is not None) == expected.accepted, name
     assert builder == ("scans" if scanned is not None else "relations")
     if scanned is not None:
-        # Accepted: the graph is the formal build's graph.
+        # Accepted: the scans' encoding decodes to the formal build's graph,
+        # and both builders' encodings give one set of statistics.
+        encoded = scanned[0].compact()
+        assert read_encoding(encoded) == read_graph(formal[0])
+        assert read_encoding(formal[0].compact()) == read_graph(formal[0])
+        statistics = [collect_graph_statistics(graph) for graph in (scanned[0], formal[0])]
+        assert statistics[0] == statistics[1]
+        assert statistics[0].fingerprint() == statistics[1].fingerprint()
+        # ... and the graph decoded from it is that graph too.
         for graph, arity in (scanned, planned):
             assert arity == formal[1]
             assert same_graph(graph, formal[0])
@@ -369,6 +419,12 @@ class TestColumnarEqualsFormal:
         formal = formal_outcome(database, sources, None)
         assert arity == 1 and same_graph(graph, formal[0])
         assert graph.source(("e2",)) == (1,) and graph.target(("e2",)) == (3,)
+        # Each node has one ID, spelled as the node table spells it, and an
+        # endpoint decodes to that spelling whatever its edge row wrote —
+        # the same on every hash seed (CI also runs this file under seed 1).
+        assert sorted(map(repr, graph.compact().node_ids)) == ["(1,)", "(2,)", "(3,)"]
+        assert [repr(graph.source(("e1",))), repr(graph.source(("e2",)))] == ["(1,)", "(1,)"]
+        assert repr(graph.target(("e2",))) == "(3,)"
         # A second node table spelling node 1 as True exposes its property
         # "k" a second time — as an equal value: no conflict for pgView, but
         # not one row per assignment either, so the scans leave it to pgView.
@@ -610,3 +666,107 @@ class TestRelationKernels:
             digest.update(b"\n")
         assert relation.content_digest() == digest.hexdigest()
         assert Relation.empty(3).content_digest() == hashlib.sha256(b"3\n").hexdigest()
+
+
+class TestTheGraphIsDerivedOnDemand:
+    """A scans-built view runs on its encoding; its ``PropertyGraph`` is
+    decoded only for a consumer that reads one row at a time."""
+
+    DDL = """
+    CREATE PROPERTY GRAPH Transfers (
+      NODES TABLE Account KEY (iban) LABEL Account,
+      EDGES TABLE Transfer KEY (t_id)
+        SOURCE KEY src_iban REFERENCES Account
+        TARGET KEY tgt_iban REFERENCES Account
+        LABELS Transfer PROPERTIES (ts, amount))
+    """
+    REACH = (
+        "SELECT * FROM GRAPH_TABLE ( Transfers MATCH (x) -[t:Transfer]->+ (y) "
+        "WHERE t.amount > 500 COLUMNS (x.iban AS src, y.iban AS dst) )"
+    )
+    # Two variables in one condition: no column can answer it on its own.
+    CROSS = (
+        "SELECT * FROM GRAPH_TABLE ( Transfers MATCH (x) -[t:Transfer]-> (y) "
+        "WHERE x.iban < y.iban COLUMNS (x.iban AS src, t.amount AS amount, y.iban AS dst) )"
+    )
+
+    @classmethod
+    def bank(cls):
+        db = Catalog()
+        accounts = [f"A{i}" for i in range(12)]
+        db.create_table("Account", ["iban"], [(a,) for a in accounts])
+        db.create_table(
+            "Transfer",
+            ["t_id", "src_iban", "tgt_iban", "ts", "amount"],
+            [
+                (f"T{i}", accounts[i % 12], accounts[(i * 5 + 3) % 12], i, 97 * i % 1000)
+                for i in range(40)
+            ],
+        )
+        db.execute(cls.DDL)
+        return db
+
+    @staticmethod
+    def answers(db, engine, query):
+        with db.connect(engine) as connection:
+            return sorted(map(repr, connection.execute(query).rows))
+
+    def test_reachability_never_derives_the_graph(self, monkeypatch):
+        def refuse(encoded):
+            raise AssertionError("a scans-built view derived its PropertyGraph")
+
+        monkeypatch.setattr(CompactGraph, "decode", refuse)
+        with self.bank() as db:
+            planned = self.answers(db, "planned", self.REACH)
+            assert planned and planned == self.answers(db, "naive", self.REACH)
+
+    def test_a_cross_variable_condition_derives_it_once(self, monkeypatch):
+        decoded = []
+        decode = CompactGraph.decode
+
+        def counted(encoded):
+            decoded.append(encoded)
+            return decode(encoded)
+
+        monkeypatch.setattr(CompactGraph, "decode", counted)
+        with self.bank() as db:
+            planned = self.answers(db, "planned", self.CROSS)
+            assert len(decoded) == 1
+            assert planned and planned == self.answers(db, "naive", self.CROSS)
+            assert self.answers(db, "planned", self.CROSS) == planned
+        assert len(decoded) == 1
+
+    def test_racing_readers_decode_once(self, monkeypatch):
+        decoded = []
+        decode = CompactGraph.decode
+
+        def counted(encoded):
+            decoded.append(encoded)
+            return decode(encoded)
+
+        monkeypatch.setattr(CompactGraph, "decode", counted)
+        with self.bank() as db, db.connect("planned") as connection:
+            database = db.snapshot().database
+            sources = connection.compile(self.REACH).sources
+        # More readers than cores, switching threads as often as possible.
+        seen, barrier = [], threading.Barrier(min(32, (os.cpu_count() or 1) + 4))
+
+        def read():
+            barrier.wait(5.0)
+            seen.append((graph.node_count(), len(graph.edges), graph.labels(("A0",))))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                graph, _arity = graph_from_scans(sources, database, None)
+                workers = [threading.Thread(target=read) for _ in range(barrier.parties)]
+                for worker in workers:
+                    worker.start()
+                for worker in workers:
+                    worker.join(10.0)
+                    assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(decoded) == 20  # one decode per graph, however many readers raced
+        assert set(seen) == {(12, 40, frozenset({"Account"}))}

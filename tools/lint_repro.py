@@ -72,6 +72,14 @@ from typing import Iterator, List, Tuple
 #: Module prefixes the observability layer must not import.
 _ENGINE_PREFIXES = ("repro.engine", "repro.planner", "repro.pgq", "repro.matching")
 
+#: LAYERING: package -> the packages built on top of it, which it must not import.
+_LAYERS = {
+    "repro.graph": (
+        "repro.pgq", "repro.planner", "repro.engine", "repro.matching", "repro.sqlpgq"
+    ),
+    "repro.pgq": ("repro.planner", "repro.engine"),
+}
+
 #: The only module allowed to mutate Snapshot internals.
 _SNAPSHOT_OWNER = "database.py"
 
@@ -396,6 +404,7 @@ def check_file(
     in_engine: bool = False,
     in_service: bool = False,
     in_planner: bool = False,
+    package: str = "",
 ) -> List[Finding]:
     try:
         source = path.read_text(encoding="utf-8")
@@ -440,6 +449,22 @@ def check_file(
                                 "may import it back",
                             )
                         )
+
+    # LAYERING: a package never imports the packages built on top of it.
+    above = _LAYERS.get(package, ())
+    for node in ast.walk(tree) if above else ():
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for name in _module_names(node):
+                if any(name == layer or name.startswith(layer + ".") for layer in above):
+                    findings.append(
+                        (
+                            path,
+                            node.lineno,
+                            "LAYERING",
+                            f"{package} module imports {name}; {package} sits "
+                            "below it and must not depend on it",
+                        )
+                    )
 
     # SNAPSHOT-MUTATION: snapshots are immutable outside their module.
     if in_src and path.name != _SNAPSHOT_OWNER:
@@ -638,9 +663,17 @@ def lint_paths(paths: List[Path], root: Path) -> List[Finding]:
                     in_engine="/src/repro/engine/" in relative,
                     in_service="/src/repro/service/" in relative,
                     in_planner="/src/repro/planner/" in relative,
+                    package=_package_of(relative),
                 )
             )
     return findings
+
+
+def _package_of(relative: str) -> str:
+    """``repro.<subpackage>`` of a file inside one under ``src/repro``, else ''."""
+    _, inside, rest = relative.partition("/src/repro/")
+    head, nested, _ = rest.partition("/")
+    return f"repro.{head}" if inside and nested else ""
 
 
 def main(argv: List[str]) -> int:
