@@ -20,8 +20,9 @@ endpoint evaluator.
   (:mod:`repro.pgq.scans`: one pass per table, conditions (1)-(4) as
   sufficient whole-set tests) whenever the sources are catalog-shaped and
   the tables pass; otherwise **from relations**, the formal
-  ``(R1, ..., R6)`` → ``pgView`` path every other engine always takes and
-  the only one that can reject a view.  The executor's operators run on
+  ``(R1, ..., R6)`` → ``pgView`` path the naive oracle always takes and
+  the only one that can reject a view (:func:`~repro.pgq.scans.view_graph`,
+  the sqlite engine's view constructor too).  The executor's operators run on
   the compact integer encoding (dense node/edge IDs, label bitsets,
   property columns — :mod:`repro.graph.compact`), and so do the
   statistics; identifiers are decoded only at output projection.  The
@@ -48,7 +49,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.pgq.evaluator import PGQEvaluator
-from repro.pgq.scans import graph_from_scans
+from repro.pgq.scans import view_graph
 from repro.planner.physical import PlanCache, PlanCounters, PlanExecutor
 from repro.planner.stats import collect_graph_statistics
 from repro.relational.database import Database
@@ -110,22 +111,12 @@ class PlannedEngine(PGQEvaluator):
 
     def _materialize_view(self, sources, max_arity, span):
         """Build the view's encoding from table scans when they can vouch
-        for it (:mod:`repro.pgq.scans` — every catalog-shaped view over
-        sound tables); otherwise build the graph from the six relations
-        and encode it here, while it is cache-hot, on the cold view path
-        rather than mid-query under the executor's encode lock."""
-        built = graph_from_scans(sources, self.database, max_arity)
-        if built is None:
-            built = super()._materialize_view(sources, max_arity, span)
-        else:
-            span.tag(built_from="scans")
-        encoded = built[0].compact()
-        span.tag(
-            nodes=encoded.node_count,
-            edges=encoded.edge_count,
-            compact_encode_s=round(encoded.encode_seconds, 6),
+        for it, otherwise from the six relations
+        (:func:`~repro.pgq.scans.view_graph`) — encoded on the cold view
+        path, not mid-query under the executor's encode lock."""
+        return view_graph(
+            sources, self.database, max_arity, span, lambda: [self._eval(s) for s in sources]
         )
-        return built
 
     def _make_matcher(self, graph) -> PlanExecutor:
         return PlanExecutor(

@@ -9,11 +9,11 @@ by compiling each to **one** SQL statement:
   cross joins over base relations copied in when a statement first names
   them;
 * a graph view is *constructed* once, when a pattern first matches over it
-  (:meth:`SQLiteEngine._view_tables`): conditions (1)-(4) of Definition
-  3.1 / 5.1 are checked by the function every engine uses — an ill-formed
-  view raises the oracle's ``ViewError`` — and the view is stored
-  dictionary-encoded, every ``n``-ary node / edge identifier one dense
-  integer id, with a seventh table decoding ids for output;
+  (:meth:`SQLiteEngine._view_tables`) by the constructor the planned
+  engine uses — an ill-formed view raises the oracle's ``ViewError`` —
+  and its compact encoding is stored as tables over dense integer element
+  ids, every ``n``-ary node / edge identifier one id, with a seventh table
+  decoding ids for the output of a nested pattern;
 * a pattern is planned by :func:`~repro.planner.compile_plan`, the
   optimizer (and, under ``verify_plans``, verifier) behind the planned
   engine's ``PlanCache``, and the optimized plan is lowered to joins over
@@ -24,6 +24,12 @@ by compiling each to **one** SQL statement:
   mechanism (linear recursion) the paper cites as SQL's NL-complete core —
   over integer pairs whatever the identifier arity, so PGQext's pair
   reachability (Theorem 5.2) runs on it too;
+* of a statement whose root is a pattern SQLite runs only the match,
+  selecting distinct element ids, and the planned engine's decoder
+  (:mod:`repro.planner.decode`) builds the rows — ordered, deduplicated
+  and spelled as Python values, the planned engine's rows; a pattern
+  nested under a relational operator is decoded in SQL, which the
+  enclosing SQL reads;
 * parameter slots are numbered ``?N`` placeholders, one number per slot
   name, so one-shot, streamed and prepared execution share a single
   compilation mode (:class:`_SQLiteCompiledQuery`).
@@ -52,9 +58,10 @@ from repro.observability.tracing import trace_span
 
 from repro.errors import EngineError, GovernanceError, QueryCancelledError
 from repro.governance import active_fault_plan, current_governor
+from repro.graph.compact import MISSING, CompactGraph, bit_positions
 from repro.matching.fixpoint import check_depth
 from repro.parameters import Bindings, Parameter, bind_value, check_bindings, merge_bindings
-from repro.patterns.ast import OutputPattern, PropertyRef
+from repro.patterns.ast import EdgePattern, OutputPattern, PropertyRef, iter_subpatterns
 from repro.patterns.conditions import (
     AndCondition,
     HasLabel,
@@ -66,7 +73,10 @@ from repro.patterns.conditions import (
     PropertyEquals,
 )
 from repro.pgq.evaluator import CompiledQuery, PGQEvaluator, check_active_constant, check_selection
+from repro.pgq.scans import view_graph
 from repro.planner import compile_plan
+from repro.planner.decode import project, stream_project
+from repro.planner.physical import CompactTable
 from repro.planner.logical import (
     BindEndpoint,
     EdgeScan,
@@ -93,11 +103,11 @@ from repro.pgq.queries import (
     Union,
     bind_query,
     iter_queries,
+    output_arity,
     query_parameters,
     query_size,
     resolve_bindings,
 )
-from repro.pgq.views import check_view_conditions, view_identifier_arity
 from repro.relational.conditions import (
     And as RAAnd,
     ColumnCompare,
@@ -178,18 +188,12 @@ class SQLiteEngine:
         """
         self._snapshot_scope = scope
 
-    def _source_relation(self, source: Query) -> Relation:
-        """Evaluate one view-source subquery, shared through the snapshot
-        cache when possible (every backend computes identical relations
-        for a concrete relational subquery)."""
-        scope = self._snapshot_scope
-        if scope is not None:
-            entry = scope.relation(
-                source, lambda: PGQEvaluator(self.database).evaluate(source)
-            )
-            if entry is not None:
-                return entry[0]
-        return PGQEvaluator(self.database).evaluate(source)
+    def _source_relations(self, sources: Sequence[Query]) -> List[Relation]:
+        """The view-source relations, evaluated by the oracle and shared
+        through the snapshot cache's relational entries when attached."""
+        evaluator = PGQEvaluator(self.database)
+        evaluator.use_snapshot_cache(self._snapshot_scope)
+        return [evaluator.evaluate(source) for source in sources]
 
     #: Soft cap on cached shared view-table sets; entries beyond it are
     #: evicted oldest-first, but only once unreferenced (correctness wins
@@ -234,7 +238,7 @@ class SQLiteEngine:
 
         ``__adom`` names the active domain as a real table: the union of
         all columns of all relations.  View sources never come through
-        here — :meth:`_source_relation` evaluates them relationally — so a
+        here — :meth:`_view_tables` builds the view in Python — so a
         statement that only matches patterns loads no base table at all.
         """
         if name in self._loaded:
@@ -294,10 +298,12 @@ class SQLiteEngine:
         self, query: Query, bindings: Optional[Bindings] = None
     ) -> Optional[Tuple[int, Iterator[List[Tuple]], bool]]:
         """One-shot streaming evaluation: ``(arity, batches, ordered)`` or
-        None; SQLite promises no row order, so ``ordered`` is False.
+        None; SQLite promises no row order, so ``ordered`` is False unless
+        the decoder of a root pattern's ids produced it.
 
         The SQL compiles, its depth probes run and the statement starts
-        executing here (so every error surfaces at call time), but rows are
+        executing here (so every error surfaces at call time).  A root
+        pattern's ids are fetched here too; any other statement's rows are
         fetched from the cursor a batch at a time as the iterator is
         consumed.  Returns ``None`` — the caller then takes the
         materializing :meth:`evaluate` path — for zero-arity results.
@@ -465,24 +471,21 @@ class SQLiteEngine:
     def _view_tables(
         self, sources: Tuple[Query, ...], max_arity: Optional[int], user
     ) -> Tuple["_ViewTables", weakref.WeakSet]:
-        """``pgView`` of six concrete ``sources``, as indexed temporary
+        """The view of six concrete ``sources`` as indexed temporary
         tables, with the entry's user set (which ``user`` joins).
 
-        This is where the engine constructs the view, once per ``(sources,
-        max_arity)`` (sources that do not hash: per content digest of the
-        relations they evaluate to): the sources are evaluated, the
-        identifier arity ``n`` inferred, and conditions (1)-(4) of
-        Definition 3.1 / 5.1 checked by the function the other engines use,
-        raising their :class:`~repro.errors.ViewError`.  The checked view is
-        then dictionary-encoded: every node and edge identifier (an
-        ``n``-tuple, keyed by Python equality like the
-        relation sets it comes from, so ``None`` is an ordinary identifier)
-        gets one dense integer id, ``R1``-``R6`` are stored over those ids
-        with labels and property keys as ``str`` (the graph model's
-        domains), and a seventh table maps an id back to its ``n`` columns
-        for bare-variable output items.  Statements therefore join integers
-        whatever ``n`` is, and may rely on condition (2): every edge
-        endpoint they can read is a node.
+        The engine constructs the view once per ``(sources, max_arity)``
+        (sources that do not hash: per content digest of the relations they
+        evaluate to) with the planned engine's constructor,
+        :func:`~repro.pgq.scans.view_graph` — table scans, or ``pgView``
+        over the six relations, which raises the oracle's ``ViewError``.
+        ``R1``-``R6`` are written from its
+        :class:`~repro.graph.compact.CompactGraph` over the element ID space
+        (node ``i`` is id ``i``, edge ``e`` is id ``|N| + e``), integers
+        whatever the identifier arity ``n`` is, so a root pattern's ids
+        decode through the encoding itself; a seventh table maps an id to
+        its ``n`` identifier columns for the SQL decode of a nested one.
+        Statements may rely on condition (2): every edge endpoint is a node.
 
         The tables are engine-owned and shared — the database is immutable
         for the engine's lifetime, so every statement over one graph view
@@ -494,47 +497,52 @@ class SQLiteEngine:
         try:
             shared = self._shared_view_tables.get(cache_key)
         except TypeError:
-            relations = tuple(self._source_relation(source) for source in sources)
+            relations = self._source_relations(sources)
             cache_key = (tuple(r.content_digest() for r in relations), max_arity)
             shared = self._shared_view_tables.get(cache_key)
         if shared is not None:
             self._shared_view_tables.move_to_end(cache_key)
             shared[1].add(user)
             return shared
-        if relations is None:
-            relations = tuple(self._source_relation(source) for source in sources)
-        arity = view_identifier_arity(relations, max_arity)
-        source_of, target_of, labels, assignments = check_view_conditions(relations, arity)
-        nodes, edges = relations[0].rows, relations[1].rows
-        ids = {
-            identifier: number
-            for number, identifier in enumerate(itertools.chain(nodes, edges))
-        }
-        # A dict, as ``pg_view`` builds ``prop``: keys that collide once
-        # they are strings keep one value, the same one.
-        properties = {
-            (ids[element], str(key)): value for (element, key), value in assignments.items()
-        }
-        view = _ViewTables(f"__view{next(self._view_counter)}", arity, len(nodes))
+        with trace_span("view.materialize", sources=len(sources)) as span:
+            graph, arity = view_graph(
+                sources, self.database, max_arity, span,
+                lambda: relations or self._source_relations(sources),
+            )
+        encoded = graph.compact()
+        count = encoded.node_count
+        edges = range(count, count + encoded.edge_count)
+        labels: List[Tuple] = []
+        properties: List[Tuple] = []
+        for offset, masks, columns in (
+            (0, encoded.node_labels, encoded.node_properties),
+            (count, encoded.edge_labels, encoded.edge_properties),
+        ):
+            labels += [
+                (offset + i, label) for label, mask in masks.items() for i in bit_positions(mask)
+            ]
+            properties += [
+                (offset + i, key, value)
+                for key, column in columns.items()
+                for i, value in enumerate(column)
+                if value is not MISSING
+            ]
+        view = _ViewTables(f"__view{next(self._view_counter)}", arity, encoded)
         # (columns, index columns, rows) of R1..R6 and the id table.  The
         # pattern SQL joins sources / targets on the edge column and probes
         # labels / properties by (element, key); the property index carries
         # the value too, so a lookup never touches the table.
         tables = (
-            ("c1", "c1", [(number,) for number in range(len(nodes))]),
-            ("c1", None, [(number,) for number in range(len(nodes), len(ids))]),
-            ("c1, c2", "c1", [(ids[edge], ids[node]) for edge, node in source_of.items()]),
-            ("c1, c2", "c1", [(ids[edge], ids[node]) for edge, node in target_of.items()]),
-            (
-                "c1, c2",
-                "c1, c2",
-                [(ids[element], label) for element, names in labels.items() for label in names],
-            ),
-            ("c1, c2, c3", "c1, c2, c3", [key + (value,) for key, value in properties.items()]),
+            ("c1", "c1", [(number,) for number in range(count)]),
+            ("c1", None, [(number,) for number in edges]),
+            ("c1, c2", "c1", list(zip(edges, encoded.edge_src))),
+            ("c1, c2", "c1", list(zip(edges, encoded.edge_tgt))),
+            ("c1, c2", "c1, c2", labels),
+            ("c1, c2, c3", "c1, c2, c3", properties),
             (
                 f"id INTEGER PRIMARY KEY, {_columns(arity)}",
                 None,
-                [(number,) + identifier for identifier, number in ids.items()],
+                [(number,) + ident for number, ident in enumerate(encoded.ids("element"))],
             ),
         )
         connection = self.connection
@@ -618,7 +626,7 @@ def _sql_literal(value) -> str:
 
 class _CursorStream:
     """Iterator of row batches over a SQLite cursor, detachable by the
-    engine.
+    engine; only a statement whose root is not a pattern streams off one.
 
     A batch is what ``fetchmany`` returned: every statement the compiler
     emits is set-valued (see :meth:`_SQLiteCompiledQuery._relational`), so
@@ -752,6 +760,9 @@ class _SQLiteCompiledQuery(CompiledQuery):
         self._active_constants: List = []
         #: Statement-wide name supply (subquery aliases, ``pairN``).
         self._names = itertools.count()
+        #: ``(encoding, output, id-table layout)`` when the root is a
+        #: pattern, whose statement selects ids for the decoder; else None.
+        self._root: Optional[Tuple[CompactGraph, OutputPattern, CompactTable]] = None
         self.sql, self._arity = self._relational(self.query)
 
     def _emit(self, value) -> str:
@@ -834,7 +845,12 @@ class _SQLiteCompiledQuery(CompiledQuery):
             output.validate()
             needed = output.output_variables()
             plan = compile_plan(output.pattern, needed, None, self.engine.verify_plans)
-            return _PlanLowering(view, self).output(plan, output)
+            lowering = _PlanLowering(view, self)
+            if query is not self.query:  # nested: the enclosing SQL reads its values
+                return lowering.output(plan, output)
+            sql, layout = lowering.ids(plan, output)
+            self._root = (view.encoded, output, layout)
+            return sql, output_arity(output, view.identifier_arity)
         raise EngineError(f"the sqlite backend cannot compile query node {type(query).__name__}")
 
     # -- execution -----------------------------------------------------------
@@ -865,6 +881,17 @@ class _SQLiteCompiledQuery(CompiledQuery):
             check_depth(depth, overrun, engine.max_repetitions)
         return engine._execute_with_retry(self._connection, self.sql, arguments)
 
+    def _decode_input(self, cursor) -> Tuple[CompactGraph, CompactTable, OutputPattern]:
+        """``(encoding, table, output)``, the decoder's arguments, for a
+        root pattern's distinct id rows, all fetched from ``cursor``: as
+        per-source masks when the output is two node variables (the
+        decoder's ordered pair path), else as they came."""
+        encoded, output, layout = self._root
+        table = layout._replace(rows=cursor.fetchall())
+        if len(output.items) == 2 and list(layout.kinds.values()) == ["node", "node"]:
+            table = table.packed(encoded.node_count)
+        return encoded, table, output
+
     def execute(self, bindings: Optional[Bindings] = None, /, **named) -> Relation:
         """Execute and materialize; the mapping argument is positional-only
         so a slot named ``bindings`` still binds by keyword."""
@@ -876,18 +903,24 @@ class _SQLiteCompiledQuery(CompiledQuery):
             trace_span("sqlite.execute", sql=_sql_snippet(self.sql)),
             engine._governed_execution(self.query),
         ):
-            relation = _relation_from_rows(self._run(arguments), self._arity)
+            cursor = self._run(arguments)
+            if self._root is None:
+                relation = _relation_from_rows(cursor, self._arity)
+            else:
+                relation = Relation._trusted(self._arity, project(*self._decode_input(cursor)))
         self.executions += 1
         return relation
 
     def execute_stream(
         self, bindings: Optional[Bindings] = None, /, **named
     ) -> Optional[Tuple[int, Iterator[List[Tuple]], bool]]:
-        """Execute and stream the result rows off the SQLite cursor:
-        ``(arity, row batches, False)``, with binding errors and depth
-        overruns raised here and rows fetched incrementally.  Returns
-        ``None`` — the caller falls back to :meth:`execute` — for
-        zero-arity results.
+        """Execute and stream the result: ``(arity, row batches, ordered)``,
+        with binding errors and depth overruns raised here.  A root
+        pattern's ids are all fetched here, inside the governed window, and
+        its rows decode as :func:`~repro.planner.decode.stream_project`
+        streams them; any other statement's rows are fetched off its cursor
+        incrementally, unordered.  Returns ``None`` — the caller falls back
+        to :meth:`execute` — for zero-arity results.
         """
         arguments = self._arguments(bindings, named)
         if self._arity == 0:
@@ -898,8 +931,11 @@ class _SQLiteCompiledQuery(CompiledQuery):
             engine._governed_execution(self.query),
         ):
             cursor = self._run(arguments)
+            decode_input = None if self._root is None else self._decode_input(cursor)
         self.executions += 1
-        return self._arity, engine._stream_cursor(cursor, self), False
+        if decode_input is None:
+            return self._arity, engine._stream_cursor(cursor, self), False
+        return (self._arity, *stream_project(*decode_input))
 
 
 def _compile_ra_condition(condition: Condition, alias: str, emit) -> str:
@@ -922,12 +958,13 @@ def _compile_ra_condition(condition: Condition, alias: str, emit) -> str:
 
 
 class _ViewTables:
-    """One checked, encoded graph view: the names of ``R1``..``R6`` over
-    dense integer element ids and of the id -> identifier-columns table,
-    plus the identifier arity ``n`` a bare-variable output item decodes to
-    and the node count ``|N|`` that bounds a depth probe."""
+    """One graph view as tables: the names of ``R1``..``R6`` over the
+    encoding's element ids and of the id -> identifier-columns table, plus
+    the identifier arity ``n`` a bare-variable output item decodes to and
+    the encoding itself, which decodes a root pattern's ids (and whose node
+    count bounds a depth probe)."""
 
-    def __init__(self, prefix: str, identifier_arity: int, node_count: int):
+    def __init__(self, prefix: str, identifier_arity: int, encoded: CompactGraph):
         self.names = [f"{prefix}_{index}" for index in range(6)] + [f"{prefix}_ids"]
         (
             self.nodes,
@@ -939,7 +976,22 @@ class _ViewTables:
             self.ids,
         ) = self.names
         self.identifier_arity = identifier_arity
-        self.node_count = node_count
+        self.encoded = encoded
+
+
+def _selects_both_ends_of_a_repetition(plan: LogicalPlan, variables: Sequence[str]) -> bool:
+    """Whether ``plan``'s rows are distinct on ``variables`` without a
+    ``DISTINCT``: ``plan`` is a repetition, whose lowered pairs are a set
+    (every branch of :meth:`_PlanLowering._fixpoint` ends in ``UNION`` or
+    ``DISTINCT``), under endpoint bindings of which ``variables`` take
+    one bound to its source and one bound to its target.  A ``DISTINCT``
+    there would only sort the closure's rows once more."""
+    ends = set()
+    while isinstance(plan, BindEndpoint):
+        if plan.variable in variables:
+            ends.add(plan.use_source)
+        plan = plan.operand
+    return isinstance(plan, FixpointStep) and ends == {True, False}
 
 
 def _plan_parameters(plan: LogicalPlan) -> Iterator[str]:
@@ -958,8 +1010,8 @@ class _PlanLowering:
     Every plan node lowers to a SELECT with columns ``src``, ``tgt`` and one
     column ``v_<name>`` per variable it binds, all of them integer element
     ids (so the identifier arity matters only where :meth:`output` decodes
-    a variable).  The view was checked when it was loaded, so ``src`` and
-    ``tgt`` of every row are nodes — which is what lets ``BindEndpoint``
+    a variable in SQL).  The view was checked when it was built, so ``src``
+    and ``tgt`` of every row are nodes — which is what lets ``BindEndpoint``
     name an endpoint instead of probing the node table.
     """
 
@@ -1107,7 +1159,7 @@ class _PlanLowering:
         bound = self._statement.engine.max_repetitions
         if bound is None or (not plan.is_unbounded and plan.upper <= bound):
             return
-        if bound + 1 >= plan.lower + self.view.node_count:
+        if bound + 1 >= plan.lower + self.view.encoded.node_count:
             return
         depth = max(bound + 1, plan.lower)
         pair, walk = f"pair{number}", f"walk{number}"
@@ -1175,10 +1227,32 @@ class _PlanLowering:
         )
 
     # -- output patterns ----------------------------------------------------
+    def ids(self, plan: LogicalPlan, output: OutputPattern) -> Tuple[str, CompactTable]:
+        """``(SQL, layout)`` of a root ``output`` over ``plan``: the SQL
+        selects the distinct element ids of the variables the output reads,
+        one column each in order of first use, undecoded — deduplicated in
+        SQL unless the plan makes them distinct already; the layout is the
+        empty table of those ids.  An id is a node ID unless an edge pattern
+        binds its variable: then it is an element ID."""
+        body_sql, _variables = self.lower(plan)
+        alias = self._alias()
+        variables = list(
+            dict.fromkeys(i.variable if isinstance(i, PropertyRef) else i for i in output.items)
+        )
+        edges = {p.variable for p in iter_subpatterns(output.pattern) if isinstance(p, EdgePattern)}
+        layout = CompactTable(
+            {v: index for index, v in enumerate(variables)},
+            {v: "element" if v in edges else "node" for v in variables},
+            set(),
+        )
+        columns = _select_list([f"{alias}.v_{v}" for v in variables])
+        distinct = "" if _selects_both_ends_of_a_repetition(plan, variables) else "DISTINCT "
+        return f"SELECT {distinct}{columns} FROM ({body_sql}) AS {alias}", layout
+
     def output(self, plan: LogicalPlan, output: OutputPattern) -> Tuple[str, int]:
-        """``(SQL, arity)`` of ``output`` over ``plan`` (its optimized
-        pattern): a property reference is one column, a bare variable
-        decodes to its ``n`` identifier columns."""
+        """``(SQL, arity)`` of a nested ``output`` over ``plan`` (its
+        optimized pattern), decoded in SQL: a property reference is one
+        column, a bare variable its ``n`` identifier columns."""
         body_sql, _variables = self.lower(plan)
         alias = self._alias()
         items = []

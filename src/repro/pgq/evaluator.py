@@ -349,11 +349,11 @@ class PGQEvaluator:
         """``(graph, identifier arity)`` of one view — the formal way:
         evaluate the six source relations and hand them to ``pgView``,
         the only place a :class:`~repro.errors.ViewError` is worded.
-        Engines with a cheaper way that cannot reject a view (the planned
-        engine's table scans) override this and end up here whenever
-        theirs does not apply.  ``span`` is the open ``view.materialize``
-        span: the builder that serves the view says so in ``built_from``,
-        and tags the view's ``nodes`` and ``edges``.
+        The planned engine overrides this with
+        :func:`~repro.pgq.scans.view_graph` (table scans, which cannot
+        reject a view, else the same ``pgView``).  ``span`` is the open
+        ``view.materialize`` span: the builder that serves the view says
+        so in ``built_from``, and tags the view's ``nodes`` and ``edges``.
         """
         span.tag(built_from="relations")
         view_relations = tuple(self._eval(source) for source in sources)

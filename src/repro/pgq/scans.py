@@ -23,11 +23,13 @@ This builder **only ever accepts**.  The definition's conditions (1)-(4)
 are enforced through *sufficient* whole-set tests on the index maps; a
 source outside the grammar, or tables that miss any test (a duplicated
 key, a dangling endpoint, a node/edge overlap, inconsistent arities), make
-:func:`graph_from_scans` return ``None``, and the caller then takes the
-formal path — the six relations and :func:`repro.pgq.views.materialize_graph`
-— which accepts or raises :class:`~repro.errors.ViewError` in its own
-words.  ``pgq/views.py`` stays the single authority on what a view is;
-the naive and sqlite engines never come here.
+:func:`graph_from_scans` return ``None``, and :func:`view_graph` then
+takes the formal path — the six relations and
+:func:`repro.pgq.views.materialize_graph` — which accepts or raises
+:class:`~repro.errors.ViewError` in its own words.  ``pgq/views.py`` stays
+the single authority on what a view is.  :func:`view_graph` is how the
+planned and sqlite engines build every view; the naive oracle never
+comes here.
 """
 
 from __future__ import annotations
@@ -52,7 +54,9 @@ from repro.pgq.queries import (
     Query,
     Union,
 )
+from repro.pgq.views import materialize_graph
 from repro.relational.database import Database
+from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 
 
@@ -346,3 +350,34 @@ def graph_from_scans(
         started=started,
     )
     return PropertyGraph._from_compact(encoded), arity
+
+
+def view_graph(
+    sources: Sequence[Query],
+    database: Database,
+    max_arity: Optional[int],
+    span,
+    relations: Callable[[], Sequence[Relation]],
+) -> Tuple[PropertyGraph, int]:
+    """``(graph, identifier arity)`` of one view, encoded: from the scans
+    when they can vouch for it, else the formal way — ``relations()``
+    evaluates the six sources and ``pgView`` builds the graph or raises
+    its :class:`~repro.errors.ViewError`.  The one view constructor of
+    the planned and sqlite engines.  ``span`` is the open
+    ``view.materialize`` span: it says which builder served the view
+    (``built_from``) and, once the view is encoded, its sizes and the
+    encoding's cost.
+    """
+    built = graph_from_scans(sources, database, max_arity)
+    if built is None:
+        span.tag(built_from="relations")
+        built = materialize_graph(tuple(relations()), max_arity)
+    else:
+        span.tag(built_from="scans")
+    encoded = built[0].compact()
+    span.tag(
+        nodes=encoded.node_count,
+        edges=encoded.edge_count,
+        compact_encode_s=round(encoded.encode_seconds, 6),
+    )
+    return built

@@ -16,16 +16,13 @@ The conditions checked are exactly (1)-(4) of the definitions:
 ``pgView`` is partial: when a condition fails, :class:`ViewError` is raised
 with a message naming the violated condition.
 
-Who builds from what: the naive and sqlite engines, and every direct caller
-of this module, build a view **from relations** — the six relations are
-evaluated and handed to :func:`materialize_graph` (the sqlite engine runs
-the same two steps, :func:`view_identifier_arity` and
-:func:`check_view_conditions`, and encodes the checked maps into tables
-instead of a :class:`PropertyGraph`).  The planned engine builds
-catalog-shaped views **from scans** of the base tables
-(:mod:`repro.pgq.scans`), a builder that can only accept; whatever it cannot
-vouch for comes here, so this module stays the one place a view is rejected
-and the one place a :class:`ViewError` is worded.
+Who builds from what: the naive engine, and every direct caller of this
+module, build a view **from relations** — the six relations are evaluated
+and handed to :func:`materialize_graph`.  The planned and sqlite engines
+build catalog-shaped views **from scans** of the base tables
+(:func:`repro.pgq.scans.view_graph`), a builder that can only accept;
+whatever it cannot vouch for comes here, so this module stays the one
+place a view is rejected and the one place a :class:`ViewError` is worded.
 """
 
 from __future__ import annotations

@@ -293,6 +293,14 @@ class CompactTable(NamedTuple):
                 checked = len(rows)
         return CompactTable(self.columns, self.kinds, rows)
 
+    def packed(self, node_count: int) -> "CompactTable":
+        """The inverse of :meth:`unpacked`: ``(src, tgt)`` rows over node
+        IDs as one bitmask per source, ``node_count`` of them."""
+        masks = [0] * node_count
+        for source, target in self.rows:
+            masks[source] |= 1 << target
+        return CompactTable(self.columns, self.kinds, set(), masks)
+
 
 class PlanExecutor:
     """Executes logical plans against one property graph.

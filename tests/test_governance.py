@@ -200,10 +200,12 @@ class TestDeadlines:
 
     def test_sqlite_adhoc_stream_respects_deadline(self, medium_db):
         connection = medium_db.connect(engine="sqlite")
-        # Ad-hoc literal queries stream from a cursor; the deadline then
-        # surfaces while rows decode (the session-level checkpoint).
-        with pytest.raises(QueryTimeoutError):
-            len(connection.execute(HEAVY_QUERY, timeout=TIMEOUT_S))
+        # An ad-hoc literal pattern fetches all its id rows inside the
+        # governed window, so the deadline fires there, in the SQL fetch
+        # (the progress handler), before any row decodes.
+        with pytest.raises(QueryTimeoutError) as excinfo:
+            connection.execute(HEAVY_QUERY, timeout=TIMEOUT_S)
+        assert "sqlite.progress" in excinfo.value.progress["sites"]
 
     def test_generous_deadline_does_not_fire(self, medium_db):
         connection = medium_db.connect(engine="planned")

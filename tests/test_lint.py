@@ -179,6 +179,36 @@ class TestAllExports:
         assert rules_for(tmp_path, source) == []
 
 
+class TestUndefinedName:
+    def test_a_name_bound_nowhere_is_flagged(self, tmp_path):
+        # A builder moved to another module, its import left behind.
+        source = "def build(sources):\n    return graph_from_scans(sources)\n"
+        assert findings_for(tmp_path, source) == [("UNDEFINED-NAME", 2)]
+
+    def test_names_bound_in_any_scope_and_builtins_pass(self, tmp_path):
+        source = (
+            "import os.path\n"
+            "from typing import TYPE_CHECKING\n"
+            "if TYPE_CHECKING:\n"
+            "    from repro.graph.compact import CompactGraph\n"
+            "def f(rows, *args, key=None, **options) -> 'CompactGraph':\n"
+            "    global LATE\n"
+            "    LATE = [x for x in rows if (y := x)]\n"
+            "    with open(os.path.join(*args)) as handle:\n"
+            "        return handle, key, options, y, __name__\n"
+            "class C:\n"
+            "    def g(self):\n"
+            "        try:\n"
+            "            return f, C, LATE, __file__\n"
+            "        except OSError as error:\n"
+            "            raise ValueError(error)\n"
+        )
+        assert rules_for(tmp_path, source) == []
+
+    def test_a_star_import_turns_the_rule_off(self, tmp_path):
+        assert rules_for(tmp_path, "from os import *\n\nSEP = sep\n") == []
+
+
 class TestUnusedImport:
     def test_unused_module_import_is_flagged(self, tmp_path):
         assert rules_for(tmp_path, "import os\n") == ["UNUSED-IMPORT"]
@@ -257,12 +287,12 @@ class TestResultOrder:
 class TestBareBroadExcept:
     @pytest.mark.parametrize("clause", ["except Exception:", "except BaseException:", "except:"])
     def test_swallowing_broad_handler_is_flagged_in_engine(self, tmp_path, clause):
-        source = f"def f():\n    try:\n        g()\n    {clause}\n        pass\n"
+        source = f"def f(g):\n    try:\n        g()\n    {clause}\n        pass\n"
         assert rules_for(tmp_path, source, in_engine=True) == ["BARE-BROAD-EXCEPT"]
 
     def test_cleanup_then_reraise_is_allowed(self, tmp_path):
         source = (
-            "def f():\n"
+            "def f(g, cleanup):\n"
             "    try:\n"
             "        g()\n"
             "    except BaseException:\n"
@@ -272,11 +302,11 @@ class TestBareBroadExcept:
         assert rules_for(tmp_path, source, in_engine=True) == []
 
     def test_narrow_handler_is_allowed(self, tmp_path):
-        source = "def f():\n    try:\n        g()\n    except ValueError:\n        pass\n"
+        source = "def f(g):\n    try:\n        g()\n    except ValueError:\n        pass\n"
         assert rules_for(tmp_path, source, in_engine=True) == []
 
     def test_rule_only_applies_to_the_engine_layer(self, tmp_path):
-        source = "def f():\n    try:\n        g()\n    except Exception:\n        pass\n"
+        source = "def f(g):\n    try:\n        g()\n    except Exception:\n        pass\n"
         assert rules_for(tmp_path, source, in_engine=False) == []
 
 

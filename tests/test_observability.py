@@ -358,11 +358,21 @@ def test_slow_query_log_respects_threshold_and_disarm():
 # --------------------------------------------------------------------------- #
 # SQLite streaming truthfulness
 # --------------------------------------------------------------------------- #
-def test_sqlite_results_stream_from_the_cursor():
+def test_sqlite_pattern_results_stream_from_the_decoder_not_a_cursor():
+    # SQLite runs the match and every id row is fetched at execute time;
+    # the rows then decode in Python, a batch at a time.  No cursor
+    # outlives the execution, so the view tables drop while the result
+    # is still unread.
     db = transfers_database()
     with db.connect(engine="sqlite") as connection:
         result = connection.execute(HOP_QUERY)
         assert result.streamed is True
+        engine = connection._get_engine()
+        assert engine._open_streams == []
+        ((view, _users),) = engine._shared_view_tables.values()
+        engine._drop_tables(view.names)
+        tables = "SELECT name FROM sqlite_temp_master WHERE type = 'table'"
+        assert engine.connection.execute(tables).fetchall() == []
         first = next(iter(result))
         assert len(first) == 3
         rows = result.rows  # drain the remainder

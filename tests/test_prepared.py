@@ -8,6 +8,7 @@ statement store behind ``execute(text, params=...)``, structured
 """
 
 import random
+import re
 
 import pytest
 
@@ -336,8 +337,11 @@ class TestSQLitePrepared:
         # The shape of the benchmark's reach_sqlite statement: SQLite must
         # build the pair relation once per execution and walk it through
         # an index in the recursive step, never by scanning it; the view was
-        # checked at load, so no row probes the node table, and both output
-        # lookups are answered from the property index alone.
+        # checked when it was built, so no row probes the node table.  The
+        # root statement runs only the match: it selects the endpoints'
+        # element ids off the closure, with no property or id join — the
+        # decoder spells the values — and no DISTINCT: the closure's pairs
+        # are a set already.
         with make_session("sqlite") as session:
             engine = session._get_engine()
             sql = engine.compile_to_sql(session.compile(CHAIN_QUERY))
@@ -348,24 +352,55 @@ class TestSQLitePrepared:
             assert "SEARCH pair USING AUTOMATIC COVERING INDEX (src=?)" in step, plan
             assert not any(line.startswith("SCAN pair") for line in step), plan
             assert not any(line.startswith("SEARCH n USING") for line in plan), plan
-            lookups = [line for line in plan if line.startswith("SEARCH out_prop")]
-            assert len(lookups) == 2 and all("USING COVERING INDEX" in line for line in lookups), plan
+            assert re.match(r"SELECT (p\d+)\.v_x, \1\.v_y FROM \(", sql), sql
+            assert "out_prop" not in sql and "out_id" not in sql, sql
+            assert "USE TEMP B-TREE FOR DISTINCT" not in step and plan[-1] == "SCAN reach0", plan
+
+    @pytest.mark.parametrize(
+        "match",
+        [
+            "(x) -[t:Transfer]->+ (y) WHERE t.amount > :minimum COLUMNS (x.iban)",
+            "(x) -[t:Transfer]-> () -[u:Transfer]-> (y) WHERE t.amount > :minimum"
+            " COLUMNS (x.iban, y.iban)",
+        ],
+        ids=["one-end-of-a-closure", "two-hop-ends"],
+    )
+    def test_root_statement_deduplicates_ids_that_can_repeat(self, match):
+        # Ids that bindings repeat are deduplicated in SQL, so the decoder
+        # receives distinct ids only — and the same rows as the oracle.
+        text = f"SELECT * FROM GRAPH_TABLE ( Transfers MATCH {match} )"
+        with make_session("sqlite", transfers=60) as session, make_session(
+            "naive", transfers=60
+        ) as oracle:
+            sql = session._get_engine().compile_to_sql(session.compile(text))
+            assert re.match(r"SELECT DISTINCT p\d+\.v_x", sql), sql
+            assert "out_prop" not in sql, sql
+            expected = oracle.execute(text, params={"minimum": 0})
+            assert repr(session.execute(text, params={"minimum": 0}).rows) == repr(expected.rows)
 
     def test_bare_variables_decode_and_zero_length_paths_read_the_encoded_nodes(self):
-        # COLUMNS (x, y) decodes integer element ids through the id table;
-        # ->* seeds its closure from the encoded node table (every account
-        # reaches itself), whatever the binding filters away.
+        # COLUMNS (x, y) decodes integer element ids — through the encoding
+        # at the root, through the id table when the pattern is nested under
+        # a relational operator; ->* seeds its closure from the encoded node
+        # table (every account reaches itself), whatever the binding filters
+        # away.
+        from repro.pgq import Project
+
         text = CHAIN_QUERY.replace("->+", "->*").replace("x.iban, y.iban", "x, y")
         with make_session("sqlite") as session, make_session("naive") as oracle:
             statement = session.prepare(text)
+            engine = session._get_engine()
+            nested = Project(session.compile(text), (2, 1))
             for minimum in (0, 250, 10**6):
                 expected = oracle.execute(text, params={"minimum": minimum})
                 result = statement.execute(minimum=minimum)
                 assert result.streamed
                 assert result.equals_unordered(expected), minimum
                 assert {("A0", "A0"), ("A7", "A7")} <= set(expected.rows)
-            engine = session._get_engine()
-            assert engine.compile_to_sql(session.compile(text)).count("_ids AS out_id") == 2
+                swapped = {(y, x) for x, y in expected.rows}
+                assert set(engine.evaluate(nested, {"minimum": minimum}).rows) == swapped
+            assert engine.compile_to_sql(nested).count("_ids AS out_id") == 2
+            assert "out_id" not in engine.compile_to_sql(session.compile(text))
 
     def test_feature_floor_is_checked_at_start_up(self, monkeypatch):
         # AS MATERIALIZED needs SQLite 3.35: an older library is refused

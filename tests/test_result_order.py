@@ -140,6 +140,33 @@ class TestExactOrder:
         assert list(result.rows) == expected
 
 
+class TestSQLiteRowsAreThePlannedRows:
+    """SQLite runs the match of a root pattern and the planned engine's
+    decoder builds the rows, so they are the planned rows value for value
+    — SQLite would hand ``True`` back as ``1`` — and in the same order."""
+
+    @pytest.mark.parametrize("identifier", [1, 1.0, True, "1", None], ids=repr)
+    def test_rows_equal_the_planned_engines_by_repr(self, identifier):
+        names = [(identifier,)] + [(f"n{i:02d}",) for i in range(len(ADVERSARIAL) - 1)]
+        with_p = [name + (value,) for name, value in zip(names, ADVERSARIAL)]
+        # A chain with a cycle at its tail and a shortcut: reach sets differ.
+        edges = [(names[i], names[i + 1]) for i in range(len(names) - 1)]
+        edges += [(names[-1], names[5]), (names[0], names[10])]
+        statements = [
+            f"SELECT * FROM GRAPH_TABLE ( G MATCH (x)-[t:W]{hop}(y) COLUMNS ({projection}) )"
+            for hop in ("->", "->+")
+            for projection in PROJECTIONS + (["t, x.p", "y, t"] if hop == "->" else [])
+        ]
+        with build(1, with_p, [], edges) as db:
+            planned, sqlite = db.connect("planned"), db.connect("sqlite")
+            for sql in statements:
+                expected = planned.execute(sql).rows
+                assert len(expected) > 0
+                assert repr(sqlite.execute(sql).rows) == repr(expected), sql
+            prepared = sqlite.prepare(statements[-1])
+            assert repr(prepared.execute().rows) == repr(planned.execute(statements[-1]).rows)
+
+
 # --------------------------------------------------------------------------- #
 # The cursor over a batch source
 # --------------------------------------------------------------------------- #

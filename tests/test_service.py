@@ -508,16 +508,27 @@ class TestCloseWithoutDrain:
             len(result)
 
     def test_sqlite_cursor_is_released_not_leaked(self, db):
+        from repro.pgq import Project
+
         connection = db.connect(engine="sqlite")
         result = connection.execute(HOP_QUERY, {"minimum": 0})
         next(iter(result))
         engine = connection._get_engine()
+        # A pattern's ids were all fetched at execute: no cursor to leak.
+        assert engine._open_streams == []
+        # A statement with a relational root streams off its cursor.
+        nested = Project(connection.compile(HOP_QUERY), (2,))
+        _arity, batches, _ordered = engine.stream(nested, {"minimum": 0})
+        assert next(batches)
         live = [ref() for ref in engine._open_streams if ref() is not None]
         assert live, "expected a live cursor mid-stream"
-        connection.close(drain=False)
+        batches.close()
         # Released, and the unread rows dropped rather than buffered: each
         # stream is simply over.
         assert all(list(stream) == [] for stream in live)
+        connection.close(drain=False)
+        with pytest.raises(ConnectionClosedError):
+            result.fetchall()
 
     def test_default_close_still_drains(self, db):
         """The historical contract: close() keeps produced rows readable."""

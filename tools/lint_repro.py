@@ -14,6 +14,13 @@ Rules (each failure prints ``path:line: RULE message`` and exits 1):
   defines them may touch their internals.
 * **ALL-EXPORTS** — every name in a module's ``__all__`` must be defined
   (or imported) at the module's top level.
+* **UNDEFINED-NAME** — a name read somewhere in a module that the module
+  binds nowhere (no assignment, definition, parameter, import, ``for`` /
+  ``with`` / ``except`` / comprehension target, ``global`` or
+  ``nonlocal``, in any scope) and that is not a builtin: a ``NameError``
+  waiting for the line to run, typically left behind when code moves
+  between modules.  Conservative — a name bound in *some* scope passes —
+  and off in a module with a star import.
 * **UNUSED-IMPORT** — a module-level import never referenced in the file
   (``__init__.py`` re-export surfaces and ``if TYPE_CHECKING:`` blocks
   are exempt; names listed in ``__all__`` count as used).
@@ -65,6 +72,7 @@ explicit file/directory arguments.
 from __future__ import annotations
 
 import ast
+import builtins
 import sys
 from pathlib import Path
 from typing import Iterator, List, Tuple
@@ -82,6 +90,9 @@ _LAYERS = {
 
 #: The only module allowed to mutate Snapshot internals.
 _SNAPSHOT_OWNER = "database.py"
+
+#: UNDEFINED-NAME: what a module may read without binding it.
+_PREDEFINED = frozenset(dir(builtins)) | {"__file__", "__path__", "__builtins__", "__class__"}
 
 Finding = Tuple[Path, int, str, str]
 
@@ -161,6 +172,27 @@ def _top_level_definitions(tree: ast.Module) -> set:
                     for alias in sub.names:
                         defined.add((alias.asname or alias.name).split(".")[0])
     return defined
+
+
+def _bound_names(tree: ast.Module) -> set:
+    """Every name the module binds, in any scope (``"*"`` for a star import)."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            bound.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, ast.arg):
+            bound.add(node.arg)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            bound.update(node.names)
+        elif isinstance(node, (ast.ExceptHandler, ast.MatchAs, ast.MatchStar)) and node.name:
+            bound.add(node.name)
+        elif isinstance(node, ast.MatchMapping) and node.rest:
+            bound.add(node.rest)
+    return bound
 
 
 def _used_names(tree: ast.Module) -> set:
@@ -504,6 +536,26 @@ def check_file(
                             "not define or import",
                         )
                     )
+
+    # UNDEFINED-NAME: every name read is bound somewhere in the module.
+    bound = _bound_names(tree)
+    if "*" not in bound:
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)
+                and node.id not in bound
+                and node.id not in _PREDEFINED
+            ):
+                findings.append(
+                    (
+                        path,
+                        node.lineno,
+                        "UNDEFINED-NAME",
+                        f"{node.id!r} is bound nowhere in the module and is not "
+                        "a builtin",
+                    )
+                )
 
     # UNUSED-IMPORT: module-level imports must be referenced somewhere.
     if path.name != "__init__.py":
