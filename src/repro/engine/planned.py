@@ -17,12 +17,13 @@ endpoint evaluator.
   ``PlanExecutor`` alive per materialized graph, so its sub-plan tables
   persist across a session's repeated queries.
 * A view is built **from scans** of the base tables its six sources read
-  (:mod:`repro.pgq.scans`: one pass per table, conditions (1)-(4) as
-  sufficient whole-set tests) whenever the sources are catalog-shaped and
-  the tables pass; otherwise **from relations**, the formal
-  ``(R1, ..., R6)`` → ``pgView`` path the naive oracle always takes and
-  the only one that can reject a view (:func:`~repro.pgq.scans.view_graph`,
-  the sqlite engine's view constructor too).  The executor's operators run on
+  and from the evaluated relations of the sources that scan no table
+  (:mod:`repro.pgq.scans`: one pass per table or relation, conditions
+  (1)-(4) as sufficient whole-set tests) whenever they pass; otherwise
+  **from relations**, the formal ``(R1, ..., R6)`` → ``pgView`` path the
+  naive oracle always takes and the only one that can reject a view
+  (:func:`~repro.pgq.scans.view_graph`, the sqlite engine's view
+  constructor too).  The executor's operators run on
   the compact integer encoding (dense node/edge IDs, label bitsets,
   property columns — :mod:`repro.graph.compact`), and so do the
   statistics; identifiers are decoded only at output projection.  The
@@ -110,13 +111,11 @@ class PlannedEngine(PGQEvaluator):
             self.plan_cache = scope.plan_cache()
 
     def _materialize_view(self, sources, max_arity, span):
-        """Build the view's encoding from table scans when they can vouch
-        for it, otherwise from the six relations
-        (:func:`~repro.pgq.scans.view_graph`) — encoded on the cold view
-        path, not mid-query under the executor's encode lock."""
-        return view_graph(
-            sources, self.database, max_arity, span, lambda: [self._eval(s) for s in sources]
-        )
+        """Build the view's encoding from table scans and evaluated sources
+        when the whole-set tests vouch for it, otherwise from the six
+        relations (:func:`~repro.pgq.scans.view_graph`) — encoded on the
+        cold view path, not mid-query under the executor's encode lock."""
+        return view_graph(sources, self.database, max_arity, span, self._eval)
 
     def _make_matcher(self, graph) -> PlanExecutor:
         return PlanExecutor(

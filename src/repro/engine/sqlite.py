@@ -188,12 +188,12 @@ class SQLiteEngine:
         """
         self._snapshot_scope = scope
 
-    def _source_relations(self, sources: Sequence[Query]) -> List[Relation]:
-        """The view-source relations, evaluated by the oracle and shared
+    def _source_relation(self, source: Query) -> Relation:
+        """One view source's relation, evaluated by the oracle and shared
         through the snapshot cache's relational entries when attached."""
         evaluator = PGQEvaluator(self.database)
         evaluator.use_snapshot_cache(self._snapshot_scope)
-        return [evaluator.evaluate(source) for source in sources]
+        return evaluator.evaluate(source)
 
     #: Soft cap on cached shared view-table sets; entries beyond it are
     #: evicted oldest-first, but only once unreferenced (correctness wins
@@ -477,8 +477,9 @@ class SQLiteEngine:
         The engine constructs the view once per ``(sources, max_arity)``
         (sources that do not hash: per content digest of the relations they
         evaluate to) with the planned engine's constructor,
-        :func:`~repro.pgq.scans.view_graph` — table scans, or ``pgView``
-        over the six relations, which raises the oracle's ``ViewError``.
+        :func:`~repro.pgq.scans.view_graph` — table scans and evaluated
+        sources, or ``pgView`` over the six relations, which raises the
+        oracle's ``ViewError``.
         ``R1``-``R6`` are written from its
         :class:`~repro.graph.compact.CompactGraph` over the element ID space
         (node ``i`` is id ``i``, edge ``e`` is id ``|N| + e``), integers
@@ -492,23 +493,21 @@ class SQLiteEngine:
         reads one set; its statements and streams are the entry's user set,
         which keeps it from eviction.
         """
-        relations = None
+        evaluate = self._source_relation
         cache_key: Tuple = (sources, max_arity)
         try:
             shared = self._shared_view_tables.get(cache_key)
         except TypeError:
-            relations = self._source_relations(sources)
+            relations = [evaluate(source) for source in sources]
             cache_key = (tuple(r.content_digest() for r in relations), max_arity)
             shared = self._shared_view_tables.get(cache_key)
+            evaluate = lambda source: relations[sources.index(source)]
         if shared is not None:
             self._shared_view_tables.move_to_end(cache_key)
             shared[1].add(user)
             return shared
         with trace_span("view.materialize", sources=len(sources)) as span:
-            graph, arity = view_graph(
-                sources, self.database, max_arity, span,
-                lambda: relations or self._source_relations(sources),
-            )
+            graph, arity = view_graph(sources, self.database, max_arity, span, evaluate)
         encoded = graph.compact()
         count = encoded.node_count
         edges = range(count, count + encoded.edge_count)

@@ -103,14 +103,20 @@ def iter_bits(mask: int) -> Iterator[int]:
         yield low.bit_length() - 1
 
 
+def is_sparse(mask: int) -> bool:
+    """Whether ``mask`` has under one bit in 32 set (a sparse reach set
+    over many nodes): cheaper to peel bit by bit than to scan a byte at a
+    time for its few non-empty bytes."""
+    return mask.bit_count() * 32 < mask.bit_length()
+
+
 def bit_positions(mask: int) -> List[int]:
     """The set bit positions of ``mask``, increasing, as a list.
 
-    Decoded a byte at a time through :data:`BYTE_POSITIONS`; a mask with
-    under one bit in 32 set (a sparse reach set over many nodes) is
-    cheaper to peel bit by bit than to scan for its empty bytes.
+    Decoded a byte at a time through :data:`BYTE_POSITIONS`, or peeled bit
+    by bit when :func:`is_sparse`.
     """
-    if mask.bit_count() * 32 < mask.bit_length():
+    if is_sparse(mask):
         return list(iter_bits(mask))
     data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
     return [
@@ -314,18 +320,26 @@ class CompactGraph:
             self._property_columns[(key, kind)] = column
         return column
 
-    def fragments(self, key: Optional[str], kind: str) -> Sequence[Optional[Tuple]]:
+    def fragments(
+        self, key: Optional[str], kind: str, run: Optional[Tuple[int, int]] = None
+    ) -> Sequence[Optional[Tuple]]:
         """One ID space as output-row fragments, by ID: its identifier
         tuples (``key`` None), or the 1-tuples of property ``key``'s values
-        with ``None`` where the property is undefined."""
-        if key is None:
+        with ``None`` where the property is undefined.  ``run`` keeps the
+        slice ``[start:stop]`` of each fragment (a projection decoded in
+        place).  Built once per ``(column, run)``."""
+        if key is None and run is None:
             return self.ids(kind)
-        column = self._decode_tables.get((key, kind))
+        column = self._decode_tables.get((key, kind, run))
         if column is None:
-            column = self._decode_tables[(key, kind)] = [
-                None if value is MISSING else (value,)
-                for value in self.property_column(key, kind)
-            ]
+            if run is None:
+                values = self.property_column(key, kind)
+                column = [None if value is MISSING else (value,) for value in values]
+            else:
+                start, stop = run
+                parts = self.fragments(key, kind)
+                column = [None if part is None else part[start:stop] for part in parts]
+            self._decode_tables[(key, kind, run)] = column
         return column
 
     def rank_table(

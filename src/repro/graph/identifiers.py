@@ -71,11 +71,3 @@ def unwrap_if_unary(ident: Identifier) -> Any:
         return ident[0]
     return ident
 
-
-def flatten_identifier(ident: Identifier) -> Tuple[Any, ...]:
-    """Return the components of an identifier as a flat tuple.
-
-    Provided for symmetry with :func:`unwrap_if_unary`; canonical identifiers
-    are already flat, so this is the identity on valid input.
-    """
-    return tuple(ident)

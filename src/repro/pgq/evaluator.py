@@ -304,6 +304,8 @@ class PGQEvaluator:
         if isinstance(query, EmptyRelation):
             return Relation.empty(query.arity)
         if isinstance(query, Project):
+            if isinstance(query.operand, GraphPattern):
+                return self._eval_graph_pattern(query.operand, query.positions)
             return self._eval(query.operand).project(query.positions)
         if isinstance(query, Select):
             return self._eval_select(query)
@@ -350,8 +352,8 @@ class PGQEvaluator:
         evaluate the six source relations and hand them to ``pgView``,
         the only place a :class:`~repro.errors.ViewError` is worded.
         The planned engine overrides this with
-        :func:`~repro.pgq.scans.view_graph` (table scans, which cannot
-        reject a view, else the same ``pgView``).  ``span`` is the open
+        :func:`~repro.pgq.scans.view_graph` (table scans and evaluated
+        sources, which cannot reject a view, else the same ``pgView``).  ``span`` is the open
         ``view.materialize`` span: the builder that serves the view says
         so in ``built_from``, and tags the view's ``nodes`` and ``edges``.
         """
@@ -404,18 +406,31 @@ class PGQEvaluator:
                 self._views.popitem(last=False)
         return built
 
-    def _eval_graph_pattern(self, query: GraphPattern) -> Relation:
+    def _eval_graph_pattern(
+        self, query: GraphPattern, positions: Optional[Tuple[int, ...]] = None
+    ) -> Relation:
+        """The pattern's rows, or with ``positions`` their projection (the
+        relational ``Project`` the pattern is the operand of)."""
         bindings = self._bindings
         graph, identifier_arity, matcher = self._resolve_graph_pattern(query)
+        arity = output_arity(query.output, identifier_arity)
+        # Matchers that decode a projection in place (the planner) take
+        # in-range positions; ``Relation.project`` words any other's error.
+        projection = {}
+        if getattr(matcher, "supports_projection", False) and positions and all(
+            type(p) is int and 1 <= p <= arity for p in positions
+        ):
+            projection["positions"] = positions
         if bindings and getattr(matcher, "supports_parameters", False):
             # Parameter-aware matchers (the planner) keep the parameterized
             # pattern as their plan-cache key and bind per execution: one
             # plan compilation serves every binding of the statement.
-            rows = matcher.evaluate_output(query.output, bindings=bindings)
+            rows = matcher.evaluate_output(query.output, bindings=bindings, **projection)
         else:
             output = bind_output(query.output, bindings) if bindings else query.output
-            rows = matcher.evaluate_output(output)
-        arity = output_arity(query.output, identifier_arity)
+            rows = matcher.evaluate_output(output, **projection)
+        if projection:
+            return Relation._trusted(len(positions), rows)
         # Matchers that build every output row from a fixed projection
         # layout (the planner) declare ``trusted_output_arity`` and skip
         # the per-row length scan; the naive oracle keeps it, so arity
@@ -428,7 +443,8 @@ class PGQEvaluator:
                     )
         # Matcher outputs are flat tuples of atomic values with the arity
         # established above, so skip the per-row re-validation.
-        return Relation._trusted(arity, rows)
+        relation = Relation._trusted(arity, rows)
+        return relation if positions is None else relation.project(positions)
 
 
 def check_selection(condition, arity: int) -> None:

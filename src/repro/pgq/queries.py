@@ -372,15 +372,6 @@ def static_query_arity(query: Query, schema) -> int:
     raise QueryError(f"cannot compute the arity of {query!r}")
 
 
-def static_identifier_arity(pattern: "GraphPattern", schema) -> int:
-    """Identifier arity of the view built by a ``GraphPattern``, statically.
-
-    The arity is that of the node-identifier subquery ``Q1`` (Definition
-    5.1 fixes the other five arities relative to it).
-    """
-    return static_query_arity(pattern.sources[0], schema)
-
-
 def output_arity(output: OutputPattern, identifier_arity: int) -> int:
     """Arity of the relation produced by an output pattern.
 

@@ -7,7 +7,10 @@ constant column.  Such a source is a union of **scan terms**
 ``(table, picks)`` — each pick a column index of the table or a
 :class:`Literal` — and the property graph of Definition 3.1 / 5.1 can be
 assembled from the terms directly, one pass over each base table, without
-materializing ``(R1, ..., R6)`` first.
+materializing ``(R1, ..., R6)`` first.  A source outside that corner (a
+``Select``, or a union of projections of one: Theorem 5.2's pair view) is
+evaluated once, as a whole, and its rows enter as one term: a relation is
+a set, so its keys never repeat.
 
 What the scans assemble is the graph's compact encoding
 (:class:`~repro.graph.compact.CompactGraph`), not a graph that is then
@@ -20,9 +23,9 @@ maps.  The :class:`~repro.graph.property_graph.PropertyGraph` of the view
 is derived from the encoding only when a row-at-a-time consumer reads it.
 
 This builder **only ever accepts**.  The definition's conditions (1)-(4)
-are enforced through *sufficient* whole-set tests on the index maps; a
-source outside the grammar, or tables that miss any test (a duplicated
-key, a dangling endpoint, a node/edge overlap, inconsistent arities), make
+are enforced through *sufficient* whole-set tests on the index maps;
+tables or evaluated sources that miss any test (a duplicated key, a
+dangling endpoint, a node/edge overlap, inconsistent arities) make
 :func:`graph_from_scans` return ``None``, and :func:`view_graph` then
 takes the formal path — the six relations and
 :func:`repro.pgq.views.materialize_graph` — which accepts or raises
@@ -68,8 +71,10 @@ class Literal(NamedTuple):
 
 #: One column of a term's output: a 0-based column of the table, or a constant.
 Pick = Either[int, Literal]
-#: ``(table name, picks)``: one output row per row of the table.
-ScanTerm = Tuple[str, Tuple[Pick, ...]]
+#: A base table by name, or an evaluated view source by its number (0-5).
+Table = Either[str, int]
+#: ``(table, picks)``: one output row per row of the table.
+ScanTerm = Tuple[Table, Tuple[Pick, ...]]
 
 
 def lower_source(query: Query, schema: Schema) -> Optional[Tuple[int, List[ScanTerm]]]:
@@ -125,47 +130,59 @@ def lower_source(query: Query, schema: Schema) -> Optional[Tuple[int, List[ScanT
 
 
 class _Tables:
-    """Picked columns of the base tables, each transposed and zipped once."""
+    """The rows of the base tables and evaluated sources the terms read,
+    each listed once (so two reads of one table line up row for row), and
+    their picked columns, each transposed and zipped once."""
 
-    def __init__(self, database: Database):
+    def __init__(self, database: Database, evaluated: Dict[int, Relation]):
         self._database = database
-        self._columns: Dict[str, Tuple[int, Tuple[Tuple, ...]]] = {}
+        self._evaluated = evaluated
+        self._rows: Dict[Table, List[Tuple]] = {}
+        self._columns: Dict[Table, Tuple[Tuple, ...]] = {}
         self._picked: Dict[ScanTerm, List] = {}
 
-    def _transposed(self, table: str) -> Tuple[int, Tuple[Tuple, ...]]:
-        found = self._columns.get(table)
+    def rows(self, table: Table) -> List[Tuple]:
+        """The rows of ``table``, in the one order every read sees."""
+        found = self._rows.get(table)
         if found is None:
-            rows = self._database.relation(table).rows
-            found = self._columns[table] = (len(rows), tuple(zip(*rows)))
+            relation = (
+                self._evaluated[table] if type(table) is int else self._database.relation(table)
+            )
+            found = self._rows[table] = list(relation.rows)
         return found
 
-    def count(self, table: str) -> int:
+    def count(self, table: Table) -> int:
         """Rows of ``table``."""
-        return self._transposed(table)[0]
+        return len(self.rows(table))
 
-    def values(self, table: str, pick: Pick) -> Sequence:
+    def values(self, table: Table, pick: Pick) -> Sequence:
         """One picked column, a value per row of ``table``."""
-        count, columns = self._transposed(table)
         if type(pick) is Literal:
-            return [pick.value] * count
-        return columns[pick] if count else ()
+            return [pick.value] * self.count(table)
+        columns = self._columns.get(table)
+        if columns is None:
+            columns = self._columns[table] = tuple(zip(*self.rows(table)))
+        return columns[pick] if columns else ()
 
-    def strings(self, table: str, pick: Pick) -> Sequence[str]:
+    def strings(self, table: Table, pick: Pick) -> Sequence[str]:
         """One picked column as label / property-key names (``str`` of each value)."""
         values = self.values(table, pick)
         if type(pick) is Literal:
             return [str(pick.value)] * len(values)
         return list(map(str, values))
 
-    def tuples(self, table: str, picks: Tuple[Pick, ...]) -> List[Tuple]:
-        """The picked columns as one tuple per row of ``table`` (row order
-        is the table's, so two calls over one table line up)."""
+    def tuples(self, table: Table, picks: Tuple[Pick, ...]) -> List[Tuple]:
+        """The picked columns as one tuple per row of ``table``, in row
+        order (the rows themselves when the picks are all the columns)."""
         key = (table, picks)
         found = self._picked.get(key)
         if found is None:
-            found = self._picked[key] = list(
-                zip(*[self.values(table, pick) for pick in picks])
-            )
+            rows = self.rows(table)
+            if rows and picks == tuple(range(len(rows[0]))):
+                found = rows
+            else:
+                found = list(zip(*[self.values(table, pick) for pick in picks]))
+            self._picked[key] = found
         return found
 
 
@@ -240,19 +257,31 @@ def _endpoint_column(
 
 
 def graph_from_scans(
-    sources: Sequence[Query], database: Database, max_arity: Optional[int]
+    sources: Sequence[Query],
+    database: Database,
+    max_arity: Optional[int],
+    evaluate: Callable[[Query], Relation],
 ) -> Optional[Tuple[PropertyGraph, int]]:
     """``(graph, identifier arity)`` built straight from the base tables the
-    six ``sources`` scan, or ``None`` when this builder cannot vouch for
-    the view (see the module docstring): never an error of its own.  The
-    graph is built from its encoding and decodes its components lazily.
+    six ``sources`` scan and from the relations ``evaluate`` gives for the
+    sources that lower to no scan terms, or ``None`` when this builder
+    cannot vouch for the view (see the module docstring): never an error
+    of its own.  The graph is built from its encoding and decodes its
+    components lazily.
     """
-    started = perf_counter()
     if len(sources) != 6:
         return None
-    lowered = [lower_source(source, database.schema) for source in sources]
-    if None in lowered:
-        return None
+    lowered: List[Tuple[int, List[ScanTerm]]] = []
+    evaluated: Dict[int, Relation] = {}
+    for number, source in enumerate(sources):
+        terms = lower_source(source, database.schema)
+        if terms is None:
+            # A relation is a set: as one term, its keys never repeat.
+            relation = evaluated[number] = evaluate(source)
+            width = relation.arity
+            terms = width, [(number, tuple(range(width)))] if relation else []
+        lowered.append(terms)
+    started = perf_counter()
     arity = lowered[0][0]
     # One identifier arity, statically: n, n, 2n, 2n, n+1, n+2.
     if arity < 1 or [a for a, _ in lowered[1:]] != [
@@ -264,7 +293,7 @@ def graph_from_scans(
     node_terms, edge_terms, source_terms, target_terms, label_terms, property_terms = (
         terms for _, terms in lowered
     )
-    tables = _Tables(database)
+    tables = _Tables(database, evaluated)
 
     nodes, edges = _intern(tables, node_terms), _intern(tables, edge_terms)
     if nodes is None or edges is None:
@@ -357,23 +386,31 @@ def view_graph(
     database: Database,
     max_arity: Optional[int],
     span,
-    relations: Callable[[], Sequence[Relation]],
+    evaluate: Callable[[Query], Relation],
 ) -> Tuple[PropertyGraph, int]:
-    """``(graph, identifier arity)`` of one view, encoded: from the scans
-    when they can vouch for it, else the formal way — ``relations()``
-    evaluates the six sources and ``pgView`` builds the graph or raises
-    its :class:`~repro.errors.ViewError`.  The one view constructor of
-    the planned and sqlite engines.  ``span`` is the open
-    ``view.materialize`` span: it says which builder served the view
-    (``built_from``) and, once the view is encoded, its sizes and the
-    encoding's cost.
+    """``(graph, identifier arity)`` of one view, encoded: interned from
+    the scans and the evaluated sources when the whole-set tests vouch for
+    it, else the formal way — ``evaluate`` gives the six source relations
+    and ``pgView`` builds the graph or raises its
+    :class:`~repro.errors.ViewError`.  The one view constructor of the
+    planned and sqlite engines.  ``span`` is the open ``view.materialize``
+    span: it says which builder served the view (``built_from``:
+    ``"scans"`` when every source lowered to scan terms, ``"evaluated"``
+    when some were evaluated, ``"relations"`` for ``pgView``) and, once
+    the view is encoded, its sizes and the encoding's cost.
     """
-    built = graph_from_scans(sources, database, max_arity)
+    evaluated: List[Query] = []
+
+    def evaluate_source(source: Query) -> Relation:
+        evaluated.append(source)
+        return evaluate(source)
+
+    built = graph_from_scans(sources, database, max_arity, evaluate_source)
     if built is None:
         span.tag(built_from="relations")
-        built = materialize_graph(tuple(relations()), max_arity)
+        built = materialize_graph(tuple(map(evaluate, sources)), max_arity)
     else:
-        span.tag(built_from="scans")
+        span.tag(built_from="evaluated" if evaluated else "scans")
     encoded = built[0].compact()
     span.tag(
         nodes=encoded.node_count,

@@ -19,10 +19,11 @@ with a message naming the violated condition.
 Who builds from what: the naive engine, and every direct caller of this
 module, build a view **from relations** — the six relations are evaluated
 and handed to :func:`materialize_graph`.  The planned and sqlite engines
-build catalog-shaped views **from scans** of the base tables
-(:func:`repro.pgq.scans.view_graph`), a builder that can only accept;
-whatever it cannot vouch for comes here, so this module stays the one
-place a view is rejected and the one place a :class:`ViewError` is worded.
+build views **from scans** of the base tables and of the evaluated sources
+that scan none (:func:`repro.pgq.scans.view_graph`), a builder that can
+only accept; whatever it cannot vouch for comes here, so this module stays
+the one place a view is rejected and the one place a :class:`ViewError` is
+worded.
 """
 
 from __future__ import annotations

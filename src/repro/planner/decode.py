@@ -6,12 +6,16 @@ output pattern's distinct rows, through the **fragment columns** of the
 compact encoding (:meth:`~repro.graph.compact.CompactGraph.fragments`):
 per output item, the identifier tuple or the 1-tuple of a property value
 each ID contributes to a row, ``None`` where the property is undefined
-(such rows drop).  Two consumers share every kernel here:
+(such rows drop).  Two consumers share the kernels here:
 
 * :func:`project` materializes the row set (the matcher oracle
-  interface, ``evaluate_output``);
+  interface, ``evaluate_output``), or its projection onto some
+  positions, through projected fragment columns;
 * :func:`stream_project` hands a cursor **batches** — lists of rows —
   plus one fact: whether concatenating them gives the result order.
+
+A pair relation held as reach masks has one kernel each: unordered, one
+pass over the heads (:func:`project`); ordered, a batch per head.
 
 The result order is ascending ``repr(row)``.  For a mask-form (closure)
 table projected onto both endpoints it is produced structurally:
@@ -29,11 +33,11 @@ from __future__ import annotations
 
 from functools import reduce
 from itertools import islice
-from operator import or_
-from typing import TYPE_CHECKING, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from operator import itemgetter, or_
+from typing import TYPE_CHECKING, Callable, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from repro.governance import current_governor
-from repro.graph.compact import CompactGraph, bit_positions
+from repro.graph.compact import CompactGraph, bit_positions, is_sparse
 from repro.patterns.ast import OutputPattern, PropertyRef
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only (import cycle guard)
@@ -42,8 +46,10 @@ if TYPE_CHECKING:  # pragma: no cover - type hints only (import cycle guard)
 #: Int rows decoded per batch of a streamed generic table.
 _CHUNK = 256
 
-#: One resolved output item: ``(row index, property key or None, ID space)``.
-Item = Tuple[int, Optional[str], str]
+#: One resolved output item: ``(row index, property key or None, ID space,
+#: run)`` — ``run`` the ``(start, stop)`` of its fragment a projection
+#: keeps, or None; ``item[1:]`` names its fragment column.
+Item = Tuple[int, Optional[str], str, Optional[Tuple[int, int]]]
 
 
 def _resolve_items(table: "CompactTable", output: OutputPattern) -> Optional[List[Item]]:
@@ -57,8 +63,38 @@ def _resolve_items(table: "CompactTable", output: OutputPattern) -> Optional[Lis
         index = table.columns.get(variable)
         if index is None:
             return None
-        items.append((index, key, table.kinds.get(variable, "node")))
+        items.append((index, key, table.kinds.get(variable, "node"), None))
     return items
+
+
+def _projected_items(
+    encoded: CompactGraph, items: List[Item], positions: Tuple[int, ...]
+) -> Tuple[List[Item], Optional[Callable[[Tuple], Tuple]]]:
+    """``(items, reorder)`` for projecting the output rows onto the 1-based
+    ``positions`` (each within the row, on a graph with nodes).
+
+    When the positions pick one run of each item's fragment, items in
+    order — ``(1, 2, 5, 6)`` over two 4-ary identifiers, or the identity —
+    every item decodes through its projected fragment column and
+    ``reorder`` is None.  Any other shape leaves the items whole and
+    ``reorder`` picks the positions from each decoded row.
+    """
+    arity = len(encoded.node_ids[0])
+    slots = [
+        (number, offset)
+        for number, item in enumerate(items)
+        for offset in range(arity if item[1] is None else 1)
+    ]
+    picked = [slots[position - 1] for position in positions]
+    projected = []
+    for number, item in enumerate(items):
+        offsets = [offset for owner, offset in picked if owner == number]
+        start = offsets[0] if offsets else 0
+        projected.append(item[:3] + ((start, start + len(offsets)),))
+    runs = [(number, offset) for number, item in enumerate(projected) for offset in range(*item[3])]
+    if picked == runs:
+        return projected, None
+    return items, itemgetter(*(position - 1 for position in positions))
 
 
 def _pair_layout(encoded: CompactGraph, table: "CompactTable", items: List[Item]):
@@ -66,7 +102,7 @@ def _pair_layout(encoded: CompactGraph, table: "CompactTable", items: List[Item]
     table onto both endpoints, else None.  Rows are ``head + tail``; when
     the output names the target first, the masks are transposed so that it
     heads them."""
-    if table.masks is None or sorted(index for index, _, _ in items) != [0, 1]:
+    if table.masks is None or sorted(item[0] for item in items) != [0, 1]:
         return None
     head, tail = items
     if head[0] == 0:
@@ -83,49 +119,35 @@ def _pair_layout(encoded: CompactGraph, table: "CompactTable", items: List[Item]
     return transposed, head, tail
 
 
-def _pair_batches(encoded: CompactGraph, masks, head: Item, tail: Item, ordered: bool):
-    """The one mask-decode kernel: ``head + tail`` rows of a pair relation
-    held as per-head bitmasks over the tail IDs, one batch per head.
+def _pair_batches(encoded: CompactGraph, masks, head: Item, tail: Item):
+    """The ordered mask-decode kernel: ``head + tail`` rows of a pair
+    relation held as per-head bitmasks over the tail IDs, one batch per
+    head, in the result order (module docstring).
 
-    Sources inside one strongly connected component share identical reach
-    masks, so each *distinct* mask's tail fragments are decoded once and
-    every batch is one list comprehension over them.  ``ordered`` asks
-    for the result order (module docstring): heads walk their rank table,
-    equal heads merging their masks, and a mask's tails are its bits ->
-    ranks -> sorted -> fragments, so merged masks and rank sets also do
-    the deduplication.  Returns None when the head keys are not
-    prefix-free.  Unordered, heads come in ID order straight off the
-    fragment columns and rows may repeat across batches.
+    Heads walk their rank table, equal heads merging their masks, and a
+    mask's tails are its bits -> ranks -> sorted -> fragments, so merged
+    masks and rank sets also do the deduplication.  Sources inside one
+    strongly connected component share identical reach masks, so each
+    *distinct* mask's tail fragments are decoded once and every batch is
+    one list comprehension over them.  Returns None when the head keys
+    are not prefix-free.
     """
-    _, head_key, head_kind = head
-    _, tail_key, tail_kind = tail
-    if ordered:
-        head_ranks, by_rank, prefix_free = encoded.rank_table(head_key, head_kind, ", ")
-        if not prefix_free:
-            return None
-        tail_ranks, tails_by_rank, _ = encoded.rank_table(tail_key, tail_kind, ")")
-        merged: dict = {}
-        for rank, mask in zip(head_ranks, masks):
-            if mask and rank >= 0:
-                merged[rank] = merged.get(rank, 0) | mask
-        sources = [(by_rank[rank], merged[rank]) for rank in sorted(merged)]
+    _, head_key, head_kind, _ = head
+    _, tail_key, tail_kind, _ = tail
+    head_ranks, by_rank, prefix_free = encoded.rank_table(head_key, head_kind, ", ")
+    if not prefix_free:
+        return None
+    tail_ranks, tails_by_rank, _ = encoded.rank_table(tail_key, tail_kind, ")")
+    merged: dict = {}
+    for rank, mask in zip(head_ranks, masks):
+        if mask and rank >= 0:
+            merged[rank] = merged.get(rank, 0) | mask
+    sources = [(by_rank[rank], merged[rank]) for rank in sorted(merged)]
 
-        def decode(mask: int) -> List[Tuple]:
-            ranks = {tail_ranks[j] for j in bit_positions(mask)}
-            ranks.discard(-1)
-            return [tails_by_rank[rank] for rank in sorted(ranks)]
-
-    else:
-        tails = encoded.fragments(tail_key, tail_kind)
-        sources = [
-            (fragment, mask)
-            for fragment, mask in zip(encoded.fragments(head_key, head_kind), masks)
-            if mask and fragment is not None
-        ]
-
-        def decode(mask: int) -> List[Tuple]:
-            row_tails = map(tails.__getitem__, bit_positions(mask))
-            return [row_tail for row_tail in row_tails if row_tail is not None]
+    def decode(mask: int) -> List[Tuple]:
+        ranks = {tail_ranks[j] for j in bit_positions(mask)}
+        ranks.discard(-1)
+        return [tails_by_rank[rank] for rank in sorted(ranks)]
 
     def batches() -> Iterator[List[Tuple]]:
         decoded: dict = {}
@@ -139,9 +161,47 @@ def _pair_batches(encoded: CompactGraph, masks, head: Item, tail: Item, ordered:
     return batches()
 
 
+def _pair_rows(encoded: CompactGraph, masks, head: Item, tail: Item) -> List[Tuple]:
+    """The unordered mask-decode kernel: every ``head + tail`` row of a pair
+    relation held as per-head bitmasks over the tail IDs, in one pass.
+
+    Rows may repeat (equal fragments of distinct IDs).  A sparse mask is
+    peeled bit by bit inline; a dense one is decoded through the byte
+    table once per distinct mask (one strongly connected component's
+    sources share it).
+    """
+    tails = encoded.fragments(*tail[1:])
+    rows: List[Tuple] = []
+    append = rows.append
+    decoded: dict = {}
+    governor = current_governor()
+    for count, (fragment, mask) in enumerate(zip(encoded.fragments(*head[1:]), masks)):
+        if governor is not None and not count & 63:
+            governor.checkpoint("stream.decode")
+        if not mask or fragment is None:
+            continue
+        if is_sparse(mask):
+            while mask:  # highest bit first: one shift and one xor a bit
+                j = mask.bit_length() - 1
+                mask ^= 1 << j
+                row_tail = tails[j]
+                if row_tail is not None:
+                    append(fragment + row_tail)
+        else:
+            row_tails = decoded.get(mask)
+            if row_tails is None:
+                row_tails = decoded[mask] = [
+                    row_tail
+                    for row_tail in map(tails.__getitem__, bit_positions(mask))
+                    if row_tail is not None
+                ]
+            rows += [fragment + row_tail for row_tail in row_tails]
+    return rows
+
+
 def _decode_rows(encoded: CompactGraph, rows: Iterable[Tuple], items: List[Item]) -> List[Tuple]:
     """Int rows decoded through their items' fragment columns."""
-    columns = [(index, encoded.fragments(key, kind)) for index, key, kind in items]
+    columns = [(item[0], encoded.fragments(*item[1:])) for item in items]
     decoded: List[Tuple] = []
     for row in rows:
         projected: Tuple = ()
@@ -156,32 +216,37 @@ def _decode_rows(encoded: CompactGraph, rows: Iterable[Tuple], items: List[Item]
 
 
 def project(
-    encoded: CompactGraph, table: "CompactTable", output: OutputPattern
+    encoded: CompactGraph,
+    table: "CompactTable",
+    output: OutputPattern,
+    positions: Optional[Tuple[int, ...]] = None,
 ) -> FrozenSet[Tuple]:
-    """Decode a table into the output pattern's distinct row set."""
+    """Decode a table into the output pattern's distinct row set, or into
+    its projection onto the 1-based ``positions`` of each row (every one
+    within the row), decoded in place: no row of the full width is kept.
+    """
     items = _resolve_items(table, output)
-    if items is None:
+    if items is None or (positions is not None and not encoded.node_count):
         return frozenset()
+    reorder = None
+    if positions is not None:
+        items, reorder = _projected_items(encoded, items, positions)
     layout = _pair_layout(encoded, table, items)
+    rows: Iterable[Tuple]
     if layout is not None:
-        # Accumulate into a list (appends don't hash) and hash once in the
-        # final frozenset; a frozenset needs no order, so none is asked for.
-        rows: List[Tuple] = []
-        governor = current_governor()
-        for count, batch in enumerate(_pair_batches(encoded, *layout, ordered=False)):
-            if governor is not None and not count & 63:
-                governor.checkpoint("stream.decode")
-            rows += batch
-        return frozenset(rows)
-    if table.masks is not None and len(items) == 1:
-        (index, key, kind), masks = items[0], table.masks
-        if index == 0:
-            positions = [i for i, mask in enumerate(masks) if mask]
+        # A list (appends don't hash), hashed once in the final frozenset.
+        rows = _pair_rows(encoded, *layout)
+    elif table.masks is not None and len(items) == 1:
+        masks = table.masks
+        if items[0][0] == 0:
+            ids = [i for i, mask in enumerate(masks) if mask]
         else:
-            positions = bit_positions(reduce(or_, masks, 0))
-        fragments = map(encoded.fragments(key, kind).__getitem__, positions)
-        return frozenset(fragment for fragment in fragments if fragment is not None)
-    return frozenset(_decode_rows(encoded, table.unpacked().rows, items))
+            ids = bit_positions(reduce(or_, masks, 0))
+        fragments = map(encoded.fragments(*items[0][1:]).__getitem__, ids)
+        rows = [fragment for fragment in fragments if fragment is not None]
+    else:
+        rows = _decode_rows(encoded, table.unpacked().rows, items)
+    return frozenset(rows if reorder is None else map(reorder, rows))
 
 
 def stream_project(
@@ -203,7 +268,7 @@ def stream_project(
         return iter(()), False
     layout = _pair_layout(encoded, table, items)
     if layout is not None:
-        batches = _pair_batches(encoded, *layout, ordered=True)
+        batches = _pair_batches(encoded, *layout)
         if batches is not None:
             return batches, True
     if layout is not None or (table.masks is not None and len(items) == 1):

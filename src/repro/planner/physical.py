@@ -328,6 +328,12 @@ class PlanExecutor:
     #: so one compilation serves every binding of a prepared statement.
     supports_parameters = True
 
+    #: ``evaluate_output(output, positions=...)`` returns the output rows
+    #: projected onto ``positions`` (1-based, each within the row), decoded
+    #: in place: a relational ``Project`` over a pattern builds no row of
+    #: the pattern's full width.
+    supports_projection = True
+
     #: Per-plan-node table memos are cleared past this size: distinct
     #: bindings of prepared statements produce distinct (bound) filter
     #: nodes, and a long-lived executor fed many bindings must not retain
@@ -389,16 +395,19 @@ class PlanExecutor:
             profiler.add_root(plan)
         return plan
 
-    def evaluate_output(self, output: OutputPattern, bindings=None) -> FrozenSet[Tuple]:
+    def evaluate_output(
+        self, output: OutputPattern, bindings=None, positions=None
+    ) -> FrozenSet[Tuple]:
         """Plan, execute and project one output pattern on the graph.
 
         ``bindings`` resolve the pattern's parameter slots *after* plan
         compilation: the (cached) plan is keyed on the parameterized shape
         and the substitution below is a cheap structural walk, so repeated
-        executions with different bindings never recompile.
+        executions with different bindings never recompile.  ``positions``
+        projects the rows further (see ``supports_projection``).
         """
         plan = self._plan_for_output(output, bindings)
-        return project(self._compact_graph(), self.execute(plan), output)
+        return project(self._compact_graph(), self.execute(plan), output, positions)
 
     def stream_output(
         self, output: OutputPattern, bindings=None
@@ -477,7 +486,7 @@ class PlanExecutor:
             result = self._execute(plan)
             elapsed = perf_counter() - start
         if result.masks is not None:
-            produced = sum(mask.bit_count() for mask in result.masks)
+            produced = sum(map(int.bit_count, result.masks))
         else:
             produced = len(result.rows)
         if profiler is not None:

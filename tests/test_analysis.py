@@ -25,6 +25,7 @@ from repro.errors import (
     AnalysisError,
     AnalysisSchemaError,
     PlanVerificationError,
+    QueryError,
     SchemaError,
 )
 from repro.sqlpgq import source_excerpt
@@ -208,6 +209,43 @@ class TestParameterTypes:
             statement = db.connect(engine="planned").prepare(text)
             statement.execute(who="A0")
             assert statement.parameter_types == {"who": "string"}
+
+
+class TestConstantComparisons:
+    """A ``WHERE`` comparing two literals is decided by the analyzer
+    (``semantic._statically_false``) before any engine reads a row."""
+
+    TEXT = (
+        "SELECT * FROM GRAPH_TABLE ( Transfers\n"
+        "  MATCH (x) -[t:Transfer]-> (y)\n"
+        "  WHERE {}\n"
+        "  COLUMNS (x.iban) )"
+    )
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize(
+        "condition",
+        ["1 = 2", "'a' != 'a'", "2 < 1", "2 <= 1", "1 > 2", "1 >= 2", "1 < 'a'"],
+    )
+    def test_a_false_comparison_is_statically_empty_on_every_engine(self, engine, condition):
+        # ``1 < 'a'`` raises TypeError, and mixed types never order at run time.
+        with make_db() as db:
+            with pytest.raises(AnalysisError) as info:
+                db.connect(engine=engine).execute(self.TEXT.format(condition))
+        (diagnostic,) = info.value.diagnostics
+        assert diagnostic.code == "A007"
+        assert diagnostic.message == f"comparison {condition} is never satisfied"
+
+    @pytest.mark.parametrize("condition", ["1 = 1", "'a' != 'b'", "1 < 2", "2 <= 2", "2 > 1"])
+    def test_a_true_comparison_is_not_flagged(self, condition):
+        # Not flagged, and still not run: the compiler takes no literal pair.
+        text = self.TEXT.format(condition)
+        with make_db() as db:
+            analysis = analyze_query(parse_statement(text), db.snapshot().catalog)
+            assert analysis.ok and not analysis.diagnostics
+            for engine in ENGINES:
+                with pytest.raises(QueryError, match="between two literals"):
+                    db.connect(engine=engine).execute(text)
 
 
 # --------------------------------------------------------------------------- #

@@ -35,6 +35,7 @@ from repro.patterns.builder import (
     prop,
     prop_cmp,
     prop_cmp_prop,
+    prop_eq,
     repeat,
     seq,
     star,
@@ -644,6 +645,33 @@ def _nodes_where(condition):
     return graph_pattern_on_relations(output(where(node("x"), condition), "x"), VIEW)
 
 
+#: Nodes ``a``..``e`` and edges ``e1``..``e4`` with properties ``p`` and
+#: ``q``: some comparable, one missing, one pair of mixed types.
+_TWO_PROPERTIES = _view_database(
+    N=[("a",), ("b",), ("c",), ("d",), ("e",)],
+    E=[("e1",), ("e2",), ("e3",), ("e4",)],
+    S=[("e1", "a"), ("e2", "b"), ("e3", "c"), ("e4", "d")],
+    T=[("e1", "b"), ("e2", "c"), ("e3", "d"), ("e4", "e")],
+    L=[],
+    P=[
+        ("a", "p", 1), ("a", "q", 2),
+        ("b", "p", 3), ("b", "q", 2),
+        ("c", "p", 1),  # q missing
+        ("d", "p", "x"), ("d", "q", 2),  # mixed types
+        ("e", "p", 2.0), ("e", "q", 2),
+        ("e1", "p", 5), ("e1", "q", 5),
+        ("e2", "p", 5), ("e2", "q", "5"),  # mixed types
+        ("e3", "p", None), ("e3", "q", None),
+        ("e4", "p", 1),  # q missing
+    ],
+)
+
+
+def _edges_where(condition):
+    hop = where(seq(node("x"), edge("t"), node("y")), condition)
+    return graph_pattern_on_relations(output(hop, "t"), VIEW)
+
+
 @pytest.mark.parametrize(
     "database, query, expected",
     [
@@ -660,10 +688,16 @@ def _nodes_where(condition):
         (_VALUE_VIEW, _nodes_where(prop_cmp("x", "w", ">", 2)), ["(None,)"]),
         (_VALUE_VIEW, _nodes_where(~prop_cmp("x", "w", ">", 2)), ["('None',)", "('a',)"]),
         (_VALUE_VIEW, _nodes_where(~prop_cmp("x", "w", "=", 3)), ["('None',)", "('a',)"]),
+        # One variable on both sides: a scan predicate over two columns.
+        (_TWO_PROPERTIES, _nodes_where(prop_cmp_prop("x", "p", "<", "x", "q")), ["('a',)"]),
+        (_TWO_PROPERTIES, _nodes_where(prop_cmp_prop("x", "p", "<=", "x", "q")),
+         ["('a',)", "('e',)"]),
+        (_TWO_PROPERTIES, _edges_where(prop_eq("t", "p", "t", "q")), ["('e1',)", "('e3',)"]),
     ],
     ids=[
         "eq-none", "constant-none", "column-eq", "not-eq", "gt-constant", "gt-column",
         "le-column", "not-gt", "prop-eq-none", "prop-ne", "prop-gt", "prop-not-gt", "prop-not-eq",
+        "node-prop-lt-prop", "node-prop-le-prop", "edge-prop-eq-prop",
     ],
 )
 def test_none_is_a_value_and_mixed_types_do_not_order(database, query, expected):

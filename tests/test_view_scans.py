@@ -1,8 +1,9 @@
 """Columnar ≡ formal: the scan builder against ``pgView`` over six relations.
 
-The planned engine builds a catalog-shaped view straight from the base
-tables (:mod:`repro.pgq.scans`); every other engine — and the planned one
-whenever the scan builder declines — evaluates the six relations and calls
+The planned and sqlite engines build a view straight from the base tables
+its sources scan, and from the relations of the sources that scan nothing
+(:mod:`repro.pgq.scans`); the naive oracle — and the other two whenever the
+scan builder declines — evaluates the six relations and calls
 :func:`repro.pgq.views.materialize_graph`.  The scan builder may only ever
 *accept*: whatever it accepts must be the graph the formal path builds, and
 whatever is wrong with a view must be said by the formal path, in its words.
@@ -18,18 +19,25 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engine import Database as Catalog, PlannedEngine
+from repro.engine import Database as Catalog, NaiveEngine, PlannedEngine, SQLiteEngine
 from repro.errors import ArityError, ReproError, ViewError
 from repro.graph.compact import MISSING, CompactGraph
+from repro.graph.property_graph import PropertyGraph
 from repro.observability import RingBufferSink, Tracer
 from repro.observability.tracing import activate, deactivate, iter_spans
-from repro.pgq import BaseRelation, Constant, EmptyRelation, Product, Project, Select, Union
+from repro.patterns.ast import OutputPattern
+from repro.patterns.builder import edge, node, output, prop, reachability, seq
+from repro.pgq import (
+    BaseRelation, Constant, EmptyRelation, GraphPattern, Product, Project, Select, Union
+)
 from repro.pgq.evaluator import PGQEvaluator
 from repro.pgq.scans import Literal, graph_from_scans, lower_source
 from repro.pgq.views import materialize_graph
 from repro.planner.stats import collect_graph_statistics
 from repro.relational import ColumnEqualsConstant, Database, Relation
+from repro.relational.conditions import ColumnCompareConstant, Not
 from repro.relational.schema import RelationSchema, Schema
+from repro.datasets.random_graphs import pair_graph_database
 from repro.separations import pair_reachability_query
 from repro.sqlpgq.ast import CreatePropertyGraph, EdgeTableSpec, NodeTableSpec
 from repro.sqlpgq.catalog import compile_graph_definition
@@ -57,6 +65,11 @@ VIOLATIONS = {
 # --------------------------------------------------------------------------- #
 # Drawing DDL-shaped catalogs
 # --------------------------------------------------------------------------- #
+def constant(value):
+    """A constant column whose value need not be in the active domain."""
+    return Constant(value, require_active=False)
+
+
 def key_columns(arity):
     return tuple(f"k{i}" for i in range(arity))
 
@@ -266,6 +279,16 @@ def formal_outcome(database, sources, max_arity):
         return type(error), str(error)
 
 
+def scans_outcome(database, sources, max_arity):
+    """What the scan builder returns over the oracle's source relations —
+    ``(graph, arity)``, or None where it declines — or ``(error type,
+    text)`` when evaluating a source raised."""
+    try:
+        return graph_from_scans(sources, database, max_arity, PGQEvaluator(database).evaluate)
+    except ReproError as error:
+        return type(error), str(error)
+
+
 def planned_outcome(database, sources, max_arity):
     """What the planned engine's view build returns, and who built it."""
     sink = RingBufferSink()
@@ -277,6 +300,23 @@ def planned_outcome(database, sources, max_arity):
         outcome = type(error), str(error)
     finally:
         deactivate(token)
+    return outcome, built_from(sink)
+
+
+def sqlite_outcome(database, sources, max_arity):
+    """What the sqlite engine's view tables are built from — the graph
+    its encoding holds — and who built it."""
+    sink = RingBufferSink()
+    token = activate(Tracer([sink]))
+    engine = SQLiteEngine(database)
+    try:
+        view, _users = engine._view_tables(sources, max_arity, engine)
+        outcome = PropertyGraph._from_compact(view.encoded), view.identifier_arity
+    except ReproError as error:
+        outcome = type(error), str(error)
+    finally:
+        deactivate(token)
+        engine.close()
     return outcome, built_from(sink)
 
 
@@ -354,12 +394,17 @@ def relation_rows(graph):
 def check_case(database, sources, max_arity, name):
     expected = VIOLATIONS[name]
     formal = formal_outcome(database, sources, max_arity)
-    scanned = graph_from_scans(sources, database, max_arity)
+    scanned = scans_outcome(database, sources, max_arity)
     planned, builder = planned_outcome(database, sources, max_arity)
     if expected.formal is None:
         assert not isinstance(formal[0], type), formal
     else:
         assert isinstance(formal[0], type) and expected.formal in formal[1], formal
+    if scanned is not None and isinstance(scanned[0], type):
+        # A source outside the scan grammar failed to evaluate: the error
+        # is the formal path's, and no builder served the view.
+        assert scanned == planned == formal and builder is None
+        return
     assert (scanned is not None) == expected.accepted, name
     assert builder == ("scans" if scanned is not None else "relations")
     if scanned is not None:
@@ -415,7 +460,7 @@ class TestColumnarEqualsFormal:
         edge_spec = EdgeTableSpec("E", ("k",), ("s",), "N", ("t",), "N", ("T",))
         statement = CreatePropertyGraph("G", (NodeTableSpec("N", ("k",), ("A",)),), (edge_spec,))
         database, sources = self.compiled(tables, statement)
-        graph, arity = graph_from_scans(sources, database, None)
+        graph, arity = scans_outcome(database, sources, None)
         formal = formal_outcome(database, sources, None)
         assert arity == 1 and same_graph(graph, formal[0])
         assert graph.source(("e2",)) == (1,) and graph.target(("e2",)) == (3,)
@@ -435,23 +480,24 @@ class TestColumnarEqualsFormal:
             (edge_spec,),
         )
         database, sources = self.compiled(tables, statement)
-        assert graph_from_scans(sources, database, None) is None
+        assert scans_outcome(database, sources, None) is None
         formal = formal_outcome(database, sources, None)
         planned, builder = planned_outcome(database, sources, None)
         assert builder == "relations" and same_graph(planned[0], formal[0])
         assert formal[0].labels((1,)) == {"A", "B"} and formal[0].node_count() == 4
 
-    def test_a_source_outside_the_grammar_is_never_accepted(self):
+    def test_a_source_outside_the_grammar_is_evaluated_then_interned(self):
         query = pair_reachability_query()
         pattern = query.operand
         rows = [("a", "b", "b", "c"), ("b", "c", "c", "a"), ("a", "a", "a", "a")]
         database = Database({"E4": Relation(4, rows)})
-        assert graph_from_scans(pattern.sources, database, pattern.max_arity) is None
         assert lower_source(pattern.sources[1], database.schema) is None  # a Select
+        scanned = scans_outcome(database, pattern.sources, pattern.max_arity)
         planned, builder = planned_outcome(database, pattern.sources, pattern.max_arity)
         formal = formal_outcome(database, pattern.sources, pattern.max_arity)
-        assert builder == "relations"
-        assert planned[1] == formal[1] == 4 and same_graph(planned[0], formal[0])
+        assert builder == "evaluated"
+        assert scanned[1] == planned[1] == formal[1] == 4
+        assert same_graph(scanned[0], formal[0]) and same_graph(planned[0], formal[0])
 
     @pytest.mark.parametrize(
         "source",
@@ -496,7 +542,7 @@ class TestHandWrittenSources:
         database = Database.from_dict(tables, arities={"L": 2, "P": 3})
         sources = sources or tuple(BaseRelation(name) for name in "NESTLP")
         return (
-            graph_from_scans(sources, database, None),
+            scans_outcome(database, sources, None),
             formal_outcome(database, sources, None),
             planned_outcome(database, sources, None),
         )
@@ -530,9 +576,6 @@ class TestHandWrittenSources:
         assert planned == formal
 
     def test_constant_names_that_are_not_strings(self):
-        def constant(value):
-            return Constant(value, require_active=False)
-
         sources = (
             BaseRelation("N"), BaseRelation("E"), BaseRelation("S"), BaseRelation("T"),
             Product(BaseRelation("N"), constant(7)),
@@ -547,7 +590,7 @@ class TestHandWrittenSources:
         empty = {name: [] for name in "NESTLP"}
         database = Database.from_dict(empty, arities={"N": 2, "E": 2, "S": 4, "T": 4, "L": 3, "P": 4})
         sources = tuple(BaseRelation(name) for name in "NESTLP")
-        graph, arity = graph_from_scans(sources, database, None)
+        graph, arity = scans_outcome(database, sources, None)
         assert arity == formal_outcome(database, sources, None)[1] == 2
         assert graph.node_count() == graph.edge_count() == 0
 
@@ -605,18 +648,20 @@ class TestBuiltFromTag:
             (tags,) = self.view_spans(sink)
             assert tags["built_from"] == "scans"
             assert tags["nodes"] == 2 and tags["edges"] == 1 and "compact_encode_s" in tags
-        sink.clear()
-        with Catalog() as db:
-            db.create_table("E4", ["u1", "u2", "v1", "v2"], [("a", "b", "b", "c")])
-            # Connection.evaluate() opens no statement window of its own.
-            token = activate(Tracer([sink]))
-            try:
-                db.connect("planned").evaluate(pair_reachability_query())
-            finally:
-                deactivate(token)
-            (tags,) = self.view_spans(sink)
-            assert tags["built_from"] == "relations"
-            assert tags["nodes"] == 2 and tags["edges"] == 1 and "compact_encode_s" in tags
+        for engine in ("planned", "sqlite"):
+            sink.clear()
+            with Catalog() as db:
+                db.create_table("E4", ["u1", "u2", "v1", "v2"], [("a", "b", "b", "c")])
+                # Connection.evaluate() opens no statement window of its own.
+                token = activate(Tracer([sink]))
+                try:
+                    with db.connect(engine) as connection:
+                        assert len(connection.evaluate(pair_reachability_query())) == 3
+                finally:
+                    deactivate(token)
+                (tags,) = self.view_spans(sink)
+                assert tags["built_from"] == "evaluated"
+                assert tags["nodes"] == 2 and tags["edges"] == 1 and "compact_encode_s" in tags
         sink.clear()
         with self.catalog(sink, [("e", "a", "b"), ("e", "b", "b")]) as db:
             with pytest.raises(ViewError, match=r"condition \(2\) violated.*to both"):
@@ -763,7 +808,7 @@ class TestTheGraphIsDerivedOnDemand:
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(20):
-                graph, _arity = graph_from_scans(sources, database, None)
+                graph, _arity = scans_outcome(database, sources, None)
                 workers = [threading.Thread(target=read) for _ in range(barrier.parties)]
                 for worker in workers:
                     worker.start()
@@ -774,3 +819,236 @@ class TestTheGraphIsDerivedOnDemand:
             sys.setswitchinterval(interval)
         assert len(decoded) == 20  # one decode per graph, however many readers raced
         assert set(seen) == {(12, 40, frozenset({"Account"}))}
+
+
+# --------------------------------------------------------------------------- #
+# Views over relational sources: evaluated once, interned like scans
+# --------------------------------------------------------------------------- #
+ACCOUNTS = [(f"A{i}", f"owner{i % 3}") for i in range(8)]
+TRANSFERS = [(f"T{i}", f"A{i % 8}", f"A{(3 * i + 1) % 8}", 97 * i % 1000) for i in range(24)]
+
+
+def bank(accounts=ACCOUNTS, transfers=TRANSFERS):
+    return Database({"Account": Relation(2, accounts), "Transfer": Relation(4, transfers)})
+
+
+def big_transfers():
+    return Select(BaseRelation("Transfer"), ColumnCompareConstant(4, ">", 300))
+
+
+def filtered_bank_view():
+    """Every source through a ``Select``: nothing lowers to a scan term."""
+    accounts = Select(BaseRelation("Account"), Not(ColumnEqualsConstant(1, "nobody")))
+    nodes, big = Project(accounts, (1,)), big_transfers()
+    edges = Project(big, (1,))
+    return (
+        nodes,
+        edges,
+        Project(big, (1, 2)),
+        Project(big, (1, 3)),
+        Union(Product(nodes, constant("Account")), Product(edges, constant("Transfer"))),
+        Union(
+            Project(Product(accounts, constant("owner")), (1, 3, 2)),
+            Project(Product(big, constant("amount")), (1, 5, 4)),
+        ),
+    )
+
+
+def mixed_bank_view():
+    """Nodes, their labels and properties scan the base table; the edges
+    are a ``Select``'s evaluated rows."""
+    nodes, big = Project(BaseRelation("Account"), (1,)), big_transfers()
+    return (
+        nodes,
+        Project(big, (1,)),
+        Project(big, (1, 2)),
+        Project(big, (1, 3)),
+        Product(nodes, constant("Account")),
+        Project(Product(BaseRelation("Account"), constant("owner")), (1, 3, 2)),
+    )
+
+
+def pairs_case():
+    pattern = pair_reachability_query().operand
+    rows = pair_graph_database(5, seed=7, edge_probability=0.02).relation("E4")
+    database = Database({"E4": rows})
+    return database, pattern.sources, pattern.max_arity
+
+
+def with_labels(sources, labels):
+    return sources[:4] + (labels,) + sources[5:]
+
+
+#: An ill-formed relational view per condition, with the formal path's words.
+ILL_FORMED = {
+    "node_edge_overlap": (
+        lambda: (bank(transfers=TRANSFERS + [("A1", "A0", "A2", 900)]), filtered_bank_view()),
+        "condition (1) violated",
+    ),
+    "edge_with_two_sources": (
+        lambda: (
+            bank(transfers=TRANSFERS + [("T90", "A5", "A4", 900), ("T90", "A6", "A4", 900)]),
+            filtered_bank_view(),
+        ),
+        "to both",
+    ),
+    "dangling_endpoint": (
+        lambda: (bank(transfers=TRANSFERS + [("T99", "A0", "Nowhere", 900)]), filtered_bank_view()),
+        "which is not a node",
+    ),
+    "duplicate_property": (
+        lambda: (bank(accounts=ACCOUNTS + [("A0", "someone else")]), filtered_bank_view()),
+        "has two values",
+    ),
+    "arity_mismatch": (
+        lambda: (
+            bank(),
+            with_labels(
+                filtered_bank_view(),
+                Product(Product(BaseRelation("Account"), constant("L")), constant("x")),
+            ),
+        ),
+        "inconsistent identifier arities",
+    ),
+}
+
+
+class TestRelationalSources:
+    """``pairs_ext``'s view and its kin: the sources that scan no table are
+    evaluated once and interned, with the same whole-set tests."""
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            pairs_case,
+            lambda: (bank(), filtered_bank_view(), None),
+            lambda: (bank(), mixed_bank_view(), 1),
+        ],
+        ids=["pairs", "select_filtered_bank", "mixed_bank"],
+    )
+    def test_the_formal_graph_on_planned_and_sqlite(self, case):
+        database, sources, max_arity = case()
+        assert any(lower_source(source, database.schema) is None for source in sources)
+        formal = formal_outcome(database, sources, max_arity)
+        assert formal[0].node_count() and formal[0].edge_count()
+        for outcome in (planned_outcome, sqlite_outcome):
+            (graph, arity), builder = outcome(database, sources, max_arity)
+            assert builder == "evaluated"
+            assert arity == formal[1] and same_graph(graph, formal[0])
+            assert read_encoding(graph.compact()) == read_graph(formal[0])
+
+    def test_only_sources_outside_the_grammar_are_evaluated(self):
+        evaluated = []
+
+        def evaluate(source):
+            evaluated.append(source)
+            return PGQEvaluator(bank()).evaluate(source)
+
+        sources = mixed_bank_view()
+        assert graph_from_scans(sources, bank(), 1, evaluate) is not None
+        assert evaluated == list(sources[1:4])
+
+    @pytest.mark.parametrize("name", sorted(ILL_FORMED))
+    def test_ill_formed_views_raise_the_formal_error_on_every_engine(self, name):
+        make, words = ILL_FORMED[name]
+        database, sources = make()
+        formal = formal_outcome(database, sources, None)
+        assert formal[0] is ViewError and words in formal[1]
+        assert scans_outcome(database, sources, None) is None
+        with pytest.raises(ViewError) as naive:
+            NaiveEngine(database)._build_view(sources, None)
+        assert str(naive.value) == formal[1]
+        for outcome in (planned_outcome, sqlite_outcome):
+            assert outcome(database, sources, None) == (formal, "relations")
+
+
+class TestProjectDecodesInPlace:
+    """A relational ``Project`` over a pattern: the planned executor decodes
+    the projected rows directly, equal to ``Relation.project`` of the
+    pattern's rows."""
+
+    @pytest.mark.parametrize(
+        "positions",
+        [
+            (1, 2, 5, 6),  # Theorem 5.2: one pair of each identifier, contiguous
+            (5, 6, 1, 2),  # tail first
+            (1, 2),  # collapses every target
+            (3, 1),  # one identifier, reordered
+            (8,),
+            (1, 2, 3, 4, 5, 6, 7, 8),
+            (4, 4, 6),
+        ],
+    )
+    def test_pairs(self, positions):
+        database, sources, max_arity = pairs_case()
+        pattern = GraphPattern(reachability("x", "y"), sources, max_arity)
+        self.check(database, pattern, positions)
+
+    @pytest.mark.parametrize("positions", [(3, 4), (2, 3, 7), (1, 2, 7, 8), (4, 3)])
+    def test_pair_edges(self, positions):
+        # Edge identifiers (u1, u2, v1, v2) are not symmetric: a run that
+        # starts past the first component shows.
+        database, sources, max_arity = pairs_case()
+        hop = output(seq(node("x"), edge("t"), node("y")), "t", "y")
+        self.check(database, GraphPattern(hop, sources, max_arity), positions)
+
+    @pytest.mark.parametrize("positions", [(2,), (3, 1), (1, 2, 3), (3, 2, 1), (1, 1)])
+    def test_rows_of_a_hop_with_a_property(self, positions):
+        pattern = GraphPattern(
+            output(seq(node("x"), edge("t"), node("y")), "x", prop("t", "amount"), "y"),
+            filtered_bank_view(),
+        )
+        self.check(bank(), pattern, positions)
+
+    @pytest.mark.parametrize("positions", [(1,), (1, 1)])
+    def test_one_endpoint_of_a_closure(self, positions):
+        database, sources, max_arity = pairs_case()
+        reach = reachability("x", "y")
+        pattern = GraphPattern(OutputPattern(reach.pattern, ("y",)), sources, max_arity)
+        self.check(database, pattern, positions)
+
+    def test_sparse_reach_masks(self):
+        # Disjoint hops over 120 nodes: most reach masks have under one bit
+        # in 32 set, and every third node only has the property.
+        hops = range(0, 120, 2)
+        database = Database.from_dict(
+            {
+                "N": [(f"v{i}",) for i in range(120)],
+                "E": [(f"e{i}",) for i in hops],
+                "S": [(f"e{i}", f"v{i}") for i in hops],
+                "T": [(f"e{i}", f"v{i + 1}") for i in hops],
+                "L": [],
+                "P": [(f"v{i}", "p", i) for i in range(0, 120, 3)],
+            },
+            arities={"L": 2, "P": 3},
+        )
+        sources = tuple(BaseRelation(name) for name in "NESTLP")
+        reach = reachability("x", "y")
+        for items in (("x", "y"), ("x", prop("y", "p")), (prop("y", "p"), "x")):
+            pattern = GraphPattern(OutputPattern(reach.pattern, items), sources)
+            expected = PGQEvaluator(database).evaluate(pattern)
+            assert PlannedEngine(database).evaluate(pattern).rows == expected.rows
+            self.check(database, pattern, (2, 1))
+
+    @staticmethod
+    def check(database, pattern, positions):
+        expected = PGQEvaluator(database).evaluate(pattern).project(positions)
+        assert len(expected)
+        query = Project(pattern, positions)
+        planned = PlannedEngine(database).evaluate(query)
+        assert planned.arity == expected.arity and planned.rows == expected.rows
+        sqlite = SQLiteEngine(database)
+        try:
+            rows = sqlite.evaluate(query).rows
+        finally:
+            sqlite.close()
+        assert sorted(map(repr, rows)) == sorted(map(repr, expected.rows))
+
+    def test_a_position_out_of_range_is_the_oracles_error(self):
+        database, sources, max_arity = pairs_case()
+        query = Project(GraphPattern(reachability("x", "y"), sources, max_arity), (9,))
+        with pytest.raises(ArityError) as oracle:
+            PGQEvaluator(database).evaluate(query)
+        with pytest.raises(ArityError) as planned:
+            PlannedEngine(database).evaluate(query)
+        assert str(planned.value) == str(oracle.value)
