@@ -387,7 +387,7 @@ class Connection:
     # ------------------------------------------------------------------ #
     # The statement pipeline and its store
     # ------------------------------------------------------------------ #
-    def _pipeline(self, statement_text: str) -> Union[FrontHalf, CreatePropertyGraph]:
+    def pipeline(self, statement_text: str) -> Union[FrontHalf, CreatePropertyGraph]:
         """The front half of ``statement_text``, from the store or built
         now; DDL text comes back as its parsed AST, uncached (only
         :meth:`execute` accepts that — see :meth:`front_half`).
@@ -483,7 +483,7 @@ class Connection:
 
         Repeated text is a store hit that parses and analyzes nothing.
         """
-        front = self._pipeline(statement_text)
+        front = self.pipeline(statement_text)
         if not isinstance(front, FrontHalf):
             raise EngineError(
                 "only execute() accepts DDL; prepare(), compile(), explain() and "
@@ -559,7 +559,7 @@ class Connection:
         :class:`~repro.errors.GovernanceError` subclasses carrying
         partial-progress counters.  DDL ignores governance arguments.
         """
-        record = self._pipeline(statement_text)
+        record = self.pipeline(statement_text)
         if isinstance(record, CreatePropertyGraph):
             if params:
                 raise EngineError("DDL statements take no parameters")

@@ -3,9 +3,12 @@
 Owns how rows leave an execution — buffered or streamed — and the
 **result order**: ascending ``repr(row)``.  A row source is an iterator
 of row *lists* (batches) plus one fact, whether concatenating them
-already gives that order; the planned engine produces it structurally
-where it can (:mod:`repro.planner.decode`) and every other source is
-sorted here, in :func:`result_order`, on first ordered access.  Also
+already gives that order.  Every pattern result decoded by
+:mod:`repro.planner.decode` — the planned engine's, and a root pattern's
+on sqlite — arrives in it, unless its keys are not prefix-free; that
+source and every other one (the naive oracle's relations, a relational
+query's cursor rows) is sorted here, in :func:`result_order`, on first
+ordered access.  Also
 owns the cancel/close contract of a pending source, its batch-level
 decode clock, and the wrapper that meters it against a governor.
 """

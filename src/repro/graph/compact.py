@@ -343,24 +343,28 @@ class CompactGraph:
         return column
 
     def rank_table(
-        self, key: Optional[str], kind: str, terminator: str
+        self, key: Optional[str], kind: str, terminator: Optional[str]
     ) -> Tuple[List[int], List[Tuple], bool]:
         """``(rank by ID, fragment by rank, prefix_free)`` of one fragment
         column under the order of its sort keys.
 
         A fragment's key is the text it contributes to the ``repr`` of a
         row it is part of — its values' reprs joined by ``", "`` — plus
-        ``terminator``, the text that follows it there.  Equal fragments
+        ``terminator``, the text that follows it there; with no
+        terminator the fragment is the whole row and its key is its own
+        ``repr`` (a 1-tuple's trailing comma included).  Equal fragments
         share a rank (``-1`` = undefined).  ``prefix_free`` says no key
         is a prefix of another: then comparing two rows' reprs is decided
         inside the first fragment whenever those differ.  Built once per
         ``(column, terminator)`` and kept with the column.
         """
-        cached = self._decode_tables.get((key, kind, terminator))
+        cached = self._decode_tables.get(("rank", key, kind, terminator))
         if cached is None:
             column = self.fragments(key, kind)
             keys = {
-                fragment: ", ".join(map(repr, fragment)) + terminator
+                fragment: repr(fragment)
+                if terminator is None
+                else ", ".join(map(repr, fragment)) + terminator
                 for fragment in column
                 if fragment is not None
             }
@@ -369,7 +373,7 @@ class CompactGraph:
             prefix_free = not any(map(str.startswith, texts[1:], texts))
             rank_of = {fragment: rank for rank, fragment in enumerate(by_rank)}
             ranks = [-1 if fragment is None else rank_of[fragment] for fragment in column]
-            cached = self._decode_tables[(key, kind, terminator)] = (
+            cached = self._decode_tables[("rank", key, kind, terminator)] = (
                 ranks, by_rank, prefix_free
             )
         return cached

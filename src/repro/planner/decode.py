@@ -15,24 +15,29 @@ each ID contributes to a row, ``None`` where the property is undefined
   plus one fact: whether concatenating them gives the result order.
 
 A pair relation held as reach masks has one kernel each: unordered, one
-pass over the heads (:func:`project`); ordered, a batch per head.
+pass over the heads (:func:`project`); ordered, a batch per head.  Every
+other table streams through one ordered kernel over ranks.
 
-The result order is ascending ``repr(row)``.  For a mask-form (closure)
-table projected onto both endpoints it is produced structurally:
-``repr(head + tail)`` is ``"(" + key(head) + key(tail)`` with
-``key(head) = ", ".join(map(repr, head)) + ", "`` and ``key(tail)`` the
-same join closed by ``")"``, so while no head key is a prefix of another
-(checked once per column, with its rank table) sorting rows by ``repr``
-equals walking heads in key order and, per head, tails in key order.
-Everything else — generic int-row tables, single-column projections, a
-column whose head keys are not prefix-free — is handed over unordered
-and sorted by the cursor.
+The result order is ascending ``repr(row)``, produced structurally.  A
+row is a concatenation of fragments, so ``repr(row)`` is ``"("`` followed
+by each fragment's key — ``key(f) = ", ".join(map(repr, f))`` then
+``", "``, or ``")"`` after the last one — and a fragment column's rank
+table (:meth:`~repro.graph.compact.CompactGraph.rank_table`) ranks its
+fragments by that key.  While no key of an item but the last is a
+prefix of another (checked once per column), two rows' reprs compare as
+their items' ranks do, left to right: the first differing key decides
+inside itself.  So the mask-form (closure) table projected onto both
+endpoints walks heads in rank order and, per head, tails in rank order;
+any other table sorts one int per row, mixed radix over its items'
+ranks, and decodes in that order (a one-item row is ranked by its own
+``repr``).  A table whose keys are not prefix-free where they must be is
+handed over unordered, deduplicated, and sorted by the cursor.
 """
 
 from __future__ import annotations
 
 from functools import reduce
-from itertools import islice
+from itertools import repeat
 from operator import itemgetter, or_
 from typing import TYPE_CHECKING, Callable, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
@@ -43,7 +48,7 @@ from repro.patterns.ast import OutputPattern, PropertyRef
 if TYPE_CHECKING:  # pragma: no cover - type hints only (import cycle guard)
     from repro.planner.physical import CompactTable
 
-#: Int rows decoded per batch of a streamed generic table.
+#: Rows per batch of the rank kernel's stream.
 _CHUNK = 256
 
 #: One resolved output item: ``(row index, property key or None, ID space,
@@ -249,6 +254,81 @@ def project(
     return frozenset(rows if reorder is None else map(reorder, rows))
 
 
+def _id_rows(table: "CompactTable", items: List[Item]) -> Iterable[Tuple]:
+    """The int rows the items read: a row table's own, or, for a mask-form
+    table whose items all read one endpoint, its heads or tails as
+    ``(i, i)`` rows (at most one per node, no pair expanded)."""
+    masks = table.masks
+    if masks is None:
+        return table.rows
+    endpoints = {item[0] for item in items}
+    if endpoints == {0}:
+        ids = [i for i, mask in enumerate(masks) if mask]
+    elif endpoints == {1}:
+        ids = bit_positions(reduce(or_, masks, 0))
+    else:
+        return table.unpacked().rows
+    return zip(ids, ids)
+
+
+def _rank_batches(
+    encoded: CompactGraph, rows: Iterable[Tuple], items: List[Item]
+) -> Optional[Iterator[List[Tuple]]]:
+    """The ordered row-decode kernel: the distinct output rows of int
+    ``rows`` in the result order, :data:`_CHUNK` at a time, or None when
+    an item other than the last has keys that are not prefix-free.
+
+    Rows with an undefined fragment drop; each other row becomes one int,
+    mixed radix over its items' ranks (module docstring), so sorting the
+    set of those ints sorts and deduplicates the rows, which then decode
+    from the ints through the ranks' fragments.
+    """
+    spans = []
+    last = len(items) - 1
+    for position, (index, key, kind, _run) in enumerate(items):
+        terminator = None if not last else ")" if position == last else ", "
+        ranks, by_rank, prefix_free = encoded.rank_table(key, kind, terminator)
+        if not prefix_free and position < last:
+            return None
+        spans.append((index, ranks, by_rank, len(by_rank)))
+
+    def batches() -> Iterator[List[Tuple]]:
+        if len(spans) == 2:  # the common shape: one comprehension each way
+            (first, ranks, heads, _), (second, tail_ranks, tails, radix) = spans
+            keys = {
+                head * radix + tail
+                for row in rows
+                if (head := ranks[row[first]]) >= 0 and (tail := tail_ranks[row[second]]) >= 0
+            }
+            ordered = sorted(keys)
+            for start in range(0, len(ordered), _CHUNK):
+                chunk = map(divmod, ordered[start : start + _CHUNK], repeat(radix))
+                yield [heads[head] + tails[tail] for head, tail in chunk]
+            return
+        keys = set()
+        for row in rows:
+            key = 0
+            for index, ranks, _by_rank, radix in spans:
+                rank = ranks[row[index]]
+                if rank < 0:
+                    break
+                key = key * radix + rank
+            else:
+                keys.add(key)
+        ordered = sorted(keys)
+        for start in range(0, len(ordered), _CHUNK):
+            batch = []
+            for key in ordered[start : start + _CHUNK]:
+                row: Tuple = ()
+                for _index, _ranks, by_rank, radix in reversed(spans):
+                    key, rank = divmod(key, radix)
+                    row = by_rank[rank] + row
+                batch.append(row)
+            yield batch
+
+    return batches()
+
+
 def stream_project(
     encoded: CompactGraph, table: "CompactTable", output: OutputPattern
 ) -> Tuple[Iterator[List[Tuple]], bool]:
@@ -257,34 +337,21 @@ def stream_project(
 
     Both endpoints of a mask-form table stream one batch per head, in
     result order, straight from the reachability bitmasks — the first
-    rows of a large closure are available right after the fixpoint.  A
-    generic int-row table streams unordered, :data:`_CHUNK` rows at a
-    time.  What is left — one endpoint of a mask-form table (at most a
-    row per node), or both when the head keys are not prefix-free — is
+    rows of a large closure are available right after the fixpoint.
+    Every other table — int rows, or the heads or tails of a mask-form
+    table — goes through the rank kernel: one sort of one int per row,
+    then :data:`_CHUNK` decoded rows a batch, in result order.  What is
+    left, a table whose keys are not prefix-free where they must be, is
     the materialized set as a single unordered batch.
     """
     items = _resolve_items(table, output)
     if items is None:
-        return iter(()), False
+        return iter(()), True
     layout = _pair_layout(encoded, table, items)
     if layout is not None:
         batches = _pair_batches(encoded, *layout)
-        if batches is not None:
-            return batches, True
-    if layout is not None or (table.masks is not None and len(items) == 1):
-        return iter([list(project(encoded, table, output))]), False
-    rows = iter(table.unpacked().rows)
-
-    def chunks() -> Iterator[List[Tuple]]:
-        seen: set = set()
-        while chunk := list(islice(rows, _CHUNK)):
-            fresh = [
-                row
-                for row in dict.fromkeys(_decode_rows(encoded, chunk, items))
-                if row not in seen
-            ]
-            seen.update(fresh)
-            if fresh:
-                yield fresh
-
-    return chunks(), False
+    else:
+        batches = _rank_batches(encoded, _id_rows(table, items), items)
+    if batches is not None:
+        return batches, True
+    return iter([list(project(encoded, table, output))]), False

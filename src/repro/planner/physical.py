@@ -12,9 +12,10 @@ reachability fixpoint with its endpoint variables — costs nothing: the
 naive endpoint evaluator this avoids the per-match mapping dictionaries
 and the boxed identifier tuples entirely:
 
-* scans emit dense node/edge IDs; label sets are bitmask tests and
-  pushed-down property conditions read prefetched value columns, checked
-  once per node/edge, not once per produced match;
+* scans select dense node/edge IDs a whole column at a time: label sets
+  are bitmask tests, and a pushed-down condition maps its comparator
+  over the value columns, once per leaf, not once per produced match;
+  rows are then zipped from the ID list and the endpoint columns;
 * concatenation is a **hash join** keyed on the shared midpoint plus the
   values of variables bound on both sides, packed into one int — the
   mapping-compatibility check of Figure 2 becomes int equality;
@@ -51,6 +52,9 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import reduce
+from itertools import compress, filterfalse, repeat
+from operator import and_, is_not
 from time import perf_counter
 from typing import (
     TYPE_CHECKING,
@@ -60,6 +64,7 @@ from typing import (
     List,
     NamedTuple,
     Optional,
+    Sequence,
     Set,
     Tuple,
 )
@@ -67,7 +72,7 @@ from typing import (
 from repro.errors import BindingError, PatternError
 from repro.governance import CHECK_INTERVAL, current_governor
 from repro.graph import compact as compact_encoding
-from repro.graph.compact import MISSING as _COMPACT_MISSING, bit_positions, iter_bits
+from repro.graph.compact import MISSING as _COMPACT_MISSING, bit_positions, bitmask, iter_bits
 from repro.graph.property_graph import PropertyGraph
 from repro.matching import fixpoint
 from repro.observability.analyze import active_profiler
@@ -117,6 +122,14 @@ def compile_plan(pattern, needed, stats, verify=None) -> LogicalPlan:
         logical = build_logical_plan(pattern)
     with trace_span("optimize"):
         return optimize(logical, needed, stats, verify=verify)
+
+
+def _compares(compare, left, right) -> bool:
+    """``compare(left, right)``, False where the two do not order."""
+    try:
+        return compare(left, right)
+    except TypeError:
+        return False
 
 
 def _profile_label(plan: LogicalPlan) -> str:
@@ -529,201 +542,101 @@ class PlanExecutor:
             return CompactTable(columns, {v: "node" for v in columns}, set())
         raise PatternError(f"unknown physical operator for {plan!r}")
 
-    def _compact_label_mask(self, labels: FrozenSet[str], kind: str) -> Optional[int]:
-        """Bitmask of IDs carrying every label, or None for no filter."""
-        if not labels:
-            return None
-        encoded = self._compact_graph()
-        lookup = (
-            encoded.node_label_mask if kind == "node" else encoded.edge_label_mask
-        )
-        mask = -1
-        for label in labels:
-            mask &= lookup(label)
-            if not mask:
-                break
-        return mask
-
-    def _compact_scan_predicate(self, condition: PatternCondition, kind: str):
-        """Compile a pushed-down scan condition into a per-ID predicate.
+    def _select(
+        self, condition: PatternCondition, kind: str, variable: str, ids: Sequence[int]
+    ) -> List[int]:
+        """The IDs among ``ids`` (one space's, distinct) that satisfy a
+        pushed-down scan condition, a whole column at a time.
 
         Scan conditions reference exactly the scanned variable, so every
-        leaf resolves against this ID space's dense columns: property
-        comparisons read the prefetched value column and labels test the
-        bitset — no per-element mapping dict, no keyed dictionary probes.
-        Returns None for shapes the columns cannot answer (the scan then
-        falls back to ``condition.satisfied`` per element).
+        leaf resolves against this space's dense columns: a property
+        comparison drops the :data:`MISSING` slots by identity and maps
+        the comparator over the rest, a label is a mask test, ``And``
+        chains selections, ``Or`` selects the right side among what the
+        left one left out, and ``Not`` is a difference.  A leaf the
+        columns cannot answer (a cross-variable comparison, a condition
+        kind of its own) keeps ``condition.satisfied`` per element.
         """
+        if isinstance(condition, AndCondition):
+            chosen = self._select(condition.left, kind, variable, ids)
+            return self._select(condition.right, kind, variable, chosen)
+        if isinstance(condition, OrCondition):
+            chosen = self._select(condition.left, kind, variable, ids)
+            rest = list(filterfalse(set(chosen).__contains__, ids))
+            return chosen + self._select(condition.right, kind, variable, rest)
+        if isinstance(condition, NotCondition):
+            chosen = set(self._select(condition.operand, kind, variable, ids))
+            return list(filterfalse(chosen.__contains__, ids))
         encoded = self._compact_graph()
+        if isinstance(condition, HasLabel):
+            labels = encoded.node_labels if kind == "node" else encoded.edge_labels
+            within = bitmask(ids, len(encoded.ids(kind)))
+            return bit_positions(labels.get(condition.label, 0) & within)
         if isinstance(condition, PropertyCompare):
             if isinstance(condition.constant, Parameter):
                 raise BindingError(
                     f"parameter {condition.constant!r} must be bound before execution"
                 )
-            column = encoded.property_column(condition.key, kind)
-            compare = COMPARATORS[condition.operator]
+            columns = [encoded.property_column(condition.key, kind)]
             constant = condition.constant
-
-            def predicate(i, column=column, compare=compare, constant=constant):
-                value = column[i]
-                if value is _COMPACT_MISSING:
-                    return False
-                try:
-                    return compare(value, constant)
-                except TypeError:
-                    return False
-
-            return predicate
-        if isinstance(condition, HasLabel):
-            mask = (
-                encoded.node_label_mask(condition.label)
-                if kind == "node"
-                else encoded.edge_label_mask(condition.label)
-            )
-            return lambda i, mask=mask: bool((mask >> i) & 1)
-        if isinstance(condition, (PropertyEquals, PropertyComparesProperty)):
-            if condition.left_var != condition.right_var:
-                return None  # cross-variable: never pushed into a scan
-            left = encoded.property_column(condition.left_key, kind)
-            right = encoded.property_column(condition.right_key, kind)
-            compare = COMPARATORS[
-                getattr(condition, "operator", "=")
+        elif (
+            isinstance(condition, (PropertyEquals, PropertyComparesProperty))
+            and condition.left_var == condition.right_var
+        ):
+            columns = [
+                encoded.property_column(condition.left_key, kind),
+                encoded.property_column(condition.right_key, kind),
             ]
+        else:
+            graph, idents = self.graph, encoded.ids(kind)
+            return [i for i in ids if condition.satisfied(graph, {variable: idents[i]})]
+        compare = COMPARATORS[getattr(condition, "operator", "=")]
+        if type(ids) is not range:  # a range is the whole space: its columns as they are
+            columns = [list(map(column.__getitem__, ids)) for column in columns]
+        defined = list(map(is_not, columns[0], repeat(_COMPACT_MISSING)))
+        for column in columns[1:]:
+            defined = list(map(and_, defined, map(is_not, column, repeat(_COMPACT_MISSING))))
+        if not all(defined):
+            ids = list(compress(ids, defined))
+            columns = [list(compress(column, defined)) for column in columns]
+        operands = columns if len(columns) == 2 else [columns[0], repeat(constant)]
+        try:
+            return list(compress(ids, map(compare, *operands)))
+        except TypeError:  # a value that does not order against its operand
+            return [i for i, *values in zip(ids, *operands) if _compares(compare, *values)]
 
-            def predicate(i, left=left, right=right, compare=compare):
-                a, b = left[i], right[i]
-                if a is _COMPACT_MISSING or b is _COMPACT_MISSING:
-                    return False
-                try:
-                    return compare(a, b)
-                except TypeError:
-                    return False
-
-            return predicate
-        if isinstance(condition, AndCondition):
-            first = self._compact_scan_predicate(condition.left, kind)
-            second = self._compact_scan_predicate(condition.right, kind)
-            if first is None or second is None:
-                return None
-            return lambda i: first(i) and second(i)
-        if isinstance(condition, OrCondition):
-            first = self._compact_scan_predicate(condition.left, kind)
-            second = self._compact_scan_predicate(condition.right, kind)
-            if first is None or second is None:
-                return None
-            return lambda i: first(i) or second(i)
-        if isinstance(condition, NotCondition):
-            inner = self._compact_scan_predicate(condition.operand, kind)
-            if inner is None:
-                return None
-            return lambda i: not inner(i)
-        return None
+    def _scan_ids(self, plan: NodeScan | EdgeScan, kind: str) -> Sequence[int]:
+        """The IDs a node or edge scan emits: the label mask's positions —
+        the whole space as a ``range`` when the mask covers it — narrowed
+        by the pushed-down condition."""
+        encoded = self._compact_graph()
+        labels = encoded.node_labels if kind == "node" else encoded.edge_labels
+        everything = (1 << len(encoded.ids(kind))) - 1
+        mask = reduce(and_, [labels.get(label, 0) for label in plan.labels], everything)
+        ids = range(len(encoded.ids(kind))) if mask == everything else bit_positions(mask)
+        if plan.condition is not None:
+            ids = self._select(plan.condition, kind, plan.variable, ids)
+        return ids
 
     def _compact_node_scan(self, plan: NodeScan) -> CompactTable:
-        encoded = self._compact_graph()
-        allowed = self._compact_label_mask(plan.labels, "node")
-        condition, variable = plan.condition, plan.variable
-        if allowed is None and condition is None:
-            rows = {(i, i) for i in range(encoded.node_count)}
-        else:
-            candidates = (
-                iter_bits(allowed) if allowed is not None else range(encoded.node_count)
-            )
-            if condition is None:
-                rows = {(i, i) for i in candidates}
-            else:
-                predicate = self._compact_scan_predicate(condition, "node")
-                if predicate is not None:
-                    rows = {(i, i) for i in candidates if predicate(i)}
-                else:
-                    graph, idents = self.graph, encoded.node_ids
-                    rows = {
-                        (i, i)
-                        for i in candidates
-                        if condition.satisfied(graph, {variable: idents[i]})
-                    }
+        ids = self._scan_ids(plan, "node")
+        variable = plan.variable
         bound = plan.bound and variable is not None
         columns = {variable: 0} if bound else {}
         kinds = {variable: "node"} if bound else {}
-        return CompactTable(columns, kinds, rows)
+        return CompactTable(columns, kinds, set(zip(ids, ids)))
 
     def _compact_edge_scan(self, plan: EdgeScan) -> CompactTable:
         encoded = self._compact_graph()
-        allowed = self._compact_label_mask(plan.labels, "edge")
-        condition, variable = plan.condition, plan.variable
+        ids = self._scan_ids(plan, "edge")
+        variable = plan.variable
         bound = plan.bound and variable is not None
-        sources, targets = encoded.edge_src, encoded.edge_tgt
+        ends = [encoded.edge_src, encoded.edge_tgt]
         if not plan.forward:
-            sources, targets = targets, sources
-        if allowed is None and condition is None:
-            # Whole-column scan: zip keeps the row construction in C.
-            if bound:
-                rows = set(zip(sources, targets, range(encoded.edge_count)))
-            else:
-                rows = set(zip(sources, targets))
-            columns = {variable: 2} if bound else {}
-            kinds = {variable: "edge"} if bound else {}
-            return CompactTable(columns, kinds, rows)
-        def candidate_ids():
-            return iter_bits(allowed) if allowed is not None else range(encoded.edge_count)
-
-        rows: Set[Tuple] = set()
-        add = rows.add
-        if condition is None:
-            if bound:
-                for e in candidate_ids():
-                    add((sources[e], targets[e], e))
-            else:
-                for e in candidate_ids():
-                    add((sources[e], targets[e]))
-        elif type(condition) is PropertyCompare:
-            # The hottest pushed-down shape gets a comprehension over the
-            # dense value column; non-comparable values (TypeError) restart
-            # on the guarded per-element predicate.
-            if isinstance(condition.constant, Parameter):
-                raise BindingError(
-                    f"parameter {condition.constant!r} must be bound before execution"
-                )
-            column = encoded.property_column(condition.key, "edge")
-            compare = COMPARATORS[condition.operator]
-            constant, missing = condition.constant, _COMPACT_MISSING
-            try:
-                if bound:
-                    rows = {
-                        (sources[e], targets[e], e)
-                        for e in candidate_ids()
-                        if column[e] is not missing and compare(column[e], constant)
-                    }
-                else:
-                    rows = {
-                        (sources[e], targets[e])
-                        for e in candidate_ids()
-                        if column[e] is not missing and compare(column[e], constant)
-                    }
-            except TypeError:
-                predicate = self._compact_scan_predicate(condition, "edge")
-                rows = set()
-                add = rows.add
-                for e in candidate_ids():
-                    if predicate(e):
-                        add((sources[e], targets[e], e) if bound else (sources[e], targets[e]))
-        else:
-            predicate = self._compact_scan_predicate(condition, "edge")
-            if predicate is not None:
-                if bound:
-                    for e in candidate_ids():
-                        if predicate(e):
-                            add((sources[e], targets[e], e))
-                else:
-                    for e in candidate_ids():
-                        if predicate(e):
-                            add((sources[e], targets[e]))
-            else:
-                graph, idents = self.graph, encoded.edge_ids
-                for e in candidate_ids():
-                    if not condition.satisfied(graph, {variable: idents[e]}):
-                        continue
-                    add((sources[e], targets[e], e) if bound else (sources[e], targets[e]))
+            ends.reverse()
+        if type(ids) is not range:
+            ends = [map(column.__getitem__, ids) for column in ends]
+        rows = set(zip(*ends, ids) if bound else zip(*ends))
         columns = {variable: 2} if bound else {}
         kinds = {variable: "edge"} if bound else {}
         return CompactTable(columns, kinds, rows)

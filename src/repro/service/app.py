@@ -21,6 +21,7 @@ from time import monotonic, perf_counter
 from typing import Any, Dict, Optional, Tuple
 
 from repro.engine.database import Database
+from repro.engine.statement import FrontHalf
 from repro.errors import ReproError
 from repro.service.pool import ConnectionPool
 from repro.service.protocol import (
@@ -149,25 +150,28 @@ class QueryService:
     # ------------------------------------------------------------------ #
     def _handle_query(self, body: bytes) -> Response:
         request = QueryRequest.from_payload(parse_json(body))
-        if request.statement.lstrip()[:6].upper() == "CREATE":
-            raise ProtocolError(
-                "DDL goes through POST /ddl (pooled connections stay "
-                "pinned to their snapshot)"
-            )
-        if request.dry_run:
-            return self._handle_dry_run(request)
-        budget = request.budget(default_timeout_ms=self._default_timeout_ms)
         start = perf_counter()
         with self.pool.acquire() as connection:
+            # The connection's own parse decides — a repeated query text is
+            # a store hit — so no comment or whitespace hides a DDL.
+            front = connection.pipeline(request.statement)
+            if not isinstance(front, FrontHalf):
+                raise ProtocolError(
+                    "DDL goes through POST /ddl (pooled connections stay "
+                    "pinned to their snapshot)"
+                )
+            if request.dry_run:
+                return self._dry_run(connection, front, start)
             result = connection.execute(
-                request.statement, request.params, budget=budget
+                request.statement,
+                request.params,
+                budget=request.budget(default_timeout_ms=self._default_timeout_ms),
             )
             # Materialize inside the lease: the rows may stream from a
             # live cursor that closes when the connection is recycled.
-            rows = [list(row) for row in result.rows]
             payload = query_response(
                 columns=list(result.columns),
-                rows=rows,
+                rows=result.rows,
                 elapsed_ms=(perf_counter() - start) * 1000.0,
                 engine=connection.engine_name,
                 snapshot=connection.snapshot.fingerprint,
@@ -175,7 +179,8 @@ class QueryService:
             )
         return 200, CONTENT_TYPE_JSON, encode(payload)
 
-    def _handle_dry_run(self, request: QueryRequest) -> Response:
+    @staticmethod
+    def _dry_run(connection, front: FrontHalf, start: float) -> Response:
         """``dry_run: true`` — analyze and compile, never execute.
 
         The response carries the analyzer's inferred result schema and
@@ -187,20 +192,15 @@ class QueryService:
         backend is never asked to prepare anything, so a dry run leaves
         nothing behind on the pooled connection.
         """
-        start = perf_counter()
-        with self.pool.acquire() as connection:
-            front = connection.front_half(request.statement)
-            payload = dry_run_response(
-                schema=list(front.result_schema),
-                diagnostics=[
-                    diagnostic.to_payload() for diagnostic in front.diagnostics
-                ],
-                parameters=dict(front.parameter_types),
-                statically_empty=front.statically_empty,
-                elapsed_ms=(perf_counter() - start) * 1000.0,
-                engine=connection.engine_name,
-                snapshot=connection.snapshot.fingerprint,
-            )
+        payload = dry_run_response(
+            schema=list(front.result_schema),
+            diagnostics=[diagnostic.to_payload() for diagnostic in front.diagnostics],
+            parameters=dict(front.parameter_types),
+            statically_empty=front.statically_empty,
+            elapsed_ms=(perf_counter() - start) * 1000.0,
+            engine=connection.engine_name,
+            snapshot=connection.snapshot.fingerprint,
+        )
         return 200, CONTENT_TYPE_JSON, encode(payload)
 
     def _handle_ddl(self, body: bytes) -> Response:

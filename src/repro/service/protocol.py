@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import (
     AdmissionTimeoutError,
@@ -273,13 +273,15 @@ def dry_run_response(
 def query_response(
     *,
     columns: List[str],
-    rows: List[List[Any]],
+    rows: Sequence[Sequence[Any]],
     elapsed_ms: float,
     engine: str,
     snapshot: str,
     streamed: bool,
 ) -> Dict[str, Any]:
-    """The ``POST /query`` 200 body."""
+    """The ``POST /query`` 200 body.  ``rows`` goes in as it is — a
+    result's tuple of row tuples encodes to the same JSON arrays a list
+    of lists does, so nothing is copied to serialize it."""
     return {
         "columns": columns,
         "rows": rows,

@@ -647,7 +647,7 @@ def _nodes_where(condition):
 
 #: Nodes ``a``..``e`` and edges ``e1``..``e4`` with properties ``p`` and
 #: ``q``: some comparable, one missing, one pair of mixed types.
-_TWO_PROPERTIES = _view_database(
+_TWO_PROPERTY_RELATIONS = dict(
     N=[("a",), ("b",), ("c",), ("d",), ("e",)],
     E=[("e1",), ("e2",), ("e3",), ("e4",)],
     S=[("e1", "a"), ("e2", "b"), ("e3", "c"), ("e4", "d")],
@@ -664,6 +664,12 @@ _TWO_PROPERTIES = _view_database(
         ("e3", "p", None), ("e3", "q", None),
         ("e4", "p", 1),  # q missing
     ],
+)
+_TWO_PROPERTIES = _view_database(**_TWO_PROPERTY_RELATIONS)
+#: The same, with label ``Big`` on node ``a`` and on edges ``e1`` and ``e3``
+#: only: a label mask that covers part of the edge space.
+_BIG_EDGES = _view_database(
+    **{**_TWO_PROPERTY_RELATIONS, "L": [("a", "Big"), ("e1", "Big"), ("e3", "Big")]}
 )
 
 
@@ -693,11 +699,32 @@ def _edges_where(condition):
         (_TWO_PROPERTIES, _nodes_where(prop_cmp_prop("x", "p", "<=", "x", "q")),
          ["('a',)", "('e',)"]),
         (_TWO_PROPERTIES, _edges_where(prop_eq("t", "p", "t", "q")), ["('e1',)", "('e3',)"]),
+        # Edge scans a whole column at a time: a missing value never
+        # matches, not even '<>'; a column whose values do not all order
+        # against the constant (None > 2) answers per element.
+        (_TWO_PROPERTIES, _edges_where(prop_cmp("t", "q", "!=", 5)), ["('e2',)", "('e3',)"]),
+        (_TWO_PROPERTIES, _edges_where(prop_cmp("t", "p", ">", 2)), ["('e1',)", "('e2',)"]),
+        (_TWO_PROPERTIES, _edges_where(~prop_cmp("t", "p", ">", 2)), ["('e3',)", "('e4',)"]),
+        (_TWO_PROPERTIES, _edges_where(~prop_cmp("t", "q", "=", 5)),
+         ["('e2',)", "('e3',)", "('e4',)"]),
+        (_TWO_PROPERTIES, _edges_where(prop_cmp("t", "p", "<", 2) | prop_cmp("t", "q", "=", "5")),
+         ["('e2',)", "('e4',)"]),
+        (_TWO_PROPERTIES, _edges_where(~(prop_cmp("t", "p", ">", 2) | prop_eq("t", "p", "t", "q"))),
+         ["('e4',)"]),
+        (_BIG_EDGES, _edges_where(label("t", "Big")), ["('e1',)", "('e3',)"]),
+        (_BIG_EDGES, _edges_where(label("t", "Big") & prop_cmp("t", "p", ">", 2)), ["('e1',)"]),
+        (_BIG_EDGES, _edges_where(label("t", "Big") | prop_cmp("t", "q", "!=", 5)),
+         ["('e1',)", "('e2',)", "('e3',)"]),
+        (_BIG_EDGES, _edges_where(~label("t", "Big") & ~prop_cmp("t", "p", "=", 1)),
+         ["('e2',)"]),
     ],
     ids=[
         "eq-none", "constant-none", "column-eq", "not-eq", "gt-constant", "gt-column",
         "le-column", "not-gt", "prop-eq-none", "prop-ne", "prop-gt", "prop-not-gt", "prop-not-eq",
         "node-prop-lt-prop", "node-prop-le-prop", "edge-prop-eq-prop",
+        "edge-ne-missing", "edge-gt-mixed-types", "edge-not-gt", "edge-not-eq", "edge-or",
+        "edge-not-or", "edge-label-part", "edge-label-and-gt", "edge-label-or",
+        "edge-not-label-and-not-eq",
     ],
 )
 def test_none_is_a_value_and_mixed_types_do_not_order(database, query, expected):

@@ -1,10 +1,13 @@
 """The result-order contract and the batch source behind it.
 
 Rows of a result come in ascending ``repr(row)``.  The planned engine
-produces that order *structurally* for both-endpoint projections of a
-closure (heads in key order, per head tails in key order — no sort) and
-hands everything else to the cursor unordered, which sorts.  Either way
-the tuple must be the one the naive oracle's sorted result gives:
+produces that order *structurally*: both-endpoint projections of a
+closure walk heads in key order and, per head, tails in key order; every
+other projection sorts one int per row, mixed radix over its items'
+ranks, and decodes in that order.  Only a table whose keys are not
+prefix-free where they must be is handed to the cursor unordered, and
+the cursor sorts.  Either way the tuple must be the one the naive
+oracle's sorted result gives:
 
 * a hypothesis property over small random graphs whose keys and property
   values are chosen to break a key-order argument (quotes, ``", "``,
@@ -12,10 +15,11 @@ the tuple must be the one the naive oracle's sorted result gives:
   missing properties, 2-ary identifiers, both column orders,
   single-column projections);
 * one hand-built graph whose head keys are **not** prefix-free, where the
-  structural order would be wrong and the fallback sort must be taken;
+  structural order would be wrong and the fallback sort must be taken,
+  for a closure and for a hop;
 * the cursor reads an ordered source a batch at a time, and output
   budgets, cross-thread cancels and ``close(drain=False)`` land between
-  batches;
+  batches, of a closure's and of a hop's;
 * a streamed result's decode phase reaches the latency telemetry.
 """
 
@@ -36,6 +40,7 @@ from repro.matching import EndpointEvaluator
 from repro.observability import MetricsRegistry, RingBufferSink, Tracer
 from repro.patterns.builder import edge, node, output, plus, seq
 from repro.planner import PlanExecutor
+from repro.planner.decode import _CHUNK
 
 #: Strings whose reprs contain every character the key-order argument has
 #: to survive — the quote styles, the ``", "`` separator, an escape, ``!``
@@ -111,6 +116,21 @@ class TestExactOrder:
             assert len(arrival) == len(planned.rows)  # distinct as they arrive
             assert planned == naive  # QueryResult.__eq__ across engines
 
+    @given(graph=graphs(), closure=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_every_projection_streams_in_result_order(self, graph, closure):
+        hop = "->+" if closure else "->"
+        with build(*graph) as db:
+            planned, naive = db.connect("planned"), db.connect("naive")
+            for projection in PROJECTIONS:
+                sql = (
+                    f"SELECT * FROM GRAPH_TABLE ( G MATCH (x)-[t:W]{hop}(y) "
+                    f"COLUMNS ({projection}) )"
+                )
+                result = planned.execute(sql)
+                assert result._ordered, projection
+                assert list(result) == list(naive.execute(sql).rows), projection
+
     def test_both_endpoints_of_a_closure_arrive_ordered(self):
         graph = (1, [("a", 1), ("b", 1), ("c", 2)], [("d",)], [(("a",), ("b",)), (("b",), ("d",))])
         with build(*graph) as db:
@@ -138,6 +158,23 @@ class TestExactOrder:
         assert ordered is False
         result = QueryResult(("x", "y"), batches=batches, ordered=ordered)
         assert list(result.rows) == expected
+        # The hop reads the same two heads: the rank kernel must refuse.
+        hop = output(seq(node("x"), edge(), node("y")), "x", "y")
+        expected = sorted(EndpointEvaluator(graph).evaluate_output(hop), key=repr)
+        assert expected == [("a", "a", "b"), ("a", "b", "c")]
+        batches, ordered = PlanExecutor(graph).stream_output(hop)
+        assert ordered is False
+        result = QueryResult(("x", "y"), batches=batches, ordered=ordered)
+        assert list(result.rows) == expected
+        # One column is the whole row, ranked by its own repr, trailing
+        # comma and all: ('a', 'b') sorts before ('a',).
+        for variable, rows in (("x", [("a", "b"), ("a",)]), ("y", [("a", "b"), ("c",)])):
+            single = output(seq(node("x"), edge(), node("y")), variable)
+            expected = sorted(EndpointEvaluator(graph).evaluate_output(single), key=repr)
+            assert expected == rows
+            batches, ordered = PlanExecutor(graph).stream_output(single)
+            assert ordered is True
+            assert [row for batch in batches for row in batch] == expected
 
 
 class TestSQLiteRowsAreThePlannedRows:
@@ -182,6 +219,18 @@ def ring_database(size: int = 12, **database_options) -> Database:
     return build(1, with_p, [], edges, **database_options)
 
 
+HOP_SQL = CLOSURE_SQL.replace("->+", "->")
+
+
+def complete_database(size: int = 18, **database_options) -> Database:
+    """Every ordered pair of ``size`` nodes is an edge: a hop decodes
+    ``size * (size - 1)`` rows, more than one batch of them."""
+    names = [(f"n{i:02d}",) for i in range(size)]
+    edges = [(source, target) for source in names for target in names if source != target]
+    with_p = [name + (f"p{i:02d}",) for i, name in enumerate(names)]
+    return build(1, with_p, [], edges, **database_options)
+
+
 class TestBatchCursor:
     def test_fetchone_pulls_one_batch_of_an_ordered_source(self):
         with ring_database() as db:
@@ -221,6 +270,34 @@ class TestBatchCursor:
                 for row in iterator:
                     delivered.append(row)
             assert len(delivered) == 12  # the batch already pulled, no more
+
+    def test_max_output_rows_lands_between_batches_of_a_hop(self):
+        with complete_database() as db:
+            result = db.connect("planned").execute(
+                HOP_SQL, budget=QueryBudget(max_output_rows=_CHUNK + 1)
+            )
+            assert result._ordered
+            delivered = []
+            with pytest.raises(ResourceExhaustedError) as excinfo:
+                for row in result:
+                    delivered.append(row)
+            assert len(delivered) == _CHUNK  # the first batch, whole
+            assert excinfo.value.progress["output_rows"] == 18 * 17
+            assert delivered == sorted(delivered, key=repr)
+
+    def test_cross_thread_cancel_lands_between_batches_of_a_hop(self):
+        with complete_database() as db:
+            result = db.connect("planned").execute(HOP_SQL, token=CancellationToken())
+            iterator = iter(result)
+            delivered = [next(iterator)]
+            canceller = threading.Thread(target=result.cancel)
+            canceller.start()
+            canceller.join(5.0)
+            assert not canceller.is_alive()
+            with pytest.raises(QueryCancelledError):
+                for row in iterator:
+                    delivered.append(row)
+            assert len(delivered) == _CHUNK  # the batch already pulled, no more
 
     def test_close_without_drain_lands_mid_stream(self):
         registry = MetricsRegistry()

@@ -29,6 +29,7 @@ from time import perf_counter
 
 import pytest
 
+from repro.engine import connection as connection_module
 from repro.engine.database import Database
 from repro.errors import (
     AdmissionTimeoutError,
@@ -220,6 +221,92 @@ class TestQueryService:
         status, body = post_query(QueryService(db), {"statement": DDL})
         assert status == 400
         assert "/ddl" in body["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "prefix", ["-- note\n", "\n\n", "-- a\n-- b\n   "], ids=repr
+    )
+    def test_ddl_behind_a_comment_is_rejected_by_statement_kind(self, db, prefix):
+        statement = prefix + DDL.replace("Transfers", "Other")
+        with QueryService(db, pool_size=1) as service:
+            post_query(service, {"statement": HOP_QUERY, "params": {"minimum": 0}})
+            generation = service.pool._generation
+            before = (db.snapshot().fingerprint, service.pool.stats())
+            status, body = post_query(service, {"statement": statement})
+            assert status == 400
+            assert body["error"]["type"] == "ProtocolError"
+            assert "/ddl" in body["error"]["message"]
+            assert (db.snapshot().fingerprint, service.pool.stats()) == before
+            assert service.pool._generation is generation
+            assert sorted(db.snapshot().catalog.names()) == ["Transfers"]
+            with service.pool.acquire() as connection:
+                assert sorted(connection.snapshot.catalog.names()) == ["Transfers"]
+
+    def test_ddl_behind_a_comment_is_rejected_over_http(self, db):
+        with Server(db, port=0, pool_size=1) as server:
+            with ServiceClient("127.0.0.1", server.port) as client:
+                client.query(HOP_QUERY, {"minimum": 0})
+                before = client.healthz()
+                with pytest.raises(ServiceError) as info:
+                    client.query("-- note\n" + DDL.replace("Transfers", "Other"))
+                assert info.value.status == 400
+                assert info.value.kind == "ProtocolError"
+                after = client.healthz()
+                assert after["graphs"] == before["graphs"] == ["Transfers"]
+                assert after["pool"] == before["pool"]
+                assert after["snapshot"] == before["snapshot"] == db.snapshot().fingerprint
+
+    def test_a_repeated_query_text_is_parsed_once(self, db, monkeypatch):
+        parses = []
+        parse = connection_module.parse_statement
+        monkeypatch.setattr(
+            connection_module,
+            "parse_statement",
+            lambda text: parses.append(text) or parse(text),
+        )
+        with QueryService(db, pool_size=1) as service:
+            for minimum in (0, 500, 0):
+                status, _ = post_query(
+                    service, {"statement": HOP_QUERY, "params": {"minimum": minimum}}
+                )
+                assert status == 200
+        assert parses == [HOP_QUERY]
+
+    @pytest.mark.parametrize("hop", ["->", "->+"])
+    def test_served_rows_are_the_engines_rows(self, hop):
+        db = Database(metrics=MetricsRegistry())
+        db.create_table(
+            "Account",
+            ["iban", "flag", "score"],
+            [("A0", True, 1.5), ("A1", None, -0.25), ("A2", False, None), ("A3", "x", 2.0)],
+        )
+        db.create_table(
+            "Transfer",
+            ["t_id", "src_iban", "tgt_iban", "ts", "amount"],
+            [("t0", "A0", "A1", 0, 0.5), ("t1", "A1", "A2", 1, None), ("t2", "A2", "A0", 2, 3),
+             ("t3", "A3", "A1", 3, True), ("t4", "A0", "A3", 4, -1.25)],
+        )
+        db.execute(DDL.replace("LABEL Account", "LABEL Account PROPERTIES (iban, flag, score)"))
+        columns = "x.flag, x.score, y.iban, y.flag" + (", t.amount" if hop == "->" else "")
+        statement = (
+            f"SELECT * FROM GRAPH_TABLE ( Transfers MATCH (x) -[t:Transfer]{hop} (y) "
+            f"COLUMNS ({columns}) )"
+        )
+        with db, db.connect("planned") as connection:
+            expected = connection.execute(statement).rows
+            assert len(expected) > 4
+            with QueryService(db, pool_size=1) as service:
+                status, _, payload = service.handle(
+                    "POST", "/query", json.dumps({"statement": statement}).encode()
+                )
+            assert status == 200
+            body = json.loads(payload)
+            assert json.dumps(body["rows"]) == json.dumps(expected)  # in order, by JSON
+            assert body["row_count"] == len(expected)
+            with Server(db, port=0, pool_size=1) as server:
+                with ServiceClient("127.0.0.1", server.port) as client:
+                    served = client.query(statement)
+            assert repr(served.rows) == repr(list(expected))
+            assert served.row_count == len(expected)
 
     def test_missing_binding_is_400(self, db):
         with QueryService(db) as service:
