@@ -5,8 +5,9 @@ Owns how rows leave an execution — buffered or streamed — and the
 of row *lists* (batches) plus one fact, whether concatenating them
 already gives that order.  Every pattern result decoded by
 :mod:`repro.planner.decode` — the planned engine's, and a root pattern's
-on sqlite — arrives in it, unless its keys are not prefix-free; that
-source and every other one (the naive oracle's relations, a relational
+on sqlite — arrives in it, unless its keys are not prefix-free or its
+values do not rank (equal values that print differently); that source
+and every other one (the naive oracle's relations, a relational
 query's cursor rows) is sorted here, in :func:`result_order`, on first
 ordered access.  Also
 owns the cancel/close contract of a pending source, its batch-level

@@ -344,39 +344,44 @@ class CompactGraph:
 
     def rank_table(
         self, key: Optional[str], kind: str, terminator: Optional[str]
-    ) -> Tuple[List[int], List[Tuple], bool]:
+    ) -> Optional[Tuple[List[int], List[Tuple], bool]]:
         """``(rank by ID, fragment by rank, prefix_free)`` of one fragment
-        column under the order of its sort keys.
+        column under the order of its sort keys, or None when the column
+        does not rank.
 
         A fragment's key is the text it contributes to the ``repr`` of a
         row it is part of — its values' reprs joined by ``", "`` — plus
         ``terminator``, the text that follows it there; with no
         terminator the fragment is the whole row and its key is its own
-        ``repr`` (a 1-tuple's trailing comma included).  Equal fragments
-        share a rank (``-1`` = undefined).  ``prefix_free`` says no key
-        is a prefix of another: then comparing two rows' reprs is decided
-        inside the first fragment whenever those differ.  Built once per
-        ``(column, terminator)`` and kept with the column.
+        ``repr`` (a 1-tuple's trailing comma included).  Fragments with
+        one key share a rank (``-1`` = undefined), which stands for them
+        in the order and in the row set alike, so the column ranks only
+        when its fragments are equal exactly where their keys are:
+        ``(1,)``, ``(1.0,)`` and ``(True,)`` are equal but print
+        differently, two ``nan`` objects print alike but differ.
+        ``prefix_free`` says no key is a prefix of another: then
+        comparing two rows' reprs is decided inside the first fragment
+        whenever those differ.  Built once per ``(column, terminator)``
+        and kept with the column.
         """
-        cached = self._decode_tables.get(("rank", key, kind, terminator))
-        if cached is None:
+        slot = ("rank", key, kind, terminator)
+        if slot not in self._decode_tables:
             column = self.fragments(key, kind)
-            keys = {
-                fragment: repr(fragment)
-                if terminator is None
-                else ", ".join(map(repr, fragment)) + terminator
-                for fragment in column
-                if fragment is not None
-            }
-            by_rank = sorted(keys, key=keys.__getitem__)
-            texts = [keys[fragment] for fragment in by_rank]
-            prefix_free = not any(map(str.startswith, texts[1:], texts))
-            rank_of = {fragment: rank for rank, fragment in enumerate(by_rank)}
-            ranks = [-1 if fragment is None else rank_of[fragment] for fragment in column]
-            cached = self._decode_tables[("rank", key, kind, terminator)] = (
-                ranks, by_rank, prefix_free
-            )
-        return cached
+            spell = repr if terminator is None else lambda f: ", ".join(map(repr, f)) + terminator
+            texts = [None if fragment is None else spell(fragment) for fragment in column]
+            by_text = dict(zip(texts, column))
+            cached = None
+            if len(set(column)) == len(by_text) == len(set(zip(texts, column))):
+                by_text.pop(None, None)
+                ordered = sorted(by_text)
+                rank_of = {text: rank for rank, text in enumerate(ordered)}
+                cached = (
+                    [-1 if text is None else rank_of[text] for text in texts],
+                    [by_text[text] for text in ordered],
+                    not any(map(str.startswith, ordered[1:], ordered)),
+                )
+            self._decode_tables[slot] = cached
+        return self._decode_tables[slot]
 
     # ------------------------------------------------------------------ #
     # CSR navigation

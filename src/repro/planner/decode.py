@@ -30,18 +30,20 @@ inside itself.  So the mask-form (closure) table projected onto both
 endpoints walks heads in rank order and, per head, tails in rank order;
 any other table sorts one int per row, mixed radix over its items'
 ranks, and decodes in that order (a one-item row is ranked by its own
-``repr``).  A table whose keys are not prefix-free where they must be is
-handed over unordered, deduplicated, and sorted by the cursor.
+``repr``).  A table whose keys are not prefix-free where they must be,
+or that reads a column which does not rank (equal values that print
+differently, such as ``1`` and ``True``), is handed over unordered,
+deduplicated, and sorted by the cursor.
 """
 
 from __future__ import annotations
 
 from functools import reduce
-from itertools import repeat
+from itertools import islice
 from operator import itemgetter, or_
 from typing import TYPE_CHECKING, Callable, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
-from repro.governance import current_governor
+from repro.governance import CHECK_INTERVAL, current_governor
 from repro.graph.compact import CompactGraph, bit_positions, is_sparse
 from repro.patterns.ast import OutputPattern, PropertyRef
 
@@ -134,15 +136,16 @@ def _pair_batches(encoded: CompactGraph, masks, head: Item, tail: Item):
     masks and rank sets also do the deduplication.  Sources inside one
     strongly connected component share identical reach masks, so each
     *distinct* mask's tail fragments are decoded once and every batch is
-    one list comprehension over them.  Returns None when the head keys
-    are not prefix-free.
+    one list comprehension over them.  Returns None when a column does
+    not rank or the head keys are not prefix-free.
     """
     _, head_key, head_kind, _ = head
     _, tail_key, tail_kind, _ = tail
-    head_ranks, by_rank, prefix_free = encoded.rank_table(head_key, head_kind, ", ")
-    if not prefix_free:
+    heads = encoded.rank_table(head_key, head_kind, ", ")
+    tails = encoded.rank_table(tail_key, tail_kind, ")")
+    if heads is None or tails is None or not heads[2]:
         return None
-    tail_ranks, tails_by_rank, _ = encoded.rank_table(tail_key, tail_kind, ")")
+    (head_ranks, by_rank, _), (tail_ranks, tails_by_rank, _) = heads, tails
     merged: dict = {}
     for rank, mask in zip(head_ranks, masks):
         if mask and rank >= 0:
@@ -276,45 +279,42 @@ def _rank_batches(
 ) -> Optional[Iterator[List[Tuple]]]:
     """The ordered row-decode kernel: the distinct output rows of int
     ``rows`` in the result order, :data:`_CHUNK` at a time, or None when
-    an item other than the last has keys that are not prefix-free.
+    an item's column does not rank or an item other than the last has
+    keys that are not prefix-free.
 
     Rows with an undefined fragment drop; each other row becomes one int,
     mixed radix over its items' ranks (module docstring), so sorting the
     set of those ints sorts and deduplicates the rows, which then decode
-    from the ints through the ranks' fragments.
+    from the ints through the ranks' fragments.  The keys are built
+    :data:`~repro.governance.CHECK_INTERVAL` rows between two polls of
+    the governor.
     """
     spans = []
     last = len(items) - 1
     for position, (index, key, kind, _run) in enumerate(items):
         terminator = None if not last else ")" if position == last else ", "
-        ranks, by_rank, prefix_free = encoded.rank_table(key, kind, terminator)
-        if not prefix_free and position < last:
+        ranked = encoded.rank_table(key, kind, terminator)
+        if ranked is None or (not ranked[2] and position < last):
             return None
+        ranks, by_rank, _ = ranked
         spans.append((index, ranks, by_rank, len(by_rank)))
 
     def batches() -> Iterator[List[Tuple]]:
-        if len(spans) == 2:  # the common shape: one comprehension each way
-            (first, ranks, heads, _), (second, tail_ranks, tails, radix) = spans
-            keys = {
-                head * radix + tail
-                for row in rows
-                if (head := ranks[row[first]]) >= 0 and (tail := tail_ranks[row[second]]) >= 0
-            }
-            ordered = sorted(keys)
-            for start in range(0, len(ordered), _CHUNK):
-                chunk = map(divmod, ordered[start : start + _CHUNK], repeat(radix))
-                yield [heads[head] + tails[tail] for head, tail in chunk]
-            return
+        governor = current_governor()
         keys = set()
-        for row in rows:
-            key = 0
-            for index, ranks, _by_rank, radix in spans:
-                rank = ranks[row[index]]
-                if rank < 0:
-                    break
-                key = key * radix + rank
-            else:
-                keys.add(key)
+        pending = iter(rows)
+        while chunk := list(islice(pending, CHECK_INTERVAL)):
+            if governor is not None:
+                governor.checkpoint("stream.decode")
+            for row in chunk:
+                key = 0
+                for index, ranks, _by_rank, radix in spans:
+                    rank = ranks[row[index]]
+                    if rank < 0:
+                        break
+                    key = key * radix + rank
+                else:
+                    keys.add(key)
         ordered = sorted(keys)
         for start in range(0, len(ordered), _CHUNK):
             batch = []
@@ -341,8 +341,9 @@ def stream_project(
     Every other table — int rows, or the heads or tails of a mask-form
     table — goes through the rank kernel: one sort of one int per row,
     then :data:`_CHUNK` decoded rows a batch, in result order.  What is
-    left, a table whose keys are not prefix-free where they must be, is
-    the materialized set as a single unordered batch.
+    left, a table whose keys are not prefix-free where they must be or
+    whose columns do not rank, is the materialized set as a single
+    unordered batch.
     """
     items = _resolve_items(table, output)
     if items is None:

@@ -569,9 +569,9 @@ class PlanExecutor:
             return list(filterfalse(chosen.__contains__, ids))
         encoded = self._compact_graph()
         if isinstance(condition, HasLabel):
-            labels = encoded.node_labels if kind == "node" else encoded.edge_labels
+            label_mask = encoded.node_label_mask if kind == "node" else encoded.edge_label_mask
             within = bitmask(ids, len(encoded.ids(kind)))
-            return bit_positions(labels.get(condition.label, 0) & within)
+            return bit_positions(label_mask(condition.label) & within)
         if isinstance(condition, PropertyCompare):
             if isinstance(condition.constant, Parameter):
                 raise BindingError(
@@ -610,9 +610,9 @@ class PlanExecutor:
         the whole space as a ``range`` when the mask covers it — narrowed
         by the pushed-down condition."""
         encoded = self._compact_graph()
-        labels = encoded.node_labels if kind == "node" else encoded.edge_labels
+        label_mask = encoded.node_label_mask if kind == "node" else encoded.edge_label_mask
         everything = (1 << len(encoded.ids(kind))) - 1
-        mask = reduce(and_, [labels.get(label, 0) for label in plan.labels], everything)
+        mask = reduce(and_, map(label_mask, plan.labels), everything)
         ids = range(len(encoded.ids(kind))) if mask == everything else bit_positions(mask)
         if plan.condition is not None:
             ids = self._select(plan.condition, kind, plan.variable, ids)

@@ -106,6 +106,31 @@ class TestCompactGraph:
         missing = compact.property_column("absent", "node")
         assert all(value is MISSING for value in missing)
 
+    def test_rank_tables_rank_only_where_equality_and_keys_agree(self):
+        def ranked(values):
+            graph = PropertyGraph()
+            for position, value in enumerate(values):
+                graph.add_node(f"n{position}")
+                graph.set_property(f"n{position}", "p", value)
+            compact = graph.compact()
+            table = compact.rank_table("p", "node", ")")
+            if table is None:
+                return None
+            ranks, by_rank, prefix_free = table
+            by_node = [ranks[compact.node_index[(f"n{i}",)]] for i in range(len(values))]
+            return by_node, by_rank, prefix_free
+
+        ranks, by_rank, prefix_free = ranked([2, "b", 2, 1.5])
+        assert by_rank == [("b",), (1.5,), (2,)] and ranks == [2, 0, 2, 1]  # "'b')" < "1.5)"
+        assert prefix_free
+        # Equal values that print differently, and a value printing alike
+        # but unequal to itself in another object: no rank stands for one.
+        assert ranked([1, True]) is None
+        assert ranked([2, 1.0, 1]) is None
+        assert ranked([float("nan"), float("nan")]) is None
+        nan = float("nan")
+        assert ranked([nan, nan, 1])[1] == [(1,), (nan,)]
+
     def test_empty_graph(self):
         compact = PropertyGraph().compact()
         assert compact.node_count == 0 and compact.edge_count == 0

@@ -17,9 +17,13 @@ oracle's sorted result gives:
 * one hand-built graph whose head keys are **not** prefix-free, where the
   structural order would be wrong and the fallback sort must be taken,
   for a closure and for a hop;
+* equal values that print differently (``1``, ``1.0``, ``True``) on
+  different nodes, which no rank can stand for: each row keeps its own
+  node's value, on the planned and sqlite engines;
 * the cursor reads an ordered source a batch at a time, and output
   budgets, cross-thread cancels and ``close(drain=False)`` land between
-  batches, of a closure's and of a hop's;
+  batches, of a closure's and of a hop's; a cancel also lands inside the
+  key build of a large join, before its first batch;
 * a streamed result's decode phase reaches the latency telemetry.
 """
 
@@ -34,7 +38,13 @@ from repro.errors import (
     QueryCancelledError,
     ResourceExhaustedError,
 )
-from repro.governance import CancellationToken, QueryBudget
+from repro.governance import (
+    CHECK_INTERVAL,
+    CancellationToken,
+    QueryBudget,
+    QueryGovernor,
+    activate_governor,
+)
 from repro.graph import PropertyGraph
 from repro.matching import EndpointEvaluator
 from repro.observability import MetricsRegistry, RingBufferSink, Tracer
@@ -177,6 +187,47 @@ class TestExactOrder:
             assert [row for batch in batches for row in batch] == expected
 
 
+    @pytest.mark.parametrize("hop", ["->", "->+"])
+    def test_equal_values_that_print_differently_keep_their_own(self, hop):
+        # 1, 1.0 and True are equal, so one rank cannot stand for all
+        # three: each row must carry its own node's value, in repr order
+        # next to 2.  Three-node chains, one per value, keep every row
+        # distinct under == as well.
+        values = [1, 1.0, True, 2]
+        heads = [(f"s{i}", value) for i, value in enumerate(values)]
+        middles = [(f"m{i}", f"m{i}") for i in range(len(values))]
+        tails = [(f"t{i}", value) for i, value in enumerate(reversed(values))]
+        edges = [((f"s{i}",), (f"m{i}",)) for i in range(len(values))]
+        edges += [((f"m{i}",), (f"t{i}",)) for i in range(len(values))]
+        with build(1, heads + middles + tails, [], edges) as db:
+            naive = db.connect("naive")
+            for engine in ("planned", "sqlite"):
+                connection = db.connect(engine)
+                for projection in ("x.p, y", "y, x.p", "x, y.p", "y.p, x"):
+                    sql = (
+                        f"SELECT * FROM GRAPH_TABLE ( G MATCH (x)-[t:W]{hop}(y) "
+                        f"COLUMNS ({projection}) )"
+                    )
+                    expected = naive.execute(sql).rows
+                    assert set(map(repr, values)) <= {repr(v) for row in expected for v in row}
+                    assert repr(connection.execute(sql).rows) == repr(expected), (engine, sql)
+
+
+    @pytest.mark.parametrize("hop", ["->", "->+"])
+    def test_equal_values_on_one_row_count_once(self, hop):
+        # 1, 1.0 and True all point at t: the rows are one row under ==,
+        # so a result holds it once (which spelling a set keeps is not
+        # the order's business).
+        heads = [("a", 1), ("b", 1.0), ("c", True), ("t", "t")]
+        edges = [((name,), ("t",)) for name in "abc"]
+        sql = f"SELECT * FROM GRAPH_TABLE ( G MATCH (x)-[t:W]{hop}(y) COLUMNS (x.p, y) )"
+        with build(1, heads, [], edges) as db:
+            expected = db.connect("naive").execute(sql).rows
+            assert len(expected) == 1
+            for engine in ("planned", "sqlite"):
+                assert db.connect(engine).execute(sql).rows == expected, engine
+
+
 class TestSQLiteRowsAreThePlannedRows:
     """SQLite runs the match of a root pattern and the planned engine's
     decoder builds the rows, so they are the planned rows value for value
@@ -298,6 +349,37 @@ class TestBatchCursor:
                 for row in iterator:
                     delivered.append(row)
             assert len(delivered) == _CHUNK  # the batch already pulled, no more
+
+    def test_a_cancel_lands_inside_the_key_build_of_a_large_join(self):
+        # A two-hop over a complete graph of 12 nodes joins 12 * 11 * 11
+        # rows: the rank kernel keys six polling intervals of them before
+        # its first batch exists.
+        graph = PropertyGraph()
+        names = [f"n{i:02d}" for i in range(12)]
+        for name in names:
+            graph.add_node(name)
+        for source in names:
+            for target in names:
+                if source != target:
+                    graph.add_edge(f"{source}-{target}", source, target)
+        two_hop = output(seq(node("x"), edge(), node("m"), edge(), node("y")), "x", "m", "y")
+        batches, ordered = PlanExecutor(graph).stream_output(two_hop)
+        assert ordered
+
+        class CancelledOnThirdPoll(CancellationToken):
+            __slots__ = ("polls",)
+
+            def cancelled(self) -> bool:
+                self.polls = getattr(self, "polls", 0) + 1
+                if self.polls == 3:
+                    self.cancel("cancelled mid key build")
+                return super().cancelled()
+
+        governor = QueryGovernor(QueryBudget(), CancelledOnThirdPoll())
+        with activate_governor(governor), pytest.raises(QueryCancelledError) as excinfo:
+            next(batches)
+        assert 12 * 11 * 11 > 5 * CHECK_INTERVAL
+        assert excinfo.value.progress["sites"] == {"stream.decode": 3}
 
     def test_close_without_drain_lands_mid_stream(self):
         registry = MetricsRegistry()
