@@ -4,11 +4,12 @@ Querying Property Graphs in Relational Databases* (PODS 2025).
 The package implements, from scratch:
 
 * the property graph data model with n-ary identifiers (Def. 2.1, Sec. 5);
-* a relational substrate (relations, schemas, databases, relational algebra);
+* a relational substrate (relations, schemas, databases, selection conditions);
 * the pattern language and its endpoint / path semantics (Figs. 1, 2, 6);
 * the ``pgView`` family and the three PGQ fragments ``PGQro`` / ``PGQrw`` /
   ``PGQext`` with their evaluator (Figs. 3, 4, Defs. 3.1-5.3);
-* first-order logic with transitive closure and its finite-model evaluators;
+* first-order logic with transitive closure and its bottom-up finite-model
+  evaluator;
 * the constructive translations PGQext <-> FO[TC] (Thms. 6.1/6.2);
 * a SQL/PGQ surface parser, a Database/Connection catalog API, and a
   SQLite-backed engine;

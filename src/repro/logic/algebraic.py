@@ -1,13 +1,14 @@
-"""Bottom-up ("algebraic") evaluation of FO[TC] formulas.
+"""Bottom-up ("algebraic") evaluation of FO[TC] formulas: the FO[TC]
+oracle of every translation check (Theorems 6.1 / 6.2).
 
-The top-down evaluator in :mod:`repro.logic.evaluator` checks a single
-assignment at a time; enumerating all assignments that way is exponential
-in the number of nested quantifiers.  The formulas produced by the
-PGQ -> FO[TC] translation (Theorem 6.1) are deeply quantified, so this
-module provides the standard relation-at-a-time evaluation: every
-subformula is evaluated to the relation of its satisfying assignments over
-the active domain, quantifiers become projections, conjunction becomes a
-join, and negation becomes a complement relative to ``adom^k``.
+Checking one assignment at a time is exponential in the number of nested
+quantifiers, and the formulas produced by the PGQ -> FO[TC] translation
+(Theorem 6.1) are deeply quantified, so evaluation is relation-at-a-time:
+every subformula is evaluated to the relation of its satisfying
+assignments over the active domain, quantifiers become projections,
+conjunction becomes a join, and negation becomes a complement relative to
+``adom^k``.  The module imports only the logic and relational layers, so
+it stays independent of the engines and translations it judges.
 
 Transitive closure is evaluated by grouping the body relation by its
 parameter columns and running a breadth-first reachability fixpoint over
@@ -256,15 +257,7 @@ class AlgebraicFOTCEvaluator:
 
         # The closure is reflexive on every tuple over the active domain,
         # for every parameter assignment.
-        param_space: List[Tuple]
-        if parameters:
-            param_space = [
-                row[2 * k :] for row in aligned.rows
-            ]
-            param_space = list({tuple(p) for p in param_space})
-            param_universe = set(itertools.product(self.domain, repeat=len(parameters)))
-        else:
-            param_universe = {()}
+        param_universe = list(itertools.product(self.domain, repeat=len(parameters)))
         reflexive = {
             tup + tup + params
             for tup in itertools.product(self.domain, repeat=k)

@@ -1,18 +1,7 @@
-"""Relational substrate: relations, schemas, databases, relational algebra."""
+"""Relational substrate: relations, schemas, databases and the positional
+selection conditions.  The relational algebra itself is the ``PGQro`` core
+of :mod:`repro.pgq.queries`, which every engine evaluates."""
 
-from repro.relational.algebra import (
-    ActiveDomain,
-    ConstantTuple,
-    Difference,
-    Literal,
-    NaturalJoin,
-    Product,
-    Project,
-    RAExpression,
-    RelationRef,
-    Select,
-    Union,
-)
 from repro.relational.conditions import (
     And,
     ColumnCompare,
@@ -30,31 +19,20 @@ from repro.relational.relation import Relation, Row, as_row
 from repro.relational.schema import RelationSchema, Schema
 
 __all__ = [
-    "ActiveDomain",
     "And",
     "ColumnCompare",
     "ColumnCompareConstant",
     "ColumnEquals",
     "ColumnEqualsConstant",
     "Condition",
-    "ConstantTuple",
     "Database",
-    "Difference",
-    "Literal",
-    "NaturalJoin",
     "Not",
     "Or",
-    "Product",
-    "Project",
-    "RAExpression",
     "Relation",
-    "RelationRef",
     "RelationSchema",
     "Row",
     "Schema",
-    "Select",
     "TrueCondition",
-    "Union",
     "as_row",
     "conjoin",
 ]

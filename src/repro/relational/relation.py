@@ -231,14 +231,6 @@ class Relation:
         # Python per row (compiled conditions are single closures).
         return Relation._trusted(self._arity, filter(predicate, self._rows))
 
-    def rename(self, name: str) -> "Relation":
-        """Return the same relation carrying a different display name."""
-        return Relation(self._arity, self._rows, name=name)
-
     def values(self) -> FrozenSet[Any]:
         """All atomic values appearing anywhere in the relation."""
         return frozenset(value for row in self._rows for value in row)
-
-    def to_sorted_list(self) -> list:
-        """Deterministically ordered list of rows, useful for reporting."""
-        return sorted(self._rows, key=lambda row: tuple(map(repr, row)))

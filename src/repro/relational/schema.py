@@ -51,11 +51,6 @@ class Schema:
             self.add(relation)
 
     @classmethod
-    def from_arities(cls, arities: Mapping[str, int]) -> "Schema":
-        """Build a schema from a ``{name: arity}`` mapping."""
-        return cls(RelationSchema(name, arity) for name, arity in arities.items())
-
-    @classmethod
     def from_columns(cls, columns: Mapping[str, Iterable[str]]) -> "Schema":
         """Build a schema from a ``{name: [column, ...]}`` mapping."""
         return cls(

@@ -109,8 +109,9 @@ class FOTCToPGQ:
         """Translate ``formula``; returns ``(query, output column variables)``.
 
         The column order defaults to the sorted free variables, matching
-        :meth:`repro.logic.evaluator.FOTCEvaluator.result`.  For a sentence
-        the returned query is unary and non-empty iff the sentence holds.
+        :meth:`repro.logic.algebraic.AlgebraicFOTCEvaluator.result`.  For a
+        sentence the returned query is unary and non-empty iff the sentence
+        holds.
         """
         if free_variables is None:
             free_variables = tuple(sorted(formula.free_variables()))
@@ -267,8 +268,11 @@ class FOTCToPGQ:
         inner = self._formula(formula.operand)
         columns = tuple(sorted(formula.operand.free_variables()))
         if not columns:
+            # A Boolean operand is non-empty iff it holds, whatever its
+            # rows: subtract all of adom when it does, nothing otherwise.
             universe = ActiveDomainQuery()
-            return _Translated(Difference(universe, inner.query), ())
+            holds = Project(Product(universe, inner.query), (1,))
+            return _Translated(Difference(universe, holds), ())
         aligned = self._align(inner, columns)
         universe = _adom_power(len(columns))
         return _Translated(Difference(universe, aligned.query), columns)

@@ -103,10 +103,11 @@ def _disjoin(formulas: Sequence[Formula]) -> Formula:
 
 
 def _always_false(variables: Sequence[str]) -> Formula:
-    """A contradiction with the given free variables."""
-    anchor = variables[0] if variables else "__false"
-    return And(Equals(Variable(anchor), Variable(anchor)),
-               Not(Equals(Variable(anchor), Variable(anchor))))
+    """A contradiction whose free variables are exactly ``variables``; with
+    none it is a sentence."""
+    if not variables:
+        return Exists(("__false",), Not(eq("__false", "__false")))
+    return _conjoin([Not(eq(name, name)) for name in variables])
 
 
 @dataclass
@@ -153,6 +154,8 @@ class PGQToFOTC:
         if isinstance(query, ConstantRelation):
             if not query.rows:
                 return _always_false(variables)
+            if not variables:  # the 0-ary unit relation {()}
+                return Not(_always_false(()))
             return _disjoin([
                 _conjoin([Equals(Variable(v), ConstantTerm(value))
                           for v, value in zip(variables, row)])
@@ -211,6 +214,8 @@ class PGQToFOTC:
     def _ra_condition(self, condition: Condition, variables: Tuple[str, ...]) -> Formula:
         """Translate a positional selection condition against the output vars."""
         if isinstance(condition, TrueCondition):
+            if not variables:
+                return Not(_always_false(()))
             return Equals(Variable(variables[0]), Variable(variables[0]))
         if isinstance(condition, ColumnEquals):
             return eq(variables[condition.left - 1], variables[condition.right - 1])

@@ -261,6 +261,20 @@ class TestBrokenGraphReplay:
             session.execute(BANK_QUERY)
         assert "no longer valid" not in str(excinfo.value)
 
+    @pytest.mark.parametrize("engine_name", ["naive", "planned", "sqlite"])
+    def test_drop_table_breaks_the_graph_for_new_connections_only(self, engine_name):
+        db = make_bank_db()
+        with db.connect(engine=engine_name) as pinned:
+            assert db.drop_table("Transfer") is True
+            assert db.drop_table("Transfer") is False
+            assert len(pinned.execute(BANK_QUERY)) > 0  # its snapshot still has the table
+            with db.connect(engine=engine_name) as session:
+                with pytest.raises(EngineError, match=r"drop_graph\('Transfers'\)"):
+                    session.execute(BANK_QUERY)
+        assert db.drop_graph("Transfers")
+        with db.connect(engine=engine_name) as session:
+            assert "Transfers" not in session.graph_names()
+
     def test_recreating_the_graph_after_drop_works(self):
         db = self._broken_db()
         db.drop_graph("Transfers")

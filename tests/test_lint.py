@@ -77,6 +77,7 @@ class TestLayering:
             ("repro.graph", "repro.sqlpgq.catalog"),
             ("repro.pgq", "repro.planner.stats"),
             ("repro.pgq", "repro.engine"),
+            ("repro.logic", "repro.translations.fotc_to_pgq"),
         ],
     )
     def test_an_upward_import_is_flagged(self, tmp_path, package, imported):
@@ -91,6 +92,7 @@ class TestLayering:
             ("repro.graph", "repro.observability.tracing"),
             ("repro.pgq", "repro.graph.compact"),
             ("repro.pgq", "repro.matching.endpoint"),
+            ("repro.logic", "repro.relational.database"),
             ("repro.graph", "repro.pgqx"),  # a longer name is another package
             ("repro.planner", "repro.engine"),  # no rule for this layer
             ("", "repro.engine"),

@@ -1,28 +1,30 @@
-"""Unit tests for relations, schemas, databases and relational algebra."""
+"""Unit tests for relations, schemas, databases and selection conditions,
+and for the relational algebra core of PGQ (``pgq.queries``) on every
+engine."""
 
 import pytest
 
 from repro.errors import ArityError, QueryError, SchemaError
+from repro.pgq import (
+    ActiveDomainQuery,
+    BaseRelation,
+    ConstantRelation,
+    Difference,
+    Product,
+    Project,
+    Select,
+    Union,
+)
 from repro.relational import (
-    ActiveDomain,
     ColumnCompare,
     ColumnCompareConstant,
     ColumnEquals,
     ColumnEqualsConstant,
-    ConstantTuple,
     Database,
-    Difference,
-    Literal,
-    NaturalJoin,
-    Product,
-    Project,
     Relation,
-    RelationRef,
     RelationSchema,
     Schema,
-    Select,
     TrueCondition,
-    Union,
     conjoin,
 )
 from repro.relational.conditions import And, Not, Or
@@ -183,47 +185,30 @@ class TestConditions:
 
 
 # --------------------------------------------------------------------------- #
-# Relational algebra expressions
+# Relational algebra: the PGQro core, run by every engine
 # --------------------------------------------------------------------------- #
 class TestAlgebra:
     @pytest.fixture
-    def database(self):
-        return Database.from_dict({"R": [(1, 2), (2, 3)], "S": [(2,), (3,)]})
+    def run(self, engine):
+        backend = engine(Database.from_dict({"R": [(1, 2), (2, 3)], "S": [(2,), (3,)]}))
+        return lambda query: set(backend.evaluate(query).rows)
 
-    def test_relation_ref_and_literal(self, database):
-        assert len(RelationRef("R").evaluate(database)) == 2
-        literal = Literal(Relation.unary(["x"]))
-        assert len(literal.evaluate(database)) == 1
+    R, S = BaseRelation("R"), BaseRelation("S")
 
-    def test_projection_selection(self, database):
-        expr = RelationRef("R").project(2).select(ColumnEqualsConstant(1, 3))
-        assert set(expr.evaluate(database).rows) == {(3,)}
+    def test_base_constant_and_active_domain_relations(self, run):
+        assert len(run(self.R)) == 2
+        assert run(ConstantRelation((("x",),), 1)) == {("x",)}
+        assert run(ConstantRelation(((7, 8),), 2)) == {(7, 8)}
+        assert run(ActiveDomainQuery()) == {(1,), (2,), (3,)}
 
-    def test_product_union_difference(self, database):
-        product = Product(RelationRef("S"), RelationRef("S"))
-        assert len(product.evaluate(database)) == 4
-        union = Union(RelationRef("S"), RelationRef("S"))
-        assert len(union.evaluate(database)) == 2
-        difference = Difference(RelationRef("S"), Literal(Relation.unary([2])))
-        assert set(difference.evaluate(database).rows) == {(3,)}
+    def test_projection_selection(self, run):
+        assert run(self.R.project(2).select(ColumnEqualsConstant(1, 3))) == {(3,)}
 
-    def test_arity_mismatch_in_union(self, database):
-        with pytest.raises(ArityError):
-            Union(RelationRef("R"), RelationRef("S")).arity(database)
+    def test_product_union_difference(self, run):
+        assert len(run(Product(self.S, self.S))) == 4
+        assert len(run(Union(self.S, self.S))) == 2
+        assert run(Difference(self.S, ConstantRelation(((2,),), 1))) == {(3,)}
 
-    def test_constant_tuple_and_active_domain(self, database):
-        assert ConstantTuple((7, 8)).evaluate(database).rows == frozenset({(7, 8)})
-        assert set(ActiveDomain().evaluate(database).rows) == {(1,), (2,), (3,)}
-
-    def test_natural_join(self, database):
-        join = NaturalJoin(RelationRef("R"), RelationRef("S"), ((2, 1),))
-        assert set(join.evaluate(database).rows) == {(1, 2, 2), (2, 3, 3)}
-
-    def test_relation_names_tracking(self, database):
-        expr = Union(RelationRef("R").project(1), RelationRef("S"))
-        assert expr.relation_names() == frozenset({"R", "S"})
-
-    def test_select_condition_out_of_range(self, database):
-        expr = Select(RelationRef("S"), ColumnEquals(1, 2))
-        with pytest.raises(QueryError):
-            expr.evaluate(database)
+    def test_natural_join(self, run):
+        join = Project(Select(Product(self.R, self.S), ColumnEquals(2, 3)), (1, 2, 3))
+        assert run(join) == {(1, 2, 2), (2, 3, 3)}

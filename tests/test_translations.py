@@ -40,7 +40,9 @@ from repro.patterns.builder import (
 from repro.pgq import (
     BaseRelation,
     Constant,
+    ConstantRelation,
     Difference,
+    EmptyRelation,
     Product,
     Project,
     Select,
@@ -48,7 +50,7 @@ from repro.pgq import (
     graph_pattern_on_relations,
     query_size,
 )
-from repro.relational import ColumnEquals, Database
+from repro.relational import ColumnEquals, Database, TrueCondition
 from repro.translations import (
     check_formula_translation,
     check_query_translation,
@@ -168,6 +170,32 @@ class TestQueryToFormula:
         query = Product(BaseRelation("N"), Constant("v0"))
         report = check_query_translation(query, engine(graph_db))
         assert report.equivalent
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            EmptyRelation(0),
+            ConstantRelation((), 0),
+            Product(BaseRelation("E"), EmptyRelation(0)),
+            EmptyRelation(2),
+            ConstantRelation((), 2),
+            ConstantRelation(((),), 0),
+            Select(ConstantRelation(((),), 0), TrueCondition()),
+        ],
+        ids=[
+            "empty-0", "empty-constant-0", "E-times-empty-0", "empty-2", "empty-constant-2",
+            "unit", "select-unit",
+        ],
+    )
+    def test_empty_and_zero_arity_relations_translate(self, graph_db, engine, query):
+        # The formula's free variables are exactly the output variables:
+        # a 0-ary query translates to a sentence.
+        formula, variables = translate_query(query, graph_db.schema)
+        assert formula.free_variables() == frozenset(variables)
+        backend = engine(graph_db)
+        report = check_query_translation(query, backend)
+        assert report.equivalent, report.detail
+        assert roundtrip_query(query, backend)
 
     def test_roundtrip_query(self, graph_db, engine):
         for query in self.relational_queries():

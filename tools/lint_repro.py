@@ -52,6 +52,10 @@ Rules (each failure prints ``path:line: RULE message`` and exits 1):
   but the library underneath must stay servable without it (and the
   top-level ``repro`` package must not re-export it), so an inverted
   import can never make a query path depend on the HTTP stack.
+* **LAYERING** — a package of ``_LAYERS`` must not import the packages
+  built on top of it, lazily or not.  ``repro.logic`` is listed so the
+  FO[TC] oracle stays independent of the translations and engines whose
+  answers it checks.
 * **LOCK-DISCIPLINE** — inside ``src/repro``, (a) a module-level mutable
   container (list/dict/set/OrderedDict/...) mutated from inside a
   function outside a ``with <...lock...>:`` block, and (b) in
@@ -86,6 +90,11 @@ _LAYERS = {
         "repro.pgq", "repro.planner", "repro.engine", "repro.matching", "repro.sqlpgq"
     ),
     "repro.pgq": ("repro.planner", "repro.engine"),
+    # The FO[TC] oracle stays independent of everything it judges.
+    "repro.logic": (
+        "repro.pgq", "repro.planner", "repro.engine", "repro.matching", "repro.sqlpgq",
+        "repro.translations", "repro.graph",
+    ),
 }
 
 #: The only module allowed to mutate Snapshot internals.
