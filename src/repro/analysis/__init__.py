@@ -4,6 +4,8 @@
   table names against the catalog schema, infers parameter types and the
   result schema, and rejects ill-formed statements before compilation
   with position-carrying diagnostics;
+* :mod:`repro.analysis.schema` — data-sampled property types and the
+  DDL diagnostics;
 * :mod:`repro.analysis.dataflow` — abstract interpretation over the
   logical plan IR: satisfiability pruning (``prune_unsatisfiable``),
   emptiness/cartesian/quantifier warnings (A008+), and the
@@ -11,8 +13,9 @@
 * :mod:`repro.analysis.verifier` — checks structural invariants on every
   optimizer rewrite and logical->physical lowering, enabled via
   ``Database(verify_plans=True)`` or ``REPRO_VERIFY_PLANS=1``;
-* :mod:`repro.analysis.diagnostics` — the diagnostic record and the
-  stable error-code registry with per-code default severities.
+* :mod:`repro.analysis.diagnostics` — the diagnostic record, the
+  stable error-code registry with per-code default severities, and the
+  analyzer's verdict (``QueryAnalysis``).
 """
 
 from repro.analysis.dataflow import (
@@ -27,15 +30,10 @@ from repro.analysis.diagnostics import (
     WARNING_CODES,
     Diagnostic,
     default_severity,
-)
-from repro.analysis.semantic import (
-    GraphSchemaSummary,
-    QueryAnalysis,
-    analyze_ddl,
-    analyze_query,
-    graph_schema_summary,
     strict_analysis_enabled,
 )
+from repro.analysis.schema import analyze_ddl
+from repro.analysis.semantic import QueryAnalysis, analyze_query
 from repro.analysis.verifier import (
     check_plan_sanity,
     condition_atoms,
@@ -49,7 +47,6 @@ from repro.analysis.verifier import (
 __all__ = [
     "Diagnostic",
     "ERROR_CODES",
-    "GraphSchemaSummary",
     "PlanDataflow",
     "QueryAnalysis",
     "WARNING_CODES",
@@ -61,7 +58,6 @@ __all__ = [
     "condition_satisfiable",
     "contains_empty",
     "default_severity",
-    "graph_schema_summary",
     "physical_variables",
     "plan_parameters",
     "prune_unsatisfiable",

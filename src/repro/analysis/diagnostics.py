@@ -5,12 +5,17 @@ code, a message, the source span of the offending construct, and (where
 the fix is mechanical) a hint.  Diagnostics render deterministically so
 tests can pin them in a golden file; the codes themselves are documented
 in :data:`ERROR_CODES` (mirrored in the README's error-code table).
+A :class:`QueryAnalysis` is the semantic analyzer's verdict on one
+statement: its diagnostics and the types it inferred.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, field
 from typing import Mapping, Optional, Tuple
+
+from repro.errors import AnalysisError, PGQAnalysisError
 
 #: Stable error codes raised by the semantic analyzer.  Codes are part of
 #: the public surface (tests and downstream tooling match on them): never
@@ -51,6 +56,20 @@ SEVERITIES = ("warning", "error")
 def default_severity(code: str) -> str:
     """The severity a diagnostic of ``code`` carries unless overridden."""
     return "warning" if code in WARNING_CODES else "error"
+
+
+_TRUTHY = {"1", "true", "yes", "on"}
+
+
+def strict_analysis_enabled(flag: Optional[bool] = None) -> bool:
+    """Whether analyzer warnings are promoted to hard failures: an
+    explicit flag (``Database(strict_analysis=...)`` /
+    ``connect(strict_analysis=...)``) wins, otherwise the
+    ``REPRO_STRICT_ANALYSIS`` environment variable decides — the same
+    contract as :func:`repro.analysis.verifier.verification_enabled`."""
+    if flag is not None:
+        return flag
+    return os.environ.get("REPRO_STRICT_ANALYSIS", "").strip().lower() in _TRUTHY
 
 
 @dataclass(frozen=True)
@@ -116,9 +135,56 @@ class Diagnostic:
         return payload
 
 
+@dataclass(frozen=True)
+class QueryAnalysis:
+    """The analyzer's verdict on one query statement."""
+
+    diagnostics: Tuple[Diagnostic, ...] = ()
+    #: ``:name`` -> inferred type ("number" | "string" | "any").
+    parameter_types: Mapping[str, str] = field(default_factory=dict)
+    #: Inferred result schema: ``(column name, type)`` per output column,
+    #: in projection order.  Types are the flat value lattice plus
+    #: ``"node id"`` / ``"edge id"`` for identifier outputs.
+    result_schema: Tuple[Tuple[str, str], ...] = ()
+
+    @property
+    def errors(self) -> Tuple[Diagnostic, ...]:
+        return tuple(d for d in self.diagnostics if d.severity == "error")
+
+    @property
+    def warnings(self) -> Tuple[Diagnostic, ...]:
+        return tuple(d for d in self.diagnostics if d.severity == "warning")
+
+    @property
+    def ok(self) -> bool:
+        return not self.errors
+
+    def raise_if_failed(self, *, strict: bool = False) -> "QueryAnalysis":
+        """Raise on error diagnostics; under ``strict`` also promote
+        warning-severity findings to :class:`PGQAnalysisError`."""
+        errors = self.errors
+        if errors:
+            raise AnalysisError(errors)
+        if strict and self.diagnostics:
+            raise PGQAnalysisError(self.diagnostics)
+        return self
+
+    def merged(self, extra: Tuple[Diagnostic, ...]) -> "QueryAnalysis":
+        """This analysis with ``extra`` diagnostics appended (plan-level
+        dataflow findings attach to the front-end verdict this way)."""
+        if not extra:
+            return self
+        return QueryAnalysis(
+            self.diagnostics + tuple(extra),
+            dict(self.parameter_types),
+            self.result_schema,
+        )
+
+
 __all__ = [
     "Diagnostic",
     "ERROR_CODES",
+    "QueryAnalysis",
     "SEVERITIES",
     "WARNING_CODES",
     "default_severity",

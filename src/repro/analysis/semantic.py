@@ -8,31 +8,36 @@ compared with — rejecting ill-formed statements with position-carrying
 :class:`~repro.analysis.diagnostics.Diagnostic` collections *before* any
 plan is built, instead of today's mid-execution failures.
 
-Schema resolution is a pure function of the graph definition, so the
-per-definition summary is memoized (id-keyed with a weakref guard, like
-``repro.pgq.queries.query_parameters``): the per-statement cost is one
-small AST walk, which keeps the analyzer inside the prepare-time budget
-enforced by ``benchmarks/bench_planner.py`` (``analysis_gate``).
+What a graph definition exposes is its summary, built once with the
+definition; the data-sampled type of each property comes from
+:mod:`repro.analysis.schema`, or from the caller's per-snapshot store
+when it has one: the per-statement cost is one small AST walk, and a
+statement analyzed before costs a structural hash.
 """
 
 from __future__ import annotations
 
-import os
+import operator
 import threading
 import weakref
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from itertools import islice
-from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.analysis.diagnostics import Diagnostic
-from repro.errors import AnalysisError, PGQAnalysisError, SchemaError
-from repro.relational.schema import Schema
+from repro.analysis.diagnostics import Diagnostic, QueryAnalysis
+from repro.analysis.schema import (
+    ANY,
+    PropertySources,
+    PropertyTypes,
+    classify_value,
+    known_hint,
+    sample_property_type,
+    source_position,
+)
 from repro.sqlpgq.ast import (
     BooleanExpression,
     Comparison,
     ConditionExpr,
-    CreatePropertyGraph,
     GraphTableQuery,
     LabelTest,
     LiteralOperand,
@@ -40,222 +45,11 @@ from repro.sqlpgq.ast import (
     ParameterOperand,
     PropertyOperand,
 )
-from repro.sqlpgq.catalog import GraphCatalog, GraphDefinition
-
-#: Inferred value types.  The lattice is flat: ``number`` and ``string``
-#: conflict, ``any`` is compatible with both.
-NUMBER = "number"
-STRING = "string"
-ANY = "any"
-
-#: Rows sampled per property column when inferring types from data.
-_TYPE_SAMPLE_LIMIT = 20
-
-_TRUTHY = {"1", "true", "yes", "on"}
-
-
-def strict_analysis_enabled(flag: Optional[bool] = None) -> bool:
-    """Whether analyzer warnings are promoted to hard failures: an
-    explicit flag (``Database(strict_analysis=...)`` /
-    ``connect(strict_analysis=...)``) wins, otherwise the
-    ``REPRO_STRICT_ANALYSIS`` environment variable decides — the same
-    contract as :func:`repro.analysis.verifier.verification_enabled`."""
-    if flag is not None:
-        return flag
-    return os.environ.get("REPRO_STRICT_ANALYSIS", "").strip().lower() in _TRUTHY
-
-
-# --------------------------------------------------------------------------- #
-# Graph schema summaries
-# --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class GraphSchemaSummary:
-    """Labels and property keys a graph definition exposes, by element kind."""
-
-    node_labels: FrozenSet[str]
-    edge_labels: FrozenSet[str]
-    node_properties: FrozenSet[str]
-    edge_properties: FrozenSet[str]
-    #: property key -> ((table, column), ...) sources, for type inference.
-    property_sources: Mapping[str, Tuple[Tuple[str, str], ...]]
-
-    @property
-    def labels(self) -> FrozenSet[str]:
-        return self.node_labels | self.edge_labels
-
-    @property
-    def properties(self) -> FrozenSet[str]:
-        return self.node_properties | self.edge_properties
-
-
-def _exposed_properties(schema: Schema, table: str, declared: Tuple[str, ...]) -> Tuple[str, ...]:
-    # Mirrors the catalog's "PROPERTIES ARE ALL COLUMNS" default.
-    if declared:
-        return declared
-    try:
-        return tuple(schema.relation(table).columns)
-    except SchemaError:
-        return ()
-
-
-def _build_summary(definition: GraphDefinition, schema: Schema) -> GraphSchemaSummary:
-    statement = definition.statement
-    node_labels: set = set()
-    edge_labels: set = set()
-    node_properties: set = set()
-    edge_properties: set = set()
-    sources: Dict[str, List[Tuple[str, str]]] = {}
-    for spec in statement.node_tables:
-        node_labels.update(spec.labels)
-        for column in _exposed_properties(schema, spec.table, spec.properties):
-            node_properties.add(column)
-            sources.setdefault(column, []).append((spec.table, column))
-    for spec in statement.edge_tables:
-        edge_labels.update(spec.labels)
-        for column in _exposed_properties(schema, spec.table, spec.properties):
-            edge_properties.add(column)
-            sources.setdefault(column, []).append((spec.table, column))
-    return GraphSchemaSummary(
-        frozenset(node_labels),
-        frozenset(edge_labels),
-        frozenset(node_properties),
-        frozenset(edge_properties),
-        {key: tuple(pairs) for key, pairs in sources.items()},
-    )
-
-
-#: Bounded ``id(definition) -> (weakref(definition), summary)`` memo; the
-#: weakref guards against id reuse after garbage collection.
-_SUMMARY_MEMO: "OrderedDict[int, Tuple[weakref.ref, GraphSchemaSummary]]" = OrderedDict()
-_SUMMARY_MEMO_LIMIT = 128
-_SUMMARY_MEMO_LOCK = threading.Lock()
-
-
-def graph_schema_summary(definition: GraphDefinition, schema: Schema) -> GraphSchemaSummary:
-    """The (memoized) label/property summary of a compiled graph definition."""
-    key = id(definition)
-    with _SUMMARY_MEMO_LOCK:
-        cached = _SUMMARY_MEMO.get(key)
-        if cached is not None:
-            ref, summary = cached
-            if ref() is definition:
-                _SUMMARY_MEMO.move_to_end(key)
-                return summary
-            del _SUMMARY_MEMO[key]
-    summary = _build_summary(definition, schema)
-    with _SUMMARY_MEMO_LOCK:
-        _SUMMARY_MEMO[key] = (weakref.ref(definition), summary)
-        while len(_SUMMARY_MEMO) > _SUMMARY_MEMO_LIMIT:
-            _SUMMARY_MEMO.popitem(last=False)
-    return summary
-
-
-# --------------------------------------------------------------------------- #
-# Type inference
-# --------------------------------------------------------------------------- #
-def _classify_value(value: object) -> str:
-    if isinstance(value, bool):
-        return ANY
-    if isinstance(value, (int, float)):
-        return NUMBER
-    if isinstance(value, str):
-        return STRING
-    return ANY
-
-
-def _literal_type(value: object) -> str:
-    return _classify_value(value)
-
-
-def _property_type(
-    summary: GraphSchemaSummary,
-    key: str,
-    database,  # Optional[repro.relational.database.Database]
-) -> str:
-    """Type of a property key, sampled from the backing table columns."""
-    if database is None:
-        return ANY
-    seen: set = set()
-    for table, column in summary.property_sources.get(key, ()):
-        try:
-            relation = database.relation(table)
-            index = database.schema.relation(table).column_index(column) - 1
-        except (KeyError, SchemaError):
-            continue
-        for row in islice(relation.rows, _TYPE_SAMPLE_LIMIT):
-            seen.add(_classify_value(row[index]))
-    seen.discard(ANY)
-    if len(seen) == 1:
-        return seen.pop()
-    return ANY
-
+from repro.sqlpgq.catalog import GraphCatalog, GraphSchemaSummary
 
 # --------------------------------------------------------------------------- #
 # Query analysis
 # --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class QueryAnalysis:
-    """The analyzer's verdict on one query statement."""
-
-    diagnostics: Tuple[Diagnostic, ...] = ()
-    #: ``:name`` -> inferred type ("number" | "string" | "any").
-    parameter_types: Mapping[str, str] = field(default_factory=dict)
-    #: Inferred result schema: ``(column name, type)`` per output column,
-    #: in projection order.  Types are the flat value lattice plus
-    #: ``"node id"`` / ``"edge id"`` for identifier outputs.
-    result_schema: Tuple[Tuple[str, str], ...] = ()
-
-    @property
-    def errors(self) -> Tuple[Diagnostic, ...]:
-        return tuple(d for d in self.diagnostics if d.severity == "error")
-
-    @property
-    def warnings(self) -> Tuple[Diagnostic, ...]:
-        return tuple(d for d in self.diagnostics if d.severity == "warning")
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
-    def raise_if_failed(self, *, strict: bool = False) -> "QueryAnalysis":
-        """Raise on error diagnostics; under ``strict`` also promote
-        warning-severity findings to :class:`PGQAnalysisError`."""
-        errors = self.errors
-        if errors:
-            raise AnalysisError(errors)
-        if strict and self.diagnostics:
-            raise PGQAnalysisError(self.diagnostics)
-        return self
-
-    def merged(self, extra: Tuple[Diagnostic, ...]) -> "QueryAnalysis":
-        """This analysis with ``extra`` diagnostics appended (plan-level
-        dataflow findings attach to the front-end verdict this way)."""
-        if not extra:
-            return self
-        return QueryAnalysis(
-            self.diagnostics + tuple(extra),
-            dict(self.parameter_types),
-            self.result_schema,
-        )
-
-
-def _known_hint(kind: str, known: FrozenSet[str], limit: int = 6) -> Optional[str]:
-    if not known:
-        return None
-    names = sorted(known)
-    shown = ", ".join(names[:limit])
-    if len(names) > limit:
-        shown += ", ..."
-    return f"known {kind}: {shown}"
-
-
-def _position(node) -> Tuple[Optional[int], Optional[int]]:
-    position = getattr(node, "position", None)
-    if position is None:
-        return (None, None)
-    return position
-
-
 def _conjuncts(condition: Optional[ConditionExpr]) -> List[ConditionExpr]:
     """Top-level positive conjuncts of a WHERE clause (nothing under OR/NOT)."""
     if condition is None:
@@ -278,27 +72,19 @@ def _walk_condition(condition: ConditionExpr):
 
 
 _FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
+_COMPARE = {
+    "=": operator.eq, "!=": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
 
 
-def _statically_false(left: object, operator: str, right: object) -> bool:
+def _statically_false(left: object, op: str, right: object) -> bool:
     try:
-        if operator == "=":
-            return not left == right
-        if operator == "!=":
-            return not left != right
-        if operator == "<":
-            return not left < right
-        if operator == "<=":
-            return not left <= right
-        if operator == ">":
-            return not left > right
-        if operator == ">=":
-            return not left >= right
+        return op in _COMPARE and not _COMPARE[op](left, right)
     except TypeError:
         # Cross-type ordered comparisons never hold at runtime either
         # (PropertyCompare.satisfied treats TypeError as False).
         return True
-    return False
 
 
 class _QueryAnalyzer:
@@ -306,11 +92,12 @@ class _QueryAnalyzer:
         self,
         query: GraphTableQuery,
         catalog: GraphCatalog,
-        database=None,
+        property_types: Optional[Callable[[PropertySources], str]] = None,
     ) -> None:
         self.query = query
         self.catalog = catalog
-        self.database = database
+        #: ``(table, column)`` pairs -> sampled type; None types nothing.
+        self._property_types = property_types
         self.diagnostics: List[Diagnostic] = []
         self.summary: Optional[GraphSchemaSummary] = None
         #: variable -> "node" | "edge"
@@ -319,8 +106,14 @@ class _QueryAnalyzer:
         #: parameter name -> (type, line, column) of the first inference.
         self._first_inference: Dict[str, Tuple[str, Optional[int], Optional[int]]] = {}
 
+    def _property_type(self, key: str) -> str:
+        """Type of a property key, from the data of its backing columns."""
+        if self.summary is None or self._property_types is None:
+            return ANY
+        return self._property_types(self.summary.property_sources.get(key, ()))
+
     def diag(self, code: str, message: str, node, hint: Optional[str] = None) -> None:
-        line, column = _position(node)
+        line, column = source_position(node)
         self.diagnostics.append(Diagnostic(code, message, line, column, hint))
 
     # ------------------------------------------------------------------ #
@@ -349,10 +142,8 @@ class _QueryAnalyzer:
             if column.key is None:
                 kind = self.kinds.get(column.variable)
                 inferred = f"{kind} id" if kind in ("node", "edge") else "id"
-            elif self.summary is not None:
-                inferred = _property_type(self.summary, column.key, self.database)
             else:
-                inferred = ANY
+                inferred = self._property_type(column.key)
             schema.append((column.name, inferred))
         return tuple(schema)
 
@@ -360,14 +151,13 @@ class _QueryAnalyzer:
     def _resolve_graph(self) -> None:
         name = self.query.graph_name
         if name in self.catalog:
-            definition = self.catalog.get(name)
-            self.summary = graph_schema_summary(definition, self.catalog.schema)
+            self.summary = self.catalog.get(name).summary
             return
         self.diag(
             "A001",
             f"no property graph named {name!r} has been created",
             self.query,
-            hint=_known_hint("graphs", frozenset(self.catalog.names())),
+            hint=known_hint("graphs", frozenset(self.catalog.names())),
         )
 
     def _collect_variables(self) -> None:
@@ -381,38 +171,28 @@ class _QueryAnalyzer:
     def _check_label(self, label: str, kind: Optional[str], node) -> None:
         if self.summary is None:
             return
-        if kind == "node":
-            known = self.summary.node_labels
-        elif kind == "edge":
-            known = self.summary.edge_labels
-        else:
-            known = self.summary.labels
+        known = self.summary.labels_of(kind)
         if label not in known:
             what = f"{kind} " if kind in ("node", "edge") else ""
             self.diag(
                 "A002",
                 f"graph {self.query.graph_name!r} defines no {what}label {label!r}",
                 node,
-                hint=_known_hint(f"{what}labels", known),
+                hint=known_hint(f"{what}labels", known),
             )
 
     def _check_property(self, variable: str, key: str, node) -> None:
         if self.summary is None:
             return
         kind = self.kinds.get(variable)
-        if kind == "node":
-            known = self.summary.node_properties
-        elif kind == "edge":
-            known = self.summary.edge_properties
-        else:
-            known = self.summary.properties
+        known = self.summary.properties_of(kind)
         if key not in known:
             what = f"{kind} elements of " if kind in ("node", "edge") else ""
             self.diag(
                 "A003",
                 f"{what}graph {self.query.graph_name!r} expose no property {key!r}",
                 node,
-                hint=_known_hint("properties", known),
+                hint=known_hint("properties", known),
             )
 
     def _check_variable(self, variable: str, node) -> None:
@@ -421,7 +201,7 @@ class _QueryAnalyzer:
                 "A004",
                 f"variable {variable!r} is not bound by the MATCH pattern",
                 node,
-                hint=_known_hint("pattern variables", frozenset(self.kinds)),
+                hint=known_hint("pattern variables", frozenset(self.kinds)),
             )
 
     # ------------------------------------------------------------------ #
@@ -475,7 +255,7 @@ class _QueryAnalyzer:
                     f"outer SELECT references {item!r}, which the COLUMNS clause "
                     "does not produce",
                     query,
-                    hint=_known_hint("output columns", frozenset(output_names)),
+                    hint=known_hint("output columns", frozenset(output_names)),
                 )
 
     # ------------------------------------------------------------------ #
@@ -485,13 +265,9 @@ class _QueryAnalyzer:
             if not isinstance(operand, ParameterOperand):
                 continue
             if isinstance(other, PropertyOperand):
-                inferred = (
-                    _property_type(self.summary, other.key, self.database)
-                    if self.summary is not None
-                    else ANY
-                )
+                inferred = self._property_type(other.key)
             elif isinstance(other, LiteralOperand):
-                inferred = _literal_type(other.value)
+                inferred = classify_value(other.value)
             else:
                 inferred = ANY
             self._record_parameter(operand, inferred)
@@ -502,7 +278,7 @@ class _QueryAnalyzer:
         if name not in self._first_inference or (
             self._first_inference[name][0] == ANY and inferred != ANY
         ):
-            line, column = _position(operand)
+            line, column = source_position(operand)
             self._first_inference[name] = (inferred, line, column)
         if current == ANY:
             self.parameter_types[name] = inferred
@@ -568,8 +344,8 @@ class _QueryAnalyzer:
         if operator == "!=" or self.summary is None:
             # ``!=`` holds for any defined value of a different type.
             return
-        property_type = _property_type(self.summary, prop.key, self.database)
-        literal_type = _literal_type(literal.value)
+        property_type = self._property_type(prop.key)
+        literal_type = classify_value(literal.value)
         if ANY in (property_type, literal_type) or property_type == literal_type:
             return
         self.diag(
@@ -581,12 +357,6 @@ class _QueryAnalyzer:
         )
 
 
-#: Bounded memo of *successful* analyses.  The key is the statement itself
-#: (AST nodes are frozen dataclasses with structural hashing, and position
-#: fields are ``compare=False``, so re-parsing the same text hits) plus the
-#: identities of the catalog/database; the weakrefs guard against id reuse
-#: after garbage collection.  Failing analyses are never cached so their
-#: diagnostics always carry the positions of the statement actually parsed.
 _ANALYSIS_MEMO: "OrderedDict[Tuple[GraphTableQuery, int, int], Tuple[weakref.ref, Optional[weakref.ref], QueryAnalysis]]" = OrderedDict()
 _ANALYSIS_MEMO_LIMIT = 256
 _ANALYSIS_MEMO_LOCK = threading.Lock()
@@ -596,16 +366,25 @@ def analyze_query(
     query: GraphTableQuery,
     catalog: GraphCatalog,
     database=None,
+    *,
+    property_types: Optional[PropertyTypes] = None,
 ) -> QueryAnalysis:
     """Analyze one query against a catalog (and optionally its data).
 
     Collects *every* diagnostic rather than stopping at the first; callers
     reject via :meth:`QueryAnalysis.raise_if_failed`.  Successful analyses
-    are memoized per (statement, catalog, database), so re-preparing a
+    are memoized per (statement, catalog, data), so re-analyzing a
     statement costs a structural hash instead of a full re-analysis.
+
+    The data is ``database``, whose property types are sampled per
+    statement, or ``property_types`` (a
+    :class:`~repro.engine.database.Snapshot`), whose ``property_type``
+    answers what :func:`~repro.analysis.schema.sample_property_type` would
+    on its data, sampling each key once.
     """
+    data = database if property_types is None else property_types
     key: Optional[Tuple[GraphTableQuery, int, int]]
-    key = (query, id(catalog), id(database))
+    key = (query, id(catalog), id(data))
     with _ANALYSIS_MEMO_LOCK:
         try:
             cached = _ANALYSIS_MEMO.get(key)
@@ -613,20 +392,25 @@ def analyze_query(
             key = None
             cached = None
         if cached is not None:
-            catalog_ref, database_ref, analysis = cached
+            catalog_ref, data_ref, analysis = cached
             live = catalog_ref() is catalog and (
-                database is None if database_ref is None else database_ref() is database
+                data is None if data_ref is None else data_ref() is data
             )
             if live:
                 _ANALYSIS_MEMO.move_to_end(key)
                 return analysis
             del _ANALYSIS_MEMO[key]
-    analysis = _QueryAnalyzer(query, catalog, database).run()
+    lookup: Optional[Callable[[PropertySources], str]] = None
+    if property_types is not None:
+        lookup = property_types.property_type
+    elif database is not None:
+        lookup = partial(sample_property_type, database)
+    analysis = _QueryAnalyzer(query, catalog, lookup).run()
     if key is not None and not analysis.diagnostics:
         with _ANALYSIS_MEMO_LOCK:
             _ANALYSIS_MEMO[key] = (
                 weakref.ref(catalog),
-                None if database is None else weakref.ref(database),
+                None if data is None else weakref.ref(data),
                 analysis,
             )
             while len(_ANALYSIS_MEMO) > _ANALYSIS_MEMO_LIMIT:
@@ -634,99 +418,7 @@ def analyze_query(
     return analysis
 
 
-# --------------------------------------------------------------------------- #
-# DDL analysis
-# --------------------------------------------------------------------------- #
-def analyze_ddl(statement: CreatePropertyGraph, schema: Schema) -> Tuple[Diagnostic, ...]:
-    """Diagnostics for a CREATE PROPERTY GRAPH statement against a schema.
-
-    The catalog's own lowering rejects the same problems one at a time with
-    :class:`SchemaError`; this pass reports all of them with positions.
-    """
-    diagnostics: List[Diagnostic] = []
-    tables = frozenset(schema.names())
-
-    def check_table(spec) -> bool:
-        if spec.table in tables:
-            return True
-        line, column = _position(spec)
-        diagnostics.append(
-            Diagnostic(
-                "A001",
-                f"schema has no table named {spec.table!r}",
-                line,
-                column,
-                _known_hint("tables", tables),
-            )
-        )
-        return False
-
-    def check_columns(spec, columns: Tuple[str, ...]) -> None:
-        relation = schema.relation(spec.table)
-        line, column_no = _position(spec)
-        for column in columns:
-            if relation.columns and column not in relation.columns:
-                diagnostics.append(
-                    Diagnostic(
-                        "A003",
-                        f"table {spec.table!r} has no column {column!r}",
-                        line,
-                        column_no,
-                        _known_hint("columns", frozenset(relation.columns)),
-                    )
-                )
-
-    arities: Dict[int, str] = {}
-    for spec in statement.node_tables + statement.edge_tables:
-        arities.setdefault(len(spec.key_columns), spec.table)
-        if check_table(spec):
-            check_columns(spec, spec.key_columns + spec.properties)
-
-    if len(arities) > 1:
-        line, column = _position(statement)
-        diagnostics.append(
-            Diagnostic(
-                "A005",
-                f"property graph {statement.name!r} mixes key arities "
-                f"{sorted(arities)}; one identifier arity is required",
-                line,
-                column,
-                "give every table key the same number of columns",
-            )
-        )
-        identifier_arity: Optional[int] = None
-    else:
-        identifier_arity = next(iter(arities), None)
-
-    for spec in statement.edge_tables:
-        if spec.table in tables:
-            check_columns(spec, spec.source_columns + spec.target_columns)
-        if identifier_arity is not None:
-            for label, columns in (("source", spec.source_columns), ("target", spec.target_columns)):
-                if len(columns) != identifier_arity:
-                    line, column = _position(spec)
-                    diagnostics.append(
-                        Diagnostic(
-                            "A005",
-                            f"edge table {spec.table!r} references its {label} with "
-                            f"{len(columns)} column(s) but the graph's identifier "
-                            f"arity is {identifier_arity}",
-                            line,
-                            column,
-                            "endpoint references must match the node key arity",
-                        )
-                    )
-    return tuple(diagnostics)
-
-
 __all__ = [
-    "ANY",
-    "NUMBER",
-    "STRING",
-    "GraphSchemaSummary",
     "QueryAnalysis",
-    "analyze_ddl",
     "analyze_query",
-    "graph_schema_summary",
-    "strict_analysis_enabled",
 ]

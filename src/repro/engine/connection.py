@@ -39,11 +39,11 @@ import threading
 import weakref
 from collections import OrderedDict
 from time import perf_counter
-from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple, Union
 
 from repro.analysis.dataflow import analyze_plan
-from repro.analysis.diagnostics import Diagnostic
-from repro.analysis.semantic import analyze_query, strict_analysis_enabled
+from repro.analysis.diagnostics import Diagnostic, strict_analysis_enabled
+from repro.analysis.semantic import analyze_query
 from repro.engine import telemetry
 from repro.engine.explain import Explain, gather_explain
 from repro.engine.registry import Engine, check_engine_options, create_engine
@@ -156,6 +156,9 @@ class Connection:
         self._snapshot_obj: Optional["Snapshot"] = None
         self._engine_options = dict(engine_options)
         self._engine_name = engine
+        #: Per-query metric instruments of this engine, by metric name
+        #: (filled by ``telemetry`` on first use).
+        self._instruments: Dict[str, Any] = {}
         self._max_repetitions = max_repetitions
         self._analyze = analyze
         self._strict_analysis = strict_analysis_enabled(strict_analysis)
@@ -309,6 +312,7 @@ class Connection:
         """
         check_engine_options(name, self._engine_options)
         self._engine_name = name
+        self._instruments = {}
         if max_repetitions is not _UNSET:
             self._max_repetitions = max_repetitions  # type: ignore[assignment]
         self._invalidate_engine()
@@ -418,7 +422,7 @@ class Connection:
         analysis = None
         with trace_span("analyze", engine=self._engine_name):
             if self._analyze:
-                analysis = analyze_query(statement, catalog, snapshot.database)
+                analysis = analyze_query(statement, catalog, property_types=snapshot)
                 analysis.raise_if_failed()
         query = compile_query(statement, catalog)
         # The plan-level abstract interpretation runs stats-free here (the

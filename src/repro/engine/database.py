@@ -49,7 +49,7 @@ import threading
 import weakref
 from typing import Any, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
-from repro.analysis.semantic import analyze_ddl
+from repro.analysis.schema import PropertySources, analyze_ddl, sample_property_type
 from repro.engine.snapshot_cache import SnapshotCache, SnapshotScope
 from repro.errors import (
     AnalysisSchemaError,
@@ -110,6 +110,8 @@ class Snapshot:
         self._invalid_graphs: Dict[str, str] = {}
         self._fingerprint: Optional[str] = None
         self._lock = threading.Lock()
+        #: ``(table, column)`` pairs -> sampled property type, this version's.
+        self._property_types: Dict[PropertySources, str] = {}
 
     # -- identity -------------------------------------------------------- #
     @property
@@ -148,6 +150,14 @@ class Snapshot:
     def scope_for(self, kind: Tuple) -> SnapshotScope:
         """The shared-cache scope an engine of ``kind`` attaches to."""
         return SnapshotScope(self._cache, self.data_fingerprint, kind)
+
+    def property_type(self, sources: PropertySources) -> str:
+        """The type of the property whose values ``sources`` hold, sampled
+        from this version's data once (the analyzer's ``property_types``)."""
+        inferred = self._property_types.get(sources)
+        if inferred is None:
+            inferred = self._property_types[sources] = sample_property_type(self._database, sources)
+        return inferred
 
     # -- graph catalog --------------------------------------------------- #
     @property

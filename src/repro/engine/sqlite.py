@@ -101,12 +101,11 @@ from repro.pgq.queries import (
     Query,
     Select,
     Union,
-    bind_query,
-    iter_queries,
+    bind_sources,
     output_arity,
-    query_parameters,
     query_size,
     resolve_bindings,
+    source_parameters,
 )
 from repro.relational.conditions import (
     And as RAAnd,
@@ -731,10 +730,7 @@ class _SQLiteCompiledQuery(CompiledQuery):
     def __init__(self, engine: "SQLiteEngine", query: Query):
         super().__init__(engine, query)
         #: Slots inside view sources, whose bound values pick the view.
-        self._source_slots = sorted(
-            {name for node in iter_queries(query) if isinstance(node, GraphPattern)
-             for source in node.sources for name in query_parameters(source)}
-        )
+        self._source_slots = sorted(source_parameters(query))
         self._view_users: List[weakref.WeakSet] = []  # of the tables it reads
         self.sql: Optional[str] = None
         self._connection: Optional[sqlite3.Connection] = None
@@ -837,7 +833,7 @@ class _SQLiteCompiledQuery(CompiledQuery):
             check(Relation.empty(arity), Relation.empty(right_arity))
             return f"SELECT * FROM ({left_sql}) {operator} SELECT * FROM ({right_sql})", arity
         if isinstance(query, GraphPattern):
-            sources = tuple(bind_query(source, self._bindings) for source in query.sources)
+            sources = bind_sources(query.sources, self._bindings)
             view, users = self.engine._view_tables(sources, query.max_arity, self)
             self._view_users.append(users)
             output = query.output

@@ -6,8 +6,8 @@ leaves behind — the ``repro_*`` counters, histograms and gauges folded
 into the owning database's registry, the ``slow_query`` record, and the
 :class:`~repro.observability.analyze.OperatorStats` tree assembled from
 recorded spans.  Every function takes the connection it reports for and
-keeps no state of its own (the plan-counter baseline lives on the
-connection, next to the engine it measures).
+keeps no state of its own (the plan-counter baseline and the held
+instruments live on the connection, next to the engine they measure).
 """
 
 from __future__ import annotations
@@ -53,25 +53,38 @@ def snippet(text: str, limit: int = 120) -> str:
     return flattened if len(flattened) <= limit else flattened[: limit - 3] + "..."
 
 
+def _instrument(connection: "Connection", kind: str, name: str, help_text: str = "") -> Any:
+    """The ``kind`` ("counter" / "gauge" / "histogram") instrument ``name``
+    labelled with the connection's engine.  Resolved through the registry
+    (a label sort under its lock) on first use, then held by the
+    connection until its engine changes; instruments still appear in the
+    registry only once a query used them."""
+    held = connection._instruments
+    instrument = held.get(name)
+    if instrument is None:
+        make = getattr(connection._owner._metrics, kind)
+        instrument = held[name] = make(name, help_text, engine=connection._engine_name)
+    return instrument
+
+
 def record_query_metrics(
     connection: "Connection", elapsed_s: float, result: "QueryResult"
 ) -> None:
     """Fold one completed query into the owning database's registry."""
-    registry = getattr(connection._owner, "_metrics", None)
-    if registry is None:
+    if getattr(connection._owner, "_metrics", None) is None:
         return
-    engine = connection._engine_name
-    registry.counter(
-        "repro_queries_total", "Completed GRAPH_TABLE queries", engine=engine
+    _instrument(
+        connection, "counter", "repro_queries_total", "Completed GRAPH_TABLE queries"
     ).inc()
-    registry.histogram(
-        "repro_query_seconds", "Per-query wall-clock latency", engine=engine
+    _instrument(
+        connection, "histogram", "repro_query_seconds", "Per-query wall-clock latency"
     ).observe(elapsed_s)
     if result.streamed:
-        registry.counter(
+        _instrument(
+            connection,
+            "counter",
             "repro_streamed_results_total",
             "Results served through the streaming projection path",
-            engine=engine,
         ).inc()
     counters = getattr(connection._engine, "plan_counters", None)
     if counters is not None:
@@ -82,15 +95,13 @@ def record_query_metrics(
             current[attribute] = value
             delta = value - baseline.get(attribute, 0)
             if delta > 0:
-                registry.counter(metric, engine=engine).inc(delta)
+                _instrument(connection, "counter", metric).inc(delta)
         connection._plan_counter_baseline = current
     plan_cache = getattr(connection._engine, "plan_cache", None)
     if plan_cache is not None:
         info = plan_cache.info()
         for key in ("hits", "misses", "prepared_hits", "prepared_misses", "size"):
-            registry.gauge(f"repro_plan_cache_{key}", engine=engine).set(
-                info.get(key, 0)
-            )
+            _instrument(connection, "gauge", f"repro_plan_cache_{key}").set(info.get(key, 0))
 
 
 def record_governance_abort(connection: "Connection", error: GovernanceError) -> None:
@@ -122,16 +133,15 @@ def record_decode(
     observation, the rows it decoded, and a ``decode`` record on the
     run's tracer.
     """
-    registry = getattr(connection._owner, "_metrics", None)
-    if registry is not None:
-        engine = connection._engine_name
-        registry.histogram(
+    if getattr(connection._owner, "_metrics", None) is not None:
+        _instrument(
+            connection,
+            "histogram",
             "repro_result_decode_seconds",
             "Time streamed results spent decoding rows, after execute() returned",
-            engine=engine,
         ).observe(decode_s)
-        registry.counter(
-            "repro_result_rows_total", "Rows decoded by streamed results", engine=engine
+        _instrument(
+            connection, "counter", "repro_result_rows_total", "Rows decoded by streamed results"
         ).inc(rows)
     if tracer.enabled:
         # Out of band: the root query span closed when execute() returned.

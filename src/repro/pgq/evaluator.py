@@ -39,6 +39,7 @@ from repro.pgq.queries import (
     Select,
     Union,
     bind_query,
+    bind_sources,
     output_arity,
     query_parameters,
 )
@@ -65,19 +66,21 @@ class PatternMatcher(Protocol):
 class CompiledQuery:
     """A prepared query bound to one engine: ``execute(bindings)`` runs it.
 
-    The default implementation simply re-enters the owning engine's
-    ``evaluate(query, bindings=...)``; what that buys depends on the
-    engine — the planned engine keeps the parameterized pattern as its
-    plan-cache key (one plan compilation serves every binding), the naive
-    oracle substitutes the bindings eagerly, and the SQLite backend
-    overrides preparation entirely with native ``?`` placeholders.
+    The default implementation re-enters the owning
+    :class:`PGQEvaluator`'s evaluation with the bindings and the slot
+    names found here once; what that buys depends on the engine — the
+    planned engine keeps the parameterized pattern as its plan-cache key
+    (one plan compilation serves every binding), the naive oracle
+    substitutes the bindings eagerly, and the SQLite backend overrides
+    preparation entirely with native ``?`` placeholders.
     """
 
     def __init__(self, engine, query: Query):
         self.engine = engine
         self.query = query
+        self._parameters = query_parameters(query)
         #: Slot names the statement expects, sorted (empty = no parameters).
-        self.parameter_names: Tuple[str, ...] = tuple(sorted(query_parameters(query)))
+        self.parameter_names: Tuple[str, ...] = tuple(sorted(self._parameters))
         #: Inferred slot types (filled in by the connection's semantic
         #: analyzer at prepare time; empty for programmatic queries).
         self.parameter_types: Dict[str, str] = {}
@@ -90,7 +93,9 @@ class CompiledQuery:
         :class:`~repro.errors.BindingError` when a slot is unbound.  The
         mapping argument is positional-only so a slot literally named
         ``bindings`` still binds by keyword."""
-        result = self.engine.evaluate(self.query, bindings=merge_bindings(bindings, named))
+        result = self.engine._evaluate(
+            self.query, self._parameters, merge_bindings(bindings, named)
+        )
         self.executions += 1
         return result
 
@@ -107,10 +112,9 @@ class CompiledQuery:
         shape cannot stream, in which case the caller falls back to the
         materializing :meth:`execute`.
         """
-        stream = getattr(self.engine, "stream", None)
-        if stream is None:
-            return None
-        result = stream(self.query, bindings=merge_bindings(bindings, named))
+        result = self.engine._stream(
+            self.query, self._parameters, merge_bindings(bindings, named)
+        )
         if result is not None:
             self.executions += 1
         return result
@@ -197,12 +201,11 @@ class PGQEvaluator:
         missing slot raises :class:`~repro.errors.BindingError` up front so
         an unbound parameter can never silently match nothing.
         """
-        parameters = query_parameters(query)
-        check_bindings(parameters, bindings or {})
-        if parameters:
-            self._bindings = dict(bindings)  # type: ignore[arg-type]
-        else:
-            self._bindings = {}
+        return self._evaluate(query, query_parameters(query), bindings)
+
+    def _evaluate(self, query: Query, parameters, bindings: Optional[Bindings]) -> Relation:
+        """:meth:`evaluate` with the query's slot names already known."""
+        self._begin(parameters, bindings)
         # Common-subexpression memo for the duration of one evaluation:
         # structurally identical subqueries (frequent in the view encodings,
         # e.g. the same Select feeding several view subqueries) run once.
@@ -232,14 +235,15 @@ class PGQEvaluator:
         fixed projection layout (``trusted_output_arity``), so the per-row
         arity scan of the materializing path is not repeated here.
         """
+        return self._stream(query, query_parameters(query), bindings)
+
+    def _stream(
+        self, query: Query, parameters, bindings: Optional[Bindings]
+    ) -> Optional[Tuple[int, Iterator[List[Tuple]], bool]]:
+        """:meth:`stream` with the query's slot names already known."""
         if not isinstance(query, GraphPattern):
             return None
-        parameters = query_parameters(query)
-        check_bindings(parameters, bindings or {})
-        if parameters:
-            self._bindings = dict(bindings)  # type: ignore[arg-type]
-        else:
-            self._bindings = {}
+        self._begin(parameters, bindings)
         self._memo = {}
         try:
             _graph, identifier_arity, matcher = self._resolve_graph_pattern(query)
@@ -257,6 +261,12 @@ class PGQEvaluator:
         finally:
             self._memo = None
             self._bindings = {}
+
+    def _begin(self, parameters, bindings: Optional[Bindings]) -> None:
+        """Check ``bindings`` against the slot names and make them the
+        in-flight bindings ({} for a fully concrete query)."""
+        check_bindings(parameters, bindings or {})
+        self._bindings = dict(bindings) if parameters else {}  # type: ignore[arg-type]
 
     #: Compound relational nodes worth sharing across queries through the
     #: snapshot cache (leaves are free to re-evaluate; GraphPattern has its
@@ -334,17 +344,6 @@ class PGQEvaluator:
         # plain closure instead of a tree walk with per-row bounds checks.
         return relation.select(condition.compile(relation.arity))
 
-    def _view_cache_key(self, sources: Tuple, max_arity: Optional[int]) -> Optional[Tuple]:
-        """Cache key of a graph pattern's materialized view, or None when
-        the view is uncacheable (unhashable constants inside the source
-        subqueries)."""
-        key = (sources, max_arity)
-        try:
-            hash(key)
-        except TypeError:
-            return None
-        return key
-
     def _materialize_view(
         self, sources: Tuple, max_arity: Optional[int], span
     ) -> Tuple[PropertyGraph, int]:
@@ -388,8 +387,12 @@ class PGQEvaluator:
             # (and its cache key) reflects the concrete data; slot-free
             # sources come back identical, so equal bindings keep hitting
             # the same cached view.
-            sources = tuple(bind_query(source, bindings) for source in sources)
-        key = self._view_cache_key(sources, query.max_arity)
+            sources = bind_sources(sources, bindings)
+        key: Optional[Tuple] = (sources, query.max_arity)
+        try:
+            hash(key)
+        except TypeError:  # unhashable constants inside the source subqueries
+            key = None
         cached = self._views.get(key) if key is not None else None
         if cached is not None:
             self._views.move_to_end(key)

@@ -17,9 +17,6 @@ be pinned to ``PGQ_n`` (Section 6.2).
 
 from __future__ import annotations
 
-import threading
-import weakref
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, FrozenSet, Optional, Tuple
 
@@ -195,6 +192,8 @@ class GraphPattern(Query):
             )
         if self.max_arity is not None and self.max_arity < 1:
             raise QueryError(f"max identifier arity must be >= 1, got {self.max_arity}")
+        if not isinstance(self.sources, ViewSources):
+            object.__setattr__(self, "sources", ViewSources(self.sources))
 
     def children(self) -> Tuple[Query, ...]:
         return tuple(self.sources)
@@ -233,18 +232,15 @@ def query_parameters(query: Query) -> FrozenSet[str]:
     relational selection conditions, individual and inline-relation
     constants, and the conditions of ``GraphPattern`` output patterns.
 
-    Memoized per query *object* (queries are immutable): prepared
-    statements re-enter evaluation with the same query instance on every
-    execution, so the tree walk runs once per statement, not per call.
+    A pattern's :class:`ViewSources` contributes the names it computed
+    once, so the walk skips its source subqueries; callers that run a
+    query repeatedly (a ``CompiledQuery``) keep the result instead of
+    calling again.
     """
-    key = id(query)
-    with _PARAMETERS_MEMO_LOCK:
-        entry = _PARAMETERS_MEMO.get(key)
-        if entry is not None and entry[0]() is query:
-            _PARAMETERS_MEMO.move_to_end(key)
-            return entry[1]
     names: set = set()
-    for node in iter_queries(query):
+    stack = [query]
+    while stack:
+        node = stack.pop()
         if isinstance(node, Select):
             names |= node.condition.parameters()
         elif isinstance(node, Constant):
@@ -258,22 +254,56 @@ def query_parameters(query: Query) -> FrozenSet[str]:
                 if isinstance(value, Parameter)
             )
         elif isinstance(node, GraphPattern):
-            names |= pattern_parameters(node.output.pattern)
-    result = frozenset(names)
-    with _PARAMETERS_MEMO_LOCK:
-        _PARAMETERS_MEMO[key] = (weakref.ref(query), result)
-        if len(_PARAMETERS_MEMO) > _PARAMETERS_MEMO_MAX:
-            _PARAMETERS_MEMO.popitem(last=False)
-    return result
+            names |= pattern_parameters(node.output.pattern) | node.sources.parameters
+            continue
+        stack.extend(node.children())
+    return frozenset(names)
 
 
-#: Bounded ``id(query) -> (weakref(query), slot names)`` memo.  The weak
-#: reference keeps the memo from extending any query's lifetime (inline
-#: constant relations included); if the query is collected and its id
-#: recycled, the identity check above rejects the stale entry.
-_PARAMETERS_MEMO: "OrderedDict[int, Tuple[weakref.ref, FrozenSet[str]]]" = OrderedDict()
-_PARAMETERS_MEMO_MAX = 256
-_PARAMETERS_MEMO_LOCK = threading.Lock()
+def source_parameters(query: Query) -> FrozenSet[str]:
+    """Names of the parameter slots inside the view sources of the query's
+    graph patterns (whose bound values pick the views), as each pattern's
+    :class:`ViewSources` computed them once."""
+    names: set = set()
+    stack = [query]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, GraphPattern):
+            names |= node.sources.parameters
+        else:
+            stack.extend(node.children())
+    return frozenset(names)
+
+
+class ViewSources(tuple):
+    """A pattern's six view subqueries, with what depends on them alone
+    computed once: their parameter slot names, and their structural hash
+    on first use (an unhashable constant inside raises ``TypeError`` on
+    each use, as a tuple would).  ``GraphPattern`` wraps its sources in
+    one; a catalog graph's definition builds it once, and every statement
+    over the graph shares it.
+
+    Equal to, and hashing like, the plain tuple of the same subqueries, so
+    a view keyed on either finds the same cache entry; a view cache key
+    ``(sources, max_arity)`` then hashes in constant time.
+    """
+
+    parameters: FrozenSet[str]
+    _hash: Optional[int]
+
+    def __new__(cls, sources) -> "ViewSources":
+        self = super().__new__(cls, sources)
+        self.parameters = frozenset().union(*map(query_parameters, self))
+        self._hash = None
+        return self
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = tuple.__hash__(self)
+        return self._hash
+
+    def __reduce__(self):
+        return ViewSources, (tuple(self),)  # the hash is per process
 
 
 def bind_query(query: Query, bindings: Bindings) -> Query:
@@ -311,13 +341,23 @@ def bind_query(query: Query, bindings: Bindings) -> Query:
         return type(query)(left, right)
     if isinstance(query, GraphPattern):
         output = bind_output(query.output, bindings)
-        sources = tuple(bind_query(source, bindings) for source in query.sources)
-        if output is query.output and all(s is o for s, o in zip(sources, query.sources)):
+        sources = bind_sources(query.sources, bindings)
+        if output is query.output and sources is query.sources:
             return query
         return GraphPattern(output, sources, max_arity=query.max_arity)
     # Leaves without constants: BaseRelation, ActiveDomainQuery,
     # EmptyRelation.
     return query
+
+
+def bind_sources(sources: ViewSources, bindings: Bindings) -> Tuple[Query, ...]:
+    """A pattern's view sources with every slot bound; sources holding no
+    slot come back as they are, without a walk over their trees, so they
+    keep what they computed once."""
+    if not sources.parameters:
+        return sources
+    bound = tuple(bind_query(source, bindings) for source in sources)
+    return sources if all(b is s for b, s in zip(bound, sources)) else bound
 
 
 def resolve_bindings(query: Query, bindings: Optional[Bindings]) -> Query:

@@ -213,14 +213,12 @@ class PlanCache:
     ) -> LogicalPlan:
         needed = frozenset(needed)
         key = (pattern, needed, stats.fingerprint() if stats is not None else None)
-        try:
-            hash(key)
-        except TypeError:  # unhashable constant somewhere in a condition
-            with self._lock:
-                self.uncacheable += 1
-            return compile_plan(pattern, needed, stats, verify)
         with self._lock:
-            entry = self._plans.get(key)
+            try:
+                entry = self._plans.get(key)
+            except TypeError:  # unhashable constant somewhere in a condition
+                self.uncacheable += 1
+                entry = key = None
             if entry is not None:
                 plan, parameterized = entry
                 self.hits += 1
@@ -228,15 +226,17 @@ class PlanCache:
                     self.prepared_hits += 1
                 self._plans.move_to_end(key)
                 return plan
-            parameterized = bool(pattern_parameters(pattern))
-            self.misses += 1
-            if parameterized:
-                self.prepared_misses += 1
-            plan = compile_plan(pattern, needed, stats, verify)
-            self._plans[key] = (plan, parameterized)
-            if len(self._plans) > self.maxsize:
-                self._plans.popitem(last=False)
-            return plan
+            if key is not None:
+                parameterized = bool(pattern_parameters(pattern))
+                self.misses += 1
+                if parameterized:
+                    self.prepared_misses += 1
+                plan = compile_plan(pattern, needed, stats, verify)
+                self._plans[key] = (plan, parameterized)
+                if len(self._plans) > self.maxsize:
+                    self._plans.popitem(last=False)
+                return plan
+        return compile_plan(pattern, needed, stats, verify)
 
     def clear(self) -> None:
         with self._lock:

@@ -12,8 +12,8 @@ projections, and every declared property column contributes
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import QueryError, SchemaError
 from repro.pgq.queries import (
@@ -24,6 +24,7 @@ from repro.pgq.queries import (
     Project,
     Query,
     Union,
+    ViewSources,
 )
 from repro.relational.schema import Schema
 from repro.sqlpgq.ast import CreatePropertyGraph
@@ -43,13 +44,38 @@ def _union_all(queries: Sequence[Query], *, empty_arity: int) -> Query:
 
 
 @dataclass(frozen=True)
+class GraphSchemaSummary:
+    """Labels and property keys a graph definition exposes, by element
+    kind ("node" / "edge"), and the ``(table, column)`` pairs behind each
+    property key, for type inference."""
+
+    labels: Mapping[str, FrozenSet[str]]
+    properties: Mapping[str, FrozenSet[str]]
+    property_sources: Mapping[str, Tuple[Tuple[str, str], ...]]
+
+    def labels_of(self, kind: Optional[str]) -> FrozenSet[str]:
+        """The labels of ``kind`` elements; of every element for no kind."""
+        labels = self.labels
+        return labels[kind] if kind in labels else labels["node"] | labels["edge"]
+
+    def properties_of(self, kind: Optional[str]) -> FrozenSet[str]:
+        """The property keys of ``kind`` elements; of every element for no kind."""
+        keys = self.properties
+        return keys[kind] if kind in keys else keys["node"] | keys["edge"]
+
+
+@dataclass(frozen=True)
 class GraphDefinition:
     """A compiled property-graph view definition bound to a schema."""
 
     name: str
     statement: CreatePropertyGraph
     identifier_arity: int
-    sources: Tuple[Query, Query, Query, Query, Query, Query]
+    #: The six subqueries, their hash and parameter names computed here,
+    #: once per definition.
+    sources: ViewSources
+    #: What the definition exposes, for the semantic analyzer.
+    summary: GraphSchemaSummary = field(compare=False)
 
     def view_subqueries(self) -> Tuple[Query, Query, Query, Query, Query, Query]:
         return self.sources
@@ -142,6 +168,18 @@ def compile_graph_definition(statement: CreatePropertyGraph, schema: Schema) -> 
             return declared
         return schema.relation(table).columns
 
+    labels: Dict[str, set] = {"node": set(), "edge": set()}
+    properties: Dict[str, set] = {"node": set(), "edge": set()}
+    property_sources: Dict[str, List[Tuple[str, str]]] = {}
+
+    def summarize(spec, kind: str) -> Sequence[str]:
+        labels[kind].update(spec.labels)
+        exposed = exposed_properties(spec.table, spec.properties)
+        properties[kind].update(exposed)
+        for column in exposed:
+            property_sources.setdefault(column, []).append((spec.table, column))
+        return exposed
+
     node_queries: List[Query] = []
     label_queries: List[Query] = []
     property_queries: List[Query] = []
@@ -149,9 +187,7 @@ def compile_graph_definition(statement: CreatePropertyGraph, schema: Schema) -> 
         node_queries.append(_key_query(schema, spec.table, spec.key_columns))
         label_queries.extend(_label_queries(schema, spec.table, spec.key_columns, spec.labels))
         property_queries.extend(
-            _property_queries(
-                schema, spec.table, spec.key_columns, exposed_properties(spec.table, spec.properties)
-            )
+            _property_queries(schema, spec.table, spec.key_columns, summarize(spec, "node"))
         )
 
     edge_queries: List[Query] = []
@@ -175,17 +211,20 @@ def compile_graph_definition(statement: CreatePropertyGraph, schema: Schema) -> 
         )
         label_queries.extend(_label_queries(schema, spec.table, spec.key_columns, spec.labels))
         property_queries.extend(
-            _property_queries(
-                schema, spec.table, spec.key_columns, exposed_properties(spec.table, spec.properties)
-            )
+            _property_queries(schema, spec.table, spec.key_columns, summarize(spec, "edge"))
         )
 
-    sources = (
+    sources = ViewSources((
         _union_all(node_queries, empty_arity=arity),
         _union_all(edge_queries, empty_arity=arity),
         _union_all(source_queries, empty_arity=2 * arity),
         _union_all(target_queries, empty_arity=2 * arity),
         _union_all(label_queries, empty_arity=arity + 1),
         _union_all(property_queries, empty_arity=arity + 2),
+    ))
+    summary = GraphSchemaSummary(
+        {kind: frozenset(names) for kind, names in labels.items()},
+        {kind: frozenset(keys) for kind, keys in properties.items()},
+        {key: tuple(pairs) for key, pairs in property_sources.items()},
     )
-    return GraphDefinition(statement.name, statement, arity, sources)
+    return GraphDefinition(statement.name, statement, arity, sources, summary)

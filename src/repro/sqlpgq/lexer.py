@@ -6,6 +6,22 @@ plus the pattern punctuation of MATCH clauses: ``-[t:Label]->``, ``<-[t]-``,
 quantifiers ``*``, ``+`` and ``{n,m}``, and ordinary SQL punctuation.
 Keywords are case-insensitive; identifiers keep their original spelling.
 
+Token grammar, one compiled master pattern (``\\s``, ``\\w`` and ``\\d``
+are Unicode classes)::
+
+    skipped   \\s+  and  --[^\\n]*       only "\\n" starts a new line
+    IDENT     [^\\W\\d]\\w*               starting with a letter or "_"; a
+                                       KEYWORD when its upper case is one
+    NUMBER    [0-9]+(\\.[0-9]+)?        not followed by "." or a digit
+    STRING    '[^']*'  |  "[^"]*"      value without the quotes
+    SYMBOL    <> != >= <= -> <- ]- -[  or one of  ( ) [ ] { } , . ; : * + = < > - /
+
+Anything else is a :class:`~repro.errors.ParseError` at the line and
+column where it starts: a digit run outside NUMBER (``1.2.3``, ``1.``,
+``١٢``, ``²``) is a malformed number, a lone quote an unterminated string
+literal, any other character unexpected.  ``--`` opens a comment wherever
+a token could start.
+
 The ``:`` symbol is position-disambiguated by the parser: inside a pattern
 element it separates a variable from its labels (``(x:Account)``), while
 in a WHERE operand position ``: name`` is a parameter placeholder
@@ -15,8 +31,8 @@ statement API.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+import re
+from typing import List, NamedTuple, Optional, Tuple
 
 from repro.errors import ParseError
 
@@ -29,8 +45,7 @@ KEYWORDS = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """A single token with its position for error reporting."""
 
     kind: str          # KEYWORD, IDENT, NUMBER, STRING, SYMBOL, EOF
@@ -45,8 +60,21 @@ class Token:
         return self.kind == "SYMBOL" and self.value in symbols
 
 
-_MULTI_CHAR_SYMBOLS = ("<>", "!=", ">=", "<=", "->", "<-", "]-", "-[")
-_SINGLE_CHAR_SYMBOLS = set("()[]{},.;:*+=<>-/")
+_MASTER = re.compile(
+    r"""
+    (?P<WS>\s+)
+    |(?P<WORD>[^\W\d]\w*)
+    |(?P<COMMENT>--[^\n]*)
+    |(?P<SYMBOL><>|!=|>=|<=|->|<-|\]-|-\[|[()\[\]{},.;:*+=<>\-/])
+    |(?P<NUMBER>[0-9]+(?:\.[0-9]+)?(?![.\d]))
+    |(?P<STRING>'[^']*'|"[^"]*")
+    |(?P<BADNUMBER>\d[.\d]*)
+    |(?P<ERROR>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+_new_token = tuple.__new__
 
 
 def source_excerpt(text: str, line: int, column: int) -> Optional[str]:
@@ -64,145 +92,141 @@ def source_excerpt(text: str, line: int, column: int) -> Optional[str]:
 
 
 def tokenize(text: str) -> List[Token]:
-    """Tokenize ``text``; raises :class:`ParseError` on unknown characters."""
+    """Tokenize ``text``; raises :class:`ParseError` on text outside the
+    token grammar of the module docstring."""
+    return _lex(text)[0]
+
+
+def _lex(text: str) -> Tuple[List[Token], List[Optional[str]]]:
+    """The tokens of ``text`` and, index for index, their match keys: the
+    upper-cased keyword, the symbol, or ``None`` (what :class:`TokenStream`
+    compares against)."""
     tokens: List[Token] = []
-    line, column = 1, 1
-    index = 0
-    length = len(text)
-
-    def error(message: str) -> ParseError:
-        return ParseError(message, line=line, column=column)
-
-    while index < length:
-        char = text[index]
-        if char == "\n":
-            line += 1
-            column = 1
-            index += 1
+    keys: List[Optional[str]] = []
+    line, line_start = 1, 0
+    # Where EOF sits: the end of the text, or the start of a final comment.
+    eof = len(text)
+    for match in _MASTER.finditer(text):
+        kind = match.lastgroup
+        value = match.group()
+        start = match.start()
+        if kind == "WS":
+            if "\n" in value:
+                line += value.count("\n")
+                line_start = start + value.rindex("\n") + 1
             continue
-        if char.isspace():
-            index += 1
-            column += 1
-            continue
-        if text.startswith("--", index):
-            # SQL line comment.
-            end = text.find("\n", index)
-            index = length if end == -1 else end
-            continue
-        if char == "'" or char == '"':
-            quote = char
-            end = index + 1
-            while end < length and text[end] != quote:
-                end += 1
-            if end >= length:
-                raise error("unterminated string literal")
-            value = text[index + 1 : end]
-            tokens.append(Token("STRING", value, line, column))
-            column += end - index + 1
-            index = end + 1
-            continue
-        if char.isdigit():
-            end = index
-            while end < length and (text[end].isdigit() or text[end] == "."):
-                end += 1
-            value = text[index:end]
-            tokens.append(Token("NUMBER", value, line, column))
-            column += end - index
-            index = end
-            continue
-        if char.isalpha() or char == "_":
-            end = index
-            while end < length and (text[end].isalnum() or text[end] == "_"):
-                end += 1
-            value = text[index:end]
+        column = start - line_start + 1
+        key = None
+        if kind == "WORD":
+            if not (value[0].isalpha() or value[0] == "_"):
+                raise _error(value[0], line, column)
+            key = value.upper()
             # Keywords keep their original spelling so they can double as
             # identifiers (e.g. an output alias named "target").
-            if value.upper() in KEYWORDS:
-                tokens.append(Token("KEYWORD", value, line, column))
+            if key in KEYWORDS:
+                kind = "KEYWORD"
             else:
-                tokens.append(Token("IDENT", value, line, column))
-            column += end - index
-            index = end
+                kind, key = "IDENT", None
+        elif kind == "SYMBOL":
+            key = value
+        elif kind == "STRING":
+            tokens.append(_new_token(Token, (kind, value[1:-1], line, column)))
+            keys.append(None)
+            if "\n" in value:
+                line += value.count("\n")
+                line_start = start + value.rindex("\n") + 1
             continue
-        matched = False
-        for symbol in _MULTI_CHAR_SYMBOLS:
-            if text.startswith(symbol, index):
-                tokens.append(Token("SYMBOL", symbol, line, column))
-                index += len(symbol)
-                column += len(symbol)
-                matched = True
-                break
-        if matched:
+        elif kind == "COMMENT":
+            if match.end() == eof:
+                eof = start
             continue
-        if char in _SINGLE_CHAR_SYMBOLS:
-            tokens.append(Token("SYMBOL", char, line, column))
-            index += 1
-            column += 1
-            continue
-        raise error(f"unexpected character {char!r}")
-    tokens.append(Token("EOF", "", line, column))
-    return tokens
+        elif kind != "NUMBER":
+            raise _error(value, line, column)
+        tokens.append(_new_token(Token, (kind, value, line, column)))
+        keys.append(key)
+    tokens.append(_new_token(Token, ("EOF", "", line, eof - line_start + 1)))
+    keys.append(None)
+    return tokens, keys
+
+
+def _error(text: str, line: int, column: int) -> ParseError:
+    """The error for ``text``, which starts a malformed number, an
+    unterminated string, or is one unexpected character."""
+    if text[0].isdigit():
+        return ParseError(f"malformed number {text!r}", line=line, column=column)
+    if text in ("'", '"'):
+        return ParseError("unterminated string literal", line=line, column=column)
+    return ParseError(f"unexpected character {text!r}", line=line, column=column)
 
 
 class TokenStream:
     """Cursor over a token list with the usual peek/expect helpers.
 
-    When the originating ``source`` text is supplied, parse errors carry a
-    one-line excerpt with a caret under the offending token.
+    Lexes ``source`` once and keeps each token's match key (see
+    :func:`_lex`), so a keyword or symbol test is one membership check.
+    The list carries one extra EOF, so ``peek(1)`` at the end needs no
+    clamp; the cursor never moves past the first EOF.  Parse errors carry
+    a one-line excerpt of ``source`` with a caret under the offending
+    token.
     """
 
-    def __init__(self, tokens: List[Token], source: Optional[str] = None):
-        self._tokens = tokens
+    __slots__ = ("_tokens", "_keys", "_position", "_source")
+
+    def __init__(self, source: str):
+        tokens, keys = _lex(source)
+        self._tokens = tokens + tokens[-1:]
+        self._keys = keys + [None]
         self._position = 0
         self._source = source
 
     def peek(self, offset: int = 0) -> Token:
-        index = min(self._position + offset, len(self._tokens) - 1)
-        return self._tokens[index]
+        return self._tokens[self._position + offset]
+
+    def at(self, *keys: str) -> bool:
+        """Whether the current token is one of the keywords / symbols ``keys``."""
+        return self._keys[self._position] in keys
 
     def advance(self) -> Token:
-        token = self.peek()
+        position = self._position
+        token = self._tokens[position]
         if token.kind != "EOF":
-            self._position += 1
+            self._position = position + 1
         return token
-
-    def at_end(self) -> bool:
-        return self.peek().kind == "EOF"
 
     def error(self, message: str) -> ParseError:
         token = self.peek()
         found = "end of input" if token.kind == "EOF" else f"{token.kind} {token.value!r}"
         detail = f"{message} (found {found})"
-        if self._source is not None:
-            snippet = source_excerpt(self._source, token.line, token.column)
-            if snippet is not None:
-                detail = f"{detail}\n{snippet}"
+        snippet = source_excerpt(self._source, token.line, token.column)
+        if snippet is not None:
+            detail = f"{detail}\n{snippet}"
         return ParseError(detail, line=token.line, column=token.column)
 
+    def accept(self, *keys: str) -> Optional[Token]:
+        """The current token if it is one of the keywords / symbols
+        ``keys`` (consumed), else ``None``."""
+        position = self._position
+        if self._keys[position] in keys:
+            self._position = position + 1
+            return self._tokens[position]
+        return None
+
     def expect_keyword(self, *names: str) -> Token:
-        token = self.peek()
-        if not token.is_keyword(*names):
+        token = self.accept(*names)
+        if token is None:
             raise self.error(f"expected keyword {' or '.join(names)}")
-        return self.advance()
+        return token
 
     def expect_symbol(self, *symbols: str) -> Token:
-        token = self.peek()
-        if not token.is_symbol(*symbols):
+        token = self.accept(*symbols)
+        if token is None:
             raise self.error(f"expected {' or '.join(symbols)}")
-        return self.advance()
+        return token
 
     def expect_identifier(self) -> Token:
-        token = self.peek()
-        if token.kind not in ("IDENT", "KEYWORD"):
+        position = self._position
+        token = self._tokens[position]
+        if token.kind != "IDENT" and token.kind != "KEYWORD":
             raise self.error("expected an identifier")
-        return self.advance()
-
-    def accept_keyword(self, *names: str) -> Optional[Token]:
-        if self.peek().is_keyword(*names):
-            return self.advance()
-        return None
-
-    def accept_symbol(self, *symbols: str) -> Optional[Token]:
-        if self.peek().is_symbol(*symbols):
-            return self.advance()
-        return None
+        self._position = position + 1
+        return token

@@ -52,21 +52,21 @@ from repro.sqlpgq.ast import (
     Quantifier,
 )
 from repro.observability.tracing import trace_span
-from repro.sqlpgq.lexer import TokenStream, tokenize
+from repro.sqlpgq.lexer import TokenStream
 
 
 def parse_statement(text: str) -> Union[CreatePropertyGraph, GraphTableQuery]:
     """Parse one SQL/PGQ statement (DDL or query)."""
     with trace_span("parse", chars=len(text)):
-        stream = TokenStream(tokenize(text), source=text)
-        if stream.peek().is_keyword("CREATE"):
+        stream = TokenStream(text)
+        if stream.at("CREATE"):
             statement = _parse_create_graph(stream)
-        elif stream.peek().is_keyword("SELECT"):
+        elif stream.at("SELECT"):
             statement = _parse_query(stream)
         else:
             raise stream.error("expected CREATE PROPERTY GRAPH or SELECT")
-        stream.accept_symbol(";")
-        if not stream.at_end():
+        stream.accept(";")
+        if stream.peek().kind != "EOF":
             raise stream.error("unexpected trailing input")
     return statement
 
@@ -110,26 +110,18 @@ def _parse_create_graph(stream: TokenStream) -> CreatePropertyGraph:
     node_tables: List[NodeTableSpec] = []
     edge_tables: List[EdgeTableSpec] = []
     while True:
-        if stream.accept_keyword("NODES", "VERTEX"):
-            stream.expect_keyword("TABLE", "TABLES")
-            node_tables.append(_parse_node_table(stream))
-            # Additional node tables separated by commas without repeating
-            # the NODES TABLE keyword; a comma before a clause keyword
-            # instead separates table clauses of the CREATE statement.
-            while stream.accept_symbol(","):
-                if stream.peek().is_keyword("NODES", "VERTEX", "EDGES", "EDGE"):
-                    break
-                node_tables.append(_parse_node_table(stream))
-        elif stream.accept_keyword("EDGES", "EDGE"):
-            stream.expect_keyword("TABLE", "TABLES")
-            edge_tables.append(_parse_edge_table(stream))
-            while stream.accept_symbol(","):
-                if stream.peek().is_keyword("NODES", "VERTEX", "EDGES", "EDGE"):
-                    break
-                edge_tables.append(_parse_edge_table(stream))
+        if stream.accept("NODES", "VERTEX"):
+            tables, parse_table = node_tables, _parse_node_table
+        elif stream.accept("EDGES", "EDGE"):
+            tables, parse_table = edge_tables, _parse_edge_table
         else:
             break
-        if stream.peek().is_symbol(")"):
+        stream.expect_keyword("TABLE", "TABLES")
+        # More tables may follow, separated by commas, without repeating
+        # the NODES / EDGES TABLE keyword.
+        tables.extend(_comma_list(stream, parse_table))
+        stream.accept(",")  # the one before the next table clause
+        if stream.at(")"):
             break
     stream.expect_symbol(")")
     if not node_tables:
@@ -146,16 +138,26 @@ def _parse_create_graph(stream: TokenStream) -> CreatePropertyGraph:
     )
 
 
-def _parse_name_list(stream: TokenStream) -> Tuple[str, ...]:
-    names = [stream.expect_identifier().value]
-    # A comma followed by a clause keyword (NODES/EDGES/...) separates table
-    # clauses of the surrounding CREATE statement, not list entries.
-    while stream.peek().is_symbol(",") and not stream.peek(1).is_keyword(
-        "NODES", "VERTEX", "EDGES", "EDGE"
-    ):
+_CLAUSES = ("NODES", "VERTEX", "EDGES", "EDGE")
+
+
+def _comma_list(stream: TokenStream, parse_item) -> list:
+    """``item ("," item)*``.  A comma followed by a clause keyword
+    (NODES / EDGES / ...) separates table clauses of the surrounding
+    CREATE statement: it ends the list, unconsumed."""
+    items = [parse_item(stream)]
+    while stream.at(",") and not stream.peek(1).is_keyword(*_CLAUSES):
         stream.advance()
-        names.append(stream.expect_identifier().value)
-    return tuple(names)
+        items.append(parse_item(stream))
+    return items
+
+
+def _identifier(stream: TokenStream) -> str:
+    return stream.expect_identifier().value
+
+
+def _parse_name_list(stream: TokenStream) -> Tuple[str, ...]:
+    return tuple(_comma_list(stream, _identifier))
 
 
 def _parse_column_list(stream: TokenStream) -> Tuple[str, ...]:
@@ -166,7 +168,7 @@ def _parse_column_list(stream: TokenStream) -> Tuple[str, ...]:
 
 
 def _parse_optional_key_columns(stream: TokenStream) -> Tuple[str, ...]:
-    if stream.peek().is_symbol("("):
+    if stream.at("("):
         return _parse_column_list(stream)
     return (stream.expect_identifier().value,)
 
@@ -175,9 +177,9 @@ def _parse_labels_and_properties(stream: TokenStream) -> Tuple[Tuple[str, ...], 
     labels: Tuple[str, ...] = ()
     properties: Tuple[str, ...] = ()
     while True:
-        if stream.accept_keyword("LABEL", "LABELS"):
+        if stream.accept("LABEL", "LABELS"):
             labels = labels + _parse_name_list(stream)
-        elif stream.accept_keyword("PROPERTIES"):
+        elif stream.accept("PROPERTIES"):
             properties = properties + _parse_column_list(stream)
         else:
             break
@@ -222,10 +224,10 @@ def _parse_edge_table(stream: TokenStream) -> EdgeTableSpec:
 # --------------------------------------------------------------------------- #
 def _parse_query(stream: TokenStream) -> GraphTableQuery:
     select = stream.expect_keyword("SELECT")
-    distinct = stream.accept_keyword("DISTINCT") is not None
+    distinct = stream.accept("DISTINCT") is not None
     select_star = True
     select_items: Tuple[str, ...] = ()
-    if not stream.accept_symbol("*"):
+    if not stream.accept("*"):
         # A projection list in the outer SELECT is recorded for the semantic
         # analyzer (which checks it against the COLUMNS clause) but does not
         # affect compilation: the inner COLUMNS clause fixes the output.
@@ -238,7 +240,7 @@ def _parse_query(stream: TokenStream) -> GraphTableQuery:
     stream.expect_keyword("MATCH")
     elements = _parse_path(stream)
     condition: Optional[ConditionExpr] = None
-    if stream.accept_keyword("WHERE"):
+    if stream.accept("WHERE"):
         condition = _parse_condition(stream)
     stream.expect_keyword("COLUMNS", "RETURN")
     stream.expect_symbol("(")
@@ -259,25 +261,19 @@ def _parse_query(stream: TokenStream) -> GraphTableQuery:
 
 def _parse_select_list(stream: TokenStream) -> Tuple[str, ...]:
     """The outer SELECT projection: ``name`` or ``var.key``, no aliases."""
-    items = [_parse_select_item(stream)]
-    while stream.peek().is_symbol(",") and not stream.peek(1).is_keyword(
-        "NODES", "VERTEX", "EDGES", "EDGE"
-    ):
-        stream.advance()
-        items.append(_parse_select_item(stream))
-    return tuple(items)
+    return tuple(_comma_list(stream, _parse_select_item))
 
 
 def _parse_select_item(stream: TokenStream) -> str:
     name = stream.expect_identifier().value
-    if stream.accept_symbol("."):
+    if stream.accept("."):
         name = f"{name}.{stream.expect_identifier().value}"
     return name
 
 
 def _parse_path(stream: TokenStream) -> List[PathElement]:
     elements: List[PathElement] = [_parse_node_element(stream)]
-    while stream.peek().is_symbol("-", "-[", "<-", "->"):
+    while stream.at("-", "-[", "<-", "->"):
         elements.append(_parse_edge_element(stream))
         elements.append(_parse_node_element(stream))
     return elements
@@ -285,82 +281,76 @@ def _parse_path(stream: TokenStream) -> List[PathElement]:
 
 def _parse_node_element(stream: TokenStream) -> NodeElement:
     opening = stream.expect_symbol("(")
-    variable: Optional[str] = None
-    labels: Tuple[str, ...] = ()
-    if stream.peek().kind == "IDENT":
-        variable = stream.advance().value
-    if stream.accept_symbol(":"):
-        labels = (stream.expect_identifier().value,)
-        while stream.accept_symbol(":"):
-            labels = labels + (stream.expect_identifier().value,)
+    variable, labels = _parse_element_body(stream)
     stream.expect_symbol(")")
     return NodeElement(variable, labels, position=(opening.line, opening.column))
 
 
 def _parse_quantifier(stream: TokenStream) -> Optional[Quantifier]:
-    if stream.accept_symbol("*"):
+    if stream.accept("*"):
         return Quantifier(0, None)
-    if stream.accept_symbol("+"):
+    if stream.accept("+"):
         return Quantifier(1, None)
-    if stream.accept_symbol("{"):
-        lower = int(stream.advance().value)
+    if stream.accept("{"):
+        lower = _quantifier_bound(stream)
         upper: Optional[int] = lower
-        if stream.accept_symbol(","):
-            if stream.peek().kind == "NUMBER":
-                upper = int(stream.advance().value)
-            else:
-                upper = None
+        if stream.accept(","):
+            upper = _quantifier_bound(stream) if stream.peek().kind == "NUMBER" else None
         stream.expect_symbol("}")
         return Quantifier(lower, upper)
     return None
 
 
-def _parse_edge_body(stream: TokenStream) -> Tuple[Optional[str], Tuple[str, ...]]:
-    """Parse ``[t:Label]``-style edge descriptors (the brackets' inside)."""
-    variable: Optional[str] = None
-    labels: Tuple[str, ...] = ()
-    if stream.peek().kind == "IDENT":
-        variable = stream.advance().value
-    if stream.accept_symbol(":"):
-        labels = (stream.expect_identifier().value,)
-        while stream.accept_symbol(":"):
-            labels = labels + (stream.expect_identifier().value,)
-    return variable, labels
+def _quantifier_bound(stream: TokenStream) -> int:
+    token = stream.peek()
+    if token.kind != "NUMBER" or "." in token.value:
+        raise stream.error("expected an integer quantifier bound")
+    stream.advance()
+    return int(token.value)
+
+
+def _parse_element_body(stream: TokenStream) -> Tuple[Optional[str], Tuple[str, ...]]:
+    """``[var] (":" label)*``: the inside of ``(x:Account)`` / ``[t:Label]``."""
+    variable = stream.advance().value if stream.peek().kind == "IDENT" else None
+    labels: List[str] = []
+    while stream.accept(":"):
+        labels.append(_identifier(stream))
+    return variable, tuple(labels)
 
 
 def _parse_edge_element(stream: TokenStream) -> EdgeElement:
     start = stream.peek()
     position = (start.line, start.column)
     # Backward edge: <-[t]- or <- ...
-    if stream.accept_symbol("<-"):
+    if stream.accept("<-"):
         variable: Optional[str] = None
         labels: Tuple[str, ...] = ()
-        if stream.accept_symbol("["):
-            variable, labels = _parse_edge_body(stream)
-            if not stream.accept_symbol("]-"):
+        if stream.accept("["):
+            variable, labels = _parse_element_body(stream)
+            if not stream.accept("]-"):
                 stream.expect_symbol("]")
                 stream.expect_symbol("-")
         else:
-            stream.accept_symbol("-")
+            stream.accept("-")
         quantifier = _parse_quantifier(stream)
         return EdgeElement(
             variable, labels, forward=False, quantifier=quantifier, position=position
         )
     # Forward edge: -[t]-> , -> , or - [t] - > spelled with separate symbols.
-    if stream.accept_symbol("->"):
+    if stream.accept("->"):
         quantifier = _parse_quantifier(stream)
         return EdgeElement(None, (), forward=True, quantifier=quantifier, position=position)
     stream.expect_symbol("-", "-[")
     variable = None
     labels = ()
-    if stream.peek().is_symbol("["):
+    if stream.at("["):
         stream.advance()
-        variable, labels = _parse_edge_body(stream)
+        variable, labels = _parse_element_body(stream)
         stream.expect_symbol("]")
-    elif not stream.peek().is_symbol("-", "->", ">"):
-        variable, labels = _parse_edge_body(stream)
+    elif not stream.at("-", "->", ">"):
+        variable, labels = _parse_element_body(stream)
     # Closing arrow: "->", or "-" then ">", or "]-" then ">".
-    if not stream.accept_symbol("->"):
+    if not stream.accept("->"):
         stream.expect_symbol("-", "]-")
         stream.expect_symbol(">")
     quantifier = _parse_quantifier(stream)
@@ -371,7 +361,7 @@ def _parse_edge_element(stream: TokenStream) -> EdgeElement:
 
 def _parse_output_columns(stream: TokenStream) -> List[OutputColumn]:
     columns = [_parse_output_column(stream)]
-    while stream.accept_symbol(","):
+    while stream.accept(","):
         columns.append(_parse_output_column(stream))
     return columns
 
@@ -380,9 +370,9 @@ def _parse_output_column(stream: TokenStream) -> OutputColumn:
     variable_token = stream.expect_identifier()
     key: Optional[str] = None
     alias: Optional[str] = None
-    if stream.accept_symbol("."):
+    if stream.accept("."):
         key = stream.expect_identifier().value
-    if stream.accept_keyword("AS"):
+    if stream.accept("AS"):
         alias = stream.expect_identifier().value
     return OutputColumn(
         variable_token.value, key, alias,
@@ -394,34 +384,26 @@ def _parse_output_column(stream: TokenStream) -> OutputColumn:
 # Conditions
 # --------------------------------------------------------------------------- #
 def _parse_condition(stream: TokenStream) -> ConditionExpr:
-    return _parse_or(stream)
-
-
-def _parse_or(stream: TokenStream) -> ConditionExpr:
-    left = _parse_and(stream)
-    operands = [left]
-    while stream.accept_keyword("OR"):
-        operands.append(_parse_and(stream))
-    if len(operands) == 1:
-        return left
-    return BooleanExpression("OR", tuple(operands))
+    return _parse_chain(stream, "OR", _parse_and)
 
 
 def _parse_and(stream: TokenStream) -> ConditionExpr:
-    left = _parse_not(stream)
-    operands = [left]
-    while stream.accept_keyword("AND"):
-        operands.append(_parse_not(stream))
+    return _parse_chain(stream, "AND", _parse_not)
+
+
+def _parse_chain(stream: TokenStream, operator: str, parse_operand) -> ConditionExpr:
+    operands = [parse_operand(stream)]
+    while stream.accept(operator):
+        operands.append(parse_operand(stream))
     if len(operands) == 1:
-        return left
-    return BooleanExpression("AND", tuple(operands))
+        return operands[0]
+    return BooleanExpression(operator, tuple(operands))
 
 
 def _parse_not(stream: TokenStream) -> ConditionExpr:
-    if stream.accept_keyword("NOT"):
+    if stream.accept("NOT"):
         return BooleanExpression("NOT", (_parse_not(stream),))
-    if stream.peek().is_symbol("("):
-        stream.expect_symbol("(")
+    if stream.accept("("):
         inner = _parse_condition(stream)
         stream.expect_symbol(")")
         return inner
@@ -438,7 +420,7 @@ def _parse_operand(stream: TokenStream) -> Operand:
     if token.kind == "STRING":
         stream.advance()
         return LiteralOperand(token.value, position=position)
-    if token.is_symbol(":"):
+    if stream.at(":"):
         # A parameter placeholder ``:name`` stands wherever a literal may.
         stream.advance()
         return ParameterOperand(stream.expect_identifier().value, position=position)
@@ -451,17 +433,13 @@ def _parse_operand(stream: TokenStream) -> Operand:
 def _parse_comparison(stream: TokenStream) -> ConditionExpr:
     start = stream.peek()
     left = _parse_operand(stream)
-    token = stream.peek()
-    operator: str
-    if token.is_symbol("=", "<", ">", "<=", ">=", "<>", "!="):
-        stream.advance()
-        operator = token.value
-        # Allow ">=" / "<=" spelled as two tokens.
-        if operator in ("<", ">") and stream.peek().is_symbol("="):
-            stream.advance()
-            operator += "="
-    else:
+    token = stream.accept("=", "<", ">", "<=", ">=", "<>", "!=")
+    if token is None:
         raise stream.error("expected a comparison operator")
+    operator = token.value
+    # Allow ">=" / "<=" spelled as two tokens.
+    if operator in ("<", ">") and stream.accept("="):
+        operator += "="
     if operator == "<>":
         operator = "!="
     right = _parse_operand(stream)

@@ -7,6 +7,8 @@ stack on all three engines.
 """
 
 import json
+import os
+import sys
 import threading
 import time
 
@@ -246,6 +248,89 @@ def test_database_metrics_record_queries():
     assert latency["count"] == 2
     assert latency["sum"] > 0.0
     assert "repro_snapshot_cache_entries" in exported
+
+
+def test_query_metrics_follow_the_connection_engine():
+    # The per-query instruments are bound per engine: after use_engine the
+    # queries land under the new label, and an instrument appears only
+    # once a query used it (naive streams nothing and has no plan cache).
+    registry = MetricsRegistry()
+    db = transfers_database(metrics=registry)
+    with db.connect(engine="planned") as connection:
+        connection.execute(HOP_QUERY).rows
+        connection.execute(PATH_QUERY).rows
+        connection.use_engine("naive")
+        connection.execute(HOP_QUERY).rows
+        connection.use_engine("planned")
+        connection.execute(HOP_QUERY).rows
+    text = registry.to_prometheus()
+    families = [line.split()[2] for line in text.splitlines() if line.startswith("# TYPE")]
+    assert families == [
+        "repro_queries_total",
+        "repro_query_seconds",
+        "repro_streamed_results_total",
+        "repro_rows_produced_total",
+        "repro_plan_cache_hits",
+        "repro_plan_cache_misses",
+        "repro_plan_cache_prepared_hits",
+        "repro_plan_cache_prepared_misses",
+        "repro_plan_cache_size",
+        "repro_result_decode_seconds",
+        "repro_result_rows_total",
+        "repro_fixpoint_rounds_total",
+    ]
+    samples = {
+        line.rsplit(" ", 1)[0]: line.rsplit(" ", 1)[1]
+        for line in text.splitlines()
+        if not line.startswith("#") and "_bucket" not in line
+    }
+    assert samples['repro_queries_total{engine="naive"}'] == "1"
+    assert samples['repro_queries_total{engine="planned"}'] == "3"
+    assert samples['repro_query_seconds_count{engine="naive"}'] == "1"
+    assert samples['repro_streamed_results_total{engine="planned"}'] == "3"
+    assert samples['repro_result_decode_seconds_count{engine="planned"}'] == "3"
+    assert samples['repro_plan_cache_size{engine="planned"}'] == "2"
+    naive = {sample for sample in samples if 'engine="naive"' in sample}
+    assert naive == {
+        'repro_queries_total{engine="naive"}',
+        'repro_query_seconds_sum{engine="naive"}',
+        'repro_query_seconds_count{engine="naive"}',
+    }
+
+
+def test_concurrent_ad_hoc_queries_count_exactly_once_each():
+    # Threads share one connection: its bound instruments and its
+    # snapshot's property types fill concurrently on first use, and a
+    # lost update would drop a count or type a column twice differently.
+    registry = MetricsRegistry()
+    db = transfers_database(metrics=registry)
+    threads, per_thread = min(16, (os.cpu_count() or 1) + 4), 10
+    barrier, schemas = threading.Barrier(threads), set()
+    with db.connect(engine="planned") as connection:
+
+        def run(worker: int) -> None:
+            barrier.wait(5.0)
+            for index in range(per_thread):
+                text = HOP_QUERY.replace("COLUMNS", f"WHERE t.amount > {worker}{index} COLUMNS")
+                schemas.add(connection.prepare(text).result_schema)
+                connection.execute(text).rows
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=run, args=(n,)) for n in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(30.0)
+                assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+    exported = registry.collect()
+    assert exported["repro_queries_total"]["values"] == [
+        {"labels": {"engine": "planned"}, "value": threads * per_thread}
+    ]
+    assert schemas == {(("x.iban", "string"), ("t.amount", "number"), ("y.iban", "string"))}
 
 
 # --------------------------------------------------------------------------- #

@@ -13,8 +13,13 @@ import json
 import pytest
 
 import repro.engine.connection as connection_module
+import repro.analysis.semantic as semantic_module
+import repro.engine.database as database_module
+import repro.pgq.queries as queries_module
+import repro.sqlpgq.lexer as lexer_module
 from repro.engine import Database, FrontHalf
 from repro.errors import AnalysisError, ConnectionClosedError, EngineError
+from repro.pgq.queries import Product, Project, Union
 from repro.service.app import QueryService
 
 ENGINES = ("naive", "planned", "sqlite")
@@ -209,6 +214,77 @@ def test_each_front_half_stage_runs_once_per_text(stage_counts):
         connection.execute(CLEAN)
         connection.explain(CLEAN)
         assert stage_counts == {"parse": 3, "analyze": 2}
+
+
+@pytest.fixture
+def front_half_work(monkeypatch):
+    """Calls of the front half's per-text work: lexing, walks over a view
+    source tree (the catalog's sources are unions and projections of
+    products; slots are bound by ``bind_query``), data samples of a
+    property's columns, and analyzer runs."""
+    counts = {"lex": 0, "source_walks": 0, "samples": 0, "analyses": 0}
+
+    def counting(work, function):
+        def wrapper(*args, **kwargs):
+            counts[work] += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(lexer_module, "_lex", counting("lex", lexer_module._lex))
+    monkeypatch.setattr(
+        database_module,
+        "sample_property_type",
+        counting("samples", database_module.sample_property_type),
+    )
+    monkeypatch.setattr(
+        semantic_module._QueryAnalyzer,
+        "run",
+        counting("analyses", semantic_module._QueryAnalyzer.run),
+    )
+    for node in (Union, Project, Product):
+        monkeypatch.setattr(node, "children", counting("source_walks", node.children))
+    monkeypatch.setattr(
+        queries_module, "bind_query", counting("source_walks", queries_module.bind_query)
+    )
+    return counts
+
+
+def hop(minimum: int) -> str:
+    return (
+        "SELECT * FROM GRAPH_TABLE ( Transfers MATCH (x) -[t:Transfer]-> (y) "
+        f"WHERE t.amount > {minimum} COLUMNS (x.iban AS src, t.amount, y.iban AS dst) )"
+    )
+
+
+@pytest.mark.parametrize("engine", ["planned", "sqlite"])
+def test_a_new_text_pays_only_for_its_own_front_half(front_half_work, engine):
+    with make_db() as db:
+        with db.connect(engine=engine) as connection:
+            connection.execute(hop(10)).rows  # builds the view, types the keys
+            front_half_work.update(lex=0, source_walks=0, samples=0, analyses=0)
+            rows = connection.execute(hop(60)).rows
+            assert len(rows) == 2
+            # Lexed and analyzed once; parameter names and view keys come
+            # with the graph definition, property types with the snapshot.
+            assert front_half_work == {"lex": 1, "source_walks": 0, "samples": 0, "analyses": 1}
+        # Another connection on the same snapshot reuses that analysis.
+        with db.connect(engine=engine) as other:
+            front_half_work.update(analyses=0)
+            assert other.execute(hop(60)).rows == rows
+            assert front_half_work["analyses"] == 0
+        # A table write is a new snapshot: its data is typed afresh, once
+        # per property key (iban, amount).
+        db.create_table(
+            "Transfer",
+            ["t_id", "src_iban", "tgt_iban", "ts", "amount"],
+            [("T0", "A0", "A1", 1, 100)],
+        )
+        with db.connect(engine=engine) as connection:
+            front_half_work.update(samples=0)
+            connection.execute(hop(70)).rows
+            connection.execute(hop(80)).rows
+            assert front_half_work["samples"] == 2
 
 
 def test_front_half_is_one_immutable_record_per_text():

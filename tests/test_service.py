@@ -217,6 +217,22 @@ class TestQueryService:
             assert status == 400
             assert body["error"]["type"] == "ParseError"
 
+    @pytest.mark.parametrize(
+        "statement",
+        [
+            HOP_QUERY.replace(":minimum", "1.2.3"),
+            HOP_QUERY.replace(":minimum", "\u00b2"),
+            HOP_QUERY.replace("->", "->{1.5,2}"),
+        ],
+        ids=["decimal", "superscript", "quantifier"],
+    )
+    def test_malformed_numbers_are_400_parse_errors(self, db, statement):
+        with QueryService(db, pool_size=1) as service:
+            status, body = post_query(service, {"statement": statement})
+        assert status == 400
+        assert body["error"]["type"] == "ParseError"
+        assert "line 1, column" in body["error"]["message"]
+
     def test_ddl_through_query_endpoint_is_rejected(self, db):
         status, body = post_query(QueryService(db), {"statement": DDL})
         assert status == 400

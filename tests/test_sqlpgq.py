@@ -1,6 +1,9 @@
 """Tests for the SQL/PGQ surface syntax: lexer, parser, catalog, compiler."""
 
+import re
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import ParseError, QueryError, SchemaError
 from repro.relational import Schema
@@ -73,6 +76,75 @@ class TestLexer:
     def test_positions_recorded(self):
         tokens = tokenize("SELECT\n  *")
         assert tokens[1].line == 2
+
+    def test_a_string_spanning_lines_moves_the_line_count(self):
+        tokens = tokenize("x = 'a\nb' AND\n  y")
+        assert [(t.kind, t.line, t.column) for t in tokens[3:]] == [
+            ("KEYWORD", 2, 4), ("IDENT", 3, 3), ("EOF", 3, 4)
+        ]
+
+    def test_eof_sits_at_a_trailing_comment(self):
+        # The end-of-input position names where the comment starts.
+        assert tokenize("SELECT * -- tail")[-1][2:] == (1, 10)
+
+    @pytest.mark.parametrize(
+        "text, column",
+        [("1.2.3", 3), ("1..", 3), ("1.", 3), ("\u00b2", 3), ("\u0661\u0662", 3), ("7\u00b2", 4)],
+        ids=repr,
+    )
+    def test_malformed_numbers_raise_with_their_position(self, text, column):
+        with pytest.raises(ParseError, match="malformed number") as info:
+            tokenize(f"> {text}")
+        assert (info.value.line, info.value.column) == (1, column)
+
+
+#: Every lexical building block: ASCII and non-ASCII letters and digits,
+#: every symbol, both quote kinds, comments, and each kind of line space.
+_PIECES = st.sampled_from(
+    list("aZ_9") + ["select", "Match", "\u00e9", "\u017fELECT", "\u0661", "\u00b2", "\u00bd"]
+    + list("()[]{},.;:*+=<>-/!") + ["<>", "!=", ">=", "<=", "->", "<-", "]-", "-["]
+    + ["'", '"', "'x y'", "--", "-- note\n", " ", "\t", "\r", "\n", "1.5", "12"]
+)
+#: What may separate two tokens: whitespace and ``--`` comments.
+_GAP = re.compile(r"(?:\s|--[^\n]*)*")
+#: Whitespace and comments outside string literals (group 1: a literal,
+#: or an arrow whose "-" cannot open a comment).
+_SKIPPED = re.compile(r"('[^']*'|\"[^\"]*\"|<-|\]-)|\s+|--[^\n]*")
+
+
+def _offset(text: str, line: int, column: int) -> int:
+    starts = [0] + [m.end() for m in re.finditer("\n", text)]
+    return starts[line - 1] + column - 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_PIECES, max_size=24).map("".join))
+@example("SELECT -- c\n x.\u00e9 >= 1.5 'a\nb' \"q\"")
+def test_every_token_is_found_at_its_position(text):
+    """``tokenize`` either raises a ParseError positioned inside the text
+    or returns tokens that each sit at their (line, column), separated by
+    nothing but whitespace and comments."""
+    try:
+        tokens = tokenize(text)
+    except ParseError as error:
+        lines = text.split("\n")
+        assert 1 <= error.line <= len(lines)
+        assert 1 <= error.column <= len(lines[error.line - 1])
+        return
+    assert tokens[-1].kind == "EOF"
+    texts, end = [], 0
+    for token in tokens[:-1]:
+        start = _offset(text, token.line, token.column)
+        source = token.value
+        if token.kind == "STRING":
+            source = text[start] + token.value + text[start]
+        assert text.startswith(source, start)
+        assert _GAP.fullmatch(text[end:start])
+        texts.append(source)
+        end = start + len(source)
+    assert _GAP.fullmatch(text[end:])
+    # The token texts are the input with its whitespace and comments cut out.
+    assert "".join(texts) == _SKIPPED.sub(lambda m: m.group(1) or "", text)
 
 
 # --------------------------------------------------------------------------- #
@@ -166,6 +238,27 @@ class TestParseQuery:
     def test_trailing_garbage_rejected(self):
         with pytest.raises(ParseError):
             parse_statement(QUERY.strip().rstrip(";") + ") extra")
+
+    @pytest.mark.parametrize(
+        "literal", ["1.2.3", "1..", "\u00b2", "\u0661\u0662"], ids=repr
+    )
+    def test_malformed_number_literals_are_parse_errors(self, literal):
+        # They used to escape as a ValueError from float() / int().
+        text = QUERY.replace("100", literal)
+        with pytest.raises(ParseError, match="malformed number") as info:
+            parse_statement(text)
+        line = text.split("\n")[3]
+        assert (info.value.line, info.value.column) == (4, line.index(literal) + 1)
+
+    @pytest.mark.parametrize(
+        "quantifier, bad", [("{1.5,2}", "1.5"), ("{1,2.0}", "2.0"), ("{,2}", ",")], ids=repr
+    )
+    def test_quantifier_bounds_must_be_integers(self, quantifier, bad):
+        text = QUERY.replace("->+", "->" + quantifier)
+        with pytest.raises(ParseError, match="integer quantifier bound") as info:
+            parse_statement(text)
+        line = text.split("\n")[2]
+        assert (info.value.line, info.value.column) == (3, line.index(bad) + 1)
 
 
 # --------------------------------------------------------------------------- #
