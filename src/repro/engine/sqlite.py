@@ -3,45 +3,36 @@
 SQL/PGQ is designed to run *inside* a relational engine; this module shows
 the paper's formal fragments executing on a real one.  A
 :class:`SQLiteEngine` evaluates PGQ queries on an in-memory SQLite database
-by compiling each to **one** SQL statement:
+by compiling each to **one** SQL statement, which
+:mod:`repro.engine.sqlite_lowering` writes as one flat ``WITH [RECURSIVE]``
+list — one named entry per relational operator and plan node, a
+repetition's ``MATERIALIZED`` pair relation and its recursive closure (the
+linear recursion the paper cites as SQL's NL-complete core) among them —
+and one final ``SELECT``.  This module keeps what needs the connection:
 
-* the relational operators map to ``SELECT`` / ``UNION`` / ``EXCEPT`` /
-  cross joins over base relations copied in when a statement first names
-  them;
+* base relations are copied in when a statement first names them;
 * a graph view is *constructed* once, when a pattern first matches over it
   (:meth:`SQLiteEngine._view_tables`) by the constructor the planned
   engine uses — an ill-formed view raises the oracle's ``ViewError`` —
   and its compact encoding is stored as tables over dense integer element
   ids, every ``n``-ary node / edge identifier one id, with a seventh table
   decoding ids for the output of a nested pattern;
-* a pattern is planned by :func:`~repro.planner.compile_plan`, the
-  optimizer (and, under ``verify_plans``, verifier) behind the planned
-  engine's ``PlanCache``, and the optimized plan is lowered to joins over
-  those tables (:class:`_PlanLowering`), so ``Explain`` prints the plan
-  SQLite runs; a repetition's body is a ``MATERIALIZED`` common table
-  expression of the statement itself (evaluated once per execution) and
-  unbounded repetition closes it with ``WITH RECURSIVE`` — the same
-  mechanism (linear recursion) the paper cites as SQL's NL-complete core —
-  over integer pairs whatever the identifier arity, so PGQext's pair
-  reachability (Theorem 5.2) runs on it too;
-* of a statement whose root is a pattern SQLite runs only the match,
-  selecting distinct element ids, and the planned engine's decoder
-  (:mod:`repro.planner.decode`) builds the rows — ordered, deduplicated
-  and spelled as Python values, the planned engine's rows; a pattern
-  nested under a relational operator is decoded in SQL, which the
-  enclosing SQL reads;
-* parameter slots are numbered ``?N`` placeholders, one number per slot
-  name, so one-shot, streamed and prepared execution share a single
-  compilation mode (:class:`_SQLiteCompiledQuery`).
+* a statement runs in one governed execution window, after the depth
+  probes ``max_repetitions`` calls for; one whose root is a pattern selects
+  distinct element ids, which the planned engine's decoder
+  (:mod:`repro.planner.decode`) turns into rows, and any other streams off
+  its cursor.
 
 The engine answers on SQL or raises — a malformed operator the oracle's
 own error, a ``max_repetitions`` overrun the fixpoint kernel's
-``PatternError`` (found by a depth probe, :meth:`_PlanLowering._probe`),
-a node type the compiler does not know or a statement past one of
-SQLite's own limits an ``EngineError``.  Nothing is built ahead of an
-execution except the view tables, which the engine owns and shares between
-every statement over the same graph view.  Results are identical to the
-formal evaluator, which the test-suite checks.
+``PatternError``, and an ``EngineError`` for a node type the lowering does
+not know, for a value SQLite cannot hold as itself (NaN, which it stores
+as NULL, and an int outside 64 bits) and for a statement past one of
+SQLite's own limits: flat as the statement is, SQLite flattens the entries
+into their readers, so a fixed path of more than 21 hops exceeds its
+64 tables in a join (as do other wide joins), and a constant relation of
+more than 500 rows its compound ``SELECT`` limit.  Results are identical to
+the formal evaluator, which the test-suite checks.
 """
 
 from __future__ import annotations
@@ -52,72 +43,22 @@ import time
 import weakref
 from collections import OrderedDict, deque
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.observability.tracing import trace_span
 
+from repro.engine.sqlite_lowering import ViewTables, check_storable, lower
 from repro.errors import EngineError, GovernanceError, QueryCancelledError
 from repro.governance import active_fault_plan, current_governor
 from repro.graph.compact import MISSING, CompactGraph, bit_positions
 from repro.matching.fixpoint import check_depth
-from repro.parameters import Bindings, Parameter, bind_value, check_bindings, merge_bindings
-from repro.patterns.ast import EdgePattern, OutputPattern, PropertyRef, iter_subpatterns
-from repro.patterns.conditions import (
-    AndCondition,
-    HasLabel,
-    NotCondition,
-    OrCondition,
-    PatternCondition,
-    PropertyCompare,
-    PropertyComparesProperty,
-    PropertyEquals,
-)
-from repro.pgq.evaluator import CompiledQuery, PGQEvaluator, check_active_constant, check_selection
+from repro.parameters import Bindings, bind_value, check_bindings, merge_bindings
+from repro.patterns.ast import OutputPattern
+from repro.pgq.evaluator import CompiledQuery, PGQEvaluator, check_active_constant
 from repro.pgq.scans import view_graph
-from repro.planner import compile_plan
 from repro.planner.decode import project, stream_project
 from repro.planner.physical import CompactTable
-from repro.planner.logical import (
-    BindEndpoint,
-    EdgeScan,
-    EmptyPlan,
-    FilterStep,
-    FixpointStep,
-    JoinStep,
-    LogicalPlan,
-    NodeScan,
-    UnionStep,
-)
-from repro.pgq.queries import (
-    ActiveDomainQuery,
-    BaseRelation,
-    Constant,
-    ConstantRelation,
-    Difference,
-    EmptyRelation,
-    GraphPattern,
-    Product,
-    Project,
-    Query,
-    Select,
-    Union,
-    bind_sources,
-    output_arity,
-    query_size,
-    resolve_bindings,
-    source_parameters,
-)
-from repro.relational.conditions import (
-    And as RAAnd,
-    ColumnCompare,
-    ColumnCompareConstant,
-    ColumnEquals,
-    ColumnEqualsConstant,
-    Condition,
-    Not as RANot,
-    Or as RAOr,
-    TrueCondition,
-)
+from repro.pgq.queries import Query, query_size, resolve_bindings, source_parameters
 from repro.relational.database import Database
 from repro.relational.relation import Relation
 
@@ -152,22 +93,16 @@ class SQLiteEngine:
         #: (``Database(verify_plans=True)`` / ``REPRO_VERIFY_PLANS=1``).
         self.verify_plans = verify_plans
         self._connection: Optional[sqlite3.Connection] = None
-        #: Base relations (and ``__adom``) already copied into SQLite.
-        self._loaded: Set[str] = set()
+        #: Arity of every base relation (and ``__adom``) copied into SQLite.
+        self._loaded: Dict[str, int] = {}
         self._view_counter = itertools.count()
         #: ``adom(D)`` as a set, built on the first active-domain check.
         self._adom: Optional[frozenset] = None
-        #: The view temp tables of every graph view in use, keyed like the
-        #: evaluator's view cache on (sources, max_arity) — or, for
-        #: sources that do not hash, on the evaluated relations' content
-        #: digests: the database is immutable for the engine's lifetime,
-        #: so every statement over the same graph view — prepared, streamed
-        #: or one-shot — reads one set of checked, encoded tables.  Each
-        #: entry carries a WeakSet of the statements and streams using it;
-        #: superseded entries (e.g. graph redefinitions) are dropped once
-        #: no live user references them.  Cleared (with the connection) by
-        #: :meth:`close`.
-        self._shared_view_tables: "OrderedDict[Tuple, Tuple[_ViewTables, weakref.WeakSet]]" = (
+        #: The view tables of every graph view in use (see
+        #: :meth:`_view_tables`), each with a WeakSet of the statements and
+        #: streams reading it; superseded entries (e.g. graph
+        #: redefinitions) are dropped once no live user references them.
+        self._shared_view_tables: "OrderedDict[Tuple, Tuple[ViewTables, weakref.WeakSet]]" = (
             OrderedDict()
         )
         #: Snapshot-cache scope attached by connections (see
@@ -178,13 +113,9 @@ class SQLiteEngine:
         self._open_streams: List["weakref.ref"] = []
 
     def use_snapshot_cache(self, scope) -> None:
-        """Attach a snapshot-cache scope for cross-connection sharing.
-
-        The SQLite backend's own state (the loaded ``:memory:`` database,
-        temp tables) is connection-affine and stays private, but the
-        *relational* work around it is shared: view-source relations are
-        read through the scope's cross-engine CSE entries.
-        """
+        """Attach a snapshot-cache scope: the loaded ``:memory:`` database
+        stays private, but view-source relations are read through the
+        scope's cross-engine entries."""
         self._snapshot_scope = scope
 
     def _source_relation(self, source: Query) -> Relation:
@@ -204,15 +135,9 @@ class SQLiteEngine:
     # ------------------------------------------------------------------ #
     @property
     def connection(self) -> sqlite3.Connection:
-        """The backing connection, created on first SQL use.
-
-        It starts empty: a base relation is copied in when a statement
-        first names it (:meth:`_ensure_loaded`) and a graph view when a
-        pattern first matches over it (:meth:`_view_tables`), so nothing is
-        paid for tables no statement reads.  The SQLite feature floor is
-        checked here, at start-up, rather than as a syntax error inside the
-        first ``->+``.
-        """
+        """The backing connection, created (empty) on first SQL use, where
+        the SQLite feature floor is checked rather than as a syntax error
+        inside the first ``->+``."""
         if self._connection is None:
             if sqlite3.sqlite_version_info < _MIN_SQLITE_VERSION:
                 found = ".".join(map(str, sqlite3.sqlite_version_info))
@@ -221,19 +146,15 @@ class SQLiteEngine:
                     f"common table expressions); found {found}"
                 )
             connection = sqlite3.connect(":memory:")
-            # Wait up to 5s for a competing writer before surfacing
-            # "database is locked"; the transient-retry policy in
-            # :meth:`_execute_with_retry` absorbs what the busy handler
-            # does not.  WAL journaling — the usual companion setting —
-            # does not apply to ``:memory:`` databases (no file to
-            # journal); a future file-backed mode should enable
-            # ``PRAGMA journal_mode=WAL`` alongside this timeout.
+            # Wait up to 5s for a competing writer before surfacing "database
+            # is locked"; :meth:`_execute_with_retry` absorbs the rest.
             connection.execute("PRAGMA busy_timeout = 5000")
             self._connection = connection
         return self._connection
 
-    def _ensure_loaded(self, name: str) -> None:
-        """Copy base relation ``name`` into SQLite on first reference.
+    def _ensure_loaded(self, name: str) -> int:
+        """Copy base relation ``name`` into SQLite on first reference and
+        return its arity.
 
         ``__adom`` names the active domain as a real table: the union of
         all columns of all relations.  View sources never come through
@@ -241,7 +162,7 @@ class SQLiteEngine:
         statement that only matches patterns loads no base table at all.
         """
         if name in self._loaded:
-            return
+            return self._loaded[name]
         if name == "__adom":
             arity, rows = 1, [(value,) for value in self.database.active_domain()]
         else:
@@ -251,10 +172,9 @@ class SQLiteEngine:
         with connection:  # one transaction: an unbindable cell leaves no partial table
             connection.execute("BEGIN")
             connection.execute(f'CREATE TABLE "{name}" ({_columns(arity)})')
-            connection.executemany(
-                f'INSERT INTO "{name}" VALUES ({", ".join("?" * arity)})', rows
-            )
-        self._loaded.add(name)
+            _insert(connection, f'"{name}"', arity, rows)
+        self._loaded[name] = arity
+        return arity
 
     def _active_domain(self) -> frozenset:
         """``adom(D)`` as a set (the database is immutable for the engine's
@@ -285,28 +205,16 @@ class SQLiteEngine:
     # Public API
     # ------------------------------------------------------------------ #
     def evaluate(self, query: Query, bindings: Optional[Bindings] = None) -> Relation:
-        """Evaluate a PGQ query: resolve bindings, compile, execute.
-
-        ``bindings`` are substituted eagerly (one-shot evaluation gains
-        nothing from binding late; :meth:`prepare` is the path that keeps
-        slots as native placeholders).
-        """
+        """Evaluate a PGQ query, ``bindings`` substituted eagerly
+        (:meth:`prepare` keeps slots as native placeholders)."""
         return _SQLiteCompiledQuery(self, resolve_bindings(query, bindings)).execute()
 
     def stream(
         self, query: Query, bindings: Optional[Bindings] = None
     ) -> Optional[Tuple[int, Iterator[List[Tuple]], bool]]:
-        """One-shot streaming evaluation: ``(arity, batches, ordered)`` or
-        None; SQLite promises no row order, so ``ordered`` is False unless
-        the decoder of a root pattern's ids produced it.
-
-        The SQL compiles, its depth probes run and the statement starts
-        executing here (so every error surfaces at call time).  A root
-        pattern's ids are fetched here too; any other statement's rows are
-        fetched from the cursor a batch at a time as the iterator is
-        consumed.  Returns ``None`` — the caller then takes the
-        materializing :meth:`evaluate` path — for zero-arity results.
-        """
+        """One-shot streaming evaluation: ``(arity, batches, ordered)``, or
+        None for a zero-arity result (see
+        :meth:`_SQLiteCompiledQuery.execute_stream`)."""
         return _SQLiteCompiledQuery(self, resolve_bindings(query, bindings)).execute_stream()
 
     def prepare(self, query: Query) -> CompiledQuery:
@@ -368,17 +276,14 @@ class SQLiteEngine:
         """One SQL execution window of ``query``'s statement: the only
         place a ``sqlite3.Error`` of an execution is turned into ours.
 
-        When a governor is active, its checkpoint becomes the
-        connection's progress handler (site ``"sqlite.progress"``, polled
-        every ``_PROGRESS_INTERVAL`` VM instructions) and
+        Under an active governor its checkpoint is the connection's
+        progress handler (site ``"sqlite.progress"``) and
         ``connection.interrupt`` is registered on the cancellation token,
-        so deadlines, budgets, injected faults and cross-thread cancels
-        all stop the statement mid-flight.  SQLite surfaces either stop
-        as ``OperationalError: interrupted``, which this context maps
-        back to the governance error that tripped.  Ungoverned
-        executions install nothing.  Whatever else SQLite rejects — its
-        own limits, e.g. ``parser stack overflow`` on deeply nested
-        subqueries — raises :class:`EngineError` naming the query's size.
+        so deadlines, budgets, faults and cross-thread cancels stop the
+        statement mid-flight; the ``interrupted`` error SQLite then raises
+        maps back to the governance error that tripped.  Whatever else
+        SQLite rejects — its own limits, e.g. ``at most 64 tables in a
+        join`` — raises :class:`EngineError` naming the query's size.
         """
         governor = current_governor()
         connection = self.connection
@@ -419,14 +324,9 @@ class SQLiteEngine:
                 connection.set_progress_handler(None, 0)
 
     def _execute_with_retry(self, connection: sqlite3.Connection, sql: str, arguments: Tuple = ()):
-        """Run one statement, absorbing transient ``database is locked``.
-
-        ``:memory:`` databases rarely lock in practice, but the fault
-        plan injects lock errors (``REPRO_FAULTS="transient=N"``) to
-        prove the retry path, and a future file-backed mode inherits a
-        working policy.  Non-transient OperationalErrors — including the
-        ``interrupted`` raised by governance — propagate immediately.
-        """
+        """Run one statement, absorbing transient ``database is locked``
+        (injected by the fault plan, ``REPRO_FAULTS="transient=N"``); any
+        other error, governance's ``interrupted`` included, propagates."""
         delay = self._TRANSIENT_BACKOFF_S
         attempts = 0
         while True:
@@ -469,28 +369,21 @@ class SQLiteEngine:
     # ------------------------------------------------------------------ #
     def _view_tables(
         self, sources: Tuple[Query, ...], max_arity: Optional[int], user
-    ) -> Tuple["_ViewTables", weakref.WeakSet]:
+    ) -> Tuple[ViewTables, weakref.WeakSet]:
         """The view of six concrete ``sources`` as indexed temporary
         tables, with the entry's user set (which ``user`` joins).
 
-        The engine constructs the view once per ``(sources, max_arity)``
-        (sources that do not hash: per content digest of the relations they
-        evaluate to) with the planned engine's constructor,
-        :func:`~repro.pgq.scans.view_graph` — table scans and evaluated
-        sources, or ``pgView`` over the six relations, which raises the
-        oracle's ``ViewError``.
-        ``R1``-``R6`` are written from its
-        :class:`~repro.graph.compact.CompactGraph` over the element ID space
-        (node ``i`` is id ``i``, edge ``e`` is id ``|N| + e``), integers
-        whatever the identifier arity ``n`` is, so a root pattern's ids
-        decode through the encoding itself; a seventh table maps an id to
-        its ``n`` identifier columns for the SQL decode of a nested one.
-        Statements may rely on condition (2): every edge endpoint is a node.
-
-        The tables are engine-owned and shared — the database is immutable
-        for the engine's lifetime, so every statement over one graph view
-        reads one set; its statements and streams are the entry's user set,
-        which keeps it from eviction.
+        Built once per ``(sources, max_arity)`` (sources that do not hash:
+        per content digest of their relations) by the planned engine's
+        constructor, :func:`~repro.pgq.scans.view_graph`, which raises the
+        oracle's ``ViewError``.  ``R1``-``R6`` hold its encoding over element
+        ids (node ``i`` is ``i``, edge ``e`` is ``|N| + e``) whatever the
+        identifier arity ``n``, so a root pattern's ids decode through the
+        encoding; a seventh table maps an id to its ``n`` identifier columns
+        for the SQL decode of a nested one.  Every edge endpoint is a node
+        (condition (2)).  The database is immutable for the engine's
+        lifetime, so every statement over the view reads one set; its users
+        keep it from eviction.
         """
         evaluate = self._source_relation
         cache_key: Tuple = (sources, max_arity)
@@ -525,31 +418,27 @@ class SQLiteEngine:
                 for i, value in enumerate(column)
                 if value is not MISSING
             ]
-        view = _ViewTables(f"__view{next(self._view_counter)}", arity, encoded)
-        # (columns, index columns, rows) of R1..R6 and the id table.  The
-        # pattern SQL joins sources / targets on the edge column and probes
-        # labels / properties by (element, key); the property index carries
-        # the value too, so a lookup never touches the table.
+        view = ViewTables(f"__view{next(self._view_counter)}", arity, encoded)
+        # (columns, index columns, leading columns the engine wrote, rows)
+        # of R1..R6 and the id table.  The pattern SQL joins sources /
+        # targets on the edge column and probes labels / properties by
+        # (element, key); the property index carries the value too.
         tables = (
-            ("c1", "c1", [(number,) for number in range(count)]),
-            ("c1", None, [(number,) for number in edges]),
-            ("c1, c2", "c1", list(zip(edges, encoded.edge_src))),
-            ("c1, c2", "c1", list(zip(edges, encoded.edge_tgt))),
-            ("c1, c2", "c1, c2", labels),
-            ("c1, c2, c3", "c1, c2, c3", properties),
-            (
-                f"id INTEGER PRIMARY KEY, {_columns(arity)}",
-                None,
-                [(number,) + ident for number, ident in enumerate(encoded.ids("element"))],
-            ),
+            ("c1", "c1", 1, [(number,) for number in range(count)]),
+            ("c1", None, 1, [(number,) for number in edges]),
+            ("c1, c2", "c1", 2, list(zip(edges, encoded.edge_src))),
+            ("c1, c2", "c1", 2, list(zip(edges, encoded.edge_tgt))),
+            ("c1, c2", "c1, c2", 1, labels),
+            ("c1, c2, c3", "c1, c2, c3", 2, properties),
+            (f"id INTEGER PRIMARY KEY, {_columns(arity)}", None, 1,
+             [(number,) + ident for number, ident in enumerate(encoded.ids("element"))]),
         )
         connection = self.connection
         with connection:  # one transaction: an unbindable cell leaves no partial view
             connection.execute("BEGIN")
-            for table, (columns, index_columns, rows) in zip(view.names, tables):
+            for table, (columns, index_columns, written, rows) in zip(view.names, tables):
                 connection.execute(f"CREATE TEMP TABLE {table} ({columns})")
-                placeholders = ", ".join("?" * (columns.count(",") + 1))
-                connection.executemany(f"INSERT INTO {table} VALUES ({placeholders})", rows)
+                _insert(connection, table, columns.count(",") + 1, rows, written)
                 if index_columns is not None:
                     connection.execute(f"CREATE INDEX idx_{table} ON {table}({index_columns})")
         entry = self._shared_view_tables[cache_key] = (view, weakref.WeakSet((user,)))
@@ -572,10 +461,7 @@ class SQLiteEngine:
 
 
 def make_sqlite_engine(
-    database: Database,
-    *,
-    max_repetitions: Optional[int] = None,
-    verify_plans: Optional[bool] = None,
+    database: Database, *, max_repetitions: Optional[int] = None, verify_plans: Optional[bool] = None
 ):
     return SQLiteEngine(database, max_repetitions=max_repetitions, verify_plans=verify_plans)
 
@@ -584,57 +470,26 @@ def _columns(arity: int) -> str:
     return ", ".join(f"c{i}" for i in range(1, arity + 1))
 
 
-def _select_list(items: Sequence[str]) -> str:
-    """A ``SELECT`` list; a 0-ary relation selects one constant instead,
-    so its statement has a row exactly when the relation holds ``()``."""
-    return ", ".join(items) or "1"
-
-
-def _comparison(left: str, operator: str, right: str) -> str:
-    """``left operator right`` with the oracle's semantics, so no
-    comparison is ever NULL and ``NOT`` never drops a row: ``=`` / ``!=``
-    are ``IS`` / ``IS NOT`` (``None`` is an ordinary value), and an ordered
-    comparison holds only between two numbers, two strings or two byte
-    strings (Python raises ``TypeError`` on any other pair, which the
-    oracle reads as false; SQLite would order them by storage class)."""
-    if operator == "=":
-        return f"{left} IS {right}"
-    if operator == "!=":
-        return f"{left} IS NOT {right}"
-    return (
-        f"(typeof({left}) IN ('integer', 'real') AND typeof({right}) IN ('integer', 'real')"
-        f" OR typeof({left}) = 'text' AND typeof({right}) = 'text'"
-        f" OR typeof({left}) = 'blob' AND typeof({right}) = 'blob')"
-        f" AND {left} {operator} {right}"
-    )
-
-
-def _sql_literal(value) -> str:
-    if isinstance(value, Parameter):
-        raise EngineError(f"parameter slot {value!r} where SQL takes no placeholder")
-    if value is None:
-        return "NULL"
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, (int, float)):
-        return repr(value)
-    text = str(value).replace("'", "''")
-    return f"'{text}'"
+def _insert(connection: sqlite3.Connection, table: str, width: int, rows, written=0) -> None:
+    """Insert ``rows`` into ``table``, ``width`` columns each; a value past
+    the ``written`` leading columns (element ids the engine wrote) that
+    SQLite cannot hold as itself raises, naming the table and column."""
+    for position in range(written + 1, width + 1):
+        check_storable([row[position - 1] for row in rows], f"column {position} of table {table}")
+    connection.executemany(f"INSERT INTO {table} VALUES ({', '.join('?' * width)})", rows)
 
 
 class _CursorStream:
     """Iterator of row batches over a SQLite cursor, detachable by the
     engine; only a statement whose root is not a pattern streams off one.
 
-    A batch is what ``fetchmany`` returned: every statement the compiler
-    emits is set-valued (see :meth:`_SQLiteCompiledQuery._relational`), so
-    the rows are distinct as they arrive.  The engine holds
-    a weak ref to every live stream: :meth:`SQLiteEngine.close` calls
-    :meth:`detach` first, buffering the remaining rows so a streamed
-    :class:`~repro.engine.result.QueryResult` stays readable after the
-    backend connection (or an engine swap) takes the cursor away.  Until
-    the cursor is exhausted, detached or closed the stream is a user of the
-    view tables it reads, so they outlive a recompiling statement.
+    A batch is what ``fetchmany`` returned: every statement is set-valued
+    (see :func:`~repro.engine.sqlite_lowering.lower`), so the rows are
+    distinct as they arrive.  :meth:`SQLiteEngine.close` calls
+    :meth:`detach` first, buffering the remaining rows, so a streamed
+    result stays readable after the connection goes.  Until the cursor is
+    exhausted, detached or closed the stream is a user of the view tables
+    it reads, so they outlive a recompiling statement.
     """
 
     def __init__(self, cursor: sqlite3.Cursor, view_users: Sequence[weakref.WeakSet]):
@@ -683,13 +538,9 @@ class _CursorStream:
             self._fetch_batch()
 
     def close(self) -> None:
-        """Release the cursor *without* buffering the remaining rows.
-
-        The discard path of ``Connection.close(drain=False)``: the pooled
-        connection is being recycled, nobody will read the rest of this
-        stream, so drop the buffer and free the cursor now instead of
-        paying to materialize rows that go straight to GC.
-        """
+        """Release the cursor *without* buffering the remaining rows: the
+        discard path of ``Connection.close(drain=False)``, where nobody
+        reads the rest of this stream."""
         if not self._done:
             self._buffer.clear()
             self._release()
@@ -716,15 +567,14 @@ class _SQLiteCompiledQuery(CompiledQuery):
     streamed and prepared evaluation differ only in who holds it for how
     long.
 
-    ``sql`` is the complete text: repetition pair relations are common
-    table expressions inside it and every parameter slot is a numbered
-    ``?N`` placeholder, so an execution builds nothing beforehand (bar the
-    depth probes it runs first under ``max_repetitions``) and any number
-    of cursors may read it under different bindings.  It recompiles
-    transparently when the engine's connection (and so every view table)
-    went away, and when the values bound to slots inside its view sources
-    — which pick the view tables, so such a statement compiles at its
-    first execution — differ from the last.
+    ``sql`` is the complete text (:func:`~repro.engine.sqlite_lowering.lower`),
+    every parameter slot a ``?N`` placeholder, so an execution builds
+    nothing beforehand bar its depth probes.  It recompiles when the
+    engine's connection went away, and when the values bound to slots
+    inside its view sources — which pick the view tables, so such a
+    statement compiles at its first execution — differ from the last.  It
+    is the lowering's catalog: it loads the tables the statement names and
+    reads the view tables as one of their users.
     """
 
     def __init__(self, engine: "SQLiteEngine", query: Query):
@@ -745,108 +595,18 @@ class _SQLiteCompiledQuery(CompiledQuery):
         self._view_users = []
         self._connection = self.engine.connection
         self._source_values = tuple(bindings.get(name) for name in self._source_slots)
-        self._bindings = bindings
-        #: Slot name -> placeholder number, in numbering order.
-        self._slots: Dict[str, int] = {}
-        #: ``(SQL, argument count, depth)`` of every depth probe.
-        self._probes: List[Tuple[str, int, int]] = []
-        #: Values (or slots) of the constants that must be in the active
-        #: domain, which the oracle checks per execution.
-        self._active_constants: List = []
-        #: Statement-wide name supply (subquery aliases, ``pairN``).
-        self._names = itertools.count()
-        #: ``(encoding, output, id-table layout)`` when the root is a
-        #: pattern, whose statement selects ids for the decoder; else None.
-        self._root: Optional[Tuple[CompactGraph, OutputPattern, CompactTable]] = None
-        self.sql, self._arity = self._relational(self.query)
+        engine = self.engine
+        lowered = lower(self.query, self, bindings, max_repetitions=engine.max_repetitions,
+                        verify_plans=engine.verify_plans)
+        self.sql, self._arity, self._slots, self._probes, self._active_constants, self._root = lowered
 
-    def _emit(self, value) -> str:
-        """The literal sink of both compilers: constants inline, a
-        :class:`Parameter` becomes ``?N`` — one number per slot *name*
-        wherever it recurs, so placeholder order is nobody's invariant and
-        no caller-chosen name ever reaches the SQL text."""
-        if not isinstance(value, Parameter):
-            return _sql_literal(value)
-        return f"?{self._slots.setdefault(value.name, len(self._slots) + 1)}"
+    def table(self, name: str) -> int:
+        return self.engine._ensure_loaded(name)
 
-    # -- relational operators ----------------------------------------------
-    def _relational(self, query: Query) -> Tuple[str, int]:
-        """``(SQL, arity)`` of a query.  Every statement returned is
-        set-valued — a loaded relation, ``UNION`` / ``EXCEPT``, a
-        ``DISTINCT`` projection or pattern output, or a selection / product
-        of such — which is the one dedup a result gets: cursors hand rows
-        on as they arrive.
-
-        A malformed operator raises what the oracle raises, worded by the
-        oracle: its relation operators, applied to empty relations of the
-        operand arities, check arities and positions here."""
-        if isinstance(query, BaseRelation):
-            arity = self.engine.database.relation(query.name).arity
-            self.engine._ensure_loaded(query.name)
-            return f'SELECT {_columns(arity)} FROM "{query.name}"', arity
-        if isinstance(query, Constant):
-            if query.require_active:
-                self._active_constants.append(query.value)
-            return f"SELECT {self._emit(query.value)} AS c1", 1
-        if isinstance(query, ConstantRelation) and query.rows:
-            selects = [
-                "SELECT "
-                + _select_list([f"{self._emit(value)} AS c{i}" for i, value in enumerate(row, 1)])
-                for row in query.rows
-            ]
-            return " UNION ".join(selects), query.arity
-        if isinstance(query, (ConstantRelation, EmptyRelation)):  # no rows
-            columns = [f"NULL AS c{i}" for i in range(1, query.arity + 1)]
-            return f"SELECT {_select_list(columns)} WHERE 1 = 0", query.arity
-        if isinstance(query, ActiveDomainQuery):
-            self.engine._ensure_loaded("__adom")
-            return "SELECT c1 FROM __adom", 1
-        if isinstance(query, Project):
-            inner, arity = self._relational(query.operand)
-            Relation.empty(arity).project(query.positions)
-            columns = ", ".join(
-                f"sub.c{position} AS c{index}" for index, position in enumerate(query.positions, 1)
-            )
-            return f"SELECT DISTINCT {columns} FROM ({inner}) AS sub", len(query.positions)
-        if isinstance(query, Select):
-            inner, arity = self._relational(query.operand)
-            check_selection(query.condition, arity)
-            predicate = _compile_ra_condition(query.condition, "sub", self._emit)
-            columns = [f"sub.c{i}" for i in range(1, arity + 1)]
-            return f"SELECT {_select_list(columns)} FROM ({inner}) AS sub WHERE {predicate}", arity
-        if isinstance(query, Product):
-            left_sql, left_arity = self._relational(query.left)
-            right_sql, right_arity = self._relational(query.right)
-            columns = [f"l.c{i} AS c{i}" for i in range(1, left_arity + 1)]
-            columns += [f"r.c{i} AS c{left_arity + i}" for i in range(1, right_arity + 1)]
-            return (
-                f"SELECT {_select_list(columns)} FROM ({left_sql}) AS l, ({right_sql}) AS r",
-                left_arity + right_arity,
-            )
-        if isinstance(query, (Union, Difference)):
-            left_sql, arity = self._relational(query.left)
-            right_sql, right_arity = self._relational(query.right)
-            if isinstance(query, Union):
-                operator, check = "UNION", Relation.union
-            else:
-                operator, check = "EXCEPT", Relation.difference
-            check(Relation.empty(arity), Relation.empty(right_arity))
-            return f"SELECT * FROM ({left_sql}) {operator} SELECT * FROM ({right_sql})", arity
-        if isinstance(query, GraphPattern):
-            sources = bind_sources(query.sources, self._bindings)
-            view, users = self.engine._view_tables(sources, query.max_arity, self)
-            self._view_users.append(users)
-            output = query.output
-            output.validate()
-            needed = output.output_variables()
-            plan = compile_plan(output.pattern, needed, None, self.engine.verify_plans)
-            lowering = _PlanLowering(view, self)
-            if query is not self.query:  # nested: the enclosing SQL reads its values
-                return lowering.output(plan, output)
-            sql, layout = lowering.ids(plan, output)
-            self._root = (view.encoded, output, layout)
-            return sql, output_arity(output, view.identifier_arity)
-        raise EngineError(f"the sqlite backend cannot compile query node {type(query).__name__}")
+    def view(self, sources: Tuple[Query, ...], max_arity: Optional[int]) -> ViewTables:
+        view, users = self.engine._view_tables(sources, max_arity, self)
+        self._view_users.append(users)
+        return view
 
     # -- execution -----------------------------------------------------------
     def _arguments(self, bindings: Optional[Bindings], named: Bindings) -> Tuple:
@@ -862,6 +622,8 @@ class _SQLiteCompiledQuery(CompiledQuery):
             self._compile(merged)
         for value in self._active_constants:
             check_active_constant(bind_value(value, merged), self.engine._active_domain())
+        for name in self._slots:
+            check_storable((merged[name],), f"parameter :{name}")
         return tuple(merged[name] for name in self._slots)
 
     def _run(self, arguments: Tuple) -> sqlite3.Cursor:
@@ -911,11 +673,10 @@ class _SQLiteCompiledQuery(CompiledQuery):
     ) -> Optional[Tuple[int, Iterator[List[Tuple]], bool]]:
         """Execute and stream the result: ``(arity, row batches, ordered)``,
         with binding errors and depth overruns raised here.  A root
-        pattern's ids are all fetched here, inside the governed window, and
-        its rows decode as :func:`~repro.planner.decode.stream_project`
-        streams them; any other statement's rows are fetched off its cursor
-        incrementally, unordered.  Returns ``None`` — the caller falls back
-        to :meth:`execute` — for zero-arity results.
+        pattern's ids are fetched inside the governed window and decode as
+        :func:`~repro.planner.decode.stream_project` streams them; any other
+        statement's rows stream off its cursor, unordered.  ``None`` (the
+        caller falls back to :meth:`execute`) for zero-arity results.
         """
         arguments = self._arguments(bindings, named)
         if self._arity == 0:
@@ -931,343 +692,3 @@ class _SQLiteCompiledQuery(CompiledQuery):
         if decode_input is None:
             return self._arity, engine._stream_cursor(cursor, self), False
         return (self._arity, *stream_project(*decode_input))
-
-
-def _compile_ra_condition(condition: Condition, alias: str, emit) -> str:
-    if isinstance(condition, TrueCondition):
-        return "1 = 1"
-    operator = getattr(condition, "operator", "=")
-    if isinstance(condition, (ColumnEquals, ColumnCompare)):
-        return _comparison(f"{alias}.c{condition.left}", operator, f"{alias}.c{condition.right}")
-    if isinstance(condition, (ColumnEqualsConstant, ColumnCompareConstant)):
-        return _comparison(f"{alias}.c{condition.position}", operator, emit(condition.constant))
-    if isinstance(condition, (RAAnd, RAOr)):
-        connective = "AND" if isinstance(condition, RAAnd) else "OR"
-        left, right = (_compile_ra_condition(c, alias, emit) for c in (condition.left, condition.right))
-        return f"({left} {connective} {right})"
-    if isinstance(condition, RANot):
-        return f"NOT ({_compile_ra_condition(condition.operand, alias, emit)})"
-    raise EngineError(
-        f"the sqlite backend cannot compile selection condition {type(condition).__name__}"
-    )
-
-
-class _ViewTables:
-    """One graph view as tables: the names of ``R1``..``R6`` over the
-    encoding's element ids and of the id -> identifier-columns table, plus
-    the identifier arity ``n`` a bare-variable output item decodes to and
-    the encoding itself, which decodes a root pattern's ids (and whose node
-    count bounds a depth probe)."""
-
-    def __init__(self, prefix: str, identifier_arity: int, encoded: CompactGraph):
-        self.names = [f"{prefix}_{index}" for index in range(6)] + [f"{prefix}_ids"]
-        (
-            self.nodes,
-            self.edges,
-            self.sources,
-            self.targets,
-            self.labels,
-            self.properties,
-            self.ids,
-        ) = self.names
-        self.identifier_arity = identifier_arity
-        self.encoded = encoded
-
-
-def _selects_both_ends_of_a_repetition(plan: LogicalPlan, variables: Sequence[str]) -> bool:
-    """Whether ``plan``'s rows are distinct on ``variables`` without a
-    ``DISTINCT``: ``plan`` is a repetition, whose lowered pairs are a set
-    (every branch of :meth:`_PlanLowering._fixpoint` ends in ``UNION`` or
-    ``DISTINCT``), under endpoint bindings of which ``variables`` take
-    one bound to its source and one bound to its target.  A ``DISTINCT``
-    there would only sort the closure's rows once more."""
-    ends = set()
-    while isinstance(plan, BindEndpoint):
-        if plan.variable in variables:
-            ends.add(plan.use_source)
-        plan = plan.operand
-    return isinstance(plan, FixpointStep) and ends == {True, False}
-
-
-def _plan_parameters(plan: LogicalPlan) -> Iterator[str]:
-    """Names of the parameter slots in ``plan``'s conditions."""
-    condition = getattr(plan, "condition", None)
-    if condition is not None:
-        yield from condition.parameters()
-    for child in plan.children():
-        yield from _plan_parameters(child)
-
-
-class _PlanLowering:
-    """Lowers an optimized :class:`LogicalPlan` to SQL over one view's
-    encoded tables.
-
-    Every plan node lowers to a SELECT with columns ``src``, ``tgt`` and one
-    column ``v_<name>`` per variable it binds, all of them integer element
-    ids (so the identifier arity matters only where :meth:`output` decodes
-    a variable in SQL).  The view was checked when it was built, so ``src``
-    and ``tgt`` of every row are nodes — which is what lets ``BindEndpoint``
-    name an endpoint instead of probing the node table.
-    """
-
-    def __init__(self, view: _ViewTables, statement: _SQLiteCompiledQuery):
-        self.view = view
-        #: The statement being compiled: its literal sink (constants
-        #: inline, parameter slots become ``?N``), name supply and probes.
-        self._statement = statement
-        self._emit = statement._emit
-        self._names = statement._names
-
-    def _alias(self) -> str:
-        return f"p{next(self._names)}"
-
-    # -- plan nodes ----------------------------------------------------------
-    def lower(self, plan: LogicalPlan) -> Tuple[str, Tuple[str, ...]]:
-        """``(SQL, variables)``: the ``v_<name>`` columns the SELECT carries
-        besides ``src`` and ``tgt`` (:func:`~repro.analysis.verifier.physical_variables`)."""
-        if isinstance(plan, (NodeScan, EdgeScan)):
-            return self._scan(plan)
-        if isinstance(plan, JoinStep):
-            left_sql, left_vars = self.lower(plan.left)
-            right_sql, right_vars = self.lower(plan.right)
-            left, right = self._alias(), self._alias()
-            added = tuple(v for v in right_vars if v not in left_vars)
-            keys = [f"{left}.tgt = {right}.src"]
-            keys += [f"{left}.v_{v} = {right}.v_{v}" for v in right_vars if v in left_vars]
-            columns = [f"{left}.src AS src", f"{right}.tgt AS tgt"]
-            columns += [f"{left}.v_{v} AS v_{v}" for v in left_vars]
-            columns += [f"{right}.v_{v} AS v_{v}" for v in added]
-            sql = (
-                f"SELECT {', '.join(columns)} "
-                f"FROM ({left_sql}) AS {left} JOIN ({right_sql}) AS {right} "
-                f"ON {' AND '.join(keys)}"
-            )
-            return sql, left_vars + added
-        if isinstance(plan, BindEndpoint):
-            sql, variables = self.lower(plan.operand)
-            endpoint = "src" if plan.use_source else "tgt"
-            sql = f"SELECT *, {endpoint} AS v_{plan.variable} FROM ({sql})"
-            return sql, (*variables, plan.variable)
-        if isinstance(plan, UnionStep):
-            left_sql, left_vars = self.lower(plan.left)
-            right_sql, right_vars = self.lower(plan.right)
-            # An arm may bind residue its own filters needed; like the
-            # planned executor's union, keep what both arms bind.
-            variables = tuple(v for v in left_vars if v in right_vars)
-            columns = ", ".join(["src", "tgt"] + [f"v_{v}" for v in variables])
-            sql = f"SELECT {columns} FROM ({left_sql}) UNION SELECT {columns} FROM ({right_sql})"
-            return sql, variables
-        if isinstance(plan, FilterStep):
-            sql, variables = self.lower(plan.operand)
-            alias = self._alias()
-            predicate = self._condition(plan.condition, lambda name: f"{alias}.v_{name}")
-            return f"SELECT * FROM ({sql}) AS {alias} WHERE {predicate}", variables
-        if isinstance(plan, FixpointStep):
-            return self._fixpoint(plan), ()
-        if isinstance(plan, EmptyPlan):
-            variables = tuple(sorted(plan.schema))
-            columns = ["src", "tgt"] + [f"v_{v}" for v in variables]
-            return f"SELECT {', '.join(f'NULL AS {c}' for c in columns)} WHERE 1 = 0", variables
-        raise EngineError(f"the sqlite backend cannot compile plan node {type(plan).__name__}")
-
-    def _scan(self, plan) -> Tuple[str, Tuple[str, ...]]:
-        """A node or edge scan, its pushed labels and condition one
-        ``WHERE`` over the scanned element."""
-        if isinstance(plan, NodeScan):
-            element, src, tgt = "n.c1", "n.c1", "n.c1"
-            tables = f"{self.view.nodes} AS n"
-        else:
-            element = "e.c1"
-            src, tgt = ("s.c2", "t.c2") if plan.forward else ("t.c2", "s.c2")
-            tables = (
-                f"{self.view.edges} AS e "
-                f"JOIN {self.view.sources} AS s ON s.c1 = e.c1 "
-                f"JOIN {self.view.targets} AS t ON t.c1 = e.c1"
-            )
-        variables = tuple(plan.variables())
-        columns = [f"{src} AS src", f"{tgt} AS tgt"] + [f"{element} AS v_{v}" for v in variables]
-        sql = f"SELECT {', '.join(columns)} FROM {tables}"
-        conjuncts: List[PatternCondition] = [
-            HasLabel(plan.variable, label) for label in sorted(plan.labels)
-        ]
-        if plan.condition is not None:
-            conjuncts.append(plan.condition)
-        if conjuncts:
-            predicates = [self._condition(c, lambda _name: element) for c in conjuncts]
-            sql += " WHERE " + " AND ".join(predicates)
-        return sql, variables
-
-    def _fixpoint(self, plan: FixpointStep) -> str:
-        body_sql, _variables = self.lower(plan.body)
-        # The repetition erases bindings; only (src, tgt) pairs matter.
-        # As a MATERIALIZED common table expression the body — label and
-        # property probes, placeholders and all — is evaluated exactly
-        # once per execution, and the steps and closure below refer to it
-        # by name as often as they like (SQLite gives the transient table
-        # an automatic index on the join column), instead of re-deriving
-        # the conditions on every extension.  The number is unique per
-        # repetition, so nested bodies keep their own names.
-        number = next(self._names)
-        pair, reach = f"pair{number}", f"reach{number}"
-        pair_cte = (
-            f"{pair}(src, tgt) AS MATERIALIZED (SELECT DISTINCT src, tgt FROM ({body_sql}))"
-        )
-        self._probe(plan, number, pair_cte)
-        if not plan.is_unbounded:
-            counts = range(plan.lower, int(plan.upper) + 1)
-            return f"WITH {pair_cte} " + " UNION ".join(self._steps(pair, n) for n in counts)
-        # psi^{lower..inf} = (exactly `lower` steps) composed with psi^*:
-        # seeding the recursion with the exact-`lower` prefix keeps the
-        # CTE's working set at (src, tgt) pairs closed by saturation — no
-        # step counter, so a pair is derived once instead of once per
-        # depth (the walk(src, tgt, steps) formulation was quadratic in
-        # practice: every pair re-entered the queue at up to
-        # lower + |N| depths).
-        return (
-            f"WITH RECURSIVE {pair_cte}, {reach}(src, tgt) AS ("
-            f" SELECT src, tgt FROM ({self._steps(pair, plan.lower)})"
-            f" UNION SELECT {reach}.src, pair.tgt"
-            f" FROM {reach} JOIN {pair} AS pair ON {reach}.tgt = pair.src"
-            ") "
-            f"SELECT src AS src, tgt AS tgt FROM {reach}"
-        )
-
-    def _probe(self, plan: FixpointStep, number: int, pair_cte: str) -> None:
-        """Add the depth probe of a repetition that could run past the
-        engine's ``max_repetitions`` bound ``b`` to the statement.
-
-        The kernels of :mod:`repro.matching.fixpoint` raise at the first
-        depth ``d > b``, ``d >= lower``, reaching a pair no depth in
-        ``[lower, d)`` reached.  Only ``d* = max(b + 1, lower)`` can be it:
-        a pair at ``d* + 1`` extends one at ``d*``, so if ``d*`` adds none,
-        no deeper depth does.  And none can past ``lower + |N| - 1``: a
-        longer walk repeats a node after its first ``lower`` steps, and
-        cutting that cycle leaves a shorter walk of at least ``lower``
-        steps; so with ``b >= lower + |N| - 1`` there is nothing to probe.
-        Otherwise the probe walks the body pairs depth-tagged up to ``d*``
-        (at most |pairs| x ``d*`` rows) for a pair reached at ``d*`` but at
-        no depth in ``[lower, b]``.  It runs before the statement, bound to
-        the body's own slots: SQLite may skip a common table expression
-        whose join partner is empty, while the other engines check every
-        repetition.
-        """
-        bound = self._statement.engine.max_repetitions
-        if bound is None or (not plan.is_unbounded and plan.upper <= bound):
-            return
-        if bound + 1 >= plan.lower + self.view.encoded.node_count:
-            return
-        depth = max(bound + 1, plan.lower)
-        pair, walk = f"pair{number}", f"walk{number}"
-        sql = (
-            f"WITH RECURSIVE {pair_cte}, {walk}(src, tgt, depth) AS ("
-            f" SELECT src, tgt, 0 FROM ({self._steps(pair, 0)})"
-            f" UNION SELECT {walk}.src, pair.tgt, {walk}.depth + 1"
-            f" FROM {walk} JOIN {pair} AS pair ON {walk}.tgt = pair.src"
-            f" WHERE {walk}.depth < {depth}"
-            f") SELECT 1 FROM {walk} AS deep WHERE deep.depth = {depth} AND NOT EXISTS ("
-            f"SELECT 1 FROM {walk} AS early WHERE early.src = deep.src AND early.tgt = deep.tgt"
-            f" AND early.depth BETWEEN {plan.lower} AND {bound}) LIMIT 1"
-        )
-        slots = self._statement._slots
-        width = max((slots[name] for name in _plan_parameters(plan.body)), default=0)
-        self._statement._probes.append((sql, width, depth))
-
-    def _steps(self, pair: str, count: int) -> str:
-        """SQL for the pairs exactly ``count`` body steps apart."""
-        if count == 0:
-            return f"SELECT n.c1 AS src, n.c1 AS tgt FROM {self.view.nodes} AS n"
-        current = f"SELECT src, tgt FROM {pair}"
-        for _ in range(count - 1):
-            previous_alias, pair_alias = self._alias(), self._alias()
-            current = (
-                f"SELECT {previous_alias}.src AS src, {pair_alias}.tgt AS tgt "
-                f"FROM ({current}) AS {previous_alias} "
-                f"JOIN {pair} AS {pair_alias} ON {previous_alias}.tgt = {pair_alias}.src"
-            )
-        return f"SELECT DISTINCT src, tgt FROM ({current})"
-
-    # -- conditions --------------------------------------------------------
-    def _condition(self, condition: PatternCondition, column: Callable[[str], str]) -> str:
-        """``condition`` as a SQL predicate; ``column`` maps a variable to
-        the expression holding its element id."""
-        if isinstance(condition, HasLabel):
-            return (
-                f"EXISTS (SELECT 1 FROM {self.view.labels} AS lab "
-                f"WHERE lab.c1 = {column(condition.var)} AND lab.c2 = {_sql_literal(condition.label)})"
-            )
-        if isinstance(condition, PropertyCompare):
-            compare = _comparison("prop.c3", condition.operator, self._emit(condition.constant))
-            return (
-                f"EXISTS (SELECT 1 FROM {self.view.properties} AS prop "
-                f"WHERE prop.c1 = {column(condition.var)} AND prop.c2 = {_sql_literal(condition.key)} "
-                f"AND {compare})"
-            )
-        if isinstance(condition, (PropertyEquals, PropertyComparesProperty)):
-            compare = _comparison("p1.c3", getattr(condition, "operator", "="), "p2.c3")
-            return (
-                f"EXISTS (SELECT 1 FROM {self.view.properties} AS p1, {self.view.properties} AS p2 "
-                f"WHERE p1.c1 = {column(condition.left_var)} AND p1.c2 = {_sql_literal(condition.left_key)} "
-                f"AND p2.c1 = {column(condition.right_var)} AND p2.c2 = {_sql_literal(condition.right_key)} "
-                f"AND {compare})"
-            )
-        if isinstance(condition, (AndCondition, OrCondition)):
-            connective = "AND" if isinstance(condition, AndCondition) else "OR"
-            left = self._condition(condition.left, column)
-            right = self._condition(condition.right, column)
-            return f"({left} {connective} {right})"
-        if isinstance(condition, NotCondition):
-            return f"NOT ({self._condition(condition.operand, column)})"
-        raise EngineError(
-            f"the sqlite backend cannot compile pattern condition {type(condition).__name__}"
-        )
-
-    # -- output patterns ----------------------------------------------------
-    def ids(self, plan: LogicalPlan, output: OutputPattern) -> Tuple[str, CompactTable]:
-        """``(SQL, layout)`` of a root ``output`` over ``plan``: the SQL
-        selects the distinct element ids of the variables the output reads,
-        one column each in order of first use, undecoded — deduplicated in
-        SQL unless the plan makes them distinct already; the layout is the
-        empty table of those ids.  An id is a node ID unless an edge pattern
-        binds its variable: then it is an element ID."""
-        body_sql, _variables = self.lower(plan)
-        alias = self._alias()
-        variables = list(
-            dict.fromkeys(i.variable if isinstance(i, PropertyRef) else i for i in output.items)
-        )
-        edges = {p.variable for p in iter_subpatterns(output.pattern) if isinstance(p, EdgePattern)}
-        layout = CompactTable(
-            {v: index for index, v in enumerate(variables)},
-            {v: "element" if v in edges else "node" for v in variables},
-            set(),
-        )
-        columns = _select_list([f"{alias}.v_{v}" for v in variables])
-        distinct = "" if _selects_both_ends_of_a_repetition(plan, variables) else "DISTINCT "
-        return f"SELECT {distinct}{columns} FROM ({body_sql}) AS {alias}", layout
-
-    def output(self, plan: LogicalPlan, output: OutputPattern) -> Tuple[str, int]:
-        """``(SQL, arity)`` of a nested ``output`` over ``plan`` (its
-        optimized pattern), decoded in SQL: a property reference is one
-        column, a bare variable its ``n`` identifier columns."""
-        body_sql, _variables = self.lower(plan)
-        alias = self._alias()
-        items = []
-        joins = []
-        for index, item in enumerate(output.items):
-            if isinstance(item, PropertyRef):
-                prop_alias = f"out_prop{index}"
-                joins.append(
-                    f"JOIN {self.view.properties} AS {prop_alias} "
-                    f"ON {prop_alias}.c1 = {alias}.v_{item.variable} "
-                    f"AND {prop_alias}.c2 = {_sql_literal(item.key)}"
-                )
-                items.append(f"{prop_alias}.c3")
-            else:
-                id_alias = f"out_id{index}"
-                joins.append(
-                    f"JOIN {self.view.ids} AS {id_alias} ON {id_alias}.id = {alias}.v_{item}"
-                )
-                items += [f"{id_alias}.c{i}" for i in range(1, self.view.identifier_arity + 1)]
-        select_items = [f"{item} AS c{position}" for position, item in enumerate(items, start=1)]
-        join_sql = (" " + " ".join(joins)) if joins else ""
-        sql = f"SELECT DISTINCT {_select_list(select_items)} FROM ({body_sql}) AS {alias}{join_sql}"
-        return sql, len(items)

@@ -316,9 +316,6 @@ class PropertyGraph:
     def has_node(self, ident: Any) -> bool:
         return as_identifier(ident) in self._nodes
 
-    def has_edge(self, ident: Any) -> bool:
-        return as_identifier(ident) in self._edges
-
     def has_element(self, ident: Any) -> bool:
         ident = as_identifier(ident)
         return ident in self._nodes or ident in self._edges

@@ -33,7 +33,7 @@ import threading
 from collections import deque
 from contextvars import ContextVar
 from time import perf_counter
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 
 class Span:
@@ -123,10 +123,6 @@ class Tracer:
     def sinks(self) -> Tuple[Any, ...]:
         return self._sinks
 
-    def add_sink(self, sink: Any) -> None:
-        """Attach another sink; it receives root spans finished after this."""
-        self._sinks = self._sinks + (sink,)
-
     def _stack(self) -> List[Span]:
         stack = getattr(self._local, "stack", None)
         if stack is None:
@@ -149,11 +145,6 @@ class Tracer:
             stack[-1].children.append(marker)
         else:
             self.emit(marker.to_dict())
-
-    def current_span(self) -> Optional[Span]:
-        """The innermost open span on this thread, if any."""
-        stack = self._stack()
-        return stack[-1] if stack else None
 
     def emit(self, record: Dict[str, Any]) -> None:
         """Write one record dict to every sink (used for root spans and

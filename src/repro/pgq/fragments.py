@@ -65,10 +65,6 @@ class FragmentInfo:
     uses_pattern_matching: bool
     uses_constants: bool
 
-    @property
-    def is_read_only(self) -> bool:
-        return self.fragment is Fragment.RO
-
 
 def _pattern_sources_are_base_relations(pattern: GraphPattern) -> bool:
     return all(isinstance(source, BaseRelation) for source in pattern.sources)

@@ -6,6 +6,7 @@ synthetic offender (and stay quiet on the sanctioned exemptions).
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -346,3 +347,53 @@ class TestSnapshotCacheLockDiscipline:
 
     def test_the_rule_is_scoped_to_the_cache_module(self, tmp_path):
         assert rules_for(tmp_path, self.UNGUARDED, name="engine/other.py") == []
+
+
+class TestSizeBudget:
+    """SIZE-BUDGET holds ``src/`` to the checked-in line budget: a ceiling
+    is a bound both ways — never passed, never more than 20 lines slack."""
+
+    @staticmethod
+    def budget_findings(tmp_path, modules, ceilings, total):
+        for name, lines in modules.items():
+            path = tmp_path / "src" / "pkg" / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text("x = 1\n" * lines)
+        budget = tmp_path / "size_budget.json"
+        budget.write_text(json.dumps({"total": total, "modules": ceilings}))
+        return [
+            message
+            for _, _, rule, message in lint_repro.check_size_budget(tmp_path / "src", budget)
+            if rule == "SIZE-BUDGET"
+        ]
+
+    def test_the_shipped_tree_is_within_its_budget(self):
+        budget = REPO_ROOT / "tools" / "size_budget.json"
+        assert lint_repro.check_size_budget(REPO_ROOT / "src", budget) == []
+
+    def test_a_module_one_line_over_its_ceiling_fails(self, tmp_path):
+        found = self.budget_findings(
+            tmp_path, {"big.py": 601}, {"src/pkg/big.py": 600}, total=601
+        )
+        assert found == ["src/pkg/big.py has 601 lines, over its ceiling of 600"]
+
+    def test_a_stale_ceiling_fails(self, tmp_path):
+        found = self.budget_findings(
+            tmp_path, {"big.py": 579}, {"src/pkg/big.py": 600}, total=579
+        )
+        assert len(found) == 1 and "21 under its ceiling of 600" in found[0]
+        assert self.budget_findings(
+            tmp_path, {"big.py": 580}, {"src/pkg/big.py": 600}, total=580
+        ) == []
+
+    def test_code_moved_between_two_unlisted_modules_passes(self, tmp_path):
+        before = self.budget_findings(tmp_path, {"a.py": 300, "b.py": 100}, {}, total=400)
+        after = self.budget_findings(tmp_path, {"a.py": 100, "b.py": 300}, {}, total=400)
+        assert before == after == []
+
+    def test_a_large_unlisted_module_and_a_grown_total_fail(self, tmp_path):
+        found = self.budget_findings(tmp_path, {"a.py": 500}, {}, total=499)
+        assert found == [
+            "src/pkg/a.py has 500 lines and no ceiling in size_budget.json",
+            "src/ has 500 lines, over its ceiling of 499",
+        ]

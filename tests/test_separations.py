@@ -4,8 +4,6 @@ Every claim that evaluates a PGQ query runs on each served engine (the
 ``engine`` fixture of ``conftest.py``).
 """
 
-import sqlite3
-
 import pytest
 
 from repro.datasets import (
@@ -21,9 +19,8 @@ from repro.datasets import (
     non_alternating_pair,
     pair_graph_database,
 )
-from repro.errors import EngineError
 from repro.patterns.builder import edge, node, output, repeat, seq
-from repro.pgq import Fragment, classify_on_database, graph_pattern_on_relations, query_size
+from repro.pgq import Fragment, classify_on_database, graph_pattern_on_relations
 from repro.separations import (
     BASE_AMOUNT,
     alternating_path_query_ro,
@@ -74,18 +71,7 @@ class TestAlternating:
         # only long path is shorter than k and succeeds when it is >= k.
         query = alternating_path_query_ro(k)
         backends = [engine(alternating_chain(n)) for n in (k, k - 1)]
-        try:
-            answers = [bool(backend.evaluate(query)) for backend in backends]
-        except EngineError as error:
-            # SQLite's parser stack overflows on the nested subqueries of
-            # the larger k (k >= 4 on SQLite 3.40.1); it must say so, never
-            # answer wrongly or leak a sqlite3 error.  Smaller k must answer.
-            if backends[0].name != "sqlite" or k < 4:
-                raise
-            assert isinstance(error.__cause__, sqlite3.Error)
-            assert f"size-{query_size(query)} query" in str(error)
-            return
-        assert answers == [True, False]
+        assert [bool(backend.evaluate(query)) for backend in backends] == [True, False]
 
     def test_ro_and_rw_agree_on_random_bipartite_graphs(self, engine):
         db = bipartite_random(6, 6, 14, seed=3)

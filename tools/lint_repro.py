@@ -68,15 +68,25 @@ Rules (each failure prints ``path:line: RULE message`` and exits 1):
   ``_locked`` are exempt (the suffix is the project's caller-holds-the-
   lock convention), as is module top-level code (imports run once under
   the import lock).
+* **SIZE-BUDGET** — the line counts (``wc -l``) of ``src/`` against the
+  checked-in ``tools/size_budget.json``: its ``total`` for all of
+  ``src/**/*.py`` and a ceiling in ``modules`` for every module of 500 lines
+  or more.  A module (or the total) over its ceiling is a finding, as is a
+  module of 500 lines or more without one; so is a ceiling more than 20
+  lines above what it bounds, or one whose module is gone — a stale budget,
+  lowered by hand in the change that shrank the code.  Code may move
+  between modules as long as each stays within its ceiling (or under 500
+  lines) and the total holds.
 
-Run as ``python tools/lint_repro.py`` (lints ``src/repro``) or with
-explicit file/directory arguments.
+Run as ``python tools/lint_repro.py`` (lints ``src/repro`` and checks the
+size budget) or with explicit file/directory arguments (lints those only).
 """
 
 from __future__ import annotations
 
 import ast
 import builtins
+import json
 import sys
 from pathlib import Path
 from typing import Iterator, List, Tuple
@@ -96,6 +106,11 @@ _LAYERS = {
         "repro.translations", "repro.graph",
     ),
 }
+
+#: SIZE-BUDGET: modules from this many lines up need a ceiling, and a
+#: ceiling (or the total) may sit at most ``_BUDGET_SLACK`` lines above.
+_BUDGET_FLOOR = 500
+_BUDGET_SLACK = 20
 
 #: The only module allowed to mutate Snapshot internals.
 _SNAPSHOT_OWNER = "database.py"
@@ -730,6 +745,43 @@ def lint_paths(paths: List[Path], root: Path) -> List[Finding]:
     return findings
 
 
+def check_size_budget(src: Path, budget_file: Path) -> List[Finding]:
+    """SIZE-BUDGET findings of the ``*.py`` files under ``src`` against
+    ``budget_file``, whose module keys are paths relative to ``src``'s
+    parent (``src/repro/...``)."""
+    budget = json.loads(budget_file.read_text())
+    ceilings = dict(budget["modules"])
+    findings: List[Finding] = []
+
+    def judge(path: Path, what: str, lines: int, ceiling: int) -> None:
+        if lines > ceiling:
+            message = f"{what} has {lines} lines, over its ceiling of {ceiling}"
+        elif ceiling - lines > _BUDGET_SLACK:
+            message = (
+                f"{what} has {lines} lines, {ceiling - lines} under its ceiling of "
+                f"{ceiling}: lower the stale ceiling in {budget_file.name}"
+            )
+        else:
+            return
+        findings.append((path, 1, "SIZE-BUDGET", message))
+
+    total = 0
+    for file in sorted(src.rglob("*.py")):
+        lines = file.read_text().count("\n")
+        total += lines
+        key = file.relative_to(src.parent).as_posix()
+        if key in ceilings:
+            judge(file, key, lines, ceilings.pop(key))
+        elif lines >= _BUDGET_FLOOR:
+            message = f"{key} has {lines} lines and no ceiling in {budget_file.name}"
+            findings.append((file, 1, "SIZE-BUDGET", message))
+    for key in ceilings:
+        message = f"{budget_file.name} has a ceiling for {key}, which does not exist"
+        findings.append((budget_file, 1, "SIZE-BUDGET", message))
+    judge(budget_file, f"{src.name}/", total, budget["total"])
+    return findings
+
+
 def _package_of(relative: str) -> str:
     """``repro.<subpackage>`` of a file inside one under ``src/repro``, else ''."""
     _, inside, rest = relative.partition("/src/repro/")
@@ -741,6 +793,8 @@ def main(argv: List[str]) -> int:
     root = Path(__file__).resolve().parent.parent
     targets = [Path(arg) for arg in argv] if argv else [root / "src" / "repro"]
     findings = lint_paths(targets, root)
+    if not argv:
+        findings += check_size_budget(root / "src", root / "tools" / "size_budget.json")
     for path, lineno, rule, message in findings:
         try:
             shown = path.resolve().relative_to(root)
