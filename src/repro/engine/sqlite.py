@@ -5,10 +5,8 @@ the paper's formal fragments executing on a real one.  A
 :class:`SQLiteEngine` evaluates PGQ queries on an in-memory SQLite database
 by compiling each to **one** SQL statement, which
 :mod:`repro.engine.sqlite_lowering` writes as one flat ``WITH [RECURSIVE]``
-list — one named entry per relational operator and plan node, a
-repetition's ``MATERIALIZED`` pair relation and its recursive closure (the
-linear recursion the paper cites as SQL's NL-complete core) among them —
-and one final ``SELECT``.  This module keeps what needs the connection:
+list — one named entry per relational operator and plan node — and one
+final ``SELECT``:
 
 * base relations are copied in when a statement first names them;
 * a graph view is *constructed* once, when a pattern first matches over it
@@ -17,11 +15,24 @@ and one final ``SELECT``.  This module keeps what needs the connection:
   and its compact encoding is stored as tables over dense integer element
   ids, every ``n``-ary node / edge identifier one id, with a seventh table
   decoding ids for the output of a nested pattern;
-* a statement runs in one governed execution window, after the depth
-  probes ``max_repetitions`` calls for; one whose root is a pattern selects
-  distinct element ids, which the planned engine's decoder
-  (:mod:`repro.planner.decode`) turns into rows, and any other streams off
-  its cursor.
+* a pattern is planned by :func:`~repro.planner.compile_plan`, the
+  optimizer (and, under ``verify_plans``, verifier) behind the planned
+  engine's ``PlanCache``, and the optimized plan is lowered to joins over
+  those tables, so ``Explain`` prints the plan SQLite runs; a repetition's
+  body is a ``MATERIALIZED`` entry of the list (evaluated once per
+  execution) and unbounded repetition closes it with a recursive entry —
+  the same mechanism (linear recursion) the paper cites as SQL's
+  NL-complete core — over integer pairs whatever the identifier arity, so
+  PGQext's pair reachability (Theorem 5.2) runs on it too;
+* of a statement whose root is a pattern SQLite runs only the match,
+  selecting distinct element ids, and the planned engine's decoder
+  (:mod:`repro.planner.decode`) builds the rows — ordered, deduplicated
+  and spelled as Python values, the planned engine's rows; a pattern
+  nested under a relational operator is decoded in SQL, which the
+  enclosing SQL reads;
+* parameter slots are numbered ``?N`` placeholders, one number per slot
+  name, so one-shot, streamed and prepared execution share a single
+  compilation mode (:class:`_SQLiteCompiledQuery`).
 
 The engine answers on SQL or raises — a malformed operator the oracle's
 own error, a ``max_repetitions`` overrun the fixpoint kernel's
@@ -30,9 +41,10 @@ not know, for a value SQLite cannot hold as itself (NaN, which it stores
 as NULL, and an int outside 64 bits) and for a statement past one of
 SQLite's own limits: flat as the statement is, SQLite flattens the entries
 into their readers, so a fixed path of more than 21 hops exceeds its
-64 tables in a join (as do other wide joins), and a constant relation of
-more than 500 rows its compound ``SELECT`` limit.  Results are identical to
-the formal evaluator, which the test-suite checks.
+64 tables in a join (as do other wide joins).  Nothing is built ahead of
+an execution except the view tables, which the engine owns and shares
+between every statement over the same graph view.  Results are identical
+to the formal evaluator, which the test-suite checks.
 """
 
 from __future__ import annotations
@@ -98,10 +110,16 @@ class SQLiteEngine:
         self._view_counter = itertools.count()
         #: ``adom(D)`` as a set, built on the first active-domain check.
         self._adom: Optional[frozenset] = None
-        #: The view tables of every graph view in use (see
-        #: :meth:`_view_tables`), each with a WeakSet of the statements and
-        #: streams reading it; superseded entries (e.g. graph
-        #: redefinitions) are dropped once no live user references them.
+        #: The view temp tables of every graph view in use, keyed like the
+        #: evaluator's view cache on (sources, max_arity) — or, for
+        #: sources that do not hash, on the evaluated relations' content
+        #: digests: the database is immutable for the engine's lifetime,
+        #: so every statement over the same graph view — prepared, streamed
+        #: or one-shot — reads one set of checked, encoded tables.  Each
+        #: entry carries a WeakSet of the statements and streams using it;
+        #: superseded entries (e.g. graph redefinitions) are dropped once
+        #: no live user references them.  Cleared (with the connection) by
+        #: :meth:`close`.
         self._shared_view_tables: "OrderedDict[Tuple, Tuple[ViewTables, weakref.WeakSet]]" = (
             OrderedDict()
         )
@@ -113,9 +131,13 @@ class SQLiteEngine:
         self._open_streams: List["weakref.ref"] = []
 
     def use_snapshot_cache(self, scope) -> None:
-        """Attach a snapshot-cache scope: the loaded ``:memory:`` database
-        stays private, but view-source relations are read through the
-        scope's cross-engine entries."""
+        """Attach a snapshot-cache scope for cross-connection sharing.
+
+        The SQLite backend's own state (the loaded ``:memory:`` database,
+        temp tables) is connection-affine and stays private, but the
+        *relational* work around it is shared: view-source relations are
+        read through the scope's cross-engine CSE entries.
+        """
         self._snapshot_scope = scope
 
     def _source_relation(self, source: Query) -> Relation:
@@ -135,9 +157,15 @@ class SQLiteEngine:
     # ------------------------------------------------------------------ #
     @property
     def connection(self) -> sqlite3.Connection:
-        """The backing connection, created (empty) on first SQL use, where
-        the SQLite feature floor is checked rather than as a syntax error
-        inside the first ``->+``."""
+        """The backing connection, created on first SQL use.
+
+        It starts empty: a base relation is copied in when a statement
+        first names it (:meth:`_ensure_loaded`) and a graph view when a
+        pattern first matches over it (:meth:`_view_tables`), so nothing is
+        paid for tables no statement reads.  The SQLite feature floor is
+        checked here, at start-up, rather than as a syntax error inside the
+        first ``->+``.
+        """
         if self._connection is None:
             if sqlite3.sqlite_version_info < _MIN_SQLITE_VERSION:
                 found = ".".join(map(str, sqlite3.sqlite_version_info))
@@ -146,8 +174,13 @@ class SQLiteEngine:
                     f"common table expressions); found {found}"
                 )
             connection = sqlite3.connect(":memory:")
-            # Wait up to 5s for a competing writer before surfacing "database
-            # is locked"; :meth:`_execute_with_retry` absorbs the rest.
+            # Wait up to 5s for a competing writer before surfacing
+            # "database is locked"; the transient-retry policy in
+            # :meth:`_execute_with_retry` absorbs what the busy handler
+            # does not.  WAL journaling — the usual companion setting —
+            # does not apply to ``:memory:`` databases (no file to
+            # journal); a future file-backed mode should enable
+            # ``PRAGMA journal_mode=WAL`` alongside this timeout.
             connection.execute("PRAGMA busy_timeout = 5000")
             self._connection = connection
         return self._connection
@@ -205,16 +238,28 @@ class SQLiteEngine:
     # Public API
     # ------------------------------------------------------------------ #
     def evaluate(self, query: Query, bindings: Optional[Bindings] = None) -> Relation:
-        """Evaluate a PGQ query, ``bindings`` substituted eagerly
-        (:meth:`prepare` keeps slots as native placeholders)."""
+        """Evaluate a PGQ query: resolve bindings, compile, execute.
+
+        ``bindings`` are substituted eagerly (one-shot evaluation gains
+        nothing from binding late; :meth:`prepare` is the path that keeps
+        slots as native placeholders).
+        """
         return _SQLiteCompiledQuery(self, resolve_bindings(query, bindings)).execute()
 
     def stream(
         self, query: Query, bindings: Optional[Bindings] = None
     ) -> Optional[Tuple[int, Iterator[List[Tuple]], bool]]:
-        """One-shot streaming evaluation: ``(arity, batches, ordered)``, or
-        None for a zero-arity result (see
-        :meth:`_SQLiteCompiledQuery.execute_stream`)."""
+        """One-shot streaming evaluation: ``(arity, batches, ordered)`` or
+        None; SQLite promises no row order, so ``ordered`` is False unless
+        the decoder of a root pattern's ids produced it.
+
+        The SQL compiles, its depth probes run and the statement starts
+        executing here (so every error surfaces at call time).  A root
+        pattern's ids are fetched here too; any other statement's rows are
+        fetched from the cursor a batch at a time as the iterator is
+        consumed.  Returns ``None`` — the caller then takes the
+        materializing :meth:`evaluate` path — for zero-arity results.
+        """
         return _SQLiteCompiledQuery(self, resolve_bindings(query, bindings)).execute_stream()
 
     def prepare(self, query: Query) -> CompiledQuery:
@@ -276,14 +321,17 @@ class SQLiteEngine:
         """One SQL execution window of ``query``'s statement: the only
         place a ``sqlite3.Error`` of an execution is turned into ours.
 
-        Under an active governor its checkpoint is the connection's
-        progress handler (site ``"sqlite.progress"``) and
+        When a governor is active, its checkpoint becomes the
+        connection's progress handler (site ``"sqlite.progress"``, polled
+        every ``_PROGRESS_INTERVAL`` VM instructions) and
         ``connection.interrupt`` is registered on the cancellation token,
-        so deadlines, budgets, faults and cross-thread cancels stop the
-        statement mid-flight; the ``interrupted`` error SQLite then raises
-        maps back to the governance error that tripped.  Whatever else
-        SQLite rejects — its own limits, e.g. ``at most 64 tables in a
-        join`` — raises :class:`EngineError` naming the query's size.
+        so deadlines, budgets, injected faults and cross-thread cancels
+        all stop the statement mid-flight.  SQLite surfaces either stop
+        as ``OperationalError: interrupted``, which this context maps
+        back to the governance error that tripped.  Ungoverned
+        executions install nothing.  Whatever else SQLite rejects — its
+        own limits, e.g. ``at most 64 tables in a join`` on a long fixed
+        path — raises :class:`EngineError` naming the query's size.
         """
         governor = current_governor()
         connection = self.connection
@@ -324,9 +372,14 @@ class SQLiteEngine:
                 connection.set_progress_handler(None, 0)
 
     def _execute_with_retry(self, connection: sqlite3.Connection, sql: str, arguments: Tuple = ()):
-        """Run one statement, absorbing transient ``database is locked``
-        (injected by the fault plan, ``REPRO_FAULTS="transient=N"``); any
-        other error, governance's ``interrupted`` included, propagates."""
+        """Run one statement, absorbing transient ``database is locked``.
+
+        ``:memory:`` databases rarely lock in practice, but the fault
+        plan injects lock errors (``REPRO_FAULTS="transient=N"``) to
+        prove the retry path, and a future file-backed mode inherits a
+        working policy.  Non-transient OperationalErrors — including the
+        ``interrupted`` raised by governance — propagate immediately.
+        """
         delay = self._TRANSIENT_BACKOFF_S
         attempts = 0
         while True:
@@ -373,17 +426,24 @@ class SQLiteEngine:
         """The view of six concrete ``sources`` as indexed temporary
         tables, with the entry's user set (which ``user`` joins).
 
-        Built once per ``(sources, max_arity)`` (sources that do not hash:
-        per content digest of their relations) by the planned engine's
-        constructor, :func:`~repro.pgq.scans.view_graph`, which raises the
-        oracle's ``ViewError``.  ``R1``-``R6`` hold its encoding over element
-        ids (node ``i`` is ``i``, edge ``e`` is ``|N| + e``) whatever the
-        identifier arity ``n``, so a root pattern's ids decode through the
-        encoding; a seventh table maps an id to its ``n`` identifier columns
-        for the SQL decode of a nested one.  Every edge endpoint is a node
-        (condition (2)).  The database is immutable for the engine's
-        lifetime, so every statement over the view reads one set; its users
-        keep it from eviction.
+        The engine constructs the view once per ``(sources, max_arity)``
+        (sources that do not hash: per content digest of the relations they
+        evaluate to) with the planned engine's constructor,
+        :func:`~repro.pgq.scans.view_graph` — table scans and evaluated
+        sources, or ``pgView`` over the six relations, which raises the
+        oracle's ``ViewError``.
+        ``R1``-``R6`` are written from its
+        :class:`~repro.graph.compact.CompactGraph` over the element ID space
+        (node ``i`` is id ``i``, edge ``e`` is id ``|N| + e``), integers
+        whatever the identifier arity ``n`` is, so a root pattern's ids
+        decode through the encoding itself; a seventh table maps an id to
+        its ``n`` identifier columns for the SQL decode of a nested one.
+        Statements may rely on condition (2): every edge endpoint is a node.
+
+        The tables are engine-owned and shared — the database is immutable
+        for the engine's lifetime, so every statement over one graph view
+        reads one set; its statements and streams are the entry's user set,
+        which keeps it from eviction.
         """
         evaluate = self._source_relation
         cache_key: Tuple = (sources, max_arity)
@@ -419,26 +479,29 @@ class SQLiteEngine:
                 if value is not MISSING
             ]
         view = ViewTables(f"__view{next(self._view_counter)}", arity, encoded)
-        # (columns, index columns, leading columns the engine wrote, rows)
-        # of R1..R6 and the id table.  The pattern SQL joins sources /
-        # targets on the edge column and probes labels / properties by
-        # (element, key); the property index carries the value too.
+        # (columns, index columns, rows) of R1..R6 and the id table.  The
+        # pattern SQL joins sources / targets on the edge column and probes
+        # labels / properties by (element, key); the property index carries
+        # the value too, so a lookup never touches the table.
         tables = (
-            ("c1", "c1", 1, [(number,) for number in range(count)]),
-            ("c1", None, 1, [(number,) for number in edges]),
-            ("c1, c2", "c1", 2, list(zip(edges, encoded.edge_src))),
-            ("c1, c2", "c1", 2, list(zip(edges, encoded.edge_tgt))),
-            ("c1, c2", "c1, c2", 1, labels),
-            ("c1, c2, c3", "c1, c2, c3", 2, properties),
-            (f"id INTEGER PRIMARY KEY, {_columns(arity)}", None, 1,
-             [(number,) + ident for number, ident in enumerate(encoded.ids("element"))]),
+            ("c1", "c1", [(number,) for number in range(count)]),
+            ("c1", None, [(number,) for number in edges]),
+            ("c1, c2", "c1", list(zip(edges, encoded.edge_src))),
+            ("c1, c2", "c1", list(zip(edges, encoded.edge_tgt))),
+            ("c1, c2", "c1, c2", labels),
+            ("c1, c2, c3", "c1, c2, c3", properties),
+            (
+                f"id INTEGER PRIMARY KEY, {_columns(arity)}",
+                None,
+                [(number,) + ident for number, ident in enumerate(encoded.ids("element"))],
+            ),
         )
         connection = self.connection
         with connection:  # one transaction: an unbindable cell leaves no partial view
             connection.execute("BEGIN")
-            for table, (columns, index_columns, written, rows) in zip(view.names, tables):
+            for table, (columns, index_columns, rows) in zip(view.names, tables):
                 connection.execute(f"CREATE TEMP TABLE {table} ({columns})")
-                _insert(connection, table, columns.count(",") + 1, rows, written)
+                _insert(connection, table, columns.count(",") + 1, rows)
                 if index_columns is not None:
                     connection.execute(f"CREATE INDEX idx_{table} ON {table}({index_columns})")
         entry = self._shared_view_tables[cache_key] = (view, weakref.WeakSet((user,)))
@@ -461,7 +524,10 @@ class SQLiteEngine:
 
 
 def make_sqlite_engine(
-    database: Database, *, max_repetitions: Optional[int] = None, verify_plans: Optional[bool] = None
+    database: Database,
+    *,
+    max_repetitions: Optional[int] = None,
+    verify_plans: Optional[bool] = None,
 ):
     return SQLiteEngine(database, max_repetitions=max_repetitions, verify_plans=verify_plans)
 
@@ -470,11 +536,10 @@ def _columns(arity: int) -> str:
     return ", ".join(f"c{i}" for i in range(1, arity + 1))
 
 
-def _insert(connection: sqlite3.Connection, table: str, width: int, rows, written=0) -> None:
-    """Insert ``rows`` into ``table``, ``width`` columns each; a value past
-    the ``written`` leading columns (element ids the engine wrote) that
+def _insert(connection: sqlite3.Connection, table: str, width: int, rows) -> None:
+    """Insert ``rows`` into ``table``, ``width`` columns each; a value
     SQLite cannot hold as itself raises, naming the table and column."""
-    for position in range(written + 1, width + 1):
+    for position in range(1, width + 1):
         check_storable([row[position - 1] for row in rows], f"column {position} of table {table}")
     connection.executemany(f"INSERT INTO {table} VALUES ({', '.join('?' * width)})", rows)
 
@@ -483,13 +548,15 @@ class _CursorStream:
     """Iterator of row batches over a SQLite cursor, detachable by the
     engine; only a statement whose root is not a pattern streams off one.
 
-    A batch is what ``fetchmany`` returned: every statement is set-valued
-    (see :func:`~repro.engine.sqlite_lowering.lower`), so the rows are
-    distinct as they arrive.  :meth:`SQLiteEngine.close` calls
-    :meth:`detach` first, buffering the remaining rows, so a streamed
-    result stays readable after the connection goes.  Until the cursor is
-    exhausted, detached or closed the stream is a user of the view tables
-    it reads, so they outlive a recompiling statement.
+    A batch is what ``fetchmany`` returned: every statement the lowering
+    emits is set-valued (see :func:`~repro.engine.sqlite_lowering.lower`),
+    so the rows are distinct as they arrive.  The engine holds
+    a weak ref to every live stream: :meth:`SQLiteEngine.close` calls
+    :meth:`detach` first, buffering the remaining rows so a streamed
+    :class:`~repro.engine.result.QueryResult` stays readable after the
+    backend connection (or an engine swap) takes the cursor away.  Until
+    the cursor is exhausted, detached or closed the stream is a user of the
+    view tables it reads, so they outlive a recompiling statement.
     """
 
     def __init__(self, cursor: sqlite3.Cursor, view_users: Sequence[weakref.WeakSet]):
@@ -538,9 +605,13 @@ class _CursorStream:
             self._fetch_batch()
 
     def close(self) -> None:
-        """Release the cursor *without* buffering the remaining rows: the
-        discard path of ``Connection.close(drain=False)``, where nobody
-        reads the rest of this stream."""
+        """Release the cursor *without* buffering the remaining rows.
+
+        The discard path of ``Connection.close(drain=False)``: the pooled
+        connection is being recycled, nobody will read the rest of this
+        stream, so drop the buffer and free the cursor now instead of
+        paying to materialize rows that go straight to GC.
+        """
         if not self._done:
             self._buffer.clear()
             self._release()
@@ -567,14 +638,17 @@ class _SQLiteCompiledQuery(CompiledQuery):
     streamed and prepared evaluation differ only in who holds it for how
     long.
 
-    ``sql`` is the complete text (:func:`~repro.engine.sqlite_lowering.lower`),
-    every parameter slot a ``?N`` placeholder, so an execution builds
-    nothing beforehand bar its depth probes.  It recompiles when the
-    engine's connection went away, and when the values bound to slots
-    inside its view sources — which pick the view tables, so such a
-    statement compiles at its first execution — differ from the last.  It
-    is the lowering's catalog: it loads the tables the statement names and
-    reads the view tables as one of their users.
+    ``sql`` is the complete text (:func:`~repro.engine.sqlite_lowering.lower`):
+    repetition pair relations are entries of its ``WITH`` list and every
+    parameter slot is a numbered ``?N`` placeholder, so an execution builds
+    nothing beforehand (bar the depth probes it runs first under
+    ``max_repetitions``) and any number of cursors may read it under
+    different bindings.  It recompiles transparently when the engine's
+    connection (and so every view table) went away, and when the values
+    bound to slots inside its view sources — which pick the view tables, so
+    such a statement compiles at its first execution — differ from the
+    last.  It is the lowering's catalog: it loads the tables the statement
+    names and reads the view tables as one of their users.
     """
 
     def __init__(self, engine: "SQLiteEngine", query: Query):
@@ -596,9 +670,15 @@ class _SQLiteCompiledQuery(CompiledQuery):
         self._connection = self.engine.connection
         self._source_values = tuple(bindings.get(name) for name in self._source_slots)
         engine = self.engine
-        lowered = lower(self.query, self, bindings, max_repetitions=engine.max_repetitions,
-                        verify_plans=engine.verify_plans)
-        self.sql, self._arity, self._slots, self._probes, self._active_constants, self._root = lowered
+        lowered = lower(
+            self.query,
+            self,
+            bindings,
+            max_repetitions=engine.max_repetitions,
+            verify_plans=engine.verify_plans,
+        )
+        self.sql, self._arity, self._slots, self._probes = lowered[:4]
+        self._active_constants, self._root = lowered[4:]
 
     def table(self, name: str) -> int:
         return self.engine._ensure_loaded(name)
@@ -673,10 +753,11 @@ class _SQLiteCompiledQuery(CompiledQuery):
     ) -> Optional[Tuple[int, Iterator[List[Tuple]], bool]]:
         """Execute and stream the result: ``(arity, row batches, ordered)``,
         with binding errors and depth overruns raised here.  A root
-        pattern's ids are fetched inside the governed window and decode as
-        :func:`~repro.planner.decode.stream_project` streams them; any other
-        statement's rows stream off its cursor, unordered.  ``None`` (the
-        caller falls back to :meth:`execute`) for zero-arity results.
+        pattern's ids are all fetched here, inside the governed window, and
+        its rows decode as :func:`~repro.planner.decode.stream_project`
+        streams them; any other statement's rows are fetched off its cursor
+        incrementally, unordered.  Returns ``None`` — the caller falls back
+        to :meth:`execute` — for zero-arity results.
         """
         arguments = self._arguments(bindings, named)
         if self._arity == 0:

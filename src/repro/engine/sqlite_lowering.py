@@ -38,23 +38,55 @@ from repro.graph.compact import CompactGraph
 from repro.parameters import Bindings, Parameter
 from repro.patterns.ast import EdgePattern, OutputPattern, PropertyRef, iter_subpatterns
 from repro.patterns.conditions import (
-    AndCondition, HasLabel, NotCondition, OrCondition, PatternCondition, PropertyCompare,
-    PropertyComparesProperty, PropertyEquals,
+    AndCondition,
+    HasLabel,
+    NotCondition,
+    OrCondition,
+    PatternCondition,
+    PropertyCompare,
+    PropertyComparesProperty,
+    PropertyEquals,
 )
 from repro.pgq.evaluator import check_selection
 from repro.pgq.queries import (
-    ActiveDomainQuery, BaseRelation, Constant, ConstantRelation, Difference, EmptyRelation,
-    GraphPattern, Product, Project, Query, Select, Union, bind_sources, output_arity,
+    ActiveDomainQuery,
+    BaseRelation,
+    Constant,
+    ConstantRelation,
+    Difference,
+    EmptyRelation,
+    GraphPattern,
+    Product,
+    Project,
+    Query,
+    Select,
+    Union,
+    bind_sources,
+    output_arity,
 )
 from repro.planner import compile_plan
 from repro.planner.logical import (
-    BindEndpoint, EdgeScan, EmptyPlan, FilterStep, FixpointStep, JoinStep, LogicalPlan, NodeScan,
+    BindEndpoint,
+    EdgeScan,
+    EmptyPlan,
+    FilterStep,
+    FixpointStep,
+    JoinStep,
+    LogicalPlan,
+    NodeScan,
     UnionStep,
 )
 from repro.planner.physical import CompactTable
 from repro.relational.conditions import (
-    And as RAAnd, ColumnCompare, ColumnCompareConstant, ColumnEquals, ColumnEqualsConstant,
-    Condition, Not as RANot, Or as RAOr, TrueCondition,
+    And as RAAnd,
+    ColumnCompare,
+    ColumnCompareConstant,
+    ColumnEquals,
+    ColumnEqualsConstant,
+    Condition,
+    Not as RANot,
+    Or as RAOr,
+    TrueCondition,
 )
 from repro.relational.relation import Relation
 
@@ -72,9 +104,15 @@ class ViewTables:
 
     def __init__(self, prefix: str, identifier_arity: int, encoded: CompactGraph):
         self.names = [f"{prefix}_{index}" for index in range(6)] + [f"{prefix}_ids"]
-        self.nodes, self.edges, self.sources, self.targets, self.labels, self.properties, self.ids = (
-            self.names
-        )
+        (
+            self.nodes,
+            self.edges,
+            self.sources,
+            self.targets,
+            self.labels,
+            self.properties,
+            self.ids,
+        ) = self.names
         self.identifier_arity = identifier_arity
         self.encoded = encoded
 
@@ -107,8 +145,12 @@ class LoweredStatement(NamedTuple):
 
 
 def lower(
-    query: Query, catalog: Catalog, bindings: Optional[Bindings] = None, *,
-    max_repetitions: Optional[int] = None, verify_plans: Optional[bool] = None,
+    query: Query,
+    catalog: Catalog,
+    bindings: Optional[Bindings] = None,
+    *,
+    max_repetitions: Optional[int] = None,
+    verify_plans: Optional[bool] = None,
 ) -> LoweredStatement:
     """Lower ``query`` to one statement; ``bindings`` are substituted into
     view sources only (every other slot is a ``?N`` placeholder), and a
@@ -130,8 +172,12 @@ def lower(
         name, arity = lowering.relational(query)
         select = f"SELECT * FROM {name}"
     return LoweredStatement(
-        lowering.statement(select), arity, lowering.slots, lowering.probes,
-        lowering.active_constants, root,
+        lowering.statement(select),
+        arity,
+        lowering.slots,
+        lowering.probes,
+        lowering.active_constants,
+        root,
     )
 
 
@@ -195,7 +241,9 @@ def _compile_ra_condition(condition: Condition, alias: str, emit) -> str:
         return _comparison(f"{alias}.c{condition.position}", operator, emit(condition.constant))
     if isinstance(condition, (RAAnd, RAOr)):
         connective = "AND" if isinstance(condition, RAAnd) else "OR"
-        left, right = (_compile_ra_condition(c, alias, emit) for c in (condition.left, condition.right))
+        left, right = (
+            _compile_ra_condition(c, alias, emit) for c in (condition.left, condition.right)
+        )
         return f"({left} {connective} {right})"
     if isinstance(condition, RANot):
         return f"NOT ({_compile_ra_condition(condition.operand, alias, emit)})"
@@ -230,7 +278,9 @@ class _Lowering:
         self.probes: List[Tuple[str, int, int]] = []
         self.active_constants: List = []
 
-    def entry(self, body: str, name: str = "", columns: str = "", materialized: bool = False) -> str:
+    def entry(
+        self, body: str, name: str = "", columns: str = "", materialized: bool = False
+    ) -> str:
         """Append ``name AS (body)`` to the list and return the name, a
         fresh ``qN`` unless given."""
         name = name or f"q{next(self.numbers)}"
@@ -269,24 +319,27 @@ class _Lowering:
         entry = self.entry
         if isinstance(query, BaseRelation):
             arity = self._catalog.table(query.name)
-            return entry(f'SELECT * FROM "{query.name}"'), arity
+            # Qualified: SQLite looks an unqualified name up among the
+            # statement's entries first, so a table named ``q0`` would
+            # read an entry; a ``main.`` name is never an entry.
+            return entry(f'SELECT * FROM main."{query.name}"'), arity
         if isinstance(query, Constant):
             if query.require_active:
                 self.active_constants.append(query.value)
             return entry(f"SELECT {self.emit(query.value)} AS c1"), 1
         if isinstance(query, ConstantRelation) and query.rows:
-            selects = [
-                "SELECT "
-                + _select_list([f"{self.emit(value)} AS c{i}" for i, value in enumerate(row, 1)])
-                for row in query.rows
-            ]
-            return entry(" UNION ".join(selects)), query.arity
+            # One VALUES list (a compound SELECT would stop at 500 rows);
+            # slots bound to equal values make equal rows, so DISTINCT.
+            rows = (_select_list([self.emit(value) for value in row]) for row in query.rows)
+            values = entry("VALUES " + ", ".join(f"({row})" for row in rows))
+            columns = [f"column{i} AS c{i}" for i in range(1, query.arity + 1)]
+            return entry(f"SELECT DISTINCT {_select_list(columns)} FROM {values}"), query.arity
         if isinstance(query, (ConstantRelation, EmptyRelation)):  # no rows
             columns = [f"NULL AS c{i}" for i in range(1, query.arity + 1)]
             return entry(f"SELECT {_select_list(columns)} WHERE 1 = 0"), query.arity
         if isinstance(query, ActiveDomainQuery):
             self._catalog.table("__adom")
-            return entry("SELECT c1 FROM __adom"), 1
+            return entry("SELECT c1 FROM main.__adom"), 1
         if isinstance(query, Project):
             operand, arity = self.relational(query.operand)
             Relation.empty(arity).project(query.positions)
@@ -302,12 +355,15 @@ class _Lowering:
             right, right_arity = self.relational(query.right)
             columns = [f"{left}.c{i} AS c{i}" for i in range(1, left_arity + 1)]
             columns += [f"{right}.c{i} AS c{left_arity + i}" for i in range(1, right_arity + 1)]
-            return entry(f"SELECT {_select_list(columns)} FROM {left}, {right}"), left_arity + right_arity
+            sql = f"SELECT {_select_list(columns)} FROM {left}, {right}"
+            return entry(sql), left_arity + right_arity
         if isinstance(query, (Union, Difference)):
             left, arity = self.relational(query.left)
             right, right_arity = self.relational(query.right)
-            union = isinstance(query, Union)
-            operator, check = ("UNION", Relation.union) if union else ("EXCEPT", Relation.difference)
+            if isinstance(query, Union):
+                operator, check = "UNION", Relation.union
+            else:
+                operator, check = "EXCEPT", Relation.difference
             check(Relation.empty(arity), Relation.empty(right_arity))
             return entry(f"SELECT * FROM {left} {operator} SELECT * FROM {right}"), arity
         if isinstance(query, GraphPattern):  # nested: the enclosing SQL reads its values
@@ -379,7 +435,8 @@ class _PlanLowering:
             # planned executor's union, keep what both arms bind.
             variables = tuple(v for v in left_vars if v in right_vars)
             columns = ", ".join(["src", "tgt"] + [f"v_{v}" for v in variables])
-            return self._entry(f"SELECT {columns} FROM {left} UNION SELECT {columns} FROM {right}"), variables
+            sql = f"SELECT {columns} FROM {left} UNION SELECT {columns} FROM {right}"
+            return self._entry(sql), variables
         if isinstance(plan, FilterStep):
             operand, variables = self.lower(plan.operand)
             predicate = self._condition(plan.condition, lambda name: f"{operand}.v_{name}")
@@ -389,7 +446,8 @@ class _PlanLowering:
         if isinstance(plan, EmptyPlan):
             variables = tuple(sorted(plan.schema))
             columns = ["src", "tgt"] + [f"v_{v}" for v in variables]
-            return self._entry(f"SELECT {', '.join(f'NULL AS {c}' for c in columns)} WHERE 1 = 0"), variables
+            sql = f"SELECT {', '.join(f'NULL AS {c}' for c in columns)} WHERE 1 = 0"
+            return self._entry(sql), variables
         raise EngineError(f"the sqlite backend cannot compile plan node {type(plan).__name__}")
 
     def _scan(self, plan) -> Tuple[str, Tuple[str, ...]]:
@@ -421,11 +479,14 @@ class _PlanLowering:
 
     def _fixpoint(self, plan: FixpointStep) -> str:
         body, _variables = self.lower(plan.body)
-        # The repetition erases bindings; only (src, tgt) pairs matter.  As
-        # a MATERIALIZED entry the body — label and property probes,
-        # placeholders and all — is evaluated once per execution, and the
-        # steps and closure read it by name (SQLite gives the transient
-        # table an automatic index on the join column).
+        # The repetition erases bindings; only (src, tgt) pairs matter.
+        # As a MATERIALIZED entry the body — label and property probes,
+        # placeholders and all — is evaluated exactly once per execution,
+        # and the steps and closure below read it by name as often as they
+        # like (SQLite gives the transient table an automatic index on the
+        # join column), instead of re-deriving the conditions on every
+        # extension.  The number is unique per repetition, so nested
+        # bodies keep their own names.
         number = next(self._statement.repetitions)
         pair = self._entry(
             f"SELECT DISTINCT src, tgt FROM {body}", f"pair{number}", "(src, tgt)", True
@@ -437,9 +498,12 @@ class _PlanLowering:
                 return steps[0]
             return self._entry(" UNION ".join(f"SELECT src, tgt FROM {s}" for s in steps))
         # psi^{lower..inf} = (exactly `lower` steps) composed with psi^*:
-        # seeded with the exact-`lower` prefix, the closure saturates over
-        # (src, tgt) pairs with no step counter, so a pair is derived once
-        # instead of once per depth.
+        # seeding the recursion with the exact-`lower` prefix keeps the
+        # entry's working set at (src, tgt) pairs closed by saturation — no
+        # step counter, so a pair is derived once instead of once per
+        # depth (the walk(src, tgt, steps) formulation was quadratic in
+        # practice: every pair re-entered the queue at up to
+        # lower + |N| depths).
         seed = self._steps(pair, plan.lower)
         self._statement.recursive = True
         reach = f"reach{number}"
@@ -504,21 +568,25 @@ class _PlanLowering:
     def _condition(self, condition: PatternCondition, column: Callable[[str], str]) -> str:
         """``condition`` as a SQL predicate; ``column`` maps a variable to
         the expression holding its element id."""
-        labels, properties = self.view.labels, self.view.properties
         if isinstance(condition, HasLabel):
-            return (f"EXISTS (SELECT 1 FROM {labels} AS lab WHERE lab.c1 = {column(condition.var)}"
-                    f" AND lab.c2 = {_sql_literal(condition.label)})")
+            return (
+                f"EXISTS (SELECT 1 FROM {self.view.labels} AS lab "
+                f"WHERE lab.c1 = {column(condition.var)} AND lab.c2 = {_sql_literal(condition.label)})"
+            )
         if isinstance(condition, PropertyCompare):
             compare = _comparison("prop.c3", condition.operator, self._emit(condition.constant))
-            return (f"EXISTS (SELECT 1 FROM {properties} AS prop WHERE prop.c1 = {column(condition.var)}"
-                    f" AND prop.c2 = {_sql_literal(condition.key)} AND {compare})")
+            return (
+                f"EXISTS (SELECT 1 FROM {self.view.properties} AS prop "
+                f"WHERE prop.c1 = {column(condition.var)} AND prop.c2 = {_sql_literal(condition.key)} "
+                f"AND {compare})"
+            )
         if isinstance(condition, (PropertyEquals, PropertyComparesProperty)):
             compare = _comparison("p1.c3", getattr(condition, "operator", "="), "p2.c3")
             return (
-                f"EXISTS (SELECT 1 FROM {properties} AS p1, {properties} AS p2"
-                f" WHERE p1.c1 = {column(condition.left_var)} AND p1.c2 = {_sql_literal(condition.left_key)}"
-                f" AND p2.c1 = {column(condition.right_var)} AND p2.c2 = {_sql_literal(condition.right_key)}"
-                f" AND {compare})"
+                f"EXISTS (SELECT 1 FROM {self.view.properties} AS p1, {self.view.properties} AS p2 "
+                f"WHERE p1.c1 = {column(condition.left_var)} AND p1.c2 = {_sql_literal(condition.left_key)} "
+                f"AND p2.c1 = {column(condition.right_var)} AND p2.c2 = {_sql_literal(condition.right_key)} "
+                f"AND {compare})"
             )
         if isinstance(condition, (AndCondition, OrCondition)):
             connective = "AND" if isinstance(condition, AndCondition) else "OR"

@@ -20,8 +20,10 @@ from repro.engine import Database, NaiveEngine, SQLiteEngine
 from repro.errors import EngineError
 from repro.observability.tracing import trace_span
 from repro.parameters import Parameter
+from repro.relational import Database as RelationalDatabase, Relation
 from repro.patterns.builder import edge, node, output, plus, prop_cmp, seq, where
 from repro.pgq import PGQEvaluator, graph_pattern_on_relations, query_size
+from repro.pgq.queries import BaseRelation, ConstantRelation, Difference, Product, Project, Union
 from repro.pgq.scans import view_graph
 from repro.separations import alternating_path_query_ro
 from repro.translations import translate_formula, translate_query
@@ -173,6 +175,48 @@ class TestSQLiteAnswersOrRaises:
                 engine.evaluate(query)
         assert isinstance(caught.value.__cause__, sqlite3.Error)
         assert "64 tables" in str(caught.value)
+
+
+@pytest.mark.parametrize("name", ["q0", "Q1", "Pair0", "REACH0"])
+def test_a_table_named_like_an_entry_is_read_as_the_table(engine, name):
+    # Each query reads the table next to a relation or a ``->+`` pattern,
+    # so the table's name is also that of an entry the statement defines.
+    relations = {other: cycle(3).relation(other) for other in VIEW}
+    backend = engine(RelationalDatabase({**relations, name: Relation(1, [("t",), ("u",)])}))
+    table, edges, reached = BaseRelation(name), BaseRelation("E"), Project(_REACH, (1,))
+    nodes, ids = set(backend.evaluate(reached).rows), {("t",), ("u",)}
+    edge_ids = set(relations["E"].rows)
+    answers = [
+        (table, ids),
+        (Union(edges, table), edge_ids | ids),
+        (Union(table, reached), ids | nodes),
+        (Union(reached, table), nodes | ids),
+        (Project(Product(reached, table), (2,)), ids),
+        (Difference(table, reached), ids),
+    ]
+    for query, rows in answers:
+        assert set(backend.evaluate(query).rows) == rows, query
+
+
+@pytest.mark.parametrize(
+    "rows, arity, bindings, expected",
+    [
+        (tuple((i % 550,) for i in range(600)), 1, None, {(i,) for i in range(550)}),
+        (
+            ((1, "a"), (Parameter("p"), "a"), (Parameter("p"), "b")),
+            2,
+            {"p": 1},
+            {(1, "a"), (1, "b")},
+        ),
+        (((), ()), 0, None, {()}),
+    ],
+    ids=["600-rows", "equal-bound-slots", "0-ary"],
+)
+def test_a_constant_relation_has_no_row_limit_and_is_a_set(
+    engine, rows, arity, bindings, expected
+):
+    answer = engine(cycle(2)).evaluate(ConstantRelation(rows, arity), bindings)
+    assert len(answer.rows) == len(expected) and set(answer.rows) == expected
 
 
 _GRAPH_DDL = """
