@@ -671,10 +671,10 @@ class Connection:
         Streamed results still pending are drained first by default, so
         rows already produced stay readable.  ``drain=False`` — the
         connection-pool recycling path — closes pending results instead:
-        their live cursors are released immediately and any subsequent
-        fetch raises :class:`~repro.errors.ConnectionClosedError` carrying
-        ``reason``, rather than silently keeping a SQLite cursor (and its
-        temp tables) alive under a retired connection.
+        their undecoded rows are dropped and any subsequent fetch raises
+        :class:`~repro.errors.ConnectionClosedError` carrying ``reason``,
+        rather than decoding rows nobody will read.  No result holds a
+        SQLite cursor: every statement is fetched inside its execution.
         """
         with self._lock:
             if self._closed:

@@ -37,13 +37,13 @@ lets an engine join the cross-connection shared materialization of
 :mod:`repro.engine.database`: connections call it right after the
 factory with a ``SnapshotScope`` keyed on the snapshot's content
 fingerprint and the engine kind; engines without the hook simply keep
-private caches.  ``stream(query, bindings=None)`` lets an engine serve
-server-side cursors — returning ``(arity, batches, ordered)`` with the
-plan executed eagerly and only the projection deferred: an iterator of
-row lists, and whether they arrive in result order — which
-``CompiledQuery.execute_stream`` probes before falling back to the
-materializing ``execute``.  The three built-in backends are registered
-by :mod:`repro.engine`:
+private caches.  A compiled query's ``execute_stream(bindings)`` lets a
+result stream — returning ``(arity, batches, ordered)`` with the
+statement executed eagerly and only the projection deferred: an
+iterator of row lists, and whether they arrive in result order — or
+``None``, and the statement pipeline then calls the materializing
+``execute``.  The three built-in backends are registered by
+:mod:`repro.engine`:
 
 * ``naive`` — the formal evaluator, kept as the semantics oracle;
 * ``planned`` — the query planner (logical IR, rule-based optimizer,

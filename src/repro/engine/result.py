@@ -54,9 +54,9 @@ def governed_batches(
     """Meter a streamed projection against the execution's governor.
 
     Counts each decoded batch against ``max_output_rows`` and polls the
-    governor once per batch — which covers backends whose streams carry
-    no in-engine checkpoints (the SQLite cursor stream) and lets a
-    cross-thread :meth:`QueryResult.cancel` land between batches.  A
+    governor once per batch — which covers sources with no in-engine
+    checkpoints (rows SQLite fetched inside its governed window) and lets
+    a cross-thread :meth:`QueryResult.cancel` land between batches.  A
     governance abort raised while the rows decode — here or at a
     checkpoint inside the engine's stream — is reported to ``on_abort``
     once, on its way to the consumer.
@@ -71,7 +71,7 @@ def governed_batches(
         raise
     finally:
         # Propagate close() through the wrapper so abandoning a streamed
-        # result releases the underlying cursor (not just this generator).
+        # result releases the underlying source (not just this generator).
         close = getattr(batches, "close", None)
         if close is not None:
             close()
@@ -382,10 +382,11 @@ def streamed_result(
 class LiveStreams:
     """Weak handles on a connection's streamed results.
 
-    A streamed result may read live engine state (e.g. an open SQLite
-    cursor), so the connection settles every pending one before that
-    state goes away.  A plain list of refs, not a WeakSet: hashing a
-    QueryResult would materialize it, defeating the stream.
+    A streamed result decodes its rows lazily from what its execution
+    fetched, so the connection settles every pending one — drains it, or
+    closes it on a recycle — before its engine goes away.  A plain list of
+    refs, not a WeakSet: hashing a QueryResult would materialize it,
+    defeating the stream.
     """
 
     def __init__(self) -> None:
@@ -408,8 +409,8 @@ class LiveStreams:
         contract, and what the cross-engine tests rely on): the remaining
         rows are pulled into the result buffer.  With a ``close_reason``
         (the ``close(drain=False)`` path used by connection pools
-        recycling a handle) pending results are closed instead: the live
-        cursor is released immediately and subsequent fetches raise
+        recycling a handle) pending results are closed instead: their
+        undecoded rows are dropped and subsequent fetches raise
         :class:`~repro.errors.ConnectionClosedError` carrying the reason.
         """
         with self._lock:

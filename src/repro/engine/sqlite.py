@@ -49,11 +49,10 @@ to the formal evaluator, which the test-suite checks.
 
 from __future__ import annotations
 
-import itertools
 import sqlite3
 import time
 import weakref
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -77,6 +76,9 @@ from repro.relational.relation import Relation
 
 #: ``AS MATERIALIZED`` (a repetition's pair relation) needs SQLite 3.35.
 _MIN_SQLITE_VERSION = (3, 35)
+
+#: Rows per batch of a streamed statement whose root is not a pattern.
+_BATCH = 256
 
 
 class SQLiteEngine:
@@ -107,28 +109,26 @@ class SQLiteEngine:
         self._connection: Optional[sqlite3.Connection] = None
         #: Arity of every base relation (and ``__adom``) copied into SQLite.
         self._loaded: Dict[str, int] = {}
-        self._view_counter = itertools.count()
+        #: View-table sets committed so far: the number of the next one.
+        self._views_built = 0
         #: ``adom(D)`` as a set, built on the first active-domain check.
         self._adom: Optional[frozenset] = None
         #: The view temp tables of every graph view in use, keyed like the
         #: evaluator's view cache on (sources, max_arity) — or, for
         #: sources that do not hash, on the evaluated relations' content
         #: digests: the database is immutable for the engine's lifetime,
-        #: so every statement over the same graph view — prepared, streamed
-        #: or one-shot — reads one set of checked, encoded tables.  Each
-        #: entry carries a WeakSet of the statements and streams using it;
+        #: so every statement over the same graph view — prepared or
+        #: one-shot — reads one set of checked, encoded tables.  Each
+        #: entry carries a WeakSet of the statements compiled against it;
         #: superseded entries (e.g. graph redefinitions) are dropped once
-        #: no live user references them.  Cleared (with the connection) by
-        #: :meth:`close`.
+        #: no live statement references them.  Cleared (with the
+        #: connection) by :meth:`close`.
         self._shared_view_tables: "OrderedDict[Tuple, Tuple[ViewTables, weakref.WeakSet]]" = (
             OrderedDict()
         )
         #: Snapshot-cache scope attached by connections (see
         #: :meth:`use_snapshot_cache`); ``None`` = private evaluation.
         self._snapshot_scope = None
-        #: Weak refs to live :class:`_CursorStream` results; detached
-        #: (their remaining rows buffered) before the connection closes.
-        self._open_streams: List["weakref.ref"] = []
 
     def use_snapshot_cache(self, scope) -> None:
         """Attach a snapshot-cache scope for cross-connection sharing.
@@ -193,6 +193,8 @@ class SQLiteEngine:
         all columns of all relations.  View sources never come through
         here — :meth:`_view_tables` builds the view in Python — so a
         statement that only matches patterns loads no base table at all.
+        SQLite table names ignore ASCII case, so a relation named like
+        another up to case raises :class:`EngineError` before either loads.
         """
         if name in self._loaded:
             return self._loaded[name]
@@ -201,6 +203,16 @@ class SQLiteEngine:
         else:
             relation = self.database.relation(name)
             arity, rows = relation.arity, relation.rows
+        folded = name.encode().lower()  # bytes.lower folds ASCII only, as SQLite does
+        for twin in (*self.database, "__adom"):
+            if twin != name and twin.encode().lower() == folded:
+                raise EngineError(
+                    f"SQLite cannot hold relations {name!r} and {twin!r} apart: "
+                    "its table names ignore case"
+                )
+        for position in range(arity):
+            where = f'column {position + 1} of table "{name}"'
+            check_storable([row[position] for row in rows], where)
         connection = self.connection
         with connection:  # one transaction: an unbindable cell leaves no partial table
             connection.execute("BEGIN")
@@ -217,9 +229,6 @@ class SQLiteEngine:
         return self._adom
 
     def close(self) -> None:
-        # Streams still reading the connection buffer their remaining
-        # rows first, so their results stay readable after the close.
-        self._detach_open_streams()
         if self._connection is not None:
             self._connection.close()
             self._connection = None
@@ -246,49 +255,12 @@ class SQLiteEngine:
         """
         return _SQLiteCompiledQuery(self, resolve_bindings(query, bindings)).execute()
 
-    def stream(
-        self, query: Query, bindings: Optional[Bindings] = None
-    ) -> Optional[Tuple[int, Iterator[List[Tuple]], bool]]:
-        """One-shot streaming evaluation: ``(arity, batches, ordered)`` or
-        None; SQLite promises no row order, so ``ordered`` is False unless
-        the decoder of a root pattern's ids produced it.
-
-        The SQL compiles, its depth probes run and the statement starts
-        executing here (so every error surfaces at call time).  A root
-        pattern's ids are fetched here too; any other statement's rows are
-        fetched from the cursor a batch at a time as the iterator is
-        consumed.  Returns ``None`` — the caller then takes the
-        materializing :meth:`evaluate` path — for zero-arity results.
-        """
-        return _SQLiteCompiledQuery(self, resolve_bindings(query, bindings)).execute_stream()
-
     def prepare(self, query: Query) -> CompiledQuery:
         """Compile once to SQL with native ``?N`` parameters, execute many:
         each parameter slot becomes a numbered SQLite placeholder bound per
         execution, and nothing but the (engine-owned, shared) view tables
         outlives an execution."""
         return _SQLiteCompiledQuery(self, query)
-
-    def _stream_cursor(
-        self, cursor: sqlite3.Cursor, statement: "_SQLiteCompiledQuery"
-    ) -> "_CursorStream":
-        """A row-batch stream over ``cursor``, registered with the
-        engine so :meth:`close` can detach (buffer) it first."""
-        stream = _CursorStream(cursor, statement._view_users)
-        self._open_streams.append(weakref.ref(stream))
-        if len(self._open_streams) > 64:  # prune collected streams
-            self._open_streams = [
-                ref for ref in self._open_streams if ref() is not None
-            ]
-        return stream
-
-    def _detach_open_streams(self) -> None:
-        """Buffer every live stream's remaining rows (connection closing)."""
-        streams, self._open_streams = self._open_streams, []
-        for ref in streams:
-            stream = ref()
-            if stream is not None:
-                stream.detach()
 
     def _drop_tables(self, tables: Sequence[str]) -> None:
         if not tables or self._connection is None:
@@ -317,9 +289,10 @@ class SQLiteEngine:
     _TRANSIENT_BACKOFF_S = 0.005
 
     @contextmanager
-    def _governed_execution(self, query: Query):
-        """One SQL execution window of ``query``'s statement: the only
-        place a ``sqlite3.Error`` of an execution is turned into ours.
+    def _governed_execution(self, query: Optional[Query]):
+        """One SQL execution window of ``query``'s statement (None: raw
+        SQL): the only place a ``sqlite3.Error`` of an execution is turned
+        into ours.
 
         When a governor is active, its checkpoint becomes the
         connection's progress handler (site ``"sqlite.progress"``, polled
@@ -362,10 +335,9 @@ class SQLiteEngine:
                     reason=reason,
                     progress=governor.progress(),
                 ) from error
-            raise EngineError(
-                f"SQLite cannot run the statement of a size-{query_size(query)} "
-                f"query: {error}"
-            ) from error
+            size = None if query is None else query_size(query)
+            what = "raw SQL" if size is None else f"the statement of a size-{size} query"
+            raise EngineError(f"SQLite cannot run {what}: {error}") from error
         finally:
             if governor is not None:
                 governor.token.remove_callback(connection.interrupt)
@@ -405,7 +377,8 @@ class SQLiteEngine:
         raw text names tables nobody compiled, so every one is loaded first."""
         for name in (*self.database, "__adom"):
             self._ensure_loaded(name)
-        return [tuple(row) for row in self.connection.execute(sql).fetchall()]
+        with self._governed_execution(None):
+            return self.connection.execute(sql).fetchall()
 
     def compile_to_sql(self, query: Query) -> str:
         """Return the SQL text a query compiles to, without its depth probes
@@ -442,8 +415,8 @@ class SQLiteEngine:
 
         The tables are engine-owned and shared — the database is immutable
         for the engine's lifetime, so every statement over one graph view
-        reads one set; its statements and streams are the entry's user set,
-        which keeps it from eviction.
+        reads one set; the statements compiled against it are the entry's
+        user set, which keeps it from eviction.
         """
         evaluate = self._source_relation
         cache_key: Tuple = (sources, max_arity)
@@ -465,10 +438,12 @@ class SQLiteEngine:
         edges = range(count, count + encoded.edge_count)
         labels: List[Tuple] = []
         properties: List[Tuple] = []
-        for offset, masks, columns in (
-            (0, encoded.node_labels, encoded.node_properties),
-            (count, encoded.edge_labels, encoded.edge_properties),
+        for kind, offset, masks, columns in (
+            ("node", 0, encoded.node_labels, encoded.node_properties),
+            ("edge", count, encoded.edge_labels, encoded.edge_properties),
         ):
+            for key, column in columns.items():
+                check_storable(column, f"{kind} property {key!r}")
             labels += [
                 (offset + i, label) for label, mask in masks.items() for i in bit_positions(mask)
             ]
@@ -478,7 +453,9 @@ class SQLiteEngine:
                 for i, value in enumerate(column)
                 if value is not MISSING
             ]
-        view = ViewTables(f"__view{next(self._view_counter)}", arity, encoded)
+        ids = encoded.ids("element")
+        check_storable((value for ident in ids for value in ident), "a node or edge identifier")
+        view = ViewTables(f"__view{self._views_built}", arity, encoded)
         # (columns, index columns, rows) of R1..R6 and the id table.  The
         # pattern SQL joins sources / targets on the edge column and probes
         # labels / properties by (element, key); the property index carries
@@ -493,7 +470,7 @@ class SQLiteEngine:
             (
                 f"id INTEGER PRIMARY KEY, {_columns(arity)}",
                 None,
-                [(number,) + ident for number, ident in enumerate(encoded.ids("element"))],
+                [(number,) + ident for number, ident in enumerate(ids)],
             ),
         )
         connection = self.connection
@@ -504,13 +481,14 @@ class SQLiteEngine:
                 _insert(connection, table, columns.count(",") + 1, rows)
                 if index_columns is not None:
                     connection.execute(f"CREATE INDEX idx_{table} ON {table}({index_columns})")
+        self._views_built += 1  # a failed build rolled back: its number is free
         entry = self._shared_view_tables[cache_key] = (view, weakref.WeakSet((user,)))
         self._evict_unreferenced_view_tables()
         return entry
 
     def _evict_unreferenced_view_tables(self) -> None:
         """Drop cached view-table sets past the cap, oldest first, but
-        only those no live statement or stream still reads (superseded
+        only those no live statement still reads (superseded
         graph definitions, typically)."""
         if len(self._shared_view_tables) <= self._SHARED_VIEW_TABLES_MAX:
             return
@@ -537,99 +515,15 @@ def _columns(arity: int) -> str:
 
 
 def _insert(connection: sqlite3.Connection, table: str, width: int, rows) -> None:
-    """Insert ``rows`` into ``table``, ``width`` columns each; a value
-    SQLite cannot hold as itself raises, naming the table and column."""
-    for position in range(1, width + 1):
-        check_storable([row[position - 1] for row in rows], f"column {position} of table {table}")
+    """Insert ``rows`` into ``table``, ``width`` columns each (their
+    values checked by the caller, who knows what to call them)."""
     connection.executemany(f"INSERT INTO {table} VALUES ({', '.join('?' * width)})", rows)
-
-
-class _CursorStream:
-    """Iterator of row batches over a SQLite cursor, detachable by the
-    engine; only a statement whose root is not a pattern streams off one.
-
-    A batch is what ``fetchmany`` returned: every statement the lowering
-    emits is set-valued (see :func:`~repro.engine.sqlite_lowering.lower`),
-    so the rows are distinct as they arrive.  The engine holds
-    a weak ref to every live stream: :meth:`SQLiteEngine.close` calls
-    :meth:`detach` first, buffering the remaining rows so a streamed
-    :class:`~repro.engine.result.QueryResult` stays readable after the
-    backend connection (or an engine swap) takes the cursor away.  Until
-    the cursor is exhausted, detached or closed the stream is a user of the
-    view tables it reads, so they outlive a recompiling statement.
-    """
-
-    def __init__(self, cursor: sqlite3.Cursor, view_users: Sequence[weakref.WeakSet]):
-        self._cursor: Optional[sqlite3.Cursor] = cursor
-        self._view_users = view_users
-        for users in view_users:
-            users.add(self)
-        self._buffer: "deque[List[Tuple]]" = deque()
-        self._done = False
-
-    def __iter__(self) -> "_CursorStream":
-        return self
-
-    def __next__(self) -> List[Tuple]:
-        while True:
-            if self._buffer:
-                return self._buffer.popleft()
-            if self._done:
-                raise StopIteration
-            self._fetch_batch()
-
-    def _fetch_batch(self) -> None:
-        chunk = self._cursor.fetchmany(256)
-        if chunk:
-            self._buffer.append(chunk)
-        else:
-            self._release()
-
-    def _release(self) -> None:
-        """Idempotent teardown shared by exhaustion, :meth:`detach` and
-        :meth:`close` — safe after the backing connection is gone."""
-        self._done = True
-        cursor, self._cursor = self._cursor, None
-        for users in self._view_users:
-            users.discard(self)
-        self._view_users = ()
-        if cursor is not None:
-            try:
-                cursor.close()
-            except sqlite3.Error:  # pragma: no cover - connection already gone
-                pass
-
-    def detach(self) -> None:
-        """Buffer every remaining row and release the cursor."""
-        while not self._done:
-            self._fetch_batch()
-
-    def close(self) -> None:
-        """Release the cursor *without* buffering the remaining rows.
-
-        The discard path of ``Connection.close(drain=False)``: the pooled
-        connection is being recycled, nobody will read the rest of this
-        stream, so drop the buffer and free the cursor now instead of
-        paying to materialize rows that go straight to GC.
-        """
-        if not self._done:
-            self._buffer.clear()
-            self._release()
 
 
 def _sql_snippet(sql: str, limit: int = 120) -> str:
     """Whitespace-flattened SQL prefix for span tags."""
     flattened = " ".join(sql.split())
     return flattened if len(flattened) <= limit else flattened[: limit - 3] + "..."
-
-
-def _relation_from_rows(rows, arity: int) -> Relation:
-    # Materialize first: ``rows`` may be a sqlite3.Cursor, whose truth
-    # value would not reflect emptiness in the arity-0 branch.
-    rows = [tuple(row) for row in rows]
-    if arity > 0:
-        return Relation(arity, rows)
-    return Relation(0, [()] if rows else [])
 
 
 class _SQLiteCompiledQuery(CompiledQuery):
@@ -729,47 +623,45 @@ class _SQLiteCompiledQuery(CompiledQuery):
             table = table.packed(encoded.node_count)
         return encoded, table, output
 
+    def _fetch(self, arguments: Tuple):
+        """Run the statement and fetch all of it inside its governed window,
+        so a deadline or cancel stops any of its work: a root pattern's
+        decoder input (:meth:`_decode_input`), else the list of its rows."""
+        with (
+            trace_span("sqlite.execute", sql=_sql_snippet(self.sql)),
+            self.engine._governed_execution(self.query),
+        ):
+            cursor = self._run(arguments)
+            fetched = cursor.fetchall() if self._root is None else self._decode_input(cursor)
+        self.executions += 1
+        return fetched
+
     def execute(self, bindings: Optional[Bindings] = None, /, **named) -> Relation:
         """Execute and materialize; the mapping argument is positional-only
         so a slot named ``bindings`` still binds by keyword."""
-        arguments = self._arguments(bindings, named)
-        engine = self.engine
-        # Rows decode inside the governed window: the statement does most
-        # of its work while the cursor is being read.
-        with (
-            trace_span("sqlite.execute", sql=_sql_snippet(self.sql)),
-            engine._governed_execution(self.query),
-        ):
-            cursor = self._run(arguments)
-            if self._root is None:
-                relation = _relation_from_rows(cursor, self._arity)
-            else:
-                relation = Relation._trusted(self._arity, project(*self._decode_input(cursor)))
-        self.executions += 1
-        return relation
+        fetched = self._fetch(self._arguments(bindings, named))
+        if self._root is not None:
+            return Relation._trusted(self._arity, project(*fetched))
+        if self._arity == 0:
+            return Relation(0, [()] if fetched else [])
+        return Relation(self._arity, fetched)
 
     def execute_stream(
         self, bindings: Optional[Bindings] = None, /, **named
     ) -> Optional[Tuple[int, Iterator[List[Tuple]], bool]]:
         """Execute and stream the result: ``(arity, row batches, ordered)``,
-        with binding errors and depth overruns raised here.  A root
-        pattern's ids are all fetched here, inside the governed window, and
-        its rows decode as :func:`~repro.planner.decode.stream_project`
-        streams them; any other statement's rows are fetched off its cursor
-        incrementally, unordered.  Returns ``None`` — the caller falls back
-        to :meth:`execute` — for zero-arity results.
+        with every SQL error, binding error and depth overrun raised here.
+        A root pattern's rows decode as
+        :func:`~repro.planner.decode.stream_project` streams them; any
+        other statement's rows come unordered, :data:`_BATCH` a list.
+        Returns ``None`` — the caller falls back to :meth:`execute` — for
+        zero-arity results.
         """
         arguments = self._arguments(bindings, named)
         if self._arity == 0:
             return None
-        engine = self.engine
-        with (
-            trace_span("sqlite.execute", sql=_sql_snippet(self.sql)),
-            engine._governed_execution(self.query),
-        ):
-            cursor = self._run(arguments)
-            decode_input = None if self._root is None else self._decode_input(cursor)
-        self.executions += 1
-        if decode_input is None:
-            return self._arity, engine._stream_cursor(cursor, self), False
-        return (self._arity, *stream_project(*decode_input))
+        fetched = self._fetch(arguments)
+        if self._root is not None:
+            return (self._arity, *stream_project(*fetched))
+        batches = [fetched[start : start + _BATCH] for start in range(0, len(fetched), _BATCH)]
+        return self._arity, iter(batches), False

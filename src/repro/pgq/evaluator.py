@@ -217,10 +217,11 @@ class PGQEvaluator:
             self._bindings = {}
         return result
 
-    def stream(
-        self, query: Query, bindings: Optional[Bindings] = None
+    def _stream(
+        self, query: Query, parameters, bindings: Optional[Bindings]
     ) -> Optional[Tuple[int, Iterator[List[Tuple]], bool]]:
-        """Evaluate with a *streaming* projection, when the query allows it.
+        """Evaluate with a *streaming* projection, when the query allows it
+        (:meth:`CompiledQuery.execute_stream`, which knows the slot names).
 
         Serves root-level ``GraphPattern`` queries whose matcher exposes
         ``stream_output`` (the planner's executor): the physical plan runs
@@ -228,19 +229,12 @@ class PGQEvaluator:
         all surface here, exactly like :meth:`evaluate` — and the returned
         ``(arity, batches, ordered)`` yields distinct output rows a batch
         at a time as the projection decodes, without materializing the
-        full row set (see :meth:`CompiledQuery.execute_stream`).
-        Returns ``None`` for query shapes or matchers that cannot stream
-        (relational roots, the naive oracle); callers fall back to
-        :meth:`evaluate`.  Streaming matchers build output rows from a
-        fixed projection layout (``trusted_output_arity``), so the per-row
-        arity scan of the materializing path is not repeated here.
+        full row set.  Returns ``None`` for query shapes or matchers that
+        cannot stream (relational roots, the naive oracle); callers fall
+        back to :meth:`evaluate`.  Streaming matchers build output rows
+        from a fixed projection layout (``trusted_output_arity``), so the
+        per-row arity scan of the materializing path is not repeated here.
         """
-        return self._stream(query, query_parameters(query), bindings)
-
-    def _stream(
-        self, query: Query, parameters, bindings: Optional[Bindings]
-    ) -> Optional[Tuple[int, Iterator[List[Tuple]], bool]]:
-        """:meth:`stream` with the query's slot names already known."""
         if not isinstance(query, GraphPattern):
             return None
         self._begin(parameters, bindings)

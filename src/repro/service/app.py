@@ -167,8 +167,8 @@ class QueryService:
                 request.params,
                 budget=request.budget(default_timeout_ms=self._default_timeout_ms),
             )
-            # Materialize inside the lease: the rows may stream from a
-            # live cursor that closes when the connection is recycled.
+            # Materialize inside the lease: a streamed result still
+            # pending when the connection is recycled is closed.
             payload = query_response(
                 columns=list(result.columns),
                 rows=result.rows,

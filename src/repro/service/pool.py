@@ -15,9 +15,9 @@ fresh generation serves every new acquire from the new snapshot.  No
 request is interrupted and no request observes a half-updated catalog.
 
 Retired connections close with ``drain=False``: any streamed result a
-consumer abandoned mid-read has its live cursor released right away
-(subsequent fetches raise :class:`~repro.errors.ConnectionClosedError`)
-instead of being silently materialized into a buffer nobody reads.
+consumer abandoned mid-read is closed right away (subsequent fetches
+raise :class:`~repro.errors.ConnectionClosedError`) instead of being
+silently materialized into a buffer nobody reads.
 
 Pool exhaustion raises :class:`~repro.errors.AdmissionTimeoutError` —
 the same governance error the database's admission controller uses — so

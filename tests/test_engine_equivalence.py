@@ -381,7 +381,7 @@ def test_projected_stream_is_distinct_across_batches(seed, nodes):
     query = Project(graph_pattern_on_relations(output(walk, "x", "t", "y"), VIEW), (1, 3))
     expected = NaiveEngine(database).evaluate(query).rows
     with SQLiteEngine(database) as engine:
-        arity, batches, _ordered = engine.stream(query)
+        arity, batches, _ordered = engine.prepare(query).execute_stream()
         batches = list(batches)
         rows = [row for batch in batches for row in batch]
     assert arity == 2

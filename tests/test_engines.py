@@ -438,8 +438,8 @@ class TestSQLiteEngine:
 
     def test_a_failed_load_leaves_no_partial_table(self, graph_db):
         # A cell SQLite cannot hold fails the load the same way every time,
-        # naming the table and column — no half-filled base or view table
-        # answers the second attempt.
+        # naming the table and column or the property key — no half-filled
+        # base or view table answers the second attempt.
         from repro.relational import Relation
 
         (element,) = min(graph_db.relation("N").rows)
@@ -449,8 +449,11 @@ class TestSQLiteEngine:
         hop = graph_pattern_on_relations(output(seq(node("x"), edge(), node("y")), "x", "y"), VIEW)
         with SQLiteEngine(database) as engine:
             for _ in range(2):
-                for query in (BaseRelation("Big"), hop):
-                    big = r"cannot hold 1180591620717411303424 \(column \d of table"
+                for query, where in (
+                    (BaseRelation("Big"), 'column 1 of table "Big"'),
+                    (hop, "node property 'w'"),
+                ):
+                    big = rf"cannot hold 1180591620717411303424 \({where}\)"
                     with pytest.raises(EngineError, match=big):
                         engine.evaluate(query)
             leftovers = engine.connection.execute(
@@ -462,7 +465,7 @@ class TestSQLiteEngine:
         with SQLiteEngine(graph_db) as engine:
             for query in self.queries():
                 engine.evaluate(query)
-                assert engine.stream(query) is not None
+                assert engine.prepare(query).execute_stream() is not None
 
     @pytest.mark.parametrize("constant", [["Red"], Parameter("colour")], ids=["unhashable", "slot"])
     def test_view_sources_sql_cannot_key_answer_on_sql(self, graph_db, constant):

@@ -51,6 +51,7 @@ from repro.governance import (
     FaultPlan,
     QueryBudget,
     QueryGovernor,
+    activate_governor,
     active_fault_plan,
     clear_fault_plan,
     install_fault_plan,
@@ -206,6 +207,31 @@ class TestDeadlines:
         with pytest.raises(QueryTimeoutError) as excinfo:
             connection.execute(HEAVY_QUERY, timeout=TIMEOUT_S)
         assert "sqlite.progress" in excinfo.value.progress["sites"]
+
+    def test_sqlite_governed_window_covers_the_whole_statement(self):
+        # A relational root's rows are fetched inside the governed window
+        # too, so streamed and drained the statement polls the progress
+        # handler as often as materialized: no SQLite work runs unwatched.
+        from repro.datasets import GRAPH_VIEW_SCHEMA, erdos_renyi
+        from repro.engine import SQLiteEngine
+        from repro.patterns.builder import edge, node, output, seq, star
+        from repro.pgq import Project, graph_pattern_on_relations
+
+        walk = seq(node("x"), edge("t"), node(), star(seq(edge(), node())), node("y"))
+        pattern = graph_pattern_on_relations(output(walk, "x", "t", "y"), GRAPH_VIEW_SCHEMA)
+        polls = []
+        with SQLiteEngine(erdos_renyi(60, 0.15, seed=3)) as engine:
+            statement = engine.prepare(Project(pattern, (1, 3)))
+            for streamed in (False, True):
+                governor = QueryGovernor(QueryBudget(), CancellationToken())
+                with activate_governor(governor):
+                    if streamed:
+                        _arity, batches, _ordered = statement.execute_stream()
+                        assert sum(len(batch) for batch in batches) > 256
+                    else:
+                        assert len(statement.execute().rows) > 256
+                polls.append(governor.sites["sqlite.progress"])
+        assert polls[0] == polls[1] > 0
 
     def test_generous_deadline_does_not_fire(self, medium_db):
         connection = medium_db.connect(engine="planned")

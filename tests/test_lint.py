@@ -234,6 +234,94 @@ class TestUnusedImport:
         assert rules_for(tmp_path, "import os\n\n__all__ = ['os']\n") == []
 
 
+class TestIsLiteral:
+    @pytest.mark.parametrize("test", ["x is 'a'", "x is not 0", "(1, 'a') is x", "0 < x is 1.5"])
+    def test_identity_against_a_literal_is_flagged(self, tmp_path, test):
+        source = f"def f(x):\n    return {test}\n"
+        assert findings_for(tmp_path, source) == [("IS-LITERAL", 2)]
+
+    def test_singletons_and_names_pass(self, tmp_path):
+        source = (
+            "SENTINEL = object()\n"
+            "def f(x, y):\n"
+            "    return x is None or x is not True or x is False or x is ... "
+            "or x is SENTINEL or x is y or x == 'a'\n"
+        )
+        assert rules_for(tmp_path, source) == []
+
+
+class TestRedefinedUnused:
+    def test_a_method_defined_twice_is_flagged(self, tmp_path):
+        source = (
+            "class C:\n"
+            "    def size(self):\n"
+            "        return 1\n"
+            "\n"
+            "    def size(self):\n"
+            "        return 2\n"
+        )
+        assert findings_for(tmp_path, source) == [("REDEFINED-UNUSED", 5)]
+
+    def test_an_import_shadowed_by_a_def_is_flagged(self, tmp_path):
+        source = "from os import sep\n\ndef sep():\n    return '/'\n\nSEP = sep()\n"
+        assert findings_for(tmp_path, source) == [("REDEFINED-UNUSED", 3)]
+
+    def test_a_read_between_overloads_and_other_blocks_pass(self, tmp_path):
+        source = (
+            "from typing import overload\n"
+            "import os\n"
+            "HOME = os.environ\n"
+            "import os\n"
+            "@overload\n"
+            "def f(x: int) -> int: ...\n"
+            "def f(x):\n"
+            "    return x\n"
+            "class C:\n"
+            "    @property\n"
+            "    def value(self):\n"
+            "        return 1\n"
+            "    @value.setter\n"
+            "    def value(self, new):\n"
+            "        pass\n"
+            "try:\n"
+            "    from json import loads\n"
+            "except ImportError:\n"
+            "    def loads(text):\n"
+            "        return text\n"
+            "PATH = os.sep, f, loads\n"
+        )
+        assert rules_for(tmp_path, source) == []
+
+
+class TestReadBeforeAssignment:
+    @pytest.mark.parametrize(
+        "body",
+        ["print(LIMIT)\n    LIMIT = 2", "LIMIT += 1", "LIMIT = LIMIT + 1"],
+        ids=["read-then-assign", "augmented", "read-in-own-value"],
+    )
+    def test_a_module_name_read_before_the_local_binding_is_flagged(self, tmp_path, body):
+        source = f"LIMIT = 1\n\ndef f():\n    {body}\n    return LIMIT\n"
+        assert findings_for(tmp_path, source, in_src=False) == [("READ-BEFORE-ASSIGNMENT", 4)]
+
+    def test_globals_parameters_closures_and_comprehensions_pass(self, tmp_path):
+        source = (
+            "LIMIT = 1\n"
+            "def f(LIMIT=LIMIT):\n"
+            "    return LIMIT\n"
+            "def g():\n"
+            "    global LIMIT\n"
+            "    LIMIT += 1\n"
+            "def h(rows):\n"
+            "    first = [LIMIT for LIMIT in rows]\n"
+            "    later = lambda: LIMIT\n"
+            "    LIMIT = 3\n"
+            "    return first, later, LIMIT\n"
+            "def k():\n"
+            "    return LIMIT\n"
+        )
+        assert rules_for(tmp_path, source) == []
+
+
 class TestMutableDefault:
     @pytest.mark.parametrize("default", ["[]", "{}", "set()"])
     def test_mutable_literal_default_is_flagged(self, tmp_path, default):

@@ -453,7 +453,6 @@ def test_sqlite_pattern_results_stream_from_the_decoder_not_a_cursor():
         result = connection.execute(HOP_QUERY)
         assert result.streamed is True
         engine = connection._get_engine()
-        assert engine._open_streams == []
         ((view, _users),) = engine._shared_view_tables.values()
         engine._drop_tables(view.names)
         tables = "SELECT name FROM sqlite_temp_master WHERE type = 'table'"

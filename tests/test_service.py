@@ -610,28 +610,32 @@ class TestCloseWithoutDrain:
         with pytest.raises(ConnectionClosedError):
             len(result)
 
-    def test_sqlite_cursor_is_released_not_leaked(self, db):
+    def test_sqlite_cursor_is_released_not_leaked(self):
         from repro.pgq import Project
 
-        connection = db.connect(engine="sqlite")
+        # Over 256 rows: a cursor read a batch at a time would be mid-read.
+        database = make_database(accounts=300, transfers=300)
+        connection = database.connect(engine="sqlite")
         result = connection.execute(HOP_QUERY, {"minimum": 0})
         next(iter(result))
         engine = connection._get_engine()
-        # A pattern's ids were all fetched at execute: no cursor to leak.
-        assert engine._open_streams == []
-        # A statement with a relational root streams off its cursor.
-        nested = Project(connection.compile(HOP_QUERY), (2,))
-        _arity, batches, _ordered = engine.stream(nested, {"minimum": 0})
-        assert next(batches)
-        live = [ref() for ref in engine._open_streams if ref() is not None]
-        assert live, "expected a live cursor mid-stream"
-        batches.close()
-        # Released, and the unread rows dropped rather than buffered: each
-        # stream is simply over.
-        assert all(list(stream) == [] for stream in live)
+        # A statement with a relational root is fetched whole at execute
+        # too: mid-stream, no cursor reads the view tables, so SQLite
+        # drops them (it refuses to drop a table a live statement reads),
+        # and the unread batches stay readable.
+        statement = engine.prepare(Project(connection.compile(HOP_QUERY), (2,)))
+        expected = statement.execute({"minimum": 0}).rows
+        _arity, batches, _ordered = statement.execute_stream({"minimum": 0})
+        first = next(batches)
+        ((view, _users),) = engine._shared_view_tables.values()
+        for table in view.names:
+            engine.connection.execute(f"DROP TABLE {table}")
+        rows = first + [row for batch in batches for row in batch]
+        assert len(first) < len(rows) == len(expected) and set(rows) == expected
         connection.close(drain=False)
         with pytest.raises(ConnectionClosedError):
             result.fetchall()
+        database.close()
 
     def test_default_close_still_drains(self, db):
         """The historical contract: close() keeps produced rows readable."""

@@ -198,6 +198,21 @@ def test_a_table_named_like_an_entry_is_read_as_the_table(engine, name):
         assert set(backend.evaluate(query).rows) == rows, query
 
 
+def test_relations_named_alike_up_to_case_answer_or_raise(engine):
+    # SQLite table names ignore ASCII case: it cannot hold E and e apart.
+    database = RelationalDatabase({"E": Relation(2, [(1, 2)]), "e": Relation(2, [(3, 4)])})
+    backend = engine(database)
+    query = Union(BaseRelation("E"), BaseRelation("e"))
+    if backend.name != "sqlite":
+        assert set(backend.evaluate(query).rows) == {(1, 2), (3, 4)}
+        return
+    for _ in range(2):
+        with pytest.raises(EngineError, match="relations 'E' and 'e'"):
+            backend.evaluate(query)
+    tables = "SELECT name FROM sqlite_master UNION ALL SELECT name FROM sqlite_temp_master"
+    assert backend.connection.execute(tables).fetchall() == []
+
+
 @pytest.mark.parametrize(
     "rows, arity, bindings, expected",
     [
@@ -292,3 +307,25 @@ class TestValuesSQLiteCannotHold:
         with SQLiteEngine(_values_db((1, math.nan)).snapshot().database) as engine:
             with pytest.raises(EngineError, match=r"nan \(column 2 of table \"Account\"\)"):
                 engine.evaluate_sql("SELECT 1")
+
+    @pytest.mark.parametrize("vip", [math.nan, 2**64], ids=["nan", "big-int"])
+    def test_a_view_error_names_the_property_key(self, vip):
+        db = _values_db((1, vip))
+        with db.connect("sqlite") as connection:
+            with pytest.raises(EngineError) as caught:
+                connection.execute(_match("(x) COLUMNS (x.iban)"))
+        assert str(caught.value) == f"SQLite cannot hold {vip!r} (node property 'vip')"
+
+    def test_a_failed_view_build_takes_no_view_number(self):
+        db = _values_db((1, math.nan))
+        db.execute(_GRAPH_DDL.replace("G (", "H (").replace("(iban, vip)", "(iban)"))
+        tables = "SELECT name FROM sqlite_temp_master WHERE type = 'table'"
+        with db.connect("sqlite") as connection:
+            for _ in range(2):
+                with pytest.raises(EngineError, match="node property 'vip'"):
+                    connection.execute(_match("(x) COLUMNS (x.iban)"))
+            connection.execute("SELECT * FROM GRAPH_TABLE ( H MATCH (x) COLUMNS (x.iban) )")
+            names = connection._get_engine().connection.execute(tables).fetchall()
+        assert sorted(name for (name,) in names) == sorted(
+            ["__view0_ids"] + [f"__view0_{number}" for number in range(6)]
+        )

@@ -24,6 +24,22 @@ Rules (each failure prints ``path:line: RULE message`` and exits 1):
 * **UNUSED-IMPORT** — a module-level import never referenced in the file
   (``__init__.py`` re-export surfaces and ``if TYPE_CHECKING:`` blocks
   are exempt; names listed in ``__all__`` count as used).
+* **IS-LITERAL** (ruff F632) — ``is`` / ``is not`` against a literal
+  (a number, string, bytes or a tuple of them): identity of a literal is
+  an interpreter accident, so the comparison meant ``==`` / ``!=``.
+  ``None``, ``True``, ``False`` and ``...`` are singletons and pass.
+* **REDEFINED-UNUSED** (ruff F811) — an import, ``def`` or ``class``
+  rebound by another import, ``def`` or ``class`` in the same block of
+  the same scope with no read of the name in between: the first one is
+  dead, typically a duplicated method or a shadowed import.  A
+  ``typing.overload`` stub and the name ``_`` are exempt; a read
+  anywhere in between, even inside a function body, counts.
+* **READ-BEFORE-ASSIGNMENT** (ruff F823) — inside a function, a read of
+  a name that the module binds at top level, before the function's own
+  first binding of it: the binding makes the name local throughout the
+  function, so the read raises ``UnboundLocalError`` instead of seeing
+  the module's value.  Nested function, lambda and class bodies are left
+  to their own scopes.
 * **MUTABLE-DEFAULT** — a function parameter default that is a list,
   dict or set literal (shared across calls; use ``None`` + guard).
 * **PRINT-CALL** — ``print()`` inside ``src/repro`` (library code
@@ -452,6 +468,140 @@ def _is_repr_sort(node: ast.AST) -> bool:
     )
 
 
+def _is_literal(node: ast.expr) -> bool:
+    """A literal whose identity is not guaranteed (IS-LITERAL)."""
+    if isinstance(node, ast.Tuple):
+        return all(_is_literal(element) for element in node.elts)
+    return isinstance(node, ast.Constant) and not any(
+        node.value is singleton for singleton in (None, True, False, ...)
+    )
+
+
+def _check_is_literal(path: Path, tree: ast.Module) -> List[Finding]:
+    findings: List[Finding] = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Compare):
+            continue
+        operands = [node.left, *node.comparators]
+        for left, op, right in zip(operands, node.ops, operands[1:]):
+            if isinstance(op, (ast.Is, ast.IsNot)) and (_is_literal(left) or _is_literal(right)):
+                verb = "is" if isinstance(op, ast.Is) else "is not"
+                message = f"'{verb}' compares identity with a literal; use '==' / '!='"
+                findings.append((path, node.lineno, "IS-LITERAL", message))
+    return findings
+
+
+def _definition_names(node: ast.AST) -> List[str]:
+    """The names an import, ``def`` or ``class`` statement binds, else []."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return [
+            (alias.asname or alias.name).split(".")[0] for alias in node.names if alias.name != "*"
+        ]
+    return []
+
+
+def _is_overload(node: ast.stmt) -> bool:
+    return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+        _terminal_name(decorator) == "overload" for decorator in node.decorator_list
+    )
+
+
+def _check_redefinitions(path: Path, tree: ast.Module) -> List[Finding]:
+    findings: List[Finding] = []
+    for scope in ast.walk(tree):
+        if not isinstance(scope, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        unused = {}  # name -> the definition statement nothing has read since
+        for statement in scope.body:
+            for sub in ast.walk(statement):
+                if isinstance(sub, ast.Name):
+                    unused.pop(sub.id, None)  # a read, or a plain rebinding
+            for name in _definition_names(statement):
+                earlier = unused.get(name)
+                if earlier is not None and name != "_" and not _is_overload(earlier):
+                    message = (
+                        f"{name!r} redefines the unused one of line {earlier.lineno}; "
+                        "delete the dead definition or rename one"
+                    )
+                    findings.append((path, statement.lineno, "REDEFINED-UNUSED", message))
+                unused[name] = statement
+    return findings
+
+
+def _scope_nodes(node: ast.AST) -> Iterator[ast.AST]:
+    """The nodes under ``node`` that run in its scope: nested function,
+    lambda and class bodies are skipped (their defining statement kept),
+    and so are the names a comprehension binds for itself."""
+    for child in ast.iter_child_nodes(node):
+        yield child
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)):
+            continue
+        nodes = _scope_nodes(child)
+        if isinstance(child, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+            own = {
+                name.id
+                for generator in child.generators
+                for name in ast.walk(generator.target)
+                if isinstance(name, ast.Name)
+            }
+            nodes = (sub for sub in nodes if not (isinstance(sub, ast.Name) and sub.id in own))
+        yield from nodes
+
+
+def _check_read_before_assignment(path: Path, tree: ast.Module) -> List[Finding]:
+    findings: List[Finding] = []
+    module_names = _top_level_definitions(tree)
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        nodes = [sub for statement in function.body for sub in (statement, *_scope_nodes(statement))]
+        # Parameters are bound on entry; global / nonlocal names are not local.
+        exempt = {arg.arg for arg in ast.walk(function.args) if isinstance(arg, ast.arg)}
+        bound_at = {}  # id(Name) -> where it binds, for targets bound after their value
+        first_binding = {}
+        reads = []
+        for node in nodes:
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                exempt.update(node.names)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign, ast.NamedExpr)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                end = (node.end_lineno, node.end_col_offset)
+                for target in targets:
+                    bound_at.update((id(name), end) for name in ast.walk(target))
+                if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
+                    reads.append(node.target)  # ``x += 1`` reads ``x`` first
+            names = _definition_names(node)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names = [node.id]
+            elif isinstance(node, ast.ExceptHandler) and node.name:
+                names = [node.name]
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.append(node)
+            for name in names:
+                at = bound_at.get(id(node), (node.lineno, node.col_offset))
+                first_binding[name] = min(first_binding.get(name, at), at)
+        reported = set()
+        for read in reads:
+            name = read.id
+            at = first_binding.get(name)
+            if (
+                at is not None
+                and (read.lineno, read.col_offset) < at
+                and name in module_names
+                and name not in exempt
+                and name not in reported
+            ):
+                reported.add(name)
+                message = (
+                    f"{name!r} is read before {function.name}() assigns it (line {at[0]}), "
+                    "which makes it local: the read raises UnboundLocalError"
+                )
+                findings.append((path, read.lineno, "READ-BEFORE-ASSIGNMENT", message))
+    return findings
+
+
 def check_file(
     path: Path,
     *,
@@ -611,6 +761,12 @@ def check_file(
                             f"{original!r} is imported but never used",
                         )
                     )
+
+    # IS-LITERAL, REDEFINED-UNUSED, READ-BEFORE-ASSIGNMENT: the pyflakes
+    # rules of CI's ruff selection, checked here too.
+    findings.extend(_check_is_literal(path, tree))
+    findings.extend(_check_redefinitions(path, tree))
+    findings.extend(_check_read_before_assignment(path, tree))
 
     # MUTABLE-DEFAULT: shared mutable default arguments.
     for node in ast.walk(tree):
