@@ -12,7 +12,6 @@ from repro.datasets.colored import (
     COLORED_SCHEMA,
     alternating_chain,
     bipartite_random,
-    colored_labels_relation,
     non_alternating_pair,
 )
 from repro.datasets.random_graphs import (
@@ -40,7 +39,6 @@ __all__ = [
     "alternating_chain",
     "bipartite_random",
     "chain",
-    "colored_labels_relation",
     "composite_view_relations",
     "cycle",
     "disjoint_chains",

@@ -9,10 +9,8 @@ opposite colours.
 from __future__ import annotations
 
 import random
-from typing import List, Tuple
 
 from repro.relational.database import Database
-from repro.relational.relation import Relation
 
 #: Relation names of the coloured-graph schema, in pgView order minus labels.
 COLORED_SCHEMA = ("RedNodes", "BlueNodes", "Edges", "Source", "Target")
@@ -98,16 +96,3 @@ def non_alternating_pair(length: int) -> Database:
         arities={"RedNodes": 1, "BlueNodes": 1, "Edges": 1, "Source": 2, "Target": 2},
     )
 
-
-def colored_labels_relation(database: Database) -> Relation:
-    """A label relation assigning ``RedNodes``/``BlueNodes`` labels to nodes.
-
-    The PGQrw separating query materializes the union graph and then uses
-    label tests in its filter, so the view needs an explicit label relation.
-    """
-    rows: List[Tuple[str, str]] = []
-    for (node,) in database.relation("RedNodes").rows:
-        rows.append((node, "RedNodes"))
-    for (node,) in database.relation("BlueNodes").rows:
-        rows.append((node, "BlueNodes"))
-    return Relation(2, rows)

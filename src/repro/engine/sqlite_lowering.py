@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Protocol, Sequence, Tuple
 
 from repro.errors import EngineError
@@ -93,6 +94,7 @@ from repro.relational.relation import Relation
 #: The integers SQLite stores as themselves (a wider one overflows its
 #: 64-bit INTEGER; as a literal it would silently become a REAL).
 _INT64 = range(-(2**63), 2**63)
+_SURROGATE = re.compile("[\ud800-\udfff]")  # the code points with no UTF-8 form
 
 
 class ViewTables:
@@ -183,10 +185,15 @@ def lower(
 
 def check_storable(values: Iterable, where: str) -> None:
     """Raise :class:`EngineError` for the first of ``values`` SQLite cannot
-    hold as itself: NaN (it binds as NULL, which compares as ``None``) and an
-    int outside 64 bits; ``where`` says where the values were headed."""
+    hold as itself: NaN (it binds as NULL, which compares as ``None``), an
+    int outside 64 bits and a string with no UTF-8 form (a lone surrogate);
+    ``where`` says where the values were headed."""
     for value in values:
-        if value != value or type(value) is int and value not in _INT64:
+        if (
+            value != value
+            or type(value) is int and value not in _INT64
+            or isinstance(value, str) and not value.isascii() and _SURROGATE.search(value)
+        ):
             raise EngineError(f"SQLite cannot hold {value!r} ({where})")
 
 
@@ -222,8 +229,8 @@ def _sql_literal(value) -> str:
         return "NULL"
     if isinstance(value, bool):
         return "1" if value else "0"
+    check_storable((value,), "a constant of the query")
     if isinstance(value, (int, float)):
-        check_storable((value,), "a constant of the query")
         if math.isinf(value):  # past every double: SQLite reads it as ±Inf
             return "9e999" if value > 0 else "-9e999"
         return repr(value)

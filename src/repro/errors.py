@@ -12,7 +12,7 @@ class ReproError(Exception):
 
 
 class GraphError(ReproError):
-    """Raised when a property graph is constructed or mutated inconsistently."""
+    """Raised when a property graph is constructed inconsistently."""
 
 
 class SchemaError(ReproError):

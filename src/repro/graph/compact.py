@@ -30,14 +30,13 @@ from a materialized graph — the formal ``pgView`` path and hand-built
 graphs.  :meth:`CompactGraph.decode` is the way back: the graph
 components a row-at-a-time consumer of a scans-built view reads.
 
-Instances are immutable snapshots: :meth:`PropertyGraph.compact` caches
-one per graph and rebuilds it when the graph's mutation version moves, so
-executors never observe a stale encoding.  The build is lock-guarded and
-counted (``PropertyGraph.compact_build_count``): view graphs shared
-across connections of one database snapshot (the engine-level
-``SnapshotCache``) encode exactly once no matter how many executors race
-for the first use, and the snapshot cache's stats surface the encode
-count so sharing is testable.
+Instances are immutable, like the graphs they encode:
+:meth:`PropertyGraph.compact` builds one per graph on first use.  The
+build is lock-guarded and counted (``PropertyGraph.compact_build_count``):
+view graphs shared across connections of one database snapshot (the
+engine-level ``SnapshotCache``) encode exactly once no matter how many
+executors race for the first use, and the snapshot cache's stats surface
+the encode count so sharing is testable.
 
 The module also hosts the **reachability closure** kernel of the planner's
 repetition fixpoint (:func:`closure_masks`): worklist-driven OR
@@ -158,14 +157,12 @@ class CompactGraph:
     ``node_labels``/``edge_labels`` map a label to its bitmask over one ID
     space; ``node_properties``/``edge_properties`` map a property key to
     its dense column over one ID space (:data:`MISSING` where undefined).
-    The constructor adopts every argument as-is.  ``version`` records the
-    graph version the snapshot encodes and ``encode_seconds`` what
-    building it cost since ``started`` (a ``perf_counter`` reading),
-    surfaced as the ``compact_encode_s`` counter.
+    The constructor adopts every argument as-is.  ``encode_seconds``
+    records what building it cost since ``started`` (a ``perf_counter``
+    reading), surfaced as the ``compact_encode_s`` counter.
     """
 
     __slots__ = (
-        "version",
         "encode_seconds",
         "node_ids",
         "node_index",
@@ -198,9 +195,7 @@ class CompactGraph:
         edge_properties: Dict[str, List[Any]],
         *,
         started: float,
-        version: int = 0,
     ):
-        self.version = version
         self.node_ids = node_ids
         self.node_index = node_index
         self.edge_ids = edge_ids
@@ -425,10 +420,7 @@ class CompactGraph:
         return edges[offsets[node] : offsets[node + 1]]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"CompactGraph(nodes={len(self.node_ids)}, edges={len(self.edge_ids)}, "
-            f"version={self.version})"
-        )
+        return f"CompactGraph(nodes={len(self.node_ids)}, edges={len(self.edge_ids)})"
 
 
 def _build_csr(

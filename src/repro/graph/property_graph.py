@@ -12,12 +12,12 @@ Identifiers are canonical tuples (see :mod:`repro.graph.identifiers`); the
 extended fragment of the paper allows arities greater than one, and this
 class supports that uniformly.
 
-A graph is either built from its components (the incremental API, or
-``pgView``'s trusted bulk constructor) and encoded on demand
-(:meth:`PropertyGraph.compact`), or built from its encoding
-(:meth:`PropertyGraph._from_compact`, the planned engine's table scans) and
-its components decoded on first read — so a view that only ever runs on
-the encoding never pays for the dictionaries below.
+A graph is a value, never updated in place (in the paper every graph is
+the output of ``pgView``).  It is built whole either from its components
+(:meth:`PropertyGraph.of`, or ``pgView``'s trusted bulk constructor) and
+encoded on demand (:meth:`PropertyGraph.compact`), or from its encoding
+(the planned engine's table scans) with its components decoded on first
+read — so a view that only runs on the encoding never pays for them.
 """
 
 from __future__ import annotations
@@ -62,12 +62,12 @@ class Edge(NamedTuple):
 
 
 class PropertyGraph:
-    """Mutable property graph with n-ary identifiers.
+    """Immutable property graph with n-ary identifiers.
 
-    The class enforces the structural invariants of Definition 2.1:
-    node and edge identifier sets are disjoint, every edge's endpoints are
-    existing nodes, and properties/labels are attached only to existing
-    elements.
+    :meth:`of` builds one and checks the structural invariants of
+    Definition 2.1: node and edge identifier sets are disjoint, every
+    edge's endpoints are existing nodes, and properties/labels are attached
+    only to existing elements.
     """
 
     def __init__(self) -> None:
@@ -75,22 +75,14 @@ class PropertyGraph:
         self._edges: Dict[Identifier, Edge] = {}
         self._labels: Dict[Identifier, Set[str]] = {}
         self._properties: Dict[Tuple[Identifier, str], Any] = {}
-        # Adjacency indexes; ``None`` means "build on first use" (bulk
-        # construction defers them — the set-at-a-time evaluators never
-        # navigate per node).
-        self._outgoing: Optional[Dict[Identifier, Set[Identifier]]] = {}
-        self._incoming: Optional[Dict[Identifier, Set[Identifier]]] = {}
-        # Mutation version and the compact integer snapshot built for it;
-        # ``compact()`` rebuilds whenever the version moves, so executors
-        # never run on a stale encoding.
-        self._version: int = 0
+        # Adjacency indexes, built on first navigation.
+        self._outgoing: Optional[Dict[Identifier, Set[Identifier]]] = None
+        self._incoming: Optional[Dict[Identifier, Set[Identifier]]] = None
+        # The compact integer encoding, built on first use.
         self._compact: Optional["CompactGraph"] = None
-        # Guards the lazy compact build so concurrent executors sharing
-        # one snapshot graph encode it exactly once (and a graph built
-        # from its encoding decodes its components once); ``_compact_builds``
-        # counts the encodes that actually ran (snapshot-cache stats
-        # assert one encode per shared view).  Reentrant, so neither lazy
-        # step can deadlock on the other.
+        # Guards the lazy encode and decode, so executors sharing one
+        # snapshot graph run each once (``_compact_builds`` counts encodes
+        # for the snapshot-cache stats); reentrant, so neither deadlocks.
         self._compact_lock = threading.RLock()
         self._compact_builds: int = 0
 
@@ -108,6 +100,37 @@ class PropertyGraph:
     # Construction
     # ------------------------------------------------------------------ #
     @classmethod
+    def of(
+        cls,
+        nodes: Iterable[Any],
+        edges: Optional[Mapping[Any, Tuple[Any, Any]]] = None,
+        *,
+        labels: Optional[Mapping[Any, Iterable[str]]] = None,
+        properties: Optional[Mapping[Any, Mapping[str, Any]]] = None,
+    ) -> "PropertyGraph":
+        """The graph with these components: ``edges`` maps each edge to its
+        ``(source, target)``, ``labels`` each element to its labels and
+        ``properties`` each element to a ``{key: value}`` dict.  Every
+        identifier is canonicalised by :func:`as_identifier`; components
+        that break Definition 2.1 raise :class:`GraphError` (:meth:`validate`).
+        """
+        graph = cls._from_validated(
+            map(as_identifier, nodes),
+            {
+                as_identifier(edge): (as_identifier(source), as_identifier(target))
+                for edge, (source, target) in (edges or {}).items()
+            },
+            {as_identifier(x): set(map(str, names)) for x, names in (labels or {}).items()},
+            {
+                (as_identifier(element), str(key)): value
+                for element, values in (properties or {}).items()
+                for key, value in values.items()
+            },
+        )
+        graph.validate()
+        return graph
+
+    @classmethod
     def _from_validated(
         cls,
         nodes: Iterable[Identifier],
@@ -120,9 +143,8 @@ class PropertyGraph:
         The caller guarantees the Definition 2.1 invariants (canonical
         identifier tuples, disjoint node/edge sets, endpoints in ``N``,
         labels/properties on existing elements) — ``pgView`` does, because
-        it runs the conditions (1)-(4) first.  Skipping the per-element
-        re-checks of the incremental API makes view materialization linear
-        with small constants.
+        it runs the conditions (1)-(4) first.  Skipping :meth:`validate`
+        keeps view materialization linear with small constants.
 
         ``labels`` (a dict of label-string sets) and ``properties`` are
         **adopted**, not copied: the caller hands over ownership and must
@@ -130,8 +152,6 @@ class PropertyGraph:
         """
         graph = cls()
         graph._adopt(nodes, edges, labels, properties)
-        graph._outgoing = None
-        graph._incoming = None
         return graph
 
     def _adopt(
@@ -158,8 +178,6 @@ class PropertyGraph:
         graph = cls()
         for name in _COMPONENTS:
             delattr(graph, name)
-        graph._outgoing = None
-        graph._incoming = None
         graph._compact = encoded
         graph._compact_builds = 1
         return graph
@@ -175,88 +193,6 @@ class PropertyGraph:
             if name not in self.__dict__:
                 self._adopt(*encoded.decode())
         return self.__dict__[name]
-
-    def add_node(
-        self,
-        ident: Any,
-        *,
-        labels: Iterable[str] = (),
-        properties: Optional[Mapping[str, Any]] = None,
-    ) -> Identifier:
-        """Add a node; returns its canonical identifier.
-
-        Adding an existing node is idempotent for the identifier itself but
-        still merges the provided labels and properties.
-        """
-        node = as_identifier(ident)
-        if node in self._edges:
-            raise GraphError(f"identifier {node!r} is already used by an edge")
-        self._version += 1
-        self._nodes.add(node)
-        if self._outgoing is not None:
-            self._outgoing.setdefault(node, set())
-            self._incoming.setdefault(node, set())
-        for label in labels:
-            self.add_label(node, label)
-        for key, value in (properties or {}).items():
-            self.set_property(node, key, value)
-        return node
-
-    def add_edge(
-        self,
-        ident: Any,
-        source: Any,
-        target: Any,
-        *,
-        labels: Iterable[str] = (),
-        properties: Optional[Mapping[str, Any]] = None,
-    ) -> Identifier:
-        """Add a directed edge from ``source`` to ``target``.
-
-        Both endpoints must already be nodes of the graph (``src`` and ``tgt``
-        are total functions into ``N`` in Definition 2.1).
-        """
-        edge = as_identifier(ident)
-        src = as_identifier(source)
-        tgt = as_identifier(target)
-        if edge in self._nodes:
-            raise GraphError(f"identifier {edge!r} is already used by a node")
-        if src not in self._nodes:
-            raise GraphError(f"source {src!r} is not a node of the graph")
-        if tgt not in self._nodes:
-            raise GraphError(f"target {tgt!r} is not a node of the graph")
-        existing = self._edges.get(edge)
-        if existing is not None and (existing.source != src or existing.target != tgt):
-            raise GraphError(
-                f"edge {edge!r} already exists with different endpoints "
-                f"({existing.source!r} -> {existing.target!r})"
-            )
-        self._ensure_adjacency()
-        self._version += 1
-        self._edges[edge] = Edge(edge, src, tgt)
-        self._outgoing[src].add(edge)
-        self._incoming[tgt].add(edge)
-        for label in labels:
-            self.add_label(edge, label)
-        for key, value in (properties or {}).items():
-            self.set_property(edge, key, value)
-        return edge
-
-    def add_label(self, element: Any, label: str) -> None:
-        """Attach ``label`` to an existing node or edge."""
-        ident = as_identifier(element)
-        if not self.has_element(ident):
-            raise GraphError(f"cannot label unknown element {ident!r}")
-        self._version += 1
-        self._labels.setdefault(ident, set()).add(str(label))
-
-    def set_property(self, element: Any, key: str, value: Any) -> None:
-        """Set property ``key`` of an existing node or edge to ``value``."""
-        ident = as_identifier(element)
-        if not self.has_element(ident):
-            raise GraphError(f"cannot set property on unknown element {ident!r}")
-        self._version += 1
-        self._properties[(ident, str(key))] = value
 
     # ------------------------------------------------------------------ #
     # Accessors (the six components of Definition 2.1)
@@ -346,39 +282,17 @@ class PropertyGraph:
         """All nodes and edges carrying ``label``."""
         return frozenset(ident for ident, labels in self._labels.items() if label in labels)
 
-    def mutation_version(self) -> int:
-        """Counter bumped by every mutator; caches key on it to detect
-        staleness (:meth:`compact`, the planner's executor memos).
-
-        A plain method, not a ``@property`` — this class defines its own
-        ``property(element, key)`` accessor (``prop`` of Definition 2.1),
-        which shadows the builtin inside the class body.
-        """
-        return self._version
-
     def compact(self) -> "CompactGraph":
-        """The dense integer-ID encoding of this graph, built lazily.
-
-        The snapshot (ID interning, CSR adjacency, label bitsets, property
-        columns — see :class:`~repro.graph.compact.CompactGraph`) is cached
-        and keyed on the graph's mutation version: any ``add_node`` /
-        ``add_edge`` / ``add_label`` / ``set_property`` call invalidates it,
-        so callers always observe the current graph.
-        """
-        cached = self._compact
-        if cached is not None and cached.version == self._version:
-            return cached
-        # The build is lock-guarded: graphs shared across connections of
-        # one database snapshot must encode once, not once per racing
-        # executor (single-threaded callers pay one uncontended acquire).
-        with self._compact_lock:
-            cached = self._compact
-            if cached is not None and cached.version == self._version:
-                return cached
-            built = self._encode()
-            self._compact = built
-            self._compact_builds += 1
-        return built
+        """The dense integer-ID encoding of this graph
+        (:class:`~repro.graph.compact.CompactGraph`), built once on first
+        use: lock-guarded, so a graph shared across the connections of one
+        database snapshot encodes once however many executors race for it."""
+        if self._compact is None:
+            with self._compact_lock:
+                if self._compact is None:
+                    self._compact = self._encode()
+                    self._compact_builds += 1
+        return self._compact
 
     def _encode(self) -> CompactGraph:
         """The columns of :class:`CompactGraph`, one pass over each
@@ -417,7 +331,6 @@ class PropertyGraph:
             array("q", [node_index[edge.target] for edge in edges]),
             *split_spaces(masks, columns, node_count),
             started=started,
-            version=self._version,
         )
 
     def compact_build_count(self) -> int:
@@ -443,23 +356,13 @@ class PropertyGraph:
         """Common arity of node identifiers, or None for an empty node set.
 
         Raises :class:`GraphError` when nodes mix arities; mixed arities do
-        not arise from ``pgView_=n`` but may be created by hand.
+        not arise from ``pgView_=n`` but may be built with :meth:`of`.
         """
-        arities = {len(node) for node in self._nodes}
-        if not arities:
-            return None
-        if len(arities) > 1:
-            raise GraphError(f"nodes mix identifier arities: {sorted(arities)}")
-        return arities.pop()
+        return _arity(self._nodes, "nodes")
 
     def edge_arity(self) -> Optional[int]:
         """Common arity of edge identifiers, or None for an empty edge set."""
-        arities = {len(edge) for edge in self._edges}
-        if not arities:
-            return None
-        if len(arities) > 1:
-            raise GraphError(f"edges mix identifier arities: {sorted(arities)}")
-        return arities.pop()
+        return _arity(self._edges, "edges")
 
     def validate(self) -> None:
         """Re-check all structural invariants; raises :class:`GraphError`."""
@@ -479,35 +382,6 @@ class PropertyGraph:
                 raise GraphError(f"property attached to unknown element {element!r}")
 
     # ------------------------------------------------------------------ #
-    # Derived graphs
-    # ------------------------------------------------------------------ #
-    def subgraph(self, nodes: Iterable[Any]) -> "PropertyGraph":
-        """Induced subgraph on the given node identifiers."""
-        keep = {as_identifier(n) for n in nodes}
-        result = PropertyGraph()
-        for node in self._nodes & keep:
-            result.add_node(node, labels=self._labels.get(node, set()),
-                            properties=self.properties(node))
-        for edge in self._edges.values():
-            if edge.source in keep and edge.target in keep:
-                result.add_edge(edge.ident, edge.source, edge.target,
-                                labels=self._labels.get(edge.ident, set()),
-                                properties=self.properties(edge.ident))
-        return result
-
-    def reversed(self) -> "PropertyGraph":
-        """Graph with every edge direction flipped; labels/properties kept."""
-        result = PropertyGraph()
-        for node in self._nodes:
-            result.add_node(node, labels=self._labels.get(node, set()),
-                            properties=self.properties(node))
-        for edge in self._edges.values():
-            result.add_edge(edge.ident, edge.target, edge.source,
-                            labels=self._labels.get(edge.ident, set()),
-                            properties=self.properties(edge.ident))
-        return result
-
-    # ------------------------------------------------------------------ #
     # Equality / representation
     # ------------------------------------------------------------------ #
     def __eq__(self, other: object) -> bool:
@@ -521,12 +395,16 @@ class PropertyGraph:
             and self._properties == other._properties
         )
 
-    def __hash__(self) -> int:  # pragma: no cover - graphs are mutable
-        raise TypeError("PropertyGraph is mutable and unhashable")
-
     def __repr__(self) -> str:
         return (
             f"PropertyGraph(nodes={len(self._nodes)}, edges={len(self._edges)}, "
             f"labels={sum(len(v) for v in self._labels.values())}, "
             f"properties={len(self._properties)})"
         )
+
+
+def _arity(idents: Iterable[Identifier], what: str) -> Optional[int]:
+    arities = {len(ident) for ident in idents}
+    if len(arities) > 1:
+        raise GraphError(f"{what} mix identifier arities: {sorted(arities)}")
+    return arities.pop() if arities else None

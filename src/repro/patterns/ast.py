@@ -16,7 +16,6 @@ a pattern variable or a property reference ``x.k``.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import FrozenSet, Iterator, Optional, Tuple, Union
@@ -26,13 +25,6 @@ from repro.patterns.conditions import PatternCondition
 
 #: Sentinel for an unbounded upper repetition bound (``m = infinity``).
 INFINITY = math.inf
-
-_anonymous_counter = itertools.count()
-
-
-def fresh_variable(prefix: str = "_anon") -> str:
-    """Generate a fresh variable name, used for anonymous pattern elements."""
-    return f"{prefix}{next(_anonymous_counter)}"
 
 
 class Pattern:

@@ -381,8 +381,6 @@ class PlanExecutor:
         self._tables: Dict[LogicalPlan, CompactTable] = {}
         # Last compact encoding observed, for encode-time accounting.
         self._encoded = None
-        # Graph version the memoized tables were computed against.
-        self._graph_version = graph.mutation_version()
 
     # ------------------------------------------------------------------ #
     # Oracle interface
@@ -391,7 +389,6 @@ class PlanExecutor:
         """Shared front half of the oracle interface: validate, fetch the
         (cached) plan for the parameterized shape, bind, trim memos."""
         output.validate()
-        self._invalidate_if_mutated()
         needed = frozenset(output.output_variables())
         verify = self.verify_plans
         if self.plan_cache is not None:
@@ -465,20 +462,12 @@ class PlanExecutor:
             governor.checkpoint("fixpoint.delta", fresh)
 
     def _compact_graph(self):
-        """The graph's current integer encoding, with encode-time accounting."""
+        """The graph's integer encoding, with encode-time accounting."""
         encoded = self.graph.compact()
         if encoded is not self._encoded:
             self.counters.compact_encode_s += encoded.encode_seconds
             self._encoded = encoded
         return encoded
-
-    def _invalidate_if_mutated(self) -> None:
-        """Drop the table memo of a mutated graph: its int rows reference
-        a stale ID space."""
-        version = self.graph.mutation_version()
-        if version != self._graph_version:
-            self._graph_version = version
-            self._tables.clear()
 
     def execute(self, plan: LogicalPlan) -> CompactTable:
         """Evaluate a plan over integer columns; tables are memoized per

@@ -47,13 +47,16 @@ def materialized_views():
 @pytest.fixture
 def triangle_graph() -> PropertyGraph:
     """A labelled 3-cycle a -> b -> c -> a with an amount on each edge."""
-    graph = PropertyGraph()
-    for name, colour in (("a", "Red"), ("b", "Blue"), ("c", "Red")):
-        graph.add_node(name, labels=[colour], properties={"name": name})
-    graph.add_edge("e1", "a", "b", labels=["Edge"], properties={"amount": 10})
-    graph.add_edge("e2", "b", "c", labels=["Edge"], properties={"amount": 20})
-    graph.add_edge("e3", "c", "a", labels=["Edge"], properties={"amount": 30})
-    return graph
+    edges = {"e1": ("a", "b"), "e2": ("b", "c"), "e3": ("c", "a")}
+    return PropertyGraph.of(
+        "abc",
+        edges,
+        labels={"a": ["Red"], "b": ["Blue"], "c": ["Red"], **{e: ["Edge"] for e in edges}},
+        properties={
+            **{name: {"name": name} for name in "abc"},
+            **{e: {"amount": amount} for e, amount in zip(edges, (10, 20, 30))},
+        },
+    )
 
 
 @pytest.fixture

@@ -3,8 +3,7 @@
 Three layers are covered:
 
 * :class:`~repro.graph.compact.CompactGraph` — ID interning, CSR
-  adjacency, label bitsets, property columns, and the mutation-versioned
-  cache on :meth:`~repro.graph.property_graph.PropertyGraph.compact`;
+  adjacency, label bitsets and property columns;
 * the :class:`~repro.planner.physical.PlanExecutor` — property-based
   equivalence with the naive oracle, plus the cases the integer encoding
   is most likely to get wrong (empty graph, self-loops, a variable bound
@@ -20,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.datasets import GRAPH_VIEW_SCHEMA, erdos_renyi, pair_graph_database
 from repro.engine import Database, NaiveEngine, PlannedEngine
-from repro.graph import CompactGraph, PropertyGraph, closure_masks
+from repro.graph import PropertyGraph, closure_masks
 from repro.graph.compact import MISSING
 from repro.matching import EndpointEvaluator
 from repro.patterns.builder import (
@@ -108,10 +107,10 @@ class TestCompactGraph:
 
     def test_rank_tables_rank_only_where_equality_and_keys_agree(self):
         def ranked(values):
-            graph = PropertyGraph()
-            for position, value in enumerate(values):
-                graph.add_node(f"n{position}")
-                graph.set_property(f"n{position}", "p", value)
+            names = [f"n{position}" for position in range(len(values))]
+            graph = PropertyGraph.of(
+                names, properties={name: {"p": value} for name, value in zip(names, values)}
+            )
             compact = graph.compact()
             table = compact.rank_table("p", "node", ")")
             if table is None:
@@ -132,29 +131,9 @@ class TestCompactGraph:
         assert ranked([nan, nan, 1])[1] == [(1,), (nan,)]
 
     def test_empty_graph(self):
-        compact = PropertyGraph().compact()
+        compact = PropertyGraph.of([]).compact()
         assert compact.node_count == 0 and compact.edge_count == 0
         assert compact.node_label_mask("x") == 0
-
-    def test_cache_reused_until_mutation(self, triangle_graph):
-        first = triangle_graph.compact()
-        assert triangle_graph.compact() is first  # version unchanged: cached
-        triangle_graph.add_node("d")
-        second = triangle_graph.compact()
-        assert second is not first
-        assert ("d",) in second.node_index
-        # Every mutator invalidates, not just add_node.
-        triangle_graph.set_property("d", "rank", 1)
-        third = triangle_graph.compact()
-        assert third is not second
-        assert third.property_column("rank", "node")[third.node_index[("d",)]] == 1
-        triangle_graph.add_label("d", "New")
-        fourth = triangle_graph.compact()
-        assert fourth is not third
-        assert fourth.node_label_mask("New") == 1 << fourth.node_index[("d",)]
-        triangle_graph.add_edge("e4", "d", "a")
-        fifth = triangle_graph.compact()
-        assert fifth is not fourth and fifth.edge_count == 4
 
 
 # --------------------------------------------------------------------------- #
@@ -266,35 +245,18 @@ class TestColumnarEquivalence:
         assert PlannedEngine(database).evaluate(query).rows == expected.rows
 
     def test_empty_graph(self):
-        graph = PropertyGraph()
+        graph = PropertyGraph.of([])
         out = output(seq(node("x"), star(seq(edge(), node())), node("y")), "x", "y")
         assert PlanExecutor(graph).evaluate_output(out) == frozenset()
 
     def test_self_loops(self):
-        graph = PropertyGraph()
-        graph.add_node("a")
-        graph.add_node("b")
-        graph.add_edge("e1", "a", "a", properties={"w": 5})
-        graph.add_edge("e2", "a", "b", properties={"w": 9})
+        graph = PropertyGraph.of(
+            "ab", {"e1": ("a", "a"), "e2": ("a", "b")}, properties={"e1": {"w": 5}, "e2": {"w": 9}}
+        )
         for out in _battery():
             assert PlanExecutor(graph).evaluate_output(out) == EndpointEvaluator(
                 graph
             ).evaluate_output(out)
-
-    def test_mutation_invalidates_executor_state(self):
-        graph = graph_from(erdos_renyi(5, 0.4, seed=2, property_key="w"))
-        out = output(seq(node("x"), plus(seq(edge(), node())), node("y")), "x", "y")
-        executor = PlanExecutor(graph)
-        before = executor.evaluate_output(out)
-        assert before == EndpointEvaluator(graph).evaluate_output(out)
-        # Mutate the graph through the public API: the compact cache and
-        # the executor's memoized tables must not serve stale results.
-        new_node = graph.add_node("fresh")
-        source = next(iter(graph.nodes - {new_node}))
-        graph.add_edge("fresh-edge", source, new_node)
-        after = executor.evaluate_output(out)
-        assert after == EndpointEvaluator(graph).evaluate_output(out)
-        assert after != before
 
     def test_max_repetitions_guard_matches_on_compact_path(self):
         from repro.errors import PatternError
@@ -325,11 +287,11 @@ class TestPropertyProjectionOverMasks:
     def test_streamed_rows_are_distinct_and_equal_the_oracle(self, name):
         # "a" and "b" share a value (the projection must deduplicate) and
         # "c" has none (rows through it are undefined and drop).
-        graph = PropertyGraph()
-        for ident, properties in (("a", {"w": 1}), ("b", {"w": 1}), ("c", {}), ("d", {"w": 2})):
-            graph.add_node(ident, properties=properties)
-        for index, (source, target) in enumerate(("ab", "bc", "cd", "ca")):
-            graph.add_edge(f"e{index}", source, target)
+        graph = PropertyGraph.of(
+            "abcd",
+            {f"e{index}": tuple(pair) for index, pair in enumerate(("ab", "bc", "cd", "ca"))},
+            properties={"a": {"w": 1}, "b": {"w": 1}, "c": {}, "d": {"w": 2}},
+        )
         out = output(_CLOSURE, *_CLOSURE_PROJECTIONS[name])
         expected = EndpointEvaluator(graph).evaluate_output(out)
         assert expected
@@ -363,15 +325,14 @@ def _mixed_kind_graph():
     # Self-loops make "the same edge twice in a row" satisfiable, and the
     # property/label sit on nodes and edges alike so lifted lookups must
     # resolve in both halves of the element space.
-    graph = PropertyGraph()
-    graph.add_node("a", labels=["Red"], properties={"w": 70})
-    graph.add_node("b", properties={"w": 10})
-    graph.add_node("c", labels=["Red"])
-    graph.add_edge("e1", "a", "b", labels=["Red"], properties={"w": 55})
-    graph.add_edge("e2", "b", "c", properties={"w": 5})
-    graph.add_edge("e3", "c", "c", labels=["Red"], properties={"w": 90})
-    graph.add_edge("e4", "a", "a")
-    return graph
+    return PropertyGraph.of(
+        "abc",
+        {"e1": ("a", "b"), "e2": ("b", "c"), "e3": ("c", "c"), "e4": ("a", "a")},
+        labels={"a": ["Red"], "c": ["Red"], "e1": ["Red"], "e3": ["Red"]},
+        properties={
+            "a": {"w": 70}, "b": {"w": 10}, "e1": {"w": 55}, "e2": {"w": 5}, "e3": {"w": 90}
+        },
+    )
 
 
 class TestMixedKindVariables:

@@ -487,7 +487,10 @@ class TestCompactMaterialization:
 
     def test_a_view_encodes_once_however_it_was_built(self):
         from repro.graph.compact import CompactGraph
+        from repro.graph.property_graph import PropertyGraph
+        from repro.patterns.builder import edge, node, output, plus, seq
         from repro.pgq.views import graph_to_view, materialize_graph
+        from repro.planner import PlanExecutor
 
         with make_db() as db:
             source = self.cached_or_built_graph(db)
@@ -496,6 +499,13 @@ class TestCompactMaterialization:
             assert isinstance(encoded, CompactGraph)
             assert graph.compact_build_count() == 1
             assert graph.compact() is encoded  # memoized, not re-encoded
+            # A graph built with ``of``, run by two executors: one encode.
+            built = PropertyGraph.of(
+                source.nodes, {e: (source.source(e), source.target(e)) for e in source.edges}
+            )
+            reach = output(seq(node("x"), plus(seq(edge(), node())), node("y")), "x", "y")
+            answers = [PlanExecutor(built).evaluate_output(reach) for _ in range(2)]
+            assert answers[0] == answers[1] and built.compact_build_count() == 1
 
     @staticmethod
     def cached_or_built_graph(db):

@@ -56,6 +56,11 @@ class TestShippedTreeIsClean:
         rendered = [f"{path}:{lineno}: {rule} {message}" for path, lineno, rule, message in findings]
         assert rendered == []
 
+    def test_tests_have_no_findings(self):
+        findings = lint_repro.lint_paths([REPO_ROOT / "tests"], REPO_ROOT)
+        rendered = [f"{path}:{lineno}: {rule} {message}" for path, lineno, rule, message in findings]
+        assert rendered == []
+
     def test_main_exits_zero_on_the_repo(self, capsys):
         assert lint_repro.main([]) == 0
 

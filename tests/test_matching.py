@@ -148,7 +148,7 @@ def test_output_pattern_missing_property_rows_dropped(triangle_graph):
 
 def test_boolean_output_pattern(triangle_graph):
     assert evaluate_output_pattern(triangle_graph, output(edge("t"))) == frozenset({()})
-    empty_graph = PropertyGraph()
+    empty_graph = PropertyGraph.of([])
     assert evaluate_output_pattern(empty_graph, output(edge("t"))) == frozenset()
 
 

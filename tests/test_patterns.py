@@ -6,7 +6,6 @@ from repro.errors import PatternError
 from repro.patterns import (
     INFINITY,
     Concatenation,
-    Disjunction,
     EdgePattern,
     Filter,
     NodePattern,

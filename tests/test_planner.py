@@ -25,6 +25,7 @@ from repro.patterns.builder import (
 )
 from repro.pgq import graph_pattern_on_relations, pg_view
 from repro.pgq.views import ViewRelations
+from repro.relational import Relation
 from repro.planner import (
     EdgeScan,
     FilterStep,
@@ -33,7 +34,6 @@ from repro.planner import (
     NodeScan,
     PlanCache,
     PlanExecutor,
-    UnionStep,
     build_logical_plan,
     describe,
     optimize,
@@ -221,9 +221,8 @@ class TestPlanExecutor:
 
     def test_node_condition_on_node_property(self):
         db = erdos_renyi(6, 0.4, seed=11, labels=("Red",), property_key="w")
-        graph = graph_from(db)
-        for n in list(graph.nodes)[:3]:
-            graph.set_property(n, "rank", 1)
+        ranks = [(node_id, "rank", 1) for node_id in ("v0", "v1", "v2")]
+        graph = graph_from(db.with_relation("P", Relation(3, [*db.relation("P").rows, *ranks])))
         out = output(where(seq(node("x"), edge(), node("y")), prop_cmp("x", "rank", "=", 1)), "x", "y")
         assert PlanExecutor(graph).evaluate_output(out) == EndpointEvaluator(graph).evaluate_output(out)
 

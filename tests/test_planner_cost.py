@@ -14,8 +14,6 @@ from repro.patterns.builder import (
     seq,
     where,
 )
-from repro.pgq import pg_view
-from repro.pgq.views import ViewRelations
 from repro.planner import (
     EdgeScan,
     GraphStatistics,

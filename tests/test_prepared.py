@@ -83,10 +83,8 @@ class TestParameter:
         from repro.graph import PropertyGraph
         from repro.graph.identifiers import as_identifier
 
-        graph = PropertyGraph()
         node = as_identifier("n1")
-        graph.add_node(node)
-        graph.set_property(node, "w", 5)
+        graph = PropertyGraph.of([node], properties={node: {"w": 5}})
         condition = PropertyCompare("t", "w", "!=", Parameter("m"))
         with pytest.raises(BindingError, match="bound before"):
             condition.satisfied(graph, {"t": node})

@@ -38,15 +38,20 @@ def small_graphs(draw):
     node_count = draw(st.integers(min_value=1, max_value=6))
     nodes = [f"n{i}" for i in range(node_count)]
     edge_count = draw(st.integers(min_value=0, max_value=8))
-    graph = PropertyGraph()
-    for index, name in enumerate(nodes):
-        labels = ["Red"] if index % 2 == 0 else ["Blue"]
-        graph.add_node(name, labels=labels, properties={"idx": index})
+    edges = {}
     for index in range(edge_count):
         source = draw(st.sampled_from(nodes))
         target = draw(st.sampled_from(nodes))
-        graph.add_edge(f"e{index}", source, target, properties={"w": index})
-    return graph
+        edges[f"e{index}"] = (source, target)
+    return PropertyGraph.of(
+        nodes,
+        edges,
+        labels={name: ["Red" if index % 2 == 0 else "Blue"] for index, name in enumerate(nodes)},
+        properties={
+            **{name: {"idx": index} for index, name in enumerate(nodes)},
+            **{edge: {"w": index} for index, edge in enumerate(edges)},
+        },
+    )
 
 
 @st.composite

@@ -156,11 +156,9 @@ class TestExactOrder:
         # ('a',) heads rows whose repr starts "('a', " — and so does
         # ('a', 'b'): walking heads in key order would emit ('a', 'c')
         # before ('a', 'b', 'c').
-        graph = PropertyGraph()
-        for ident in ("a", ("a", "b"), "c"):
-            graph.add_node(ident)
-        graph.add_edge("e1", "a", ("a", "b"))
-        graph.add_edge("e2", ("a", "b"), "c")
+        graph = PropertyGraph.of(
+            ["a", ("a", "b"), "c"], {"e1": ("a", ("a", "b")), "e2": (("a", "b"), "c")}
+        )
         out = output(seq(node("x"), plus(seq(edge(), node())), node("y")), "x", "y")
         expected = sorted(EndpointEvaluator(graph).evaluate_output(out), key=repr)
         assert expected == [("a", "a", "b"), ("a", "b", "c"), ("a", "c")]
@@ -354,14 +352,11 @@ class TestBatchCursor:
         # A two-hop over a complete graph of 12 nodes joins 12 * 11 * 11
         # rows: the rank kernel keys six polling intervals of them before
         # its first batch exists.
-        graph = PropertyGraph()
         names = [f"n{i:02d}" for i in range(12)]
-        for name in names:
-            graph.add_node(name)
-        for source in names:
-            for target in names:
-                if source != target:
-                    graph.add_edge(f"{source}-{target}", source, target)
+        graph = PropertyGraph.of(
+            names,
+            {f"{s}-{t}": (s, t) for s in names for t in names if s != t},
+        )
         two_hop = output(seq(node("x"), edge(), node("m"), edge(), node("y")), "x", "m", "y")
         batches, ordered = PlanExecutor(graph).stream_output(two_hop)
         assert ordered

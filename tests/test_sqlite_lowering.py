@@ -256,8 +256,9 @@ def _match(clause: str) -> str:
 
 
 class TestValuesSQLiteCannotHold:
-    """NaN (SQLite stores it as NULL), ints past 64 bits and infinities: the
-    sqlite engine answers as the oracle does or raises ``EngineError``."""
+    """NaN (SQLite stores it as NULL), ints past 64 bits, infinities and lone
+    surrogates (no UTF-8 form): the sqlite engine answers as the oracle does
+    or raises ``EngineError``."""
 
     @pytest.mark.parametrize(
         "vips, sql, params",
@@ -270,10 +271,13 @@ class TestValuesSQLiteCannotHold:
             ((1, 2), _match("(x) WHERE x.vip = :v COLUMNS (x.iban)"), {"v": math.nan}),
             ((1, math.inf), _match("(x) WHERE x.vip < :v COLUMNS (x.iban)"), {"v": math.inf}),
             ((1, -math.inf), _match("(x) WHERE x.vip > :v COLUMNS (x.iban)"), {"v": -math.inf}),
+            (("\ud800", "b"), _match("(x) COLUMNS (x.iban, x.vip)"), {}),
+            (("a", "b"), _match("(x) WHERE x.vip = :v COLUMNS (x.iban)"), {"v": "\ud800"}),
         ],
         ids=[
             "nan-vs-none", "nan-vs-none-edge", "big-int-cell", "big-int-parameter",
             "big-int-literal", "nan-parameter", "inf", "minus-inf",
+            "lone-surrogate-cell", "lone-surrogate-parameter",
         ],
     )
     def test_sqlite_answers_as_naive_or_raises(self, vips, sql, params):
@@ -294,6 +298,13 @@ class TestValuesSQLiteCannotHold:
                     assert not any(isinstance(v, float) and math.isinf(v) for v in vips), error
                 else:
                     assert answer == expected
+
+    def test_a_lone_surrogate_constant_is_named_in_the_error(self):
+        sql = _match("(x) WHERE x.vip = '\ud800' COLUMNS (x.iban)")
+        with _values_db(("a", "b")).connect("sqlite") as connection:
+            with pytest.raises(EngineError) as caught:
+                connection.execute(sql)
+        assert str(caught.value) == "SQLite cannot hold '\\ud800' (a constant of the query)"
 
     def test_a_one_shot_infinite_constant_lowers_to_a_literal(self):
         db = _values_db((1, 2))

@@ -17,7 +17,7 @@ from repro.sqlpgq import (
     parse_statement,
     tokenize,
 )
-from repro.sqlpgq.ast import Comparison, EdgeElement, NodeElement, PropertyOperand
+from repro.sqlpgq.ast import Comparison, EdgeElement, NodeElement
 
 DDL = """
 CREATE PROPERTY GRAPH Transfers (

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import ViewError
-from repro.graph import PropertyGraph
 from repro.pgq import (
     graph_to_view,
     infer_identifier_arity,

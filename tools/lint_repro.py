@@ -94,8 +94,9 @@ Rules (each failure prints ``path:line: RULE message`` and exits 1):
   between modules as long as each stays within its ceiling (or under 500
   lines) and the total holds.
 
-Run as ``python tools/lint_repro.py`` (lints ``src/repro`` and checks the
-size budget) or with explicit file/directory arguments (lints those only).
+Run as ``python tools/lint_repro.py`` (lints ``src/repro`` and ``tests``
+and checks the size budget) or with explicit file/directory arguments
+(lints those only).
 """
 
 from __future__ import annotations
@@ -947,7 +948,7 @@ def _package_of(relative: str) -> str:
 
 def main(argv: List[str]) -> int:
     root = Path(__file__).resolve().parent.parent
-    targets = [Path(arg) for arg in argv] if argv else [root / "src" / "repro"]
+    targets = [Path(arg) for arg in argv] if argv else [root / "src" / "repro", root / "tests"]
     findings = lint_paths(targets, root)
     if not argv:
         findings += check_size_budget(root / "src", root / "tools" / "size_budget.json")
