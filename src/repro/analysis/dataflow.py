@@ -270,10 +270,6 @@ class PlanDataflow:
     #: Parameter slots that only occurred inside pruned subplans.
     unused_parameters: Tuple[str, ...] = ()
 
-    @property
-    def warnings(self) -> Tuple[Diagnostic, ...]:
-        return tuple(d for d in self.diagnostics if d.severity == "warning")
-
 
 class _PlanInterpreter:
     def __init__(

@@ -152,10 +152,6 @@ class QueryAnalysis:
         return tuple(d for d in self.diagnostics if d.severity == "error")
 
     @property
-    def warnings(self) -> Tuple[Diagnostic, ...]:
-        return tuple(d for d in self.diagnostics if d.severity == "warning")
-
-    @property
     def ok(self) -> bool:
         return not self.errors
 

@@ -383,14 +383,9 @@ def analyze_query(
     on its data, sampling each key once.
     """
     data = database if property_types is None else property_types
-    key: Optional[Tuple[GraphTableQuery, int, int]]
     key = (query, id(catalog), id(data))
     with _ANALYSIS_MEMO_LOCK:
-        try:
-            cached = _ANALYSIS_MEMO.get(key)
-        except TypeError:  # hand-built AST holding an unhashable literal
-            key = None
-            cached = None
+        cached = _ANALYSIS_MEMO.get(key)
         if cached is not None:
             catalog_ref, data_ref, analysis = cached
             live = catalog_ref() is catalog and (
@@ -406,7 +401,7 @@ def analyze_query(
     elif database is not None:
         lookup = partial(sample_property_type, database)
     analysis = _QueryAnalyzer(query, catalog, lookup).run()
-    if key is not None and not analysis.diagnostics:
+    if not analysis.diagnostics:
         with _ANALYSIS_MEMO_LOCK:
             _ANALYSIS_MEMO[key] = (
                 weakref.ref(catalog),

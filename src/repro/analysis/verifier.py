@@ -67,9 +67,10 @@ def condition_atoms(plan: LogicalPlan) -> FrozenSet[Hashable]:
 
     ``HasLabel`` conjuncts and scan label sets are normalized to the same
     ``("label", var, label)`` form because pushdown folds the former into
-    the latter; all other conditions are hashable frozen dataclasses and
-    represent themselves.  Atoms are a *set*: pushdown through a union
-    legitimately duplicates a conjunct into both arms.
+    the latter; all other conditions are frozen dataclasses over atomic
+    constants, so they hash and represent themselves.  Atoms are a *set*:
+    pushdown through a union legitimately duplicates a conjunct into both
+    arms.
     """
     from repro.planner.rules import split_conjuncts
 
@@ -79,13 +80,7 @@ def condition_atoms(plan: LogicalPlan) -> FrozenSet[Hashable]:
         if isinstance(conjunct, HasLabel):
             atoms.add(("label", conjunct.var, conjunct.label))
             return
-        try:
-            atoms.add(conjunct)
-        except TypeError:
-            # Conditions over unhashable constants (e.g. a list literal)
-            # are legal and uncacheable; compare them by repr, which for
-            # the frozen condition dataclasses is structural.
-            atoms.add(("repr", repr(conjunct)))
+        atoms.add(conjunct)
 
     def visit(node: LogicalPlan) -> None:
         if isinstance(node, (NodeScan, EdgeScan)):

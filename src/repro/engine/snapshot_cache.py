@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Tuple
 
 from repro.planner.physical import PlanCache
 
@@ -69,16 +69,9 @@ class SnapshotCache:
 
     def _get_or_build(
         self, key: Tuple, build: Callable[[], Any], family: str
-    ) -> Optional[Tuple[Any, bool]]:
-        """``(value, built_cold)`` for ``key``, or None when uncacheable.
-
-        Unhashable keys (user values without ``__hash__`` inside a query)
-        are not cached; the caller evaluates privately.
-        """
-        try:
-            hash(key)
-        except TypeError:
-            return None
+    ) -> Tuple[Any, bool]:
+        """``(value, built_cold)`` for ``key``.  Every key hashes: queries
+        hold only atomic constants (:func:`~repro.parameters.is_atomic`)."""
         while True:
             with self._lock:
                 entry = self._entries.get(key)
@@ -183,28 +176,23 @@ class SnapshotScope:
         self.fingerprint = fingerprint
         self.kind = kind
 
-    def view(
-        self, key: Tuple, build: Callable[[], Any]
-    ) -> Optional[Tuple[Any, bool]]:
+    def view(self, key: Tuple, build: Callable[[], Any]) -> Tuple[Any, bool]:
         """Materialized-view entry ``(graph, identifier arity, matcher)``."""
         return self.cache._get_or_build(
             ("view", self.fingerprint, self.kind, key), build, "views"
         )
 
-    def relation(
-        self, query: Any, build: Callable[[], Any]
-    ) -> Optional[Tuple[Any, bool]]:
+    def relation(self, query: Any, build: Callable[[], Any]) -> Tuple[Any, bool]:
         """Cross-engine CSE entry for one concrete relational subquery."""
         return self.cache._get_or_build(("rel", self.fingerprint, query), build, "relations")
 
     def plan_cache(self) -> PlanCache:
         """The shared compiled-plan cache of this (snapshot, kind) pair."""
-        entry = self.cache._get_or_build(
+        return self.cache._get_or_build(
             ("plans", self.fingerprint, self.kind),
             lambda: PlanCache(shared=True),
             "plan_caches",
-        )
-        return entry[0] if entry is not None else PlanCache()
+        )[0]
 
     def stats(self) -> Dict[str, int]:
         return self.cache.stats()

@@ -400,8 +400,7 @@ class SQLiteEngine:
         tables, with the entry's user set (which ``user`` joins).
 
         The engine constructs the view once per ``(sources, max_arity)``
-        (sources that do not hash: per content digest of the relations they
-        evaluate to) with the planned engine's constructor,
+        with the planned engine's constructor,
         :func:`~repro.pgq.scans.view_graph` — table scans and evaluated
         sources, or ``pgView`` over the six relations, which raises the
         oracle's ``ViewError``.
@@ -418,21 +417,16 @@ class SQLiteEngine:
         reads one set; the statements compiled against it are the entry's
         user set, which keeps it from eviction.
         """
-        evaluate = self._source_relation
-        cache_key: Tuple = (sources, max_arity)
-        try:
-            shared = self._shared_view_tables.get(cache_key)
-        except TypeError:
-            relations = [evaluate(source) for source in sources]
-            cache_key = (tuple(r.content_digest() for r in relations), max_arity)
-            shared = self._shared_view_tables.get(cache_key)
-            evaluate = lambda source: relations[sources.index(source)]
+        cache_key = (sources, max_arity)
+        shared = self._shared_view_tables.get(cache_key)
         if shared is not None:
             self._shared_view_tables.move_to_end(cache_key)
             shared[1].add(user)
             return shared
         with trace_span("view.materialize", sources=len(sources)) as span:
-            graph, arity = view_graph(sources, self.database, max_arity, span, evaluate)
+            graph, arity = view_graph(
+                sources, self.database, max_arity, span, self._source_relation
+            )
         encoded = graph.compact()
         count = encoded.node_count
         edges = range(count, count + encoded.edge_count)

@@ -11,7 +11,6 @@ from repro.matching.mappings import (
     EMPTY_MAPPING,
     Mapping,
     compatible,
-    domain,
     freeze,
     join,
     restrict,
@@ -38,7 +37,6 @@ __all__ = [
     "PathMatch",
     "PathMatchSet",
     "compatible",
-    "domain",
     "endpoint_path_equivalent",
     "evaluate_output_pattern",
     "evaluate_pattern",

@@ -9,7 +9,7 @@ three operations: restriction ``mu|_X``, the compatibility test
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.graph.identifiers import Identifier
 
@@ -64,8 +64,3 @@ def freeze(mapping: Mapping) -> Tuple[Tuple[str, Identifier], ...]:
 def thaw(frozen: Tuple[Tuple[str, Identifier], ...]) -> Mapping:
     """Inverse of :func:`freeze`."""
     return dict(frozen)
-
-
-def domain(mapping: Mapping) -> FrozenSet[str]:
-    """``dom(mu)``: the set of variables the mapping is defined on."""
-    return frozenset(mapping)

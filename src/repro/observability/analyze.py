@@ -76,11 +76,10 @@ class ExecutionProfiler:
     """Collects per-plan-node execution figures during one statement run.
 
     The executor calls :meth:`record` / :meth:`memo_hit` with the plan
-    node itself; nodes are keyed by equality when hashable (plan nodes
-    are frozen dataclasses, and repeated executions of one node must
-    accumulate) with an identity fallback otherwise.  :meth:`add_root`
-    marks the bound root plan(s) the run executed so :meth:`plan_trees`
-    knows where to start walking.
+    node itself; nodes are keyed by equality (plan nodes are frozen
+    dataclasses over atomic constants, and repeated executions of one
+    node must accumulate).  :meth:`add_root` marks the bound root plan(s)
+    the run executed so :meth:`plan_trees` knows where to start walking.
     """
 
     def __init__(self):
@@ -94,18 +93,10 @@ class ExecutionProfiler:
         their operator labels instead of bare class names)."""
         self._labeler = label_fn
 
-    def _key(self, node: Any) -> Hashable:
-        try:
-            hash(node)
-        except TypeError:
-            return ("id", id(node))
-        return node
-
     def _entry(self, node: Any, label: str) -> OperatorStats:
-        key = self._key(node)
-        entry = self._entries.get(key)
+        entry = self._entries.get(node)
         if entry is None:
-            entry = self._entries[key] = OperatorStats(label=label)
+            entry = self._entries[node] = OperatorStats(label=label)
         return entry
 
     def record(self, node: Any, label: str, wall_s: float, rows_out: int) -> None:
@@ -135,7 +126,7 @@ class ExecutionProfiler:
         return [self._subtree(root) for root in self._roots]
 
     def _subtree(self, node: Any) -> OperatorStats:
-        entry = self._entries.get(self._key(node))
+        entry = self._entries.get(node)
         if entry is None:
             label = None
             if self._labeler is not None:

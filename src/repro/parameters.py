@@ -20,17 +20,38 @@ As a second line of defence, *ordered* comparisons against an unbound
 ``Parameter`` raise :class:`BindingError` through the reflected operators
 (equality stays structural — it is what makes parameterized shapes
 hashable plan-cache keys).
+
+Constants are atomic (:func:`is_atomic`): domain elements are not tuples,
+lists, sets or dicts, and they hash.  Every constructor that holds a
+constant checks it, and binding checks each bound value, so a tree that
+was built or bound holds only atomic constants and hashes — every cache
+keyed on query structure can take any tree as it is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, List, Mapping
+from typing import Any, Iterable, List, Mapping, Type
 
 from repro.errors import BindingError
 
 #: A parameter binding set: slot name -> literal value.
 Bindings = Mapping[str, Any]
+
+#: Types whose values are never domain elements, whether or not they hash.
+_CONTAINERS = (tuple, list, set, dict)
+
+
+def is_atomic(kind: type) -> bool:
+    """Whether values of type ``kind`` are atomic domain elements: not a
+    container, and hashable (a :class:`Parameter` slot is both)."""
+    return not issubclass(kind, _CONTAINERS) and kind.__hash__ is not None
+
+
+def require_atomic(value: Any, error: Type[Exception], what: str) -> None:
+    """Raise ``error`` naming ``what`` unless ``value`` is atomic."""
+    if not is_atomic(type(value)):
+        raise error(f"{what} must be an atomic value, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -60,12 +81,15 @@ class Parameter:
 
 
 def bind_value(value: Any, bindings: Bindings) -> Any:
-    """Resolve ``value`` against ``bindings`` when it is a parameter slot."""
+    """Resolve ``value`` against ``bindings`` when it is a parameter slot;
+    a bound value that is not atomic raises :class:`BindingError`."""
     if isinstance(value, Parameter):
         try:
-            return bindings[value.name]
+            bound = bindings[value.name]
         except KeyError:
             raise BindingError(f"no binding supplied for parameter :{value.name}") from None
+        require_atomic(bound, BindingError, f"parameter :{value.name}")
+        return bound
     return value
 
 
@@ -87,11 +111,19 @@ def missing_parameters(names: Iterable[str], bindings: Bindings) -> List[str]:
 
 
 def require_bindings(names: Iterable[str], bindings: Bindings) -> None:
-    """Raise :class:`BindingError` naming every missing parameter."""
+    """Raise :class:`BindingError` naming every missing parameter, or the
+    first one bound to a value that is not atomic."""
+    names = tuple(names)
     missing = missing_parameters(names, bindings)
     if missing:
         slots = ", ".join(f":{name}" for name in missing)
         raise BindingError(f"missing bindings for parameters {slots}")
+    _require_atomic_bindings(names, bindings)
+
+
+def _require_atomic_bindings(names: Iterable[str], bindings: Bindings) -> None:
+    for name in names:
+        require_atomic(bindings[name], BindingError, f"parameter :{name}")
 
 
 def unknown_bindings(names: Iterable[str], bindings: Bindings) -> List[str]:
@@ -106,12 +138,15 @@ def check_bindings(names: Iterable[str], bindings: Bindings) -> None:
     Raises a single :class:`BindingError` that lists *every* problem at
     once — all missing slots and all unknown extras — so a caller fixing
     their bindings sees the complete picture in one round trip instead of
-    one name per attempt.
+    one name per attempt.  A complete binding set then has each value
+    checked atomic, so every engine refuses a container (or any unhashable
+    value) before it evaluates anything.
     """
     names = tuple(names)
     missing = missing_parameters(names, bindings)
     unknown = unknown_bindings(names, bindings)
     if not missing and not unknown:
+        _require_atomic_bindings(names, bindings)
         return
     problems = []
     if missing:

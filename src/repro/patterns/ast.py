@@ -49,19 +49,9 @@ class Pattern:
     def where(self, condition: PatternCondition) -> "Filter":
         return Filter(self, condition)
 
-    def alternation(self, other: "Pattern") -> "Disjunction":
-        return Disjunction(self, other)
-
-    def repeat(self, lower: int = 0, upper: float = INFINITY) -> "Repetition":
-        return Repetition(self, lower, upper)
-
     def star(self) -> "Repetition":
         """Kleene star ``psi^{0..inf}``."""
         return Repetition(self, 0, INFINITY)
-
-    def plus(self) -> "Repetition":
-        """One-or-more repetition ``psi^{1..inf}``."""
-        return Repetition(self, 1, INFINITY)
 
     def output(self, *items: Union[str, "PropertyRef"]) -> "OutputPattern":
         return OutputPattern(self, tuple(items))

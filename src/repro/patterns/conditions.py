@@ -25,7 +25,7 @@ from typing import Any, Dict, FrozenSet
 from repro.errors import BindingError, PatternError
 from repro.graph.identifiers import Identifier
 from repro.graph.property_graph import PropertyGraph
-from repro.parameters import Bindings, Parameter, bind_value
+from repro.parameters import Bindings, Parameter, bind_value, require_atomic
 
 #: A variable mapping assigns graph element identifiers to pattern variables.
 Mapping = Dict[str, Identifier]
@@ -107,7 +107,8 @@ class PropertyCompare(PatternCondition):
     """``x.key  op  constant`` for an ordered comparator.
 
     Undefined properties never satisfy the comparison, mirroring the
-    three-valued treatment of missing values in the standard.
+    three-valued treatment of missing values in the standard.  The
+    constant is atomic or a :class:`~repro.parameters.Parameter` slot.
     """
 
     var: str
@@ -118,6 +119,7 @@ class PropertyCompare(PatternCondition):
     def __post_init__(self) -> None:
         if self.operator not in _COMPARATORS:
             raise PatternError(f"unsupported comparison operator {self.operator!r}")
+        require_atomic(self.constant, PatternError, "a comparison constant")
 
     def satisfied(self, graph: PropertyGraph, mapping: Mapping) -> bool:
         # An unbound slot must raise, not silently decide: ordered

@@ -271,10 +271,7 @@ class PGQEvaluator:
         memo = self._memo
         if memo is None:
             return self._eval_node(query)
-        try:
-            cached = memo.get(query)
-        except TypeError:  # unhashable constants in a condition
-            return self._eval_node(query)
+        cached = memo.get(query)
         if cached is not None:
             return cached
         scope = self._snapshot_scope
@@ -283,12 +280,9 @@ class PGQEvaluator:
             # subqueries evaluate once per snapshot, shared by every
             # engine over it — the snapshot is immutable, so the result
             # relation can never go stale.
-            entry = scope.relation(query, lambda: self._eval_node(query))
-            if entry is not None:
-                result = entry[0]
-                memo[query] = result
-                return result
-        result = self._eval_node(query)
+            result = scope.relation(query, lambda: self._eval_node(query))[0]
+        else:
+            result = self._eval_node(query)
         memo[query] = result
         return result
 
@@ -382,25 +376,18 @@ class PGQEvaluator:
             # sources come back identical, so equal bindings keep hitting
             # the same cached view.
             sources = bind_sources(sources, bindings)
-        key: Optional[Tuple] = (sources, query.max_arity)
-        try:
-            hash(key)
-        except TypeError:  # unhashable constants inside the source subqueries
-            key = None
-        cached = self._views.get(key) if key is not None else None
+        key = (sources, query.max_arity)
+        cached = self._views.get(key)
         if cached is not None:
             self._views.move_to_end(key)
             return cached
         scope = self._snapshot_scope
-        if scope is not None and key is not None:
-            entry = scope.view(key, lambda: self._build_view(sources, query.max_arity))
-            if entry is not None:
-                return entry[0]
+        if scope is not None:
+            return scope.view(key, lambda: self._build_view(sources, query.max_arity))[0]
         built = self._build_view(sources, query.max_arity)
-        if key is not None:
-            self._views[key] = built
-            if len(self._views) > self._views_maxsize:
-                self._views.popitem(last=False)
+        self._views[key] = built
+        if len(self._views) > self._views_maxsize:
+            self._views.popitem(last=False)
         return built
 
     def _eval_graph_pattern(

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Any, FrozenSet, Optional, Tuple
 
 from repro.errors import QueryError
-from repro.parameters import Bindings, Parameter, bind_value, check_bindings
+from repro.parameters import Bindings, Parameter, bind_value, check_bindings, require_atomic
 from repro.patterns.ast import OutputPattern, PropertyRef, bind_output, pattern_parameters
 from repro.relational.conditions import Condition
 
@@ -60,9 +60,6 @@ class Query:
     def difference(self, other: "Query") -> "Difference":
         return Difference(self, other)
 
-    def intersection(self, other: "Query") -> "Difference":
-        return Difference(self, Difference(self, other))
-
 
 @dataclass(frozen=True)
 class BaseRelation(Query):
@@ -76,11 +73,15 @@ class Constant(Query):
     """An individual constant ``c`` (PGQrw addition, Figure 3).
 
     Evaluates to the singleton unary relation ``{(c,)}``; the paper requires
-    ``c`` to come from the active domain, which the evaluator checks.
+    ``c`` to come from the active domain, which the evaluator checks.  ``c``
+    is atomic or a parameter slot.
     """
 
     value: Any
     require_active: bool = True
+
+    def __post_init__(self) -> None:
+        require_atomic(self.value, QueryError, "a constant")
 
 
 @dataclass(frozen=True)
@@ -89,11 +90,17 @@ class ConstantRelation(Query):
 
     Constant *tuples* are definable in PGQrw from individual constants and
     Cartesian product; this node is provided as a convenience and is
-    expanded that way by the fragment analysis.
+    expanded that way by the fragment analysis.  Every entry is atomic or
+    a parameter slot.
     """
 
     rows: Tuple[Tuple[Any, ...], ...]
     arity: int
+
+    def __post_init__(self) -> None:
+        for row in self.rows:
+            for value in row:
+                require_atomic(value, QueryError, "a constant relation entry")
 
 
 @dataclass(frozen=True)
@@ -278,10 +285,9 @@ def source_parameters(query: Query) -> FrozenSet[str]:
 class ViewSources(tuple):
     """A pattern's six view subqueries, with what depends on them alone
     computed once: their parameter slot names, and their structural hash
-    on first use (an unhashable constant inside raises ``TypeError`` on
-    each use, as a tuple would).  ``GraphPattern`` wraps its sources in
-    one; a catalog graph's definition builds it once, and every statement
-    over the graph shares it.
+    on first use (every constant inside is atomic, so it always hashes).
+    ``GraphPattern`` wraps its sources in one; a catalog graph's definition
+    builds it once, and every statement over the graph shares it.
 
     Equal to, and hashing like, the plain tuple of the same subqueries, so
     a view keyed on either finds the same cache entry; a view cache key

@@ -82,10 +82,10 @@ def lower_source(query: Query, schema: Schema) -> Optional[Tuple[int, List[ScanT
 
     Grammar: ``BaseRelation``, ``EmptyRelation``, ``Union``, ``Project``
     and ``Product(q, Constant(c, require_active=False))`` with ``c`` a
-    plain hashable value.  Whatever the formal evaluator would reject
-    (an unknown table, a projection position out of range, a union of
-    unequal arities) lowers to ``None`` as well, so the formal path gets
-    to say so.
+    value, not a parameter slot.  Whatever the formal evaluator would
+    reject (an unknown table, a projection position out of range, a union
+    of unequal arities) lowers to ``None`` as well, so the formal path
+    gets to say so.
     """
     if isinstance(query, BaseRelation):
         if query.name not in schema:
@@ -115,11 +115,7 @@ def lower_source(query: Query, schema: Schema) -> Optional[Tuple[int, List[ScanT
         if not isinstance(constant, Constant) or constant.require_active:
             return None
         value = constant.value
-        if isinstance(value, (Parameter, tuple, list, set, dict)):
-            return None
-        try:
-            hash(value)
-        except TypeError:
+        if isinstance(value, Parameter):
             return None
         operand = lower_source(query.left, schema)
         if operand is None:

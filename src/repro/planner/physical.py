@@ -164,10 +164,8 @@ class PlanCache:
     built without statistics compiles graph-independent plans (key
     component ``None``).
 
-    Patterns with unhashable condition constants are compiled but not
-    cached; those compiles are counted separately (``uncacheable``) so the
-    hit-rate arithmetic ``hits / (hits + misses)`` stays truthful about
-    the keys the cache actually manages.
+    Every pattern is a key: condition constants are atomic by
+    construction (:func:`~repro.parameters.is_atomic`), so patterns hash.
 
     Repetition bounds are *not* part of the key on purpose: compiled plans
     never bake in ``max_repetitions`` — the bound is enforced by the
@@ -191,7 +189,6 @@ class PlanCache:
         self._plans: "OrderedDict[Tuple, Tuple[LogicalPlan, bool]]" = OrderedDict()
         self.hits = 0
         self.misses = 0
-        self.uncacheable = 0
         #: Hits/misses on *parameterized* shapes (patterns carrying
         #: :class:`~repro.parameters.Parameter` slots), counted separately
         #: on top of ``hits``/``misses`` so prepared-statement reuse is
@@ -214,11 +211,7 @@ class PlanCache:
         needed = frozenset(needed)
         key = (pattern, needed, stats.fingerprint() if stats is not None else None)
         with self._lock:
-            try:
-                entry = self._plans.get(key)
-            except TypeError:  # unhashable constant somewhere in a condition
-                self.uncacheable += 1
-                entry = key = None
+            entry = self._plans.get(key)
             if entry is not None:
                 plan, parameterized = entry
                 self.hits += 1
@@ -226,24 +219,21 @@ class PlanCache:
                     self.prepared_hits += 1
                 self._plans.move_to_end(key)
                 return plan
-            if key is not None:
-                parameterized = bool(pattern_parameters(pattern))
-                self.misses += 1
-                if parameterized:
-                    self.prepared_misses += 1
-                plan = compile_plan(pattern, needed, stats, verify)
-                self._plans[key] = (plan, parameterized)
-                if len(self._plans) > self.maxsize:
-                    self._plans.popitem(last=False)
-                return plan
-        return compile_plan(pattern, needed, stats, verify)
+            parameterized = bool(pattern_parameters(pattern))
+            self.misses += 1
+            if parameterized:
+                self.prepared_misses += 1
+            plan = compile_plan(pattern, needed, stats, verify)
+            self._plans[key] = (plan, parameterized)
+            if len(self._plans) > self.maxsize:
+                self._plans.popitem(last=False)
+            return plan
 
     def clear(self) -> None:
         with self._lock:
             self._plans.clear()
             self.hits = 0
             self.misses = 0
-            self.uncacheable = 0
             self.prepared_hits = 0
             self.prepared_misses = 0
 
@@ -257,7 +247,6 @@ class PlanCache:
             "misses": self.misses,
             "prepared_hits": self.prepared_hits,
             "prepared_misses": self.prepared_misses,
-            "uncacheable": self.uncacheable,
             "size": len(self._plans),
         }
         if self.shared:
@@ -472,10 +461,7 @@ class PlanExecutor:
     def execute(self, plan: LogicalPlan) -> CompactTable:
         """Evaluate a plan over integer columns; tables are memoized per
         plan node so repeated identical sub-plans run once per graph."""
-        try:
-            cached = self._tables.get(plan)
-        except TypeError:
-            cached = None
+        cached = self._tables.get(plan)
         profiler = active_profiler()
         if cached is not None:
             if profiler is not None:
@@ -500,10 +486,7 @@ class PlanExecutor:
             from repro.analysis.verifier import verify_physical_result
 
             verify_physical_result(plan, result.columns, result.rows)
-        try:
-            self._tables[plan] = result
-        except TypeError:
-            pass
+        self._tables[plan] = result
         return result
 
     def _execute(self, plan: LogicalPlan) -> CompactTable:

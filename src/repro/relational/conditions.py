@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, FrozenSet, Tuple
 
 from repro.errors import BindingError, QueryError
-from repro.parameters import Bindings, Parameter, bind_value
+from repro.parameters import Bindings, Parameter, bind_value, require_atomic
 from repro.relational.relation import Row
 
 
@@ -101,10 +101,13 @@ class ColumnEquals(Condition):
 
 @dataclass(frozen=True)
 class ColumnEqualsConstant(Condition):
-    """``$position = constant``."""
+    """``$position = constant``, the constant atomic or a slot."""
 
     position: int
     constant: Any
+
+    def __post_init__(self) -> None:
+        require_atomic(self.constant, QueryError, "a selection constant")
 
     def evaluate(self, row: Row) -> bool:
         # Equality against a Parameter is structural (it must be, for plan
@@ -182,7 +185,8 @@ class ColumnCompare(Condition):
 
 @dataclass(frozen=True)
 class ColumnCompareConstant(Condition):
-    """``$position  op  constant`` for an ordered comparison operator."""
+    """``$position  op  constant`` for an ordered comparison operator, the
+    constant atomic or a slot."""
 
     position: int
     operator: str
@@ -191,6 +195,7 @@ class ColumnCompareConstant(Condition):
     def __post_init__(self) -> None:
         if self.operator not in _COMPARATORS:
             raise QueryError(f"unsupported comparison operator {self.operator!r}")
+        require_atomic(self.constant, QueryError, "a selection constant")
 
     def evaluate(self, row: Row) -> bool:
         # Ordered comparisons raise through Parameter's reflected

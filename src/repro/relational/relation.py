@@ -13,20 +13,18 @@ from itertools import chain
 from typing import Any, Callable, FrozenSet, Iterable, Iterator, Optional, Tuple
 
 from repro.errors import ArityError, SchemaError
+from repro.parameters import is_atomic
 
 #: A database tuple: a flat tuple of atomic domain values.
 Row = Tuple[Any, ...]
 
 
-#: Component types a row may not hold: domain elements are atomic.
-_CONTAINERS = (tuple, list, set, dict)
-
-
 def as_row(values: Any) -> Row:
     """Normalize ``values`` into a flat tuple row.
 
-    Scalars become 1-tuples.  Nested containers are rejected because domain
-    elements are atomic.
+    Scalars become 1-tuples.  Components that are not
+    :func:`~repro.parameters.is_atomic` (containers, unhashable values) are
+    rejected because domain elements are atomic.
     """
     if isinstance(values, tuple):
         row = values
@@ -35,21 +33,18 @@ def as_row(values: Any) -> Row:
     else:
         row = (values,)
     for component in row:
-        if isinstance(component, _CONTAINERS):
+        if not is_atomic(type(component)):
             raise ArityError(f"relation entries must be atomic values, got {component!r}")
     return row
 
 
 def _all_plain(rows: list, arity: int) -> bool:
     """Set-at-a-time validation: every row is a plain tuple of ``arity``
-    components and no distinct component *type* is a container."""
+    components and every distinct component *type* is atomic."""
     return (
         set(map(type, rows)) <= {tuple}
         and set(map(len, rows)) <= {arity}
-        and not any(
-            issubclass(kind, _CONTAINERS)
-            for kind in set(map(type, chain.from_iterable(rows)))
-        )
+        and all(map(is_atomic, set(map(type, chain.from_iterable(rows)))))
     )
 
 

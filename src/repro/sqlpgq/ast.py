@@ -17,6 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Tuple, Union
 
+from repro.errors import QueryError
+from repro.parameters import require_atomic
+
 #: ``(line, column)`` of the token that introduced an AST node.  Positions
 #: are carried for diagnostics only: they are excluded from equality and
 #: hashing (plan caches key on structural equality of ASTs) and from repr
@@ -115,10 +118,13 @@ class PropertyOperand:
 
 @dataclass(frozen=True)
 class LiteralOperand:
-    """A number or string literal."""
+    """A number or string literal (any atomic value, when built by hand)."""
 
     value: object
     position: Optional[SourcePosition] = _position_field()
+
+    def __post_init__(self) -> None:
+        require_atomic(self.value, QueryError, "a literal")
 
 
 @dataclass(frozen=True)

@@ -12,15 +12,19 @@ are Unicode classes)::
     skipped   \\s+  and  --[^\\n]*       only "\\n" starts a new line
     IDENT     [^\\W\\d]\\w*               starting with a letter or "_"; a
                                        KEYWORD when its upper case is one
-    NUMBER    [0-9]+(\\.[0-9]+)?        not followed by "." or a digit
-    STRING    '[^']*'  |  "[^"]*"      value without the quotes
+    NUMBER    [0-9]+(\\.[0-9]+)?([eE][+-]?[0-9]+)?
+                                       not followed by "." or a digit
+    STRING    '([^']|'')*'  |  "[^"]*" value without the quotes; inside
+                                       single quotes '' is one quote
     SYMBOL    <> != >= <= -> <- ]- -[  or one of  ( ) [ ] { } , . ; : * + = < > - /
 
 Anything else is a :class:`~repro.errors.ParseError` at the line and
 column where it starts: a digit run outside NUMBER (``1.2.3``, ``1.``,
 ``١٢``, ``²``) is a malformed number, a lone quote an unterminated string
 literal, any other character unexpected.  ``--`` opens a comment wherever
-a token could start.
+a token could start.  A NUMBER has no sign: the parser reads ``-`` before
+a NUMBER in an operand as a negative literal (``t.amount > -1``), since
+``-`` also opens ``-[...]->``.
 
 The ``:`` symbol is position-disambiguated by the parser: inside a pattern
 element it separates a variable from its labels (``(x:Account)``), while
@@ -66,8 +70,8 @@ _MASTER = re.compile(
     |(?P<WORD>[^\W\d]\w*)
     |(?P<COMMENT>--[^\n]*)
     |(?P<SYMBOL><>|!=|>=|<=|->|<-|\]-|-\[|[()\[\]{},.;:*+=<>\-/])
-    |(?P<NUMBER>[0-9]+(?:\.[0-9]+)?(?![.\d]))
-    |(?P<STRING>'[^']*'|"[^"]*")
+    |(?P<NUMBER>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?(?![.\d]))
+    |(?P<STRING>'[^']*(?:''[^']*)*'|"[^"]*")
     |(?P<BADNUMBER>\d[.\d]*)
     |(?P<ERROR>.)
     """,
@@ -130,7 +134,10 @@ def _lex(text: str) -> Tuple[List[Token], List[Optional[str]]]:
         elif kind == "SYMBOL":
             key = value
         elif kind == "STRING":
-            tokens.append(_new_token(Token, (kind, value[1:-1], line, column)))
+            text = value[1:-1]
+            if value[0] == "'":
+                text = text.replace("''", "'")
+            tokens.append(_new_token(Token, (kind, text, line, column)))
             keys.append(None)
             if "\n" in value:
                 line += value.count("\n")

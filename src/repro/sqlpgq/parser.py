@@ -303,7 +303,7 @@ def _parse_quantifier(stream: TokenStream) -> Optional[Quantifier]:
 
 def _quantifier_bound(stream: TokenStream) -> int:
     token = stream.peek()
-    if token.kind != "NUMBER" or "." in token.value:
+    if token.kind != "NUMBER" or not token.value.isdigit():
         raise stream.error("expected an integer quantifier bound")
     stream.advance()
     return int(token.value)
@@ -410,13 +410,20 @@ def _parse_not(stream: TokenStream) -> ConditionExpr:
     return _parse_comparison(stream)
 
 
+def _number(text: str) -> object:
+    return int(text) if text.isdigit() else float(text)
+
+
 def _parse_operand(stream: TokenStream) -> Operand:
     token = stream.peek()
     position = (token.line, token.column)
     if token.kind == "NUMBER":
         stream.advance()
-        value: object = float(token.value) if "." in token.value else int(token.value)
-        return LiteralOperand(value, position=position)
+        return LiteralOperand(_number(token.value), position=position)
+    if stream.at("-") and stream.peek(1).kind == "NUMBER":
+        # The sign is the parser's, not the lexer's: "-" also opens "-[".
+        stream.advance()
+        return LiteralOperand(-_number(stream.advance().value), position=position)
     if token.kind == "STRING":
         stream.advance()
         return LiteralOperand(token.value, position=position)

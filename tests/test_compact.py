@@ -387,7 +387,6 @@ class TestCounterSurfacing:
             "misses",
             "prepared_hits",
             "prepared_misses",
-            "uncacheable",
             "size",
         }
 

@@ -4,7 +4,8 @@ import pytest
 
 from repro.datasets import GRAPH_VIEW_SCHEMA, erdos_renyi
 from repro.engine import NaiveEngine, PlannedEngine, SQLiteEngine
-from repro.errors import PatternError
+from repro import Parameter
+from repro.errors import PatternError, QueryError
 from repro.matching import EndpointEvaluator
 from repro.matching.paths import PathEvaluator
 from repro.patterns.builder import (
@@ -23,9 +24,13 @@ from repro.patterns.builder import (
     star,
     where,
 )
+from repro.patterns.conditions import PropertyCompare
 from repro.pgq import graph_pattern_on_relations, pg_view
+from repro.pgq.queries import Constant, ConstantRelation
 from repro.pgq.views import ViewRelations
 from repro.relational import Relation
+from repro.relational.conditions import ColumnCompareConstant, ColumnEqualsConstant
+from repro.sqlpgq.ast import LiteralOperand
 from repro.planner import (
     EdgeScan,
     FilterStep,
@@ -248,6 +253,20 @@ class TestPlanExecutor:
 # --------------------------------------------------------------------------- #
 # Plan cache
 # --------------------------------------------------------------------------- #
+#: Every constructor that holds a constant: how to build one around a
+#: value, and the error it raises for a value that is not atomic.
+_CONSTANT_HOLDERS = {
+    "PropertyCompare": (lambda value: PropertyCompare("t", "w", "=", value), PatternError),
+    "ColumnEqualsConstant": (lambda value: ColumnEqualsConstant(1, value), QueryError),
+    "ColumnCompareConstant": (
+        lambda value: ColumnCompareConstant(1, "<", value), QueryError
+    ),
+    "Constant": (lambda value: Constant(value), QueryError),
+    "ConstantRelation": (lambda value: ConstantRelation(((value,),), 1), QueryError),
+    "LiteralOperand": (lambda value: LiteralOperand(value), QueryError),
+}
+
+
 class TestPlanCache:
     def test_hits_and_misses(self):
         cache = PlanCache(maxsize=4)
@@ -261,7 +280,6 @@ class TestPlanCache:
             "misses": 1,
             "prepared_hits": 0,
             "prepared_misses": 0,
-            "uncacheable": 0,
             "size": 1,
         }
 
@@ -271,28 +289,20 @@ class TestPlanCache:
             cache.plan_for(node(f"v{i}"), frozenset({f"v{i}"}))
         assert cache.info()["size"] == 2
 
-    def test_uncacheable_compiles_are_counted(self):
-        # An unhashable condition constant makes the key unhashable: the
-        # compile must still succeed, be counted (previously those calls
-        # silently skewed the hit rate), and never populate the cache.
-        cache = PlanCache()
-        pattern = seq(
-            node("x"), where(edge("t"), prop_cmp("t", "w", "=", [1, 2])), node("y")
-        )
-        needed = frozenset({"x", "y"})
-        for _ in range(2):
-            plan = cache.plan_for(pattern, needed)
-            assert plan is not None
-        assert cache.info() == {
-            "hits": 0,
-            "misses": 0,
-            "prepared_hits": 0,
-            "prepared_misses": 0,
-            "uncacheable": 2,
-            "size": 0,
-        }
-        cache.clear()
-        assert cache.info()["uncacheable"] == 0
+    @pytest.mark.parametrize(
+        "value", [[1], (1,), {1}, {"a": 1}, bytearray(b"x")],
+        ids=["list", "tuple", "set", "dict", "bytearray"],
+    )
+    @pytest.mark.parametrize("constructor", sorted(_CONSTANT_HOLDERS))
+    def test_constants_are_atomic_at_construction(self, constructor, value):
+        # Every pattern is a cache key because no tree can hold a constant
+        # that is a container or does not hash: each constructor holding a
+        # constant refuses one, and still takes an atomic value or a slot.
+        build, error = _CONSTANT_HOLDERS[constructor]
+        with pytest.raises(error, match="must be an atomic value"):
+            build(value)
+        build(1)
+        build(Parameter("slot"))
 
     def test_cache_keys_include_stats_fingerprint(self):
         from repro.planner import collect_graph_statistics

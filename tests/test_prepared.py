@@ -96,6 +96,11 @@ class TestParameter:
             bind_value(Parameter("m"), {})
         with pytest.raises(BindingError, match=":a.*:b"):
             require_bindings(["b", "a"], {})
+        for value in ([1], (1,), {1}, {"a": 1}, bytearray(b"x")):
+            with pytest.raises(BindingError, match=":m must be an atomic value"):
+                bind_value(Parameter("m"), {"m": value})
+            with pytest.raises(BindingError, match=":m must be an atomic value"):
+                require_bindings(["m"], {"m": value})
 
 
 # --------------------------------------------------------------------------- #
@@ -112,6 +117,43 @@ class TestPreparedLifecycle:
                 literal = session.execute(CHAIN_QUERY.replace(":minimum", str(threshold)))
                 assert prepared.equals_unordered(literal), threshold
             assert statement.executions == 3
+
+    @pytest.mark.parametrize("engine", ["naive", "planned", "sqlite"])
+    @pytest.mark.parametrize(
+        "condition, literal, value",
+        [
+            ("t.amount > {}", "-1", -1),
+            ("t.amount = {}", "-1", -1),
+            ("t.amount >= {}", "1e20", 1e20),
+            ("t.amount < {}", "2.5E-3", 2.5e-3),
+            ("x.iban = {}", "'O''Brien'", "O'Brien"),
+        ],
+    )
+    def test_literal_matches_the_bound_value(self, engine, condition, literal, value):
+        # A negative number, an exponent and a doubled quote are literals:
+        # each answers what the same value bound to a slot answers.
+        db = Database()
+        db.create_table("Account", ["iban"], [("A0",), ("O'Brien",), ("A2",)])
+        db.create_table(
+            "Transfer",
+            ["t_id", "src_iban", "tgt_iban", "ts", "amount"],
+            [
+                ("T0", "A0", "O'Brien", 0, -3.0),
+                ("T1", "O'Brien", "A2", 1, -1.0),
+                ("T2", "A2", "A0", 2, 0.0),
+                ("T3", "A0", "A2", 3, 2e20),
+                ("T4", "A2", "O'Brien", 4, 0.002),
+            ],
+        )
+        db.execute(DDL)
+        query = """SELECT * FROM GRAPH_TABLE ( Transfers
+          MATCH (x) -[t:Transfer]-> (y) WHERE {}
+          COLUMNS (t.ts) )""".format(condition)
+        with db.connect(engine=engine) as session:
+            bound = session.execute(query.format(":v"), params={"v": value})
+            written = session.execute(query.format(literal))
+        assert 0 < len(bound.rows) < 5
+        assert sorted(written.rows) == sorted(bound.rows)
 
     def test_one_plan_compilation_serves_two_bindings(self):
         # The acceptance criterion: two bindings of one prepared statement
@@ -147,6 +189,16 @@ class TestPreparedLifecycle:
             statement = session.prepare(CHAIN_QUERY)
             with pytest.raises(BindingError, match=":minimum"):
                 statement.execute()
+
+    @pytest.mark.parametrize("engine", ["naive", "planned", "sqlite"])
+    @pytest.mark.parametrize("operator", [">", "="])
+    def test_non_atomic_binding_raises_binding_error(self, engine, operator):
+        # Bound values are domain elements, so a list is refused up front,
+        # with one error on every engine that names the slot.
+        query = HOP_QUERY.replace("> :minimum", f"{operator} :m")
+        with make_session(engine) as session:
+            with pytest.raises(BindingError, match=r":m must be an atomic value, got \[250\]"):
+                session.execute(query, params={"m": [250]})
 
     @pytest.mark.parametrize("engine", ["naive", "planned", "sqlite"])
     def test_extra_bindings_are_rejected(self, engine):

@@ -330,6 +330,17 @@ class TestQueryService:
             assert status == 400
             assert body["error"]["type"] == "BindingError"
 
+    @pytest.mark.parametrize("engine", ["planned", "sqlite"])
+    def test_non_atomic_binding_is_400(self, db, engine):
+        # A JSON array is no domain element: every engine refuses it as a
+        # BindingError naming the slot, never as sqlite's own binding fault.
+        with QueryService(db, engine=engine, pool_size=1) as service:
+            payload = {"statement": HOP_QUERY, "params": {"minimum": [1]}}
+            status, body = post_query(service, payload)
+            assert status == 400
+            assert body["error"]["type"] == "BindingError"
+            assert ":minimum" in body["error"]["message"]
+
     def test_ddl_creates_table_and_graph_with_handoff(self, db):
         with QueryService(db) as service:
             before = db.version

@@ -103,13 +103,13 @@ class TestLexer:
 _PIECES = st.sampled_from(
     list("aZ_9") + ["select", "Match", "\u00e9", "\u017fELECT", "\u0661", "\u00b2", "\u00bd"]
     + list("()[]{},.;:*+=<>-/!") + ["<>", "!=", ">=", "<=", "->", "<-", "]-", "-["]
-    + ["'", '"', "'x y'", "--", "-- note\n", " ", "\t", "\r", "\n", "1.5", "12"]
+    + ["'", '"', "'x y'", "--", "-- note\n", " ", "\t", "\r", "\n", "1.5", "12", "e3", "E"]
 )
 #: What may separate two tokens: whitespace and ``--`` comments.
 _GAP = re.compile(r"(?:\s|--[^\n]*)*")
 #: Whitespace and comments outside string literals (group 1: a literal,
 #: or an arrow whose "-" cannot open a comment).
-_SKIPPED = re.compile(r"('[^']*'|\"[^\"]*\"|<-|\]-)|\s+|--[^\n]*")
+_SKIPPED = re.compile(r"('[^']*(?:''[^']*)*'|\"[^\"]*\"|<-|\]-)|\s+|--[^\n]*")
 
 
 def _offset(text: str, line: int, column: int) -> int:
@@ -137,7 +137,9 @@ def test_every_token_is_found_at_its_position(text):
         start = _offset(text, token.line, token.column)
         source = token.value
         if token.kind == "STRING":
-            source = text[start] + token.value + text[start]
+            quote = text[start]
+            body = token.value.replace("'", "''") if quote == "'" else token.value
+            source = quote + body + quote
         assert text.startswith(source, start)
         assert _GAP.fullmatch(text[end:start])
         texts.append(source)
